@@ -8,6 +8,7 @@ nothing because the boundary is closed.
 import numpy as np
 
 from bezquad import (
+    apply,
     box_solid,
     bundled,
     cylinder_solid_fitted,
@@ -32,7 +33,7 @@ print(f"flipped orientation  {v_flip:.15f}")
 for pz in (0.0, -7.5):
     r = volume_rule(cyl, 10, 10, pz=pz)
     print(f"pz={pz:5.1f}  integral of cos(x)+y*z = "
-          f"{float(np.dot(r.weights, np.cos(r.points[:, 0]) + r.points[:, 1] * r.points[:, 2])):.15f}")
+          f"{apply(r, lambda x, y, z: np.cos(x) + y * z):.15f}")
 
 print("\nfitted caps, volume error vs segments per quarter turn")
 for segs in (4, 8, 16, 32):

@@ -154,18 +154,19 @@ def _homogeneous(points, weights):
 
 
 def _casteljau_pair(ctrl, t):
-    """Run de Casteljau down to the last two points.
+    """Run de Casteljau with one control polygon per parameter.
 
-    ctrl has shape (m+1, ...) trailing payload axes, t has shape (k,).
-    Returns (b0, b1), each (k, ...): the two survivors of level m-1.
-    The curve value is (1-t) b0 + t b1 and the hodograph is m (b1 - b0).
+    ctrl has shape (k, m+1, ...) with trailing payload axes, t has shape
+    (k,).  The two survivors b0, b1 of level m-1 give the value
+    (1-t) b0 + t b1 and the hodograph m (b1 - b0), each (k, ...).
     """
-    m = ctrl.shape[0] - 1
-    t = t.reshape((-1,) + (1,) * ctrl.ndim)
-    b = np.broadcast_to(ctrl, (t.shape[0],) + ctrl.shape).copy()
+    m = ctrl.shape[1] - 1
+    t = t.reshape((-1,) + (1,) * (ctrl.ndim - 1))
+    b = ctrl.copy()
     for j in range(m - 1):
         b[:, : m - j] = (1.0 - t) * b[:, : m - j] + t * b[:, 1 : m - j + 1]
-    return b[:, 0], b[:, 1]
+    t = t[:, 0]
+    return (1.0 - t) * b[:, 0] + t * b[:, 1], m * (b[:, 1] - b[:, 0])
 
 
 def _eval_h(curve, s):
@@ -173,11 +174,7 @@ def _eval_h(curve, s):
     ctrl = _homogeneous(curve.points, curve.weights)
     if curve.degree == 0:  # unreachable through the public types
         return np.broadcast_to(ctrl[0], (s.size, ctrl.shape[1])).copy(), None
-    b0, b1 = _casteljau_pair(ctrl, s)
-    t = s[:, None]
-    value = (1.0 - t) * b0 + t * b1
-    hodo = curve.degree * (b1 - b0)
-    return value, hodo
+    return _casteljau_pair(np.broadcast_to(ctrl, (s.size,) + ctrl.shape), s)
 
 
 def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
@@ -212,23 +209,9 @@ def _patch_eval_h(patch, u, v):
     if u.shape != v.shape:
         raise ValidationError("u and v must have matching shapes")
     ctrl = _homogeneous(patch.points, patch.weights)  # (m+1, n+1, 4)
-    m, n = patch.degree_u, patch.degree_v
-
-    bu0, bu1 = _casteljau_pair(ctrl, u)  # (k, n+1, 4) each
-    t = u[:, None, None]
-    row = (1.0 - t) * bu0 + t * bu1
-    row_du = m * (bu1 - bu0)
-
-    def collapse_v(rows):
-        b = rows.copy()
-        t = v[:, None]
-        for j in range(n - 1):
-            b[:, : n - j] = (1.0 - t[..., None]) * b[:, : n - j] + t[..., None] * b[:, 1 : n - j + 1]
-        value = (1.0 - t) * b[:, 0] + t * b[:, 1]
-        return value, n * (b[:, 1] - b[:, 0])
-
-    s_h, sv_h = collapse_v(row)
-    su_h, _ = collapse_v(row_du)
+    row, row_du = _casteljau_pair(np.broadcast_to(ctrl, (u.size,) + ctrl.shape), u)
+    s_h, sv_h = _casteljau_pair(row, v)
+    su_h, _ = _casteljau_pair(row_du, v)
     return s_h, su_h, sv_h
 
 
@@ -240,6 +223,16 @@ def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
     return out[0] if scalar else out
 
 
+def _patch_point_normal(patch, u, v):
+    """Mapped points and unnormalized normals d/du x d/dv at paired (u, v)."""
+    s_h, su_h, sv_h = _patch_eval_h(patch, u, v)
+    w = s_h[:, 3:]
+    point = s_h[:, :3] / w
+    du = (su_h[:, :3] - point * su_h[:, 3:]) / w
+    dv = (sv_h[:, :3] - point * sv_h[:, 3:]) / w
+    return point, np.cross(du, dv)
+
+
 def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
     """Unnormalized normal d/du x d/dv of the mapped patch.
 
@@ -247,12 +240,7 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
     direction depends on the (u, v) handedness and is not unitized here.
     """
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    s_h, su_h, sv_h = _patch_eval_h(patch, u, v)
-    w = s_h[:, 3:]
-    point = s_h[:, :3] / w
-    du = (su_h[:, :3] - point * su_h[:, 3:]) / w
-    dv = (sv_h[:, :3] - point * sv_h[:, 3:]) / w
-    normal = np.cross(du, dv)
+    _, normal = _patch_point_normal(patch, u, v)
     return normal[0] if scalar else normal
 
 
@@ -294,6 +282,15 @@ def monomial_to_bernstein(coeffs) -> np.ndarray:
         for i in range(j + 1):
             mat[j, i] = math.comb(j, i) / math.comb(n, i)
     return mat @ coeffs.reshape(n + 1, -1) if coeffs.ndim > 1 else mat @ coeffs
+
+
+def _closure_gaps(curves):
+    """Distance from each curve's end to the next curve's start, the last
+    curve wrapping around to the first."""
+    return [
+        float(np.linalg.norm(c.end() - nxt.start()))
+        for c, nxt in zip(curves, curves[1:] + curves[:1])
+    ]
 
 
 def _collect_control_points(obj, out):

@@ -31,8 +31,8 @@ from .io import (
     rule_csv_lines,
 )
 from .moments import geometric_moments
-from .planar import PlanarRegion, spectral_pe_rule, spectral_rule
-from .surface import SurfaceRule, surface_rule, untrimmed_rule
+from .planar import PlanarRegion, apply, spectral_pe_rule, spectral_rule
+from .surface import SurfaceRule, patch_rule
 from .trimfit import fit_trim_curves
 from .volume import volume_rule
 
@@ -140,30 +140,21 @@ def _parse_ints(text, flag, counts):
     return vals
 
 
-def _weighted(node, points, weights):
+def _weighted(node, rule):
     """Sum w_i f(p_i) with domain failures reported at the bad point."""
-    f = to_callable(node)
-    cols = [points[:, d] for d in range(points.shape[1])]
-    vals = np.broadcast_to(np.asarray(f(*cols), dtype=float), weights.shape)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        i = int(bad[0])
-        pt = [float(v) for v in points[i]] + [0.0] * (3 - points.shape[1])
+    try:
+        return apply(rule, to_callable(node))
+    except QuadratureError as exc:
+        pt = list(exc.point) + [0.0] * (3 - len(exc.point))
         evaluate(node, pt)  # raises EvalError naming the subexpression
         raise EvalError(
             f"integrand is not finite at ({', '.join(f'{v:.17g}' for v in pt)})"
-        )
-    return float(np.dot(weights, vals))
+        ) from None
 
 
 def _combined_surface_rule(solid, m_q, n_q):
     """Full-normal rules for every patch, concatenated in patch order."""
-    parts = []
-    for i, tp in enumerate(solid.patches):
-        if tp.loops:
-            parts.append(surface_rule(tp, m_q, n_q, patch_index=i))
-        else:
-            parts.append(untrimmed_rule(tp.patch, max(m_q, n_q), patch_index=i))
+    parts = [patch_rule(tp, m_q, n_q, patch_index=i) for i, tp in enumerate(solid.patches)]
     return SurfaceRule(
         np.vstack([r.points for r in parts]),
         np.concatenate([r.weights for r in parts]),
@@ -209,8 +200,7 @@ def _cmd_integrate(args):
             raise ValidationError("--pe needs --model; a stored rule is fixed")
         if args.orders:
             raise ValidationError("--orders needs --model; a stored rule is fixed")
-        loaded = load_rule(args.rule)
-        value = _weighted(node, loaded.points, loaded.weights)
+        value = _weighted(node, load_rule(args.rule))
     else:
         model = _load_model(args.model)
         if isinstance(model, PlanarRegion):
@@ -243,7 +233,7 @@ def _cmd_integrate(args):
                 else (16, 16, 16)
             )
             rule = volume_rule(model, m_q, n_q, n_p)
-        value = _weighted(node, rule.points, rule.weights)
+        value = _weighted(node, rule)
     sys.stdout.write(f"{value:.17g}\n")
 
 
@@ -282,7 +272,7 @@ def _cmd_convergence(args):
             rule = spectral_rule(model, n, n)
         else:
             rule = volume_rule(model, n, n, n)
-        rows.append((n, len(rule), _weighted(node, rule.points, rule.weights)))
+        rows.append((n, len(rule), _weighted(node, rule)))
     reference = rows[-1][2]
     lines = ["order,n_points,value,error"]
     for n, count, value in rows:

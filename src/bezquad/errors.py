@@ -26,7 +26,16 @@ class ConditioningError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Numeric failure while building or applying a rule."""
+    """Numeric failure while building or applying a rule.
+
+    ``point`` optionally holds the coordinates where the integrand failed.
+    """
+
+    def __init__(self, message, point=None):
+        self.point = point
+        if point is not None:
+            message = f"{message}, point ({', '.join(f'{v:.17g}' for v in point)})"
+        super().__init__(message)
 
 
 class ParseError(ValueError):

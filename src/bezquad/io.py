@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bezier import RationalBezierCurve, RationalBezierPatch
 from .errors import ValidationError
 from .moments import MomentVector
-from .planar import PlanarRegion, Rule2D
-from .surface import SurfaceRule, TrimLoop, TrimmedPatch
-from .volume import Rule3D, SolidModel
+from .planar import PlanarRegion, Rule
+from .surface import TrimLoop, TrimmedPatch
+from .volume import SolidModel
 
 __all__ = [
     "load_region",
@@ -64,6 +63,15 @@ def _as_array(value, path):
     return arr
 
 
+def _stated_degree(obj, key, path):
+    """The integer ``obj[key]``; JSON booleans and fractions are rejected."""
+    value = obj[key]
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValidationError(f"{key!r} must be an integer, got {value!r}", path=path)
+    return int(value)
+
+
 def _positive_weights(weights, path):
     flat = np.asarray(weights).ravel()
     bad = np.flatnonzero(~(flat > 0))
@@ -98,7 +106,7 @@ def _curve_from_json(obj, path, dim):
                 path=f"{path}.weights",
             )
         _positive_weights(weights, f"{path}.weights")
-    if "degree" in obj and int(obj["degree"]) != pts.shape[0] - 1:
+    if "degree" in obj and _stated_degree(obj, "degree", path) != pts.shape[0] - 1:
         raise ValidationError(
             f"stated degree {obj['degree']} does not match {pts.shape[0]} control points",
             path=path,
@@ -165,7 +173,7 @@ def _patch_from_json(obj, path):
             )
         _positive_weights(weights, f"{path}.weights")
     for key, axis in (("degree_u", 0), ("degree_v", 1)):
-        if key in obj and int(obj[key]) != pts.shape[axis] - 1:
+        if key in obj and _stated_degree(obj, key, path) != pts.shape[axis] - 1:
             raise ValidationError(
                 f"stated {key} {obj[key]} does not match the control net", path=path
             )
@@ -212,10 +220,13 @@ def load_solid(path) -> SolidModel:
     patches = doc["patches"]
     if not isinstance(patches, list) or not patches:
         raise ValidationError("'patches' must be a nonempty list", path="patches")
+    closed = doc.get("closed", True)
+    if not isinstance(closed, bool):
+        raise ValidationError(f"must be true or false, got {closed!r}", path="closed")
     built = tuple(
         _patch_from_json(p, f"patches[{i}]") for i, p in enumerate(patches)
     )
-    return SolidModel(built, closed=bool(doc.get("closed", True)))
+    return SolidModel(built, closed=closed)
 
 
 def save_solid(solid: SolidModel, path):
@@ -226,24 +237,11 @@ def save_solid(solid: SolidModel, path):
     _dump_json(doc, path)
 
 
-_RULE_COLUMNS = (
-    (Rule2D, ("x", "y", "weight", "curve", "q", "zeta")),
-    (SurfaceRule, ("x", "y", "z", "weight", "patch", "loop", "segment", "mu", "eta")),
-    (Rule3D, ("x", "y", "z", "weight", "patch", "sigma", "psi")),
-)
-
-
-def rule_csv_lines(rule):
+def rule_csv_lines(rule: Rule):
     """Header plus one row per point: coordinates, weight, provenance."""
-    for cls, cols in _RULE_COLUMNS:
-        if isinstance(rule, cls):
-            break
-    else:
-        raise ValidationError(f"cannot serialize a {type(rule).__name__}")
-    dim = cols.index("weight")
-    lines = [",".join(cols)]
+    lines = [",".join(rule.columns)]
     for i in range(len(rule)):
-        vals = [f"{rule.points[i, d]:.17g}" for d in range(dim)]
+        vals = [f"{rule.points[i, d]:.17g}" for d in range(rule.dim)]
         vals.append(f"{rule.weights[i]:.17g}")
         vals.extend(str(int(v)) for v in rule.provenance[i])
         lines.append(",".join(vals))
@@ -256,24 +254,11 @@ def save_rule(rule, path):
         fh.write("\n".join(rule_csv_lines(rule)) + "\n")
 
 
-@dataclass(frozen=True)
-class LoadedRule:
-    """A rule read back from CSV: points, weights, provenance, header."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    provenance: np.ndarray
-    columns: tuple
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
+LoadedRule = Rule
 
 
-def load_rule(path) -> LoadedRule:
+def load_rule(path) -> Rule:
+    """Read a rule CSV written by save_rule; the header becomes ``columns``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -301,12 +286,18 @@ def load_rule(path) -> LoadedRule:
         except ValueError:
             raise ValidationError(f"{path} line {ln}: malformed number") from None
     n = len(wts)
-    return LoadedRule(
-        np.asarray(pts, dtype=float).reshape(n, wi),
-        np.asarray(wts, dtype=float),
-        np.asarray(prov, dtype=np.int64).reshape(n, len(cols) - wi - 1),
-        cols,
-    )
+    points = np.asarray(pts, dtype=float).reshape(n, wi)
+    weights = np.asarray(wts, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(points).all(axis=1) & np.isfinite(weights)))
+    if bad.size:
+        ln = [ln for ln, line in enumerate(lines[1:], start=2) if line.strip()][bad[0]]
+        raise ValidationError(f"{path} line {ln}: non-finite value")
+    try:
+        return Rule(
+            points, weights, np.asarray(prov, dtype=np.int64).reshape(n, len(cols) - wi - 1), cols
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_trim_points(path):

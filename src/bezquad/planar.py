@@ -23,6 +23,7 @@ import numpy as np
 from .bezier import (
     BoundingBox,
     RationalBezierCurve,
+    _closure_gaps,
     control_bbox,
     eval_curve,
     eval_curve_derivative,
@@ -32,11 +33,13 @@ from .quad1d import PoleSet, Rule1D, _gauss_many, gauss_legendre, rational_rule,
 
 __all__ = [
     "PlanarRegion",
+    "Rule",
     "Rule2D",
     "region_constant_C",
     "spectral_rule",
     "spectral_pe_rule",
     "integrate2d",
+    "apply",
 ]
 
 _CLOSURE_REL_TOL = 1e-10
@@ -70,13 +73,12 @@ class PlanarRegion:
                     )
             scale = control_bbox(list(loop)).diagonal()
             tol = _CLOSURE_REL_TOL * scale if scale > 0 else _CLOSURE_REL_TOL
-            for j, c in enumerate(loop):
-                nxt = loop[(j + 1) % len(loop)]
-                gap = float(np.linalg.norm(c.end() - nxt.start()))
+            for j, gap in enumerate(_closure_gaps(loop)):
                 if gap > tol:
+                    nxt = (j + 1) % len(loop)
                     raise ValidationError(
-                        f"curve {j} ends at {tuple(c.end())} but curve "
-                        f"{(j + 1) % len(loop)} starts at {tuple(nxt.start())} "
+                        f"curve {j} ends at {tuple(loop[j].end())} but curve "
+                        f"{nxt} starts at {tuple(loop[nxt].start())} "
                         f"(gap {gap:.3e}, tolerance {tol:.3e})",
                         path=f"loops[{k}]",
                     )
@@ -90,32 +92,82 @@ class PlanarRegion:
 
 
 @dataclass(frozen=True)
-class Rule2D:
-    """Planar quadrature rule with per-point provenance.
+class Rule:
+    """Quadrature rule: points, weights and per-point provenance.
 
-    ``provenance`` rows are (curve, q, zeta): the flattened boundary curve
-    index, the intermediate node index on that curve, and the index on the
-    vertical antiderivative segment under that node.
+    ``columns`` is the CSV header: 2 or 3 coordinate names, ``weight``,
+    then one name per provenance column.  Surface rules also carry their
+    parametric ``preimages`` in the unit square and ``degenerate_count``,
+    the number of points whose unnormalized normal collapsed below
+    threshold; those stay in the rule with zero weight.
     """
 
     points: np.ndarray
     weights: np.ndarray
     provenance: np.ndarray
+    columns: tuple
+    preimages: np.ndarray | None = None
+    degenerate_count: int = 0
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(-1, 2)
+        cols = tuple(self.columns)
+        dim = cols.index("weight") if "weight" in cols else None
+        if dim not in (2, 3):
+            raise ValidationError(
+                f"rule columns need 2 or 3 coordinates before 'weight', got {','.join(cols)!r}"
+            )
         wts = np.array(self.weights, dtype=float).ravel()
-        prov = np.array(self.provenance, dtype=np.int64).reshape(-1, 3)
-        if not (pts.shape[0] == wts.shape[0] == prov.shape[0]):
-            raise ValidationError("points, weights and provenance must align")
-        for a in (pts, wts, prov):
+        width = len(cols) - dim - 1
+        arrays = {
+            "points": np.array(self.points, dtype=float).reshape(-1, dim),
+            "weights": wts,
+            "provenance": np.array(self.provenance, dtype=np.int64).reshape(
+                (-1, width) if width else (wts.size, 0)
+            ),
+        }
+        if self.preimages is not None:
+            pre = np.array(self.preimages, dtype=float).reshape(-1, 2)
+            if pre.size and (float(pre.min()) < -1e-8 or float(pre.max()) > 1.0 + 1e-8):
+                raise ValidationError("parametric preimages must stay inside the unit square")
+            arrays["preimages"] = pre
+        if len({a.shape[0] for a in arrays.values()}) != 1:
+            raise ValidationError(f"{', '.join(arrays)} must align")
+        object.__setattr__(self, "columns", cols)
+        for name, a in arrays.items():
             a.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "provenance", prov)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return self.weights.size
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+
+def Rule2D(points, weights, provenance) -> Rule:
+    """Planar rule.  ``provenance`` rows are (curve, q, zeta): the flattened
+    boundary curve index, the intermediate node index on that curve, and
+    the index on the vertical antiderivative segment under that node."""
+    return Rule(points, weights, provenance, ("x", "y", "weight", "curve", "q", "zeta"))
+
+
+def apply(rule: Rule, f) -> float:
+    """Apply the rule to f(x, y) or f(x, y, z); f must accept numpy arrays."""
+    with np.errstate(all="ignore"):
+        vals = np.broadcast_to(
+            np.asarray(f(*rule.points.T), dtype=float), rule.weights.shape
+        )
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i = int(bad[0])
+        raise QuadratureError(
+            f"integrand is not finite at node {i}", point=tuple(map(float, rule.points[i]))
+        )
+    return float(np.dot(rule.weights, vals))
+
+
+integrate2d = apply
 
 
 def region_constant_C(region: PlanarRegion) -> float:
@@ -132,6 +184,20 @@ def is_polynomial_curve(curve: RationalBezierCurve) -> bool:
     return float(np.max(np.abs(w - w[0]))) <= _EQUAL_WEIGHT_REL_TOL * float(np.max(np.abs(w)))
 
 
+def _lift(points, base, order, index):
+    """Antiderivative rays: an ``order``-point Gauss segment from height
+    ``base`` up to the last coordinate of each point.
+
+    Returns the ray points (point-major, other coordinates repeated), the
+    (k, order) segment weights and the provenance rows (index, point, node).
+    """
+    k = points.shape[0]
+    nodes, seg_w = _gauss_many(order, np.full(k, base), points[:, -1])
+    lifted = np.column_stack([np.repeat(points[:, :-1], order, axis=0), nodes.ravel()])
+    prov = np.column_stack([np.full(k * order, index), np.indices((k, order)).reshape(2, -1).T])
+    return lifted, seg_w, prov
+
+
 def _assemble(curve_rules, constant, layer_order):
     """Shared boundary-times-layer assembly.
 
@@ -141,26 +207,16 @@ def _assemble(curve_rules, constant, layer_order):
     points, weights, prov = [], [], []
     for i, (curve, rule) in enumerate(curve_rules):
         s = rule.nodes
-        pts = eval_curve(curve, s)
-        der = eval_curve_derivative(curve, s)
         # counter-clockwise material: the factor is -dx/ds
-        factor = -der[:, 0]
-        y_nodes, y_weights = _gauss_many(layer_order, np.full(s.shape, constant), pts[:, 1])
-        q_count, z_count = y_nodes.shape
-        w = rule.weights[:, None] * y_weights * factor[:, None]
-        x = np.repeat(pts[:, 0], z_count)
-        points.append(np.column_stack([x, y_nodes.ravel()]))
-        weights.append(w.ravel())
-        idx = np.indices((q_count, z_count)).reshape(2, -1).T
-        prov.append(np.column_stack([np.full(len(idx), i), idx]))
-    return (
-        np.vstack(points),
-        np.concatenate(weights),
-        np.vstack(prov),
-    )
+        factor = -eval_curve_derivative(curve, s)[:, 0]
+        lifted, seg_w, rows = _lift(eval_curve(curve, s), constant, layer_order, i)
+        points.append(lifted)
+        weights.append(((rule.weights[:, None] * seg_w) * factor[:, None]).ravel())
+        prov.append(rows)
+    return np.vstack(points), np.concatenate(weights), np.vstack(prov)
 
 
-def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule2D:
+def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule:
     """Gauss-on-Gauss rule: ``boundary_order`` nodes per curve, each with a
     ``layer_order``-point vertical segment.
 
@@ -190,7 +246,7 @@ def _pe_intermediate_rule(curve: RationalBezierCurve, degree: int) -> Rule1D:
     return gauss_legendre(math.ceil((intermediate_degree + 1) / 2), (0.0, 1.0))
 
 
-def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule2D:
+def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
     """Polynomially exact rule: integrates every monomial x^a y^b with
     a + b <= ``degree`` to rounding level.
 
@@ -206,20 +262,3 @@ def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule2D:
     pairs = [(crv, _pe_intermediate_rule(crv, degree)) for crv in region.curves]
     pts, wts, prov = _assemble(pairs, c, layer_order)
     return Rule2D(pts, wts, prov)
-
-
-def integrate2d(rule: Rule2D, f) -> float:
-    """Apply the rule to f(x, y); f must accept numpy arrays."""
-    with np.errstate(all="ignore"):
-        vals = np.broadcast_to(
-            np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float),
-            rule.weights.shape,
-        )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        i = int(bad[0])
-        raise QuadratureError(
-            f"integrand is not finite at node {i}, point "
-            f"({rule.points[i, 0]:.17g}, {rule.points[i, 1]:.17g})"
-        )
-    return float(np.dot(rule.weights, vals))

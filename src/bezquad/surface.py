@@ -23,11 +23,12 @@ import numpy as np
 from .bezier import (
     RationalBezierCurve,
     RationalBezierPatch,
-    _patch_eval_h,
+    _closure_gaps,
+    _patch_point_normal,
     control_bbox,
 )
 from .errors import QuadratureError, ValidationError
-from .planar import Rule2D, _assemble
+from .planar import Rule, Rule2D, _assemble, apply
 from .quad1d import gauss_legendre
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "parametric_area_rule",
     "surface_rule",
     "untrimmed_rule",
+    "patch_rule",
     "surface_integrate",
 ]
 
@@ -75,9 +77,7 @@ class TrimLoop:
                 raise ValidationError(
                     f"segments[{j}]: control points leave the parameter square"
                 )
-        for j, seg in enumerate(segs):
-            nxt = segs[(j + 1) % len(segs)]
-            gap = float(np.linalg.norm(seg.end() - nxt.start()))
+        for j, gap in enumerate(_closure_gaps(segs)):
             if gap > _CLOSURE_TOL:
                 raise ValidationError(
                     f"segments[{j}] ends {gap:.3e} away from the next segment start"
@@ -101,41 +101,21 @@ class TrimmedPatch:
                 raise ValidationError(f"loops[{k}] must be a TrimLoop")
 
 
-@dataclass(frozen=True)
-class SurfaceRule:
-    """Surface quadrature with parametric preimages.
+def SurfaceRule(points, weights, preimages, provenance, degenerate_count: int = 0) -> Rule:
+    """Surface rule with parametric preimages.
 
     ``provenance`` rows are (patch, loop, segment, mu, eta).  Rules from
     the untrimmed tensor shortcut mark loop = segment = -1 and use the
-    grid indices for (mu, eta).  ``degenerate_count`` is the number of
-    points whose unnormalized normal collapsed below threshold; they stay
-    in the rule with zero weight.
+    grid indices for (mu, eta).
     """
-
-    points: np.ndarray
-    weights: np.ndarray
-    preimages: np.ndarray
-    provenance: np.ndarray
-    degenerate_count: int = 0
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(-1, 3)
-        wts = np.array(self.weights, dtype=float).ravel()
-        pre = np.array(self.preimages, dtype=float).reshape(-1, 2)
-        prov = np.array(self.provenance, dtype=np.int64).reshape(-1, 5)
-        if not (pts.shape[0] == wts.shape[0] == pre.shape[0] == prov.shape[0]):
-            raise ValidationError("points, weights, preimages and provenance must align")
-        if pre.size and (float(pre.min()) < -1e-8 or float(pre.max()) > 1.0 + 1e-8):
-            raise ValidationError("parametric preimages must stay inside the unit square")
-        for a in (pts, wts, pre, prov):
-            a.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "preimages", pre)
-        object.__setattr__(self, "provenance", prov)
-
-    def __len__(self) -> int:
-        return self.weights.size
+    return Rule(
+        points,
+        weights,
+        provenance,
+        ("x", "y", "z", "weight", "patch", "loop", "segment", "mu", "eta"),
+        preimages,
+        degenerate_count,
+    )
 
 
 def unit_square_loop() -> TrimLoop:
@@ -147,7 +127,7 @@ def unit_square_loop() -> TrimLoop:
     return TrimLoop(tuple(segs))
 
 
-def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule2D:
+def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule:
     """Planar rule over the trimmed part of the parameter square.
 
     The antiderivative runs in v from the fixed height 0, with m_q
@@ -168,30 +148,33 @@ def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule2D:
     return Rule2D(pts, wts, prov)
 
 
-def _mapped_weights(patch, u, v, para_weights, weight_mode):
-    """Push parametric points through the patch; scale weights by the
-    requested normal factor, zeroing collapsed-normal points."""
+def _mapped_rule(patch, pre, para_weights, prov, weight_mode, patch_index):
+    """Push parametric points ``pre`` through the patch and scale their
+    weights by the requested normal factor, zeroing (and warning about)
+    collapsed-normal points.  ``prov`` holds the (loop, segment, mu, eta)
+    provenance rows; the patch index is prepended here."""
     if weight_mode not in _WEIGHT_MODES:
         raise ValidationError(
             f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}"
         )
-    s_h, su_h, sv_h = _patch_eval_h(patch, u, v)
-    w = s_h[:, 3:]
-    point = s_h[:, :3] / w
-    du = (su_h[:, :3] - point * su_h[:, 3:]) / w
-    dv = (sv_h[:, :3] - point * sv_h[:, 3:]) / w
-    normal = np.cross(du, dv)
+    point, normal = _patch_point_normal(patch, pre[:, 0], pre[:, 1])
     mag = np.linalg.norm(normal, axis=1)
     # collapsed patch edges (sphere poles) must be skipped, not integrated
     degenerate = mag < _DEGENERATE_NORMAL_REL * control_bbox(patch).diagonal()
     factor = mag if weight_mode == "full-normal" else normal[:, 2]
     weights = para_weights * np.where(degenerate, 0.0, factor)
-    return point, weights, int(np.count_nonzero(degenerate))
+    bad = int(np.count_nonzero(degenerate))
+    if bad:
+        warnings.warn(
+            f"patch {patch_index}: zeroed {bad} degenerate-normal points", stacklevel=3
+        )
+    prov = np.column_stack([np.full(len(pre), patch_index, dtype=np.int64), prov])
+    return SurfaceRule(point, weights, pre, prov, degenerate_count=bad)
 
 
 def surface_rule(
     tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal", patch_index: int = 0
-) -> SurfaceRule:
+) -> Rule:
     """Quadrature rule over one trimmed patch.
 
     ``full-normal`` weights integrate against the surface area measure;
@@ -203,95 +186,57 @@ def surface_rule(
         tp = TrimmedPatch(tp)
     loops = tp.loops or (unit_square_loop(),)
     para = parametric_area_rule(loops, m_q, n_q)
-    point, weights, bad = _mapped_weights(
-        tp.patch, para.points[:, 0], para.points[:, 1], para.weights, weight_mode
+    # flattened segment index -> (loop, segment)
+    loop_seg = np.array(
+        [(k, j) for k, loop in enumerate(loops) for j in range(len(loop.segments))],
+        dtype=np.int64,
     )
-    if bad:
-        warnings.warn(
-            f"patch {patch_index}: zeroed {bad} degenerate-normal points", stacklevel=2
-        )
-    loop_of, seg_of = [], []
-    for k, loop in enumerate(loops):
-        loop_of.extend([k] * len(loop.segments))
-        seg_of.extend(range(len(loop.segments)))
-    flat = para.provenance[:, 0]
-    prov = np.column_stack(
-        [
-            np.full(len(para), patch_index, dtype=np.int64),
-            np.asarray(loop_of, dtype=np.int64)[flat],
-            np.asarray(seg_of, dtype=np.int64)[flat],
-            para.provenance[:, 1:],
-        ]
-    )
-    return SurfaceRule(point, weights, para.points, prov, degenerate_count=bad)
+    prov = np.column_stack([loop_seg[para.provenance[:, 0]], para.provenance[:, 1:]])
+    return _mapped_rule(tp.patch, para.points, para.weights, prov, weight_mode, patch_index)
 
 
 def untrimmed_rule(
     patch: RationalBezierPatch, n: int, weight_mode: str = "full-normal", patch_index: int = 0
-) -> SurfaceRule:
+) -> Rule:
     """Tensor-product Gauss shortcut for a full patch: n x n points over
     the parameter square, weights scaled by the same normal factor as
     surface_rule."""
     if n < 1:
         raise ValidationError("order must be at least 1")
     g = gauss_legendre(n, (0.0, 1.0))
-    u = np.repeat(g.nodes, n)
-    v = np.tile(g.nodes, n)
+    pre = np.column_stack([np.repeat(g.nodes, n), np.tile(g.nodes, n)])
     pw = np.repeat(g.weights, n) * np.tile(g.weights, n)
-    point, weights, bad = _mapped_weights(patch, u, v, pw, weight_mode)
-    if bad:
-        warnings.warn(
-            f"patch {patch_index}: zeroed {bad} degenerate-normal points", stacklevel=2
-        )
-    idx = np.indices((n, n)).reshape(2, -1).T
-    prov = np.column_stack(
-        [
-            np.full(n * n, patch_index, dtype=np.int64),
-            np.full(n * n, -1, dtype=np.int64),
-            np.full(n * n, -1, dtype=np.int64),
-            idx,
-        ]
-    )
-    return SurfaceRule(point, weights, np.column_stack([u, v]), prov, degenerate_count=bad)
+    prov = np.column_stack([np.full((n * n, 2), -1), np.indices((n, n)).reshape(2, -1).T])
+    return _mapped_rule(patch, pre, pw, prov, weight_mode, patch_index)
 
 
-def apply_surface_rule(rule: SurfaceRule, f) -> float:
-    """Apply the rule to f(x, y, z); f must accept numpy arrays."""
-    with np.errstate(all="ignore"):
-        vals = np.broadcast_to(
-            np.asarray(
-                f(rule.points[:, 0], rule.points[:, 1], rule.points[:, 2]), dtype=float
-            ),
-            rule.weights.shape,
-        )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        i = int(bad[0])
-        raise QuadratureError(
-            f"integrand is not finite at node {i}, point "
-            f"({rule.points[i, 0]:.17g}, {rule.points[i, 1]:.17g}, {rule.points[i, 2]:.17g})"
-        )
-    return float(np.dot(rule.weights, vals))
+apply_surface_rule = apply
+
+
+def patch_rule(
+    tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal", patch_index: int = 0
+) -> Rule:
+    """Rule over one patch: surface_rule on its trim loops, or for an
+    untrimmed patch the untrimmed_rule tensor shortcut with max(m_q, n_q)
+    points per direction."""
+    if isinstance(tp, RationalBezierPatch):
+        tp = TrimmedPatch(tp)
+    if tp.loops:
+        return surface_rule(tp, m_q, n_q, weight_mode, patch_index)
+    return untrimmed_rule(tp.patch, max(m_q, n_q), weight_mode, patch_index)
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:
     """Integral of f over a union of trimmed patches, area-weighted.
 
-    Untrimmed patches route through the tensor shortcut with
-    max(m_q, n_q) points per direction.  Per-patch failures are collected
+    Every patch gets its patch_rule.  Per-patch failures are collected
     and reported together with their patch indices.
     """
     total = 0.0
     failures = []
     for i, tp in enumerate(patches):
-        if isinstance(tp, RationalBezierPatch):
-            tp = TrimmedPatch(tp)
         try:
-            if tp.loops:
-                rule = surface_rule(tp, m_q, n_q, "full-normal", patch_index=i)
-            else:
-                rule = untrimmed_rule(tp.patch, max(m_q, n_q), "full-normal", patch_index=i)
-            total += apply_surface_rule(rule, f)
+            total += apply(patch_rule(tp, m_q, n_q, "full-normal", patch_index=i), f)
         except (QuadratureError, ValidationError) as exc:
             failures.append(f"patch {i}: {exc}")
     if failures:

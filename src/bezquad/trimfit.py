@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bezier import RationalBezierCurve, monomial_to_bernstein
+from .bezier import RationalBezierCurve, _closure_gaps, monomial_to_bernstein
 from .errors import ValidationError
 
 __all__ = ["fit_trim_curves", "closure_check"]
@@ -87,8 +87,5 @@ def closure_check(loop, tol: float = 1e-10):
     loop = list(loop)
     if not loop:
         raise ValidationError("loop must contain at least one curve")
-    worst = 0.0
-    for j, seg in enumerate(loop):
-        nxt = loop[(j + 1) % len(loop)]
-        worst = max(worst, float(np.linalg.norm(seg.end() - nxt.start())))
+    worst = max(_closure_gaps(loop))
     return worst <= tol, worst

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import BoundingBox, control_bbox
-from .errors import QuadratureError, ValidationError
-from .quad1d import _gauss_many
-from .surface import TrimmedPatch, surface_rule, untrimmed_rule
+from .errors import ValidationError
+from .planar import Rule, _lift, apply
+from .surface import TrimmedPatch, patch_rule
 
 __all__ = [
     "SolidModel",
@@ -55,30 +55,11 @@ class SolidModel:
         return control_bbox(self)
 
 
-@dataclass(frozen=True)
-class Rule3D:
+def Rule3D(points, weights, provenance) -> Rule:
     """Volume rule with per-point provenance rows (patch, sigma, psi):
     the patch index, the surface-point index within that patch's surface
     rule, and the node index on the vertical segment under it."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    provenance: np.ndarray
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(-1, 3)
-        wts = np.array(self.weights, dtype=float).ravel()
-        prov = np.array(self.provenance, dtype=np.int64).reshape(-1, 3)
-        if not (pts.shape[0] == wts.shape[0] == prov.shape[0]):
-            raise ValidationError("points, weights and provenance must align")
-        for a in (pts, wts, prov):
-            a.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "provenance", prov)
-
-    def __len__(self) -> int:
-        return self.weights.size
+    return Rule(points, weights, provenance, ("x", "y", "z", "weight", "patch", "sigma", "psi"))
 
 
 def solid_constant_Pz(solid: SolidModel) -> float:
@@ -89,10 +70,10 @@ def solid_constant_Pz(solid: SolidModel) -> float:
 
 def volume_rule(
     solid: SolidModel, m_q: int, n_q: int, n_p: int | None = None, pz: float | None = None
-) -> Rule3D:
+) -> Rule:
     """Volume rule for a closed solid.
 
-    Per patch: a z-normal surface rule (m_q boundary nodes and n_q layer
+    Per patch: a z-normal patch_rule (m_q boundary nodes and n_q layer
     nodes per trim segment; untrimmed patches use the max(m_q, n_q)
     tensor shortcut), then an n_p-point Gauss segment under each surface
     point.  n_p defaults to m_q.  ``pz`` overrides the antiderivative
@@ -110,20 +91,11 @@ def volume_rule(
     base = solid_constant_Pz(solid) if pz is None else float(pz)
     pts_all, wts_all, prov_all = [], [], []
     for i, tp in enumerate(solid.patches):
-        if tp.loops:
-            srule = surface_rule(tp, m_q, n_q, "z-normal", patch_index=i)
-        else:
-            srule = untrimmed_rule(tp.patch, max(m_q, n_q), "z-normal", patch_index=i)
-        x, y, z = srule.points.T
-        z_nodes, z_weights = _gauss_many(n_p, np.full(z.shape, base), z)
-        sig_count, p_count = z_nodes.shape
-        w = srule.weights[:, None] * z_weights
-        pts_all.append(
-            np.column_stack([np.repeat(x, p_count), np.repeat(y, p_count), z_nodes.ravel()])
-        )
-        wts_all.append(w.ravel())
-        idx = np.indices((sig_count, p_count)).reshape(2, -1).T
-        prov_all.append(np.column_stack([np.full(len(idx), i, dtype=np.int64), idx]))
+        srule = patch_rule(tp, m_q, n_q, "z-normal", patch_index=i)
+        lifted, seg_w, prov = _lift(srule.points, base, n_p, i)
+        pts_all.append(lifted)
+        wts_all.append((srule.weights[:, None] * seg_w).ravel())
+        prov_all.append(prov)
     return Rule3D(np.vstack(pts_all), np.concatenate(wts_all), np.vstack(prov_all))
 
 
@@ -131,19 +103,4 @@ def volume_integrate(
     solid: SolidModel, f, m_q: int, n_q: int, n_p: int | None = None
 ) -> float:
     """Apply a volume rule to f(x, y, z); f must accept numpy arrays."""
-    rule = volume_rule(solid, m_q, n_q, n_p)
-    with np.errstate(all="ignore"):
-        vals = np.broadcast_to(
-            np.asarray(
-                f(rule.points[:, 0], rule.points[:, 1], rule.points[:, 2]), dtype=float
-            ),
-            rule.weights.shape,
-        )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        i = int(bad[0])
-        raise QuadratureError(
-            f"integrand is not finite at node {i}, point "
-            f"({rule.points[i, 0]:.17g}, {rule.points[i, 1]:.17g}, {rule.points[i, 2]:.17g})"
-        )
-    return float(np.dot(rule.weights, vals))
+    return apply(volume_rule(solid, m_q, n_q, n_p), f)

@@ -19,7 +19,7 @@ from bezquad.io import (
     save_solid,
 )
 from bezquad.moments import geometric_moments
-from bezquad.planar import Rule2D, integrate2d, spectral_rule
+from bezquad.planar import Rule2D, apply, integrate2d, spectral_rule
 from bezquad.shapes import circle_region, cylinder_solid
 from bezquad.surface import surface_rule
 from bezquad.volume import volume_integrate, volume_rule
@@ -113,6 +113,9 @@ def test_nonpositive_weight_names_curve_and_index(tmp_path):
     assert "-2" in str(err.value)
 
 
+_FLAT_PATCH = {"points": [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]]}
+
+
 @pytest.mark.parametrize(
     "doc,fragment",
     [
@@ -121,6 +124,9 @@ def test_nonpositive_weight_names_curve_and_index(tmp_path):
         ({"loops": [[{"points": [[0, 0], [1, 0]], "extra": 1}]]}, "unknown keys"),
         ({"loops": [[{"degree": 3, "points": [[0, 0], [1, 0]]}]]}, "degree"),
         ({"loops": [[{"points": [[0, 0], [1, "a"]]}]]}, "numeric"),
+        ({"loops": [[{"degree": "two", "points": [[0, 0], [1, 0]]}]]}, r"loops\[0\]\[0\]: 'degree'"),
+        ({"patches": [dict(_FLAT_PATCH, degree_v="two")]}, r"patches\[0\]: 'degree_v'"),
+        ({"closed": "no", "patches": [_FLAT_PATCH]}, "closed: must be true or false"),
     ],
 )
 def test_schema_violations_report_paths(tmp_path, doc, fragment):
@@ -140,16 +146,41 @@ def test_not_json(tmp_path):
         load_region(tmp_path / "absent.json")
 
 
-def test_rule_round_trip_bit_identical(tmp_path):
-    rule = spectral_rule(circle_region(), 7, 5)
+@pytest.mark.parametrize(
+    "build,dim,columns",
+    [
+        (
+            lambda: spectral_rule(circle_region(), 7, 5),
+            2,
+            ("x", "y", "weight", "curve", "q", "zeta"),
+        ),
+        (
+            lambda: surface_rule(cylinder_solid().patches[4], 4, 4),  # a trimmed cap
+            3,
+            ("x", "y", "z", "weight", "patch", "loop", "segment", "mu", "eta"),
+        ),
+        (
+            lambda: volume_rule(cylinder_solid(), 5, 5, 4),
+            3,
+            ("x", "y", "z", "weight", "patch", "sigma", "psi"),
+        ),
+    ],
+    ids=["planar", "surface", "volume"],
+)
+def test_rule_round_trip_bit_identical(tmp_path, build, dim, columns):
+    rule = build()
     path = tmp_path / "rule.csv"
     save_rule(rule, path)
     back = load_rule(path)
-    assert back.dim == 2
-    assert back.columns == ("x", "y", "weight", "curve", "q", "zeta")
+    assert back.dim == dim
+    assert back.columns == rule.columns == columns
     assert np.array_equal(back.points, rule.points)
     assert np.array_equal(back.weights, rule.weights)
     assert np.array_equal(back.provenance, rule.provenance)
+    for a, b in ((back.points, rule.points), (back.weights, rule.weights)):
+        assert a.tobytes() == b.tobytes()
+    f = lambda *p: np.exp(p[0]) * np.cos(p[1]) + p[-1] ** 2
+    assert apply(back, f) == apply(rule, f)
 
 
 def test_rule3d_round_trip(tmp_path):
@@ -196,6 +227,17 @@ def test_load_rule_rejects_malformed(tmp_path):
         load_rule(path)
     path.write_text("x,y,curve\n")
     with pytest.raises(ValidationError, match="weight"):
+        load_rule(path)
+    for header in ("x,y,z,t,weight", "weight,curve"):
+        fields = len(header.split(","))
+        path.write_text(header + "\n" + ",".join(["0"] * fields) + "\n")
+        with pytest.raises(ValidationError, match=r"r\.csv: rule columns need 2 or 3 coordinates"):
+            load_rule(path)
+    path.write_text("x,y,weight,curve,q,zeta\n1,2,0.5,0,0,0\n\n1,2,inf,0,0,1\n")
+    with pytest.raises(ValidationError, match="line 4: non-finite"):
+        load_rule(path)
+    path.write_text("x,y,weight,curve,q,zeta\nnan,2,0.5,0,0,0\n")
+    with pytest.raises(ValidationError, match="line 2: non-finite"):
         load_rule(path)
 
 

@@ -11,7 +11,9 @@ from bezquad import (
     apply_surface_rule,
     bilinear_patch,
     box_solid,
+    cylinder_solid,
     parametric_area_rule,
+    patch_rule,
     quarter_arc,
     surface_integrate,
     surface_rule,
@@ -212,3 +214,15 @@ def test_bad_weight_mode():
 def test_surface_rule_alignment_checked():
     with pytest.raises(ValidationError, match="align"):
         SurfaceRule(np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2)), np.zeros((2, 5)))
+
+
+def test_patch_rule_dispatch():
+    side, cap = cylinder_solid().patches[0], cylinder_solid().patches[4]
+    assert not side.loops and cap.loops
+    shortcut = patch_rule(side, 3, 5, "z-normal", patch_index=2)
+    assert len(shortcut) == max(3, 5) ** 2
+    assert np.array_equal(shortcut.weights, untrimmed_rule(side.patch, 5, "z-normal", 2).weights)
+    trimmed = patch_rule(cap, 4, 3, "z-normal", patch_index=4)
+    ref = surface_rule(cap, 4, 3, "z-normal", patch_index=4)
+    for name in ("points", "weights", "preimages", "provenance"):
+        assert np.array_equal(getattr(trimmed, name), getattr(ref, name))
