@@ -172,8 +172,6 @@ def _casteljau_pair(ctrl, t):
 def _eval_h(curve, s):
     s = np.asarray(s, dtype=float).ravel()
     ctrl = _homogeneous(curve.points, curve.weights)
-    if curve.degree == 0:  # unreachable through the public types
-        return np.broadcast_to(ctrl[0], (s.size, ctrl.shape[1])).copy(), None
     return _casteljau_pair(np.broadcast_to(ctrl, (s.size,) + ctrl.shape), s)
 
 

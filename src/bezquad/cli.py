@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import (
     ConditioningError,
     EvalError,
@@ -23,6 +21,7 @@ from .errors import (
 from .expr import evaluate, parse, polynomial_degree, to_callable
 from .io import (
     _curve_to_json,
+    load_model,
     load_region,
     load_rule,
     load_solid,
@@ -32,7 +31,7 @@ from .io import (
 )
 from .moments import geometric_moments
 from .planar import PlanarRegion, apply, spectral_pe_rule, spectral_rule
-from .surface import SurfaceRule, patch_rule
+from .surface import boundary_rule
 from .trimfit import fit_trim_curves
 from .volume import volume_rule
 
@@ -110,22 +109,6 @@ def _emit(lines, out):
         sys.stdout.write(text)
 
 
-def _load_model(path):
-    """Region or solid, decided by the document's top-level key."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if isinstance(doc, dict) and "loops" in doc:
-        return load_region(path)
-    if isinstance(doc, dict) and "patches" in doc:
-        return load_solid(path)
-    raise ValidationError(f"{path}: expected a 'loops' or 'patches' document")
-
-
 def _parse_ints(text, flag, counts):
     parts = text.split(",")
     if len(parts) not in counts:
@@ -152,18 +135,6 @@ def _weighted(node, rule):
         ) from None
 
 
-def _combined_surface_rule(solid, m_q, n_q):
-    """Full-normal rules for every patch, concatenated in patch order."""
-    parts = [patch_rule(tp, m_q, n_q, patch_index=i) for i, tp in enumerate(solid.patches)]
-    return SurfaceRule(
-        np.vstack([r.points for r in parts]),
-        np.concatenate([r.weights for r in parts]),
-        np.vstack([r.preimages for r in parts]),
-        np.vstack([r.provenance for r in parts]),
-        degenerate_count=sum(r.degenerate_count for r in parts),
-    )
-
-
 def _cmd_rule2d(args):
     region = load_region(args.region)
     if args.mode == "spectral":
@@ -184,7 +155,7 @@ def _cmd_rule2d(args):
 def _cmd_rule_surface(args):
     solid = load_solid(args.solid)
     m_q, n_q = _parse_ints(args.orders, "--orders", {2})
-    _emit(rule_csv_lines(_combined_surface_rule(solid, m_q, n_q)), args.out)
+    _emit(rule_csv_lines(boundary_rule(solid.patches, m_q, n_q, "full-normal")), args.out)
 
 
 def _cmd_rule_volume(args):
@@ -202,7 +173,7 @@ def _cmd_integrate(args):
             raise ValidationError("--orders needs --model; a stored rule is fixed")
         value = _weighted(node, load_rule(args.rule))
     else:
-        model = _load_model(args.model)
+        model = load_model(args.model)
         if isinstance(model, PlanarRegion):
             if args.pe:
                 if args.orders:
@@ -240,7 +211,7 @@ def _cmd_integrate(args):
 def _cmd_moments(args):
     if args.max_degree < 0:
         raise ValidationError("--max-degree must be nonnegative")
-    mv = geometric_moments(_load_model(args.model), args.max_degree)
+    mv = geometric_moments(load_model(args.model), args.max_degree)
     _emit(moment_csv_lines(mv), args.out)
 
 
@@ -264,7 +235,7 @@ def _cmd_convergence(args):
         raise ValidationError(f"--orders: {args.orders!r} is not LO:HI:STEP") from None
     if lo < 1 or step < 1 or hi < lo:
         raise ValidationError("--orders needs 1 <= LO <= HI and STEP >= 1")
-    model = _load_model(args.model)
+    model = load_model(args.model)
     orders = list(range(lo, hi + 1, step))
     rows = []
     for n in orders:

@@ -22,6 +22,7 @@ from .surface import TrimLoop, TrimmedPatch
 from .volume import SolidModel
 
 __all__ = [
+    "load_model",
     "load_region",
     "save_region",
     "load_solid",
@@ -29,7 +30,6 @@ __all__ = [
     "save_rule",
     "rule_csv_lines",
     "load_rule",
-    "LoadedRule",
     "load_trim_points",
     "save_moments",
     "moment_csv_lines",
@@ -125,11 +125,25 @@ def _curve_to_json(curve):
     }
 
 
+def load_model(path):
+    """Region or solid, decided by the document's top-level key."""
+    doc = _load_json(path)
+    if isinstance(doc, dict) and "loops" in doc:
+        return _region_from_json(doc)
+    if isinstance(doc, dict) and "patches" in doc:
+        return _solid_from_json(doc)
+    raise ValidationError(f"{path}: expected a 'loops' or 'patches' document")
+
+
 def load_region(path) -> PlanarRegion:
     """Read {"loops": [[curve, ...], ...]}; omitted weights mean 1."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "loops" not in doc:
         raise ValidationError(f"{path}: region file needs a top-level 'loops' list")
+    return _region_from_json(doc)
+
+
+def _region_from_json(doc) -> PlanarRegion:
     loops = doc["loops"]
     if not isinstance(loops, list) or not loops:
         raise ValidationError("'loops' must be a nonempty list", path="loops")
@@ -217,6 +231,10 @@ def load_solid(path) -> SolidModel:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "patches" not in doc:
         raise ValidationError(f"{path}: solid file needs a top-level 'patches' list")
+    return _solid_from_json(doc)
+
+
+def _solid_from_json(doc) -> SolidModel:
     patches = doc["patches"]
     if not isinstance(patches, list) or not patches:
         raise ValidationError("'patches' must be a nonempty list", path="patches")
@@ -252,9 +270,6 @@ def save_rule(rule, path):
     """CSV with coordinates, weight, then provenance; 17 digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rule_csv_lines(rule)) + "\n")
-
-
-LoadedRule = Rule
 
 
 def load_rule(path) -> Rule:

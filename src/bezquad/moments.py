@@ -3,9 +3,11 @@
 Moments are monomial integrals ordered graded-lexicographically: total
 degree first, then exponents compared left to right, highest first.  For
 planar regions each monomial is integrated with a polynomially exact
-rule, so the moments are exact up to rounding.  Solids have no exact
-path; they use a generously sized volume rule and cross-check it against
-one with doubled orders.
+rule, so the moments are exact up to rounding.  Solids use the closed
+z antiderivative, integral_V x^a y^b z^c dV = 1/(c+1) integral_S x^a y^b
+z^(c+1) n_z dS, on their z-normal boundary rule (the Gauss-Green route of
+Sommariva and Vianello); that rule is not exact on curved trims, so it is
+cross-checked against one with doubled orders.
 
 moment_fit_weights solves the classic moment-fitting system: given
 prescribed point locations, find the minimum-norm weights reproducing a
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .planar import PlanarRegion, integrate2d, spectral_pe_rule
-from .volume import SolidModel, volume_rule
+from .planar import PlanarRegion, spectral_pe_rule
+from .surface import boundary_rule
+from .volume import SolidModel
 
 __all__ = [
     "MomentVector",
@@ -75,25 +78,28 @@ class MomentVector:
         return self.values.size
 
 
+def _monomials(points, exps):
+    """(n_points, n_exps) matrix of every monomial at every point."""
+    return np.column_stack([np.prod(points ** np.asarray(e, dtype=float), axis=1) for e in exps])
+
+
 def _region_moments(region: PlanarRegion, p: int) -> MomentVector:
     rule = spectral_pe_rule(region, p)
-    vals = [
-        integrate2d(rule, lambda x, y, a=a, b=b: x**a * y**b)
-        for a, b in monomial_exponents(p, 2)
-    ]
-    return MomentVector(p, 2, np.array(vals))
+    return MomentVector(p, 2, rule.weights @ _monomials(rule.points, monomial_exponents(p, 2)))
 
 
 def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
+    if not solid.closed:
+        raise ValidationError("solid moments need a solid asserted closed")
     n = (p + 1 + 1) // 2 + 4
     exps = monomial_exponents(p, 3)
 
     def run(order):
-        rule = volume_rule(solid, order, order, order)
-        x, y, z = rule.points.T
-        return np.array(
-            [float(np.dot(rule.weights, x**a * y**b * z**c)) for a, b, c in exps]
-        )
+        # the base-height term of the z antiderivative is the flux of
+        # x^a y^b e_z through a closed surface, which is zero
+        rule = boundary_rule(solid.patches, order, order, "z-normal")
+        w_z = rule.weights * rule.points[:, 2]
+        return w_z @ _monomials(rule.points, exps) / (np.asarray(exps)[:, 2] + 1.0)
 
     coarse = run(n)
     fine = run(2 * n)
@@ -143,8 +149,7 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
         raise ValidationError(
             f"{len(exps)} moments need at least that many points, got {pts.shape[0]}"
         )
-    rows = [np.prod(pts ** np.asarray(e, dtype=float), axis=1) for e in exps]
-    vander = np.vstack(rows)
+    vander = _monomials(pts, exps).T
     weights, *_ = np.linalg.lstsq(vander, m, rcond=None)
     residual = float(np.linalg.norm(vander @ weights - m))
     scale = float(np.linalg.norm(m))

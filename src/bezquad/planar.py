@@ -184,17 +184,21 @@ def is_polynomial_curve(curve: RationalBezierCurve) -> bool:
     return float(np.max(np.abs(w - w[0]))) <= _EQUAL_WEIGHT_REL_TOL * float(np.max(np.abs(w)))
 
 
-def _lift(points, base, order, index):
+def _lift(points, owner, base, order):
     """Antiderivative rays: an ``order``-point Gauss segment from height
     ``base`` up to the last coordinate of each point.
 
-    Returns the ray points (point-major, other coordinates repeated), the
-    (k, order) segment weights and the provenance rows (index, point, node).
+    ``owner`` labels each point with the curve or patch that produced it,
+    in contiguous ascending blocks.  Returns the ray points (point-major,
+    other coordinates repeated), the (k, order) segment weights and the
+    provenance rows (owner, point index within the owner, node).
     """
     k = points.shape[0]
     nodes, seg_w = _gauss_many(order, np.full(k, base), points[:, -1])
     lifted = np.column_stack([np.repeat(points[:, :-1], order, axis=0), nodes.ravel()])
-    prov = np.column_stack([np.full(k * order, index), np.indices((k, order)).reshape(2, -1).T])
+    local = np.arange(k) - np.searchsorted(owner, owner)
+    rows = np.repeat(np.column_stack([owner, local]), order, axis=0)
+    prov = np.column_stack([rows, np.tile(np.arange(order), k)])
     return lifted, seg_w, prov
 
 
@@ -209,7 +213,8 @@ def _assemble(curve_rules, constant, layer_order):
         s = rule.nodes
         # counter-clockwise material: the factor is -dx/ds
         factor = -eval_curve_derivative(curve, s)[:, 0]
-        lifted, seg_w, rows = _lift(eval_curve(curve, s), constant, layer_order, i)
+        owner = np.full(len(s), i)
+        lifted, seg_w, rows = _lift(eval_curve(curve, s), owner, constant, layer_order)
         points.append(lifted)
         weights.append(((rule.weights[:, None] * seg_w) * factor[:, None]).ravel())
         prov.append(rows)

@@ -107,11 +107,6 @@ class PoleSet:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.poles)
 
-    def min_distance(self) -> float:
-        if not self.poles:
-            return math.inf
-        return min(interval_distance(p) for p, _ in self.poles)
-
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int):

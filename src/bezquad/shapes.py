@@ -109,20 +109,18 @@ def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
     return SolidModel(tuple(TrimmedPatch(p) for p in patches))
 
 
-def _cap_patch(center, radius, z, bottom):
-    """Square cap covering the cylinder cross-section.
+def _cap_patch(center, half, z, bottom, trim):
+    """Square cap of half-extent ``half`` about the axis, trimmed by ``trim``.
 
     The bottom cap mirrors v so its normal points down while the trim
     loop stays counter-clockwise in (u, v).
     """
     cx, cy = center
-    r = radius
     if bottom:
-        corner = lambda u, v: (cx + (2 * u - 1) * r, cy + (1 - 2 * v) * r, z)
+        corner = lambda u, v: (cx + (2 * u - 1) * half, cy + (1 - 2 * v) * half, z)
     else:
-        corner = lambda u, v: (cx + (2 * u - 1) * r, cy + (2 * v - 1) * r, z)
+        corner = lambda u, v: (cx + (2 * u - 1) * half, cy + (2 * v - 1) * half, z)
     patch = bilinear_patch(corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1))
-    trim = TrimLoop(tuple(circle_loop((0.5, 0.5), 0.5)))
     return TrimmedPatch(patch, (trim,))
 
 
@@ -149,8 +147,9 @@ def cylinder_solid(center=(0.0, 0.0), radius=1.0, z0=0.0, height=1.0) -> SolidMo
     """
     z1 = z0 + height
     sides = _cylinder_sides(center, radius, z0, z1)
-    top = _cap_patch(center, radius, z1, bottom=False)
-    bottom = _cap_patch(center, radius, z0, bottom=True)
+    trim = TrimLoop(tuple(circle_loop((0.5, 0.5), 0.5)))
+    top = _cap_patch(center, radius, z1, bottom=False, trim=trim)
+    bottom = _cap_patch(center, radius, z0, bottom=True, trim=trim)
     return SolidModel(tuple(sides) + (top, bottom))
 
 
@@ -169,7 +168,6 @@ def cylinder_solid_fitted(
     their parameter squares.  Volume error falls like the fourth power of
     ``segments``.
     """
-    cx, cy = center
     z1 = z0 + height
     sides = _cylinder_sides(center, radius, z0, z1)
 
@@ -181,19 +179,8 @@ def cylinder_solid_fitted(
 
     # cap squares with half-extent 1.25 r: the parametric circle of radius
     # 0.4 maps exactly onto the cross-section of radius r
-    m = 1.25 * radius
-    top = TrimmedPatch(
-        bilinear_patch(
-            (cx - m, cy - m, z1), (cx + m, cy - m, z1), (cx - m, cy + m, z1), (cx + m, cy + m, z1)
-        ),
-        (trim,),
-    )
-    bottom = TrimmedPatch(
-        bilinear_patch(
-            (cx - m, cy + m, z0), (cx + m, cy + m, z0), (cx - m, cy - m, z0), (cx + m, cy - m, z0)
-        ),
-        (trim,),
-    )
+    top = _cap_patch(center, 1.25 * radius, z1, bottom=False, trim=trim)
+    bottom = _cap_patch(center, 1.25 * radius, z0, bottom=True, trim=trim)
     return SolidModel(tuple(sides) + (top, bottom))
 
 

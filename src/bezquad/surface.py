@@ -40,6 +40,7 @@ __all__ = [
     "surface_rule",
     "untrimmed_rule",
     "patch_rule",
+    "boundary_rule",
     "surface_integrate",
 ]
 
@@ -224,6 +225,24 @@ def patch_rule(
     if tp.loops:
         return surface_rule(tp, m_q, n_q, weight_mode, patch_index)
     return untrimmed_rule(tp.patch, max(m_q, n_q), weight_mode, patch_index)
+
+
+def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
+    """A solid's one boundary rule: patch_rule for every patch, in patch order.
+
+    ``bezquad rule-surface`` writes it in full-normal mode; volume_rule lifts
+    it and solid moments integrate against it in z-normal mode.
+    """
+    parts = [patch_rule(tp, m_q, n_q, weight_mode, patch_index=i) for i, tp in enumerate(patches)]
+    if not parts:
+        raise ValidationError("boundary rule needs at least one patch")
+    return SurfaceRule(
+        np.vstack([r.points for r in parts]),
+        np.concatenate([r.weights for r in parts]),
+        np.vstack([r.preimages for r in parts]),
+        np.vstack([r.provenance for r in parts]),
+        degenerate_count=sum(r.degenerate_count for r in parts),
+    )
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:

@@ -2,24 +2,22 @@
 
 The divergence theorem turns the volume integral of f into a surface
 integral of its z antiderivative against the z-component of the outward
-normal.  Each bounding patch gets a surface rule in z-normal mode, and
-under every surface point a Gauss segment drops from the fixed height
-P_z (the lowest control z of the whole solid) up to the surface.  The
-volume rule is the union of those segments; side patches with n_z = 0
-contribute nothing, and surface points at the bottom produce degenerate
-segments with zero weights.
+normal.  The solid's boundary rule is built in z-normal mode, and under
+every surface point a Gauss segment drops from the fixed height P_z (the
+lowest control z of the whole solid) up to the surface.  The volume rule
+is the union of those segments; side patches with n_z = 0 contribute
+nothing, and surface points at the bottom produce degenerate segments
+with zero weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bezier import BoundingBox, control_bbox
 from .errors import ValidationError
 from .planar import Rule, _lift, apply
-from .surface import TrimmedPatch, patch_rule
+from .surface import TrimmedPatch, boundary_rule
 
 __all__ = [
     "SolidModel",
@@ -73,8 +71,8 @@ def volume_rule(
 ) -> Rule:
     """Volume rule for a closed solid.
 
-    Per patch: a z-normal patch_rule (m_q boundary nodes and n_q layer
-    nodes per trim segment; untrimmed patches use the max(m_q, n_q)
+    The z-normal boundary_rule (per patch, m_q boundary nodes and n_q
+    layer nodes per trim segment; untrimmed patches use the max(m_q, n_q)
     tensor shortcut), then an n_p-point Gauss segment under each surface
     point.  n_p defaults to m_q.  ``pz`` overrides the antiderivative
     base height; integrals of smooth f over a closed solid do not depend
@@ -89,14 +87,9 @@ def volume_rule(
     if m_q < 1 or n_q < 1 or n_p < 1:
         raise ValidationError("orders must be at least 1")
     base = solid_constant_Pz(solid) if pz is None else float(pz)
-    pts_all, wts_all, prov_all = [], [], []
-    for i, tp in enumerate(solid.patches):
-        srule = patch_rule(tp, m_q, n_q, "z-normal", patch_index=i)
-        lifted, seg_w, prov = _lift(srule.points, base, n_p, i)
-        pts_all.append(lifted)
-        wts_all.append((srule.weights[:, None] * seg_w).ravel())
-        prov_all.append(prov)
-    return Rule3D(np.vstack(pts_all), np.concatenate(wts_all), np.vstack(prov_all))
+    srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
+    lifted, seg_w, prov = _lift(srule.points, srule.provenance[:, 0], base, n_p)
+    return Rule3D(lifted, (srule.weights[:, None] * seg_w).ravel(), prov)
 
 
 def volume_integrate(

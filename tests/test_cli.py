@@ -148,6 +148,17 @@ def test_missing_file_exit_1(capsys):
     assert code == 1 and "no such file" in err
 
 
+def test_invalid_json_same_message(capsys, tmp_path):
+    junk = tmp_path / "junk.json"
+    junk.write_text('{"loops": [')
+    code, _, model_err = run(capsys, "integrate", "--model", str(junk), "--expr", "1")
+    assert code == 1 and "is not valid JSON" in model_err
+    code, _, region_err = run(
+        capsys, "rule2d", "--region", str(junk), "--mode", "pe", "--degree", "2"
+    )
+    assert code == 1 and region_err == model_err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["badcmd"]) == 1
     assert main([]) == 1

@@ -12,6 +12,7 @@ from bezquad.moments import (
     monomial_exponents,
 )
 from bezquad.shapes import box_solid, circle_region, cylinder_solid, square_region
+from bezquad.volume import SolidModel
 
 from conftest import random_quadratic_region
 
@@ -95,6 +96,25 @@ def test_cube_moments_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         geometric_moments(box_solid(), 2)
+
+
+def test_off_origin_box_moments_closed_form():
+    # the lowest control z is 2, not 0: the boundary route must not lean
+    # on a zero base height
+    lo, hi = (0.5, 1.0, 2.0), (1.5, 2.5, 3.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mv = geometric_moments(box_solid(lo, hi), 4)
+    for exps, got in zip(mv.exponents, mv.values):
+        want = math.prod((h ** (e + 1) - l ** (e + 1)) / (e + 1) for e, l, h in zip(exps, lo, hi))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_open_solid_moments_rejected():
+    # the zero-flux argument that drops the base height needs a closed surface
+    solid = SolidModel(box_solid().patches[:5], closed=False)
+    with pytest.raises(ValidationError, match="closed"):
+        geometric_moments(solid, 2)
 
 
 def test_cylinder_moments_warn_but_converge():

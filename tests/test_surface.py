@@ -10,6 +10,7 @@ from bezquad import (
     ValidationError,
     apply_surface_rule,
     bilinear_patch,
+    boundary_rule,
     box_solid,
     cylinder_solid,
     parametric_area_rule,
@@ -226,3 +227,20 @@ def test_patch_rule_dispatch():
     ref = surface_rule(cap, 4, 3, "z-normal", patch_index=4)
     for name in ("points", "weights", "preimages", "provenance"):
         assert np.array_equal(getattr(trimmed, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("mode", ["full-normal", "z-normal"])
+def test_boundary_rule_concatenates_patch_rules(mode):
+    patches = cylinder_solid().patches
+    rule = boundary_rule(patches, 4, 3, mode)
+    parts = [patch_rule(tp, 4, 3, mode, patch_index=i) for i, tp in enumerate(patches)]
+    assert rule.columns == parts[0].columns
+    for name in ("points", "weights", "preimages", "provenance"):
+        want = np.concatenate([getattr(r, name) for r in parts])
+        assert np.array_equal(getattr(rule, name), want)
+    assert rule.degenerate_count == sum(r.degenerate_count for r in parts)
+
+
+def test_boundary_rule_needs_patches():
+    with pytest.raises(ValidationError, match="at least one patch"):
+        boundary_rule([], 3, 3)

@@ -130,6 +130,11 @@ def test_provenance_layout():
     assert set(np.unique(rule.provenance[:, 2])) == {0, 1}
     per_patch = np.bincount(rule.provenance[:, 0])
     assert np.all(per_patch == 9 * 2)
+    # sigma restarts at 0 in every patch and counts its surface points
+    # without gaps
+    for i in range(6):
+        sigma = rule.provenance[rule.provenance[:, 0] == i, 1]
+        assert np.array_equal(sigma, np.repeat(np.arange(9), 2))
 
 
 def test_non_finite_integrand_reported():
