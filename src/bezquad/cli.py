@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .errors import (
     ConditioningError,
@@ -21,6 +22,7 @@ from .errors import (
 from .expr import evaluate, parse, polynomial_degree, to_callable
 from .io import (
     _curve_to_json,
+    _write_lines,
     load_model,
     load_region,
     load_rule,
@@ -101,12 +103,10 @@ def _build_parser():
 
 
 def _emit(lines, out):
-    text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_lines(lines, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _parse_ints(text, flag, counts):
@@ -262,23 +262,29 @@ _DISPATCH = {
 }
 
 
+def _run(args):
+    """Exit status of one command and the error that set it, if any."""
+    try:
+        _DISPATCH[args.command](args)
+    except (ValidationError, ParseError, OSError) as exc:
+        return 1, exc
+    except (QuadratureError, ConditioningError, EvalError) as exc:
+        return 2, exc
+    return 0, None
+
+
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _DISPATCH[args.command](args)
-    except (ValidationError, ParseError) as exc:
-        sys.stderr.write(f"bezquad: {exc}\n")
-        return 1
-    except (QuadratureError, ConditioningError, EvalError) as exc:
-        sys.stderr.write(f"bezquad: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"bezquad: {exc}\n")
-        return 1
-    return 0
+    with warnings.catch_warnings(record=True) as caught:
+        code, error = _run(args)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        sys.stderr.write(f"bezquad: warning: {message}\n")
+    if error is not None:
+        sys.stderr.write(f"bezquad: {error}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ __all__ = [
     "bundled",
 ]
 
+_BLOCK = 4096  # rows per list/array round trip in the rule CSV
+
 
 def _load_json(path):
     try:
@@ -258,22 +260,55 @@ def save_solid(solid: SolidModel, path):
 def rule_csv_lines(rule: Rule):
     """Header plus one row per point: coordinates, weight, provenance."""
     lines = [",".join(rule.columns)]
-    for i in range(len(rule)):
-        vals = [f"{rule.points[i, d]:.17g}" for d in range(rule.dim)]
-        vals.append(f"{rule.weights[i]:.17g}")
-        vals.extend(str(int(v)) for v in rule.provenance[i])
-        lines.append(",".join(vals))
+    row = ",".join(["%.17g"] * (rule.dim + 1) + ["%d"] * rule.provenance.shape[1])
+    for s in range(0, len(rule), _BLOCK):
+        cols = (
+            *rule.points[s : s + _BLOCK].T.tolist(),
+            rule.weights[s : s + _BLOCK].tolist(),
+            *rule.provenance[s : s + _BLOCK].T.tolist(),
+        )
+        lines.extend([row % t for t in zip(*cols)])
     return lines
+
+
+def _write_lines(lines, path):
+    """UTF-8 text, each line ended by LF; joined a block at a time so the
+    file is never held as one string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for s in range(0, len(lines), _BLOCK):
+            fh.write("\n".join(lines[s : s + _BLOCK]) + "\n")
 
 
 def save_rule(rule, path):
     """CSV with coordinates, weight, then provenance; 17 digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rule_csv_lines(rule)) + "\n")
+    _write_lines(rule_csv_lines(rule), path)
+
+
+def _data_line_numbers(lines):
+    """File line number of each nonblank line after the header."""
+    return [ln for ln, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+def _row_error(line, width, wi):
+    """What is wrong with one rule row, or None."""
+    parts = line.split(",")
+    if len(parts) != width:
+        return f"expected {width} fields, got {len(parts)}"
+    try:
+        list(map(float, parts[: wi + 1]))
+        list(map(int, parts[wi + 1 :]))
+    except ValueError:
+        return "malformed number"
+    return None
 
 
 def load_rule(path) -> Rule:
-    """Read a rule CSV written by save_rule; the header becomes ``columns``."""
+    """Read a rule CSV written by save_rule; the header becomes ``columns``.
+
+    Numbers use Python ``float`` and ``int`` syntax; blank lines are
+    skipped.  Rows are parsed ``_BLOCK`` at a time; a block that fails is
+    rescanned row by row so the error names the first bad line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -285,32 +320,43 @@ def load_rule(path) -> Rule:
     if "weight" not in cols:
         raise ValidationError(f"{path}: rule file needs a 'weight' column")
     wi = cols.index("weight")
-    pts, wts, prov = [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(cols):
-            raise ValidationError(
-                f"{path} line {ln}: expected {len(cols)} fields, got {len(parts)}"
-            )
+    width = len(cols)
+    body = [line for line in lines[1:] if line.strip()]
+    n = len(body)
+    values = np.empty((n, wi + 1))
+    prov = np.empty((n, width - wi - 1), dtype=np.int64)
+    overflow = None
+    for s in range(0, n, _BLOCK):
+        block = body[s : s + _BLOCK]
+        stop = s + len(block)
         try:
-            pts.append([float(v) for v in parts[:wi]])
-            wts.append(float(parts[wi]))
-            prov.append([int(v) for v in parts[wi + 1 :]])
+            if any(line.count(",") != width - 1 for line in block):
+                raise ValueError
+            fields = ",".join(block).split(",")
+            floats = [list(map(float, fields[j::width])) for j in range(wi + 1)]
+            ints = [list(map(int, fields[j::width])) for j in range(wi + 1, width)]
         except ValueError:
-            raise ValidationError(f"{path} line {ln}: malformed number") from None
-    n = len(wts)
-    points = np.asarray(pts, dtype=float).reshape(n, wi)
-    weights = np.asarray(wts, dtype=float)
+            numbers = _data_line_numbers(lines)
+            for i in range(s, stop):
+                err = _row_error(body[i], width, wi)
+                if err:
+                    raise ValidationError(f"{path} line {numbers[i]}: {err}") from None
+        for j, col in enumerate(floats):
+            values[s:stop, j] = col
+        for j, col in enumerate(ints):
+            try:
+                prov[s:stop, j] = col
+            except OverflowError as exc:
+                # int64 overflow is reported after every row has parsed
+                overflow = overflow or exc
+    points, weights = values[:, :wi], values[:, wi]
     bad = np.flatnonzero(~(np.isfinite(points).all(axis=1) & np.isfinite(weights)))
     if bad.size:
-        ln = [ln for ln, line in enumerate(lines[1:], start=2) if line.strip()][bad[0]]
-        raise ValidationError(f"{path} line {ln}: non-finite value")
+        raise ValidationError(f"{path} line {_data_line_numbers(lines)[bad[0]]}: non-finite value")
+    if overflow:
+        raise overflow
     try:
-        return Rule(
-            points, weights, np.asarray(prov, dtype=np.int64).reshape(n, len(cols) - wi - 1), cols
-        )
+        return Rule(points, weights, prov, cols)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -354,8 +400,7 @@ def moment_csv_lines(mv: MomentVector):
 
 def save_moments(mv: MomentVector, path):
     """CSV of exponent columns plus the moment value."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(moment_csv_lines(mv)) + "\n")
+    _write_lines(moment_csv_lines(mv), path)
 
 
 def bundled(name: str):

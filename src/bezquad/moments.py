@@ -80,7 +80,17 @@ class MomentVector:
 
 def _monomials(points, exps):
     """(n_points, n_exps) matrix of every monomial at every point."""
-    return np.column_stack([np.prod(points ** np.asarray(e, dtype=float), axis=1) for e in exps])
+    exps = np.asarray(exps)
+    # powers[d, k] = points[:, d] ** k, each power computed once.  The
+    # exponents are a full array, not a broadcast: numpy squares for a
+    # broadcast 2.0, which can round differently from its pow loop.
+    k = np.arange(exps.max() + 1, dtype=float)
+    powers = points.T[:, None, :] ** np.repeat(k[:, None], len(points), axis=1)
+    out = powers[0, exps[:, 0]]
+    for d in range(1, exps.shape[1]):
+        out = out * powers[d, exps[:, d]]
+    # C order, as callers' matrix products sum in the order its layout sets
+    return np.ascontiguousarray(out.T)
 
 
 def _region_moments(region: PlanarRegion, p: int) -> MomentVector:

@@ -176,6 +176,14 @@ def test_moments_output(capsys):
     assert vals[(2, 0)] == pytest.approx(math.pi / 4, abs=1e-10)
 
 
+def test_moments_warning_is_one_prefixed_line(capsys):
+    code, out, err = run(capsys, "moments", "--model", CYLINDER, "--max-degree", "6")
+    assert code == 0 and out.startswith("a,b,c,value\n")
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("bezquad: warning: moment (6, 0, 0) moved")
+    assert "UserWarning" not in err
+
+
 def test_fit_trim_json_shape(capsys, tmp_path):
     t = np.linspace(0, 2 * math.pi, 25)
     path = tmp_path / "pts.csv"

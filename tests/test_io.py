@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bezquad.cli import main
 from bezquad.errors import ValidationError
 from bezquad.io import (
     bundled,
@@ -19,7 +20,7 @@ from bezquad.io import (
     save_solid,
 )
 from bezquad.moments import geometric_moments
-from bezquad.planar import Rule2D, apply, integrate2d, spectral_rule
+from bezquad.planar import Rule, Rule2D, apply, integrate2d, spectral_rule
 from bezquad.shapes import circle_region, cylinder_solid
 from bezquad.surface import surface_rule
 from bezquad.volume import volume_integrate, volume_rule
@@ -239,6 +240,100 @@ def test_load_rule_rejects_malformed(tmp_path):
     path.write_text("x,y,weight,curve,q,zeta\nnan,2,0.5,0,0,0\n")
     with pytest.raises(ValidationError, match="line 2: non-finite"):
         load_rule(path)
+
+
+_SPECIAL = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1, 1e16, 1e17)
+
+
+def _oracle_csv_lines(rule):
+    """The per-value writer that rule_csv_lines must match byte for byte."""
+    lines = [",".join(rule.columns)]
+    for i in range(len(rule)):
+        vals = [f"{rule.points[i, d]:.17g}" for d in range(rule.dim)]
+        vals.append(f"{rule.weights[i]:.17g}")
+        vals.extend(str(int(v)) for v in rule.provenance[i])
+        lines.append(",".join(vals))
+    return lines
+
+
+def _special_rule(n, columns):
+    """n rows of wide-range floats led by _SPECIAL, provenance up to 2**62."""
+    dim = columns.index("weight")
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n * (dim + 1)) * 10.0 ** rng.uniform(-300, 300, n * (dim + 1))
+    k = min(vals.size, len(_SPECIAL))
+    vals[:k] = _SPECIAL[:k]
+    vals = vals.reshape(n, dim + 1)
+    prov = rng.integers(0, 2**62, (n, len(columns) - dim - 1), endpoint=True)
+    prov.flat[:1] = 2**62
+    return Rule(vals[:, :dim], vals[:, dim], prov, columns)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097])
+@pytest.mark.parametrize(
+    "columns",
+    [
+        ("x", "y", "weight", "curve", "q", "zeta"),
+        ("x", "y", "z", "weight", "patch", "sigma", "psi"),
+    ],
+    ids=["2d", "3d"],
+)
+def test_rule_csv_lines_match_per_value_writer(tmp_path, n, columns):
+    rule = _special_rule(n, columns)
+    lines = rule_csv_lines(rule)
+    assert lines == _oracle_csv_lines(rule)
+    path = tmp_path / "rule.csv"
+    save_rule(rule, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    back = load_rule(path)
+    for name in ("points", "weights", "provenance"):
+        a, b = getattr(back, name), getattr(rule, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_cli_rule_file_matches_per_value_writer(tmp_path):
+    cylinder = bundled("cylinder.solid.json")
+    path = tmp_path / "v.csv"
+    argv = ["rule-volume", "--solid", str(cylinder), "--orders", "10,10,8", "--out", str(path)]
+    assert main(argv) == 0
+    rule = volume_rule(load_solid(cylinder), 10, 10, 8)
+    assert len(rule) > 2 * 4096
+    assert path.read_bytes() == ("\n".join(_oracle_csv_lines(rule)) + "\n").encode()
+
+
+_GOOD_ROW = "0.25,0.5,0.125,1,2,3"
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({5000: "1,2,spam,0,0,0"}, "line 5000: malformed number"),
+        ({4: "1,2,0.5,0,0", 5: "1,2,0.5,0,0,0,0"}, "line 4: expected 6 fields, got 5"),
+        ({3: "1,2,0.5,x,0,0", 5: "1,2,0.5,0,0"}, "line 3: malformed number"),
+        ({3: "1,2,0.5,0,0", 5: "1,2,0.5,x,0,0"}, "line 3: expected 6 fields, got 5"),
+    ],
+    ids=["second-block", "short-then-long", "number-before-count", "count-before-number"],
+)
+def test_load_rule_names_first_bad_line(tmp_path, bad, message):
+    rows = [bad.get(ln, _GOOD_ROW) for ln in range(2, 5200)]
+    path = tmp_path / "r.csv"
+    path.write_text("x,y,weight,curve,q,zeta\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValidationError, match=f"r\\.csv {message}$"):
+        load_rule(path)
+
+
+def test_load_rule_number_syntax_and_blank_lines(tmp_path):
+    path = tmp_path / "r.csv"
+    rows = [" ", "1_0, 1.5,0.5 ,1_2, 3,0", "", "\t", "2,3,0.25,0,0,1", "  "]
+    path.write_text("x,y,weight,curve,q,zeta\n" + "\n".join(rows) + "\n")
+    rule = load_rule(path)
+    assert rule.points.tolist() == [[10.0, 1.5], [2.0, 3.0]]
+    assert rule.weights.tolist() == [0.5, 0.25]
+    assert rule.provenance.tolist() == [[12, 3, 0], [0, 0, 1]]
+    path.write_text("x,y,z,weight,patch")
+    rule = load_rule(path)
+    assert len(rule) == 0 and rule.dim == 3
+    assert rule.points.shape == (0, 3) and rule.provenance.shape == (0, 1)
 
 
 def test_trim_points_blocks(tmp_path):
