@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _BLOCK = 4096  # rows per list/array round trip in the rule CSV
+_INT64 = np.iinfo(np.int64)
 
 
 def _load_json(path):
@@ -346,15 +347,22 @@ def load_rule(path) -> Rule:
         for j, col in enumerate(ints):
             try:
                 prov[s:stop, j] = col
-            except OverflowError as exc:
+            except OverflowError:
                 # int64 overflow is reported after every row has parsed
-                overflow = overflow or exc
+                if overflow is None:
+                    overflow = s + next(
+                        i for i, row in enumerate(zip(*ints))
+                        if not all(_INT64.min <= v <= _INT64.max for v in row)
+                    )
     points, weights = values[:, :wi], values[:, wi]
     bad = np.flatnonzero(~(np.isfinite(points).all(axis=1) & np.isfinite(weights)))
     if bad.size:
         raise ValidationError(f"{path} line {_data_line_numbers(lines)[bad[0]]}: non-finite value")
-    if overflow:
-        raise overflow
+    if overflow is not None:
+        raise ValidationError(
+            f"{path} line {_data_line_numbers(lines)[overflow]}: "
+            "provenance value out of int64 range"
+        )
     try:
         return Rule(points, weights, prov, cols)
     except ValidationError as exc:

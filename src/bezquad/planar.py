@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bezier import (
     BoundingBox,
     RationalBezierCurve,
+    _CONDITIONING_DEGREE,
     _closure_gaps,
+    _warn_if_high_degree,
     control_bbox,
     eval_curve,
     eval_curve_derivative,
@@ -44,6 +47,7 @@ __all__ = [
 
 _CLOSURE_REL_TOL = 1e-10
 _EQUAL_WEIGHT_REL_TOL = 1e-14
+_PE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,12 @@ def region_constant_C(region: PlanarRegion) -> float:
     return min(float(c.points[:, 1].min()) for c in region.curves)
 
 
-def is_polynomial_curve(curve: RationalBezierCurve) -> bool:
-    w = curve.weights
+def _equal_weights(w) -> bool:
     return float(np.max(np.abs(w - w[0]))) <= _EQUAL_WEIGHT_REL_TOL * float(np.max(np.abs(w)))
+
+
+def is_polynomial_curve(curve: RationalBezierCurve) -> bool:
+    return _equal_weights(curve.weights)
 
 
 def _lift(points, owner, base, order):
@@ -238,10 +245,30 @@ def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -
 
 def _pe_intermediate_rule(curve: RationalBezierCurve, degree: int) -> Rule1D:
     """Intermediate rule on one curve making the boundary integral exact
-    for integrands of total degree <= ``degree``."""
-    m = curve.degree
-    if not is_polynomial_curve(curve):
-        roots = weight_poly_roots(curve.weights)
+    for integrands of total degree <= ``degree``.
+
+    The rule depends only on the curve's weights, so congruent curves (the
+    arcs of a circle, say) share one cached rule.  ``Rule1D`` is frozen
+    with read-only arrays; exceptions are not cached.
+    """
+    key = curve.weights.tobytes()
+    if curve.degree <= _CONDITIONING_DEGREE or _equal_weights(curve.weights):
+        return _weights_rule(key, degree)
+    # A cache hit converts no basis, so it raises the conditioning warning
+    # that the build (a miss) raises from weight_poly_roots.
+    misses = _weights_rule.cache_info().misses
+    rule = _weights_rule(key, degree)
+    if _weights_rule.cache_info().misses == misses:
+        _warn_if_high_degree(curve.degree)
+    return rule
+
+
+@lru_cache(maxsize=_PE_CACHE_SIZE)
+def _weights_rule(weight_bytes: bytes, degree: int) -> Rule1D:
+    weights = np.frombuffer(weight_bytes)
+    m = weights.size - 1
+    if not _equal_weights(weights):
+        roots = weight_poly_roots(weights)
         if roots:
             poles = PoleSet.from_roots(roots, multiplier=degree + 3)
             return rational_rule(poles, poly_degree=0)

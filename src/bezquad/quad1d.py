@@ -244,24 +244,26 @@ def _basis(poles: PoleSet, poly_degree: int):
                 terms.append(("real", p.real, j))
                 moments.append(mom.real)
             else:
-                terms.append(("re", p, j))
-                moments.append(mom.real)
-                terms.append(("im", p, j))
-                moments.append(mom.imag)
+                # one term, two rows: the real and the imaginary part
+                terms.append(("complex", p, j))
+                moments += [mom.real, mom.imag]
     return terms, np.array(moments)
 
 
 def _basis_matrix(terms, nodes):
+    """Rows in the order of ``_basis``'s moments: one per real term, two
+    (real part, imaginary part) per complex term."""
     x = nodes.astype(np.longdouble)
+    xc = x.astype(np.clongdouble)
     rows = []
     for term in terms:
         if term[0] == "poly":
             rows.append(x ** term[1])
         elif term[0] == "real":
             rows.append((x - np.longdouble(term[1])) ** (-term[2]))
-        else:
-            z = (x.astype(np.clongdouble) - np.clongdouble(term[1])) ** (-term[2])
-            rows.append(z.real if term[0] == "re" else z.imag)
+        else:  # "complex"
+            z = (xc - np.clongdouble(term[1])) ** (-term[2])
+            rows += [z.real, z.imag]
     return np.array(rows)
 
 
@@ -295,7 +297,7 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
         )
 
     terms, moments = _basis(poles, poly_degree)
-    n = len(terms)
+    n = len(moments)
     m_ld = moments.astype(np.longdouble)
 
     nodes = _chebyshev_nodes(n)

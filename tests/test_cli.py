@@ -159,6 +159,14 @@ def test_invalid_json_same_message(capsys, tmp_path):
     assert code == 1 and region_err == model_err
 
 
+def test_int64_overflow_rule_exit_1(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("x,y,weight,curve,q,zeta\n0.5,0.5,1,0,0,9223372036854775808\n")
+    code, out, err = run(capsys, "integrate", "--rule", str(path), "--expr", "1")
+    assert code == 1 and out == ""
+    assert err == f"bezquad: {path} line 2: provenance value out of int64 range\n"
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["badcmd"]) == 1
     assert main([]) == 1

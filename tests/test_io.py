@@ -311,8 +311,15 @@ _GOOD_ROW = "0.25,0.5,0.125,1,2,3"
         ({4: "1,2,0.5,0,0", 5: "1,2,0.5,0,0,0,0"}, "line 4: expected 6 fields, got 5"),
         ({3: "1,2,0.5,x,0,0", 5: "1,2,0.5,0,0"}, "line 3: malformed number"),
         ({3: "1,2,0.5,0,0", 5: "1,2,0.5,x,0,0"}, "line 3: expected 6 fields, got 5"),
+        (
+            {4200: "1,2,0.5,0,0,-9223372036854775809", 4201: "1,2,0.5,9223372036854775808,0,0"},
+            "line 4200: provenance value out of int64 range",
+        ),
     ],
-    ids=["second-block", "short-then-long", "number-before-count", "count-before-number"],
+    ids=[
+        "second-block", "short-then-long", "number-before-count", "count-before-number",
+        "int64-overflow",
+    ],
 )
 def test_load_rule_names_first_bad_line(tmp_path, bad, message):
     rows = [bad.get(ln, _GOOD_ROW) for ln in range(2, 5200)]
@@ -320,6 +327,24 @@ def test_load_rule_names_first_bad_line(tmp_path, bad, message):
     path.write_text("x,y,weight,curve,q,zeta\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValidationError, match=f"r\\.csv {message}$"):
         load_rule(path)
+
+
+def test_load_rule_int64_range(tmp_path):
+    path = tmp_path / "r.csv"
+    header = "x,y,weight,curve,q,zeta\n"
+    # the later column overflows on the earlier row
+    path.write_text(header + "1,2,0.5,0,0,9223372036854775808\n1,2,0.5,9223372036854775808,0,0\n")
+    with pytest.raises(ValidationError, match="r\\.csv line 2: provenance value out of int64"):
+        load_rule(path)
+    # malformed rows and non-finite values still take precedence
+    path.write_text(header + "1,2,0.5,0,0,9223372036854775808\n" + "1,2,spam,0,0,0\n")
+    with pytest.raises(ValidationError, match="line 3: malformed number"):
+        load_rule(path)
+    path.write_text(header + "1,2,0.5,0,0,9223372036854775808\n" + "1,2,nan,0,0,0\n")
+    with pytest.raises(ValidationError, match="line 3: non-finite value"):
+        load_rule(path)
+    path.write_text(header + "1,2,0.5,-9223372036854775808,0,9223372036854775807\n")
+    assert load_rule(path).provenance.tolist() == [[-(2**63), 0, 2**63 - 1]]
 
 
 def test_load_rule_number_syntax_and_blank_lines(tmp_path):

@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
 from bezquad.bezier import RationalBezierCurve, control_bbox, eval_curve, eval_curve_derivative
+import bezquad.planar as planar
 from bezquad.errors import QuadratureError, ValidationError
 from bezquad.planar import (
     PlanarRegion,
+    _pe_intermediate_rule,
+    _weights_rule,
     integrate2d,
     is_polynomial_curve,
     region_constant_C,
@@ -209,3 +213,95 @@ def test_empty_region_rejected():
         PlanarRegion(())
     with pytest.raises(ValidationError):
         PlanarRegion(((),))
+
+
+def _rule_bytes(rule):
+    return [a.tobytes() for a in (rule.points, rule.weights, rule.provenance)]
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(planar, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(planar, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [circle_region, annulus_region], ids=["circle", "annulus"])
+def test_pe_memo_warm_equals_cold(monkeypatch, make):
+    region = make()
+    _weights_rule.cache_clear()
+    cold = [_rule_bytes(spectral_pe_rule(region, k)) for k in range(9)]
+    calls = _count_calls(monkeypatch, "rational_rule", "weight_poly_roots")
+    warm = [_rule_bytes(spectral_pe_rule(region, k)) for k in range(9)]
+    assert warm == cold
+    assert calls == {"rational_rule": 0, "weight_poly_roots": 0}
+
+
+def test_pe_memo_keyed_on_weights_and_degree():
+    _weights_rule.cache_clear()
+    spectral_pe_rule(circle_region(), 4)
+    assert _weights_rule.cache_info().currsize == 1  # four congruent arcs
+    moved = spectral_pe_rule(circle_region(center=(3.0, -2.0), radius=0.5), 4)
+    assert _weights_rule.cache_info().currsize == 1
+    assert area(moved) == pytest.approx(PI * 0.25, rel=1e-13)
+    spectral_pe_rule(circle_region(), 5)
+    assert _weights_rule.cache_info().currsize == 2
+    # Mobius reparametrization: same arc, weights times (1, c, c^2)
+    arc = circle_region().curves[0]
+    c = 1.7
+    reparam = RationalBezierCurve(arc.points, arc.weights * np.array([1.0, c, c * c]))
+    _pe_intermediate_rule(reparam, 4)
+    assert _weights_rule.cache_info().currsize == 3
+    assert _pe_intermediate_rule(reparam, 4) is _pe_intermediate_rule(reparam, 4)
+
+
+def test_pe_memo_is_bounded():
+    _weights_rule.cache_clear()
+    maxsize = _weights_rule.cache_info().maxsize
+    pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    for i in range(maxsize + 50):
+        _pe_intermediate_rule(RationalBezierCurve(pts, np.full(3, 1.0 + i)), 2)
+    assert _weights_rule.cache_info().currsize <= maxsize
+
+
+def test_pe_memo_does_not_cache_errors(monkeypatch):
+    # w(0) = 1e-12 puts a real pole 5e-13 left of the interval
+    curve = RationalBezierCurve([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], [1e-12, 1.0, 1.0])
+    _weights_rule.cache_clear()
+    calls = _count_calls(monkeypatch, "rational_rule")
+    for expected in (1, 2):
+        with pytest.raises(ValidationError, match="within 1e-08"):
+            _pe_intermediate_rule(curve, 3)
+        assert calls["rational_rule"] == expected
+    assert _weights_rule.cache_info().currsize == 0
+
+
+def _elevate(curve, times):
+    # degree elevation of the homogeneous control points: same curve
+    h = np.hstack([curve.points * curve.weights[:, None], curve.weights[:, None]])
+    for _ in range(times):
+        a = np.arange(1, len(h))[:, None] / len(h)
+        h = np.vstack([h[:1], a * h[:-1] + (1 - a) * h[1:], h[-1:]])
+    return RationalBezierCurve(h[:, :-1] / h[:, -1:], h[:, -1])
+
+
+def test_pe_memo_warm_call_still_warns():
+    # degree-21 arcs: converting their weights to monomials warns once per
+    # curve on every call, whether or not the rule comes from the cache
+    region = PlanarRegion((tuple(_elevate(c, 19) for c in circle_region().curves),))
+    _weights_rule.cache_clear()
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rule = spectral_pe_rule(region, 3)
+        assert [str(w.message) for w in seen] == 4 * [
+            "basis conversion at degree 21 amplifies rounding by roughly 10^10"
+        ]
+        assert area(rule) == pytest.approx(PI, rel=1e-12)
+    assert _weights_rule.cache_info()[:2] == (3 + 4, 1)  # hits, misses

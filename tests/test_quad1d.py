@@ -7,6 +7,9 @@ from scipy.integrate import quad
 from bezquad.errors import ConditioningError, ValidationError
 from bezquad.quad1d import (
     PoleSet,
+    _basis,
+    _basis_matrix,
+    _chebyshev_nodes,
     Rule1D,
     gauss_legendre,
     interval_distance,
@@ -264,3 +267,42 @@ def test_rational_rule_clustered_poles_still_certified():
 def test_rule1d_validation():
     with pytest.raises(ValidationError):
         Rule1D(np.zeros(3), np.zeros(4), (0, 1))
+
+
+def _reference_basis_matrix(terms, nodes):
+    # one power per row, recast per row: the plain definition
+    x = nodes.astype(np.longdouble)
+    rows = []
+    for term in terms:
+        if term[0] == "poly":
+            rows.append(x ** term[1])
+        elif term[0] == "real":
+            rows.append((x - np.longdouble(term[1])) ** (-term[2]))
+        else:
+            for part in ("real", "imag"):
+                z = (x.astype(np.clongdouble) - np.clongdouble(term[1])) ** (-term[2])
+                rows.append(getattr(z, part))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "poles",
+    [
+        ((-0.5 + 0j, 3), (1.25 + 0j, 1)),
+        ((CIRCLE_POLE, 5), (CIRCLE_POLE.conjugate(), 5)),
+        ((-0.3 + 0j, 2), (0.2 + 0.7j, 4), (0.2 - 0.7j, 4), (1.6 + 0.1j, 1), (1.6 - 0.1j, 1)),
+    ],
+    ids=["real", "complex", "mixed"],
+)
+def test_basis_matrix_matches_per_term_reference(poles):
+    ps = PoleSet(poles)
+    for poly_degree in (0, 3):
+        terms, moments = _basis(ps, poly_degree)
+        n = len(moments)
+        assert n == ps.total_multiplicity + poly_degree + 1
+        for nodes in (_chebyshev_nodes(n), gauss_legendre(n).nodes):
+            got = _basis_matrix(terms, nodes)
+            want = _reference_basis_matrix(terms, nodes)
+            # longdouble padding bytes are uninitialised: compare values
+            assert got.shape == (n, n) and got.dtype == want.dtype
+            assert np.array_equal(got, want)
