@@ -279,6 +279,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, error = _run(args)
     for message in dict.fromkeys(str(w.message) for w in caught):
         sys.stderr.write(f"bezquad: warning: {message}\n")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import QuadratureError, ValidationError
 from .planar import PlanarRegion, spectral_pe_rule
+from .quad1d import _as_int
 from .surface import boundary_rule
 from .volume import SolidModel
 
@@ -40,6 +41,7 @@ def monomial_exponents(p: int, dim: int):
     """Exponent tuples of total degree <= p in graded-lex order."""
     if dim not in (2, 3):
         raise ValidationError(f"dim must be 2 or 3, got {dim}")
+    p = _as_int(p, "max degree")
     if p < 0:
         raise ValidationError(f"max degree must be >= 0, got {p}")
     out = []

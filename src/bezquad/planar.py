@@ -32,7 +32,15 @@ from .bezier import (
     eval_curve_derivative,
 )
 from .errors import QuadratureError, ValidationError
-from .quad1d import PoleSet, Rule1D, _gauss_many, gauss_legendre, rational_rule, weight_poly_roots
+from .quad1d import (
+    PoleSet,
+    Rule1D,
+    _as_int,
+    _gauss_many,
+    gauss_legendre,
+    rational_rule,
+    weight_poly_roots,
+)
 
 __all__ = [
     "PlanarRegion",
@@ -209,23 +217,18 @@ def _lift(points, owner, base, order):
     return lifted, seg_w, prov
 
 
-def _assemble(curve_rules, constant, layer_order):
-    """Shared boundary-times-layer assembly.
-
-    ``curve_rules`` yields (curve, Rule1D on [0, 1]); the result carries
-    provenance rows (curve, q, zeta) with the curve index pre-flattened.
-    """
-    points, weights, prov = [], [], []
-    for i, (curve, rule) in enumerate(curve_rules):
-        s = rule.nodes
-        # counter-clockwise material: the factor is -dx/ds
-        factor = -eval_curve_derivative(curve, s)[:, 0]
-        owner = np.full(len(s), i)
-        lifted, seg_w, rows = _lift(eval_curve(curve, s), owner, constant, layer_order)
-        points.append(lifted)
-        weights.append(((rule.weights[:, None] * seg_w) * factor[:, None]).ravel())
-        prov.append(rows)
-    return np.vstack(points), np.concatenate(weights), np.vstack(prov)
+def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
+    """Green's-theorem rule: one Rule1D on [0, 1] per boundary curve, every
+    node lifted from height ``base`` by a ``layer_order``-point segment.
+    Provenance rows are (curve, q, zeta), curves in flattened order."""
+    pairs = list(zip(curves, curve_rules))
+    points = np.vstack([eval_curve(crv, r.nodes) for crv, r in pairs])
+    # counter-clockwise material: the factor is -dx/ds
+    factor = -np.concatenate([eval_curve_derivative(crv, r.nodes)[:, 0] for crv, r in pairs])
+    w = np.concatenate([r.weights for r in curve_rules])
+    owner = np.repeat(np.arange(len(pairs)), [len(r) for r in curve_rules])
+    lifted, seg_w, prov = _lift(points, owner, base, layer_order)
+    return Rule2D(lifted, ((w[:, None] * seg_w) * factor[:, None]).ravel(), prov)
 
 
 def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule:
@@ -237,10 +240,9 @@ def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -
     """
     if boundary_order < 1 or layer_order < 1:
         raise ValidationError("orders must be at least 1")
-    c = region_constant_C(region)
+    curves = region.curves
     base = gauss_legendre(boundary_order, (0.0, 1.0))
-    pts, wts, prov = _assemble(((crv, base) for crv in region.curves), c, layer_order)
-    return Rule2D(pts, wts, prov)
+    return _region_rule(curves, [base] * len(curves), region_constant_C(region), layer_order)
 
 
 def _pe_intermediate_rule(curve: RationalBezierCurve, degree: int) -> Rule1D:
@@ -287,10 +289,10 @@ def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
     get plain Gauss.  Each boundary node carries ceil((degree + 1) / 2)
     antiderivative points.
     """
+    degree = _as_int(degree, "exactness degree")
     if degree < 0:
         raise ValidationError(f"exactness degree must be >= 0, got {degree}")
-    c = region_constant_C(region)
+    curves = region.curves
+    rules = [_pe_intermediate_rule(crv, degree) for crv in curves]
     layer_order = max(1, math.ceil((degree + 1) / 2))
-    pairs = [(crv, _pe_intermediate_rule(crv, degree)) for crv in region.curves]
-    pts, wts, prov = _assemble(pairs, c, layer_order)
-    return Rule2D(pts, wts, prov)
+    return _region_rule(curves, rules, region_constant_C(region), layer_order)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -58,6 +59,17 @@ class Rule1D:
 
     def apply(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int: Python or numpy integers and integral floats
+    pass; bools, fractions and non-numbers raise ValidationError."""
+    if not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def interval_distance(p: complex) -> float:
@@ -122,10 +134,11 @@ def gauss_legendre(n: int, interval=(0.0, 1.0)) -> Rule1D:
     The interval may be signed (hi < lo flips the weights) or degenerate
     (hi == lo gives coincident nodes with zero weights).
     """
+    n = _as_int(n, "node count")
     if n < 1:
         raise ValidationError(f"need at least one node, got n={n}")
     lo, hi = float(interval[0]), float(interval[1])
-    x, w = _leggauss(int(n))
+    x, w = _leggauss(n)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return Rule1D(mid + half * x, half * w, (lo, hi))
 
@@ -136,7 +149,7 @@ def _gauss_many(n: int, lo, hi):
     Returns arrays of shape (len(lo), n).  Degenerate intervals produce
     coincident nodes with zero weights, keeping counts uniform.
     """
-    x, w = _leggauss(int(n))
+    x, w = _leggauss(_as_int(n, "node count"))
     lo = np.asarray(lo, dtype=float)[:, None]
     hi = np.asarray(hi, dtype=float)[:, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -267,6 +280,13 @@ def _basis_matrix(terms, nodes):
     return np.array(rows)
 
 
+def _scaled_basis(terms, nodes):
+    """``_basis_matrix`` with each row divided by its largest magnitude, and those scales."""
+    a = _basis_matrix(terms, nodes)
+    scale = np.abs(a).max(axis=1)
+    return a / scale[:, None], scale
+
+
 def _solve_refined(a_ld, m_ld):
     """Square solve with extended-precision residual refinement."""
     a = a_ld.astype(float)
@@ -301,9 +321,7 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     m_ld = moments.astype(np.longdouble)
 
     nodes = _chebyshev_nodes(n)
-    a_ld = _basis_matrix(terms, nodes)
-    row_scale = np.abs(a_ld).max(axis=1)
-    a_ld /= row_scale[:, None]
+    a_ld, row_scale = _scaled_basis(terms, nodes)
     cond = np.linalg.cond(a_ld.astype(float))
     if cond <= _COND_LIMIT:
         weights = _solve_refined(a_ld, m_ld / row_scale)
@@ -315,9 +333,8 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     # degree 2n-1, so try it and keep it only if its residual on the
     # full basis actually sits at rounding level.
     gauss = gauss_legendre(n, (0.0, 1.0))
-    g_ld = _basis_matrix(terms, gauss.nodes)
-    g_scale = np.abs(g_ld).max(axis=1)
-    resid = (g_ld / g_scale[:, None]) @ gauss.weights.astype(np.longdouble) - m_ld / g_scale
+    g_ld, g_scale = _scaled_basis(terms, gauss.nodes)
+    resid = g_ld @ gauss.weights.astype(np.longdouble) - m_ld / g_scale
     if np.max(np.abs(resid)) <= 1e-12:
         return gauss
 
@@ -326,9 +343,7 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     # the measured residual, which for equilibrated rows IS the worst
     # basis-moment error of the candidate rule.
     nodes = _chebyshev_nodes(2 * n)
-    a_ld = _basis_matrix(terms, nodes)
-    row_scale = np.abs(a_ld).max(axis=1)
-    a_ld /= row_scale[:, None]
+    a_ld, row_scale = _scaled_basis(terms, nodes)
     a = a_ld.astype(float)
     m_eq = m_ld / row_scale
     weights = np.linalg.lstsq(a, m_eq.astype(float), rcond=None)[0].astype(np.longdouble)

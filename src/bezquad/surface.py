@@ -28,7 +28,7 @@ from .bezier import (
     control_bbox,
 )
 from .errors import QuadratureError, ValidationError
-from .planar import Rule, Rule2D, _assemble, apply
+from .planar import Rule, _region_rule, apply
 from .quad1d import gauss_legendre
 
 __all__ = [
@@ -143,10 +143,8 @@ def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule:
             raise ValidationError(f"loops[{k}] must be a TrimLoop")
     if m_q < 1 or n_q < 1:
         raise ValidationError("orders must be at least 1")
-    base = gauss_legendre(m_q, (0.0, 1.0))
     flat = [seg for loop in loops for seg in loop.segments]
-    pts, wts, prov = _assemble(((seg, base) for seg in flat), 0.0, n_q)
-    return Rule2D(pts, wts, prov)
+    return _region_rule(flat, [gauss_legendre(m_q, (0.0, 1.0))] * len(flat), 0.0, n_q)
 
 
 def _mapped_rule(patch, pre, para_weights, prov, weight_mode, patch_index):

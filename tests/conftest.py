@@ -1,8 +1,10 @@
 """Shared geometry helpers and the acceptance-line reporter."""
 
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bezquad.bezier import RationalBezierCurve
 from bezquad.planar import PlanarRegion
@@ -113,6 +115,16 @@ def reference_expr_eval(t, point):
     if op == "*":
         return a * b
     return a / b
+
+
+def pytest_collection_modifyitems(config, items):
+    # A UserWarning that a test here does not capture fails it.  The
+    # benchmark self-tests replay workloads that warn by design, so the
+    # filter stays on this directory rather than in pyproject.toml.
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::UserWarning"))
 
 
 _acceptance_lines = []

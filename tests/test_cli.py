@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_moments_warning_is_one_prefixed_line(capsys):
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert err.startswith("bezquad: warning: moment (6, 0, 0) moved")
     assert "UserWarning" not in err
+
+
+def test_warnings_print_under_error_filter(capsys):
+    argv = ["moments", "--model", CYLINDER, "--max-degree", "4"]
+    _, default_out, default_err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 0 and out == default_out and err == default_err
+    assert [l.startswith("bezquad: warning: ") for l in err.splitlines()] == [True]
 
 
 def test_fit_trim_json_shape(capsys, tmp_path):

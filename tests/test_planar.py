@@ -19,7 +19,8 @@ from bezquad.planar import (
     spectral_rule,
 )
 from bezquad.quad1d import gauss_legendre
-from bezquad.shapes import annulus_region, circle_region, square_region
+from bezquad.shapes import annulus_region, circle_region, quarter_arc, square_region
+from bezquad.surface import parametric_area_rule, unit_square_loop
 
 from conftest import random_quadratic_region
 
@@ -305,3 +306,37 @@ def test_pe_memo_warm_call_still_warns():
         ]
         assert area(rule) == pytest.approx(PI, rel=1e-12)
     assert _weights_rule.cache_info()[:2] == (3 + 4, 1)  # hits, misses
+
+
+def _half_disk():
+    chord = RationalBezierCurve([(-1.0, 0.0), (1.0, 0.0)], [1.0, 1.0])
+    return PlanarRegion(((quarter_arc(quadrant=0), quarter_arc(quadrant=1), chord),))
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_region_rule_numbers_each_curve_from_zero(k):
+    # two rational arcs and a polynomial chord get different node counts
+    rule = spectral_pe_rule(_half_disk(), k)
+    layer_order = max(1, math.ceil((k + 1) / 2))
+    curve, q, zeta = rule.provenance.T
+    counts = np.bincount(curve, minlength=3) // layer_order
+    if k == 0:
+        assert counts.tolist() == [7, 7, 2]
+    assert counts[0] == counts[1] != counts[2]
+    for i in range(3):
+        mine = curve == i
+        assert q[mine].tolist() == np.repeat(np.arange(counts[i]), layer_order).tolist()
+        assert zeta[mine].tolist() == np.tile(np.arange(layer_order), counts[i]).tolist()
+    assert zeta.min() == 0 and zeta.max() < layer_order
+    # integral of y^k over the upper half disk: (1/(k+2)) int_0^pi sin^k
+    exact = scipy.special.beta(0.5, (k + 1) / 2) / (k + 2)
+    got = integrate2d(rule, lambda x, y: y**k)
+    assert got == pytest.approx(exact, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (6, 6)])
+def test_parametric_area_rule_is_the_unit_square_spectral_rule(m, n):
+    # both lift from height 0 over the same four edges
+    para = parametric_area_rule([unit_square_loop()], m, n)
+    square = spectral_rule(square_region(), m, n)
+    assert para.columns == square.columns and _rule_bytes(para) == _rule_bytes(square)

@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from bezquad.errors import ConditioningError, ValidationError
+from bezquad.moments import geometric_moments, monomial_exponents
+from bezquad.planar import spectral_pe_rule, spectral_rule
 from bezquad.quad1d import (
     PoleSet,
     _basis,
@@ -17,6 +19,10 @@ from bezquad.quad1d import (
     rational_rule,
     weight_poly_roots,
 )
+
+from bezquad.shapes import box_solid, circle_region, cylinder_solid
+from bezquad.surface import surface_rule, untrimmed_rule
+from bezquad.volume import volume_rule
 
 CIRCLE_POLE = 0.5 + 1.2071067811865476j
 
@@ -306,3 +312,54 @@ def test_basis_matrix_matches_per_term_reference(poles):
             # longdouble padding bytes are uninitialised: compare values
             assert got.shape == (n, n) and got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+_FRACTIONAL_ORDERS = {
+    "gauss": lambda: gauss_legendre(2.5),
+    "gauss-bool": lambda: gauss_legendre(True),
+    "gauss-nan": lambda: gauss_legendre(float("nan")),
+    "spectral-boundary": lambda: spectral_rule(circle_region(), 2.5, 3),
+    "spectral-layer": lambda: spectral_rule(circle_region(), 3, 3.7),
+    "pe-degree": lambda: spectral_pe_rule(circle_region(), 2.5),
+    "pe-bool": lambda: spectral_pe_rule(circle_region(), False),
+    "volume-mq": lambda: volume_rule(box_solid(), 2.9, 2, 2),
+    "volume-np": lambda: volume_rule(box_solid(), 2, 2, 1.5),
+    "volume-trimmed-mq": lambda: volume_rule(cylinder_solid(), 2.9, 2, 2),
+    "untrimmed": lambda: untrimmed_rule(box_solid().patches[0].patch, 2.5),
+    "surface-nq": lambda: surface_rule(cylinder_solid().patches[4], 3, 2.5),
+    "moments-region": lambda: geometric_moments(circle_region(), 2.5),
+    "moments-solid": lambda: geometric_moments(cylinder_solid(), 2.5),
+    "exponents": lambda: monomial_exponents(np.float64(1.5), 2),
+}
+
+
+@pytest.mark.parametrize("call", _FRACTIONAL_ORDERS.values(), ids=_FRACTIONAL_ORDERS.keys())
+def test_non_integer_orders_rejected(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
+
+
+_FIVES = {"int64": np.int64(5), "int32": np.int32(5), "float": 5.0, "float64": np.float64(5.0)}
+
+
+@pytest.mark.parametrize("n", _FIVES.values(), ids=_FIVES.keys())
+def test_integral_orders_accepted(n):
+    ref = gauss_legendre(5)
+    r = gauss_legendre(n)
+    assert r.nodes.tobytes() == ref.nodes.tobytes()
+    assert r.weights.tobytes() == ref.weights.tobytes()
+    region = circle_region()
+    for a, b in [(spectral_pe_rule(region, n), spectral_pe_rule(region, 5)),
+                 (spectral_rule(region, n, n), spectral_rule(region, 5, 5))]:
+        for x, y in [(a.points, b.points), (a.weights, b.weights), (a.provenance, b.provenance)]:
+            assert x.tobytes() == y.tobytes()
+    assert monomial_exponents(n, 3) == monomial_exponents(5, 3)
+
+
+def test_at_least_one_messages_kept():
+    with pytest.raises(ValidationError, match="need at least one node, got n=0"):
+        gauss_legendre(0)
+    with pytest.raises(ValidationError, match="exactness degree must be >= 0, got -1"):
+        spectral_pe_rule(circle_region(), np.int64(-1))
+    with pytest.raises(ValidationError, match="max degree must be >= 0, got -2"):
+        monomial_exponents(-2.0, 2)
