@@ -200,14 +200,23 @@ def eval_curve_derivative(curve: RationalBezierCurve, s) -> np.ndarray:
     return der[0] if scalar else der
 
 
-def _patch_eval_h(patch, u, v):
-    """Homogeneous patch value and both partials at paired (u, v) arrays."""
+def _net(patch):
+    """Homogeneous control net (m+1, n+1, 4) of a patch."""
+    return _homogeneous(patch.points, patch.weights)
+
+
+def _patch_eval_h(nets, u, v, which=None):
+    """Homogeneous patch value and both partials at paired (u, v) arrays.
+
+    ``nets`` is one homogeneous control net, or with ``which`` a stack of
+    nets of one shape, point i then lying on the net ``nets[which[i]]``.
+    """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
         raise ValidationError("u and v must have matching shapes")
-    ctrl = _homogeneous(patch.points, patch.weights)  # (m+1, n+1, 4)
-    row, row_du = _casteljau_pair(np.broadcast_to(ctrl, (u.size,) + ctrl.shape), u)
+    ctrl = np.broadcast_to(nets, (u.size,) + nets.shape) if which is None else nets[which]
+    row, row_du = _casteljau_pair(ctrl, u)
     s_h, sv_h = _casteljau_pair(row, v)
     su_h, _ = _casteljau_pair(row_du, v)
     return s_h, su_h, sv_h
@@ -216,14 +225,15 @@ def _patch_eval_h(patch, u, v):
 def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
     """Evaluate the patch at paired parameter arrays (or scalars)."""
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    s_h, _, _ = _patch_eval_h(patch, u, v)
+    s_h, _, _ = _patch_eval_h(_net(patch), u, v)
     out = s_h[:, :3] / s_h[:, 3:]
     return out[0] if scalar else out
 
 
-def _patch_point_normal(patch, u, v):
-    """Mapped points and unnormalized normals d/du x d/dv at paired (u, v)."""
-    s_h, su_h, sv_h = _patch_eval_h(patch, u, v)
+def _patch_point_normal(nets, u, v, which=None):
+    """Mapped points and unnormalized normals d/du x d/dv at paired (u, v),
+    on the nets of ``_patch_eval_h``."""
+    s_h, su_h, sv_h = _patch_eval_h(nets, u, v, which)
     w = s_h[:, 3:]
     point = s_h[:, :3] / w
     du = (su_h[:, :3] - point * su_h[:, 3:]) / w
@@ -238,7 +248,7 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
     direction depends on the (u, v) handedness and is not unitized here.
     """
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    _, normal = _patch_point_normal(patch, u, v)
+    _, normal = _patch_point_normal(_net(patch), u, v)
     return normal[0] if scalar else normal
 
 

@@ -103,6 +103,7 @@ def _region_moments(region: PlanarRegion, p: int) -> MomentVector:
 def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
     if not solid.closed:
         raise ValidationError("solid moments need a solid asserted closed")
+    p = _as_int(p, "max degree")
     n = (p + 1 + 1) // 2 + 4
     exps = monomial_exponents(p, 3)
 

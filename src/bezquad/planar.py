@@ -103,6 +103,28 @@ class PlanarRegion:
         return control_bbox(self)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so a Rule can adopt it."""
+    a.flags.writeable = False
+    return a
+
+
+def _owned(x, dtype) -> np.ndarray:
+    """``x`` as a read-only array of ``dtype`` that nothing else can write.
+
+    An ndarray of that dtype is shared when it and every array in its
+    ``.base`` chain are read-only, down to one that owns its data; anything
+    else is copied, so a caller's writeable array is never aliased.
+    """
+    if isinstance(x, np.ndarray) and x.dtype == dtype:
+        a = x
+        while isinstance(a, np.ndarray) and not a.flags.writeable:
+            if a.flags.owndata:
+                return x
+            a = a.base
+    return _frozen(np.array(x, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class Rule:
     """Quadrature rule: points, weights and per-point provenance.
@@ -128,17 +150,17 @@ class Rule:
             raise ValidationError(
                 f"rule columns need 2 or 3 coordinates before 'weight', got {','.join(cols)!r}"
             )
-        wts = np.array(self.weights, dtype=float).ravel()
+        wts = _owned(self.weights, float).ravel()
         width = len(cols) - dim - 1
         arrays = {
-            "points": np.array(self.points, dtype=float).reshape(-1, dim),
+            "points": _owned(self.points, float).reshape(-1, dim),
             "weights": wts,
-            "provenance": np.array(self.provenance, dtype=np.int64).reshape(
+            "provenance": _owned(self.provenance, np.int64).reshape(
                 (-1, width) if width else (wts.size, 0)
             ),
         }
         if self.preimages is not None:
-            pre = np.array(self.preimages, dtype=float).reshape(-1, 2)
+            pre = _owned(self.preimages, float).reshape(-1, 2)
             if pre.size and (float(pre.min()) < -1e-8 or float(pre.max()) > 1.0 + 1e-8):
                 raise ValidationError("parametric preimages must stay inside the unit square")
             arrays["preimages"] = pre
@@ -206,15 +228,20 @@ def _lift(points, owner, base, order):
     ``owner`` labels each point with the curve or patch that produced it,
     in contiguous ascending blocks.  Returns the ray points (point-major,
     other coordinates repeated), the (k, order) segment weights and the
-    provenance rows (owner, point index within the owner, node).
+    provenance rows (owner, point index within the owner, node); the
+    points and provenance are read-only.
     """
-    k = points.shape[0]
+    k, dim = points.shape
+    order = _as_int(order, "node count")
     nodes, seg_w = _gauss_many(order, np.full(k, base), points[:, -1])
-    lifted = np.column_stack([np.repeat(points[:, :-1], order, axis=0), nodes.ravel()])
-    local = np.arange(k) - np.searchsorted(owner, owner)
-    rows = np.repeat(np.column_stack([owner, local]), order, axis=0)
-    prov = np.column_stack([rows, np.tile(np.arange(order), k)])
-    return lifted, seg_w, prov
+    lifted = np.empty((k, order, dim))
+    lifted[:, :, :-1] = points[:, None, :-1]
+    lifted[:, :, -1] = nodes
+    prov = np.empty((k, order, 3), dtype=np.int64)
+    prov[:, :, 0] = owner[:, None]
+    prov[:, :, 1] = (np.arange(k) - np.searchsorted(owner, owner))[:, None]
+    prov[:, :, 2] = np.arange(order)
+    return _frozen(lifted).reshape(-1, dim), seg_w, _frozen(prov).reshape(-1, 3)
 
 
 def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
@@ -228,7 +255,7 @@ def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
     w = np.concatenate([r.weights for r in curve_rules])
     owner = np.repeat(np.arange(len(pairs)), [len(r) for r in curve_rules])
     lifted, seg_w, prov = _lift(points, owner, base, layer_order)
-    return Rule2D(lifted, ((w[:, None] * seg_w) * factor[:, None]).ravel(), prov)
+    return Rule2D(lifted, _frozen((w[:, None] * seg_w) * factor[:, None]).ravel(), prov)
 
 
 def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule:

@@ -93,7 +93,7 @@ class PoleSet:
     def __post_init__(self):
         cleaned = []
         for p, mult in self.poles:
-            mult = int(mult)
+            mult = _as_int(mult, "pole multiplicity")
             if mult < 1:
                 raise ValidationError(f"pole multiplicity must be positive, got {mult}")
             cleaned.append((complex(p), mult))
@@ -226,7 +226,7 @@ def partial_fraction_moment(pole: complex, order: int) -> complex:
     The pole must lie off the closed interval [0, 1].
     """
     p = complex(pole)
-    order = int(order)
+    order = _as_int(order, "partial-fraction order")
     if order < 1:
         raise ValidationError(f"partial-fraction order must be >= 1, got {order}")
     if interval_distance(p) == 0.0:
@@ -306,6 +306,7 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     to a least-squares fit on twice as many nodes; if that is still
     hopeless a ConditioningError carries the condition estimate.
     """
+    poly_degree = _as_int(poly_degree, "polynomial degree")
     if poly_degree < 0:
         raise ValidationError(f"polynomial degree must be >= 0, got {poly_degree}")
     if not poles.conjugate_closed:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,12 +25,13 @@ from .bezier import (
     RationalBezierCurve,
     RationalBezierPatch,
     _closure_gaps,
+    _net,
     _patch_point_normal,
     control_bbox,
 )
 from .errors import QuadratureError, ValidationError
-from .planar import Rule, _region_rule, apply
-from .quad1d import gauss_legendre
+from .planar import Rule, _frozen, _region_rule, apply
+from .quad1d import _as_int, gauss_legendre
 
 __all__ = [
     "TrimLoop",
@@ -147,28 +149,77 @@ def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule:
     return _region_rule(flat, [gauss_legendre(m_q, (0.0, 1.0))] * len(flat), 0.0, n_q)
 
 
-def _mapped_rule(patch, pre, para_weights, prov, weight_mode, patch_index):
-    """Push parametric points ``pre`` through the patch and scale their
-    weights by the requested normal factor, zeroing (and warning about)
-    collapsed-normal points.  ``prov`` holds the (loop, segment, mu, eta)
-    provenance rows; the patch index is prepended here."""
+def _trimmed_part(loops, m_q, n_q):
+    """Parametric points, weights and (loop, segment, mu, eta) provenance
+    rows of parametric_area_rule over ``loops``."""
+    para = parametric_area_rule(loops, m_q, n_q)
+    # flattened segment index -> (loop, segment)
+    loop_seg = np.array(
+        [(k, j) for k, loop in enumerate(loops) for j in range(len(loop.segments))],
+        dtype=np.int64,
+    )
+    prov = np.column_stack([loop_seg[para.provenance[:, 0]], para.provenance[:, 1:]])
+    return para.points, para.weights, prov
+
+
+@lru_cache(maxsize=64)
+def _tensor_part(n: int):
+    """The n x n Gauss grid over the square as a read-only parametric part;
+    its provenance rows are (-1, -1, i, j)."""
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+    g = gauss_legendre(n, (0.0, 1.0))
+    pre = np.column_stack([np.repeat(g.nodes, n), np.tile(g.nodes, n)])
+    pw = np.repeat(g.weights, n) * np.tile(g.weights, n)
+    prov = np.column_stack([np.full((n * n, 2), -1), np.indices((n, n)).reshape(2, -1).T])
+    return _frozen(pre), _frozen(pw), _frozen(prov)
+
+
+def _mapped_rule(patches, parts, weight_mode, first_index=0) -> Rule:
+    """Push each patch's parametric part through that patch and scale the
+    weights by the requested normal factor.
+
+    ``parts[i]`` is the (preimages, weights, (loop, segment, mu, eta)
+    rows) of ``patches[i]``, which is numbered ``first_index + i``.  The
+    patches that share a control-net shape are evaluated in one batch.
+    Collapsed-normal points keep weight zero, with one warning per patch.
+    """
     if weight_mode not in _WEIGHT_MODES:
         raise ValidationError(
             f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}"
         )
-    point, normal = _patch_point_normal(patch, pre[:, 0], pre[:, 1])
+    owner = np.repeat(np.arange(len(patches)), [len(pw) for _, pw, _ in parts])
+    pre = _frozen(np.concatenate([part[0] for part in parts]))
+    point = np.empty((owner.size, 3))
+    normal = np.empty((owner.size, 3))
+    groups: dict = {}
+    for i, patch in enumerate(patches):
+        groups.setdefault(patch.points.shape, []).append(i)
+    for members in groups.values():
+        nets = np.stack([_net(patches[i]) for i in members])
+        slot = np.full(len(patches), -1)
+        slot[members] = np.arange(len(members))
+        sel = np.flatnonzero(slot[owner] >= 0)
+        point[sel], normal[sel] = _patch_point_normal(
+            nets, pre[sel, 0], pre[sel, 1], slot[owner[sel]]
+        )
     mag = np.linalg.norm(normal, axis=1)
     # collapsed patch edges (sphere poles) must be skipped, not integrated
-    degenerate = mag < _DEGENERATE_NORMAL_REL * control_bbox(patch).diagonal()
+    tol = np.array([_DEGENERATE_NORMAL_REL * control_bbox(p).diagonal() for p in patches])
+    degenerate = mag < tol[owner]
     factor = mag if weight_mode == "full-normal" else normal[:, 2]
-    weights = para_weights * np.where(degenerate, 0.0, factor)
-    bad = int(np.count_nonzero(degenerate))
-    if bad:
+    weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
+    bad = np.bincount(owner[degenerate], minlength=len(patches))
+    for i in np.flatnonzero(bad):
         warnings.warn(
-            f"patch {patch_index}: zeroed {bad} degenerate-normal points", stacklevel=3
+            f"patch {first_index + i}: zeroed {bad[i]} degenerate-normal points", stacklevel=3
         )
-    prov = np.column_stack([np.full(len(pre), patch_index, dtype=np.int64), prov])
-    return SurfaceRule(point, weights, pre, prov, degenerate_count=bad)
+    prov = np.empty((owner.size, 5), dtype=np.int64)
+    prov[:, 0] = owner + first_index
+    prov[:, 1:] = np.concatenate([part[2] for part in parts])
+    return SurfaceRule(
+        _frozen(point), _frozen(weights), pre, _frozen(prov), degenerate_count=int(bad.sum())
+    )
 
 
 def surface_rule(
@@ -183,15 +234,8 @@ def surface_rule(
     """
     if isinstance(tp, RationalBezierPatch):
         tp = TrimmedPatch(tp)
-    loops = tp.loops or (unit_square_loop(),)
-    para = parametric_area_rule(loops, m_q, n_q)
-    # flattened segment index -> (loop, segment)
-    loop_seg = np.array(
-        [(k, j) for k, loop in enumerate(loops) for j in range(len(loop.segments))],
-        dtype=np.int64,
-    )
-    prov = np.column_stack([loop_seg[para.provenance[:, 0]], para.provenance[:, 1:]])
-    return _mapped_rule(tp.patch, para.points, para.weights, prov, weight_mode, patch_index)
+    part = _trimmed_part(tp.loops or (unit_square_loop(),), m_q, n_q)
+    return _mapped_rule([tp.patch], [part], weight_mode, patch_index)
 
 
 def untrimmed_rule(
@@ -200,13 +244,8 @@ def untrimmed_rule(
     """Tensor-product Gauss shortcut for a full patch: n x n points over
     the parameter square, weights scaled by the same normal factor as
     surface_rule."""
-    if n < 1:
-        raise ValidationError("order must be at least 1")
-    g = gauss_legendre(n, (0.0, 1.0))
-    pre = np.column_stack([np.repeat(g.nodes, n), np.tile(g.nodes, n)])
-    pw = np.repeat(g.weights, n) * np.tile(g.weights, n)
-    prov = np.column_stack([np.full((n * n, 2), -1), np.indices((n, n)).reshape(2, -1).T])
-    return _mapped_rule(patch, pre, pw, prov, weight_mode, patch_index)
+    n = _as_int(n, "node count")
+    return _mapped_rule([patch], [_tensor_part(n)], weight_mode, patch_index)
 
 
 apply_surface_rule = apply
@@ -220,27 +259,29 @@ def patch_rule(
     points per direction."""
     if isinstance(tp, RationalBezierPatch):
         tp = TrimmedPatch(tp)
+    m_q, n_q = _as_int(m_q, "node count"), _as_int(n_q, "node count")
     if tp.loops:
         return surface_rule(tp, m_q, n_q, weight_mode, patch_index)
     return untrimmed_rule(tp.patch, max(m_q, n_q), weight_mode, patch_index)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
-    """A solid's one boundary rule: patch_rule for every patch, in patch order.
+    """A solid's one boundary rule: the patch_rule of every patch, in patch
+    order, each group of patches with one control-net shape mapped in one
+    pass.
 
     ``bezquad rule-surface`` writes it in full-normal mode; volume_rule lifts
     it and solid moments integrate against it in z-normal mode.
     """
-    parts = [patch_rule(tp, m_q, n_q, weight_mode, patch_index=i) for i, tp in enumerate(patches)]
-    if not parts:
+    patches = [tp if isinstance(tp, TrimmedPatch) else TrimmedPatch(tp) for tp in patches]
+    if not patches:
         raise ValidationError("boundary rule needs at least one patch")
-    return SurfaceRule(
-        np.vstack([r.points for r in parts]),
-        np.concatenate([r.weights for r in parts]),
-        np.vstack([r.preimages for r in parts]),
-        np.vstack([r.provenance for r in parts]),
-        degenerate_count=sum(r.degenerate_count for r in parts),
-    )
+    m_q, n_q = _as_int(m_q, "node count"), _as_int(n_q, "node count")
+    parts = [
+        _trimmed_part(tp.loops, m_q, n_q) if tp.loops else _tensor_part(max(m_q, n_q))
+        for tp in patches
+    ]
+    return _mapped_rule([tp.patch for tp in patches], parts, weight_mode)
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:

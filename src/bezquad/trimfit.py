@@ -14,6 +14,7 @@ import numpy as np
 
 from .bezier import RationalBezierCurve, _closure_gaps, monomial_to_bernstein
 from .errors import ValidationError
+from .quad1d import _as_int
 
 __all__ = ["fit_trim_curves", "closure_check"]
 
@@ -41,6 +42,8 @@ def fit_trim_curves(points, segments: int, degree: int = 3):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValidationError("points must be an ordered list of (u, v) pairs")
+    segments = _as_int(segments, "segments")
+    degree = _as_int(degree, "degree")
     if segments < 1:
         raise ValidationError("segments must be at least 1")
     if degree < 1:

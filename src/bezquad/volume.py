@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .bezier import BoundingBox, control_bbox
 from .errors import ValidationError
-from .planar import Rule, _lift, apply
+from .planar import Rule, _frozen, _lift, apply
+from .quad1d import _as_int
 from .surface import TrimmedPatch, boundary_rule
 
 __all__ = [
@@ -84,12 +85,13 @@ def volume_rule(
         raise ValidationError("volume rules need a solid asserted closed")
     if n_p is None:
         n_p = m_q
+    m_q, n_q, n_p = (_as_int(n, "node count") for n in (m_q, n_q, n_p))
     if m_q < 1 or n_q < 1 or n_p < 1:
         raise ValidationError("orders must be at least 1")
     base = solid_constant_Pz(solid) if pz is None else float(pz)
     srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
     lifted, seg_w, prov = _lift(srule.points, srule.provenance[:, 0], base, n_p)
-    return Rule3D(lifted, (srule.weights[:, None] * seg_w).ravel(), prov)
+    return Rule3D(lifted, _frozen(srule.weights[:, None] * seg_w).ravel(), prov)
 
 
 def volume_integrate(

@@ -340,3 +340,92 @@ def test_parametric_area_rule_is_the_unit_square_spectral_rule(m, n):
     para = parametric_area_rule([unit_square_loop()], m, n)
     square = spectral_rule(square_region(), m, n)
     assert para.columns == square.columns and _rule_bytes(para) == _rule_bytes(square)
+
+
+# ------------------------------------------------------------ array ownership
+
+
+def _rule_arrays(rule):
+    names = ("points", "weights", "provenance", "preimages")
+    return {n: getattr(rule, n) for n in names if getattr(rule, n) is not None}
+
+
+def test_rule_copies_writeable_input():
+    pts = np.arange(8.0).reshape(4, 2)
+    wts = np.ones(4)
+    prov = np.zeros((4, 3), dtype=np.int64)
+    rule = planar.Rule2D(pts, wts, prov)
+    pts[0, 0], wts[0], prov[0, 0] = 99.0, 5.0, 7
+    assert rule.points[0, 0] == 0.0 and rule.weights[0] == 1.0 and rule.provenance[0, 0] == 0
+    assert pts.flags.writeable and wts.flags.writeable and prov.flags.writeable
+    for mine, theirs in zip((rule.points, rule.weights, rule.provenance), (pts, wts, prov)):
+        assert not np.shares_memory(mine, theirs)
+
+
+def test_rule_copies_read_only_view_of_writeable_base():
+    base = np.ones(4)
+    view = base[:]
+    view.flags.writeable = False
+    rule = planar.Rule2D(np.zeros((4, 2)), view, np.zeros((4, 3), dtype=np.int64))
+    assert not np.shares_memory(rule.weights, base)
+    base[:] = 5.0
+    assert np.all(rule.weights == 1.0)
+
+
+def test_rule_shares_fully_read_only_input():
+    wts = np.ones(4)
+    wts.flags.writeable = False
+    rule = planar.Rule2D(np.zeros((4, 2)), wts, np.zeros((4, 3), dtype=np.int64))
+    assert np.shares_memory(rule.weights, wts)
+    # a dtype change still copies
+    as_int32 = np.zeros((4, 3), dtype=np.int32)
+    as_int32.flags.writeable = False
+    rule = planar.Rule2D(np.zeros((4, 2)), wts, as_int32)
+    assert rule.provenance.dtype == np.int64 and not np.shares_memory(rule.provenance, as_int32)
+
+
+def _built_rules():
+    from bezquad.shapes import cylinder_solid
+    from bezquad.surface import boundary_rule, patch_rule, surface_rule, untrimmed_rule
+    from bezquad.volume import volume_rule
+
+    cyl = cylinder_solid()
+    return {
+        "spectral": spectral_rule(circle_region(), 4, 3),
+        "pe": spectral_pe_rule(annulus_region(), 3),
+        "parametric": parametric_area_rule([unit_square_loop()], 3, 2),
+        "surface": surface_rule(cyl.patches[4], 3, 3),
+        "untrimmed": untrimmed_rule(cyl.patches[0].patch, 3),
+        "patch": patch_rule(cyl.patches[5], 3, 4, "z-normal", patch_index=5),
+        "boundary": boundary_rule(cyl.patches, 3, 3),
+        "volume": volume_rule(cyl, 3, 3, 2),
+    }
+
+
+def test_built_rule_arrays_are_read_only():
+    for name, rule in _built_rules().items():
+        for field, a in _rule_arrays(rule).items():
+            assert not a.flags.writeable, (name, field)
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+
+
+def test_rewrapping_rule_arrays_shares_memory():
+    from bezquad.surface import SurfaceRule
+    from bezquad.volume import Rule3D
+
+    rules = _built_rules()
+    v = rules["volume"]
+    again = Rule3D(v.points, v.weights, v.provenance)
+    b = rules["boundary"]
+    pairs = [
+        (v, again),
+        (b, SurfaceRule(b.points, b.weights, b.preimages, b.provenance, b.degenerate_count)),
+    ]
+    for name in ("spectral", "pe", "parametric"):
+        r = rules[name]
+        pairs.append((r, planar.Rule2D(r.points, r.weights, r.provenance)))
+    for old, new in pairs:
+        for field, a in _rule_arrays(old).items():
+            assert np.shares_memory(getattr(new, field), a), field
+            assert getattr(new, field).tobytes() == a.tobytes()

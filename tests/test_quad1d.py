@@ -21,7 +21,8 @@ from bezquad.quad1d import (
 )
 
 from bezquad.shapes import box_solid, circle_region, cylinder_solid
-from bezquad.surface import surface_rule, untrimmed_rule
+from bezquad.surface import boundary_rule, patch_rule, surface_integrate, surface_rule, untrimmed_rule
+from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import volume_rule
 
 CIRCLE_POLE = 0.5 + 1.2071067811865476j
@@ -330,6 +331,10 @@ _FRACTIONAL_ORDERS = {
     "moments-region": lambda: geometric_moments(circle_region(), 2.5),
     "moments-solid": lambda: geometric_moments(cylinder_solid(), 2.5),
     "exponents": lambda: monomial_exponents(np.float64(1.5), 2),
+    "volume-bool": lambda: volume_rule(box_solid(), True, 2, 2),
+    "boundary-mq": lambda: boundary_rule(box_solid().patches, 2.5, 3),
+    "patch-bool": lambda: patch_rule(box_solid().patches[0], 3, True),
+    "moments-solid-bool": lambda: geometric_moments(box_solid(), True),
 }
 
 
@@ -363,3 +368,50 @@ def test_at_least_one_messages_kept():
         spectral_pe_rule(circle_region(), np.int64(-1))
     with pytest.raises(ValidationError, match="max degree must be >= 0, got -2"):
         monomial_exponents(-2.0, 2)
+
+
+_FRACTIONAL_COUNTS = {
+    "pole-multiplicity": lambda: PoleSet(((2j, 2.5), (-2j, 2.5))),
+    "pole-multiplicity-bool": lambda: PoleSet(((-0.5 + 0j, True),)),
+    "partial-fraction-order": lambda: partial_fraction_moment(2j, 2.5),
+    "poly-degree": lambda: rational_rule(PoleSet(((2j, 1), (-2j, 1))), poly_degree=1.5),
+    "fit-segments": lambda: fit_trim_curves(_ARC_SAMPLES, 4.5),
+    "fit-degree": lambda: fit_trim_curves(_ARC_SAMPLES, 4, 2.5),
+}
+_ARC_SAMPLES = np.column_stack([np.cos(np.linspace(0, 1, 40)), np.sin(np.linspace(0, 1, 40))])
+
+
+@pytest.mark.parametrize("call", _FRACTIONAL_COUNTS.values(), ids=_FRACTIONAL_COUNTS.keys())
+def test_fractional_counts_rejected(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
+
+
+def test_integral_counts_accepted():
+    poles = PoleSet(((2j, 2.0), (-2j, np.int64(2))))
+    assert poles.poles == ((2j, 2), (-2j, 2))
+    assert partial_fraction_moment(2j, 3.0) == partial_fraction_moment(2j, 3)
+    a, b = rational_rule(poles, poly_degree=1.0), rational_rule(poles, poly_degree=1)
+    assert a.nodes.tobytes() == b.nodes.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+    for a, b in zip(fit_trim_curves(_ARC_SAMPLES, 4.0, 3.0), fit_trim_curves(_ARC_SAMPLES, 4, 3)):
+        assert a.points.tobytes() == b.points.tobytes()
+
+
+def _same_rule(a, b):
+    for name in ("points", "weights", "provenance", "preimages"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("n", _FIVES.values(), ids=_FIVES.keys())
+def test_integral_solid_orders_accepted(n):
+    cube, cyl = box_solid(), cylinder_solid()
+    _same_rule(volume_rule(cube, n, n, n), volume_rule(cube, 5, 5, 5))
+    _same_rule(volume_rule(cyl, n, 3, n), volume_rule(cyl, 5, 3, 5))
+    _same_rule(boundary_rule(cyl.patches, n, n), boundary_rule(cyl.patches, 5, 5))
+    _same_rule(patch_rule(cyl.patches[0], 3, n), patch_rule(cyl.patches[0], 3, 5))
+    _same_rule(untrimmed_rule(cyl.patches[0].patch, n), untrimmed_rule(cyl.patches[0].patch, 5))
+    one = lambda x, y, z: np.ones_like(x)
+    assert surface_integrate(cube.patches, one, n, n) == surface_integrate(cube.patches, one, 5, 5)
+    want = geometric_moments(cube, 3).values.tobytes()
+    assert geometric_moments(cube, n - 2).values.tobytes() == want

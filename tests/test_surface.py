@@ -13,6 +13,8 @@ from bezquad import (
     boundary_rule,
     box_solid,
     cylinder_solid,
+    cylinder_solid_fitted,
+    eval_patch,
     parametric_area_rule,
     patch_rule,
     quarter_arc,
@@ -138,8 +140,9 @@ def test_preimages_and_provenance():
     assert np.allclose(mapped, rule.points, atol=1e-14)
 
 
-def test_degenerate_normal_points_get_zero_weight():
-    # collapse the v=0 edge to a single point: normals vanish along it
+def collapsed_edge_patch():
+    """Bilinear patch whose v=0 edge collapses to a point, trimmed by the
+    square's edges: normals vanish along that edge."""
     pts = np.array(
         [
             [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
@@ -155,8 +158,12 @@ def test_degenerate_normal_points_get_zero_weight():
             line((0, 1), (0, 0)),
         )
     )
+    return TrimmedPatch(patch, (edge,))
+
+
+def test_degenerate_normal_points_get_zero_weight():
     with pytest.warns(UserWarning, match="degenerate-normal"):
-        rule = surface_rule(TrimmedPatch(patch, (edge,)), 1, 1)
+        rule = surface_rule(collapsed_edge_patch(), 1, 1)
     assert rule.degenerate_count > 0
     zeroed = rule.weights[np.isclose(rule.preimages[:, 1], 0.0, atol=1e-12)]
     assert np.all(zeroed == 0.0)
@@ -229,16 +236,52 @@ def test_patch_rule_dispatch():
         assert np.array_equal(getattr(trimmed, name), getattr(ref, name))
 
 
+def mixed_net_patches():
+    """Cylinder sides (3 x 2 nets) interleaved with cube faces and trimmed
+    cylinder caps (2 x 2 nets)."""
+    cyl, cube = cylinder_solid().patches, box_solid().patches
+    return (cyl[0], cube[0], cyl[4], cyl[1], cube[1], cyl[5], cyl[2])
+
+
+_RULE_ARRAYS = ("points", "weights", "preimages", "provenance")
+
+
 @pytest.mark.parametrize("mode", ["full-normal", "z-normal"])
 def test_boundary_rule_concatenates_patch_rules(mode):
-    patches = cylinder_solid().patches
-    rule = boundary_rule(patches, 4, 3, mode)
-    parts = [patch_rule(tp, 4, 3, mode, patch_index=i) for i, tp in enumerate(patches)]
-    assert rule.columns == parts[0].columns
-    for name in ("points", "weights", "preimages", "provenance"):
-        want = np.concatenate([getattr(r, name) for r in parts])
-        assert np.array_equal(getattr(rule, name), want)
-    assert rule.degenerate_count == sum(r.degenerate_count for r in parts)
+    for patches in (
+        cylinder_solid().patches,
+        box_solid().patches,
+        cylinder_solid_fitted().patches,
+        mixed_net_patches(),
+    ):
+        rule = boundary_rule(patches, 4, 3, mode)
+        parts = [patch_rule(tp, 4, 3, mode, patch_index=i) for i, tp in enumerate(patches)]
+        assert rule.columns == parts[0].columns
+        for name in _RULE_ARRAYS:
+            want = np.concatenate([getattr(r, name) for r in parts])
+            assert getattr(rule, name).tobytes() == want.tobytes()
+        assert rule.degenerate_count == sum(r.degenerate_count for r in parts)
+        # the batched map against the one-patch evaluator
+        for i, tp in enumerate(patches):
+            pre = rule.preimages[rule.provenance[:, 0] == i]
+            mine = rule.points[rule.provenance[:, 0] == i]
+            assert mine.tobytes() == eval_patch(tp.patch, pre[:, 0], pre[:, 1]).tobytes()
+
+
+def test_boundary_rule_warns_once_for_the_degenerate_patch():
+    cyl = cylinder_solid().patches
+    patches = (cyl[0], cyl[4], collapsed_edge_patch(), box_solid().patches[1])
+    with pytest.warns(UserWarning) as record:
+        rule = boundary_rule(patches, 2, 2)
+    with pytest.warns(UserWarning, match=r"^patch 2: zeroed"):
+        alone = surface_rule(collapsed_edge_patch(), 2, 2, patch_index=2)
+    assert [str(w.message) for w in record] == [
+        f"patch 2: zeroed {alone.degenerate_count} degenerate-normal points"
+    ]
+    assert rule.degenerate_count == alone.degenerate_count > 0
+    zero = rule.weights == 0.0
+    assert set(rule.provenance[zero, 0]) == {2}
+    assert rule.weights[rule.provenance[:, 0] == 2].tobytes() == alone.weights.tobytes()
 
 
 def test_boundary_rule_needs_patches():
