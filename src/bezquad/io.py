@@ -4,7 +4,9 @@ Region files hold loops of curves; solid files hold patches with
 optional trim loops.  Errors point into the document ("patches[2]
 .weights[0][1]") so a bad file can be fixed without guesswork.  Rules
 serialize to CSV with 17 significant digits, which reproduces every
-float bit-exactly on reload.
+float bit-exactly on reload.  Rule rows repeat heavily, so the writer
+formats each distinct value of a column once, and the reader converts
+each distinct text of a column once per 4096-row block.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .bezier import RationalBezierCurve, RationalBezierPatch
 from .errors import ValidationError
 from .moments import MomentVector
-from .planar import PlanarRegion, Rule
+from .planar import PlanarRegion, Rule, _frozen
 from .surface import TrimLoop, TrimmedPatch
 from .volume import SolidModel
 
@@ -258,17 +260,44 @@ def save_solid(solid: SolidModel, path):
     _dump_json(doc, path)
 
 
+def _column_table(values, fmt):
+    """Each distinct value of one column formatted once: the zero-padded
+    texts as a ``uint8`` matrix, and each row's index into it.
+
+    Floats are told apart by their bits, so ``-0.0`` keeps its own text.
+    The indices are held in the narrowest unsigned type that fits, since
+    they live as long as the lines being built.
+    """
+    uniq, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [fmt % v for v in uniq.view(values.dtype).tolist()]
+    table = np.array(texts, dtype=bytes).view(np.uint8).reshape(uniq.size, -1)
+    return table, inverse.ravel().astype(np.min_scalar_type(uniq.size))
+
+
 def rule_csv_lines(rule: Rule):
-    """Header plus one row per point: coordinates, weight, provenance."""
+    """Header plus one row per point: coordinates, weight, provenance.
+
+    Floats are written ``%.17g`` and provenance ``%d``.  Each distinct
+    value of a column is formatted once; rows are then gathered from those
+    texts a block at a time.
+    """
     lines = [",".join(rule.columns)]
-    row = ",".join(["%.17g"] * (rule.dim + 1) + ["%d"] * rule.provenance.shape[1])
+    if not len(rule):
+        return lines
+    tables = [_column_table(c, b"%.17g") for c in (*rule.points.T, rule.weights)]
+    tables += [_column_table(c, b"%d") for c in rule.provenance.T]
+    width = sum(t.shape[1] + 1 for t, _ in tables)
     for s in range(0, len(rule), _BLOCK):
-        cols = (
-            *rule.points[s : s + _BLOCK].T.tolist(),
-            rule.weights[s : s + _BLOCK].tolist(),
-            *rule.provenance[s : s + _BLOCK].T.tolist(),
-        )
-        lines.extend([row % t for t in zip(*cols)])
+        rows = np.empty((min(_BLOCK, len(rule) - s), width), np.uint8)
+        at = 0
+        for table, inverse in tables:
+            w = table.shape[1]
+            rows[:, at : at + w] = table[inverse[s : s + _BLOCK]]
+            rows[:, at + w] = ord(",")
+            at += w + 1
+        rows[:, -1] = ord("\n")
+        text = rows[rows != 0].tobytes().decode("ascii")
+        lines.extend(text[:-1].split("\n"))
     return lines
 
 
@@ -303,12 +332,19 @@ def _row_error(line, width, wi):
     return None
 
 
+def _parse_column(texts, conv):
+    """``conv`` of each text, calling it once per distinct text."""
+    values = {t: conv(t) for t in set(texts)}
+    return [values[t] for t in texts]
+
+
 def load_rule(path) -> Rule:
     """Read a rule CSV written by save_rule; the header becomes ``columns``.
 
     Numbers use Python ``float`` and ``int`` syntax; blank lines are
-    skipped.  Rows are parsed ``_BLOCK`` at a time; a block that fails is
-    rescanned row by row so the error names the first bad line.
+    skipped.  Rows are parsed ``_BLOCK`` at a time, each distinct text of
+    a column once per block; a block that fails is rescanned row by row
+    so the error names the first bad line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -324,7 +360,8 @@ def load_rule(path) -> Rule:
     width = len(cols)
     body = [line for line in lines[1:] if line.strip()]
     n = len(body)
-    values = np.empty((n, wi + 1))
+    points = np.empty((n, wi))
+    weights = np.empty(n)
     prov = np.empty((n, width - wi - 1), dtype=np.int64)
     overflow = None
     for s in range(0, n, _BLOCK):
@@ -334,16 +371,17 @@ def load_rule(path) -> Rule:
             if any(line.count(",") != width - 1 for line in block):
                 raise ValueError
             fields = ",".join(block).split(",")
-            floats = [list(map(float, fields[j::width])) for j in range(wi + 1)]
-            ints = [list(map(int, fields[j::width])) for j in range(wi + 1, width)]
+            floats = [_parse_column(fields[j::width], float) for j in range(wi + 1)]
+            ints = [_parse_column(fields[j::width], int) for j in range(wi + 1, width)]
         except ValueError:
             numbers = _data_line_numbers(lines)
             for i in range(s, stop):
                 err = _row_error(body[i], width, wi)
                 if err:
                     raise ValidationError(f"{path} line {numbers[i]}: {err}") from None
-        for j, col in enumerate(floats):
-            values[s:stop, j] = col
+        for j, col in enumerate(floats[:wi]):
+            points[s:stop, j] = col
+        weights[s:stop] = floats[wi]
         for j, col in enumerate(ints):
             try:
                 prov[s:stop, j] = col
@@ -354,7 +392,6 @@ def load_rule(path) -> Rule:
                         i for i, row in enumerate(zip(*ints))
                         if not all(_INT64.min <= v <= _INT64.max for v in row)
                     )
-    points, weights = values[:, :wi], values[:, wi]
     bad = np.flatnonzero(~(np.isfinite(points).all(axis=1) & np.isfinite(weights)))
     if bad.size:
         raise ValidationError(f"{path} line {_data_line_numbers(lines)[bad[0]]}: non-finite value")
@@ -364,7 +401,8 @@ def load_rule(path) -> Rule:
             "provenance value out of int64 range"
         )
     try:
-        return Rule(points, weights, prov, cols)
+        # frozen parse buffers are adopted by Rule without a copy
+        return Rule(_frozen(points), _frozen(weights), _frozen(prov), cols)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

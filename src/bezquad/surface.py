@@ -288,8 +288,10 @@ def surface_integrate(patches, f, m_q: int, n_q: int) -> float:
     """Integral of f over a union of trimmed patches, area-weighted.
 
     Every patch gets its patch_rule.  Per-patch failures are collected
-    and reported together with their patch indices.
+    and reported together with their patch indices; bad node counts are
+    rejected once, before any patch.
     """
+    m_q, n_q = _as_int(m_q, "node count"), _as_int(n_q, "node count")
     total = 0.0
     failures = []
     for i, tp in enumerate(patches):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bezquad import planar
 from bezquad.cli import main
 from bezquad.errors import ValidationError
 from bezquad.io import (
@@ -19,8 +20,8 @@ from bezquad.io import (
     save_rule,
     save_solid,
 )
-from bezquad.moments import geometric_moments
-from bezquad.planar import Rule, Rule2D, apply, integrate2d, spectral_rule
+from bezquad.moments import _monomials, geometric_moments, monomial_exponents
+from bezquad.planar import Rule, Rule2D, apply, integrate2d, spectral_pe_rule, spectral_rule
 from bezquad.shapes import circle_region, cylinder_solid
 from bezquad.surface import surface_rule
 from bezquad.volume import volume_integrate, volume_rule
@@ -151,6 +152,11 @@ def test_not_json(tmp_path):
     "build,dim,columns",
     [
         (
+            lambda: spectral_pe_rule(circle_region(), 5),
+            2,
+            ("x", "y", "weight", "curve", "q", "zeta"),
+        ),
+        (
             lambda: spectral_rule(circle_region(), 7, 5),
             2,
             ("x", "y", "weight", "curve", "q", "zeta"),
@@ -166,12 +172,13 @@ def test_not_json(tmp_path):
             ("x", "y", "z", "weight", "patch", "sigma", "psi"),
         ),
     ],
-    ids=["planar", "surface", "volume"],
+    ids=["pe", "planar", "surface", "volume"],
 )
 def test_rule_round_trip_bit_identical(tmp_path, build, dim, columns):
     rule = build()
     path = tmp_path / "rule.csv"
     save_rule(rule, path)
+    assert path.read_bytes() == ("\n".join(_oracle_csv_lines(rule)) + "\n").encode()
     back = load_rule(path)
     assert back.dim == dim
     assert back.columns == rule.columns == columns
@@ -242,34 +249,33 @@ def test_load_rule_rejects_malformed(tmp_path):
         load_rule(path)
 
 
-_SPECIAL = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1, 1e16, 1e17)
+_SPECIAL = (
+    -0.0, 0.0, 5e-324, 1e16, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+    1 / 3, 0.1, 1e17, -0.0,
+)
 
 
 def _oracle_csv_lines(rule):
-    """The per-value writer that rule_csv_lines must match byte for byte."""
-    lines = [",".join(rule.columns)]
-    for i in range(len(rule)):
-        vals = [f"{rule.points[i, d]:.17g}" for d in range(rule.dim)]
-        vals.append(f"{rule.weights[i]:.17g}")
-        vals.extend(str(int(v)) for v in rule.provenance[i])
-        lines.append(",".join(vals))
-    return lines
+    """The row-by-row writer that rule_csv_lines must match byte for byte."""
+    row = ",".join(["%.17g"] * (rule.dim + 1) + ["%d"] * rule.provenance.shape[1])
+    rows = zip(rule.points.tolist(), rule.weights.tolist(), rule.provenance.tolist())
+    return [",".join(rule.columns)] + [row % (*p, w, *q) for p, w, q in rows]
 
 
 def _special_rule(n, columns):
-    """n rows of wide-range floats led by _SPECIAL, provenance up to 2**62."""
+    """n rows of wide-range floats, every float column led by _SPECIAL;
+    provenance of both signs up to 2**62 in magnitude."""
     dim = columns.index("weight")
     rng = np.random.default_rng(n)
-    vals = rng.standard_normal(n * (dim + 1)) * 10.0 ** rng.uniform(-300, 300, n * (dim + 1))
-    k = min(vals.size, len(_SPECIAL))
-    vals[:k] = _SPECIAL[:k]
-    vals = vals.reshape(n, dim + 1)
-    prov = rng.integers(0, 2**62, (n, len(columns) - dim - 1), endpoint=True)
+    vals = rng.standard_normal((n, dim + 1)) * 10.0 ** rng.uniform(-300, 300, (n, dim + 1))
+    k = min(n, len(_SPECIAL))
+    vals[:k] = np.asarray(_SPECIAL[:k])[:, None]
+    prov = rng.integers(-(2**62), 2**62, (n, len(columns) - dim - 1), endpoint=True)
     prov.flat[:1] = 2**62
     return Rule(vals[:, :dim], vals[:, dim], prov, columns)
 
 
-@pytest.mark.parametrize("n", [0, 1, 4096, 4097])
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
 @pytest.mark.parametrize(
     "columns",
     [
@@ -289,6 +295,25 @@ def test_rule_csv_lines_match_per_value_writer(tmp_path, n, columns):
     for name in ("points", "weights", "provenance"):
         a, b = getattr(back, name), getattr(rule, name)
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_rule_csv_signed_zeros_and_extremes(tmp_path):
+    rule = Rule2D(
+        [[-0.0, 5e-324], [0.0, 1e16], [-0.0, -1e300]],
+        [0.0, -0.0, 1e16],
+        [[-1, 0, 2**62], [0, -(2**63), 7], [-1, 0, 2**63 - 1]],
+    )
+    assert rule_csv_lines(rule) == [
+        "x,y,weight,curve,q,zeta",
+        "-0,4.9406564584124654e-324,0,-1,0,4611686018427387904",
+        "0,10000000000000000,-0,0,-9223372036854775808,7",
+        "-0,-1.0000000000000001e+300,10000000000000000,-1,0,9223372036854775807",
+    ]
+    path = tmp_path / "rule.csv"
+    save_rule(rule, path)
+    back = load_rule(path)
+    for name in ("points", "weights", "provenance"):
+        assert getattr(back, name).tobytes() == getattr(rule, name).tobytes()
 
 
 def test_cli_rule_file_matches_per_value_writer(tmp_path):
@@ -315,10 +340,20 @@ _GOOD_ROW = "0.25,0.5,0.125,1,2,3"
             {4200: "1,2,0.5,0,0,-9223372036854775809", 4201: "1,2,0.5,9223372036854775808,0,0"},
             "line 4200: provenance value out of int64 range",
         ),
+        # a text repeated in a block is converted once but reported at its first line
+        ({4500: "1,2,0.5,1.5,0,0", 4600: "1,2,0.5,1.5,0,0"}, "line 4500: malformed number"),
+        ({4500: "1,2,1__5,0,0,0", 300: "1,2,1_5,0,0,0"}, "line 4500: malformed number"),
+        (
+            {4500: "1,2,0.5,0,9223372036854775808,0", 4501: "1,2,0.5,0,9223372036854775808,0"},
+            "line 4500: provenance value out of int64 range",
+        ),
+        ({4500: "1,inf,0.5,0,0,0", 4600: "1,inf,0.5,0,0,0"}, "line 4500: non-finite value"),
+        ({4500: "1,2,-nan,0,0,0", 100: "1,2,0.5,9223372036854775808,0,0"}, "line 4500: non-finite value"),
     ],
     ids=[
         "second-block", "short-then-long", "number-before-count", "count-before-number",
-        "int64-overflow",
+        "int64-overflow", "repeated-int-syntax", "bad-underscore", "repeated-int64-overflow",
+        "repeated-inf", "nan-before-overflow",
     ],
 )
 def test_load_rule_names_first_bad_line(tmp_path, bad, message):
@@ -359,6 +394,47 @@ def test_load_rule_number_syntax_and_blank_lines(tmp_path):
     rule = load_rule(path)
     assert len(rule) == 0 and rule.dim == 3
     assert rule.points.shape == (0, 3) and rule.provenance.shape == (0, 1)
+
+
+def test_loaded_rule_adopts_parse_buffers(tmp_path, monkeypatch):
+    rule = volume_rule(cylinder_solid(), 5, 5, 4)
+    path = tmp_path / "rule.csv"
+    save_rule(rule, path)
+    copies = []
+    frozen = planar._frozen
+    monkeypatch.setattr(planar, "_frozen", lambda a: copies.append(a.shape) or frozen(a))
+    back = load_rule(path)
+    monkeypatch.undo()
+    assert copies == []  # Rule made no copy of the parsed arrays
+    again = Rule(back.points, back.weights, back.provenance, back.columns)
+    for name in ("points", "weights", "provenance"):
+        a = getattr(back, name)
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.shares_memory(getattr(again, name), a)
+    # a copied rule (what a loaded rule used to hold) gives the same bytes
+    copied = Rule(np.array(back.points), np.array(back.weights), back.provenance, back.columns)
+    f = lambda x, y, z: np.exp(x) * np.cos(y) + z**2
+    assert np.float64(apply(back, f)).tobytes() == np.float64(apply(copied, f)).tobytes()
+    assert np.float64(apply(back, f)).tobytes() == np.float64(apply(rule, f)).tobytes()
+    exps = monomial_exponents(4, 3)
+    moments = [r.weights @ _monomials(r.points, exps) for r in (back, copied, rule)]
+    assert moments[0].tobytes() == moments[1].tobytes() == moments[2].tobytes()
+
+
+def test_load_rule_spellings_parse_as_per_field(tmp_path):
+    floats = ["1.5", " 1.5", "15e-1", "1_5e-1", "1.5 ", "+1.50", "0.15E1"]
+    ints = ["12", " 12", "1_2", "+12", "012 "]
+    rows = [
+        (floats[i % 7], floats[(i + 3) % 7], floats[(i * 5) % 7], ints[i % 5], ints[(i + 2) % 5], "0")
+        for i in range(5000)
+    ]
+    path = tmp_path / "r.csv"
+    path.write_text("x,y,weight,curve,q,zeta\n" + "\n".join(map(",".join, rows)) + "\n")
+    rule = load_rule(path)
+    want = np.array([[float(t) for t in row[:3]] for row in rows])
+    assert rule.points.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
+    assert rule.weights.tobytes() == np.ascontiguousarray(want[:, 2]).tobytes()
+    assert rule.provenance.tolist() == [[int(t) for t in row[3:]] for row in rows]
 
 
 def test_trim_points_blocks(tmp_path):

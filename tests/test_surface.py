@@ -195,6 +195,16 @@ def test_integrate_reports_patch_index():
         surface_integrate(cube.patches, lambda x, y, z: 1.0 / (z - z), 3, 3)
 
 
+@pytest.mark.parametrize("m_q,n_q,bad", [(2.5, 3, "2.5"), (3, True, "True")])
+def test_integrate_rejects_node_count_once(m_q, n_q, bad):
+    one = lambda x, y, z: np.ones_like(x)
+    message = f"^node count must be an integer, got {bad}$"
+    with pytest.raises(ValidationError, match=message):
+        surface_integrate(box_solid().patches, one, m_q, n_q)
+    with pytest.raises(ValidationError, match=message):
+        surface_integrate([], one, m_q, n_q)
+
+
 # ---------------------------------------------------------------- validation
 
 
