@@ -8,6 +8,7 @@ domain errors in the integrand).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -21,6 +22,7 @@ from .errors import (
 )
 from .expr import evaluate, parse, polynomial_degree, to_callable
 from .io import (
+    _create_text,
     _curve_to_json,
     _write_lines,
     load_model,
@@ -103,10 +105,8 @@ def _build_parser():
 
 
 def _emit(lines, out):
-    if out:
-        _write_lines(lines, out)
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    with _create_text(out) if out else contextlib.nullcontext(sys.stdout) as fh:
+        _write_lines(lines, fh)
 
 
 def _parse_ints(text, flag, counts):

@@ -52,8 +52,13 @@ def _load_json(path):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _create_text(path):
+    """A new UTF-8 text file whose lines end in LF."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _dump_json(doc, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create_text(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -301,17 +306,17 @@ def rule_csv_lines(rule: Rule):
     return lines
 
 
-def _write_lines(lines, path):
-    """UTF-8 text, each line ended by LF; joined a block at a time so the
-    file is never held as one string."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in range(0, len(lines), _BLOCK):
-            fh.write("\n".join(lines[s : s + _BLOCK]) + "\n")
+def _write_lines(lines, fh):
+    """Write each line ended by LF to the text stream ``fh``, joined a block
+    at a time so the text is never held as one string."""
+    for s in range(0, len(lines), _BLOCK):
+        fh.write("\n".join(lines[s : s + _BLOCK]) + "\n")
 
 
 def save_rule(rule, path):
     """CSV with coordinates, weight, then provenance; 17 digits."""
-    _write_lines(rule_csv_lines(rule), path)
+    with _create_text(path) as fh:
+        _write_lines(rule_csv_lines(rule), fh)
 
 
 def _data_line_numbers(lines):
@@ -446,7 +451,8 @@ def moment_csv_lines(mv: MomentVector):
 
 def save_moments(mv: MomentVector, path):
     """CSV of exponent columns plus the moment value."""
-    _write_lines(moment_csv_lines(mv), path)
+    with _create_text(path) as fh:
+        _write_lines(moment_csv_lines(mv), fh)
 
 
 def bundled(name: str):

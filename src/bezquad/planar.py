@@ -187,7 +187,8 @@ def Rule2D(points, weights, provenance) -> Rule:
 
 
 def apply(rule: Rule, f) -> float:
-    """Apply the rule to f(x, y) or f(x, y, z); f must accept numpy arrays."""
+    """Apply the rule to f(x, y) or f(x, y, z); f must accept numpy arrays.
+    A non-finite value raises QuadratureError naming the first bad node."""
     with np.errstate(all="ignore"):
         vals = np.broadcast_to(
             np.asarray(f(*rule.points.T), dtype=float), rule.weights.shape
@@ -195,8 +196,10 @@ def apply(rule: Rule, f) -> float:
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         i = int(bad[0])
+        row = ", ".join(map("{} {}".format, rule.columns[rule.dim + 1 :], rule.provenance[i]))
         raise QuadratureError(
-            f"integrand is not finite at node {i}", point=tuple(map(float, rule.points[i]))
+            f"integrand is not finite at node {i}" + (f" ({row})" if row else ""),
+            point=tuple(map(float, rule.points[i])),
         )
     return float(np.dot(rule.weights, vals))
 

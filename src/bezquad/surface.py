@@ -10,7 +10,8 @@ a normal factor: the full magnitude |n| for surface-area integrals, or
 the z-component n_z for the volume pipeline.
 
 Untrimmed patches skip the boundary construction entirely and use a
-tensor-product Gauss grid over the whole square.
+tensor-product Gauss grid over the whole square; ``_part`` alone makes
+that choice.  A union of patches is integrated by its boundary rule.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .bezier import (
     _patch_point_normal,
     control_bbox,
 )
-from .errors import QuadratureError, ValidationError
+from .errors import ValidationError
 from .planar import Rule, _frozen, _region_rule, apply
 from .quad1d import _as_int, gauss_legendre
 
@@ -143,10 +144,24 @@ def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule:
     for k, loop in enumerate(loops):
         if not isinstance(loop, TrimLoop):
             raise ValidationError(f"loops[{k}] must be a TrimLoop")
-    if m_q < 1 or n_q < 1:
-        raise ValidationError("orders must be at least 1")
+    m_q, n_q = _orders(m_q, n_q)
     flat = [seg for loop in loops for seg in loop.segments]
     return _region_rule(flat, [gauss_legendre(m_q, (0.0, 1.0))] * len(flat), 0.0, n_q)
+
+
+def _as_trimmed_patch(tp, path=None) -> TrimmedPatch:
+    """``tp`` itself, or a bare patch as a TrimmedPatch with no loops."""
+    if not isinstance(tp, (TrimmedPatch, RationalBezierPatch)):
+        raise ValidationError("patch must be a TrimmedPatch or RationalBezierPatch", path=path)
+    return tp if isinstance(tp, TrimmedPatch) else TrimmedPatch(tp)
+
+
+def _orders(*counts):
+    """The node counts as integers, each at least 1."""
+    counts = [_as_int(n, "node count") for n in counts]
+    if min(counts) < 1:
+        raise ValidationError("orders must be at least 1")
+    return counts
 
 
 def _trimmed_part(loops, m_q, n_q):
@@ -166,13 +181,19 @@ def _trimmed_part(loops, m_q, n_q):
 def _tensor_part(n: int):
     """The n x n Gauss grid over the square as a read-only parametric part;
     its provenance rows are (-1, -1, i, j)."""
-    if n < 1:
-        raise ValidationError("order must be at least 1")
     g = gauss_legendre(n, (0.0, 1.0))
     pre = np.column_stack([np.repeat(g.nodes, n), np.tile(g.nodes, n)])
     pw = np.repeat(g.weights, n) * np.tile(g.weights, n)
     prov = np.column_stack([np.full((n * n, 2), -1), np.indices((n, n)).reshape(2, -1).T])
     return _frozen(pre), _frozen(pw), _frozen(prov)
+
+
+def _part(tp: TrimmedPatch, m_q, n_q):
+    """One patch's parametric part: Green's theorem over its trim loops, or
+    for an untrimmed patch the max(m_q, n_q) tensor Gauss grid."""
+    if tp.loops:
+        return _trimmed_part(tp.loops, m_q, n_q)
+    return _tensor_part(max(m_q, n_q))
 
 
 def _mapped_rule(patches, parts, weight_mode, first_index=0) -> Rule:
@@ -232,8 +253,7 @@ def surface_rule(
     construction consumes.  An untrimmed input gets the explicit unit
     square loop (the tensor shortcut lives in untrimmed_rule).
     """
-    if isinstance(tp, RationalBezierPatch):
-        tp = TrimmedPatch(tp)
+    tp = _as_trimmed_patch(tp)
     part = _trimmed_part(tp.loops or (unit_square_loop(),), m_q, n_q)
     return _mapped_rule([tp.patch], [part], weight_mode, patch_index)
 
@@ -244,8 +264,7 @@ def untrimmed_rule(
     """Tensor-product Gauss shortcut for a full patch: n x n points over
     the parameter square, weights scaled by the same normal factor as
     surface_rule."""
-    n = _as_int(n, "node count")
-    return _mapped_rule([patch], [_tensor_part(n)], weight_mode, patch_index)
+    return _mapped_rule([patch], [_tensor_part(*_orders(n))], weight_mode, patch_index)
 
 
 apply_surface_rule = apply
@@ -254,15 +273,11 @@ apply_surface_rule = apply
 def patch_rule(
     tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal", patch_index: int = 0
 ) -> Rule:
-    """Rule over one patch: surface_rule on its trim loops, or for an
-    untrimmed patch the untrimmed_rule tensor shortcut with max(m_q, n_q)
-    points per direction."""
-    if isinstance(tp, RationalBezierPatch):
-        tp = TrimmedPatch(tp)
-    m_q, n_q = _as_int(m_q, "node count"), _as_int(n_q, "node count")
-    if tp.loops:
-        return surface_rule(tp, m_q, n_q, weight_mode, patch_index)
-    return untrimmed_rule(tp.patch, max(m_q, n_q), weight_mode, patch_index)
+    """Rule over one patch: the trim-loop construction of surface_rule, or
+    for an untrimmed patch the tensor shortcut of untrimmed_rule with
+    max(m_q, n_q) points per direction."""
+    tp = _as_trimmed_patch(tp)
+    return _mapped_rule([tp.patch], [_part(tp, *_orders(m_q, n_q))], weight_mode, patch_index)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
@@ -273,32 +288,21 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
     ``bezquad rule-surface`` writes it in full-normal mode; volume_rule lifts
     it and solid moments integrate against it in z-normal mode.
     """
-    patches = [tp if isinstance(tp, TrimmedPatch) else TrimmedPatch(tp) for tp in patches]
+    patches = [_as_trimmed_patch(tp, f"patches[{i}]") for i, tp in enumerate(patches)]
     if not patches:
         raise ValidationError("boundary rule needs at least one patch")
-    m_q, n_q = _as_int(m_q, "node count"), _as_int(n_q, "node count")
-    parts = [
-        _trimmed_part(tp.loops, m_q, n_q) if tp.loops else _tensor_part(max(m_q, n_q))
-        for tp in patches
-    ]
+    m_q, n_q = _orders(m_q, n_q)
+    parts = [_part(tp, m_q, n_q) for tp in patches]
     return _mapped_rule([tp.patch for tp in patches], parts, weight_mode)
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:
     """Integral of f over a union of trimmed patches, area-weighted.
 
-    Every patch gets its patch_rule.  Per-patch failures are collected
-    and reported together with their patch indices; bad node counts are
-    rejected once, before any patch.
+    This is apply of the full-normal boundary_rule, so a non-finite value
+    raises QuadratureError at the first bad node, naming its patch; no
+    patches give 0.0.
     """
-    m_q, n_q = _as_int(m_q, "node count"), _as_int(n_q, "node count")
-    total = 0.0
-    failures = []
-    for i, tp in enumerate(patches):
-        try:
-            total += apply(patch_rule(tp, m_q, n_q, "full-normal", patch_index=i), f)
-        except (QuadratureError, ValidationError) as exc:
-            failures.append(f"patch {i}: {exc}")
-    if failures:
-        raise QuadratureError("; ".join(failures))
-    return total
+    m_q, n_q = _orders(m_q, n_q)
+    patches = list(patches)
+    return apply(boundary_rule(patches, m_q, n_q), f) if patches else 0.0

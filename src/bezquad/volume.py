@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from .bezier import BoundingBox, control_bbox
 from .errors import ValidationError
 from .planar import Rule, _frozen, _lift, apply
-from .quad1d import _as_int
-from .surface import TrimmedPatch, boundary_rule
+from .surface import TrimmedPatch, _as_trimmed_patch, _orders, boundary_rule
 
 __all__ = [
     "SolidModel",
@@ -43,8 +42,7 @@ class SolidModel:
 
     def __post_init__(self):
         patches = tuple(
-            tp if isinstance(tp, TrimmedPatch) else TrimmedPatch(tp)
-            for tp in self.patches
+            _as_trimmed_patch(tp, f"patches[{i}]") for i, tp in enumerate(self.patches)
         )
         if not patches:
             raise ValidationError("solid needs at least one patch")
@@ -83,11 +81,7 @@ def volume_rule(
         solid = SolidModel(tuple(solid))
     if not solid.closed:
         raise ValidationError("volume rules need a solid asserted closed")
-    if n_p is None:
-        n_p = m_q
-    m_q, n_q, n_p = (_as_int(n, "node count") for n in (m_q, n_q, n_p))
-    if m_q < 1 or n_q < 1 or n_p < 1:
-        raise ValidationError("orders must be at least 1")
+    m_q, n_q, n_p = _orders(m_q, n_q, m_q if n_p is None else n_p)
     base = solid_constant_Pz(solid) if pz is None else float(pz)
     srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
     lifted, seg_w, prov = _lift(srule.points, srule.provenance[:, 0], base, n_p)

@@ -185,6 +185,23 @@ def test_moments_output(capsys):
     assert vals[(2, 0)] == pytest.approx(math.pi / 4, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 6144 rows: more than one block of the line writer
+        ("rule-volume", "--solid", CYLINDER, "--orders", "8,8,8"),
+        ("moments", "--model", CYLINDER, "--max-degree", "4"),
+    ],
+    ids=["rule-volume", "moments"],
+)
+def test_stdout_bytes_equal_out_file_bytes(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.count("\n") > 1
+    path = tmp_path / "out.csv"
+    assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
+    assert out.encode() == path.read_bytes()
+
+
 def test_moments_warning_is_one_prefixed_line(capsys):
     code, out, err = run(capsys, "moments", "--model", CYLINDER, "--max-degree", "6")
     assert code == 0 and out.startswith("a,b,c,value\n")

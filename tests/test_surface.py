@@ -2,26 +2,33 @@ import numpy as np
 import pytest
 
 from bezquad import (
+    QuadratureError,
     RationalBezierCurve,
     RationalBezierPatch,
     SurfaceRule,
     TrimLoop,
     TrimmedPatch,
     ValidationError,
+    SolidModel,
+    apply,
     apply_surface_rule,
     bilinear_patch,
     boundary_rule,
     box_solid,
+    circle_region,
     cylinder_solid,
     cylinder_solid_fitted,
     eval_patch,
+    integrate2d,
     parametric_area_rule,
     patch_rule,
     quarter_arc,
+    spectral_rule,
     surface_integrate,
     surface_rule,
     unit_square_loop,
     untrimmed_rule,
+    volume_integrate,
 )
 
 
@@ -185,6 +192,7 @@ def test_cube_surface_z_moment():
 
 def test_empty_patch_list():
     assert surface_integrate([], lambda x, y, z: x, 4, 4) == 0.0
+    assert surface_integrate(iter(()), lambda x, y, z: x, 4, 4) == 0.0
 
 
 def test_integrate_reports_patch_index():
@@ -297,3 +305,76 @@ def test_boundary_rule_warns_once_for_the_degenerate_patch():
 def test_boundary_rule_needs_patches():
     with pytest.raises(ValidationError, match="at least one patch"):
         boundary_rule([], 3, 3)
+
+
+# ---------------------------------------------------------------- one path
+
+
+def _smooth(x, y, z):
+    return np.exp(0.3 * x) * np.cos(y) + z * z
+
+
+_UNIONS = {
+    "cube": lambda: box_solid().patches,
+    "cylinder": lambda: cylinder_solid().patches,
+    "fitted": lambda: cylinder_solid_fitted().patches,
+    "mixed": mixed_net_patches,
+}
+
+
+@pytest.mark.parametrize("union", _UNIONS.values(), ids=_UNIONS.keys())
+def test_integrate_is_apply_of_the_boundary_rule(union):
+    patches = union()
+    got = surface_integrate(patches, _smooth, 5, 5)
+    assert got == apply(boundary_rule(patches, 5, 5), _smooth)
+    # the per-patch sum adds in another order
+    parts = [apply(patch_rule(tp, 5, 5, patch_index=i), _smooth) for i, tp in enumerate(patches)]
+    assert got == pytest.approx(sum(parts), rel=1e-14, abs=0.0)
+    assert surface_integrate(iter(patches), _smooth, 5, 5) == got
+
+
+def test_integrate_names_the_first_bad_node():
+    with pytest.raises(QuadratureError, match=r"\(patch 1, loop -1, segment -1, mu 0, eta 0\)"):
+        surface_integrate(box_solid().patches, lambda x, y, z: 1.0 / (z - 1.0), 3, 3)
+    with pytest.raises(QuadratureError, match=r"node 0 \(curve 0, q 0, zeta 0\), point"):
+        integrate2d(spectral_rule(circle_region(), 3, 3), lambda x, y: 1.0 / (x - x))
+    with pytest.raises(QuadratureError, match=r"node 0 \(patch 0, sigma 0, psi 0\), point"):
+        volume_integrate(box_solid(), lambda x, y, z: 1.0 / (z - z), 2, 2)
+
+
+_ORDER_UNIONS = {
+    "box": lambda: box_solid().patches,
+    "cylinder": lambda: cylinder_solid().patches,
+    "mixed": mixed_net_patches,
+}
+
+
+@pytest.mark.parametrize("union", _ORDER_UNIONS.values(), ids=_ORDER_UNIONS.keys())
+@pytest.mark.parametrize("m_q,n_q", [(-3, 2), (0, 4), (3, 0)])
+def test_orders_below_one_rejected_once(union, m_q, n_q):
+    patches = union()
+    one = lambda x, y, z: np.ones_like(x)
+    calls = [
+        lambda: boundary_rule(patches, m_q, n_q),
+        lambda: surface_integrate(patches, one, m_q, n_q),
+        lambda: surface_integrate([], one, m_q, n_q),
+    ] + [lambda tp=tp: patch_rule(tp, m_q, n_q) for tp in patches]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^orders must be at least 1$"):
+            call()
+
+
+def test_bad_patch_named_by_index():
+    cube = box_solid().patches
+    for call in (
+        lambda: boundary_rule([cube[0], "junk"], 3, 3),
+        lambda: SolidModel((cube[0], cube[1], 7)),
+    ):
+        with pytest.raises(ValidationError, match=r"^patches\[\d\]: patch must be a TrimmedPatch"):
+            call()
+    with pytest.raises(ValidationError, match="^patch must be a TrimmedPatch"):
+        patch_rule("junk", 3, 3)
+    # a bare patch is wrapped untrimmed
+    bare = [tp.patch for tp in cube]
+    want = boundary_rule(cube, 3, 3).weights.tobytes()
+    assert boundary_rule(bare, 3, 3).weights.tobytes() == want
