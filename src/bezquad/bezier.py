@@ -64,6 +64,8 @@ class RationalBezierCurve:
             )
         if not np.all(wts > 0):
             raise ValidationError("control weights must be strictly positive")
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise ValidationError("control points and weights must be finite")
 
     @property
     def degree(self) -> int:
@@ -107,6 +109,8 @@ class RationalBezierPatch:
             )
         if not np.all(wts > 0):
             raise ValidationError("patch weights must be strictly positive")
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise ValidationError("patch control points and weights must be finite")
 
     @property
     def degree_u(self) -> int:

@@ -125,6 +125,14 @@ class _Parser:
         self.i += 1
         return tok
 
+    def number(self):
+        """Take a number token as a float; literals past the double range raise."""
+        kind, value, offset = self.take()
+        v = float(value)
+        if not math.isfinite(v):
+            raise ParseError(f"number {value!r} does not fit a finite double at offset {offset}")
+        return v
+
     def fail(self, message):
         kind, value, offset = self.peek()
         raise ParseError(f"{message} at offset {offset}")
@@ -158,15 +166,13 @@ class _Parser:
                 raise ParseError(
                     f"exponent must be a nonnegative integer literal at offset {offset}"
                 )
-            self.take()
-            return BinOp("^", node, Num(float(int(value))))
+            return BinOp("^", node, Num(self.number()))
         return node
 
     def atom(self):
         kind, value, offset = self.peek()
         if kind == "num":
-            self.take()
-            return Num(float(value))
+            return Num(self.number())
         if kind == "name":
             self.take()
             if value in _VARIABLES:

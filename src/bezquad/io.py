@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .bezier import RationalBezierCurve, RationalBezierPatch
 from .errors import ValidationError
 from .moments import MomentVector
 from .planar import PlanarRegion, Rule, _frozen
+from .quad1d import _as_int
 from .surface import TrimLoop, TrimmedPatch
 from .volume import SolidModel
 
@@ -75,11 +77,10 @@ def _as_array(value, path):
 
 def _stated_degree(obj, key, path):
     """The integer ``obj[key]``; JSON booleans and fractions are rejected."""
-    value = obj[key]
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValidationError(f"{key!r} must be an integer, got {value!r}", path=path)
-    return int(value)
+    try:
+        return _as_int(obj[key], repr(key))
+    except ValidationError as exc:
+        raise ValidationError(str(exc), path=path) from None
 
 
 def _positive_weights(weights, path):
@@ -431,9 +432,12 @@ def load_trim_points(path):
         if len(parts) != 2:
             raise ValidationError(f"{path} line {ln}: expected 'u,v'")
         try:
-            cur.append((float(parts[0]), float(parts[1])))
+            u, v = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValidationError(f"{path} line {ln}: malformed number") from None
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise ValidationError(f"{path} line {ln}: non-finite value")
+        cur.append((u, v))
     if cur:
         blocks.append(np.asarray(cur, dtype=float))
     if not blocks:

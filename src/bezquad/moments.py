@@ -41,9 +41,7 @@ def monomial_exponents(p: int, dim: int):
     """Exponent tuples of total degree <= p in graded-lex order."""
     if dim not in (2, 3):
         raise ValidationError(f"dim must be 2 or 3, got {dim}")
-    p = _as_int(p, "max degree")
-    if p < 0:
-        raise ValidationError(f"max degree must be >= 0, got {p}")
+    p = _as_int(p, "max degree", 0)
     out = []
     for d in range(p + 1):
         if dim == 2:
@@ -103,7 +101,6 @@ def _region_moments(region: PlanarRegion, p: int) -> MomentVector:
 def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
     if not solid.closed:
         raise ValidationError("solid moments need a solid asserted closed")
-    p = _as_int(p, "max degree")
     n = (p + 1 + 1) // 2 + 4
     exps = monomial_exponents(p, 3)
 
@@ -130,8 +127,7 @@ def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
 def geometric_moments(model, p: int) -> MomentVector:
     """Monomial moments of a planar region (exact rules) or a solid
     (doubled-order convergence check)."""
-    if p < 0:
-        raise ValidationError(f"max degree must be >= 0, got {p}")
+    p = _as_int(p, "max degree", 0)
     if isinstance(model, PlanarRegion):
         return _region_moments(model, p)
     if isinstance(model, SolidModel):
@@ -147,8 +143,7 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
     1e-8 times the moment norm means the points cannot carry the moments
     and raises instead of returning junk weights.
     """
-    if p is None:
-        p = moments.degree
+    p = moments.degree if p is None else _as_int(p, "max degree", 0)
     if p > moments.degree:
         raise ValidationError(f"p={p} exceeds the moment vector degree {moments.degree}")
     pts = np.asarray(points, dtype=float)

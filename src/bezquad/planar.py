@@ -37,6 +37,7 @@ from .quad1d import (
     Rule1D,
     _as_int,
     _gauss_many,
+    _orders,
     gauss_legendre,
     rational_rule,
     weight_poly_roots,
@@ -235,7 +236,6 @@ def _lift(points, owner, base, order):
     points and provenance are read-only.
     """
     k, dim = points.shape
-    order = _as_int(order, "node count")
     nodes, seg_w = _gauss_many(order, np.full(k, base), points[:, -1])
     lifted = np.empty((k, order, dim))
     lifted[:, :, :-1] = points[:, None, :-1]
@@ -268,8 +268,7 @@ def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -
     Spectrally convergent for integrands analytic on the region; never
     exact by construction.
     """
-    if boundary_order < 1 or layer_order < 1:
-        raise ValidationError("orders must be at least 1")
+    boundary_order, layer_order = _orders(boundary_order, layer_order)
     curves = region.curves
     base = gauss_legendre(boundary_order, (0.0, 1.0))
     return _region_rule(curves, [base] * len(curves), region_constant_C(region), layer_order)
@@ -319,9 +318,7 @@ def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
     get plain Gauss.  Each boundary node carries ceil((degree + 1) / 2)
     antiderivative points.
     """
-    degree = _as_int(degree, "exactness degree")
-    if degree < 0:
-        raise ValidationError(f"exactness degree must be >= 0, got {degree}")
+    degree = _as_int(degree, "exactness degree", 0)
     curves = region.curves
     rules = [_pe_intermediate_rule(crv, degree) for crv in curves]
     layer_order = max(1, math.ceil((degree + 1) / 2))

@@ -61,15 +61,27 @@ class Rule1D:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-def _as_int(value, what: str) -> int:
+def _as_int(value, what: str, least: int | None = None) -> int:
     """``value`` as an int: Python or numpy integers and integral floats
-    pass; bools, fractions and non-numbers raise ValidationError."""
-    if not isinstance(value, (bool, np.bool_)) and (
+    pass; bools, fractions, non-numbers and values below ``least`` raise
+    ValidationError.  Every public count argument passes here once."""
+    if isinstance(value, (bool, np.bool_)) or not (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and float(value).is_integer())
     ):
-        return int(value)
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _orders(*counts):
+    """The node counts as integers, each at least 1."""
+    counts = [_as_int(n, "node count") for n in counts]
+    if min(counts) < 1:
+        raise ValidationError("orders must be at least 1")
+    return counts
 
 
 def interval_distance(p: complex) -> float:
@@ -93,10 +105,7 @@ class PoleSet:
     def __post_init__(self):
         cleaned = []
         for p, mult in self.poles:
-            mult = _as_int(mult, "pole multiplicity")
-            if mult < 1:
-                raise ValidationError(f"pole multiplicity must be positive, got {mult}")
-            cleaned.append((complex(p), mult))
+            cleaned.append((complex(p), _as_int(mult, "pole multiplicity", 1)))
         object.__setattr__(self, "poles", tuple(cleaned))
         counts = {p: m for p, m in cleaned}
         if len(counts) != len(cleaned):
@@ -109,6 +118,7 @@ class PoleSet:
     @classmethod
     def from_roots(cls, roots, multiplier: int = 1) -> "PoleSet":
         """Group repeated root values into (location, multiplicity) pairs."""
+        multiplier = _as_int(multiplier, "root multiplier", 1)
         counts: dict[complex, int] = {}
         for r in roots:
             counts[complex(r)] = counts.get(complex(r), 0) + multiplier
@@ -149,7 +159,7 @@ def _gauss_many(n: int, lo, hi):
     Returns arrays of shape (len(lo), n).  Degenerate intervals produce
     coincident nodes with zero weights, keeping counts uniform.
     """
-    x, w = _leggauss(_as_int(n, "node count"))
+    x, w = _leggauss(n)
     lo = np.asarray(lo, dtype=float)[:, None]
     hi = np.asarray(hi, dtype=float)[:, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -226,9 +236,7 @@ def partial_fraction_moment(pole: complex, order: int) -> complex:
     The pole must lie off the closed interval [0, 1].
     """
     p = complex(pole)
-    order = _as_int(order, "partial-fraction order")
-    if order < 1:
-        raise ValidationError(f"partial-fraction order must be >= 1, got {order}")
+    order = _as_int(order, "partial-fraction order", 1)
     if interval_distance(p) == 0.0:
         raise ValidationError(f"pole {p} lies on the integration interval")
     if order == 1:
@@ -306,9 +314,7 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     to a least-squares fit on twice as many nodes; if that is still
     hopeless a ConditioningError carries the condition estimate.
     """
-    poly_degree = _as_int(poly_degree, "polynomial degree")
-    if poly_degree < 0:
-        raise ValidationError(f"polynomial degree must be >= 0, got {poly_degree}")
+    poly_degree = _as_int(poly_degree, "polynomial degree", 0)
     if not poles.conjugate_closed:
         raise ValidationError("pole set must be closed under conjugation")
     bad = [p for p, _ in poles.poles if interval_distance(p) < _MIN_POLE_DISTANCE]

@@ -13,6 +13,7 @@ import numpy as np
 
 from .bezier import RationalBezierCurve, RationalBezierPatch
 from .planar import PlanarRegion
+from .quad1d import _as_int
 from .surface import TrimLoop, TrimmedPatch
 from .trimfit import fit_trim_curves
 from .volume import SolidModel
@@ -171,6 +172,8 @@ def cylinder_solid_fitted(
     z1 = z0 + height
     sides = _cylinder_sides(center, radius, z0, z1)
 
+    segments = _as_int(segments, "segments", 1)
+    samples_per_segment = _as_int(samples_per_segment, "samples per segment", 1)
     theta = np.linspace(0.0, 2.0 * np.pi, segments * samples_per_segment + 1)
     samples = np.column_stack(
         [0.5 + 0.4 * np.cos(theta), 0.5 + 0.4 * np.sin(theta)]

@@ -32,7 +32,7 @@ from .bezier import (
 )
 from .errors import ValidationError
 from .planar import Rule, _frozen, _region_rule, apply
-from .quad1d import _as_int, gauss_legendre
+from .quad1d import _orders, gauss_legendre
 
 __all__ = [
     "TrimLoop",
@@ -154,14 +154,6 @@ def _as_trimmed_patch(tp, path=None) -> TrimmedPatch:
     if not isinstance(tp, (TrimmedPatch, RationalBezierPatch)):
         raise ValidationError("patch must be a TrimmedPatch or RationalBezierPatch", path=path)
     return tp if isinstance(tp, TrimmedPatch) else TrimmedPatch(tp)
-
-
-def _orders(*counts):
-    """The node counts as integers, each at least 1."""
-    counts = [_as_int(n, "node count") for n in counts]
-    if min(counts) < 1:
-        raise ValidationError("orders must be at least 1")
-    return counts
 
 
 def _trimmed_part(loops, m_q, n_q):

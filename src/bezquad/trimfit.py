@@ -42,12 +42,10 @@ def fit_trim_curves(points, segments: int, degree: int = 3):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValidationError("points must be an ordered list of (u, v) pairs")
-    segments = _as_int(segments, "segments")
-    degree = _as_int(degree, "degree")
-    if segments < 1:
-        raise ValidationError("segments must be at least 1")
-    if degree < 1:
-        raise ValidationError("degree must be at least 1")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("points must be finite")
+    segments = _as_int(segments, "segments", 1)
+    degree = _as_int(degree, "degree", 1)
     if pts.shape[0] < degree + 1:
         raise ValidationError(f"need at least {degree + 1} points, got {pts.shape[0]}")
     arc = _chord_positions(pts)

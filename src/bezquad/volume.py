@@ -12,12 +12,14 @@ with zero weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bezier import BoundingBox, control_bbox
 from .errors import ValidationError
 from .planar import Rule, _frozen, _lift, apply
-from .surface import TrimmedPatch, _as_trimmed_patch, _orders, boundary_rule
+from .quad1d import _orders
+from .surface import TrimmedPatch, _as_trimmed_patch, boundary_rule
 
 __all__ = [
     "SolidModel",
@@ -83,6 +85,8 @@ def volume_rule(
         raise ValidationError("volume rules need a solid asserted closed")
     m_q, n_q, n_p = _orders(m_q, n_q, m_q if n_p is None else n_p)
     base = solid_constant_Pz(solid) if pz is None else float(pz)
+    if not math.isfinite(base):
+        raise ValidationError(f"pz must be finite, got {pz!r}")
     srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
     lifted, seg_w, prov = _lift(srule.points, srule.provenance[:, 0], base, n_p)
     return Rule3D(lifted, _frozen(srule.weights[:, None] * seg_w).ravel(), prov)

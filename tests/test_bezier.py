@@ -217,6 +217,21 @@ def test_patch_validation():
         RationalBezierPatch(np.zeros((2, 2, 3)), np.zeros((2, 2)))
 
 
+def test_non_finite_control_data_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="must be finite"):
+            RationalBezierCurve([(bad, 0), (1, 1)], [1.0, 1.0])
+        pts = np.zeros((2, 2, 3))
+        pts[1, 0, 2] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            RationalBezierPatch(pts, np.ones((2, 2)))
+    # an infinite weight passes the positivity check, so it needs its own
+    with pytest.raises(ValidationError, match="must be finite"):
+        RationalBezierCurve([(0, 0), (1, 1)], [1.0, math.inf])
+    with pytest.raises(ValidationError, match="must be finite"):
+        RationalBezierPatch(np.zeros((2, 2, 3)), np.full((2, 2), math.inf))
+
+
 def test_types_are_frozen():
     c = quarter_arc()
     with pytest.raises(Exception):

@@ -139,6 +139,22 @@ def test_parse_error_exit_1(capsys):
     assert code == 1 and "offset 3" in err
 
 
+@pytest.mark.parametrize("expr", ["log(x - 1e999)", "x^" + "9" * 400])
+def test_overflowing_literal_exit_1(capsys, expr):
+    code, out, err = run(capsys, "integrate", "--model", CIRCLE, "--expr", expr)
+    assert code == 1 and out == ""
+    assert err.startswith("bezquad: number ") and "does not fit a finite double" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_trim_non_finite_line(capsys, tmp_path, bad):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"0,0\n0.1,0.2\n{bad},0.5\n0.3,0.4\n0.5,0.5\n")
+    code, out, err = run(capsys, "fit-trim", "--points", str(path), "--segments", "1")
+    assert code == 1 and out == ""
+    assert err == f"bezquad: {path} line 3: non-finite value\n"
+
+
 def test_domain_error_exit_2(capsys):
     code, _, err = run(capsys, "integrate", "--model", CIRCLE, "--expr", "log(x - 5)")
     assert code == 2 and "domain error" in err

@@ -67,6 +67,17 @@ def test_exponent_must_be_integer_literal():
     assert ev("x^0", (5, 0, 0)) == 1.0
 
 
+def test_literals_past_double_range_rejected():
+    with pytest.raises(ParseError, match="number '1e999' does not fit a finite double at offset 8"):
+        parse("log(x - 1e999)")
+    with pytest.raises(ParseError, match="number '9{400}' does not fit a finite double at offset 2"):
+        parse("x^" + "9" * 400)
+    with pytest.raises(ParseError, match="offset 0"):
+        parse("1" + "0" * 400)
+    assert parse("1.7976931348623157e308") == Num(1.7976931348623157e308)
+    assert parse("x^" + "9" * 300).right == Num(float("9" * 300))
+
+
 def test_domain_errors_carry_node_and_point():
     with pytest.raises(EvalError, match=r"division by zero in 1 / x"):
         ev("1/x", (0, 0, 0))

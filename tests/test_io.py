@@ -450,6 +450,18 @@ def test_trim_points_blocks(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ValidationError, match="no points"):
         load_trim_points(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"0,0\n0.1,0.2\n\n{bad},0.5\n")
+        with pytest.raises(ValidationError, match="line 4: non-finite value$"):
+            load_trim_points(path)
+
+
+def test_non_finite_json_geometry_rejected(tmp_path):
+    doc = {"loops": [[{"points": [[0, 0], [1, 0]]}, {"points": [[1, 0], [float("nan"), 0]]}]]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"^loops\[0\]\[1\]\.points: contains non-finite values$"):
+        load_region(path)
 
 
 def test_moment_csv(tmp_path):

@@ -19,7 +19,7 @@ from bezquad.planar import (
     spectral_rule,
 )
 from bezquad.quad1d import gauss_legendre
-from bezquad.shapes import annulus_region, circle_region, quarter_arc, square_region
+from bezquad.shapes import annulus_region, circle_region, polygon_loop, quarter_arc, square_region
 from bezquad.surface import parametric_area_rule, unit_square_loop
 
 from conftest import random_quadratic_region
@@ -207,6 +207,13 @@ def test_open_loop_rejected():
     b = RationalBezierCurve([(1, 0.5), (0, 0)], [1, 1])  # gap of 0.5
     with pytest.raises(ValidationError, match="gap"):
         PlanarRegion(((a, b),))
+
+
+def test_non_finite_vertex_rejected():
+    # a NaN gap compares False against the closure tolerance, so the
+    # curve itself has to refuse it
+    with pytest.raises(ValidationError, match="must be finite"):
+        PlanarRegion((polygon_loop([(0, 0), (1, 0), (math.nan, 1)]),))
 
 
 def test_empty_region_rejected():

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from bezquad.errors import ConditioningError, ValidationError
-from bezquad.moments import geometric_moments, monomial_exponents
+from bezquad.moments import geometric_moments, moment_fit_weights, monomial_exponents
 from bezquad.planar import spectral_pe_rule, spectral_rule
 from bezquad.quad1d import (
     PoleSet,
@@ -20,7 +20,7 @@ from bezquad.quad1d import (
     weight_poly_roots,
 )
 
-from bezquad.shapes import box_solid, circle_region, cylinder_solid
+from bezquad.shapes import box_solid, circle_region, cylinder_solid, cylinder_solid_fitted
 from bezquad.surface import boundary_rule, patch_rule, surface_integrate, surface_rule, untrimmed_rule
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import volume_rule
@@ -335,7 +335,23 @@ _FRACTIONAL_ORDERS = {
     "boundary-mq": lambda: boundary_rule(box_solid().patches, 2.5, 3),
     "patch-bool": lambda: patch_rule(box_solid().patches[0], 3, True),
     "moments-solid-bool": lambda: geometric_moments(box_solid(), True),
+    "spectral-boundary-str": lambda: spectral_rule(circle_region(), "4", 3),
+    "spectral-boundary-none": lambda: spectral_rule(circle_region(), None, 3),
+    "spectral-layer-str": lambda: spectral_rule(circle_region(), 3, "4"),
+    "spectral-layer-none": lambda: spectral_rule(circle_region(), 3, None),
+    "spectral-layer-half": lambda: spectral_rule(circle_region(), 3, 0.5),
+    "moments-region-str": lambda: geometric_moments(circle_region(), "3"),
+    "moments-region-none": lambda: geometric_moments(circle_region(), None),
+    "moments-solid-str": lambda: geometric_moments(box_solid(), "3"),
+    "moments-solid-none": lambda: geometric_moments(box_solid(), None),
+    "moment-fit-str": lambda: moment_fit_weights(
+        _DISK_POINTS, geometric_moments(circle_region(), 4), "4"
+    ),
+    "root-multiplier-str": lambda: PoleSet.from_roots([2j, -2j], "2"),
+    "fitted-cylinder-segments-str": lambda: cylinder_solid_fitted(segments="4"),
+    "fitted-cylinder-samples": lambda: cylinder_solid_fitted(samples_per_segment=2.5),
 }
+_DISK_POINTS = np.random.default_rng(3).uniform(-0.7, 0.7, (40, 2))
 
 
 @pytest.mark.parametrize("call", _FRACTIONAL_ORDERS.values(), ids=_FRACTIONAL_ORDERS.keys())
@@ -359,6 +375,43 @@ def test_integral_orders_accepted(n):
         for x, y in [(a.points, b.points), (a.weights, b.weights), (a.provenance, b.provenance)]:
             assert x.tobytes() == y.tobytes()
     assert monomial_exponents(n, 3) == monomial_exponents(5, 3)
+
+
+_BELOW_MINIMUM = {
+    "pole-multiplicity": (lambda: PoleSet(((2j, 0), (-2j, 0))), "pole multiplicity must be >= 1, got 0"),
+    "root-multiplier": (lambda: PoleSet.from_roots([2j, -2j], 0), "root multiplier must be >= 1, got 0"),
+    "partial-fraction-order": (lambda: partial_fraction_moment(2j, 0), "partial-fraction order must be >= 1, got 0"),
+    "poly-degree": (lambda: rational_rule(PoleSet(()), -1), "polynomial degree must be >= 0, got -1"),
+    "pe-degree": (lambda: spectral_pe_rule(circle_region(), -1.0), "exactness degree must be >= 0, got -1"),
+    "exponents": (lambda: monomial_exponents(np.int32(-3), 3), "max degree must be >= 0, got -3"),
+    "moments-region": (lambda: geometric_moments(circle_region(), -1), "max degree must be >= 0, got -1"),
+    "moments-solid": (lambda: geometric_moments(box_solid(), -2), "max degree must be >= 0, got -2"),
+    "moment-fit": (
+        lambda: moment_fit_weights(_DISK_POINTS, geometric_moments(circle_region(), 2), -1),
+        "max degree must be >= 0, got -1",
+    ),
+    "fit-segments": (lambda: fit_trim_curves(_ARC_SAMPLES, 0), "segments must be >= 1, got 0"),
+    "fit-degree": (lambda: fit_trim_curves(_ARC_SAMPLES, 4, 0), "degree must be >= 1, got 0"),
+    "fitted-cylinder": (
+        lambda: cylinder_solid_fitted(samples_per_segment=0), "samples per segment must be >= 1, got 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _BELOW_MINIMUM.values(), ids=_BELOW_MINIMUM.keys())
+def test_below_minimum_messages(case):
+    call, message = case
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_none_keeps_its_default():
+    cube = box_solid()
+    _same_rule(volume_rule(cube, 3, 2, n_p=None), volume_rule(cube, 3, 2, 3))
+    mv = geometric_moments(circle_region(), 3)
+    a, b = moment_fit_weights(_DISK_POINTS, mv, None), moment_fit_weights(_DISK_POINTS, mv, 3)
+    assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1]
 
 
 def test_at_least_one_messages_kept():

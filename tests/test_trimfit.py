@@ -87,6 +87,14 @@ def test_too_many_segments_rejected():
         fit_trim_curves(quarter_circle_samples(7), 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_rejected(bad):
+    pts = quarter_circle_samples(20)
+    pts[7, 0] = bad
+    with pytest.raises(ValidationError, match="^points must be finite$"):
+        fit_trim_curves(pts, 2)
+
+
 def test_duplicate_consecutive_points_rejected():
     with pytest.raises(ValidationError, match="coincide"):
         fit_trim_curves([(0, 0), (0.5, 0), (0.5, 0), (1, 0)], 1)

@@ -68,6 +68,12 @@ def test_open_solid_rejected():
         volume_rule(solid, 3, 3)
 
 
+@pytest.mark.parametrize("pz", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_pz_rejected(pz):
+    with pytest.raises(ValidationError, match="pz must be finite"):
+        volume_rule(box_solid(), 3, 3, pz=pz)
+
+
 def test_pz_shift_invariance():
     solid = cylinder_solid()
     base = volume_integrate(solid, lambda x, y, z: np.cos(x) + y * z, 12, 12)
