@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .bezier import (
-    BoundingBox,
     RationalBezierCurve,
     _CONDITIONING_DEGREE,
     _closure_gaps,
@@ -99,9 +98,6 @@ class PlanarRegion:
     @property
     def curves(self) -> tuple[RationalBezierCurve, ...]:
         return tuple(c for loop in self.loops for c in loop)
-
-    def bbox(self) -> BoundingBox:
-        return control_bbox(self)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -191,9 +187,10 @@ def apply(rule: Rule, f) -> float:
     """Apply the rule to f(x, y) or f(x, y, z); f must accept numpy arrays.
     A non-finite value raises QuadratureError naming the first bad node."""
     with np.errstate(all="ignore"):
-        vals = np.broadcast_to(
-            np.asarray(f(*rule.points.T), dtype=float), rule.weights.shape
-        )
+        raw = f(*rule.points.T)
+        if np.iscomplexobj(raw):
+            raise QuadratureError("integrand returned complex values")
+        vals = np.broadcast_to(np.asarray(raw, dtype=float), rule.weights.shape)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         i = int(bad[0])
@@ -219,10 +216,6 @@ def region_constant_C(region: PlanarRegion) -> float:
 
 def _equal_weights(w) -> bool:
     return float(np.max(np.abs(w - w[0]))) <= _EQUAL_WEIGHT_REL_TOL * float(np.max(np.abs(w)))
-
-
-def is_polynomial_curve(curve: RationalBezierCurve) -> bool:
-    return _equal_weights(curve.weights)
 
 
 def _lift(points, owner, base, order):

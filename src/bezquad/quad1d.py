@@ -148,9 +148,8 @@ def gauss_legendre(n: int, interval=(0.0, 1.0)) -> Rule1D:
     if n < 1:
         raise ValidationError(f"need at least one node, got n={n}")
     lo, hi = float(interval[0]), float(interval[1])
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return Rule1D(mid + half * x, half * w, (lo, hi))
+    nodes, weights = _gauss_many(n, [lo], [hi])
+    return Rule1D(nodes[0], weights[0], (lo, hi))
 
 
 def _gauss_many(n: int, lo, hi):

@@ -40,8 +40,6 @@ __all__ = [
     "SurfaceRule",
     "unit_square_loop",
     "parametric_area_rule",
-    "surface_rule",
-    "untrimmed_rule",
     "patch_rule",
     "boundary_rule",
     "surface_integrate",
@@ -188,14 +186,14 @@ def _part(tp: TrimmedPatch, m_q, n_q):
     return _tensor_part(max(m_q, n_q))
 
 
-def _mapped_rule(patches, parts, weight_mode, first_index=0) -> Rule:
+def _mapped_rule(patches, parts, weight_mode) -> Rule:
     """Push each patch's parametric part through that patch and scale the
     weights by the requested normal factor.
 
     ``parts[i]`` is the (preimages, weights, (loop, segment, mu, eta)
-    rows) of ``patches[i]``, which is numbered ``first_index + i``.  The
-    patches that share a control-net shape are evaluated in one batch.
-    Collapsed-normal points keep weight zero, with one warning per patch.
+    rows) of ``patches[i]``, which is numbered ``i``.  The patches that
+    share a control-net shape are evaluated in one batch.  Collapsed-normal
+    points keep weight zero, with one warning per patch.
     """
     if weight_mode not in _WEIGHT_MODES:
         raise ValidationError(
@@ -224,52 +222,26 @@ def _mapped_rule(patches, parts, weight_mode, first_index=0) -> Rule:
     weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
     bad = np.bincount(owner[degenerate], minlength=len(patches))
     for i in np.flatnonzero(bad):
-        warnings.warn(
-            f"patch {first_index + i}: zeroed {bad[i]} degenerate-normal points", stacklevel=3
-        )
+        warnings.warn(f"patch {i}: zeroed {bad[i]} degenerate-normal points", stacklevel=3)
     prov = np.empty((owner.size, 5), dtype=np.int64)
-    prov[:, 0] = owner + first_index
+    prov[:, 0] = owner
     prov[:, 1:] = np.concatenate([part[2] for part in parts])
     return SurfaceRule(
         _frozen(point), _frozen(weights), pre, _frozen(prov), degenerate_count=int(bad.sum())
     )
 
 
-def surface_rule(
-    tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal", patch_index: int = 0
-) -> Rule:
-    """Quadrature rule over one trimmed patch.
+def patch_rule(tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
+    """Quadrature rule over one patch, numbered patch 0.
 
-    ``full-normal`` weights integrate against the surface area measure;
-    ``z-normal`` weights integrate against n_z, which is what the volume
-    construction consumes.  An untrimmed input gets the explicit unit
-    square loop (the tensor shortcut lives in untrimmed_rule).
+    A trimmed patch gets Green's theorem over its trim loops (m_q
+    boundary nodes per trim segment, n_q per vertical run); an untrimmed
+    one the max(m_q, n_q) tensor Gauss grid.  ``full-normal`` weights
+    integrate against the surface area measure, ``z-normal`` weights
+    against n_z, which is what the volume construction consumes.
     """
     tp = _as_trimmed_patch(tp)
-    part = _trimmed_part(tp.loops or (unit_square_loop(),), m_q, n_q)
-    return _mapped_rule([tp.patch], [part], weight_mode, patch_index)
-
-
-def untrimmed_rule(
-    patch: RationalBezierPatch, n: int, weight_mode: str = "full-normal", patch_index: int = 0
-) -> Rule:
-    """Tensor-product Gauss shortcut for a full patch: n x n points over
-    the parameter square, weights scaled by the same normal factor as
-    surface_rule."""
-    return _mapped_rule([patch], [_tensor_part(*_orders(n))], weight_mode, patch_index)
-
-
-apply_surface_rule = apply
-
-
-def patch_rule(
-    tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal", patch_index: int = 0
-) -> Rule:
-    """Rule over one patch: the trim-loop construction of surface_rule, or
-    for an untrimmed patch the tensor shortcut of untrimmed_rule with
-    max(m_q, n_q) points per direction."""
-    tp = _as_trimmed_patch(tp)
-    return _mapped_rule([tp.patch], [_part(tp, *_orders(m_q, n_q))], weight_mode, patch_index)
+    return _mapped_rule([tp.patch], [_part(tp, *_orders(m_q, n_q))], weight_mode)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:

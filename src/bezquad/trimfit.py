@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bezier import RationalBezierCurve, _closure_gaps, monomial_to_bernstein
+from .bezier import RationalBezierCurve, monomial_to_bernstein
 from .errors import ValidationError
 from .quad1d import _as_int
 
-__all__ = ["fit_trim_curves", "closure_check"]
+__all__ = ["fit_trim_curves"]
 
 
 def _chord_positions(points):
@@ -81,12 +81,3 @@ def fit_trim_curves(points, segments: int, degree: int = 3):
         ctrl[-1] = pts[b]
         curves.append(RationalBezierCurve(ctrl, np.ones(degree + 1)))
     return curves
-
-
-def closure_check(loop, tol: float = 1e-10):
-    """Whether chained curve endpoints close up; returns (ok, max_gap)."""
-    loop = list(loop)
-    if not loop:
-        raise ValidationError("loop must contain at least one curve")
-    worst = max(_closure_gaps(loop))
-    return worst <= tol, worst

@@ -13,9 +13,9 @@ with zero weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .bezier import BoundingBox, control_bbox
 from .errors import ValidationError
 from .planar import Rule, _frozen, _lift, apply
 from .quad1d import _orders
@@ -50,9 +50,6 @@ class SolidModel:
             raise ValidationError("solid needs at least one patch")
         object.__setattr__(self, "patches", patches)
 
-    def bbox(self) -> BoundingBox:
-        return control_bbox(self)
-
 
 def Rule3D(points, weights, provenance) -> Rule:
     """Volume rule with per-point provenance rows (patch, sigma, psi):
@@ -84,6 +81,8 @@ def volume_rule(
     if not solid.closed:
         raise ValidationError("volume rules need a solid asserted closed")
     m_q, n_q, n_p = _orders(m_q, n_q, m_q if n_p is None else n_p)
+    if pz is not None and (isinstance(pz, bool) or not isinstance(pz, numbers.Real)):
+        raise ValidationError(f"pz must be a real number, got {pz!r}")
     base = solid_constant_Pz(solid) if pz is None else float(pz)
     if not math.isfinite(base):
         raise ValidationError(f"pz must be finite, got {pz!r}")

@@ -17,7 +17,7 @@ from bezquad.bezier import RationalBezierCurve, RationalBezierPatch
 from bezquad.expr import evaluate, parse
 from bezquad.errors import EvalError
 from bezquad.moments import geometric_moments, moment_fit_weights
-from bezquad.planar import PlanarRegion, integrate2d, spectral_pe_rule, spectral_rule
+from bezquad.planar import PlanarRegion, apply, integrate2d, spectral_pe_rule, spectral_rule
 from bezquad.quad1d import (
     PoleSet,
     interval_distance,
@@ -33,7 +33,7 @@ from bezquad.shapes import (
     flip_solid,
     square_region,
 )
-from bezquad.surface import TrimmedPatch, apply_surface_rule, surface_rule, untrimmed_rule
+from bezquad.surface import TrimmedPatch, patch_rule, unit_square_loop
 from bezquad.volume import solid_constant_Pz, volume_integrate, volume_rule
 
 from conftest import (
@@ -165,12 +165,12 @@ def test_06_untrimmed_simplification():
             rng.normal(size=(4, 4, 3)), rng.uniform(0.5, 2.0, size=(4, 4))
         )
         f = lambda x, y, z: np.exp(0.3 * x) + y * z
-        tensor = untrimmed_rule(patch, n)
-        loop = surface_rule(TrimmedPatch(patch), n, n)
+        tensor = patch_rule(patch, n, n)
+        loop = patch_rule(TrimmedPatch(patch, (unit_square_loop(),)), n, n)
         assert len(tensor) == n * n
         assert len(loop) == 4 * n * n
-        a = apply_surface_rule(tensor, f)
-        b = apply_surface_rule(loop, f)
+        a = apply(tensor, f)
+        b = apply(loop, f)
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
 

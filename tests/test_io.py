@@ -23,7 +23,7 @@ from bezquad.io import (
 from bezquad.moments import _monomials, geometric_moments, monomial_exponents
 from bezquad.planar import Rule, Rule2D, apply, integrate2d, spectral_pe_rule, spectral_rule
 from bezquad.shapes import circle_region, cylinder_solid
-from bezquad.surface import surface_rule
+from bezquad.surface import patch_rule
 from bezquad.volume import volume_integrate, volume_rule
 
 
@@ -162,7 +162,7 @@ def test_not_json(tmp_path):
             ("x", "y", "weight", "curve", "q", "zeta"),
         ),
         (
-            lambda: surface_rule(cylinder_solid().patches[4], 4, 4),  # a trimmed cap
+            lambda: patch_rule(cylinder_solid().patches[4], 4, 4),  # a trimmed cap
             3,
             ("x", "y", "z", "weight", "patch", "loop", "segment", "mu", "eta"),
         ),
@@ -202,7 +202,7 @@ def test_rule3d_round_trip(tmp_path):
 
 def test_surface_rule_columns(tmp_path):
     tp = cylinder_solid().patches[4]  # a trimmed cap
-    rule = surface_rule(tp, 4, 4)
+    rule = patch_rule(tp, 4, 4)
     lines = rule_csv_lines(rule)
     assert lines[0] == "x,y,z,weight,patch,loop,segment,mu,eta"
     assert len(lines) == len(rule) + 1

@@ -10,10 +10,10 @@ import bezquad.planar as planar
 from bezquad.errors import QuadratureError, ValidationError
 from bezquad.planar import (
     PlanarRegion,
+    _equal_weights,
     _pe_intermediate_rule,
     _weights_rule,
     integrate2d,
-    is_polynomial_curve,
     region_constant_C,
     spectral_pe_rule,
     spectral_rule,
@@ -110,10 +110,8 @@ def test_spectral_pe_square_polynomial_curves():
 
 
 def test_polynomial_curve_detection():
-    assert is_polynomial_curve(RationalBezierCurve([(0, 0), (1, 0)], [2.0, 2.0]))
-    assert not is_polynomial_curve(
-        RationalBezierCurve([(0, 0), (1, 1), (2, 0)], [1, 0.8, 1])
-    )
+    assert _equal_weights(RationalBezierCurve([(0, 0), (1, 0)], [2.0, 2.0]).weights)
+    assert not _equal_weights(RationalBezierCurve([(0, 0), (1, 1), (2, 0)], [1, 0.8, 1]).weights)
 
 
 def test_spectral_pe_matches_spectral_reference_on_random_regions():
@@ -193,6 +191,20 @@ def test_integrate_rejects_nonfinite():
     rule = spectral_rule(square_region(), 4, 4)
     with pytest.raises(QuadratureError, match="node"):
         integrate2d(rule, lambda x, y: 1.0 / (x - x))
+
+
+def test_apply_rejects_complex_values():
+    rule = spectral_rule(circle_region(), 2, 2)
+    complex_valued = (lambda x, y: x + 1j, lambda x, y: 1j, lambda x, y: (x + 0j).tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in complex_valued:
+            with pytest.raises(QuadratureError, match="^integrand returned complex values$"):
+                integrate2d(rule, f)
+        # real values still take the one float conversion
+        x = rule.points[:, 0]
+        assert integrate2d(rule, lambda x, y: x * x) == float(np.dot(rule.weights, x * x))
+        assert integrate2d(rule, lambda x, y: 2) == float(np.dot(rule.weights, np.full(len(rule), 2.0)))
 
 
 def test_order_validation():
@@ -393,7 +405,7 @@ def test_rule_shares_fully_read_only_input():
 
 def _built_rules():
     from bezquad.shapes import cylinder_solid
-    from bezquad.surface import boundary_rule, patch_rule, surface_rule, untrimmed_rule
+    from bezquad.surface import TrimmedPatch, boundary_rule, patch_rule
     from bezquad.volume import volume_rule
 
     cyl = cylinder_solid()
@@ -401,9 +413,10 @@ def _built_rules():
         "spectral": spectral_rule(circle_region(), 4, 3),
         "pe": spectral_pe_rule(annulus_region(), 3),
         "parametric": parametric_area_rule([unit_square_loop()], 3, 2),
-        "surface": surface_rule(cyl.patches[4], 3, 3),
-        "untrimmed": untrimmed_rule(cyl.patches[0].patch, 3),
-        "patch": patch_rule(cyl.patches[5], 3, 4, "z-normal", patch_index=5),
+        "surface": patch_rule(cyl.patches[4], 3, 3),
+        "untrimmed": patch_rule(cyl.patches[0].patch, 3, 3),
+        "looped": patch_rule(TrimmedPatch(cyl.patches[0].patch, (unit_square_loop(),)), 3, 3),
+        "patch": patch_rule(cyl.patches[5], 3, 4, "z-normal"),
         "boundary": boundary_rule(cyl.patches, 3, 3),
         "volume": volume_rule(cyl, 3, 3, 2),
     }

@@ -21,7 +21,7 @@ from bezquad.quad1d import (
 )
 
 from bezquad.shapes import box_solid, circle_region, cylinder_solid, cylinder_solid_fitted
-from bezquad.surface import boundary_rule, patch_rule, surface_integrate, surface_rule, untrimmed_rule
+from bezquad.surface import boundary_rule, patch_rule, surface_integrate
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import volume_rule
 
@@ -63,6 +63,17 @@ def test_gauss_signed_interval():
 def test_gauss_degenerate_interval():
     r = gauss_legendre(3, (0.7, 0.7))
     assert np.allclose(r.nodes, 0.7) and np.allclose(r.weights, 0.0)
+
+
+def test_gauss_is_the_affine_map_of_legendre_nodes():
+    for n in range(1, 41):
+        x, w = np.polynomial.legendre.leggauss(n)
+        for lo, hi in [(0.0, 1.0), (-1.5, 2.5), (1.0, 0.0), (0.7, 0.7), (-3.25, -7.5)]:
+            r = gauss_legendre(n, (lo, hi))
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            assert r.nodes.tobytes() == (mid + half * x).tobytes()
+            assert r.weights.tobytes() == (half * w).tobytes()
+            assert r.interval == (lo, hi)
 
 
 def test_gauss_rejects_zero_points():
@@ -326,8 +337,8 @@ _FRACTIONAL_ORDERS = {
     "volume-mq": lambda: volume_rule(box_solid(), 2.9, 2, 2),
     "volume-np": lambda: volume_rule(box_solid(), 2, 2, 1.5),
     "volume-trimmed-mq": lambda: volume_rule(cylinder_solid(), 2.9, 2, 2),
-    "untrimmed": lambda: untrimmed_rule(box_solid().patches[0].patch, 2.5),
-    "surface-nq": lambda: surface_rule(cylinder_solid().patches[4], 3, 2.5),
+    "untrimmed": lambda: patch_rule(box_solid().patches[0].patch, 2.5, 2.5),
+    "surface-nq": lambda: patch_rule(cylinder_solid().patches[4], 3, 2.5),
     "moments-region": lambda: geometric_moments(circle_region(), 2.5),
     "moments-solid": lambda: geometric_moments(cylinder_solid(), 2.5),
     "exponents": lambda: monomial_exponents(np.float64(1.5), 2),
@@ -463,7 +474,7 @@ def test_integral_solid_orders_accepted(n):
     _same_rule(volume_rule(cyl, n, 3, n), volume_rule(cyl, 5, 3, 5))
     _same_rule(boundary_rule(cyl.patches, n, n), boundary_rule(cyl.patches, 5, 5))
     _same_rule(patch_rule(cyl.patches[0], 3, n), patch_rule(cyl.patches[0], 3, 5))
-    _same_rule(untrimmed_rule(cyl.patches[0].patch, n), untrimmed_rule(cyl.patches[0].patch, 5))
+    _same_rule(patch_rule(cyl.patches[0].patch, n, n), patch_rule(cyl.patches[0].patch, 5, 5))
     one = lambda x, y, z: np.ones_like(x)
     assert surface_integrate(cube.patches, one, n, n) == surface_integrate(cube.patches, one, 5, 5)
     want = geometric_moments(cube, 3).values.tobytes()

@@ -11,7 +11,6 @@ from bezquad import (
     ValidationError,
     SolidModel,
     apply,
-    apply_surface_rule,
     bilinear_patch,
     boundary_rule,
     box_solid,
@@ -25,15 +24,19 @@ from bezquad import (
     quarter_arc,
     spectral_rule,
     surface_integrate,
-    surface_rule,
     unit_square_loop,
-    untrimmed_rule,
     volume_integrate,
 )
 
 
 def line(a, b):
     return RationalBezierCurve([a, b], [1.0, 1.0])
+
+
+def square_looped(patch):
+    """``patch`` trimmed by the explicit unit-square loop, which forces the
+    Green's-theorem construction where the tensor shortcut would apply."""
+    return TrimmedPatch(patch, (unit_square_loop(),))
 
 
 def triangle_loop():
@@ -85,23 +88,23 @@ def test_complementarity_of_split_square():
 
 
 def test_flat_patch_area():
-    rule = surface_rule(TrimmedPatch(flat_unit_patch(z=5.0)), 4, 4)
+    rule = patch_rule(square_looped(flat_unit_patch(z=5.0)), 4, 4)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
     assert np.allclose(rule.points[:, 2], 5.0)
 
 
 def test_flat_patch_z_normal_mode():
-    rule = surface_rule(TrimmedPatch(flat_unit_patch(z=5.0)), 4, 4, "z-normal")
+    rule = patch_rule(square_looped(flat_unit_patch(z=5.0)), 4, 4, "z-normal")
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
 
 
 def test_flat_patch_jacobian_scaling():
-    rule = surface_rule(TrimmedPatch(flat_unit_patch(xscale=2.0)), 4, 4)
+    rule = patch_rule(square_looped(flat_unit_patch(xscale=2.0)), 4, 4)
     assert abs(np.sum(rule.weights) - 2.0) < 1e-13
 
 
 def test_untrimmed_rule_count_and_area():
-    rule = untrimmed_rule(flat_unit_patch(), 3)
+    rule = patch_rule(flat_unit_patch(), 3, 3)
     assert len(rule) == 9
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
     assert np.all(rule.provenance[:, 1] == -1)
@@ -115,27 +118,27 @@ def test_untrimmed_matches_explicit_square_loop():
             rng.normal(size=(4, 4, 3)), rng.uniform(0.5, 2.0, size=(4, 4))
         )
         f = lambda x, y, z: np.exp(0.3 * x) + y * z
-        shortcut = apply_surface_rule(untrimmed_rule(patch, 12), f)
-        explicit = apply_surface_rule(surface_rule(TrimmedPatch(patch), 12, 12), f)
+        shortcut = apply(patch_rule(patch, 12, 12), f)
+        explicit = apply(patch_rule(square_looped(patch), 12, 12), f)
         assert abs(shortcut - explicit) < 1e-12 * max(1.0, abs(explicit))
 
 
 def test_surface_rule_accepts_bare_patch():
-    rule = surface_rule(flat_unit_patch(), 3, 3)
+    rule = patch_rule(flat_unit_patch(), 3, 3)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
 
 
 def test_trimmed_flat_patch_quarter_disk():
     tp = TrimmedPatch(flat_unit_patch(), (quarter_disk_loop(),))
-    rule = surface_rule(tp, 12, 12)
+    rule = patch_rule(tp, 12, 12)
     assert abs(np.sum(rule.weights) - np.pi / 4) < 1e-12
 
 
 def test_preimages_and_provenance():
     tp = TrimmedPatch(flat_unit_patch(), (quarter_disk_loop(),))
-    rule = surface_rule(tp, 5, 4, patch_index=7)
+    rule = patch_rule(tp, 5, 4)
     assert rule.preimages.min() > -1e-12 and rule.preimages.max() < 1 + 1e-12
-    assert np.all(rule.provenance[:, 0] == 7)
+    assert np.all(rule.provenance[:, 0] == 0)
     assert np.all(rule.provenance[:, 1] == 0)
     assert set(np.unique(rule.provenance[:, 2])) == {0, 1, 2}
     # 3 segments x 5 boundary nodes x 4 layer nodes
@@ -170,7 +173,7 @@ def collapsed_edge_patch():
 
 def test_degenerate_normal_points_get_zero_weight():
     with pytest.warns(UserWarning, match="degenerate-normal"):
-        rule = surface_rule(collapsed_edge_patch(), 1, 1)
+        rule = patch_rule(collapsed_edge_patch(), 1, 1)
     assert rule.degenerate_count > 0
     zeroed = rule.weights[np.isclose(rule.preimages[:, 1], 0.0, atol=1e-12)]
     assert np.all(zeroed == 0.0)
@@ -232,9 +235,16 @@ def test_trim_loop_rejects_gaps():
         TrimLoop((line((0, 0), (1, 0)), line((1, 1e-4), (0, 0))))
 
 
+def test_trim_loop_accepts_one_closed_curve():
+    arc = RationalBezierCurve([(0, 0), (1, 0), (0.5, 1), (0, 0)], np.ones(4))
+    assert TrimLoop((arc,)).segments[0] is arc
+    with pytest.raises(ValidationError, match=r"segments\[0\] ends 1\.000e-06 away"):
+        TrimLoop((RationalBezierCurve([(0, 1e-6), (1, 0), (0.5, 1), (0, 0)], np.ones(4)),))
+
+
 def test_bad_weight_mode():
     with pytest.raises(ValidationError, match="weight_mode"):
-        surface_rule(TrimmedPatch(flat_unit_patch()), 3, 3, "sideways")
+        patch_rule(TrimmedPatch(flat_unit_patch()), 3, 3, "sideways")
 
 
 def test_surface_rule_alignment_checked():
@@ -245,13 +255,17 @@ def test_surface_rule_alignment_checked():
 def test_patch_rule_dispatch():
     side, cap = cylinder_solid().patches[0], cylinder_solid().patches[4]
     assert not side.loops and cap.loops
-    shortcut = patch_rule(side, 3, 5, "z-normal", patch_index=2)
+    shortcut = patch_rule(side, 3, 5, "z-normal")
     assert len(shortcut) == max(3, 5) ** 2
-    assert np.array_equal(shortcut.weights, untrimmed_rule(side.patch, 5, "z-normal", 2).weights)
-    trimmed = patch_rule(cap, 4, 3, "z-normal", patch_index=4)
-    ref = surface_rule(cap, 4, 3, "z-normal", patch_index=4)
+    assert np.array_equal(shortcut.weights, patch_rule(side.patch, 5, 5, "z-normal").weights)
+    assert np.all(shortcut.provenance[:, 1:3] == -1)
+    looped = patch_rule(square_looped(side.patch), 3, 5, "z-normal")
+    assert len(looped) == 4 * 3 * 5 and np.all(looped.provenance[:, 1] == 0)
+    trimmed = patch_rule(cap, 4, 3, "z-normal")
+    ref = patch_rule(TrimmedPatch(cap.patch, cap.loops), 4, 3, "z-normal")
     for name in ("points", "weights", "preimages", "provenance"):
         assert np.array_equal(getattr(trimmed, name), getattr(ref, name))
+    assert np.all(trimmed.provenance[:, 0] == 0) and np.all(trimmed.provenance[:, 1] >= 0)
 
 
 def mixed_net_patches():
@@ -273,11 +287,18 @@ def test_boundary_rule_concatenates_patch_rules(mode):
         mixed_net_patches(),
     ):
         rule = boundary_rule(patches, 4, 3, mode)
-        parts = [patch_rule(tp, 4, 3, mode, patch_index=i) for i, tp in enumerate(patches)]
+        parts = [patch_rule(tp, 4, 3, mode) for tp in patches]
         assert rule.columns == parts[0].columns
         for name in _RULE_ARRAYS:
             want = np.concatenate([getattr(r, name) for r in parts])
-            assert getattr(rule, name).tobytes() == want.tobytes()
+            got = getattr(rule, name)
+            if name == "provenance":
+                # one-patch rules number their patch 0; the union numbers by position
+                assert all(np.all(r.provenance[:, 0] == 0) for r in parts)
+                owner = np.repeat(np.arange(len(parts)), [len(r) for r in parts])
+                assert np.array_equal(got[:, 0], owner)
+                got, want = np.ascontiguousarray(got[:, 1:]), np.ascontiguousarray(want[:, 1:])
+            assert got.tobytes() == want.tobytes()
         assert rule.degenerate_count == sum(r.degenerate_count for r in parts)
         # the batched map against the one-patch evaluator
         for i, tp in enumerate(patches):
@@ -291,8 +312,8 @@ def test_boundary_rule_warns_once_for_the_degenerate_patch():
     patches = (cyl[0], cyl[4], collapsed_edge_patch(), box_solid().patches[1])
     with pytest.warns(UserWarning) as record:
         rule = boundary_rule(patches, 2, 2)
-    with pytest.warns(UserWarning, match=r"^patch 2: zeroed"):
-        alone = surface_rule(collapsed_edge_patch(), 2, 2, patch_index=2)
+    with pytest.warns(UserWarning, match=r"^patch 0: zeroed"):
+        alone = patch_rule(collapsed_edge_patch(), 2, 2)
     assert [str(w.message) for w in record] == [
         f"patch 2: zeroed {alone.degenerate_count} degenerate-normal points"
     ]
@@ -328,7 +349,7 @@ def test_integrate_is_apply_of_the_boundary_rule(union):
     got = surface_integrate(patches, _smooth, 5, 5)
     assert got == apply(boundary_rule(patches, 5, 5), _smooth)
     # the per-patch sum adds in another order
-    parts = [apply(patch_rule(tp, 5, 5, patch_index=i), _smooth) for i, tp in enumerate(patches)]
+    parts = [apply(patch_rule(tp, 5, 5), _smooth) for tp in patches]
     assert got == pytest.approx(sum(parts), rel=1e-14, abs=0.0)
     assert surface_integrate(iter(patches), _smooth, 5, 5) == got
 

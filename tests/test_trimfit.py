@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from bezquad import (
-    RationalBezierCurve,
     ValidationError,
-    closure_check,
     cylinder_solid_fitted,
     eval_curve,
     fit_trim_curves,
@@ -98,31 +96,6 @@ def test_non_finite_points_rejected(bad):
 def test_duplicate_consecutive_points_rejected():
     with pytest.raises(ValidationError, match="coincide"):
         fit_trim_curves([(0, 0), (0.5, 0), (0.5, 0), (1, 0)], 1)
-
-
-def test_closure_check_closed_square():
-    segs = [
-        RationalBezierCurve([a, b], [1.0, 1.0])
-        for a, b in [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (0, 0))]
-    ]
-    ok, gap = closure_check(segs)
-    assert ok and gap == 0.0
-
-
-def test_closure_check_reports_gap():
-    segs = [
-        RationalBezierCurve([(0, 0), (1, 0)], [1.0, 1.0]),
-        RationalBezierCurve([(1, 1e-6), (0, 0)], [1.0, 1.0]),
-    ]
-    ok, gap = closure_check(segs, tol=1e-10)
-    assert not ok
-    assert abs(gap - 1e-6) < 1e-18
-
-
-def test_closure_check_single_closed_curve():
-    arc = RationalBezierCurve([(0, 0), (1, 0), (0.5, 1), (0, 0)], np.ones(4))
-    ok, gap = closure_check([arc])
-    assert ok and gap == 0.0
 
 
 def test_fitted_cylinder_volume_converges_fourth_order():

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,16 +10,15 @@ from bezquad import (
     SolidModel,
     TrimmedPatch,
     ValidationError,
-    apply_surface_rule,
+    apply,
     bilinear_patch,
     box_solid,
     control_bbox,
     cylinder_solid,
     flip_patch,
     flip_solid,
+    patch_rule,
     solid_constant_Pz,
-    surface_rule,
-    untrimmed_rule,
     volume_integrate,
     volume_rule,
 )
@@ -74,6 +76,20 @@ def test_non_finite_pz_rejected(pz):
         volume_rule(box_solid(), 3, 3, pz=pz)
 
 
+@pytest.mark.parametrize("pz", ["1.0", True, "abc", [1.0]], ids=["text", "bool", "word", "list"])
+def test_non_real_pz_rejected(pz):
+    with pytest.raises(ValidationError, match=rf"^pz must be a real number, got {re.escape(repr(pz))}$"):
+        volume_rule(box_solid(), 3, 3, pz=pz)
+
+
+def test_real_pz_types_accepted():
+    want = volume_rule(box_solid(), 3, 3, pz=-1.0)
+    for pz in (-1, np.float32(-1.0), np.int64(-1), Fraction(-1)):
+        got = volume_rule(box_solid(), 3, 3, pz=pz)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
 def test_pz_shift_invariance():
     solid = cylinder_solid()
     base = volume_integrate(solid, lambda x, y, z: np.cos(x) + y * z, 12, 12)
@@ -89,12 +105,9 @@ def test_divergence_consistency():
     for solid in (box_solid(), cylinder_solid()):
         vol = volume_integrate(solid, ONE, 12, 12)
         flux = 0.0
-        for i, tp in enumerate(solid.patches):
-            if tp.loops:
-                srule = surface_rule(tp, 12, 12, "z-normal", patch_index=i)
-            else:
-                srule = untrimmed_rule(tp.patch, 12, "z-normal", patch_index=i)
-            flux += apply_surface_rule(srule, lambda x, y, z: z)
+        for tp in solid.patches:
+            # trimmed patches take the trim-loop construction, the rest the tensor grid
+            flux += apply(patch_rule(tp, 12, 12, "z-normal"), lambda x, y, z: z)
         assert abs(vol - flux) < 1e-10
 
 
@@ -115,9 +128,7 @@ def test_points_inside_control_bbox():
 
 def test_point_count_and_np_default():
     solid = box_solid()
-    surface_count = sum(
-        len(untrimmed_rule(tp.patch, 5)) for tp in solid.patches
-    )
+    surface_count = sum(len(patch_rule(tp.patch, 5, 5)) for tp in solid.patches)
     rule = volume_rule(solid, 5, 3)
     # n_p defaults to m_q
     assert len(rule) == 5 * surface_count
