@@ -54,7 +54,8 @@ def monomial_exponents(p: int, dim: int):
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Monomial moments up to a total degree, graded-lex ordered."""
+    """Monomial moments up to a total degree, graded-lex ordered; the
+    values must be finite."""
 
     degree: int
     dim: int
@@ -67,6 +68,8 @@ class MomentVector:
             raise ValidationError(
                 f"degree {self.degree} in {self.dim}D needs {expected} moments, got {vals.size}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError("moments must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -161,7 +164,8 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
     weights, *_ = np.linalg.lstsq(vander, m, rcond=None)
     residual = float(np.linalg.norm(vander @ weights - m))
     scale = float(np.linalg.norm(m))
-    if residual > 1e-8 * max(scale, 1e-300):
+    # written so that a NaN residual fails too
+    if not residual <= 1e-8 * max(scale, 1e-300):
         raise QuadratureError(
             f"moment fit left residual {residual:.3e} against moment norm {scale:.3e}; "
             "the point set cannot reproduce these moments"

@@ -11,6 +11,12 @@ geometric factor of the curve at that node.
 Loops are traversed counter-clockwise around material; clockwise loops
 subtract (holes).  With that convention the geometric factor is minus the
 x-derivative of the curve.
+
+The degree-exact rule first puts each curve with unequal end weights into
+standard form (end weights 1) by a Moebius reparametrization that keeps its
+trace and orientation.  Curves that differ only by such a rescaling of
+their weights (the arcs of one circle written with weights (1, c, c^2),
+say) then share one memoized intermediate rule.
 """
 
 from __future__ import annotations
@@ -272,8 +278,10 @@ def _pe_intermediate_rule(curve: RationalBezierCurve, degree: int) -> Rule1D:
     for integrands of total degree <= ``degree``.
 
     The rule depends only on the curve's weights, so congruent curves (the
-    arcs of a circle, say) share one cached rule.  ``Rule1D`` is frozen
-    with read-only arrays; exceptions are not cached.
+    arcs of a circle, say) share one cached rule.  The cache is keyed on the
+    weights as given; ``spectral_pe_rule`` passes curves in standard form,
+    so Moebius-rescaled copies of one curve hit the same entry.  ``Rule1D``
+    is frozen with read-only arrays; exceptions are not cached.
     """
     key = curve.weights.tobytes()
     if curve.degree <= _CONDITIONING_DEGREE or _equal_weights(curve.weights):
@@ -302,17 +310,40 @@ def _weights_rule(weight_bytes: bytes, degree: int) -> Rule1D:
     return gauss_legendre(math.ceil((intermediate_degree + 1) / 2), (0.0, 1.0))
 
 
+def _standard_form(curve: RationalBezierCurve) -> RationalBezierCurve:
+    """The same curve with end weights 1: w_i / (w_0^((m-i)/m) w_m^(i/m)).
+
+    That is the reparametrization s = a t / (a t + 1 - t), a > 0, with the
+    weights divided by w_0; trace and orientation stay.  A curve with equal
+    end weights, or whose rescaled weights are not finite and positive,
+    comes back as it is.
+    """
+    w = curve.weights
+    if w[0] == w[-1]:
+        return curve
+    m = w.size - 1
+    i = np.arange(m + 1)
+    with np.errstate(all="ignore"):
+        scaled = w / (w[0] ** ((m - i) / m) * w[-1] ** (i / m))
+    scaled[[0, -1]] = 1.0
+    if not np.all(np.isfinite(scaled) & (scaled > 0)):
+        return curve
+    return RationalBezierCurve(curve.points, scaled)
+
+
 def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
     """Polynomially exact rule: integrates every monomial x^a y^b with
     a + b <= ``degree`` to rounding level.
 
     Rational curves get a rational-exact intermediate rule built on their
     weight-polynomial poles at multiplicity degree + 3; polynomial curves
-    get plain Gauss.  Each boundary node carries ceil((degree + 1) / 2)
+    get plain Gauss.  Each curve is built and evaluated in standard form
+    (equal end weights), which keeps its trace, so provenance ``q`` still
+    counts nodes along it.  Each boundary node carries ceil((degree + 1) / 2)
     antiderivative points.
     """
     degree = _as_int(degree, "exactness degree", 0)
-    curves = region.curves
+    curves = [_standard_form(crv) for crv in region.curves]
     rules = [_pe_intermediate_rule(crv, degree) for crv in curves]
     layer_order = max(1, math.ceil((degree + 1) / 2))
     return _region_rule(curves, rules, region_constant_C(region), layer_order)

@@ -94,9 +94,9 @@ def interval_distance(p: complex) -> float:
 class PoleSet:
     """Poles with multiplicities, closed under conjugation.
 
-    ``poles`` is a tuple of (location, multiplicity) pairs.  Real locations
-    count once; a complex location must appear together with its conjugate
-    at equal multiplicity.
+    ``poles`` is a tuple of (location, multiplicity) pairs, every location
+    finite.  Real locations count once; a complex location must appear
+    together with its conjugate at equal multiplicity.
     """
 
     poles: tuple[tuple[complex, int], ...]
@@ -105,7 +105,10 @@ class PoleSet:
     def __post_init__(self):
         cleaned = []
         for p, mult in self.poles:
-            cleaned.append((complex(p), _as_int(mult, "pole multiplicity", 1)))
+            p = complex(p)
+            if not cmath.isfinite(p):
+                raise ValidationError(f"pole locations must be finite, got {p}")
+            cleaned.append((p, _as_int(mult, "pole multiplicity", 1)))
         object.__setattr__(self, "poles", tuple(cleaned))
         counts = {p: m for p, m in cleaned}
         if len(counts) != len(cleaned):
@@ -142,12 +145,15 @@ def gauss_legendre(n: int, interval=(0.0, 1.0)) -> Rule1D:
     """n-point Gauss-Legendre rule mapped onto ``interval``.
 
     The interval may be signed (hi < lo flips the weights) or degenerate
-    (hi == lo gives coincident nodes with zero weights).
+    (hi == lo gives coincident nodes with zero weights); its endpoints must
+    be finite.
     """
     n = _as_int(n, "node count")
     if n < 1:
         raise ValidationError(f"need at least one node, got n={n}")
     lo, hi = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"interval endpoints must be finite, got ({lo}, {hi})")
     nodes, weights = _gauss_many(n, [lo], [hi])
     return Rule1D(nodes[0], weights[0], (lo, hi))
 

@@ -183,6 +183,23 @@ def test_fit_validation():
         moment_fit_weights(np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]]), mv)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_moment_vector_rejects_non_finite(bad):
+    # a NaN moment once came back from moment_fit_weights as NaN weights
+    # and a NaN residual, with no error
+    with pytest.raises(ValidationError, match="moments must be finite"):
+        MomentVector(1, 2, [bad, 0.0, 0.0])
+
+
+def test_fit_rejects_nan_residual(monkeypatch):
+    # a NaN residual compares False with any bound; it must still raise
+    mv = geometric_moments(square_region(), 1)
+    pts = np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.8]])
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.full(a.shape[1], np.nan),))
+    with pytest.raises(QuadratureError, match="residual nan"):
+        moment_fit_weights(pts, mv)
+
+
 def test_moments_reject_other_models():
     with pytest.raises(ValidationError):
         geometric_moments(np.zeros(3), 2)

@@ -8,10 +8,13 @@ import scipy.special
 from bezquad.bezier import RationalBezierCurve, control_bbox, eval_curve, eval_curve_derivative
 import bezquad.planar as planar
 from bezquad.errors import QuadratureError, ValidationError
+from bezquad.moments import _monomials, geometric_moments, monomial_exponents
 from bezquad.planar import (
     PlanarRegion,
     _equal_weights,
     _pe_intermediate_rule,
+    _region_rule,
+    _standard_form,
     _weights_rule,
     integrate2d,
     region_constant_C,
@@ -79,23 +82,25 @@ def test_spectral_pe_circle_counts_and_exactness():
     assert abs(integrate2d(rule, lambda x, y: x * y**2)) < 1e-10
 
 
+def _disk_moment(a, b):
+    # unit-disk monomial integrals: zero unless both exponents even, else a
+    # beta-function value
+    if a % 2 or b % 2:
+        return 0.0
+    return 2 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2) / (
+        (a + b + 2) * math.gamma((a + b) / 2 + 1)
+    )
+
+
 def test_spectral_pe_monomial_exactness_by_degree():
     reg = circle_region()
-    # disk monomial integrals: zero unless both exponents even, else a
-    # beta-function value
-    def exact(a, b):
-        if a % 2 or b % 2:
-            return 0.0
-        return 2 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2) / (
-            (a + b + 2) * math.gamma((a + b) / 2 + 1)
-        )
-
     for k in (1, 2, 3, 4):
         rule = spectral_pe_rule(reg, k)
         for a in range(k + 1):
             for b in range(k - a + 1):
                 got = integrate2d(rule, lambda x, y: x**a * y**b)
-                assert abs(got - exact(a, b)) < 1e-10 * max(1.0, abs(exact(a, b)))
+                exact = _disk_moment(a, b)
+                assert abs(got - exact) < 1e-10 * max(1.0, abs(exact))
 
 
 def test_spectral_pe_square_polynomial_curves():
@@ -325,6 +330,96 @@ def test_pe_memo_warm_call_still_warns():
         ]
         assert area(rule) == pytest.approx(PI, rel=1e-12)
     assert _weights_rule.cache_info()[:2] == (3 + 4, 1)  # hits, misses
+
+
+# ------------------------------------------------------------ standard form
+
+
+def _rescaled(region, cs):
+    """``region`` with the weights of arc j times (1, c, c^2), c = cs[j % len(cs)]:
+    every arc Moebius-reparametrized, the same trace."""
+    scales = iter(np.resize(cs, len(region.curves)))
+    return PlanarRegion(
+        tuple(
+            tuple(
+                RationalBezierCurve(arc.points, arc.weights * np.array([1.0, c, c * c]))
+                for arc, c in zip(loop, scales)
+            )
+            for loop in region.loops
+        )
+    )
+
+
+def _cubic_loop():
+    # one closed rational cubic, end weights 1 and 3
+    pts = [(0.0, 0.0), (2.0, -1.0), (2.0, 2.0), (0.0, 0.0)]
+    return PlanarRegion(((RationalBezierCurve(pts, [1.0, 2.0, 0.5, 3.0]),),))
+
+
+@pytest.mark.parametrize(
+    "make, inner, counts",
+    [(circle_region, 0.0, [180, 460, 1404]), (annulus_region, 0.5, [360, 920, 2808])],
+    ids=["circle", "annulus"],
+)
+def test_pe_rescaled_arcs_exact_to_rounding(make, inner, counts):
+    region = _rescaled(make(), (0.5, 2.0, 0.7, 1.6))
+    for k, count in zip((4, 8, 16), counts):
+        got = geometric_moments(region, k)
+        exact = [_disk_moment(a, b) * (1.0 - inner ** (a + b + 2)) for a, b in got.exponents]
+        assert np.max(np.abs(got.values - exact)) < 1e-14, k
+        assert len(spectral_pe_rule(region, k)) == len(spectral_pe_rule(make(), k)) == count
+
+
+def test_pe_memo_shares_rescaled_arcs():
+    _weights_rule.cache_clear()
+    spectral_pe_rule(circle_region(), 6)
+    canonical = _weights_rule.cache_info().currsize
+    rng = np.random.default_rng(12)
+    for cs in rng.uniform(0.5, 2.0, (50, 4)):
+        spectral_pe_rule(_rescaled(circle_region(), cs), 6)
+    assert _weights_rule.cache_info().currsize <= canonical + 3
+
+
+def test_standard_form_matches_raw_weight_rule():
+    # the memoized rule of the standard form against the rule built on the
+    # curves' own weights: same moments to rounding, never more nodes
+    rng = np.random.default_rng(101)
+    regions = [random_quadratic_region(rng) for _ in range(8)] + [_cubic_loop()]
+    for region in regions:
+        curves, base = region.curves, region_constant_C(region)
+        for k in range(17):
+            layer_order = max(1, math.ceil((k + 1) / 2))
+            raw = _region_rule(curves, [_pe_intermediate_rule(c, k) for c in curves], base, layer_order)
+            rule = spectral_pe_rule(region, k)
+            exps = monomial_exponents(k, 2)
+            want = raw.weights @ _monomials(raw.points, exps)
+            got = rule.weights @ _monomials(rule.points, exps)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), k
+            assert len(rule) <= len(raw)
+
+
+def test_standard_form_keeps_trace_and_orientation():
+    curve = _cubic_loop().curves[0]
+    std = _standard_form(curve)
+    assert std.weights[0] == std.weights[-1] == 1.0
+    assert std.points.tobytes() == curve.points.tobytes()
+    # weights w_i a^i / w_0 with a = (w_0 / w_m)^(1/m): the curve at
+    # s = a t / (a t + 1 - t), increasing in t
+    a = (curve.weights[0] / curve.weights[-1]) ** (1 / 3)
+    t = np.linspace(0.0, 1.0, 11)
+    s = a * t / (a * t + 1 - t)
+    assert np.allclose(eval_curve(std, t), eval_curve(curve, s), rtol=0, atol=1e-14)
+
+
+def test_standard_form_returns_curve_unchanged():
+    pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
+    for curve in (
+        quarter_arc(),
+        RationalBezierCurve(pts + [(3.0, 1.0)], [2.0, 1.0, 3.0, 2.0]),
+        # the middle weight would overflow in standard form
+        RationalBezierCurve(pts, [1e-300, 1e308, 1.0]),
+    ):
+        assert _standard_form(curve) is curve
 
 
 def _half_disk():

@@ -81,6 +81,12 @@ def test_gauss_rejects_zero_points():
         gauss_legendre(0)
 
 
+@pytest.mark.parametrize("interval", [(0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
+def test_gauss_rejects_non_finite_interval(interval):
+    with pytest.raises(ValidationError, match="interval endpoints must be finite"):
+        gauss_legendre(3, interval)
+
+
 def test_interval_distance():
     assert interval_distance(0.5 + 0.25j) == 0.25
     assert interval_distance(-3 + 0j) == 3.0
@@ -176,6 +182,22 @@ def test_pole_set_open_under_conjugation():
 def test_pole_set_rejects_bad_multiplicity():
     with pytest.raises(ValidationError):
         PoleSet(((2 + 0j, 0),))
+
+
+@pytest.mark.parametrize(
+    "poles",
+    [
+        ((math.inf, 1),),
+        ((complex(math.nan, 1.0), 1), (complex(math.nan, -1.0), 1)),
+        ((complex(0.5, math.inf), 2), (complex(0.5, -math.inf), 2)),
+    ],
+    ids=["inf", "nan-pair", "inf-imag-pair"],
+)
+def test_pole_set_rejects_non_finite_location(poles):
+    # an infinite pole once reached the collocation solve as a raw
+    # LinAlgError, and a NaN pair was called open under conjugation
+    with pytest.raises(ValidationError, match="pole locations must be finite"):
+        PoleSet(poles)
 
 
 def test_rational_rule_polynomial_only():
