@@ -62,7 +62,7 @@ class RationalBezierCurve:
             raise ValidationError(
                 f"need one weight per control point, got {wts.shape} for {pts.shape[0]} points"
             )
-        if not np.all(wts > 0):
+        if not (wts > 0).all():
             raise ValidationError("control weights must be strictly positive")
         if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
             raise ValidationError("control points and weights must be finite")
@@ -173,10 +173,28 @@ def _casteljau_pair(ctrl, t):
     return (1.0 - t) * b[:, 0] + t * b[:, 1], m * (b[:, 1] - b[:, 0])
 
 
-def _eval_h(curve, s):
+def _curve_point_derivative(ctrl, s, which=None):
+    """Points and d/ds at parameters s on one homogeneous control polygon,
+    or with ``which`` on a stack of them, s[i] lying on ``ctrl[which[i]]``."""
     s = np.asarray(s, dtype=float).ravel()
-    ctrl = _homogeneous(curve.points, curve.weights)
-    return _casteljau_pair(np.broadcast_to(ctrl, (s.size,) + ctrl.shape), s)
+    ctrl = np.broadcast_to(ctrl, (s.size,) + ctrl.shape) if which is None else ctrl[which]
+    value, hodo = _casteljau_pair(ctrl, s)
+    w = value[:, -1:]
+    point = value[:, :-1] / w
+    # quotient rule: (X/W)' = (X' - (X/W) W') / W
+    return point, (hodo[:, :-1] - point * hodo[:, -1:]) / w
+
+
+def _batches(shapes, owner):
+    """One batch per distinct shape of the items: the item indices, the
+    rows of ``owner`` (each row's item index) that belong to them, and each
+    such row's position among those items."""
+    for shape in dict.fromkeys(shapes):
+        members = [i for i, s in enumerate(shapes) if s == shape]
+        slot = np.full(len(shapes), -1)
+        slot[members] = np.arange(len(members))
+        sel = np.flatnonzero(slot[owner] >= 0)
+        yield members, sel, slot[owner[sel]]
 
 
 def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
@@ -188,25 +206,15 @@ def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
     True
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
-    value, _ = _eval_h(curve, s)
-    out = value[:, :-1] / value[:, -1:]
-    return out[0] if scalar else out
+    point, _ = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
+    return point[0] if scalar else point
 
 
 def eval_curve_derivative(curve: RationalBezierCurve, s) -> np.ndarray:
     """Derivative of the mapped (projected) curve with respect to s."""
     scalar = np.isscalar(s) or np.ndim(s) == 0
-    value, hodo = _eval_h(curve, s)
-    w = value[:, -1:]
-    point = value[:, :-1] / w
-    # quotient rule: (X/W)' = (X' - (X/W) W') / W
-    der = (hodo[:, :-1] - point * hodo[:, -1:]) / w
+    _, der = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
     return der[0] if scalar else der
-
-
-def _net(patch):
-    """Homogeneous control net (m+1, n+1, 4) of a patch."""
-    return _homogeneous(patch.points, patch.weights)
 
 
 def _patch_eval_h(nets, u, v, which=None):
@@ -229,7 +237,7 @@ def _patch_eval_h(nets, u, v, which=None):
 def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
     """Evaluate the patch at paired parameter arrays (or scalars)."""
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    s_h, _, _ = _patch_eval_h(_net(patch), u, v)
+    s_h, _, _ = _patch_eval_h(_homogeneous(patch.points, patch.weights), u, v)
     out = s_h[:, :3] / s_h[:, 3:]
     return out[0] if scalar else out
 
@@ -252,7 +260,7 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
     direction depends on the (u, v) handedness and is not unitized here.
     """
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    _, normal = _patch_point_normal(_net(patch), u, v)
+    _, normal = _patch_point_normal(_homogeneous(patch.points, patch.weights), u, v)
     return normal[0] if scalar else normal
 
 
@@ -298,11 +306,10 @@ def monomial_to_bernstein(coeffs) -> np.ndarray:
 
 def _closure_gaps(curves):
     """Distance from each curve's end to the next curve's start, the last
-    curve wrapping around to the first."""
-    return [
-        float(np.linalg.norm(c.end() - nxt.start()))
-        for c, nxt in zip(curves, curves[1:] + curves[:1])
-    ]
+    curve wrapping around to the first, as one array."""
+    ends = np.array([c.points[-1] for c in curves])
+    starts = np.array([c.points[0] for c in curves[1:] + curves[:1]])
+    return np.linalg.norm(ends - starts, axis=1)
 
 
 def _collect_control_points(obj, out):

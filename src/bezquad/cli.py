@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import warnings
@@ -48,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: main only parses with it
     p = _Parser(prog="bezquad", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

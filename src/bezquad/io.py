@@ -44,12 +44,21 @@ _BLOCK = 4096  # rows per list/array round trip in the rule CSV
 _INT64 = np.iinfo(np.int64)
 
 
-def _load_json(path):
+def _read_text(path) -> str:
+    """The whole UTF-8 text of ``path``; a missing file or one that does not
+    decode raises ValidationError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _load_json(path):
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
@@ -352,11 +361,7 @@ def load_rule(path) -> Rule:
     a column once per block; a block that fails is rescanned row by row
     so the error names the first bad line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty rule file")
     cols = tuple(lines[0].split(","))
@@ -415,11 +420,7 @@ def load_rule(path) -> Rule:
 
 def load_trim_points(path):
     """Blank-line-separated blocks of 'u,v' rows -> list of point arrays."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
+    raw = _read_text(path).splitlines()
     blocks, cur = [], []
     for ln, line in enumerate(raw, start=1):
         line = line.strip()

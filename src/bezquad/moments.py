@@ -160,12 +160,23 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
         raise ValidationError(
             f"{len(exps)} moments need at least that many points, got {pts.shape[0]}"
         )
-    vander = _monomials(pts, exps).T
-    weights, *_ = np.linalg.lstsq(vander, m, rcond=None)
-    residual = float(np.linalg.norm(vander @ weights - m))
-    scale = float(np.linalg.norm(m))
-    # written so that a NaN residual fails too
-    if not residual <= 1e-8 * max(scale, 1e-300):
+    with np.errstate(over="ignore", invalid="ignore"):
+        vander = _monomials(pts, exps).T
+        if not np.isfinite(vander).all():
+            raise QuadratureError(f"monomials through degree {p} overflow at these points")
+        try:
+            weights, *_ = np.linalg.lstsq(vander, m, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise QuadratureError(f"moment fit failed: {exc}") from None
+        # The residual and its bound on weights and moments divided by a
+        # power of two near max|m|: they cannot overflow, and the division
+        # is exact, so a residual that did not overflow keeps its bits.
+        unit = float(np.ldexp(1.0, np.frexp(np.abs(m).max())[1] - 1))
+        rel_residual = float(np.linalg.norm(vander @ (weights / unit) - m / unit))
+        rel_scale = float(np.linalg.norm(m / unit))
+    residual, scale = rel_residual * unit, rel_scale * unit
+    # written so that a NaN or infinite residual fails too
+    if not rel_residual <= 1e-8 * max(rel_scale, 1e-300):
         raise QuadratureError(
             f"moment fit left residual {residual:.3e} against moment norm {scale:.3e}; "
             "the point set cannot reproduce these moments"

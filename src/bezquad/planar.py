@@ -2,11 +2,12 @@
 
 The area integral of f is turned into a boundary integral of the vertical
 antiderivative A_f(x, y) = integral of f(x, .) from a constant height C up
-to y, and that boundary integral is evaluated curve by curve.  Every rule
-point therefore sits on a vertical segment hanging below a boundary point,
-and its weight is a product of three numbers: the intermediate weight of
-the boundary node, the Gauss weight on the vertical segment, and the
-geometric factor of the curve at that node.
+to y, and that boundary integral is evaluated at the nodes of every curve
+at once, one array pass per curve degree.  Every rule point therefore sits
+on a vertical segment hanging below a boundary point, and its weight is a
+product of three numbers: the intermediate weight of the boundary node,
+the Gauss weight on the vertical segment, and the geometric factor of the
+curve at that node.
 
 Loops are traversed counter-clockwise around material; clockwise loops
 subtract (holes).  With that convention the geometric factor is minus the
@@ -30,11 +31,11 @@ import numpy as np
 from .bezier import (
     RationalBezierCurve,
     _CONDITIONING_DEGREE,
+    _batches,
     _closure_gaps,
+    _curve_point_derivative,
+    _homogeneous,
     _warn_if_high_degree,
-    control_bbox,
-    eval_curve,
-    eval_curve_derivative,
 )
 from .errors import QuadratureError, ValidationError
 from .quad1d import (
@@ -89,7 +90,9 @@ class PlanarRegion:
                         "loops must consist of planar rational Bezier curves",
                         path=f"loops[{k}][{j}]",
                     )
-            scale = control_bbox(list(loop)).diagonal()
+            # the diagonal of the loop's control bounding box
+            pts = np.concatenate([c.points for c in loop])
+            scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
             tol = _CLOSURE_REL_TOL * scale if scale > 0 else _CLOSURE_REL_TOL
             for j, gap in enumerate(_closure_gaps(loop)):
                 if gap > tol:
@@ -249,13 +252,18 @@ def _lift(points, owner, base, order):
 def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
     """Green's-theorem rule: one Rule1D on [0, 1] per boundary curve, every
     node lifted from height ``base`` by a ``layer_order``-point segment.
-    Provenance rows are (curve, q, zeta), curves in flattened order."""
-    pairs = list(zip(curves, curve_rules))
-    points = np.vstack([eval_curve(crv, r.nodes) for crv, r in pairs])
-    # counter-clockwise material: the factor is -dx/ds
-    factor = -np.concatenate([eval_curve_derivative(crv, r.nodes)[:, 0] for crv, r in pairs])
+    Provenance rows are (curve, q, zeta), curves in flattened order.  The
+    curves of one degree are evaluated in one de Casteljau pass."""
+    owner = np.repeat(np.arange(len(curves)), [len(r) for r in curve_rules])
+    nodes = np.concatenate([r.nodes for r in curve_rules])
+    points = np.empty((nodes.size, 2))
+    factor = np.empty(nodes.size)
+    for members, sel, which in _batches([c.points.shape[0] for c in curves], owner):
+        ctrl = np.stack([_homogeneous(curves[i].points, curves[i].weights) for i in members])
+        points[sel], der = _curve_point_derivative(ctrl, nodes[sel], which)
+        # counter-clockwise material: the factor is -dx/ds
+        factor[sel] = -der[:, 0]
     w = np.concatenate([r.weights for r in curve_rules])
-    owner = np.repeat(np.arange(len(pairs)), [len(r) for r in curve_rules])
     lifted, seg_w, prov = _lift(points, owner, base, layer_order)
     return Rule2D(lifted, _frozen((w[:, None] * seg_w) * factor[:, None]).ravel(), prov)
 

@@ -10,8 +10,9 @@ a normal factor: the full magnitude |n| for surface-area integrals, or
 the z-component n_z for the volume pipeline.
 
 Untrimmed patches skip the boundary construction entirely and use a
-tensor-product Gauss grid over the whole square; ``_part`` alone makes
-that choice.  A union of patches is integrated by its boundary rule.
+tensor-product Gauss grid over the whole square; ``_parts`` alone makes
+that choice.  A union of patches is integrated by its boundary rule, whose
+trim segments, over all its patches, share one planar rule.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import numpy as np
 from .bezier import (
     RationalBezierCurve,
     RationalBezierPatch,
+    _batches,
     _closure_gaps,
-    _net,
+    _homogeneous,
     _patch_point_normal,
-    control_bbox,
 )
 from .errors import ValidationError
 from .planar import Rule, _frozen, _region_rule, apply
@@ -154,19 +155,6 @@ def _as_trimmed_patch(tp, path=None) -> TrimmedPatch:
     return tp if isinstance(tp, TrimmedPatch) else TrimmedPatch(tp)
 
 
-def _trimmed_part(loops, m_q, n_q):
-    """Parametric points, weights and (loop, segment, mu, eta) provenance
-    rows of parametric_area_rule over ``loops``."""
-    para = parametric_area_rule(loops, m_q, n_q)
-    # flattened segment index -> (loop, segment)
-    loop_seg = np.array(
-        [(k, j) for k, loop in enumerate(loops) for j in range(len(loop.segments))],
-        dtype=np.int64,
-    )
-    prov = np.column_stack([loop_seg[para.provenance[:, 0]], para.provenance[:, 1:]])
-    return para.points, para.weights, prov
-
-
 @lru_cache(maxsize=64)
 def _tensor_part(n: int):
     """The n x n Gauss grid over the square as a read-only parametric part;
@@ -178,12 +166,23 @@ def _tensor_part(n: int):
     return _frozen(pre), _frozen(pw), _frozen(prov)
 
 
-def _part(tp: TrimmedPatch, m_q, n_q):
-    """One patch's parametric part: Green's theorem over its trim loops, or
-    for an untrimmed patch the max(m_q, n_q) tensor Gauss grid."""
-    if tp.loops:
-        return _trimmed_part(tp.loops, m_q, n_q)
-    return _tensor_part(max(m_q, n_q))
+def _parts(tps, m_q, n_q):
+    """Each patch's parametric part: (preimages, weights, (loop, segment,
+    mu, eta) rows).  Green's theorem over its trim loops, or for an
+    untrimmed patch the max(m_q, n_q) tensor Gauss grid.  The trim segments
+    of every trimmed patch go through one parametric_area_rule."""
+    loops = [loop for tp in tps for loop in tp.loops]
+    if not loops:
+        return [_tensor_part(max(m_q, n_q))] * len(tps)
+    para = parametric_area_rule(loops, m_q, n_q)
+    # flattened segment index -> (patch, loop, segment)
+    ids = [(i, k, j) for i, tp in enumerate(tps) for k, loop in enumerate(tp.loops)
+           for j in range(len(loop.segments))]
+    rows = np.array(ids, dtype=np.int64)[para.provenance[:, 0]]
+    prov = np.column_stack([rows[:, 1:], para.provenance[:, 1:]])
+    cuts = np.searchsorted(rows[:, 0], np.arange(1, len(tps)))
+    split = zip(*(np.split(a, cuts) for a in (para.points, para.weights, prov)))
+    return [part if tp.loops else _tensor_part(max(m_q, n_q)) for tp, part in zip(tps, split)]
 
 
 def _mapped_rule(patches, parts, weight_mode) -> Rule:
@@ -192,8 +191,9 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
 
     ``parts[i]`` is the (preimages, weights, (loop, segment, mu, eta)
     rows) of ``patches[i]``, which is numbered ``i``.  The patches that
-    share a control-net shape are evaluated in one batch.  Collapsed-normal
-    points keep weight zero, with one warning per patch.
+    share a control-net shape are evaluated in one batch, whose stacked
+    control points also give each patch's degenerate-normal tolerance.
+    Collapsed-normal points keep weight zero, with one warning per patch.
     """
     if weight_mode not in _WEIGHT_MODES:
         raise ValidationError(
@@ -203,21 +203,16 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
     pre = _frozen(np.concatenate([part[0] for part in parts]))
     point = np.empty((owner.size, 3))
     normal = np.empty((owner.size, 3))
-    groups: dict = {}
-    for i, patch in enumerate(patches):
-        groups.setdefault(patch.points.shape, []).append(i)
-    for members in groups.values():
-        nets = np.stack([_net(patches[i]) for i in members])
-        slot = np.full(len(patches), -1)
-        slot[members] = np.arange(len(members))
-        sel = np.flatnonzero(slot[owner] >= 0)
-        point[sel], normal[sel] = _patch_point_normal(
-            nets, pre[sel, 0], pre[sel, 1], slot[owner[sel]]
-        )
+    diagonal = np.empty(len(patches))
+    for members, sel, which in _batches([p.points.shape for p in patches], owner):
+        pts = np.stack([patches[i].points for i in members])
+        nets = _homogeneous(pts, np.stack([patches[i].weights for i in members]))
+        point[sel], normal[sel] = _patch_point_normal(nets, pre[sel, 0], pre[sel, 1], which)
+        # the diagonal of each patch's control bounding box
+        diagonal[members] = np.linalg.norm(pts.max(axis=(1, 2)) - pts.min(axis=(1, 2)), axis=1)
     mag = np.linalg.norm(normal, axis=1)
     # collapsed patch edges (sphere poles) must be skipped, not integrated
-    tol = np.array([_DEGENERATE_NORMAL_REL * control_bbox(p).diagonal() for p in patches])
-    degenerate = mag < tol[owner]
+    degenerate = mag < (_DEGENERATE_NORMAL_REL * diagonal)[owner]
     factor = mag if weight_mode == "full-normal" else normal[:, 2]
     weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
     bad = np.bincount(owner[degenerate], minlength=len(patches))
@@ -241,13 +236,14 @@ def patch_rule(tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-no
     against n_z, which is what the volume construction consumes.
     """
     tp = _as_trimmed_patch(tp)
-    return _mapped_rule([tp.patch], [_part(tp, *_orders(m_q, n_q))], weight_mode)
+    return _mapped_rule([tp.patch], _parts([tp], *_orders(m_q, n_q)), weight_mode)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
     """A solid's one boundary rule: the patch_rule of every patch, in patch
-    order, each group of patches with one control-net shape mapped in one
-    pass.
+    order.  Every trim segment of every patch goes through one planar
+    pass, and each group of patches with one control-net shape is mapped
+    in one pass.
 
     ``bezquad rule-surface`` writes it in full-normal mode; volume_rule lifts
     it and solid moments integrate against it in z-normal mode.
@@ -256,8 +252,7 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
     if not patches:
         raise ValidationError("boundary rule needs at least one patch")
     m_q, n_q = _orders(m_q, n_q)
-    parts = [_part(tp, m_q, n_q) for tp in patches]
-    return _mapped_rule([tp.patch for tp in patches], parts, weight_mode)
+    return _mapped_rule([tp.patch for tp in patches], _parts(patches, m_q, n_q), weight_mode)
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:

@@ -7,6 +7,9 @@ from bezquad.bezier import (
     BoundingBox,
     RationalBezierCurve,
     RationalBezierPatch,
+    _batches,
+    _curve_point_derivative,
+    _homogeneous,
     bernstein_to_monomial,
     control_bbox,
     eval_curve,
@@ -78,6 +81,37 @@ def test_vectorized_eval_matches_scalar():
     batch = eval_curve(c, s)
     for i, si in enumerate(s):
         assert np.allclose(batch[i], eval_curve(c, float(si)), atol=1e-15)
+
+
+def test_scalar_parameter_gives_one_point():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3):
+        c = random_curve(rng, 3, dim)
+        for s in (0.4, np.float64(0.4), np.array(0.4)):
+            assert eval_curve(c, s).shape == eval_curve_derivative(c, s).shape == (dim,)
+        assert eval_curve(c, [0.4]).shape == eval_curve_derivative(c, [0.4]).shape == (1, dim)
+
+
+def test_stacked_curve_pass_equals_each_curve():
+    # curves of one degree stacked and indexed by owner, as planar rules
+    # evaluate them, give each curve's own values bit for bit
+    rng = np.random.default_rng(9)
+    for dim in (2, 3):
+        curves = [random_curve(rng, d, dim) for d in (2, 1, 2, 5, 1, 2)]
+        owner = np.repeat(np.arange(len(curves)), [3, 1, 4, 2, 5, 3])
+        s = rng.random(owner.size)
+        point, der = np.empty((s.size, dim)), np.empty((s.size, dim))
+        for members, sel, which in _batches([c.degree for c in curves], owner):
+            assert len({curves[i].degree for i in members}) == 1
+            ctrl = _homogeneous(
+                np.stack([curves[i].points for i in members]),
+                np.stack([curves[i].weights for i in members]),
+            )
+            point[sel], der[sel] = _curve_point_derivative(ctrl, s[sel], which)
+        for i, c in enumerate(curves):
+            mine = owner == i
+            assert point[mine].tobytes() == eval_curve(c, s[mine]).tobytes()
+            assert der[mine].tobytes() == eval_curve_derivative(c, s[mine]).tobytes()
 
 
 def flat_square_patch():

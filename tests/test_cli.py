@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from bezquad.cli import main
+from bezquad.cli import _build_parser, main
 from bezquad.io import bundled
 
 CIRCLE = str(bundled("circle.region.json"))
@@ -182,6 +182,35 @@ def test_int64_overflow_rule_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "integrate", "--rule", str(path), "--expr", "1")
     assert code == 1 and out == ""
     assert err == f"bezquad: {path} line 2: provenance value out of int64 range\n"
+
+
+def test_non_utf8_rule_exit_1(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x,y,weight\n0.5,\xff,1\n")
+    code, out, err = run(capsys, "integrate", "--rule", str(path), "--expr", "x")
+    assert code == 1 and out == ""
+    assert err.startswith(f"bezquad: {path} is not UTF-8 text: ") and err.count("\n") == 1
+
+
+def test_parser_reuse_matches_fresh_parsers(capsys):
+    # main builds its parser once; a usage error between commands must not
+    # leave state behind that changes a later parse
+    calls = [
+        ["rule2d", "--region", CIRCLE, "--mode", "pe", "--degree", "2"],
+        ["integrate", "--model", CIRCLE, "--expr", "x^2", "--pe"],
+        ["rule2d", "--region", CIRCLE, "--mode", "bogus"],
+        ["integrate", "--expr", "1"],
+        ["moments", "--model", CUBE, "--max-degree", "1"],
+        ["rule2d", "--region", CIRCLE, "--mode", "spectral", "--order", "2"],
+        ["integrate", "--model", CIRCLE, "--expr", "1", "--orders", "3"],
+    ]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    reused = [run(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 1, 1, 0, 0, 0]
 
 
 def test_usage_errors_exit_1(capsys):

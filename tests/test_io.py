@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,14 @@ def test_load_rule_spellings_parse_as_per_field(tmp_path):
     assert rule.points.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
     assert rule.weights.tobytes() == np.ascontiguousarray(want[:, 2]).tobytes()
     assert rule.provenance.tolist() == [[int(t) for t in row[3:]] for row in rows]
+
+
+@pytest.mark.parametrize("load", [load_region, load_solid, load_rule, load_trim_points])
+def test_non_utf8_file_rejected(tmp_path, load):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"x,y,weight\n0.5,0.5,1\xff\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))} is not UTF-8 text: .*0xff"):
+        load(path)
 
 
 def test_trim_points_blocks(tmp_path):

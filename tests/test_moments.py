@@ -200,6 +200,41 @@ def test_fit_rejects_nan_residual(monkeypatch):
         moment_fit_weights(pts, mv)
 
 
+def test_fit_rejects_points_whose_monomials_overflow():
+    # x^2 of 1e200 overflows; that once leaked RuntimeWarnings, a LAPACK
+    # message and a raw LinAlgError
+    pts = np.random.default_rng(3).random((10, 2)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match="overflow at these points"):
+            moment_fit_weights(pts, MomentVector(2, 2, [1, 0, 0, 0, 0, 0]))
+
+
+def test_fit_norms_of_huge_moments_do_not_overflow():
+    # the moment norm 1.7e308 once overflowed to inf, so did the residual,
+    # and the fit passed its check against an infinite bound
+    mv = MomentVector(1, 2, [1e308] * 3)
+    pts = np.random.default_rng(4).random((6, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, residual = moment_fit_weights(pts, mv)
+        assert math.isfinite(residual) and residual <= 1e-8 * math.sqrt(3) * 1e308
+        assert np.allclose((w / 1e308) @ np.column_stack([np.ones(6), pts]), 1.0)
+        impossible = r"residual 1.179e\+308 against moment norm 1.732e\+308"
+        with pytest.raises(QuadratureError, match=impossible):
+            moment_fit_weights(np.tile([[0.1, 0.2]], (6, 1)), mv)
+
+
+def test_fit_reports_a_failed_solve(monkeypatch):
+    def fail(a, b, rcond=None):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    mv = geometric_moments(square_region(), 1)
+    with pytest.raises(QuadratureError, match="moment fit failed: SVD did not converge"):
+        moment_fit_weights(np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.8]]), mv)
+
+
 def test_moments_reject_other_models():
     with pytest.raises(ValidationError):
         geometric_moments(np.zeros(3), 2)

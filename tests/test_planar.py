@@ -12,6 +12,7 @@ from bezquad.moments import _monomials, geometric_moments, monomial_exponents
 from bezquad.planar import (
     PlanarRegion,
     _equal_weights,
+    _lift,
     _pe_intermediate_rule,
     _region_rule,
     _standard_form,
@@ -454,6 +455,42 @@ def test_parametric_area_rule_is_the_unit_square_spectral_rule(m, n):
     para = parametric_area_rule([unit_square_loop()], m, n)
     square = spectral_rule(square_region(), m, n)
     assert para.columns == square.columns and _rule_bytes(para) == _rule_bytes(square)
+
+
+def _per_curve_rule_bytes(curves, rules, base, layer_order):
+    """The region rule assembled curve by curve, as before the batched
+    pass: one eval_curve and one eval_curve_derivative call per curve."""
+    pairs = list(zip(curves, rules))
+    points = np.vstack([eval_curve(c, r.nodes) for c, r in pairs])
+    factor = -np.concatenate([eval_curve_derivative(c, r.nodes)[:, 0] for c, r in pairs])
+    w = np.concatenate([r.weights for r in rules])
+    owner = np.repeat(np.arange(len(pairs)), [len(r) for r in rules])
+    lifted, seg_w, prov = _lift(points, owner, base, layer_order)
+    weights = ((w[:, None] * seg_w) * factor[:, None]).ravel()
+    return [lifted.tobytes(), weights.tobytes(), prov.tobytes()]
+
+
+def _mixed_degree_loop():
+    # degrees 2, 3, 21 and 1 around one loop
+    cubic = RationalBezierCurve([(0, 1), (-0.5, 1.2), (-1.2, 0.5), (-1, 0)], [1.0, 0.7, 1.3, 2.0])
+    line = RationalBezierCurve([(0, -1), (1, 0)], [1.0, 1.0])
+    arcs = quarter_arc(quadrant=0), _elevate(quarter_arc(quadrant=2), 19)
+    return PlanarRegion(((arcs[0], cubic, arcs[1], line),))
+
+
+def test_region_rule_equals_per_curve_assembly():
+    rng = np.random.default_rng(23)
+    mixed = _mixed_degree_loop().curves
+    assert [c.degree for c in mixed] == [2, 3, 21, 1]
+    cases = [(mixed, [gauss_legendre(n, (0.0, 1.0)) for n in (3, 5, 2, 4)])]
+    for region in (annulus_region(), random_quadratic_region(rng), _cubic_loop()):
+        curves = [_standard_form(c) for c in region.curves]
+        cases += [(curves, [_pe_intermediate_rule(c, k) for c in curves]) for k in (0, 5, 12)]
+        cases.append((region.curves, [gauss_legendre(6, (0.0, 1.0))] * len(curves)))
+    for curves, rules in cases:
+        for base, layer_order in ((-1.5, 3), (0.0, 1)):
+            got = _region_rule(curves, rules, base, layer_order)
+            assert _rule_bytes(got) == _per_curve_rule_bytes(curves, rules, base, layer_order)
 
 
 # ------------------------------------------------------------ array ownership

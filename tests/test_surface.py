@@ -275,6 +275,21 @@ def mixed_net_patches():
     return (cyl[0], cube[0], cyl[4], cyl[1], cube[1], cyl[5], cyl[2])
 
 
+def varied_trim_patches():
+    """Patches trimmed by 3 lines, by a square with a 4-arc hole, and by
+    lines and an arc, between untrimmed patches and a trimmed cap."""
+    cyl, cube = cylinder_solid().patches, box_solid().patches
+    hole = TrimLoop(circle_region((0.5, 0.5), 0.2, clockwise=True).curves)
+    return (
+        TrimmedPatch(cube[0].patch, (triangle_loop(),)),
+        cyl[0],
+        TrimmedPatch(cube[1].patch, (unit_square_loop(), hole)),
+        TrimmedPatch(cyl[1].patch, (quarter_disk_loop(),)),
+        cube[2],
+        cyl[4],
+    )
+
+
 _RULE_ARRAYS = ("points", "weights", "preimages", "provenance")
 
 
@@ -285,6 +300,7 @@ def test_boundary_rule_concatenates_patch_rules(mode):
         box_solid().patches,
         cylinder_solid_fitted().patches,
         mixed_net_patches(),
+        varied_trim_patches(),
     ):
         rule = boundary_rule(patches, 4, 3, mode)
         parts = [patch_rule(tp, 4, 3, mode) for tp in patches]
