@@ -295,17 +295,31 @@ def evaluate(node: Expr, point) -> float:
     return float(walk(node))
 
 
+def _spread(value, x):
+    """``value`` as an array shaped like ``x``; arrays pass through.
+
+    Powers and functions of a constant run over such an array, since
+    numpy's vector kernels need not give the bits of a one-element call.
+    """
+    if isinstance(value, np.ndarray):
+        return value
+    return np.full(np.shape(x), value, dtype=float)
+
+
 def to_callable(node: Expr):
     """Compile to f(x, y, z) over numpy arrays.
 
-    Out-of-domain points produce non-finite values rather than raising;
-    the integrators report those with the offending node location.
+    Literals stay Python floats, and + - * / of a float and an array
+    round each element as two arrays would; a constant result is spread
+    to the shape of ``x`` at the end.  Out-of-domain points produce
+    non-finite values rather than raising; the integrators report those
+    with the offending node location.
     """
 
     def walk(n):
         if isinstance(n, Num):
-            v = n.value
-            return lambda x, y, z: np.full(np.shape(x), v, dtype=float)
+            v = float(n.value)
+            return lambda x, y, z: v
         if isinstance(n, Var):
             name = n.name
             return lambda x, y, z, _k=name: np.asarray(
@@ -317,12 +331,16 @@ def to_callable(node: Expr):
         if isinstance(n, Call):
             f = walk(n.arg)
             g = _FUNCTIONS[n.fn][1]
-            return lambda x, y, z: g(f(x, y, z))
+            return lambda x, y, z: g(_spread(f(x, y, z), x))
         fl = walk(n.left)
-        fr = walk(n.right)
         if n.op == "^":
             k = int(n.right.value)
-            return lambda x, y, z: fl(x, y, z) ** k
+            if k == 0:
+                return lambda x, y, z: 1.0
+            if k == 1:
+                return fl
+            return lambda x, y, z: _spread(fl(x, y, z), x) ** k
+        fr = walk(n.right)
         op = {
             "+": np.add,
             "-": np.subtract,
@@ -337,7 +355,7 @@ def to_callable(node: Expr):
         if z is None:
             z = np.zeros(np.shape(x))
         with np.errstate(all="ignore"):
-            return f(x, y, z)
+            return _spread(f(x, y, z), x)
 
     return call
 

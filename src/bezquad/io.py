@@ -5,8 +5,12 @@ optional trim loops.  Errors point into the document ("patches[2]
 .weights[0][1]") so a bad file can be fixed without guesswork.  Rules
 serialize to CSV with 17 significant digits, which reproduces every
 float bit-exactly on reload.  Rule rows repeat heavily, so the writer
-formats each distinct value of a column once, and the reader converts
-each distinct text of a column once per 4096-row block.
+formats each distinct value of a column once.  The reader takes files
+holding only what save_rule writes in array passes over 1 MiB chunks,
+converting each distinct text of a column once per chunk; every other
+file goes through a general line reader, which converts each distinct
+text once per 4096-row block and reports every error.  Both run the same
+``float``/``int`` on the same text, so they give the same values.
 """
 
 from __future__ import annotations
@@ -42,6 +46,15 @@ __all__ = [
 
 _BLOCK = 4096  # rows per list/array round trip in the rule CSV
 _INT64 = np.iinfo(np.int64)
+_FIELD = 24  # bytes of the longest %.17g text, -1.2345678901234567e-308
+_CHUNK = 1 << 20  # bytes of whole rows per array pass of the canonical reader
+_COMMA, _LF = ord(","), ord("\n")
+_ALPHABET = b"0123456789+-.e,\n"  # every byte of a row save_rule writes
+# _MASKS[k] keeps the first k bytes of a field's three 8-byte words
+_MASKS = (np.arange(_FIELD) < np.arange(_FIELD + 1)[:, None]).astype(np.uint8) * np.uint8(255)
+_MASKS = _MASKS.view(np.uint64)
+# odd multipliers of the field key; any values give the same results
+_KEY = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)
 
 
 def _read_text(path) -> str:
@@ -353,8 +366,120 @@ def _parse_column(texts, conv):
     return [values[t] for t in texts]
 
 
-def load_rule(path) -> Rule:
-    """Read a rule CSV written by save_rule; the header becomes ``columns``.
+def _canonical_column(words, conv):
+    """Each field's value in one column, ``conv`` run once per distinct text;
+    None if ``conv`` rejects a text or a value is not finite.
+
+    ``words`` holds each field's zero-padded text as three ``uint64``.  The
+    fields are grouped by a multiply-xor key, and every field is compared
+    with its group's representative: a key collision returns None, so the
+    key never decides a value.
+    """
+    key = (words[:, 0] * _KEY[0]) ^ (words[:, 1] * _KEY[1]) ^ (words[:, 2] * _KEY[2])
+    order = np.argsort(key)
+    ordered = key[order]
+    new = np.empty(len(key), bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(key), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    if not (words == words.take(first.take(inverse), axis=0)).all():
+        return None
+    texts = np.ascontiguousarray(words[first]).view(f"S{_FIELD}").ravel().tolist()
+    try:
+        values = np.array(list(map(conv, texts)), np.int64 if conv is int else float)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values[inverse]
+
+
+def _load_canonical(path):
+    """``(points, weights, provenance, columns)`` of a file as save_rule
+    writes it, or None for any other file.
+
+    Rows may hold only digits, ``+-.e``, commas and LF, with exactly one
+    field per column, each 1 to ``_FIELD`` bytes; the last LF may be
+    missing.  The file is cut at newlines into chunks of about ``_CHUNK``
+    bytes, and each chunk is split into fields with array operations.
+    Each distinct text of a column in a chunk runs through the same
+    ``float``/``int`` as the general reader, so values are identical.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    head = data.find(b"\n")
+    if head < 0:
+        return None
+    try:
+        header = data[:head].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if header.splitlines() != [header]:
+        return None
+    cols = tuple(header.split(","))
+    if "weight" not in cols:
+        return None
+    wi = cols.index("weight")
+    width = len(cols)
+    n = data.count(b"\n", head + 1) + (data[-1:] != b"\n")
+    if not n:
+        return None
+    points = np.empty((n, wi))
+    weights = np.empty(n)
+    prov = np.empty((n, width - wi - 1), dtype=np.int64)
+    targets = [*points.T, weights, *prov.T]  # one writeable view per column
+    # room for a chunk, an LF after an unterminated last row, and the
+    # _FIELD-byte window of the chunk's last field
+    buf = np.empty(min(len(data) - head, _CHUNK + 1) + _FIELD, np.uint8)
+    windows = np.lib.stride_tricks.sliding_window_view(buf, _FIELD)
+    pos, row = head + 1, 0
+    while pos < len(data):
+        end = len(data) if len(data) - pos <= _CHUNK else data.rfind(b"\n", pos, pos + _CHUNK) + 1
+        if end <= pos:
+            return None
+        chunk = data[pos:end]
+        if chunk.translate(None, _ALPHABET):
+            return None
+        size = len(chunk)
+        buf[:size] = np.frombuffer(chunk, np.uint8)
+        if buf[size - 1] != _LF:
+            buf[size] = _LF
+            size += 1
+        text = buf[:size]
+        lf = text == _LF
+        sep = np.flatnonzero(lf | (text == _COMMA)).astype(np.int32)
+        if sep.size != np.count_nonzero(lf) * width:
+            return None
+        # with one LF per row, each row ends at its width-th separator
+        ends = sep.reshape(-1, width)
+        if not lf[ends[:, -1]].all():
+            return None
+        starts = np.empty_like(sep)
+        starts[0] = 0
+        starts[1:] = sep[:-1] + 1
+        starts = starts.reshape(-1, width)
+        lengths = ends - starts
+        if not ((lengths >= 1) & (lengths <= _FIELD)).all():
+            return None
+        stop = row + len(ends)
+        for j in range(width):
+            words = windows[starts[:, j]].view(np.uint64)
+            words &= _MASKS.take(lengths[:, j], axis=0)
+            col = _canonical_column(words, float if j <= wi else int)
+            if col is None:
+                return None
+            targets[j][row:stop] = col
+        pos, row = end, stop
+    return points, weights, prov, cols
+
+
+def _load_general(path):
+    """``(points, weights, provenance, columns)`` of any rule CSV.
 
     Numbers use Python ``float`` and ``int`` syntax; blank lines are
     skipped.  Rows are parsed ``_BLOCK`` at a time, each distinct text of
@@ -411,6 +536,21 @@ def load_rule(path) -> Rule:
             f"{path} line {_data_line_numbers(lines)[overflow]}: "
             "provenance value out of int64 range"
         )
+    return points, weights, prov, cols
+
+
+def load_rule(path) -> Rule:
+    """Read a rule CSV written by save_rule; the header becomes ``columns``.
+
+    A file holding only what save_rule writes is read in array passes
+    (``_load_canonical``); any other file, and every error report, goes
+    through the general reader (``_load_general``).  Both give the same
+    values for the same file.
+    """
+    parsed = _load_canonical(path)
+    if parsed is None:
+        parsed = _load_general(path)
+    points, weights, prov, cols = parsed
     try:
         # frozen parse buffers are adopted by Rule without a copy
         return Rule(_frozen(points), _frozen(weights), _frozen(prov), cols)

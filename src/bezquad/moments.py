@@ -164,21 +164,28 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
         vander = _monomials(pts, exps).T
         if not np.isfinite(vander).all():
             raise QuadratureError(f"monomials through degree {p} overflow at these points")
+        # The fit, its residual and the bound run on moments divided by a
+        # power of two near max|m|: they cannot overflow, and the division
+        # is exact, so weights that fit in float64 keep their bits.
+        unit = float(np.ldexp(1.0, np.frexp(np.abs(m).max())[1] - 1))
+        rel_m = m / unit
         try:
-            weights, *_ = np.linalg.lstsq(vander, m, rcond=None)
+            rel_weights, *_ = np.linalg.lstsq(vander, rel_m, rcond=None)
         except np.linalg.LinAlgError as exc:
             raise QuadratureError(f"moment fit failed: {exc}") from None
-        # The residual and its bound on weights and moments divided by a
-        # power of two near max|m|: they cannot overflow, and the division
-        # is exact, so a residual that did not overflow keeps its bits.
-        unit = float(np.ldexp(1.0, np.frexp(np.abs(m).max())[1] - 1))
-        rel_residual = float(np.linalg.norm(vander @ (weights / unit) - m / unit))
-        rel_scale = float(np.linalg.norm(m / unit))
+        rel_residual = float(np.linalg.norm(vander @ rel_weights - rel_m))
+        rel_scale = float(np.linalg.norm(rel_m))
+        weights = rel_weights * unit
     residual, scale = rel_residual * unit, rel_scale * unit
     # written so that a NaN or infinite residual fails too
     if not rel_residual <= 1e-8 * max(rel_scale, 1e-300):
         raise QuadratureError(
             f"moment fit left residual {residual:.3e} against moment norm {scale:.3e}; "
             "the point set cannot reproduce these moments"
+        )
+    if not np.isfinite(weights).all():
+        raise QuadratureError(
+            f"moment fit weights overflow float64: the largest is "
+            f"{np.abs(rel_weights).max():.3e} times {unit:.3e}"
         )
     return weights, residual

@@ -5,8 +5,12 @@ import pytest
 
 from bezquad.errors import EvalError, ParseError
 from bezquad.expr import (
+    _FUNCTIONS,
     BinOp,
+    Call,
+    Neg,
     Num,
+    Var,
     evaluate,
     parse,
     polynomial_degree,
@@ -187,3 +191,75 @@ def test_differential_against_reference_evaluator():
         assert evaluate(node, point) == want, text
         checked += 1
     assert checked > 100  # most draws must exercise the value path
+
+
+def _array_literal_callable(node):
+    """The earlier compile: every literal an array shaped like x, x^1 a copy."""
+
+    def walk(n):
+        if isinstance(n, Num):
+            return lambda x, y, z: np.full(np.shape(x), n.value, dtype=float)
+        if isinstance(n, Var):
+            return lambda x, y, z: np.asarray({"x": x, "y": y, "z": z}[n.name], dtype=float)
+        if isinstance(n, Neg):
+            f = walk(n.child)
+            return lambda x, y, z: -f(x, y, z)
+        if isinstance(n, Call):
+            f, g = walk(n.arg), _FUNCTIONS[n.fn][1]
+            return lambda x, y, z: g(f(x, y, z))
+        fl, fr = walk(n.left), walk(n.right)
+        if n.op == "^":
+            k = int(n.right.value)
+            return lambda x, y, z: fl(x, y, z) ** k
+        op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[n.op]
+        return lambda x, y, z: op(fl(x, y, z), fr(x, y, z))
+
+    f = walk(node)
+
+    def call(x, y, z=None):
+        if z is None:
+            z = np.zeros(np.shape(x))
+        with np.errstate(all="ignore"):
+            return f(x, y, z)
+
+    return call
+
+
+_CONSTANT_CASES = [
+    "2.5^3", "-2^2", "(-1.1)^3", "1.1^7", "10^400", "1/0", "0/0", "-0", "2", "3*4 - 12",
+    "exp(1.3)", "log(-2)", "sqrt(2)^2", "cos(3)^2 + sin(3)^2", "(0.1 + 0.2)^5",
+]
+_VARIABLE_CASES = [
+    "x", "x^0", "x^1", "(x^0*1.1)^3", "log(-x)", "1/(x-x)", "x^2*y - 3*z + 0.5",
+    "sqrt(2)*x", "(y + 1)^1 * 2", "-(x^0)", "z^2 + exp(y)^3", "(x*y)^0 + sin(1)",
+]
+
+
+@pytest.mark.parametrize("text", _CONSTANT_CASES + _VARIABLE_CASES)
+def test_callable_matches_array_literal_compile(text):
+    rng = np.random.default_rng(7)
+    x, y, z = rng.uniform(-2.0, 2.0, (3, 257))
+    node = parse(text)
+    new, old = to_callable(node), _array_literal_callable(node)
+    for args in ((x, y), (x, y, z)):
+        got, want = new(*args), old(*args)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), text
+
+
+def test_callable_matches_array_literal_compile_on_random_trees():
+    rng = np.random.default_rng(9009)
+    x, y, z = rng.uniform(-2.0, 2.0, (3, 101))
+    for _ in range(150):
+        node = parse(expr_tree_text(random_expr_tree(rng)))
+        got = to_callable(node)(x, y, z)
+        want = _array_literal_callable(node)(x, y, z)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), to_text(node)
+
+
+@pytest.mark.parametrize("text", _CONSTANT_CASES)
+def test_constant_callable_returns_float64_array_shaped_like_x(text):
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    out = to_callable(parse(text))(x, x)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (3, 4)
+    assert out.flags.writeable

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from bezquad import planar
+from bezquad import io, planar
 from bezquad.cli import main
 from bezquad.errors import ValidationError
 from bezquad.io import (
@@ -325,6 +325,168 @@ def test_cli_rule_file_matches_per_value_writer(tmp_path):
     rule = volume_rule(load_solid(cylinder), 10, 10, 8)
     assert len(rule) > 2 * 4096
     assert path.read_bytes() == ("\n".join(_oracle_csv_lines(rule)) + "\n").encode()
+
+
+def _load_outcome(path):
+    """What load_rule gives: the arrays and columns, or the error."""
+    try:
+        rule = load_rule(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (rule.points, rule.weights, rule.provenance)
+    return rule.columns, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _both_readers(path, monkeypatch):
+    """load_rule's outcome, and the general reader's alone."""
+    fast = _load_outcome(path)
+    with monkeypatch.context() as m:
+        m.setattr(io, "_load_canonical", lambda path: None)
+        return fast, _load_outcome(path)
+
+
+def _canonical_sample():
+    """save_rule's bytes for a small surface rule plus the widest texts."""
+    rule = patch_rule(cylinder_solid().patches[4], 2, 2)
+    extremes = Rule(
+        [[-0.0, 5e-324, -1.2345678901234567e-308], [1e16, -1e300, 0.5]],
+        [1.0, 2.0],
+        [[-(2**63), 2**63 - 1, 0, 0, 0], [0, 0, 0, 0, 0]],
+        rule.columns,
+    )
+    return "\n".join(rule_csv_lines(rule) + rule_csv_lines(extremes)[1:]) + "\n"
+
+
+_SAMPLE = _canonical_sample()
+
+
+def _replace_field(text, row, col, new):
+    lines = text.split("\n")
+    fields = lines[row].split(",")
+    fields[col] = new
+    lines[row] = ",".join(fields)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "data,fast",
+    [
+        (_SAMPLE.replace("\n", "\r\n").encode(), False),
+        (_SAMPLE.replace("\n", "\r\n", 1).encode(), False),
+        (_SAMPLE.replace("\n", "\n\n", 5).encode(), False),
+        (_SAMPLE.replace("\n", "\n \t\n", 5).encode(), False),
+        (_replace_field(_SAMPLE, 3, 1, "0.12345678901234567890123").encode(), False),
+        (_replace_field(_SAMPLE, 3, 1, "0.1234567890123456789012").encode(), True),
+        (_replace_field(_SAMPLE, 3, 1, "1e400").encode(), False),
+        (_replace_field(_SAMPLE, 3, 1, "0.5\r").encode(), False),
+        (_replace_field(_SAMPLE, 3, 1, "0.5\x0c").encode(), False),
+        (_replace_field(_SAMPLE, 3, 5, "9223372036854775808").encode(), False),
+        (_replace_field(_SAMPLE, 3, 2, "1.5.0").encode(), False),
+        (_replace_field(_SAMPLE, 3, 6, "1e3").encode(), False),
+        (_replace_field(_SAMPLE, 3, 6, "").encode(), False),
+        (_replace_field(_SAMPLE, 3, 0, "-0.0,0").encode(), False),
+        (_SAMPLE[:-1].encode(), True),
+        (_SAMPLE.split("\n", 1)[0].encode() + b"\n", False),
+        (_SAMPLE.split("\n", 1)[0].encode(), False),
+        (b"", False),
+        (b"x,y,z,w\xffeight\n" + _SAMPLE.split("\n", 1)[1].encode(), False),
+        (b"x,y,z,\xc3\xa9,weight,patch,loop,segment,mu,eta\n1,2,3,4,5,6,7,8,9,10\n", True),
+        (_SAMPLE.replace("x,y,z,", "x,y,z\x1c,", 1).encode(), False),
+    ],
+    ids=[
+        "crlf", "cr-in-header-only", "blank-lines", "whitespace-lines", "25-byte-field",
+        "24-byte-field", "1e400", "cr-in-row", "form-feed-in-row", "int64-overflow", "malformed-float", "malformed-int",
+        "empty-field", "extra-field", "no-final-lf", "header-only", "header-only-no-lf",
+        "empty", "non-utf8-header", "utf8-header", "header-line-separator",
+    ],
+)
+def test_load_rule_paths_agree(tmp_path, monkeypatch, data, fast):
+    path = tmp_path / "r.csv"
+    path.write_bytes(data)
+    assert (io._load_canonical(path) is not None) == fast
+    got, want = _both_readers(path, monkeypatch)
+    assert got == want
+
+
+def test_load_rule_key_collision_goes_to_general_reader(tmp_path, monkeypatch):
+    path = tmp_path / "r.csv"
+    path.write_text(_SAMPLE)
+    want = _load_outcome(path)
+    monkeypatch.setattr(io, "_KEY", np.zeros(3, np.uint64))  # every field one key
+    assert io._load_canonical(path) is None
+    assert _load_outcome(path) == want
+
+
+@pytest.mark.parametrize("chunk", [64, 300, 4096])
+def test_load_rule_small_chunks(tmp_path, monkeypatch, chunk):
+    # rows longer than a chunk leave the file to the general reader
+    rule = volume_rule(cylinder_solid(), 3, 3, 3)
+    path = tmp_path / "r.csv"
+    save_rule(rule, path)
+    monkeypatch.setattr(io, "_CHUNK", chunk)
+    assert (io._load_canonical(path) is not None) == (chunk > 200)
+    for data in (path.read_bytes(), path.read_bytes()[:-1]):  # also without the last LF
+        path.write_bytes(data)
+        got, want = _both_readers(path, monkeypatch)
+        assert got == want
+        assert got[1][0][2] == rule.points.tobytes()
+
+
+def test_load_rule_differential_on_mutated_files(tmp_path, monkeypatch):
+    rng = np.random.default_rng(1414)
+    alphabet = b"0123456789+-.e,\n"
+    extras = [
+        b"\r\n", b"\r", b" ", b"\n\n", b"1e400", b"18446744073709551616", b"_", b"inf",
+        b"nan", b"\t", b"1234567890123456789012345", b"-1.2345678901234567e-308", b"\xff",
+    ]
+    base = _SAMPLE.encode()
+    path = tmp_path / "r.csv"
+    fast = 0
+    for _ in range(300):
+        data = bytearray(base)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(1, len(data)))
+            r = rng.random()
+            if r < 0.4:
+                data[at] = alphabet[int(rng.integers(len(alphabet)))]
+            elif r < 0.6:
+                del data[at]
+            elif r < 0.8:
+                data[at:at] = bytes([alphabet[int(rng.integers(len(alphabet)))]])
+            else:
+                data[at:at] = extras[int(rng.integers(len(extras)))]
+        if rng.random() < 0.1:
+            data = data.rstrip(b"\n")
+        path.write_bytes(bytes(data))
+        fast += io._load_canonical(path) is not None
+        got, want = _both_readers(path, monkeypatch)
+        assert got == want, bytes(data)
+    assert 30 < fast < 270  # both paths are exercised
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        spectral_pe_rule(circle_region(), 5),
+        patch_rule(cylinder_solid().patches[4], 4, 4),
+        volume_rule(cylinder_solid(), 4, 4, 3),
+        Rule2D(
+            [[-0.0, 5e-324], [1e16, -1.2345678901234567e-308], [0.0, -1e300]],
+            [1.0, -0.0, 2.5],
+            [[-(2**63), 2**63 - 1, 0], [0, 0, 0], [7, -1, 2**62]],
+        ),
+    ],
+    ids=["planar", "surface", "volume", "extremes"],
+)
+def test_save_rule_output_takes_the_array_path(tmp_path, rule):
+    path = tmp_path / "r.csv"
+    save_rule(rule, path)
+    parsed = io._load_canonical(path)
+    assert parsed is not None
+    points, weights, prov, columns = parsed
+    assert columns == rule.columns
+    for a, b in ((points, rule.points), (weights, rule.weights), (prov, rule.provenance)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 _GOOD_ROW = "0.25,0.5,0.125,1,2,3"

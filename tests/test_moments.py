@@ -7,11 +7,12 @@ import pytest
 from bezquad.errors import QuadratureError, ValidationError
 from bezquad.moments import (
     MomentVector,
+    _monomials,
     geometric_moments,
     moment_fit_weights,
     monomial_exponents,
 )
-from bezquad.shapes import box_solid, circle_region, cylinder_solid, square_region
+from bezquad.shapes import annulus_region, box_solid, circle_region, cylinder_solid, square_region
 from bezquad.volume import SolidModel
 
 from conftest import random_quadratic_region
@@ -223,6 +224,28 @@ def test_fit_norms_of_huge_moments_do_not_overflow():
         impossible = r"residual 1.179e\+308 against moment norm 1.732e\+308"
         with pytest.raises(QuadratureError, match=impossible):
             moment_fit_weights(np.tile([[0.1, 0.2]], (6, 1)), mv)
+
+
+def test_fit_weights_beyond_float64_are_reported_as_such():
+    # the system divided by max|m| fits, with weights near 3; only the
+    # weights themselves exceed float64.  This once raised "residual inf
+    # ... the point set cannot reproduce these moments"
+    pts = np.random.default_rng(5).random((6, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match="^moment fit weights overflow float64"):
+            moment_fit_weights(pts, MomentVector(1, 2, [-1e308, 1e308, 1e308]))
+
+
+@pytest.mark.parametrize("region", [circle_region(), annulus_region()], ids=["disk", "annulus"])
+def test_scaled_fit_keeps_the_bits_of_the_direct_solve(region):
+    # the moments are divided by a power of two, so the weights are those
+    # of solving on the moments themselves
+    mv = geometric_moments(region, 6)
+    pts = np.random.default_rng(6).uniform(-0.9, 0.9, (40, 2))
+    w, _ = moment_fit_weights(pts, mv)
+    direct, *_ = np.linalg.lstsq(_monomials(pts, mv.exponents).T, mv.values, rcond=None)
+    assert w.tobytes() == direct.tobytes()
 
 
 def test_fit_reports_a_failed_solve(monkeypatch):
