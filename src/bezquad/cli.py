@@ -1,16 +1,17 @@
 """Command-line entry: rule files, integration, moments, trim fitting.
 
 Exit status is 0 on success, 1 for validation problems (bad flags, bad
-files, non-closed geometry), 2 for numeric failures (ill conditioning,
-domain errors in the integrand).
+files, non-closed geometry, orders too large for memory) and, silently,
+for a stdout whose reader has gone, 2 for numeric failures (ill
+conditioning, domain errors in the integrand).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
+import os
 import sys
 import warnings
 
@@ -25,14 +26,13 @@ from .expr import evaluate, parse, polynomial_degree, to_callable
 from .io import (
     _create_text,
     _curve_to_json,
-    _write_lines,
+    _rule_csv_blocks,
     load_model,
     load_region,
     load_rule,
     load_solid,
     load_trim_points,
     moment_csv_lines,
-    rule_csv_lines,
 )
 from .moments import geometric_moments
 from .planar import PlanarRegion, apply, spectral_pe_rule, spectral_rule
@@ -107,9 +107,30 @@ def _build_parser():
     return p
 
 
-def _emit(lines, out):
-    with _create_text(out) if out else contextlib.nullcontext(sys.stdout) as fh:
-        _write_lines(lines, fh)
+class _StdoutClosed(Exception):
+    """The reader of stdout went away; nothing is left to report to."""
+
+
+def _emit(blocks, out):
+    """Write the LF-terminated texts ``blocks`` to the file ``out``, or to
+    stdout if it is None."""
+    if out:
+        with _create_text(out) as fh:
+            fh.writelines(blocks)
+        return
+    try:
+        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # `bezquad ... | head`: send the rest, and the flush at exit, to
+        # devnull so shutdown prints no "Exception ignored" line
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _StdoutClosed from None
+
+
+def _lines(lines):
+    """``lines`` as one LF-terminated text block for ``_emit``."""
+    return ["".join(f"{line}\n" for line in lines)]
 
 
 def _parse_ints(text, flag, counts):
@@ -152,19 +173,19 @@ def _cmd_rule2d(args):
         if args.order is not None:
             raise ValidationError("--order applies to --mode spectral only")
         rule = spectral_pe_rule(region, args.degree)
-    _emit(rule_csv_lines(rule), args.out)
+    _emit(_rule_csv_blocks(rule), args.out)
 
 
 def _cmd_rule_surface(args):
     solid = load_solid(args.solid)
     m_q, n_q = _parse_ints(args.orders, "--orders", {2})
-    _emit(rule_csv_lines(boundary_rule(solid.patches, m_q, n_q, "full-normal")), args.out)
+    _emit(_rule_csv_blocks(boundary_rule(solid.patches, m_q, n_q, "full-normal")), args.out)
 
 
 def _cmd_rule_volume(args):
     solid = load_solid(args.solid)
     m_q, n_q, n_p = _parse_ints(args.orders, "--orders", {3})
-    _emit(rule_csv_lines(volume_rule(solid, m_q, n_q, n_p)), args.out)
+    _emit(_rule_csv_blocks(volume_rule(solid, m_q, n_q, n_p)), args.out)
 
 
 def _cmd_integrate(args):
@@ -208,14 +229,14 @@ def _cmd_integrate(args):
             )
             rule = volume_rule(model, m_q, n_q, n_p)
         value = _weighted(node, rule)
-    sys.stdout.write(f"{value:.17g}\n")
+    _emit([f"{value:.17g}\n"], None)
 
 
 def _cmd_moments(args):
     if args.max_degree < 0:
         raise ValidationError("--max-degree must be nonnegative")
     mv = geometric_moments(load_model(args.model), args.max_degree)
-    _emit(moment_csv_lines(mv), args.out)
+    _emit(_lines(moment_csv_lines(mv)), args.out)
 
 
 def _cmd_fit_trim(args):
@@ -224,7 +245,7 @@ def _cmd_fit_trim(args):
         [_curve_to_json(c) for c in fit_trim_curves(pts, args.segments, args.degree)]
         for pts in blocks
     ]
-    _emit(json.dumps(loops, indent=2, sort_keys=True).splitlines(), args.out)
+    _emit([json.dumps(loops, indent=2, sort_keys=True) + "\n"], args.out)
 
 
 def _cmd_convergence(args):
@@ -251,7 +272,7 @@ def _cmd_convergence(args):
     lines = ["order,n_points,value,error"]
     for n, count, value in rows:
         lines.append(f"{n},{count},{value:.17g},{abs(value - reference):.17g}")
-    _emit(lines, args.out)
+    _emit(_lines(lines), args.out)
 
 
 _DISPATCH = {
@@ -269,8 +290,12 @@ def _run(args):
     """Exit status of one command and the error that set it, if any."""
     try:
         _DISPATCH[args.command](args)
+    except _StdoutClosed:
+        return 1, None
     except (ValidationError, ParseError, OSError) as exc:
         return 1, exc
+    except MemoryError as exc:
+        return 1, str(exc) or "out of memory"
     except (QuadratureError, ConditioningError, EvalError) as exc:
         return 2, exc
     return 0, None

@@ -5,11 +5,14 @@ optional trim loops.  Errors point into the document ("patches[2]
 .weights[0][1]") so a bad file can be fixed without guesswork.  Rules
 serialize to CSV with 17 significant digits, which reproduces every
 float bit-exactly on reload.  Rule rows repeat heavily, so the writer
-formats each distinct value of a column once.  The reader takes files
-holding only what save_rule writes in array passes over 1 MiB chunks,
-converting each distinct text of a column once per chunk; every other
-file goes through a general line reader, which converts each distinct
-text once per 4096-row block and reports every error.  Both run the same
+formats each distinct value of a column once, finding them without a
+full sort where it can (runs of equal neighbours, small integer ranges),
+and streams the file as one text per 4096-row block gathered from those
+texts, never one string per row.  The reader takes files holding only
+what save_rule writes in array passes over 1 MiB chunks, converting each
+distinct text of a column once per chunk; every other file goes through
+a general line reader, which converts each distinct text once per
+4096-row block and reports every error.  Both run the same
 ``float``/``int`` on the same text, so they give the same values.
 """
 
@@ -44,7 +47,7 @@ __all__ = [
     "bundled",
 ]
 
-_BLOCK = 4096  # rows per list/array round trip in the rule CSV
+_BLOCK = 4096  # rows per text block of the rule CSV writer and the general reader
 _INT64 = np.iinfo(np.int64)
 _FIELD = 24  # bytes of the longest %.17g text, -1.2345678901234567e-308
 _CHUNK = 1 << 20  # bytes of whole rows per array pass of the canonical reader
@@ -288,58 +291,93 @@ def save_solid(solid: SolidModel, path):
     _dump_json(doc, path)
 
 
-def _column_table(values, fmt):
-    """Each distinct value of one column formatted once: the zero-padded
-    texts as a ``uint8`` matrix, and each row's index into it.
+def _distinct(keys, counting):
+    """The sorted distinct values of the ``int64`` array ``keys`` and each
+    entry's index into them, as ``np.unique`` gives them.
 
-    Floats are told apart by their bits, so ``-0.0`` keeps its own text.
-    The indices are held in the narrowest unsigned type that fits, since
-    they live as long as the lines being built.
+    With ``counting``, keys spanning fewer values than there are entries
+    are ranked by a presence array.  Otherwise runs of equal neighbours
+    are collapsed first and only the run heads are sorted: lifted rules
+    repeat x, y and the owner columns along every ray.  The indices are
+    held in the narrowest unsigned type that fits.
     """
-    uniq, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [fmt % v for v in uniq.view(values.dtype).tolist()]
-    table = np.array(texts, dtype=bytes).view(np.uint8).reshape(uniq.size, -1)
-    return table, inverse.ravel().astype(np.min_scalar_type(uniq.size))
+    n = len(keys)
+    if counting and int(keys.max()) - int(keys.min()) < n:
+        lo = keys.min()
+        offset = keys - lo
+        present = np.zeros(n, bool)  # every offset is below n
+        present[offset] = True
+        uniq = np.flatnonzero(present) + lo
+        rank = np.cumsum(present, dtype=np.intp)
+        rank -= 1
+        return uniq, rank.astype(np.min_scalar_type(uniq.size))[offset]
+    head = np.empty(n, bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    uniq, inverse = np.unique(keys[starts], return_inverse=True)
+    inverse = inverse.ravel().astype(np.min_scalar_type(uniq.size))
+    return uniq, np.repeat(inverse, np.diff(starts, append=n))
+
+
+def _column_table(values, fmt):
+    """Each distinct value of one nonempty column formatted once by ``fmt``,
+    as a zero-padded ``V<width>`` array, and each row's index into it.
+
+    Floats are keyed by their bits, so ``-0.0`` keeps its own text.
+    """
+    uniq, inverse = _distinct(values.view(np.int64), values.dtype.kind == "i")
+    table = np.array([fmt % v for v in uniq.view(values.dtype).tolist()], dtype=bytes)
+    return table.view(np.dtype((np.void, table.itemsize))), inverse
+
+
+def _rule_csv_blocks(rule: Rule):
+    """The rule CSV as LF-terminated texts: the header, then one text per
+    ``_BLOCK`` rows.
+
+    Every column table is built before this returns, so a caller that
+    opens its output afterwards leaves no partial file when one fails.
+    """
+    header = ",".join(rule.columns) + "\n"
+    if not len(rule):
+        return iter([header])
+    fmts = [b"%.17g,"] * (rule.dim + 1) + [b"%d,"] * rule.provenance.shape[1]
+    fmts[-1] = fmts[-1][:-1] + b"\n"
+    columns = (*rule.points.T, rule.weights, *rule.provenance.T)
+    tables = [_column_table(c, fmt) for c, fmt in zip(columns, fmts)]
+    return _gather_rows(header, tables, len(rule))
+
+
+def _gather_rows(header, tables, n):
+    # each row is the column texts side by side; their zero padding is
+    # dropped from a whole block at once
+    yield header
+    row = np.dtype([(f"f{j}", table.dtype) for j, (table, _) in enumerate(tables)])
+    for s in range(0, n, _BLOCK):
+        rows = np.empty(min(_BLOCK, n - s), row)
+        for j, (table, inverse) in enumerate(tables):
+            rows[f"f{j}"] = table.take(inverse[s : s + _BLOCK])
+        text = rows.view(np.uint8)
+        yield text[text != 0].tobytes().decode("ascii")
 
 
 def rule_csv_lines(rule: Rule):
     """Header plus one row per point: coordinates, weight, provenance.
 
-    Floats are written ``%.17g`` and provenance ``%d``.  Each distinct
-    value of a column is formatted once; rows are then gathered from those
-    texts a block at a time.
+    Floats are written ``%.17g`` and provenance ``%d``; these are the
+    lines of save_rule's file.
     """
-    lines = [",".join(rule.columns)]
-    if not len(rule):
-        return lines
-    tables = [_column_table(c, b"%.17g") for c in (*rule.points.T, rule.weights)]
-    tables += [_column_table(c, b"%d") for c in rule.provenance.T]
-    width = sum(t.shape[1] + 1 for t, _ in tables)
-    for s in range(0, len(rule), _BLOCK):
-        rows = np.empty((min(_BLOCK, len(rule) - s), width), np.uint8)
-        at = 0
-        for table, inverse in tables:
-            w = table.shape[1]
-            rows[:, at : at + w] = table[inverse[s : s + _BLOCK]]
-            rows[:, at + w] = ord(",")
-            at += w + 1
-        rows[:, -1] = ord("\n")
-        text = rows[rows != 0].tobytes().decode("ascii")
-        lines.extend(text[:-1].split("\n"))
+    lines = []
+    for block in _rule_csv_blocks(rule):
+        lines += block[:-1].split("\n")
     return lines
-
-
-def _write_lines(lines, fh):
-    """Write each line ended by LF to the text stream ``fh``, joined a block
-    at a time so the text is never held as one string."""
-    for s in range(0, len(lines), _BLOCK):
-        fh.write("\n".join(lines[s : s + _BLOCK]) + "\n")
 
 
 def save_rule(rule, path):
     """CSV with coordinates, weight, then provenance; 17 digits."""
+    blocks = _rule_csv_blocks(rule)
     with _create_text(path) as fh:
-        _write_lines(rule_csv_lines(rule), fh)
+        fh.writelines(blocks)
 
 
 def _data_line_numbers(lines):
@@ -597,7 +635,7 @@ def moment_csv_lines(mv: MomentVector):
 def save_moments(mv: MomentVector, path):
     """CSV of exponent columns plus the moment value."""
     with _create_text(path) as fh:
-        _write_lines(moment_csv_lines(mv), fh)
+        fh.writelines(f"{line}\n" for line in moment_csv_lines(mv))
 
 
 def bundled(name: str):

@@ -355,3 +355,34 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(math.pi / 4, abs=1e-10)
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # the reader takes one line and goes, as `bezquad ... | head -1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bezquad.cli", "rule-volume", "--solid", CYLINDER,
+         "--orders", "24,24,24"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"x,y,z,weight,patch,sigma,psi\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    with proc.stderr:
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize(
+    "error,message",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"), "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_memory_error_exit_1(capsys, monkeypatch, error, message):
+    def boundary_rule(*args):
+        raise error
+
+    monkeypatch.setattr("bezquad.cli.boundary_rule", boundary_rule)
+    code, out, err = run(capsys, "rule-surface", "--solid", CUBE, "--orders", "1000000,1000000")
+    assert (code, out, err) == (1, "", f"bezquad: {message}\n")

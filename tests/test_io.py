@@ -24,7 +24,7 @@ from bezquad.io import (
 from bezquad.moments import _monomials, geometric_moments, monomial_exponents
 from bezquad.planar import Rule, Rule2D, apply, integrate2d, spectral_pe_rule, spectral_rule
 from bezquad.shapes import circle_region, cylinder_solid
-from bezquad.surface import patch_rule
+from bezquad.surface import boundary_rule, patch_rule
 from bezquad.volume import volume_integrate, volume_rule
 
 
@@ -325,6 +325,117 @@ def test_cli_rule_file_matches_per_value_writer(tmp_path):
     rule = volume_rule(load_solid(cylinder), 10, 10, 8)
     assert len(rule) > 2 * 4096
     assert path.read_bytes() == ("\n".join(_oracle_csv_lines(rule)) + "\n").encode()
+
+
+def _assert_writes_like_oracle(rule, path):
+    lines = rule_csv_lines(rule)
+    assert lines == _oracle_csv_lines(rule)
+    save_rule(rule, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: spectral_rule(circle_region(), 24, 16), lambda: volume_rule(cylinder_solid(), 10, 10, 8)],
+    ids=["planar", "volume"],
+)
+def test_lifted_rules_with_long_runs_match_oracle(tmp_path, build):
+    rule = build()
+    assert len(rule) > 1000
+    # every coordinate but the lifted one repeats along each ray
+    runs = [1 + np.count_nonzero(np.diff(c)) for c in rule.points.T[:-1]]
+    assert max(runs) < len(rule) // 8
+    _assert_writes_like_oracle(rule, tmp_path / "r.csv")
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+def test_single_valued_columns_match_oracle(tmp_path, n):
+    rule = Rule2D(np.full((n, 2), -0.0), np.full(n, 0.5), np.full((n, 3), -(2**63)))
+    _assert_writes_like_oracle(rule, tmp_path / "r.csv")
+    assert rule_csv_lines(rule)[-1] == "-0,-0,0.5,-9223372036854775808,-9223372036854775808,-9223372036854775808"
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+@pytest.mark.parametrize("extra", [-1, 0], ids=["span-n-1", "span-n"])
+def test_integer_ranges_match_oracle(tmp_path, n, extra):
+    # max - min is n - 1 (the counting pass) or n (the run pass), at the low
+    # end of int64, around zero and at the high end
+    rng = np.random.default_rng(n)
+    span = max(n + extra, 0)
+    lows = (-(2**63), -(span // 2), 2**63 - 1 - span)
+    prov = np.stack([rng.integers(0, span, n, endpoint=True) + lo for lo in lows], axis=1)
+    if n > 1:
+        prov[[0, -1]] = [lows, [lo + span for lo in lows]]  # both ends present
+    points = rng.standard_normal((n, 2))
+    rule = Rule2D(points, rng.random(n), prov)
+    _assert_writes_like_oracle(rule, tmp_path / "r.csv")
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([5, 5, 5]),
+        np.array([3, -2, 3, 0, -2, 1]),
+        np.array([-(2**63), -(2**63) + 2, -(2**63) + 1, -(2**63)]),
+        np.array([2**63 - 1, -(2**63), 0, 2**63 - 1]),
+        np.repeat(np.arange(40) % 7, 3),
+    ],
+)
+@pytest.mark.parametrize("counting", [True, False])
+def test_distinct_matches_np_unique(keys, counting):
+    keys = keys.astype(np.int64)
+    uniq, inverse = io._distinct(keys, counting)
+    want_uniq, want_inverse = np.unique(keys, return_inverse=True)
+    assert uniq.dtype == np.int64 and uniq.tolist() == want_uniq.tolist()
+    assert inverse.tolist() == want_inverse.ravel().tolist()
+
+
+def test_rule_without_provenance_matches_oracle(tmp_path):
+    rng = np.random.default_rng(3)
+    rule = Rule(rng.random((5000, 3)), rng.random(5000), np.zeros((5000, 0), np.int64), ("x", "y", "z", "weight"))
+    _assert_writes_like_oracle(rule, tmp_path / "r.csv")
+    assert rule_csv_lines(rule)[0] == "x,y,z,weight"
+
+
+@pytest.mark.parametrize(
+    "argv,build",
+    [
+        (["rule2d", "--region", "circle.region.json", "--mode", "spectral", "--order", "7"],
+         lambda m: spectral_rule(m, 7, 7)),
+        (["rule2d", "--region", "circle.region.json", "--mode", "pe", "--degree", "4"],
+         lambda m: spectral_pe_rule(m, 4)),
+        (["rule-surface", "--solid", "cylinder.solid.json", "--orders", "6,5"],
+         lambda m: boundary_rule(m.patches, 6, 5, "full-normal")),
+        (["rule-volume", "--solid", "cylinder.solid.json", "--orders", "8,8,8"],
+         lambda m: volume_rule(m, 8, 8, 8)),
+    ],
+    ids=["rule2d-spectral", "rule2d-pe", "rule-surface", "rule-volume"],
+)
+def test_cli_stdout_out_and_save_rule_bytes_agree(tmp_path, capsys, argv, build):
+    argv = [str(bundled(a)) if a.endswith(".json") else a for a in argv]
+    saved = tmp_path / "saved.csv"
+    save_rule(build(io.load_model(argv[2])), saved)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout == out.read_bytes() == saved.read_bytes()
+
+
+def test_writer_failure_leaves_existing_file(tmp_path, capsys, monkeypatch):
+    def fail(values, fmt):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"previous contents\n")
+    monkeypatch.setattr(io, "_column_table", fail)
+    with pytest.raises(MemoryError):
+        save_rule(volume_rule(cylinder_solid(), 3, 3, 3), path)
+    argv = ["rule-volume", "--solid", str(bundled("cube.solid.json")), "--orders", "3,3,3"]
+    assert main(argv + ["--out", str(path)]) == 1
+    assert capsys.readouterr().err == "bezquad: Unable to allocate 1.00 TiB for an array\n"
+    assert path.read_bytes() == b"previous contents\n"
 
 
 def _load_outcome(path):
