@@ -11,9 +11,9 @@ and streams the file as one text per 4096-row block gathered from those
 texts, never one string per row.  The reader takes files holding only
 what save_rule writes in array passes over 1 MiB chunks, converting each
 distinct text of a column once per chunk; every other file goes through
-a general line reader, which converts each distinct text once per
-4096-row block and reports every error.  Both run the same
-``float``/``int`` on the same text, so they give the same values.
+a general reader, one row at a time, which reports every error.  Both
+run the same ``float``/``int`` on the same text, so they give the same
+values.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
     "bundled",
 ]
 
-_BLOCK = 4096  # rows per text block of the rule CSV writer and the general reader
+_BLOCK = 4096  # rows per text block of the rule CSV writer
 _INT64 = np.iinfo(np.int64)
 _FIELD = 24  # bytes of the longest %.17g text, -1.2345678901234567e-308
 _CHUNK = 1 << 20  # bytes of whole rows per array pass of the canonical reader
@@ -380,30 +380,6 @@ def save_rule(rule, path):
         fh.writelines(blocks)
 
 
-def _data_line_numbers(lines):
-    """File line number of each nonblank line after the header."""
-    return [ln for ln, line in enumerate(lines[1:], start=2) if line.strip()]
-
-
-def _row_error(line, width, wi):
-    """What is wrong with one rule row, or None."""
-    parts = line.split(",")
-    if len(parts) != width:
-        return f"expected {width} fields, got {len(parts)}"
-    try:
-        list(map(float, parts[: wi + 1]))
-        list(map(int, parts[wi + 1 :]))
-    except ValueError:
-        return "malformed number"
-    return None
-
-
-def _parse_column(texts, conv):
-    """``conv`` of each text, calling it once per distinct text."""
-    values = {t: conv(t) for t in set(texts)}
-    return [values[t] for t in texts]
-
-
 def _canonical_column(words, conv):
     """Each field's value in one column, ``conv`` run once per distinct text;
     None if ``conv`` rejects a text or a value is not finite.
@@ -520,9 +496,10 @@ def _load_general(path):
     """``(points, weights, provenance, columns)`` of any rule CSV.
 
     Numbers use Python ``float`` and ``int`` syntax; blank lines are
-    skipped.  Rows are parsed ``_BLOCK`` at a time, each distinct text of
-    a column once per block; a block that fails is rescanned row by row
-    so the error names the first bad line.
+    skipped.  Rows are parsed one at a time, and the first one that is
+    malformed or has the wrong field count is reported; then the first
+    with a non-finite value, then the first with a provenance value out
+    of int64 range.
     """
     lines = _read_text(path).splitlines()
     if not lines:
@@ -532,49 +509,34 @@ def _load_general(path):
         raise ValidationError(f"{path}: rule file needs a 'weight' column")
     wi = cols.index("weight")
     width = len(cols)
-    body = [line for line in lines[1:] if line.strip()]
-    n = len(body)
-    points = np.empty((n, wi))
-    weights = np.empty(n)
-    prov = np.empty((n, width - wi - 1), dtype=np.int64)
-    overflow = None
-    for s in range(0, n, _BLOCK):
-        block = body[s : s + _BLOCK]
-        stop = s + len(block)
+    numbers, floats, ints = [], [], []  # file line number of each row, its values
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValidationError(f"{path} line {ln}: expected {width} fields, got {len(parts)}")
         try:
-            if any(line.count(",") != width - 1 for line in block):
-                raise ValueError
-            fields = ",".join(block).split(",")
-            floats = [_parse_column(fields[j::width], float) for j in range(wi + 1)]
-            ints = [_parse_column(fields[j::width], int) for j in range(wi + 1, width)]
+            floats += map(float, parts[: wi + 1])
+            ints += map(int, parts[wi + 1 :])
         except ValueError:
-            numbers = _data_line_numbers(lines)
-            for i in range(s, stop):
-                err = _row_error(body[i], width, wi)
-                if err:
-                    raise ValidationError(f"{path} line {numbers[i]}: {err}") from None
-        for j, col in enumerate(floats[:wi]):
-            points[s:stop, j] = col
-        weights[s:stop] = floats[wi]
-        for j, col in enumerate(ints):
-            try:
-                prov[s:stop, j] = col
-            except OverflowError:
-                # int64 overflow is reported after every row has parsed
-                if overflow is None:
-                    overflow = s + next(
-                        i for i, row in enumerate(zip(*ints))
-                        if not all(_INT64.min <= v <= _INT64.max for v in row)
-                    )
-    bad = np.flatnonzero(~(np.isfinite(points).all(axis=1) & np.isfinite(weights)))
+            raise ValidationError(f"{path} line {ln}: malformed number") from None
+        numbers.append(ln)
+    n = len(numbers)
+    values = np.array(floats).reshape(n, wi + 1)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
-        raise ValidationError(f"{path} line {_data_line_numbers(lines)[bad[0]]}: non-finite value")
-    if overflow is not None:
+        raise ValidationError(f"{path} line {numbers[bad[0]]}: non-finite value")
+    prov = np.empty((n, width - wi - 1), dtype=np.int64)
+    try:
+        prov.flat[:] = ints
+    except OverflowError:
+        i = next(i for i, v in enumerate(ints) if not _INT64.min <= v <= _INT64.max)
         raise ValidationError(
-            f"{path} line {_data_line_numbers(lines)[overflow]}: "
-            "provenance value out of int64 range"
-        )
-    return points, weights, prov, cols
+            f"{path} line {numbers[i // prov.shape[1]]}: provenance value out of int64 range"
+        ) from None
+    # owned, contiguous copies, which a Rule adopts as they are
+    return values[:, :wi].copy(), values[:, wi].copy(), prov, cols
 
 
 def load_rule(path) -> Rule:
@@ -582,8 +544,8 @@ def load_rule(path) -> Rule:
 
     A file holding only what save_rule writes is read in array passes
     (``_load_canonical``); any other file, and every error report, goes
-    through the general reader (``_load_general``).  Both give the same
-    values for the same file.
+    through the general reader (``_load_general``), row by row.  Both
+    give the same values for the same file.
     """
     parsed = _load_canonical(path)
     if parsed is None:

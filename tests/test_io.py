@@ -586,8 +586,14 @@ def test_load_rule_differential_on_mutated_files(tmp_path, monkeypatch):
             [1.0, -0.0, 2.5],
             [[-(2**63), 2**63 - 1, 0], [0, 0, 0], [7, -1, 2**62]],
         ),
+        Rule(
+            [[-0.0, 5e-324], [1e16, -1.2345678901234567e-308], [0.5, 0.5]],
+            [1.0, -0.0, 2.5],
+            np.zeros((3, 0), np.int64),
+            ("x", "y", "weight"),
+        ),
     ],
-    ids=["planar", "surface", "volume", "extremes"],
+    ids=["planar", "surface", "volume", "extremes", "no-provenance"],
 )
 def test_save_rule_output_takes_the_array_path(tmp_path, rule):
     path = tmp_path / "r.csv"
@@ -597,6 +603,11 @@ def test_save_rule_output_takes_the_array_path(tmp_path, rule):
     points, weights, prov, columns = parsed
     assert columns == rule.columns
     for a, b in ((points, rule.points), (weights, rule.weights), (prov, rule.provenance)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the general reader gives the same arrays for the same file
+    *general, general_columns = io._load_general(path)
+    assert general_columns == columns
+    for a, b in zip(general, (points, weights, prov)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -674,25 +685,30 @@ def test_loaded_rule_adopts_parse_buffers(tmp_path, monkeypatch):
     rule = volume_rule(cylinder_solid(), 5, 5, 4)
     path = tmp_path / "rule.csv"
     save_rule(rule, path)
-    copies = []
-    frozen = planar._frozen
-    monkeypatch.setattr(planar, "_frozen", lambda a: copies.append(a.shape) or frozen(a))
-    back = load_rule(path)
-    monkeypatch.undo()
-    assert copies == []  # Rule made no copy of the parsed arrays
-    again = Rule(back.points, back.weights, back.provenance, back.columns)
-    for name in ("points", "weights", "provenance"):
-        a = getattr(back, name)
-        assert a.flags.c_contiguous and not a.flags.writeable
-        assert np.shares_memory(getattr(again, name), a)
-    # a copied rule (what a loaded rule used to hold) gives the same bytes
-    copied = Rule(np.array(back.points), np.array(back.weights), back.provenance, back.columns)
-    f = lambda x, y, z: np.exp(x) * np.cos(y) + z**2
-    assert np.float64(apply(back, f)).tobytes() == np.float64(apply(copied, f)).tobytes()
-    assert np.float64(apply(back, f)).tobytes() == np.float64(apply(rule, f)).tobytes()
-    exps = monomial_exponents(4, 3)
-    moments = [r.weights @ _monomials(r.points, exps) for r in (back, copied, rule)]
-    assert moments[0].tobytes() == moments[1].tobytes() == moments[2].tobytes()
+    # the CRLF copy is read by the general reader
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert io._load_canonical(crlf) is None
+    for source in (path, crlf):
+        copies = []
+        frozen = planar._frozen
+        monkeypatch.setattr(planar, "_frozen", lambda a: copies.append(a.shape) or frozen(a))
+        back = load_rule(source)
+        monkeypatch.undo()
+        assert copies == []  # Rule made no copy of the parsed arrays
+        again = Rule(back.points, back.weights, back.provenance, back.columns)
+        for name in ("points", "weights", "provenance"):
+            a = getattr(back, name)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert np.shares_memory(getattr(again, name), a)
+        # a copied rule (what a loaded rule used to hold) gives the same bytes
+        copied = Rule(np.array(back.points), np.array(back.weights), back.provenance, back.columns)
+        f = lambda x, y, z: np.exp(x) * np.cos(y) + z**2
+        assert np.float64(apply(back, f)).tobytes() == np.float64(apply(copied, f)).tobytes()
+        assert np.float64(apply(back, f)).tobytes() == np.float64(apply(rule, f)).tobytes()
+        exps = monomial_exponents(4, 3)
+        moments = [r.weights @ _monomials(r.points, exps) for r in (back, copied, rule)]
+        assert moments[0].tobytes() == moments[1].tobytes() == moments[2].tobytes()
 
 
 def test_load_rule_spellings_parse_as_per_field(tmp_path):
