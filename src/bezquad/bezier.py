@@ -160,29 +160,38 @@ def _homogeneous(points, weights):
 def _casteljau_pair(ctrl, t):
     """Run de Casteljau with one control polygon per parameter.
 
-    ctrl has shape (k, m+1, ...) with trailing payload axes, t has shape
-    (k,).  The two survivors b0, b1 of level m-1 give the value
-    (1-t) b0 + t b1 and the hodograph m (b1 - b0), each (k, ...).
+    ctrl has shape (m+1, ..., k): the control index first, then payload
+    axes, then the point axis, so every step works on contiguous rows of
+    k values; t has shape (k,).  The two survivors b0, b1 of level m-1
+    give the value (1-t) b0 + t b1 and the hodograph m (b1 - b0), each
+    (..., k).
     """
-    m = ctrl.shape[1] - 1
-    t = t.reshape((-1,) + (1,) * (ctrl.ndim - 1))
-    b = ctrl.copy()
-    for j in range(m - 1):
-        b[:, : m - j] = (1.0 - t) * b[:, : m - j] + t * b[:, 1 : m - j + 1]
-    t = t[:, 0]
-    return (1.0 - t) * b[:, 0] + t * b[:, 1], m * (b[:, 1] - b[:, 0])
+    m = ctrl.shape[0] - 1
+    s = 1.0 - t
+    b = ctrl
+    for _ in range(m - 1):
+        b = s * b[:-1] + t * b[1:]
+    return s * b[0] + t * b[1], m * (b[1] - b[0])
+
+
+def _columns(nets, k, which):
+    """Control nets with the point axis last: ``nets`` broadcast to k
+    points, or with ``which`` the stacked net ``nets[which[i]]`` for point i."""
+    if which is None:
+        return np.broadcast_to(nets[..., None], nets.shape + (k,))
+    return np.take(np.moveaxis(nets, 0, -1), which, axis=-1)
 
 
 def _curve_point_derivative(ctrl, s, which=None):
-    """Points and d/ds at parameters s on one homogeneous control polygon,
-    or with ``which`` on a stack of them, s[i] lying on ``ctrl[which[i]]``."""
+    """Points and d/ds, each (dim, k), at parameters s on one homogeneous
+    control polygon, or with ``which`` on a stack of them, s[i] lying on
+    ``ctrl[which[i]]``."""
     s = np.asarray(s, dtype=float).ravel()
-    ctrl = np.broadcast_to(ctrl, (s.size,) + ctrl.shape) if which is None else ctrl[which]
-    value, hodo = _casteljau_pair(ctrl, s)
-    w = value[:, -1:]
-    point = value[:, :-1] / w
+    value, hodo = _casteljau_pair(_columns(ctrl, s.size, which), s)
+    w = value[-1]
+    point = value[:-1] / w
     # quotient rule: (X/W)' = (X' - (X/W) W') / W
-    return point, (hodo[:, :-1] - point * hodo[:, -1:]) / w
+    return point, (hodo[:-1] - point * hodo[-1]) / w
 
 
 def _batches(shapes, owner):
@@ -207,18 +216,19 @@ def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
     point, _ = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
-    return point[0] if scalar else point
+    return point[:, 0] if scalar else point.T
 
 
 def eval_curve_derivative(curve: RationalBezierCurve, s) -> np.ndarray:
     """Derivative of the mapped (projected) curve with respect to s."""
     scalar = np.isscalar(s) or np.ndim(s) == 0
     _, der = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
-    return der[0] if scalar else der
+    return der[:, 0] if scalar else der.T
 
 
 def _patch_eval_h(nets, u, v, which=None):
-    """Homogeneous patch value and both partials at paired (u, v) arrays.
+    """Homogeneous patch value and both partials, each (4, k), at paired
+    (u, v) arrays.
 
     ``nets`` is one homogeneous control net, or with ``which`` a stack of
     nets of one shape, point i then lying on the net ``nets[which[i]]``.
@@ -227,8 +237,7 @@ def _patch_eval_h(nets, u, v, which=None):
     v = np.asarray(v, dtype=float).ravel()
     if u.shape != v.shape:
         raise ValidationError("u and v must have matching shapes")
-    ctrl = np.broadcast_to(nets, (u.size,) + nets.shape) if which is None else nets[which]
-    row, row_du = _casteljau_pair(ctrl, u)
+    row, row_du = _casteljau_pair(_columns(nets, u.size, which), u)
     s_h, sv_h = _casteljau_pair(row, v)
     su_h, _ = _casteljau_pair(row_du, v)
     return s_h, su_h, sv_h
@@ -238,19 +247,24 @@ def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
     """Evaluate the patch at paired parameter arrays (or scalars)."""
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     s_h, _, _ = _patch_eval_h(_homogeneous(patch.points, patch.weights), u, v)
-    out = s_h[:, :3] / s_h[:, 3:]
-    return out[0] if scalar else out
+    out = s_h[:3] / s_h[3]
+    return out[:, 0] if scalar else out.T
 
 
 def _patch_point_normal(nets, u, v, which=None):
-    """Mapped points and unnormalized normals d/du x d/dv at paired (u, v),
-    on the nets of ``_patch_eval_h``."""
+    """Mapped points and unnormalized normals d/du x d/dv, each (3, k), at
+    paired (u, v), on the nets of ``_patch_eval_h``."""
     s_h, su_h, sv_h = _patch_eval_h(nets, u, v, which)
-    w = s_h[:, 3:]
-    point = s_h[:, :3] / w
-    du = (su_h[:, :3] - point * su_h[:, 3:]) / w
-    dv = (sv_h[:, :3] - point * sv_h[:, 3:]) / w
-    return point, np.cross(du, dv)
+    w = s_h[3]
+    point = s_h[:3] / w
+    du = (su_h[:3] - point * su_h[3]) / w
+    dv = (sv_h[:3] - point * sv_h[3]) / w
+    normal = np.empty_like(point)
+    # np.cross's formula, one component at a time on contiguous rows
+    normal[0] = du[1] * dv[2] - du[2] * dv[1]
+    normal[1] = du[2] * dv[0] - du[0] * dv[2]
+    normal[2] = du[0] * dv[1] - du[1] * dv[0]
+    return point, normal
 
 
 def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
@@ -261,7 +275,7 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
     """
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     _, normal = _patch_point_normal(_homogeneous(patch.points, patch.weights), u, v)
-    return normal[0] if scalar else normal
+    return normal[:, 0] if scalar else normal.T
 
 
 _CONDITIONING_DEGREE = 20

@@ -42,7 +42,7 @@ from .quad1d import (
     PoleSet,
     Rule1D,
     _as_int,
-    _gauss_many,
+    _leggauss,
     _orders,
     gauss_legendre,
     rational_rule,
@@ -229,24 +229,34 @@ def _equal_weights(w) -> bool:
 
 def _lift(points, owner, base, order):
     """Antiderivative rays: an ``order``-point Gauss segment from height
-    ``base`` up to the last coordinate of each point.
+    ``base`` up to the last coordinate of each of the (k, dim) points.
 
     ``owner`` labels each point with the curve or patch that produced it,
-    in contiguous ascending blocks.  Returns the ray points (point-major,
-    other coordinates repeated), the (k, order) segment weights and the
-    provenance rows (owner, point index within the owner, node); the
-    points and provenance are read-only.
+    in contiguous ascending blocks.  Returns the ray points (other
+    coordinates repeated), the (k, order) segment weights, a fresh array
+    the caller may scale in place, and the provenance rows (owner, point
+    index within the owner, node).  Rows run
+    point by point, node by node; the points and provenance are read-only
+    (k * order, dim) and (k * order, 3) views of coordinate-major buffers.
     """
     k, dim = points.shape
-    nodes, seg_w = _gauss_many(order, np.full(k, base), points[:, -1])
-    lifted = np.empty((k, order, dim))
-    lifted[:, :, :-1] = points[:, None, :-1]
-    lifted[:, :, -1] = nodes
-    prov = np.empty((k, order, 3), dtype=np.int64)
-    prov[:, :, 0] = owner[:, None]
-    prov[:, :, 1] = (np.arange(k) - np.searchsorted(owner, owner))[:, None]
-    prov[:, :, 2] = np.arange(order)
-    return _frozen(lifted).reshape(-1, dim), seg_w, _frozen(prov).reshape(-1, 3)
+    x, w = _leggauss(order)
+    top = points[:, -1]
+    mid, half = 0.5 * (base + top), 0.5 * (top - base)
+    lifted = np.empty((dim, k, order))
+    lifted[:-1] = points.T[:-1, :, None]
+    z = lifted[-1]
+    np.multiply(half[:, None], x, out=z)
+    z += mid[:, None]
+    prov = np.empty((3, k, order), dtype=np.int64)
+    prov[0] = owner[:, None]
+    prov[1] = (np.arange(k) - np.searchsorted(owner, owner))[:, None]
+    prov[2] = np.arange(order)
+    return (
+        _frozen(lifted).reshape(dim, -1).T,
+        half[:, None] * w,
+        _frozen(prov).reshape(3, -1).T,
+    )
 
 
 def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
@@ -256,16 +266,18 @@ def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
     curves of one degree are evaluated in one de Casteljau pass."""
     owner = np.repeat(np.arange(len(curves)), [len(r) for r in curve_rules])
     nodes = np.concatenate([r.nodes for r in curve_rules])
-    points = np.empty((nodes.size, 2))
+    points = np.empty((2, nodes.size))
     factor = np.empty(nodes.size)
     for members, sel, which in _batches([c.points.shape[0] for c in curves], owner):
         ctrl = np.stack([_homogeneous(curves[i].points, curves[i].weights) for i in members])
-        points[sel], der = _curve_point_derivative(ctrl, nodes[sel], which)
+        points[:, sel], der = _curve_point_derivative(ctrl, nodes[sel], which)
         # counter-clockwise material: the factor is -dx/ds
-        factor[sel] = -der[:, 0]
+        factor[sel] = -der[0]
     w = np.concatenate([r.weights for r in curve_rules])
-    lifted, seg_w, prov = _lift(points, owner, base, layer_order)
-    return Rule2D(lifted, _frozen((w[:, None] * seg_w) * factor[:, None]).ravel(), prov)
+    lifted, seg_w, prov = _lift(points.T, owner, base, layer_order)
+    seg_w *= w[:, None]
+    seg_w *= factor[:, None]
+    return Rule2D(lifted, _frozen(seg_w).ravel(), prov)
 
 
 def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule:

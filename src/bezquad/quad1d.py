@@ -154,21 +154,9 @@ def gauss_legendre(n: int, interval=(0.0, 1.0)) -> Rule1D:
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"interval endpoints must be finite, got ({lo}, {hi})")
-    nodes, weights = _gauss_many(n, [lo], [hi])
-    return Rule1D(nodes[0], weights[0], (lo, hi))
-
-
-def _gauss_many(n: int, lo, hi):
-    """Gauss-Legendre nodes/weights for a batch of intervals [lo_i, hi_i].
-
-    Returns arrays of shape (len(lo), n).  Degenerate intervals produce
-    coincident nodes with zero weights, keeping counts uniform.
-    """
     x, w = _leggauss(n)
-    lo = np.asarray(lo, dtype=float)[:, None]
-    hi = np.asarray(hi, dtype=float)[:, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * x, half * w
+    return Rule1D(mid + half * x, half * w, (lo, hi))
 
 
 def weight_poly_roots(weights) -> list[complex]:

@@ -185,6 +185,14 @@ def _parts(tps, m_q, n_q):
     return [part if tp.loops else _tensor_part(max(m_q, n_q)) for tp, part in zip(tps, split)]
 
 
+def _check_weight_mode(weight_mode):
+    # before the parametric pass, which costs a planar rule over every trim
+    if weight_mode not in _WEIGHT_MODES:
+        raise ValidationError(
+            f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}"
+        )
+
+
 def _mapped_rule(patches, parts, weight_mode) -> Rule:
     """Push each patch's parametric part through that patch and scale the
     weights by the requested normal factor.
@@ -195,34 +203,31 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
     control points also give each patch's degenerate-normal tolerance.
     Collapsed-normal points keep weight zero, with one warning per patch.
     """
-    if weight_mode not in _WEIGHT_MODES:
-        raise ValidationError(
-            f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}"
-        )
     owner = np.repeat(np.arange(len(patches)), [len(pw) for _, pw, _ in parts])
     pre = _frozen(np.concatenate([part[0] for part in parts]))
-    point = np.empty((owner.size, 3))
-    normal = np.empty((owner.size, 3))
+    # coordinate-major, so each coordinate is one contiguous row
+    point = np.empty((3, owner.size))
+    normal = np.empty((3, owner.size))
     diagonal = np.empty(len(patches))
     for members, sel, which in _batches([p.points.shape for p in patches], owner):
         pts = np.stack([patches[i].points for i in members])
         nets = _homogeneous(pts, np.stack([patches[i].weights for i in members]))
-        point[sel], normal[sel] = _patch_point_normal(nets, pre[sel, 0], pre[sel, 1], which)
+        point[:, sel], normal[:, sel] = _patch_point_normal(nets, pre[sel, 0], pre[sel, 1], which)
         # the diagonal of each patch's control bounding box
         diagonal[members] = np.linalg.norm(pts.max(axis=(1, 2)) - pts.min(axis=(1, 2)), axis=1)
-    mag = np.linalg.norm(normal, axis=1)
+    mag = np.linalg.norm(normal, axis=0)
     # collapsed patch edges (sphere poles) must be skipped, not integrated
     degenerate = mag < (_DEGENERATE_NORMAL_REL * diagonal)[owner]
-    factor = mag if weight_mode == "full-normal" else normal[:, 2]
+    factor = mag if weight_mode == "full-normal" else normal[2]
     weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
     bad = np.bincount(owner[degenerate], minlength=len(patches))
     for i in np.flatnonzero(bad):
         warnings.warn(f"patch {i}: zeroed {bad[i]} degenerate-normal points", stacklevel=3)
-    prov = np.empty((owner.size, 5), dtype=np.int64)
-    prov[:, 0] = owner
-    prov[:, 1:] = np.concatenate([part[2] for part in parts])
+    prov = np.empty((5, owner.size), dtype=np.int64)
+    prov[0] = owner
+    prov[1:] = np.concatenate([part[2] for part in parts]).T
     return SurfaceRule(
-        _frozen(point), _frozen(weights), pre, _frozen(prov), degenerate_count=int(bad.sum())
+        _frozen(point).T, _frozen(weights), pre, _frozen(prov).T, degenerate_count=int(bad.sum())
     )
 
 
@@ -236,7 +241,9 @@ def patch_rule(tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-no
     against n_z, which is what the volume construction consumes.
     """
     tp = _as_trimmed_patch(tp)
-    return _mapped_rule([tp.patch], _parts([tp], *_orders(m_q, n_q)), weight_mode)
+    m_q, n_q = _orders(m_q, n_q)
+    _check_weight_mode(weight_mode)
+    return _mapped_rule([tp.patch], _parts([tp], m_q, n_q), weight_mode)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
@@ -252,6 +259,7 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
     if not patches:
         raise ValidationError("boundary rule needs at least one patch")
     m_q, n_q = _orders(m_q, n_q)
+    _check_weight_mode(weight_mode)
     return _mapped_rule([tp.patch for tp in patches], _parts(patches, m_q, n_q), weight_mode)
 
 

@@ -88,7 +88,8 @@ def volume_rule(
         raise ValidationError(f"pz must be finite, got {pz!r}")
     srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
     lifted, seg_w, prov = _lift(srule.points, srule.provenance[:, 0], base, n_p)
-    return Rule3D(lifted, _frozen(srule.weights[:, None] * seg_w).ravel(), prov)
+    seg_w *= srule.weights[:, None]
+    return Rule3D(lifted, _frozen(seg_w).ravel(), prov)
 
 
 def volume_integrate(

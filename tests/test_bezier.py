@@ -10,6 +10,8 @@ from bezquad.bezier import (
     _batches,
     _curve_point_derivative,
     _homogeneous,
+    _patch_eval_h,
+    _patch_point_normal,
     bernstein_to_monomial,
     control_bbox,
     eval_curve,
@@ -100,18 +102,127 @@ def test_stacked_curve_pass_equals_each_curve():
         curves = [random_curve(rng, d, dim) for d in (2, 1, 2, 5, 1, 2)]
         owner = np.repeat(np.arange(len(curves)), [3, 1, 4, 2, 5, 3])
         s = rng.random(owner.size)
-        point, der = np.empty((s.size, dim)), np.empty((s.size, dim))
+        point, der = np.empty((dim, s.size)), np.empty((dim, s.size))
         for members, sel, which in _batches([c.degree for c in curves], owner):
             assert len({curves[i].degree for i in members}) == 1
             ctrl = _homogeneous(
                 np.stack([curves[i].points for i in members]),
                 np.stack([curves[i].weights for i in members]),
             )
-            point[sel], der[sel] = _curve_point_derivative(ctrl, s[sel], which)
+            point[:, sel], der[:, sel] = _curve_point_derivative(ctrl, s[sel], which)
         for i, c in enumerate(curves):
             mine = owner == i
-            assert point[mine].tobytes() == eval_curve(c, s[mine]).tobytes()
-            assert der[mine].tobytes() == eval_curve_derivative(c, s[mine]).tobytes()
+            assert point[:, mine].T.tobytes() == eval_curve(c, s[mine]).tobytes()
+            assert der[:, mine].T.tobytes() == eval_curve_derivative(c, s[mine]).tobytes()
+
+
+# The point-major evaluators that the column-major ones replaced: every
+# de Casteljau step on (k, m+1, ..., dim+1) arrays, the normal by np.cross.
+# The column-major pass must give the same bytes.
+
+
+def _ref_casteljau_pair(ctrl, t):
+    m = ctrl.shape[1] - 1
+    t = t.reshape((-1,) + (1,) * (ctrl.ndim - 1))
+    b = ctrl.copy()
+    for j in range(m - 1):
+        b[:, : m - j] = (1.0 - t) * b[:, : m - j] + t * b[:, 1 : m - j + 1]
+    t = t[:, 0]
+    return (1.0 - t) * b[:, 0] + t * b[:, 1], m * (b[:, 1] - b[:, 0])
+
+
+def _ref_curve_point_derivative(ctrl, s, which=None):
+    s = np.asarray(s, dtype=float).ravel()
+    ctrl = np.broadcast_to(ctrl, (s.size,) + ctrl.shape) if which is None else ctrl[which]
+    value, hodo = _ref_casteljau_pair(ctrl, s)
+    w = value[:, -1:]
+    point = value[:, :-1] / w
+    return point, (hodo[:, :-1] - point * hodo[:, -1:]) / w
+
+
+def _ref_patch_eval_h(nets, u, v, which=None):
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    ctrl = np.broadcast_to(nets, (u.size,) + nets.shape) if which is None else nets[which]
+    row, row_du = _ref_casteljau_pair(ctrl, u)
+    s_h, sv_h = _ref_casteljau_pair(row, v)
+    su_h, _ = _ref_casteljau_pair(row_du, v)
+    return s_h, su_h, sv_h
+
+
+def _ref_patch_point_normal(nets, u, v, which=None):
+    s_h, su_h, sv_h = _ref_patch_eval_h(nets, u, v, which)
+    w = s_h[:, 3:]
+    point = s_h[:, :3] / w
+    du = (su_h[:, :3] - point * su_h[:, 3:]) / w
+    dv = (sv_h[:, :3] - point * sv_h[:, 3:]) / w
+    return point, np.cross(du, dv)
+
+
+def _corner_params(rng, n):
+    # the four corners of the square, then n random pairs
+    u = np.concatenate([[0.0, 1.0, 0.0, 1.0], rng.random(n)])
+    v = np.concatenate([[0.0, 0.0, 1.0, 1.0], rng.random(n)])
+    return u, v
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_patch_evaluator_matches_point_major_reference(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    pts = rng.uniform(-2, 2, size=(3, m + 1, n + 1, 3))
+    wts = rng.uniform(0.3, 2.5, size=(3, m + 1, n + 1))
+    nets = _homogeneous(pts, wts)
+    u, v = _corner_params(rng, 25)
+    which = rng.integers(0, 3, u.size)
+    for args in ((nets, u, v, which), (nets[1], u, v, None)):
+        got = _patch_eval_h(*args) + _patch_point_normal(*args)
+        want = _ref_patch_eval_h(*args) + _ref_patch_point_normal(*args)
+        for g, ref in zip(got, want):
+            assert g.T.tobytes() == ref.tobytes()
+    patch = RationalBezierPatch(pts[2], wts[2])
+    point, normal = _ref_patch_point_normal(nets[2], u, v)
+    assert eval_patch(patch, u, v).tobytes() == point.tobytes()
+    assert patch_normal(patch, u, v).tobytes() == normal.tobytes()
+    assert eval_patch(patch, 1.0, 0.0).tobytes() == point[1].tobytes()
+    assert patch_normal(patch, 1.0, 0.0).tobytes() == normal[1].tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_curve_evaluator_matches_point_major_reference(degree):
+    rng = np.random.default_rng(40 + degree)
+    for dim in (2, 3):
+        curves = [random_curve(rng, degree, dim) for _ in range(3)]
+        ctrl = _homogeneous(
+            np.stack([c.points for c in curves]), np.stack([c.weights for c in curves])
+        )
+        s, _ = _corner_params(rng, 25)
+        which = rng.integers(0, 3, s.size)
+        for args in ((ctrl, s, which), (ctrl[1], s, None)):
+            got = _curve_point_derivative(*args)
+            for g, ref in zip(got, _ref_curve_point_derivative(*args)):
+                assert g.T.tobytes() == ref.tobytes()
+        point, der = _ref_curve_point_derivative(ctrl[0], s)
+        assert eval_curve(curves[0], s).tobytes() == point.tobytes()
+        assert eval_curve_derivative(curves[0], s).tobytes() == der.tobytes()
+
+
+def test_public_evaluator_shapes():
+    rng = np.random.default_rng(8)
+    patch = RationalBezierPatch(rng.uniform(-1, 1, (3, 4, 3)), rng.uniform(0.5, 2, (3, 4)))
+    grid = rng.random((2, 3))
+    for f in (eval_patch, patch_normal):
+        assert f(patch, 0.3, 0.6).shape == (3,)
+        assert f(patch, [], []).shape == (0, 3)
+        assert f(patch, grid, grid[::-1]).shape == (6, 3)
+    for dim in (2, 3):
+        c = random_curve(rng, 3, dim)
+        for f in (eval_curve, eval_curve_derivative):
+            assert f(c, 0.3).shape == (dim,)
+            assert f(c, []).shape == (0, dim)
+            assert f(c, grid).shape == (6, dim)
+    with pytest.raises(ValidationError, match="matching shapes"):
+        patch_normal(patch, [0.1, 0.2], [0.3])
 
 
 def flat_square_patch():

@@ -470,6 +470,39 @@ def _per_curve_rule_bytes(curves, rules, base, layer_order):
     return [lifted.tobytes(), weights.tobytes(), prov.tobytes()]
 
 
+def _ref_lift(points, owner, base, order):
+    """The point-major z-lift that the coordinate-major one replaced:
+    (k, order, dim) points, z as mid + half * x, (k, order, 3) provenance."""
+    k, dim = points.shape
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo, hi = np.full(k, base)[:, None], points[:, -1][:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    lifted = np.empty((k, order, dim))
+    lifted[:, :, :-1] = points[:, None, :-1]
+    lifted[:, :, -1] = mid + half * x
+    prov = np.empty((k, order, 3), dtype=np.int64)
+    prov[:, :, 0] = owner[:, None]
+    prov[:, :, 1] = (np.arange(k) - np.searchsorted(owner, owner))[:, None]
+    prov[:, :, 2] = np.arange(order)
+    return lifted.reshape(-1, dim), half * w, prov.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("order", [1, 24])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lift_matches_point_major_reference(order, dim):
+    rng = np.random.default_rng(10 * order + dim)
+    owner = np.repeat([0, 2, 3, 7], [5, 1, 9, 4])
+    points = rng.uniform(-1.0, 2.0, size=(owner.size, dim))
+    base = -1.25
+    flat = [0, 5, 14]
+    points[flat, -1] = base
+    got = _lift(points, owner, base, order)
+    for g, ref in zip(got, _ref_lift(points, owner, base, order)):
+        assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+    assert not got[1][flat].any() and got[1][np.setdiff1d(np.arange(owner.size), flat)].all()
+    assert not got[0].flags.writeable and not got[2].flags.writeable
+
+
 def _mixed_degree_loop():
     # degrees 2, 3, 21 and 1 around one loop
     cubic = RationalBezierCurve([(0, 1), (-0.5, 1.2), (-1.2, 0.5), (-1, 0)], [1.0, 0.7, 1.3, 2.0])
@@ -536,12 +569,14 @@ def test_rule_shares_fully_read_only_input():
 
 
 def _built_rules():
-    from bezquad.shapes import cylinder_solid
+    from bezquad.shapes import box_solid, cylinder_solid, cylinder_solid_fitted, flip_solid
     from bezquad.surface import TrimmedPatch, boundary_rule, patch_rule
     from bezquad.volume import volume_rule
 
     cyl = cylinder_solid()
     return {
+        "fitted volume": volume_rule(cylinder_solid_fitted(segments=6), 3, 4, 2),
+        "flipped volume": volume_rule(flip_solid(box_solid()), 3, 3),
         "spectral": spectral_rule(circle_region(), 4, 3),
         "pe": spectral_pe_rule(annulus_region(), 3),
         "parametric": parametric_area_rule([unit_square_loop()], 3, 2),
@@ -581,3 +616,30 @@ def test_rewrapping_rule_arrays_shares_memory():
         for field, a in _rule_arrays(old).items():
             assert np.shares_memory(getattr(new, field), a), field
             assert getattr(new, field).tobytes() == a.tobytes()
+    for name, r in rules.items():
+        again = planar.Rule(r.points, r.weights, r.provenance, r.columns, r.preimages)
+        for field, a in _rule_arrays(r).items():
+            assert np.shares_memory(getattr(again, field), a), (name, field)
+
+
+def test_built_rule_layout_gives_contiguous_copy_bytes():
+    # built points and provenance are (n, dim) views of (dim, n) buffers;
+    # everything read from a rule is the same on row-major copies
+    from bezquad.io import rule_csv_lines
+
+    def cubic(*xs):
+        return sum((j + 1.5) * x**3 - x * xs[0] + 0.25 for j, x in enumerate(xs))
+
+    for name, r in _built_rules().items():
+        assert r.points.T.flags.c_contiguous and r.provenance.T.flags.c_contiguous, name
+        copy = planar.Rule(
+            np.ascontiguousarray(r.points), r.weights, np.ascontiguousarray(r.provenance),
+            r.columns, r.preimages, r.degenerate_count,
+        )
+        assert copy.points.flags.c_contiguous and copy.provenance.flags.c_contiguous
+        values = [np.float64(planar.apply(x, cubic)).tobytes() for x in (r, copy)]
+        assert values[0] == values[1], name
+        exps = monomial_exponents(4, r.dim)
+        moments = [(x.weights @ _monomials(x.points, exps)).tobytes() for x in (r, copy)]
+        assert moments[0] == moments[1], name
+        assert rule_csv_lines(r) == rule_csv_lines(copy), name

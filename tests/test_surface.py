@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bezquad.surface as surface
 from bezquad import (
     QuadratureError,
     RationalBezierCurve,
@@ -242,9 +243,19 @@ def test_trim_loop_accepts_one_closed_curve():
         TrimLoop((RationalBezierCurve([(0, 1e-6), (1, 0), (0.5, 1), (0, 0)], np.ones(4)),))
 
 
-def test_bad_weight_mode():
+def test_bad_weight_mode(monkeypatch):
     with pytest.raises(ValidationError, match="weight_mode"):
         patch_rule(TrimmedPatch(flat_unit_patch()), 3, 3, "sideways")
+    # a bad mode is refused before the planar pass over the trims
+    calls = []
+    monkeypatch.setattr(surface, "parametric_area_rule", lambda *a: calls.append(a))
+    message = r"weight_mode must be one of \('full-normal', 'z-normal'\), got 'sideways'"
+    trimmed = cylinder_solid().patches
+    with pytest.raises(ValidationError, match=message):
+        patch_rule(trimmed[4], 3, 3, "sideways")
+    with pytest.raises(ValidationError, match=message):
+        boundary_rule(trimmed, 3, 3, "sideways")
+    assert calls == []
 
 
 def test_surface_rule_alignment_checked():
