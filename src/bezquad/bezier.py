@@ -34,10 +34,42 @@ __all__ = [
 
 
 def _frozen_array(obj, name, value):
-    arr = np.array(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("not a numeric array", path=name) from None
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr
+
+
+def _control_net(net, axes, dims, shape):
+    """Store ``net``'s points and weights back as read-only float arrays,
+    or raise ValidationError at ``points``, ``weights`` or the first bad
+    ``weights[i]`` (``[i][j]`` on a patch) with its value.
+
+    The points need ``axes`` control-index axes of length >= 2, spelled
+    out by ``shape``, and one of ``dims`` coordinates.  All values must be
+    finite, then all weights positive: that keeps the poles of W off [0, 1].
+    """
+    pts = _frozen_array(net, "points", net.points)
+    wts = _frozen_array(net, "weights", net.weights)
+    if pts.ndim != axes + 1 or pts.shape[-1] not in dims or min(pts.shape[:-1]) < 2:
+        raise ValidationError(f"control points must be {shape}, got {pts.shape}", path="points")
+    if wts.shape != pts.shape[:-1]:
+        raise ValidationError(
+            f"need weights of shape {pts.shape[:-1]}, got {wts.shape}", path="weights"
+        )
+    if np.isfinite(pts).all() and np.isfinite(wts).all() and wts.min() > 0:
+        return
+    if not np.isfinite(pts).all():
+        raise ValidationError("control points must be finite", path="points")
+    bad, what = ~np.isfinite(wts), "finite"
+    if not bad.any():
+        bad, what = ~(wts > 0), "strictly positive"
+    at = np.unravel_index(np.argmax(bad), wts.shape)
+    where = "".join(f"[{i}]" for i in at)
+    raise ValidationError(f"weight must be {what}, got {wts[at]}", path=f"weights{where}")
 
 
 @dataclass(frozen=True)
@@ -45,27 +77,15 @@ class RationalBezierCurve:
     """Degree-m rational curve given by m+1 control points and weights.
 
     Points may be planar (x, y) or parameter-space (u, v); both are plain
-    2-column arrays.  Weights must be strictly positive.
+    2-column arrays.  Points and weights must be finite and weights strictly
+    positive; a fault is located at ``points``, ``weights`` or ``weights[i]``.
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = _frozen_array(self, "points", self.points)
-        wts = _frozen_array(self, "weights", self.weights)
-        if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] not in (2, 3):
-            raise ValidationError(
-                f"control points must be (m+1, 2) or (m+1, 3), got {pts.shape}"
-            )
-        if wts.shape != (pts.shape[0],):
-            raise ValidationError(
-                f"need one weight per control point, got {wts.shape} for {pts.shape[0]} points"
-            )
-        if not (wts > 0).all():
-            raise ValidationError("control weights must be strictly positive")
-        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
-            raise ValidationError("control points and weights must be finite")
+        _control_net(self, 1, (2, 3), "(m+1, 2) or (m+1, 3) with m >= 1")
 
     @property
     def degree(self) -> int:
@@ -91,26 +111,14 @@ class RationalBezierPatch:
     """Tensor-product rational patch of bi-degree (m, n) in 3-space.
 
     ``points`` has shape (m+1, n+1, 3): axis 0 follows u, axis 1 follows v.
+    The net is checked as a curve's, a bad weight located at ``weights[i][j]``.
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = _frozen_array(self, "points", self.points)
-        wts = _frozen_array(self, "weights", self.weights)
-        if pts.ndim != 3 or pts.shape[2] != 3 or pts.shape[0] < 2 or pts.shape[1] < 2:
-            raise ValidationError(
-                f"patch control net must be (m+1, n+1, 3) with m, n >= 1, got {pts.shape}"
-            )
-        if wts.shape != pts.shape[:2]:
-            raise ValidationError(
-                f"patch weights must be {pts.shape[:2]}, got {wts.shape}"
-            )
-        if not np.all(wts > 0):
-            raise ValidationError("patch weights must be strictly positive")
-        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
-            raise ValidationError("patch control points and weights must be finite")
+        _control_net(self, 2, (3,), "(m+1, n+1, 3) with m, n >= 1")
 
     @property
     def degree_u(self) -> int:
@@ -320,10 +328,11 @@ def monomial_to_bernstein(coeffs) -> np.ndarray:
 
 def _closure_gaps(curves):
     """Distance from each curve's end to the next curve's start, the last
-    curve wrapping around to the first, as one array."""
+    curve wrapping around to the first, as one array.  ``np.hypot`` takes
+    the lengths, so far-out coordinates do not overflow their squares."""
     ends = np.array([c.points[-1] for c in curves])
     starts = np.array([c.points[0] for c in curves[1:] + curves[:1]])
-    return np.linalg.norm(ends - starts, axis=1)
+    return np.hypot.reduce(ends - starts, axis=1)
 
 
 def _collect_control_points(obj, out):

@@ -25,7 +25,7 @@ from .errors import (
 from .expr import evaluate, parse, polynomial_degree, to_callable
 from .io import (
     _create_text,
-    _curve_to_json,
+    _net_to_json,
     _rule_csv_blocks,
     load_model,
     load_region,
@@ -242,7 +242,7 @@ def _cmd_moments(args):
 def _cmd_fit_trim(args):
     blocks = load_trim_points(args.points)
     loops = [
-        [_curve_to_json(c) for c in fit_trim_curves(pts, args.segments, args.degree)]
+        [_net_to_json(c) for c in fit_trim_curves(pts, args.segments, args.degree)]
         for pts in blocks
     ]
     _emit([json.dumps(loops, indent=2, sort_keys=True) + "\n"], args.out)

@@ -5,10 +5,12 @@ class ValidationError(ValueError):
     """Bad geometry, bad file content, or arguments outside a contract.
 
     ``path`` optionally locates the offending element inside a document,
-    e.g. ``loops[0][2].weights[1]``.
+    e.g. ``loops[0][2].weights[1]``; ``message`` is the text without it, so
+    a reader can locate the error again inside a larger document.
     """
 
     def __init__(self, message, path=None):
+        self.message = message
         self.path = path
         if path:
             message = f"{path}: {message}"

@@ -90,75 +90,88 @@ def _dump_json(doc, path):
         fh.write("\n")
 
 
+def _has_bool(value):
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _as_array(value, path):
+    """``value`` as a float array of finite JSON numbers; text, booleans
+    and ragged lists are not numeric arrays."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ValidationError("not a numeric array", path=path) from None
+        arr = None
+    if arr is None or _has_bool(value):
+        raise ValidationError("not a numeric array", path=path)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("contains non-finite values", path=path)
     return arr
 
 
-def _stated_degree(obj, key, path):
-    """The integer ``obj[key]``; JSON booleans and fractions are rejected."""
-    try:
-        return _as_int(obj[key], repr(key))
-    except ValidationError as exc:
-        raise ValidationError(str(exc), path=path) from None
+def _located(exc, path):
+    """``exc`` located inside the document element at ``path``."""
+    return ValidationError(exc.message, path=f"{path}.{exc.path}" if exc.path else path)
 
 
-def _positive_weights(weights, path):
-    flat = np.asarray(weights).ravel()
-    bad = np.flatnonzero(~(flat > 0))
-    if bad.size:
-        i = int(bad[0])
-        idx = np.unravel_index(i, np.shape(weights))
-        where = "".join(f"[{k}]" for k in idx)
-        raise ValidationError(
-            f"weight must be positive, got {flat[i]}", path=f"{path}{where}"
-        )
-
-
-def _curve_from_json(obj, path, dim):
-    if not isinstance(obj, dict):
-        raise ValidationError("expected a curve object", path=path)
-    unknown = set(obj) - {"degree", "points", "weights"}
+def _known_keys(obj, keys, path=None):
+    unknown = set(obj) - set(keys)
     if unknown:
         raise ValidationError(f"unknown keys {sorted(unknown)}", path=path)
+
+
+# each control net's noun and its stated degree per control-index axis
+_NETS = {
+    RationalBezierCurve: ("curve", ("degree",)),
+    RationalBezierPatch: ("patch", ("degree_u", "degree_v")),
+}
+
+
+def _net_from_json(obj, path, kind, other=()):
+    """The curve or patch ``kind`` of the JSON object at ``path``.
+
+    The object holds ``points``, optional ``weights`` (1 when omitted),
+    optional stated degrees (integers; JSON booleans and fractions are
+    rejected) and the ``other`` keys its caller reads.  The net itself is
+    checked by ``kind``, whose errors are located here.
+    """
+    noun, degrees = _NETS[kind]
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected a {noun} object", path=path)
+    _known_keys(obj, ("points", "weights", *degrees, *other), path)
     if "points" not in obj:
         raise ValidationError("missing 'points'", path=path)
     pts = _as_array(obj["points"], f"{path}.points")
-    if pts.ndim != 2 or pts.shape[1] != dim or pts.shape[0] < 2:
-        raise ValidationError(f"points must be (m+1, {dim}) with m >= 1", path=f"{path}.points")
-    weights = obj.get("weights")
-    if weights is None:
-        weights = np.ones(pts.shape[0])
-    else:
-        weights = _as_array(weights, f"{path}.weights")
-        if weights.shape != (pts.shape[0],):
-            raise ValidationError(
-                f"need {pts.shape[0]} weights, got shape {weights.shape}",
-                path=f"{path}.weights",
-            )
-        _positive_weights(weights, f"{path}.weights")
-    if "degree" in obj and _stated_degree(obj, "degree", path) != pts.shape[0] - 1:
-        raise ValidationError(
-            f"stated degree {obj['degree']} does not match {pts.shape[0]} control points",
-            path=path,
-        )
+    wts = obj.get("weights")
+    wts = np.ones(pts.shape[:-1]) if wts is None else _as_array(wts, f"{path}.weights")
     try:
-        return RationalBezierCurve(pts, weights)
+        net = kind(pts, wts)
+        stated = {key: _as_int(obj[key], repr(key)) for key in degrees if key in obj}
     except ValidationError as exc:
-        raise ValidationError(str(exc), path=path) from None
+        raise _located(exc, path) from None
+    for key, n in zip(degrees, net.points.shape):
+        if key in stated and stated[key] != n - 1:
+            raise ValidationError(
+                f"stated {key} {obj[key]} does not match {n} control points", path=path
+            )
+    return net
 
 
-def _curve_to_json(curve):
-    return {
-        "degree": int(curve.degree),
-        "points": [[float(v) for v in p] for p in curve.points],
-        "weights": [float(w) for w in curve.weights],
-    }
+def _net_to_json(net):
+    degrees = {key: n - 1 for key, n in zip(_NETS[type(net)][1], net.points.shape)}
+    return {**degrees, "points": net.points.tolist(), "weights": net.weights.tolist()}
+
+
+def _curves_from_json(loop, path, chain=tuple):
+    """``chain`` of the curves of the nonempty JSON list at ``path``."""
+    if not isinstance(loop, list) or not loop:
+        raise ValidationError("must be a nonempty list of curves", path=path)
+    curves = tuple(
+        _net_from_json(c, f"{path}[{j}]", RationalBezierCurve) for j, c in enumerate(loop)
+    )
+    try:
+        return chain(curves)
+    except ValidationError as exc:
+        raise _located(exc, path) from None
 
 
 def load_model(path):
@@ -180,85 +193,35 @@ def load_region(path) -> PlanarRegion:
 
 
 def _region_from_json(doc) -> PlanarRegion:
+    _known_keys(doc, ("loops",))
     loops = doc["loops"]
     if not isinstance(loops, list) or not loops:
         raise ValidationError("'loops' must be a nonempty list", path="loops")
-    built = []
-    for i, loop in enumerate(loops):
-        if not isinstance(loop, list) or not loop:
-            raise ValidationError("must be a nonempty list of curves", path=f"loops[{i}]")
-        built.append(
-            tuple(_curve_from_json(c, f"loops[{i}][{j}]", 2) for j, c in enumerate(loop))
-        )
-    return PlanarRegion(tuple(built))
+    return PlanarRegion(
+        tuple(_curves_from_json(loop, f"loops[{i}]") for i, loop in enumerate(loops))
+    )
 
 
 def save_region(region: PlanarRegion, path):
-    doc = {"loops": [[_curve_to_json(c) for c in loop] for loop in region.loops]}
-    _dump_json(doc, path)
+    _dump_json({"loops": [[_net_to_json(c) for c in loop] for loop in region.loops]}, path)
 
 
 def _patch_from_json(obj, path):
-    if not isinstance(obj, dict):
-        raise ValidationError("expected a patch object", path=path)
-    unknown = set(obj) - {"degree_u", "degree_v", "points", "weights", "trim_loops"}
-    if unknown:
-        raise ValidationError(f"unknown keys {sorted(unknown)}", path=path)
-    if "points" not in obj:
-        raise ValidationError("missing 'points'", path=path)
-    pts = _as_array(obj["points"], f"{path}.points")
-    if pts.ndim != 3 or pts.shape[2] != 3 or pts.shape[0] < 2 or pts.shape[1] < 2:
-        raise ValidationError(
-            "points must be (m+1, n+1, 3) with m, n >= 1", path=f"{path}.points"
-        )
-    weights = obj.get("weights")
-    if weights is None:
-        weights = np.ones(pts.shape[:2])
-    else:
-        weights = _as_array(weights, f"{path}.weights")
-        if weights.shape != pts.shape[:2]:
-            raise ValidationError(
-                f"need shape {pts.shape[:2]} weights, got {weights.shape}",
-                path=f"{path}.weights",
-            )
-        _positive_weights(weights, f"{path}.weights")
-    for key, axis in (("degree_u", 0), ("degree_v", 1)):
-        if key in obj and _stated_degree(obj, key, path) != pts.shape[axis] - 1:
-            raise ValidationError(
-                f"stated {key} {obj[key]} does not match the control net", path=path
-            )
-    try:
-        patch = RationalBezierPatch(pts, weights)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), path=path) from None
-    loops = []
-    for k, loop in enumerate(obj.get("trim_loops") or []):
-        if not isinstance(loop, list) or not loop:
-            raise ValidationError(
-                "must be a nonempty list of curves", path=f"{path}.trim_loops[{k}]"
-            )
-        segs = tuple(
-            _curve_from_json(c, f"{path}.trim_loops[{k}][{j}]", 2)
-            for j, c in enumerate(loop)
-        )
-        try:
-            loops.append(TrimLoop(segs))
-        except ValidationError as exc:
-            raise ValidationError(str(exc), path=f"{path}.trim_loops[{k}]") from None
-    return TrimmedPatch(patch, tuple(loops))
+    patch = _net_from_json(obj, path, RationalBezierPatch, ("trim_loops",))
+    trims = obj.get("trim_loops") or []
+    if not isinstance(trims, list):
+        raise ValidationError("must be a list of curve loops", path=f"{path}.trim_loops")
+    loops = tuple(
+        _curves_from_json(loop, f"{path}.trim_loops[{k}]", TrimLoop)
+        for k, loop in enumerate(trims)
+    )
+    return TrimmedPatch(patch, loops)
 
 
 def _patch_to_json(tp):
-    out = {
-        "degree_u": int(tp.patch.degree_u),
-        "degree_v": int(tp.patch.degree_v),
-        "points": [[[float(v) for v in p] for p in row] for row in tp.patch.points],
-        "weights": [[float(w) for w in row] for row in tp.patch.weights],
-    }
+    out = _net_to_json(tp.patch)
     if tp.loops:
-        out["trim_loops"] = [
-            [_curve_to_json(seg) for seg in loop.segments] for loop in tp.loops
-        ]
+        out["trim_loops"] = [[_net_to_json(seg) for seg in loop.segments] for loop in tp.loops]
     return out
 
 
@@ -271,24 +234,20 @@ def load_solid(path) -> SolidModel:
 
 
 def _solid_from_json(doc) -> SolidModel:
+    _known_keys(doc, ("closed", "patches"))
     patches = doc["patches"]
     if not isinstance(patches, list) or not patches:
         raise ValidationError("'patches' must be a nonempty list", path="patches")
     closed = doc.get("closed", True)
     if not isinstance(closed, bool):
         raise ValidationError(f"must be true or false, got {closed!r}", path="closed")
-    built = tuple(
-        _patch_from_json(p, f"patches[{i}]") for i, p in enumerate(patches)
-    )
+    built = tuple(_patch_from_json(p, f"patches[{i}]") for i, p in enumerate(patches))
     return SolidModel(built, closed=closed)
 
 
 def save_solid(solid: SolidModel, path):
-    doc = {
-        "closed": bool(solid.closed),
-        "patches": [_patch_to_json(tp) for tp in solid.patches],
-    }
-    _dump_json(doc, path)
+    patches = [_patch_to_json(tp) for tp in solid.patches]
+    _dump_json({"closed": bool(solid.closed), "patches": patches}, path)
 
 
 def _distinct(keys, counting):

@@ -90,16 +90,17 @@ class PlanarRegion:
                         "loops must consist of planar rational Bezier curves",
                         path=f"loops[{k}][{j}]",
                     )
-            # the diagonal of the loop's control bounding box
+            # the diagonal of the loop's control bounding box, by np.hypot
+            # so that far-out coordinates do not overflow their squares
             pts = np.concatenate([c.points for c in loop])
-            scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+            scale = float(np.hypot.reduce(pts.max(axis=0) - pts.min(axis=0)))
             tol = _CLOSURE_REL_TOL * scale if scale > 0 else _CLOSURE_REL_TOL
             for j, gap in enumerate(_closure_gaps(loop)):
                 if gap > tol:
                     nxt = (j + 1) % len(loop)
                     raise ValidationError(
-                        f"curve {j} ends at {tuple(loop[j].end())} but curve "
-                        f"{nxt} starts at {tuple(loop[nxt].start())} "
+                        f"curve {j} ends at {tuple(loop[j].end().tolist())} but curve "
+                        f"{nxt} starts at {tuple(loop[nxt].start().tolist())} "
                         f"(gap {gap:.3e}, tolerance {tol:.3e})",
                         path=f"loops[{k}]",
                     )
@@ -346,9 +347,10 @@ def _standard_form(curve: RationalBezierCurve) -> RationalBezierCurve:
     with np.errstate(all="ignore"):
         scaled = w / (w[0] ** ((m - i) / m) * w[-1] ** (i / m))
     scaled[[0, -1]] = 1.0
-    if not np.all(np.isfinite(scaled) & (scaled > 0)):
+    try:
+        return RationalBezierCurve(curve.points, scaled)
+    except ValidationError:
         return curve
-    return RationalBezierCurve(curve.points, scaled)
 
 
 def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:

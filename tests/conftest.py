@@ -1,5 +1,6 @@
 """Shared geometry helpers and the acceptance-line reporter."""
 
+import copy
 import math
 from pathlib import Path
 
@@ -80,6 +81,88 @@ def expr_tree_text(t):
         return f"({expr_tree_text(t[1])})^{t[2]}"
     _, op, left, right = t
     return f"({expr_tree_text(left)} {op} {expr_tree_text(right)})"
+
+
+def _put(nested, index, value):
+    """A deep copy of the nested list with ``value`` at ``index``."""
+    out = copy.deepcopy(nested)
+    *head, last = index
+    target = out
+    for i in head:
+        target = target[i]
+    target[last] = value
+    return out
+
+
+def _net_fault_table():
+    # a valid quadratic curve inside the unit square (so it can also be a
+    # trim segment) and a valid flat bilinear patch
+    c, cw = [[0.25, 0.25], [0.75, 0.25], [0.5, 0.75]], [1, 1, 1]
+    p, pw = [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]], [[1, 1], [1, 1]]
+    c_shape = "points: control points must be (m+1, 2) or (m+1, 3) with m >= 1, got "
+    p_shape = "points: control points must be (m+1, n+1, 3) with m, n >= 1, got "
+    numeric = "points: not a numeric array"
+    finite = "points: control points must be finite"
+
+    def weight(value, what, json=None):
+        return (
+            (c, _put(cw, (1,), value), f"weights[1]: weight must be {what}, got {value!r}"),
+            (p, _put(pw, (1, 0), value), f"weights[1][0]: weight must be {what}, got {value!r}"),
+            json,
+        )
+
+    rows = {
+        "non-numeric points": (
+            (_put(c, (1, 1), "a"), cw, numeric), (_put(p, (1, 1, 1), "a"), pw, numeric), None
+        ),
+        "non-numeric weights": (
+            (c, _put(cw, (1,), "a"), "weights: not a numeric array"),
+            (p, _put(pw, (1, 0), "a"), "weights: not a numeric array"),
+            None,
+        ),
+        "ragged points": (
+            (_put(c, (1,), [1]), cw, numeric), (_put(p, (1,), [[1, 0, 0]]), pw, numeric), None
+        ),
+        "too few points": (
+            (c[:1], cw[:1], c_shape + "(1, 2)"), (p[:1], pw[:1], p_shape + "(1, 2, 3)"), None
+        ),
+        "wrong coordinate count": (
+            ([q + [0, 0] for q in c], cw, c_shape + "(3, 4)"),
+            ([[q[:2] for q in row] for row in p], pw, p_shape + "(2, 2, 2)"),
+            None,
+        ),
+        "wrong weight shape": (
+            (c, cw[:2], "weights: need weights of shape (3,), got (2,)"),
+            (p, [1, 1, 1, 1], "weights: need weights of shape (2, 2), got (4,)"),
+            None,
+        ),
+        "nan point": (
+            (_put(c, (1, 0), math.nan), cw, finite),
+            (_put(p, (1, 0, 2), math.nan), pw, finite),
+            "points: contains non-finite values",
+        ),
+        "inf point": (
+            (_put(c, (2, 1), -math.inf), cw, finite),
+            (_put(p, (0, 1, 0), math.inf), pw, finite),
+            "points: contains non-finite values",
+        ),
+        "nan weight": weight(math.nan, "finite", "weights: contains non-finite values"),
+        "inf weight": weight(math.inf, "finite", "weights: contains non-finite values"),
+        "zero weight": weight(0.0, "strictly positive"),
+        "negative weight": weight(-2.0, "strictly positive"),
+    }
+    return [
+        (name, {"curve": curve, "patch": patch}, json)
+        for name, (curve, patch, json) in rows.items()
+    ]
+
+
+# Every control-net fault as (name, nets, json_message).  ``nets`` maps
+# "curve" and "patch" to (points, weights, message): a net carrying the
+# fault and the located text its constructor raises.  ``json_message``,
+# when set, is what a JSON reader reports instead, because its own number
+# check sees the fault first.
+NET_FAULTS = _net_fault_table()
 
 
 _REFERENCE_FN = {

@@ -21,6 +21,7 @@ from bezquad.bezier import (
     patch_normal,
 )
 from bezquad.errors import ValidationError
+from conftest import NET_FAULTS
 
 W = math.sqrt(2) / 2
 
@@ -375,6 +376,34 @@ def test_non_finite_control_data_rejected():
         RationalBezierCurve([(0, 0), (1, 1)], [1.0, math.inf])
     with pytest.raises(ValidationError, match="must be finite"):
         RationalBezierPatch(np.zeros((2, 2, 3)), np.full((2, 2), math.inf))
+
+
+@pytest.mark.parametrize("kind", ["curve", "patch"])
+@pytest.mark.parametrize("name,nets,json_message", NET_FAULTS, ids=[f[0] for f in NET_FAULTS])
+def test_control_net_faults_are_located(name, nets, json_message, kind):
+    points, weights, message = nets[kind]
+    build = {"curve": RationalBezierCurve, "patch": RationalBezierPatch}[kind]
+    with pytest.raises(ValidationError) as err:
+        build(points, weights)
+    assert str(err.value) == message
+    # the bare message stays next to its path, so a reader can relocate it
+    assert f"{err.value.path}: {err.value.message}" == message
+    assert err.value.path.startswith(("points", "weights"))
+
+
+def test_weights_are_checked_finite_before_positive():
+    message = r"^weights\[2\]: weight must be finite, got nan$"
+    with pytest.raises(ValidationError, match=message):
+        RationalBezierCurve([(0, 0), (1, 0), (1, 1)], [-1.0, 0.0, math.nan])
+    weights = np.ones((2, 3))
+    weights[0, 2], weights[1, 0] = 0.0, math.inf
+    message = r"^weights\[1\]\[0\]: weight must be finite, got inf$"
+    with pytest.raises(ValidationError, match=message):
+        RationalBezierPatch(np.zeros((2, 3, 3)), weights)
+    weights[1, 0] = 1.0
+    message = r"^weights\[0\]\[2\]: weight must be strictly positive, got 0\.0$"
+    with pytest.raises(ValidationError, match=message):
+        RationalBezierPatch(np.zeros((2, 3, 3)), weights)
 
 
 def test_types_are_frozen():

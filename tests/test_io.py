@@ -8,6 +8,8 @@ import pytest
 from bezquad import io, planar
 from bezquad.cli import main
 from bezquad.errors import ValidationError
+from bezquad.trimfit import fit_trim_curves
+from conftest import NET_FAULTS
 from bezquad.io import (
     bundled,
     load_region,
@@ -130,6 +132,14 @@ _FLAT_PATCH = {"points": [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]]}
         ({"loops": [[{"degree": "two", "points": [[0, 0], [1, 0]]}]]}, r"loops\[0\]\[0\]: 'degree'"),
         ({"patches": [dict(_FLAT_PATCH, degree_v="two")]}, r"patches\[0\]: 'degree_v'"),
         ({"closed": "no", "patches": [_FLAT_PATCH]}, "closed: must be true or false"),
+        (
+            {"patches": [dict(_FLAT_PATCH, trim_loops=5)]},
+            r"^patches\[0\]\.trim_loops: must be a list of curve loops$",
+        ),
+        (
+            {"patches": [dict(_FLAT_PATCH, trim_loops="ab")]},
+            r"^patches\[0\]\.trim_loops: must be a list of curve loops$",
+        ),
     ],
 )
 def test_schema_violations_report_paths(tmp_path, doc, fragment):
@@ -138,6 +148,102 @@ def test_schema_violations_report_paths(tmp_path, doc, fragment):
     loader = load_region if "loops" in doc else load_solid
     with pytest.raises(ValidationError, match=fragment):
         loader(path)
+
+
+def _faulty_document(where, obj):
+    """A document holding the curve or patch ``obj`` at ``where``, every
+    other element valid, and the document path of ``obj``."""
+    good_curve = {"points": [[0, 0], [1, 0]]}
+    if where == "region curve":
+        return {"loops": [[good_curve, obj]]}, "loops[0][1]"
+    if where == "patch":
+        return {"patches": [_FLAT_PATCH, obj]}, "patches[1]"
+    trimmed = dict(_FLAT_PATCH, trim_loops=[[obj]])
+    return {"closed": False, "patches": [_FLAT_PATCH, trimmed]}, "patches[1].trim_loops[0][0]"
+
+
+@pytest.mark.parametrize("where", ["region curve", "patch", "trim segment"])
+@pytest.mark.parametrize("name,nets,json_message", NET_FAULTS, ids=[f[0] for f in NET_FAULTS])
+def test_control_net_faults_located_in_documents(tmp_path, name, nets, json_message, where):
+    # the constructor's own text, behind the document path; only a
+    # non-finite number is caught first, by the JSON number check
+    points, weights, message = nets["patch" if where == "patch" else "curve"]
+    doc, at = _faulty_document(where, {"points": points, "weights": weights})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        (load_region if "loops" in doc else load_solid)(path)
+    assert str(err.value) == f"{at}.{json_message or message}"
+
+
+_BOOLEAN_NETS = {
+    "curve": {
+        "points": {"points": [[0.25, 0.25], [0.75, True], [0.5, 0.75]]},
+        "weights": {"points": [[0.25, 0.25], [0.75, 0.25]], "weights": [1, True]},
+    },
+    "patch": {
+        "points": {"points": [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, True, 0]]]},
+        "weights": dict(_FLAT_PATCH, weights=[[1, 1], [True, 1]]),
+    },
+}
+
+
+@pytest.mark.parametrize("where", ["region curve", "patch", "trim segment"])
+@pytest.mark.parametrize("key", ["points", "weights"])
+def test_json_booleans_are_not_numbers(tmp_path, where, key):
+    obj = _BOOLEAN_NETS["patch" if where == "patch" else "curve"][key]
+    doc, at = _faulty_document(where, obj)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        (load_region if "loops" in doc else load_solid)(path)
+    assert str(err.value) == f"{at}.{key}: not a numeric array"
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"loops": [[{"points": [[0, 0], [1, 0]]}]], "patches": []}, "unknown keys ['patches']"),
+        ({"close": False, "patches": [_FLAT_PATCH]}, "unknown keys ['close']"),
+        ({"patches": [_FLAT_PATCH], "closed": True, "z": 0, "a": 1}, "unknown keys ['a', 'z']"),
+    ],
+)
+def test_unknown_top_level_keys_rejected(tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    loader = load_region if "loops" in doc else load_solid
+    for load in (loader, io.load_model):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load(path)
+
+
+@pytest.mark.parametrize("name", ["circle.region.json", "cube.solid.json", "cylinder.solid.json"])
+def test_bundled_geometry_round_trips_byte_for_byte(tmp_path, name):
+    load, save = (load_region, save_region) if "region" in name else (load_solid, save_solid)
+    out = tmp_path / name
+    save(load(bundled(name)), out)
+    assert out.read_bytes() == bundled(name).read_bytes()
+
+
+def test_fit_trim_output_matches_per_value_writer(tmp_path, capsys):
+    # the curve objects as written one Python float at a time
+    def oracle(curve):
+        return {
+            "degree": int(curve.degree),
+            "points": [[float(v) for v in p] for p in curve.points],
+            "weights": [float(w) for w in curve.weights],
+        }
+
+    t = 2 * math.pi * np.arange(48) / 48
+    blocks = [
+        np.column_stack([0.5 + 0.3 * np.cos(t), 0.5 + 0.2 * np.sin(t)]),
+        np.column_stack([0.5 + 0.05 * np.cos(-t), 0.5 + 0.05 * np.sin(-t)]),
+    ]
+    path = tmp_path / "pts.csv"
+    path.write_text("\n".join("".join(f"{u!r},{v!r}\n" for u, v in b.tolist()) for b in blocks))
+    assert main(["fit-trim", "--points", str(path), "--segments", "6", "--degree", "2"]) == 0
+    loops = [[oracle(c) for c in fit_trim_curves(b, 6, 2)] for b in blocks]
+    assert capsys.readouterr().out == json.dumps(loops, indent=2, sort_keys=True) + "\n"
 
 
 def test_not_json(tmp_path):

@@ -227,6 +227,21 @@ def test_open_loop_rejected():
         PlanarRegion(((a, b),))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_closure_check_does_not_overflow(scale):
+    # the closure tolerance scales with the control box diagonal, whose
+    # squared coordinates overflow at this scale: the open loop passed
+    corners = [(1, 1), (2, 1), (1.5, 1.5)]
+    closed = polygon_loop([(scale * x, scale * y) for x, y in corners])
+    a, b, _ = closed
+    c = RationalBezierCurve([(1.5 * scale, 1.5 * scale), (scale, 1.5 * scale)], [1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        PlanarRegion((closed,))
+        with pytest.raises(ValidationError, match=r"curve 2 ends at .* \(gap 5\.000e\+(199|299),"):
+            PlanarRegion(((a, b, c),))
+
+
 def test_non_finite_vertex_rejected():
     # a NaN gap compares False against the closure tolerance, so the
     # curve itself has to refuse it
