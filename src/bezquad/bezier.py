@@ -35,9 +35,15 @@ __all__ = [
 
 def _frozen_array(obj, name, value):
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.array(value)
+        # complex values stay complex to be refused below: a float cast
+        # would drop their imaginary parts with only a warning
+        if arr.dtype != float and arr.dtype.kind != "c":
+            arr = arr.astype(float)
     except (TypeError, ValueError):
         raise ValidationError("not a numeric array", path=name) from None
+    if arr.dtype != float:
+        raise ValidationError("complex values are not supported", path=name)
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr
@@ -326,12 +332,16 @@ def monomial_to_bernstein(coeffs) -> np.ndarray:
     return mat @ coeffs.reshape(n + 1, -1) if coeffs.ndim > 1 else mat @ coeffs
 
 
-def _closure_gaps(curves):
-    """Distance from each curve's end to the next curve's start, the last
-    curve wrapping around to the first, as one array.  ``np.hypot`` takes
-    the lengths, so far-out coordinates do not overflow their squares."""
-    ends = np.array([c.points[-1] for c in curves])
-    starts = np.array([c.points[0] for c in curves[1:] + curves[:1]])
+def _closure_half_gaps(curves):
+    """Half the distance from each curve's end to the next curve's start,
+    the last curve wrapping around to the first, as one array.
+
+    Callers compare it with half their tolerance.  Halving the coordinates
+    first keeps their differences finite up to the float limit, and
+    ``np.hypot`` keeps the lengths from overflowing their squares.
+    """
+    ends = np.array([c.points[-1] for c in curves]) / 2
+    starts = np.array([c.points[0] for c in curves[1:] + curves[:1]]) / 2
     return np.hypot.reduce(ends - starts, axis=1)
 
 

@@ -6,17 +6,23 @@ precedence, right-binding ^ with a nonnegative integer literal exponent,
 unary minus binding tighter than * but looser than ^, and the functions
 sqrt, exp, sin, cos, log.
 
-Expressions are parsed to immutable trees.  ``evaluate`` runs one point
-in plain double arithmetic and reports domain violations with the
-offending subexpression and point; ``to_callable`` compiles the tree to
-a vectorized numpy function for quadrature; ``polynomial_degree``
-decides whether the tree is a polynomial, which is what routes the CLI
-to the polynomially exact planar rules.
+Expressions are parsed to immutable trees, and one interpreter walks
+them in two modes that differ only in their primitive tables.
+``evaluate`` runs one point through ``operator`` and ``math``, which
+raise where the point leaves the domain; the error names the offending
+subexpression and point.  ``to_callable`` runs arrays through numpy,
+which gives inf or nan there instead.  It spreads a constant to the
+shape of ``x`` before a function or a power acts on it, since numpy's
+vector kernels need not give the bits of a one-element call, so every
+point of the result rounds alike.  ``polynomial_degree`` decides whether
+the tree is a polynomial, which is what routes the CLI to the
+polynomially exact planar rules.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -85,35 +91,25 @@ class Call(Expr):
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<end>\Z))"
 )
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
+    tokens, pos = [], 0
+    while not tokens or tokens[-1][0] != "end":
         m = _TOKEN.match(text, pos)
         if m is None:
-            # skip leading whitespace before reporting
-            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            if at >= len(text):
-                break
+            at = len(text) - len(text[pos:].lstrip())
             raise ParseError(f"unexpected character {text[at]!r} at offset {at}")
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -134,21 +130,24 @@ class _Parser:
         return v
 
     def fail(self, message):
-        kind, value, offset = self.peek()
-        raise ParseError(f"{message} at offset {offset}")
+        raise ParseError(f"{message} at offset {self.peek()[2]}")
+
+    def expect(self, op, message):
+        if self.peek()[:2] != ("op", op):
+            self.fail(message)
+        self.take()
 
     def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            node = BinOp(op, node, self.term())
-        return node
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            node = BinOp(op, node, self.factor())
+        return self.chain("*/", self.factor)
+
+    def chain(self, ops, operand):
+        """Left-associated operands joined by any of ``ops``."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = BinOp(self.take()[1], node, operand())
         return node
 
     def factor(self):
@@ -161,11 +160,9 @@ class _Parser:
         node = self.atom()
         if self.peek()[:2] == ("op", "^"):
             self.take()
-            kind, value, offset = self.peek()
+            kind, value, _ = self.peek()
             if kind != "num" or not re.fullmatch(r"\d+", value):
-                raise ParseError(
-                    f"exponent must be a nonnegative integer literal at offset {offset}"
-                )
+                self.fail("exponent must be a nonnegative integer literal")
             return BinOp("^", node, Num(self.number()))
         return node
 
@@ -178,23 +175,19 @@ class _Parser:
             if value in _VARIABLES:
                 return Var(value)
             if value in _FUNCTIONS:
-                if self.peek()[:2] != ("op", "("):
-                    self.fail(f"{value} needs a parenthesized argument")
-                self.take()
-                arg = self.expr()
-                if self.peek()[:2] != ("op", ")"):
-                    self.fail("expected ')'")
-                self.take()
-                return Call(value, arg)
+                self.expect("(", f"{value} needs a parenthesized argument")
+                return Call(value, self.group())
             raise ParseError(f"unknown identifier {value!r} at offset {offset}")
         if kind == "op" and value == "(":
             self.take()
-            node = self.expr()
-            if self.peek()[:2] != ("op", ")"):
-                self.fail("expected ')'")
-            self.take()
-            return node
+            return self.group()
         self.fail("expected a value")
+
+    def group(self):
+        """The expression after an opening parenthesis, and its ')'."""
+        node = self.expr()
+        self.expect(")", "expected ')'")
+        return node
 
 
 def parse(text: str) -> Expr:
@@ -212,15 +205,19 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 def _prec(node):
     if isinstance(node, BinOp):
         return _PRECEDENCE[node.op]
-    if isinstance(node, Neg):
+    # a negative literal prints with a unary minus
+    if isinstance(node, Neg) or (isinstance(node, Num) and math.copysign(1.0, node.value) < 0):
         return _PRECEDENCE["neg"]
     return 9
 
 
 def to_text(node: Expr) -> str:
-    """Print with minimal parentheses; reparsing gives the same tree."""
+    """Print with minimal parentheses; reparsing gives the same tree, except
+    that a negative literal comes back as a unary minus of its magnitude."""
     if isinstance(node, Num):
         v = node.value
+        if math.copysign(1.0, v) < 0:
+            return f"-{to_text(Num(-v))}"
         return repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
     if isinstance(node, Var):
         return node.name
@@ -235,127 +232,112 @@ def to_text(node: Expr) -> str:
     lt = to_text(node.left)
     if _prec(node.left) < p or (node.op == "^" and _prec(node.left) <= p):
         lt = f"({lt})"
+    if node.op == "^":
+        # the grammar takes integer literals only, however large
+        return f"{lt}^{int(node.right.value)}"
     rt = to_text(node.right)
     # binary operators associate left, so an equal-precedence right
     # child only survives reparsing behind parentheses
-    if node.op != "^" and _prec(node.right) <= p:
+    if _prec(node.right) <= p:
         rt = f"({rt})"
-    return f"{lt}^{rt}" if node.op == "^" else f"{lt} {node.op} {rt}"
+    return f"{lt} {node.op} {rt}"
+
+
+# the EvalError text for each exception a scalar primitive raises
+_FAULT_TEXT = {
+    ZeroDivisionError: "division by zero",
+    ValueError: "domain error",
+    OverflowError: "overflow",
+}
+# each mode's primitives: binary operators, functions, and the exceptions
+# that mean the point left the domain.  Plain double arithmetic raises there
+_SCALAR = (
+    {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv},
+    {name: pair[0] for name, pair in _FUNCTIONS.items()},
+    tuple(_FAULT_TEXT),
+)
+# numpy gives inf or nan there instead, so nothing is caught and a shape
+# mismatch stays numpy's own error
+_VECTOR = (
+    {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide},
+    {name: pair[1] for name, pair in _FUNCTIONS.items()},
+    (),
+)
+
+
+def _run(node, env, mode, spread):
+    """Value of ``node`` with the variables bound in ``env``.
+
+    ``mode`` supplies the primitives; ``spread`` is applied to what a
+    function or a power of two or more acts on.  A fault of a primitive
+    raises EvalError naming its node and the point.
+    """
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_run(node.child, env, mode, spread)
+    binary, functions, faults = mode
+    if isinstance(node, Call):
+        fn, args = functions[node.fn], (spread(_run(node.arg, env, mode, spread)),)
+    elif node.op == "^":
+        # the base runs first, so x^0 does not hide a fault inside x
+        base, k = _run(node.left, env, mode, spread), int(node.right.value)
+        if k < 2:
+            return base if k else 1.0
+        fn, args = operator.pow, (spread(base), k)
+    else:
+        fn = binary[node.op]
+        args = (_run(node.left, env, mode, spread), _run(node.right, env, mode, spread))
+    try:
+        return fn(*args)
+    except faults as exc:
+        point = ", ".join(f"{env[v]:.17g}" for v in _VARIABLES)
+        raise EvalError(f"{_FAULT_TEXT[type(exc)]} in {to_text(node)} at point ({point})") from None
 
 
 def evaluate(node: Expr, point) -> float:
     """Evaluate at point = (x, y, z) in double arithmetic.
 
     Domain violations (square root of a negative, log of a nonpositive,
-    division by zero) raise EvalError naming the subexpression.
+    division by zero, overflow) raise EvalError naming the subexpression:
+
+    >>> evaluate(parse("x + 1/(y - 2)"), (1, 2, 0))
+    Traceback (most recent call last):
+    ...
+    bezquad.errors.EvalError: division by zero in 1 / (y - 2) at point (1, 2, 0)
     """
     x, y, z = (float(c) for c in point)
-    env = {"x": x, "y": y, "z": z}
-
-    def walk(n):
-        if isinstance(n, Num):
-            return n.value
-        if isinstance(n, Var):
-            return env[n.name]
-        if isinstance(n, Neg):
-            return -walk(n.child)
-        if isinstance(n, Call):
-            v = walk(n.arg)
-            try:
-                return _FUNCTIONS[n.fn][0](v)
-            except ValueError:
-                raise EvalError(
-                    f"domain error in {to_text(n)} at point ({x:.17g}, {y:.17g}, {z:.17g})"
-                ) from None
-            except OverflowError:
-                raise EvalError(
-                    f"overflow in {to_text(n)} at point ({x:.17g}, {y:.17g}, {z:.17g})"
-                ) from None
-        a = walk(n.left)
-        b = walk(n.right)
-        if n.op == "+":
-            return a + b
-        if n.op == "-":
-            return a - b
-        if n.op == "*":
-            return a * b
-        if n.op == "/":
-            if b == 0.0:
-                raise EvalError(
-                    f"division by zero in {to_text(n)} at point ({x:.17g}, {y:.17g}, {z:.17g})"
-                )
-            return a / b
-        try:
-            return a ** int(b)
-        except OverflowError:
-            raise EvalError(
-                f"overflow in {to_text(n)} at point ({x:.17g}, {y:.17g}, {z:.17g})"
-            ) from None
-
-    return float(walk(node))
+    return float(_run(node, {"x": x, "y": y, "z": z}, _SCALAR, lambda v: v))
 
 
 def _spread(value, x):
-    """``value`` as an array shaped like ``x``; arrays pass through.
-
-    Powers and functions of a constant run over such an array, since
-    numpy's vector kernels need not give the bits of a one-element call.
-    """
+    """``value`` as an array shaped like ``x``; arrays pass through."""
     if isinstance(value, np.ndarray):
         return value
     return np.full(np.shape(x), value, dtype=float)
 
 
 def to_callable(node: Expr):
-    """Compile to f(x, y, z) over numpy arrays.
+    """The function f(x, y, z) that runs the tree over numpy arrays.
 
     Literals stay Python floats, and + - * / of a float and an array
     round each element as two arrays would; a constant result is spread
     to the shape of ``x`` at the end.  Out-of-domain points produce
     non-finite values rather than raising; the integrators report those
-    with the offending node location.
+    with the offending node location:
+
+    >>> to_callable(parse("log(x)"))(np.array([-1.0, 1.0]), np.zeros(2))
+    array([nan,  0.])
     """
-
-    def walk(n):
-        if isinstance(n, Num):
-            v = float(n.value)
-            return lambda x, y, z: v
-        if isinstance(n, Var):
-            name = n.name
-            return lambda x, y, z, _k=name: np.asarray(
-                {"x": x, "y": y, "z": z}[_k], dtype=float
-            )
-        if isinstance(n, Neg):
-            f = walk(n.child)
-            return lambda x, y, z: -f(x, y, z)
-        if isinstance(n, Call):
-            f = walk(n.arg)
-            g = _FUNCTIONS[n.fn][1]
-            return lambda x, y, z: g(_spread(f(x, y, z), x))
-        fl = walk(n.left)
-        if n.op == "^":
-            k = int(n.right.value)
-            if k == 0:
-                return lambda x, y, z: 1.0
-            if k == 1:
-                return fl
-            return lambda x, y, z: _spread(fl(x, y, z), x) ** k
-        fr = walk(n.right)
-        op = {
-            "+": np.add,
-            "-": np.subtract,
-            "*": np.multiply,
-            "/": np.divide,
-        }[n.op]
-        return lambda x, y, z: op(fl(x, y, z), fr(x, y, z))
-
-    f = walk(node)
 
     def call(x, y, z=None):
         if z is None:
             z = np.zeros(np.shape(x))
+        env = {k: np.asarray(v, dtype=float) for k, v in zip(_VARIABLES, (x, y, z))}
         with np.errstate(all="ignore"):
-            return _spread(f(x, y, z), x)
+            return _spread(_run(node, env, _VECTOR, lambda v: _spread(v, x)), x)
 
     return call
 
@@ -390,20 +372,12 @@ def polynomial_degree(node: Expr):
     if r != 0 or _has_variable(node.right):
         return None
     try:
-        if evaluate(node.right, (0.0, 0.0, 0.0)) == 0.0:
-            return None
+        return l if evaluate(node.right, (0.0, 0.0, 0.0)) != 0.0 else None
     except EvalError:
         return None
-    return l
 
 
 def _has_variable(node):
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Num,)):
-        return False
-    if isinstance(node, Neg):
-        return _has_variable(node.child)
-    if isinstance(node, Call):
-        return _has_variable(node.arg)
-    return _has_variable(node.left) or _has_variable(node.right)
+    return isinstance(node, Var) or any(
+        _has_variable(c) for c in vars(node).values() if isinstance(c, Expr)
+    )

@@ -32,7 +32,7 @@ from .bezier import (
     RationalBezierCurve,
     _CONDITIONING_DEGREE,
     _batches,
-    _closure_gaps,
+    _closure_half_gaps,
     _curve_point_derivative,
     _homogeneous,
     _warn_if_high_degree,
@@ -90,18 +90,19 @@ class PlanarRegion:
                         "loops must consist of planar rational Bezier curves",
                         path=f"loops[{k}][{j}]",
                     )
-            # the diagonal of the loop's control bounding box, by np.hypot
-            # so that far-out coordinates do not overflow their squares
-            pts = np.concatenate([c.points for c in loop])
-            scale = float(np.hypot.reduce(pts.max(axis=0) - pts.min(axis=0)))
-            tol = _CLOSURE_REL_TOL * scale if scale > 0 else _CLOSURE_REL_TOL
-            for j, gap in enumerate(_closure_gaps(loop)):
-                if gap > tol:
+            # half the diagonal of the loop's control bounding box, from
+            # halved coordinates as the half gaps are: neither overflows,
+            # and an inf diagonal would make a tolerance that accepts all
+            pts = np.concatenate([c.points for c in loop]) / 2
+            half = float(np.hypot.reduce(pts.max(axis=0) - pts.min(axis=0)))
+            half_tol = _CLOSURE_REL_TOL * (half if half > 0 else 0.5)
+            for j, half_gap in enumerate(_closure_half_gaps(loop)):
+                if half_gap > half_tol:
                     nxt = (j + 1) % len(loop)
                     raise ValidationError(
                         f"curve {j} ends at {tuple(loop[j].end().tolist())} but curve "
                         f"{nxt} starts at {tuple(loop[nxt].start().tolist())} "
-                        f"(gap {gap:.3e}, tolerance {tol:.3e})",
+                        f"(gap {2 * float(half_gap):.3e}, tolerance {2 * half_tol:.3e})",
                         path=f"loops[{k}]",
                     )
 

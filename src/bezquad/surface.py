@@ -27,7 +27,7 @@ from .bezier import (
     RationalBezierCurve,
     RationalBezierPatch,
     _batches,
-    _closure_gaps,
+    _closure_half_gaps,
     _homogeneous,
     _patch_point_normal,
 )
@@ -80,10 +80,10 @@ class TrimLoop:
                 raise ValidationError(
                     f"segments[{j}]: control points leave the parameter square"
                 )
-        for j, gap in enumerate(_closure_gaps(segs)):
-            if gap > _CLOSURE_TOL:
+        for j, half_gap in enumerate(_closure_half_gaps(segs)):
+            if half_gap > _CLOSURE_TOL / 2:
                 raise ValidationError(
-                    f"segments[{j}] ends {gap:.3e} away from the next segment start"
+                    f"segments[{j}] ends {2 * half_gap:.3e} away from the next segment start"
                 )
 
 

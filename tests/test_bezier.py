@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -389,6 +390,23 @@ def test_control_net_faults_are_located(name, nets, json_message, kind):
     # the bare message stays next to its path, so a reader can relocate it
     assert f"{err.value.path}: {err.value.message}" == message
     assert err.value.path.startswith(("points", "weights"))
+
+
+@pytest.mark.parametrize("kind", ["curve", "patch"])
+@pytest.mark.parametrize("key", ["points", "weights"])
+@pytest.mark.parametrize("convert", [np.array, lambda a: np.array(a).tolist()], ids=["array", "list"])
+def test_complex_nets_are_refused(kind, key, convert):
+    # a float cast would keep only the real parts, even of 1 + 0j
+    net = {
+        "curve": {"points": [[0, 0], [1, 1]], "weights": [1, 1]},
+        "patch": {"points": np.zeros((2, 2, 3)), "weights": np.ones((2, 2))},
+    }[kind]
+    net[key] = convert(np.asarray(net[key]) + (2j if key == "points" else 0j))
+    build = {"curve": RationalBezierCurve, "patch": RationalBezierPatch}[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{key}: complex values are not supported$"):
+            build(**net)
 
 
 def test_weights_are_checked_finite_before_positive():

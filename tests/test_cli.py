@@ -160,6 +160,37 @@ def test_domain_error_exit_2(capsys):
     assert code == 2 and "domain error" in err
 
 
+def test_overflow_without_eval_error_exit_2(capsys):
+    # to_callable gives inf at the first point, where plain double
+    # arithmetic overflows to inf too and raises nothing to name
+    code, out, err = run(capsys, "integrate", "--model", CIRCLE, "--expr", "1e308*1e308*x")
+    assert (code, out) == (2, "")
+    assert err == "bezquad: integrand is not finite at (0.99998817224010272, -0.99654758944633537, 0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["rule2d", "--region", CIRCLE, "--mode", "spectral", "--order", "4", "--degree", "2"],
+         "--degree applies to --mode pe only"),
+        (["rule2d", "--region", CIRCLE, "--mode", "pe"], "--mode pe needs --degree"),
+        (["integrate", "--rule", "r.csv", "--expr", "1", "--pe"],
+         "--pe needs --model; a stored rule is fixed"),
+        (["integrate", "--rule", "r.csv", "--expr", "1", "--orders", "4,4"],
+         "--orders needs --model; a stored rule is fixed"),
+        (["integrate", "--model", CIRCLE, "--expr", "1", "--pe", "--orders", "4,4"],
+         "--pe sizes the rule itself; drop --orders"),
+        (["moments", "--model", CUBE, "--max-degree=-1"], "--max-degree must be nonnegative"),
+        (["convergence", "--model", CIRCLE, "--expr", "1", "--orders", "4:8"],
+         "--orders takes LO:HI:STEP"),
+        (["convergence", "--model", CIRCLE, "--expr", "1", "--orders", "4:a:2"],
+         "--orders: '4:a:2' is not LO:HI:STEP"),
+    ],
+)
+def test_flag_misuse_exit_1(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"bezquad: {message}\n")
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "integrate", "--model", "/nope.json", "--expr", "1")
     assert code == 1 and "no such file" in err

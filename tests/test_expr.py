@@ -21,6 +21,7 @@ from bezquad.planar import integrate2d, spectral_pe_rule, spectral_rule
 from bezquad.shapes import circle_region
 
 from conftest import expr_tree_text, random_expr_tree, reference_expr_eval
+from expr_reference import reference_evaluate, reference_to_callable
 
 
 def ev(text, point=(0.0, 0.0, 0.0)):
@@ -62,6 +63,10 @@ def test_syntax_error_offsets():
         parse("")
     with pytest.raises(ParseError, match="expected '\\)'"):
         parse("sin(x")
+    with pytest.raises(ParseError, match="^expected '\\)' at offset 6$"):
+        parse("(x + y")
+    with pytest.raises(ParseError, match="^sqrt needs a parenthesized argument at offset 5$"):
+        parse("sqrt x")
 
 
 def test_exponent_must_be_integer_literal():
@@ -91,6 +96,8 @@ def test_domain_errors_carry_node_and_point():
         ev("log(x)", (0, 0, 0))
     with pytest.raises(EvalError, match="overflow"):
         ev("exp(x)", (1000, 0, 0))
+    with pytest.raises(EvalError, match=r"^overflow in x\^400 at point \(10, 0, 0\)$"):
+        ev("x^400", (10, 0, 0))
 
 
 def test_round_trip_minimal_parens():
@@ -108,10 +115,20 @@ def test_round_trip_minimal_parens():
         "sqrt(x^2 + y^2)",
         "x - -y",
         "x*(y + z)*x",
+        "2^100000000000000000000",  # an exponent prints as an integer literal
     ]
     for text in cases:
         tree = parse(text)
         assert parse(to_text(tree)) == tree, text
+    # a negative literal (the parser only makes Neg) prints with unary-minus
+    # precedence, so it reparses to the same value
+    for tree, value in [
+        (BinOp("^", Num(-2.0), Num(2.0)), 4.0),
+        (BinOp("-", Var("x"), Num(-2.5)), 3.5),
+        (BinOp("*", Num(-0.0), Var("x")), -0.0),
+    ]:
+        again = parse(to_text(tree))
+        assert evaluate(again, (1, 0, 0)).hex() == evaluate(tree, (1, 0, 0)).hex() == value.hex()
 
 
 def test_to_text_prints_integral_floats_as_integers():
@@ -263,3 +280,45 @@ def test_constant_callable_returns_float64_array_shaped_like_x(text):
     out = to_callable(parse(text))(x, x)
     assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (3, 4)
     assert out.flags.writeable
+
+
+_EDGE_EXPRESSIONS = [
+    "1/0", "exp(1000)", "log(0)", "sqrt(-1)^0", "(1/0)^0", "1e200^2", "2^100000000000000000000",
+    "x^0", "exp(x)^3", "x^1", "sqrt(x)^1", "log(x)^0", "-0", "0/0", "x/0", "x/(y - y)",
+    "log(-x)", "exp(1000*x)", "1e308*1e308*x", "10^400", "x^400", "-(x^0)", "(x*y)^0 + sin(1)",
+]
+
+
+def _scalar_outcome(node, point, evaluate):
+    """The float's bits, or the exception's type and text."""
+    try:
+        value = evaluate(node, point)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex()
+
+
+def _vector_outcome(node, args, to_callable):
+    """Type, dtype, shape and bytes of the result, or the exception's type and text."""
+    try:
+        out = to_callable(node)(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(out), out.dtype, out.shape, out.tobytes()
+
+
+def test_interpreter_matches_the_two_walks_it_replaced():
+    rng = np.random.default_rng(1919)
+    texts = _EDGE_EXPRESSIONS + [expr_tree_text(random_expr_tree(rng)) for _ in range(3000)]
+    x, y, z = rng.uniform(-2.0, 2.0, (3, 5))
+    points = [(0.0, 0.0, 0.0), (1.5, -2.0, 0.25), (-0.75, 1e-3, 2.0)]
+    vector_args = [(x, y, z), (x, y), (x[:1], y[:1], z[:1]), (1.25, -0.5, 0.75)]
+    for text in texts:
+        node = parse(text)
+        for point in points:
+            got = _scalar_outcome(node, point, evaluate)
+            assert got == _scalar_outcome(node, point, reference_evaluate), (text, point)
+        for args in vector_args:
+            got = _vector_outcome(node, args, to_callable)
+            assert got[0] is not EvalError, (text, got)
+            assert got == _vector_outcome(node, args, reference_to_callable), (text, len(args))

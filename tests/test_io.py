@@ -140,6 +140,12 @@ _FLAT_PATCH = {"points": [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]]}
             {"patches": [dict(_FLAT_PATCH, trim_loops="ab")]},
             r"^patches\[0\]\.trim_loops: must be a list of curve loops$",
         ),
+        ({"loops": [[5]]}, r"^loops\[0\]\[0\]: expected a curve object$"),
+        ({"patches": [[1]]}, r"^patches\[0\]: expected a patch object$"),
+        ({"loops": [[{"weights": [1, 1]}]]}, r"^loops\[0\]\[0\]: missing 'points'$"),
+        ({"loops": [[]]}, r"^loops\[0\]: must be a nonempty list of curves$"),
+        ({"loops": [{}]}, r"^loops\[0\]: must be a nonempty list of curves$"),
+        ({"patches": {}}, r"^patches: 'patches' must be a nonempty list$"),
     ],
 )
 def test_schema_violations_report_paths(tmp_path, doc, fragment):
@@ -148,6 +154,24 @@ def test_schema_violations_report_paths(tmp_path, doc, fragment):
     loader = load_region if "loops" in doc else load_solid
     with pytest.raises(ValidationError, match=fragment):
         loader(path)
+
+
+@pytest.mark.parametrize(
+    "load,doc,message",
+    [
+        (load_region, {"patches": [_FLAT_PATCH]}, "region file needs a top-level 'loops' list"),
+        (load_region, [], "region file needs a top-level 'loops' list"),
+        (load_solid, {"loops": []}, "solid file needs a top-level 'patches' list"),
+        (load_solid, "cube", "solid file needs a top-level 'patches' list"),
+        (io.load_model, {"curves": []}, "expected a 'loops' or 'patches' document"),
+        (io.load_model, [1], "expected a 'loops' or 'patches' document"),
+    ],
+)
+def test_document_kind_is_checked_first(tmp_path, load, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load(path)
 
 
 def _faulty_document(where, obj):

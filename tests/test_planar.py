@@ -227,19 +227,34 @@ def test_open_loop_rejected():
         PlanarRegion(((a, b),))
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e300])
+_OPEN_AT_SCALE = {
+    1e200: "loops[0]: curve 2 ends at (1e+200, 1.5e+200) but curve 0 starts at (1e+200, 1e+200) "
+    "(gap 5.000e+199, tolerance 1.118e+190)",
+    1e300: "loops[0]: curve 2 ends at (1e+300, 1.5e+300) but curve 0 starts at (1e+300, 1e+300) "
+    "(gap 5.000e+299, tolerance 1.118e+290)",
+    # the gap, 2e308, is past the float range
+    1e308: "loops[0]: curve 2 ends at (-1e+308, 1e+308) but curve 0 starts at (-1e+308, -1e+308) "
+    "(gap inf, tolerance 2.828e+298)",
+}
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e308])
 def test_closure_check_does_not_overflow(scale):
     # the closure tolerance scales with the control box diagonal, whose
-    # squared coordinates overflow at this scale: the open loop passed
-    corners = [(1, 1), (2, 1), (1.5, 1.5)]
+    # squared coordinates overflow at this scale: the open loop passed.
+    # At 1e308 the corners span the float range, so even their differences
+    # overflow unless halved first
+    corners = [(-1, -1), (1, -1), (1, 1)] if scale == 1e308 else [(1, 1), (2, 1), (1.5, 1.5)]
     closed = polygon_loop([(scale * x, scale * y) for x, y in corners])
     a, b, _ = closed
-    c = RationalBezierCurve([(1.5 * scale, 1.5 * scale), (scale, 1.5 * scale)], [1, 1])
+    (x0, _), _, (x2, y2) = corners
+    c = RationalBezierCurve([(x2 * scale, y2 * scale), (x0 * scale, y2 * scale)], [1, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         PlanarRegion((closed,))
-        with pytest.raises(ValidationError, match=r"curve 2 ends at .* \(gap 5\.000e\+(199|299),"):
+        with pytest.raises(ValidationError) as err:
             PlanarRegion(((a, b, c),))
+    assert str(err.value) == _OPEN_AT_SCALE[scale]
 
 
 def test_non_finite_vertex_rejected():
