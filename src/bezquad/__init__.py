@@ -6,175 +6,25 @@ pushed to the boundary with Green's/Stokes' theorem and the inner
 antiderivative is evaluated with one extra layer of Gauss points.
 """
 
-from .bezier import (
-    BoundingBox,
-    RationalBezierCurve,
-    RationalBezierPatch,
-    bernstein_to_monomial,
-    control_bbox,
-    eval_curve,
-    eval_curve_derivative,
-    eval_patch,
-    monomial_to_bernstein,
-    patch_normal,
-)
-from .errors import (
-    ConditioningError,
-    EvalError,
-    ParseError,
-    QuadratureError,
-    ValidationError,
-)
-from .expr import (
-    Expr,
-    evaluate,
-    parse,
-    polynomial_degree,
-    to_callable,
-    to_text,
-)
-from .io import (
-    bundled,
-    load_model,
-    load_region,
-    load_rule,
-    load_solid,
-    load_trim_points,
-    save_moments,
-    save_region,
-    save_rule,
-    save_solid,
-)
-from .moments import (
-    MomentVector,
-    geometric_moments,
-    moment_fit_weights,
-    monomial_exponents,
-)
-from .planar import (
-    PlanarRegion,
-    Rule,
-    Rule2D,
-    apply,
-    integrate2d,
-    region_constant_C,
-    spectral_pe_rule,
-    spectral_rule,
-)
-from .quad1d import (
-    PoleSet,
-    Rule1D,
-    gauss_legendre,
-    interval_distance,
-    partial_fraction_moment,
-    rational_rule,
-    weight_poly_roots,
-)
-from .surface import (
-    SurfaceRule,
-    TrimLoop,
-    TrimmedPatch,
-    boundary_rule,
-    parametric_area_rule,
-    patch_rule,
-    surface_integrate,
-    unit_square_loop,
-)
-from .volume import Rule3D, SolidModel, solid_constant_Pz, volume_integrate, volume_rule
-from .trimfit import fit_trim_curves
-from .shapes import (
-    annulus_region,
-    bilinear_patch,
-    box_solid,
-    circle_loop,
-    circle_region,
-    cylinder_solid,
-    cylinder_solid_fitted,
-    flip_patch,
-    flip_solid,
-    polygon_loop,
-    quarter_arc,
-    square_region,
-)
+from . import bezier, errors, expr, io, moments, planar, quad1d
+from . import shapes, surface, trimfit, volume
+from .bezier import *
+from .errors import *
+from .expr import *
+from .io import *
+from .moments import *
+from .planar import *
+from .quad1d import *
+from .shapes import *
+from .surface import *
+from .trimfit import *
+from .volume import *
 
 __version__ = "0.1.0"
 
+# every module's public names, modules in alphabetical order
 __all__ = [
-    "BoundingBox",
-    "RationalBezierCurve",
-    "RationalBezierPatch",
-    "bernstein_to_monomial",
-    "control_bbox",
-    "eval_curve",
-    "eval_curve_derivative",
-    "eval_patch",
-    "monomial_to_bernstein",
-    "patch_normal",
-    "ConditioningError",
-    "EvalError",
-    "ParseError",
-    "QuadratureError",
-    "ValidationError",
-    "Expr",
-    "evaluate",
-    "parse",
-    "polynomial_degree",
-    "to_callable",
-    "to_text",
-    "bundled",
-    "load_model",
-    "load_region",
-    "load_rule",
-    "load_solid",
-    "load_trim_points",
-    "save_moments",
-    "save_region",
-    "save_rule",
-    "save_solid",
-    "MomentVector",
-    "geometric_moments",
-    "moment_fit_weights",
-    "monomial_exponents",
-    "PlanarRegion",
-    "Rule",
-    "Rule2D",
-    "apply",
-    "integrate2d",
-    "region_constant_C",
-    "spectral_pe_rule",
-    "spectral_rule",
-    "PoleSet",
-    "Rule1D",
-    "gauss_legendre",
-    "interval_distance",
-    "partial_fraction_moment",
-    "rational_rule",
-    "weight_poly_roots",
-    "SurfaceRule",
-    "TrimLoop",
-    "TrimmedPatch",
-    "boundary_rule",
-    "parametric_area_rule",
-    "patch_rule",
-    "surface_integrate",
-    "unit_square_loop",
-    "Rule3D",
-    "SolidModel",
-    "solid_constant_Pz",
-    "volume_integrate",
-    "volume_rule",
-    "fit_trim_curves",
-    "annulus_region",
-    "bilinear_patch",
-    "box_solid",
-    "circle_loop",
-    "circle_region",
-    "cylinder_solid",
-    "cylinder_solid_fitted",
-    "flip_patch",
-    "flip_solid",
-    "polygon_loop",
-    "quarter_arc",
-    "square_region",
-    "__version__",
-]
+    name
+    for module in (bezier, errors, expr, io, moments, planar, quad1d, shapes, surface, trimfit, volume)
+    for name in module.__all__
+] + ["__version__"]

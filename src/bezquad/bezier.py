@@ -295,12 +295,25 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
 _CONDITIONING_DEGREE = 20
 
 
-def _warn_if_high_degree(n):
+def _warn_if_high_degree(n, stacklevel=3):
     if n > _CONDITIONING_DEGREE:
         warnings.warn(
             f"basis conversion at degree {n} amplifies rounding by roughly 10^{n // 2}",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+def _basis_change(coeffs, entry):
+    """``mat @ coeffs`` for the (n+1) x (n+1) lower-triangular matrix with
+    ``mat[i, j] = entry(n, i, j)``; extra axes of ``coeffs`` pass through."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = coeffs.shape[0] - 1
+    _warn_if_high_degree(n, stacklevel=4)
+    mat = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        for j in range(i + 1):
+            mat[i, j] = entry(n, i, j)
+    return mat @ coeffs.reshape(n + 1, -1) if coeffs.ndim > 1 else mat @ coeffs
 
 
 def bernstein_to_monomial(coeffs) -> np.ndarray:
@@ -310,26 +323,14 @@ def bernstein_to_monomial(coeffs) -> np.ndarray:
     basis; extra axes (e.g. coordinates) pass through.  The conversion is
     exact in exact arithmetic but its conditioning grows like 10^(n/2).
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.shape[0] - 1
-    _warn_if_high_degree(n)
-    mat = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for j in range(i + 1):
-            mat[i, j] = (-1) ** (i - j) * math.comb(n, i) * math.comb(i, j)
-    return mat @ coeffs.reshape(n + 1, -1) if coeffs.ndim > 1 else mat @ coeffs
+    return _basis_change(
+        coeffs, lambda n, i, j: (-1) ** (i - j) * math.comb(n, i) * math.comb(i, j)
+    )
 
 
 def monomial_to_bernstein(coeffs) -> np.ndarray:
     """Monomial coefficients (ascending powers) -> Bernstein coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.shape[0] - 1
-    _warn_if_high_degree(n)
-    mat = np.zeros((n + 1, n + 1))
-    for j in range(n + 1):
-        for i in range(j + 1):
-            mat[j, i] = math.comb(j, i) / math.comb(n, i)
-    return mat @ coeffs.reshape(n + 1, -1) if coeffs.ndim > 1 else mat @ coeffs
+    return _basis_change(coeffs, lambda n, i, j: math.comb(i, j) / math.comb(n, j))
 
 
 def _closure_half_gaps(curves):

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ValidationError",
+    "ConditioningError",
+    "QuadratureError",
+    "ParseError",
+    "EvalError",
+]
+
 
 class ValidationError(ValueError):
     """Bad geometry, bad file content, or arguments outside a contract.

@@ -11,12 +11,13 @@ them in two modes that differ only in their primitive tables.
 ``evaluate`` runs one point through ``operator`` and ``math``, which
 raise where the point leaves the domain; the error names the offending
 subexpression and point.  ``to_callable`` runs arrays through numpy,
-which gives inf or nan there instead.  It spreads a constant to the
-shape of ``x`` before a function or a power acts on it, since numpy's
-vector kernels need not give the bits of a one-element call, so every
-point of the result rounds alike.  ``polynomial_degree`` decides whether
-the tree is a polynomial, which is what routes the CLI to the
-polynomially exact planar rules.
+which gives inf or nan there instead.  In both, x^0 is nan wherever x is
+not finite, so a zeroth power hides no fault.  ``to_callable`` spreads a
+constant to the shape of ``x`` before a function or a power acts on it,
+since numpy's vector kernels need not give the bits of a one-element
+call, so every point of the result rounds alike.  ``polynomial_degree``
+decides whether the tree is a polynomial, which is what routes the CLI
+to the polynomially exact planar rules.
 """
 
 from __future__ import annotations
@@ -283,10 +284,14 @@ def _run(node, env, mode, spread):
     if isinstance(node, Call):
         fn, args = functions[node.fn], (spread(_run(node.arg, env, mode, spread)),)
     elif node.op == "^":
-        # the base runs first, so x^0 does not hide a fault inside x
+        # the base runs first, so x^0 does not hide a fault inside x, and
+        # x^0 is nan wherever x is not finite
         base, k = _run(node.left, env, mode, spread), int(node.right.value)
-        if k < 2:
-            return base if k else 1.0
+        if k == 0:
+            finite = np.isfinite(base)
+            return 1.0 if finite.all() else np.where(finite, 1.0, np.nan)[()]
+        if k == 1:
+            return base
         fn, args = operator.pow, (spread(base), k)
     else:
         fn = binary[node.op]

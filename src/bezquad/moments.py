@@ -8,7 +8,8 @@ z antiderivative, integral_V x^a y^b z^c dV = 1/(c+1) integral_S x^a y^b
 z^(c+1) n_z dS, on a z-normal boundary rule (the Gauss-Green route of
 Sommariva and Vianello).  When every patch is polynomial or carries no
 z-flux, that integrand is a polynomial in each patch's (u, v), and one
-rule sized by the degree integrates it exactly, trims included.  A solid
+rule sized by the degree integrates it exactly, trims included; the
+sizing is surface._exact_z_rule, described in the surface module.  A solid
 with a rational patch that carries z-flux gets spectral rules instead,
 cross-checked against doubled orders.  Every moment vector is summed from
 one power table per coordinate, with one small matrix product.
@@ -20,7 +21,6 @@ moment vector.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,10 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .bezier import _homogeneous
-from .planar import PlanarRegion, _equal_weights, _frozen, _pe_region_rule, spectral_pe_rule
+from .planar import PlanarRegion, spectral_pe_rule
 from .quad1d import _as_int
-from .surface import _mapped_rule, _parts, boundary_rule
+from .surface import _exact_z_rule, boundary_rule
 from .volume import SolidModel
 
 __all__ = [
@@ -117,7 +116,10 @@ def _sum_plan(p, dim):
     exps = monomial_exponents(p, dim)
     lead = {}
     row = [lead.setdefault(e[:-1], len(lead)) for e in exps]
-    return tuple(_frozen(np.array(a)) for a in (list(lead), row, [e[-1] for e in exps]))
+    plan = tuple(np.array(a) for a in (list(lead), row, [e[-1] for e in exps]))
+    for a in plan:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return plan
 
 
 def _moment_sums(points, weights, p):
@@ -137,42 +139,6 @@ def _moment_sums(points, weights, p):
 def _region_moments(region: PlanarRegion, p: int) -> MomentVector:
     rule = spectral_pe_rule(region, p)
     return MomentVector(p, 2, _moment_sums(rule.points, rule.weights, p))
-
-
-def _z_flux_free(patch) -> bool:
-    """Whether n_z is identically zero: the homogeneous (w x, w y, w) net
-    is the same in every row or in every column, so x and y do not depend
-    on one parameter.  The normal's z row is then exactly 0."""
-    h = _homogeneous(patch.points, patch.weights)[..., [0, 1, 3]]
-    return bool((h == h[:1]).all() or (h == h[:, :1]).all())
-
-
-def _exact_z_rule(patches, p):
-    """A z-normal boundary rule that integrates x^a y^b z^(c+1) n_z exactly
-    for a + b + c <= p, or None when a rational patch carries z-flux.
-
-    On a polynomial patch of degrees (m, n) that integrand is a polynomial
-    in (u, v) of total degree K = (m+n)(p+1) + 2(m+n) - 2.  An untrimmed
-    patch takes the ceil((K+1)/2) tensor Gauss grid; a patch with no
-    z-flux adds exact zeros, so one point.  The trim segments of every
-    trimmed patch share one degree-exact Green's-theorem rule in (u, v),
-    as spectral_pe_rule builds for planar regions, at the largest K among
-    trimmed patches and from height 0.
-    """
-    bounds = []
-    for tp in patches:
-        if _z_flux_free(tp.patch):
-            bounds.append(0)
-        elif _equal_weights(tp.patch.weights.ravel()):
-            m_n = tp.patch.degree_u + tp.patch.degree_v
-            bounds.append(m_n * (p + 1) + 2 * m_n - 2)
-        else:
-            return None
-    trimmed = [k for k, tp in zip(bounds, patches) if tp.loops]
-    segs = [seg for tp in patches for loop in tp.loops for seg in loop.segments]
-    para = _pe_region_rule(segs, max(trimmed), 0.0) if trimmed else None
-    layers = [math.ceil((k + 1) / 2) for k in bounds]
-    return _mapped_rule([tp.patch for tp in patches], _parts(patches, para, layers), "z-normal")
 
 
 def _solid_moments(solid: SolidModel, p: int) -> MomentVector:

@@ -181,25 +181,11 @@ def weight_poly_roots(weights) -> list[complex]:
     mono = mono[: keep[-1] + 1]
     raw = np.roots(mono[::-1])
 
-    reals: list[float] = []
-    pos: list[complex] = []
-    neg: list[complex] = []
-    for r in raw:
-        if abs(r.imag) <= 1e-10 * (1.0 + abs(r.real)):
-            reals.append(r.real)
-        elif r.imag > 0:
-            pos.append(complex(r))
-        else:
-            neg.append(complex(r))
-    # eigenvalue output is only approximately conjugate-symmetric
-    pairs: list[complex] = []
-    for p in pos:
-        if neg:
-            k = min(range(len(neg)), key=lambda i: abs(p - neg[i].conjugate()))
-            pairs.append(0.5 * (p + neg.pop(k).conjugate()))
-        else:
-            reals.append(p.real)
-    reals.extend(q.real for q in neg)
+    # np.roots of real coefficients returns exact conjugate pairs, so the
+    # upper half-plane roots stand for the pairs
+    real = np.abs(raw.imag) <= 1e-10 * (1.0 + np.abs(raw.real))
+    reals = raw.real[real].tolist()
+    pairs = [complex(r) for r in raw[~real & (raw.imag > 0)]]
 
     def cluster(values, key):
         values = sorted(values, key=key)

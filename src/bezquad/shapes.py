@@ -110,33 +110,27 @@ def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
     return SolidModel(tuple(TrimmedPatch(p) for p in patches))
 
 
-def _cap_patch(center, half, z, bottom, trim):
-    """Square cap of half-extent ``half`` about the axis, trimmed by ``trim``.
+def _capped_cylinder(center, radius, z0, height, half, trim) -> SolidModel:
+    """The four side patches, then top and bottom square caps of
+    half-extent ``half`` about the axis, both trimmed by ``trim``.
 
     The bottom cap mirrors v so its normal points down while the trim
     loop stays counter-clockwise in (u, v).
     """
-    cx, cy = center
-    if bottom:
-        corner = lambda u, v: (cx + (2 * u - 1) * half, cy + (1 - 2 * v) * half, z)
-    else:
-        corner = lambda u, v: (cx + (2 * u - 1) * half, cy + (2 * v - 1) * half, z)
-    patch = bilinear_patch(corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1))
-    return TrimmedPatch(patch, (trim,))
-
-
-def _cylinder_sides(center, radius, z0, z1):
-    sides = []
+    (cx, cy), z1 = center, z0 + height
+    patches = []
     for q in range(4):
         arc = quarter_arc(center, radius, q)
         pts = np.empty((3, 2, 3))
-        pts[:, 0, :2] = arc.points
-        pts[:, 1, :2] = arc.points
-        pts[:, 0, 2] = z0
-        pts[:, 1, 2] = z1
+        pts[:, :, :2] = arc.points[:, None]
+        pts[:, :, 2] = z0, z1
         wts = np.repeat(arc.weights[:, None], 2, axis=1)
-        sides.append(TrimmedPatch(RationalBezierPatch(pts, wts)))
-    return sides
+        patches.append(TrimmedPatch(RationalBezierPatch(pts, wts)))
+    for z, flip in ((z1, 1), (z0, -1)):
+        corner = lambda u, v: (cx + (2 * u - 1) * half, cy + flip * (2 * v - 1) * half, z)
+        cap = bilinear_patch(corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1))
+        patches.append(TrimmedPatch(cap, (trim,)))
+    return SolidModel(tuple(patches))
 
 
 def cylinder_solid(center=(0.0, 0.0), radius=1.0, z0=0.0, height=1.0) -> SolidModel:
@@ -146,12 +140,8 @@ def cylinder_solid(center=(0.0, 0.0), radius=1.0, z0=0.0, height=1.0) -> SolidMo
     plus two planar caps trimmed by the parameter-space circle of radius
     1/2 about (1/2, 1/2).
     """
-    z1 = z0 + height
-    sides = _cylinder_sides(center, radius, z0, z1)
     trim = TrimLoop(tuple(circle_loop((0.5, 0.5), 0.5)))
-    top = _cap_patch(center, radius, z1, bottom=False, trim=trim)
-    bottom = _cap_patch(center, radius, z0, bottom=True, trim=trim)
-    return SolidModel(tuple(sides) + (top, bottom))
+    return _capped_cylinder(center, radius, z0, height, radius, trim)
 
 
 def cylinder_solid_fitted(
@@ -169,9 +159,6 @@ def cylinder_solid_fitted(
     their parameter squares.  Volume error falls like the fourth power of
     ``segments``.
     """
-    z1 = z0 + height
-    sides = _cylinder_sides(center, radius, z0, z1)
-
     segments = _as_int(segments, "segments", 1)
     samples_per_segment = _as_int(samples_per_segment, "samples per segment", 1)
     theta = np.linspace(0.0, 2.0 * np.pi, segments * samples_per_segment + 1)
@@ -182,9 +169,7 @@ def cylinder_solid_fitted(
 
     # cap squares with half-extent 1.25 r: the parametric circle of radius
     # 0.4 maps exactly onto the cross-section of radius r
-    top = _cap_patch(center, 1.25 * radius, z1, bottom=False, trim=trim)
-    bottom = _cap_patch(center, 1.25 * radius, z0, bottom=True, trim=trim)
-    return SolidModel(tuple(sides) + (top, bottom))
+    return _capped_cylinder(center, radius, z0, height, 1.25 * radius, trim)
 
 
 def flip_patch(tp: TrimmedPatch) -> TrimmedPatch:

@@ -13,10 +13,19 @@ Untrimmed patches skip the boundary construction entirely and use a
 tensor-product Gauss grid over the whole square; ``_parts`` alone makes
 that choice.  A union of patches is integrated by its boundary rule, whose
 trim segments, over all its patches, share one planar rule.
+
+A boundary rule is sized one of two ways.  boundary_rule takes Gauss
+orders.  ``_exact_z_rule`` sizes a z-normal rule by a polynomial degree
+p instead: when every patch is polynomial or carries no z-flux,
+x^a y^b z^(c+1) n_z with a + b + c <= p is a polynomial in each patch's
+(u, v) of known degree, so Gauss grids of that degree and the paper's
+degree-exact Green's-theorem rule over the trim segments integrate it
+exactly.  Solid moments use it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +41,7 @@ from .bezier import (
     _patch_point_normal,
 )
 from .errors import ValidationError
-from .planar import Rule, _frozen, _region_rule, apply
+from .planar import Rule, _equal_weights, _frozen, _pe_region_rule, _region_rule, apply
 from .quad1d import _orders, gauss_legendre
 
 __all__ = [
@@ -187,23 +196,6 @@ def _parts(tps, para, tensor_orders):
     ]
 
 
-def _gauss_parts(tps, m_q, n_q):
-    """The parts of patch_rule and boundary_rule: Green's theorem over the
-    trim loops with m_q boundary and n_q layer nodes, or for an untrimmed
-    patch the max(m_q, n_q) tensor Gauss grid."""
-    loops = [loop for tp in tps for loop in tp.loops]
-    para = parametric_area_rule(loops, m_q, n_q) if loops else None
-    return _parts(tps, para, [max(m_q, n_q)] * len(tps))
-
-
-def _check_weight_mode(weight_mode):
-    # before the parametric pass, which costs a planar rule over every trim
-    if weight_mode not in _WEIGHT_MODES:
-        raise ValidationError(
-            f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}"
-        )
-
-
 def _mapped_rule(patches, parts, weight_mode) -> Rule:
     """Push each patch's parametric part through that patch and scale the
     weights by the requested normal factor.
@@ -243,25 +235,20 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
 
 
 def patch_rule(tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
-    """Quadrature rule over one patch, numbered patch 0.
-
-    A trimmed patch gets Green's theorem over its trim loops (m_q
-    boundary nodes per trim segment, n_q per vertical run); an untrimmed
-    one the max(m_q, n_q) tensor Gauss grid.  ``full-normal`` weights
-    integrate against the surface area measure, ``z-normal`` weights
-    against n_z, which is what the volume construction consumes.
-    """
-    tp = _as_trimmed_patch(tp)
-    m_q, n_q = _orders(m_q, n_q)
-    _check_weight_mode(weight_mode)
-    return _mapped_rule([tp.patch], _gauss_parts([tp], m_q, n_q), weight_mode)
+    """The boundary_rule of one patch, numbered patch 0."""
+    return boundary_rule([_as_trimmed_patch(tp)], m_q, n_q, weight_mode)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
-    """A solid's one boundary rule: the patch_rule of every patch, in patch
-    order.  Every trim segment of every patch goes through one planar
-    pass, and each group of patches with one control-net shape is mapped
-    in one pass.
+    """A solid's one boundary rule: every patch's part, in patch order.
+
+    A trimmed patch gets Green's theorem over its trim loops (m_q
+    boundary nodes per trim segment, n_q per vertical run); an untrimmed
+    one the max(m_q, n_q) tensor Gauss grid.  Every trim segment of every
+    patch goes through one planar pass, and each group of patches with one
+    control-net shape is mapped in one pass.  ``full-normal`` weights
+    integrate against the surface area measure, ``z-normal`` weights
+    against n_z, which is what the volume construction consumes.
 
     ``bezquad rule-surface`` writes it in full-normal mode; volume_rule lifts
     it and solid moments integrate against it in z-normal mode.
@@ -270,9 +257,49 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
     if not patches:
         raise ValidationError("boundary rule needs at least one patch")
     m_q, n_q = _orders(m_q, n_q)
-    _check_weight_mode(weight_mode)
-    parts = _gauss_parts(patches, m_q, n_q)
+    # before the parametric pass, which costs a planar rule over every trim
+    if weight_mode not in _WEIGHT_MODES:
+        raise ValidationError(f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}")
+    loops = [loop for tp in patches for loop in tp.loops]
+    para = parametric_area_rule(loops, m_q, n_q) if loops else None
+    parts = _parts(patches, para, [max(m_q, n_q)] * len(patches))
     return _mapped_rule([tp.patch for tp in patches], parts, weight_mode)
+
+
+def _z_flux_free(patch) -> bool:
+    """Whether n_z is identically zero: the homogeneous (w x, w y, w) net
+    is the same in every row or in every column, so x and y do not depend
+    on one parameter.  The normal's z row is then exactly 0."""
+    h = _homogeneous(patch.points, patch.weights)[..., [0, 1, 3]]
+    return bool((h == h[:1]).all() or (h == h[:, :1]).all())
+
+
+def _exact_z_rule(patches, p):
+    """A z-normal boundary rule that integrates x^a y^b z^(c+1) n_z exactly
+    for a + b + c <= p, or None when a rational patch carries z-flux.
+
+    On a polynomial patch of degrees (m, n) that integrand is a polynomial
+    in (u, v) of total degree K = (m+n)(p+1) + 2(m+n) - 2.  An untrimmed
+    patch takes the ceil((K+1)/2) tensor Gauss grid; a patch with no
+    z-flux adds exact zeros, so one point.  The trim segments of every
+    trimmed patch share one degree-exact Green's-theorem rule in (u, v),
+    as spectral_pe_rule builds for planar regions, at the largest K among
+    trimmed patches and from height 0.
+    """
+    bounds = []
+    for tp in patches:
+        if _z_flux_free(tp.patch):
+            bounds.append(0)
+        elif _equal_weights(tp.patch.weights.ravel()):
+            m_n = tp.patch.degree_u + tp.patch.degree_v
+            bounds.append(m_n * (p + 1) + 2 * m_n - 2)
+        else:
+            return None
+    trimmed = [k for k, tp in zip(bounds, patches) if tp.loops]
+    segs = [seg for tp in patches for loop in tp.loops for seg in loop.segments]
+    para = _pe_region_rule(segs, max(trimmed), 0.0) if trimmed else None
+    layers = [math.ceil((k + 1) / 2) for k in bounds]
+    return _mapped_rule([tp.patch for tp in patches], _parts(patches, para, layers), "z-normal")
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:

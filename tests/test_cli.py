@@ -162,6 +162,21 @@ def test_domain_error_exit_2(capsys):
     assert code == 2 and "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "expr,message",
+    [
+        ("log(x - 5)^0", "domain error in log(x - 5)"),
+        ("(1/0)^0", "division by zero in 1 / 0"),
+        ("sqrt(-1)^0", "domain error in sqrt(-1)"),
+        ("exp(x*1000)^0", "overflow in exp(x * 1000)"),
+    ],
+)
+def test_zeroth_power_does_not_hide_a_fault(capsys, expr, message):
+    code, out, err = run(capsys, "integrate", "--model", CIRCLE, "--expr", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bezquad: {message} at point (")
+
+
 def test_overflow_without_eval_error_exit_2(capsys):
     # to_callable gives inf at the first point, where plain double
     # arithmetic overflows to inf too and raises nothing to name

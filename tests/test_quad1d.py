@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bezquad.bezier import bernstein_to_monomial
 from bezquad.errors import ConditioningError, ValidationError
 from bezquad.moments import geometric_moments, moment_fit_weights, monomial_exponents
 from bezquad.planar import spectral_pe_rule, spectral_rule
@@ -24,6 +25,8 @@ from bezquad.shapes import box_solid, circle_region, cylinder_solid, cylinder_so
 from bezquad.surface import boundary_rule, patch_rule, surface_integrate
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import volume_rule
+
+from quad1d_reference import reference_weight_poly_roots
 
 CIRCLE_POLE = 0.5 + 1.2071067811865476j
 
@@ -136,6 +139,25 @@ def test_roots_conjugate_paired():
         # positive weights keep w(s) > 0 on [0, 1]
         for r in roots:
             assert interval_distance(r) > 1e-8
+
+
+def test_weight_poly_roots_match_the_pairing_search_they_replaced():
+    # positive weights, as rational curves carry, and mixed signs, whose
+    # polynomials have real roots too
+    rng = np.random.default_rng(2718)
+    order = lambda r: (r.real, r.imag)
+    for degree in range(1, 21):
+        for lo in (0.2, -1.0):
+            for _ in range(25):
+                w = rng.uniform(lo, 3.0, degree + 1)
+                assert weight_poly_roots(w) == reference_weight_poly_roots(w), w.tolist()
+                # np.roots of real coefficients: exact conjugate pairs
+                mono = bernstein_to_monomial(w)
+                mono = mono[: np.flatnonzero(np.abs(mono) > 1e-12 * np.abs(mono).max())[-1] + 1]
+                raw = np.roots(mono[::-1])
+                upper = sorted((complex(r) for r in raw if r.imag > 0), key=order)
+                lower = sorted((complex(r).conjugate() for r in raw if r.imag < 0), key=order)
+                assert upper == lower, w.tolist()
 
 
 def test_partial_fraction_moment_anchors():

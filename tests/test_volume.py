@@ -13,10 +13,14 @@ from bezquad import (
     apply,
     bilinear_patch,
     box_solid,
+    circle_loop,
     control_bbox,
     cylinder_solid,
+    cylinder_solid_fitted,
+    fit_trim_curves,
     flip_patch,
     flip_solid,
+    patch_normal,
     patch_rule,
     solid_constant_Pz,
     volume_integrate,
@@ -51,6 +55,38 @@ def test_cylinder_volume_pi():
 def test_cylinder_z_moment():
     got = volume_integrate(cylinder_solid(), lambda x, y, z: z, 12, 12)
     assert abs(got - np.pi / 2) < 1e-10
+
+
+@pytest.mark.parametrize("c,r,z0,h", [((0.0, 0.0), 1.0, 0.0, 1.0), ((0.3, -0.2), 0.7, -0.5, 1.3)])
+def test_cylinder_builders_share_one_capped_assembly(c, r, z0, h):
+    exact, fitted = cylinder_solid(c, r, z0, h), cylinder_solid_fitted(c, r, z0, h)
+    for a, b in zip(exact.patches[:4], fitted.patches[:4]):
+        assert a.loops == b.loops == ()
+        assert a.patch.points.tobytes() == b.patch.points.tobytes()
+        assert a.patch.weights.tobytes() == b.patch.weights.tobytes()
+    # square caps of half-extent r (exact arcs) or 1.25 r (fitted cubics)
+    # about the axis; u runs along +x, and v along +y on top but along -y
+    # on the bottom, so its normal points down under the same trim loop
+    (cx, cy), z1 = c, z0 + h
+    theta = np.linspace(0.0, 2.0 * np.pi, 8 * 12 + 1)
+    samples = np.column_stack([0.5 + 0.4 * np.cos(theta), 0.5 + 0.4 * np.sin(theta)])
+    trims = (circle_loop((0.5, 0.5), 0.5), fit_trim_curves(samples, 8))
+    for solid, half, trim in zip((exact, fitted), (r, 1.25 * r), trims):
+        x0, x1, y0, y1 = cx - half, cx + half, cy - half, cy + half
+        top = bilinear_patch((x0, y0, z1), (x1, y0, z1), (x0, y1, z1), (x1, y1, z1))
+        bottom = bilinear_patch((x0, y1, z0), (x1, y1, z0), (x0, y0, z0), (x1, y0, z0))
+        for tp, want in zip(solid.patches[4:], (top, bottom)):
+            assert tp.patch.points.tobytes() == want.points.tobytes()
+            assert tp.patch.weights.tobytes() == want.weights.tobytes()
+            (loop,) = tp.loops
+            assert [seg.points.tobytes() for seg in loop.segments] == [
+                seg.points.tobytes() for seg in trim
+            ]
+            assert [seg.weights.tobytes() for seg in loop.segments] == [
+                seg.weights.tobytes() for seg in trim
+            ]
+        assert patch_normal(solid.patches[4].patch, 0.5, 0.5)[2] > 0
+        assert patch_normal(solid.patches[5].patch, 0.5, 0.5)[2] < 0
 
 
 def test_flipped_cylinder_negates():
