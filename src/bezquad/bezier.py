@@ -12,6 +12,7 @@ point, s = 1 the last.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -295,12 +296,18 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
 _CONDITIONING_DEGREE = 20
 
 
-def _warn_if_high_degree(n, stacklevel=3):
+def _warn(message):
+    """bezquad's one warning path: a UserWarning filed under the innermost
+    frame outside the package, the caller's line however deep it arose."""
+    level, frame = 1, sys._getframe()
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
+
+
+def _warn_if_high_degree(n):
     if n > _CONDITIONING_DEGREE:
-        warnings.warn(
-            f"basis conversion at degree {n} amplifies rounding by roughly 10^{n // 2}",
-            stacklevel=stacklevel,
-        )
+        _warn(f"basis conversion at degree {n} amplifies rounding by roughly 10^{n // 2}")
 
 
 def _basis_change(coeffs, entry):
@@ -308,7 +315,7 @@ def _basis_change(coeffs, entry):
     ``mat[i, j] = entry(n, i, j)``; extra axes of ``coeffs`` pass through."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[0] - 1
-    _warn_if_high_degree(n, stacklevel=4)
+    _warn_if_high_degree(n)
     mat = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
         for j in range(i + 1):

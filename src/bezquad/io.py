@@ -73,9 +73,11 @@ def _read_text(path) -> str:
 
 
 def _load_json(path):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer of too many digits, or deep nesting
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -174,22 +176,23 @@ def _curves_from_json(loop, path, chain=tuple):
         raise _located(exc, path) from None
 
 
+def _load_document(path, keys, missing):
+    """The region or solid at ``path``, by the first top-level key of ``keys``."""
+    doc = _load_json(path)
+    key = next((k for k in keys if isinstance(doc, dict) and k in doc), None)
+    if key is None:
+        raise ValidationError(f"{path}: {missing}")
+    return (_region_from_json if key == "loops" else _solid_from_json)(doc)
+
+
 def load_model(path):
     """Region or solid, decided by the document's top-level key."""
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "loops" in doc:
-        return _region_from_json(doc)
-    if isinstance(doc, dict) and "patches" in doc:
-        return _solid_from_json(doc)
-    raise ValidationError(f"{path}: expected a 'loops' or 'patches' document")
+    return _load_document(path, ("loops", "patches"), "expected a 'loops' or 'patches' document")
 
 
 def load_region(path) -> PlanarRegion:
     """Read {"loops": [[curve, ...], ...]}; omitted weights mean 1."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "loops" not in doc:
-        raise ValidationError(f"{path}: region file needs a top-level 'loops' list")
-    return _region_from_json(doc)
+    return _load_document(path, ("loops",), "region file needs a top-level 'loops' list")
 
 
 def _region_from_json(doc) -> PlanarRegion:
@@ -227,10 +230,7 @@ def _patch_to_json(tp):
 
 def load_solid(path) -> SolidModel:
     """Read {"closed": bool, "patches": [patch, ...]}; trim loops optional."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "patches" not in doc:
-        raise ValidationError(f"{path}: solid file needs a top-level 'patches' list")
-    return _solid_from_json(doc)
+    return _load_document(path, ("patches",), "solid file needs a top-level 'patches' list")
 
 
 def _solid_from_json(doc) -> SolidModel:
@@ -326,10 +326,7 @@ def rule_csv_lines(rule: Rule):
     Floats are written ``%.17g`` and provenance ``%d``; these are the
     lines of save_rule's file.
     """
-    lines = []
-    for block in _rule_csv_blocks(rule):
-        lines += block[:-1].split("\n")
-    return lines
+    return "".join(_rule_csv_blocks(rule))[:-1].split("\n")
 
 
 def save_rule(rule, path):

@@ -21,12 +21,12 @@ moment vector.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .bezier import _warn
 from .errors import QuadratureError, ValidationError
 from .planar import PlanarRegion, spectral_pe_rule
 from .quad1d import _as_int
@@ -162,10 +162,9 @@ def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
     drift = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
     if np.max(drift) > _DOUBLING_TOL:
         i = int(np.argmax(drift))
-        warnings.warn(
+        _warn(
             f"moment {exps[i]} moved {drift[i]:.2e} when doubling quadrature orders; "
-            "treat results near that degree with care",
-            stacklevel=3,
+            "treat results near that degree with care"
         )
     return MomentVector(p, 3, fine)
 

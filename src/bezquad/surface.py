@@ -26,7 +26,6 @@ exactly.  Solid moments use it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +38,7 @@ from .bezier import (
     _closure_half_gaps,
     _homogeneous,
     _patch_point_normal,
+    _warn,
 )
 from .errors import ValidationError
 from .planar import Rule, _equal_weights, _frozen, _pe_region_rule, _region_rule, apply
@@ -225,7 +225,7 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
     weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
     bad = np.bincount(owner[degenerate], minlength=len(patches))
     for i in np.flatnonzero(bad):
-        warnings.warn(f"patch {i}: zeroed {bad[i]} degenerate-normal points", stacklevel=3)
+        _warn(f"patch {i}: zeroed {bad[i]} degenerate-normal points")
     prov = np.empty((5, owner.size), dtype=np.int64)
     prov[0] = owner
     prov[1:] = np.concatenate([part[2] for part in parts]).T

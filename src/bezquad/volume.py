@@ -77,7 +77,7 @@ def volume_rule(
     on it, only the individual points and weights do.
     """
     if not isinstance(solid, SolidModel):
-        solid = SolidModel(tuple(solid))
+        raise ValidationError(f"cannot build a volume rule of {type(solid).__name__}")
     if not solid.closed:
         raise ValidationError("volume rules need a solid asserted closed")
     m_q, n_q, n_p = _orders(m_q, n_q, m_q if n_p is None else n_p)

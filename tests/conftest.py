@@ -8,7 +8,7 @@ import numpy as np
 from bezquad.bezier import RationalBezierCurve, RationalBezierPatch
 from bezquad.planar import PlanarRegion
 from bezquad.shapes import cylinder_solid
-from bezquad.surface import TrimmedPatch
+from bezquad.surface import TrimmedPatch, unit_square_loop
 from bezquad.volume import SolidModel
 
 
@@ -48,6 +48,28 @@ def x_axis_cylinder():
             for tp in cylinder_solid().patches
         )
     )
+
+
+def collapsed_edge_patch():
+    """Bilinear patch whose v=0 edge collapses to a point, trimmed by the
+    square's edges: normals vanish along that edge."""
+    pts = np.array(
+        [
+            [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+        ]
+    )
+    return TrimmedPatch(RationalBezierPatch(pts, np.ones((2, 2))), (unit_square_loop(),))
+
+
+def elevated(curve, times):
+    """``curve`` degree-elevated ``times`` times: the same curve, by the
+    elevation of its homogeneous control points."""
+    h = np.hstack([curve.points * curve.weights[:, None], curve.weights[:, None]])
+    for _ in range(times):
+        a = np.arange(1, len(h))[:, None] / len(h)
+        h = np.vstack([h[:1], a * h[:-1] + (1 - a) * h[1:], h[-1:]])
+    return RationalBezierCurve(h[:, :-1] / h[:, -1:], h[:, -1])
 
 
 def random_expr_tree(rng, depth=4, functions=True, division=True):

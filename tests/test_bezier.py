@@ -341,6 +341,24 @@ def test_control_bbox_contains_trace():
     assert box.contains(eval_curve(c, np.linspace(0, 1, 101)))
 
 
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        (5, "cannot take a control bounding box of int"),
+        ([[], ()], "no control points found"),
+        (
+            [quarter_arc(), RationalBezierPatch(np.zeros((2, 2, 3)), np.ones((2, 2)))],
+            "mixed 2D and 3D geometry in one bounding box",
+        ),
+    ],
+    ids=["type", "empty", "mixed"],
+)
+def test_control_bbox_refusals(obj, message):
+    with pytest.raises(ValidationError) as err:
+        control_bbox(obj)
+    assert str(err.value) == message
+
+
 def test_bbox_union():
     a = BoundingBox.from_points([[0, 0], [1, 1]])
     b = BoundingBox.from_points([[-1, 0.5], [0.5, 2]])

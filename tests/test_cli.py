@@ -413,6 +413,19 @@ def test_console_entry_point():
     assert float(proc.stdout) == pytest.approx(math.pi / 4, abs=1e-10)
 
 
+def test_json_the_decoder_refuses_exits_1_with_one_line(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bezquad.cli", "moments", "--model", str(path), "--max-degree", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"bezquad: {path} is not valid JSON: maximum recursion depth")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def test_closed_stdout_pipe_exits_1_quietly():
     # the reader takes one line and goes, as `bezquad ... | head -1` does
     proc = subprocess.Popen(

@@ -150,6 +150,8 @@ def test_polynomial_degree():
     assert polynomial_degree(parse("x/2")) == 1
     assert polynomial_degree(parse("(x*y - z)^2*(x + 1)")) == 5
     assert polynomial_degree(parse("sqrt(4)")) is None  # calls opt out entirely
+    assert polynomial_degree(parse("x / sin(2)")) is None  # a call in the denominator too
+    assert polynomial_degree(parse("x / 10^400")) is None  # an overflowing denominator
     assert polynomial_degree(parse("-x*y")) == 2
 
 

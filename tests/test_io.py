@@ -146,6 +146,10 @@ _FLAT_PATCH = {"points": [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]]}
         ({"loops": [[]]}, r"^loops\[0\]: must be a nonempty list of curves$"),
         ({"loops": [{}]}, r"^loops\[0\]: must be a nonempty list of curves$"),
         ({"patches": {}}, r"^patches: 'patches' must be a nonempty list$"),
+        (
+            {"patches": [_FLAT_PATCH, dict(_FLAT_PATCH, trim_loops=[[{"points": [[0, 0], [1, 0]]}]])]},
+            r"^patches\[1\]\.trim_loops\[0\]: segments\[0\] ends 1\.000e\+00 away from the next segment start$",
+        ),
     ],
 )
 def test_schema_violations_report_paths(tmp_path, doc, fragment):
@@ -268,6 +272,22 @@ def test_fit_trim_output_matches_per_value_writer(tmp_path, capsys):
     assert main(["fit-trim", "--points", str(path), "--segments", "6", "--degree", "2"]) == 0
     loops = [[oracle(c) for c in fit_trim_curves(b, 6, 2)] for b in blocks]
     assert capsys.readouterr().out == json.dumps(loops, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("load", [io.load_model, load_region, load_solid])
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ('{"loops": [' + "9" * 5000 + "]}", r"Exceeds the limit \(4300 digits\) for integer string conversion"),
+        ("[" * 100_000, "maximum recursion depth exceeded while decoding a JSON array"),
+    ],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_json_the_decoder_refuses_is_not_valid_json(tmp_path, load, text, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))} is not valid JSON: {reason}"):
+        load(path)
 
 
 def test_not_json(tmp_path):
@@ -874,6 +894,9 @@ def test_trim_points_blocks(tmp_path):
     assert blocks[1].shape == (2, 2)
     path.write_text("0,0\n1\n")
     with pytest.raises(ValidationError, match="line 2"):
+        load_trim_points(path)
+    path.write_text("0,0\n0.5,1e\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))} line 2: malformed number$"):
         load_trim_points(path)
     path.write_text("\n\n")
     with pytest.raises(ValidationError, match="no points"):

@@ -26,7 +26,7 @@ from bezquad.quad1d import gauss_legendre
 from bezquad.shapes import annulus_region, circle_region, polygon_loop, quarter_arc, square_region
 from bezquad.surface import parametric_area_rule, unit_square_loop
 
-from conftest import random_quadratic_region
+from conftest import elevated, random_quadratic_region
 
 PI = math.pi
 
@@ -264,6 +264,20 @@ def test_non_finite_vertex_rejected():
         PlanarRegion((polygon_loop([(0, 0), (1, 0), (math.nan, 1)]),))
 
 
+@pytest.mark.parametrize(
+    "loop,path",
+    [
+        ((quarter_arc(), 5), "loops[0][1]"),
+        ((RationalBezierCurve([(0, 0, 0), (1, 0, 0)], [1.0, 1.0]),), "loops[0][0]"),
+    ],
+    ids=["non-curve", "3d-curve"],
+)
+def test_region_loops_hold_planar_curves(loop, path):
+    with pytest.raises(ValidationError) as err:
+        PlanarRegion((loop,))
+    assert str(err.value) == f"{path}: loops must consist of planar rational Bezier curves"
+
+
 def test_empty_region_rejected():
     with pytest.raises(ValidationError):
         PlanarRegion(())
@@ -338,19 +352,10 @@ def test_pe_memo_does_not_cache_errors(monkeypatch):
     assert _weights_rule.cache_info().currsize == 0
 
 
-def _elevate(curve, times):
-    # degree elevation of the homogeneous control points: same curve
-    h = np.hstack([curve.points * curve.weights[:, None], curve.weights[:, None]])
-    for _ in range(times):
-        a = np.arange(1, len(h))[:, None] / len(h)
-        h = np.vstack([h[:1], a * h[:-1] + (1 - a) * h[1:], h[-1:]])
-    return RationalBezierCurve(h[:, :-1] / h[:, -1:], h[:, -1])
-
-
 def test_pe_memo_warm_call_still_warns():
     # degree-21 arcs: converting their weights to monomials warns once per
     # curve on every call, whether or not the rule comes from the cache
-    region = PlanarRegion((tuple(_elevate(c, 19) for c in circle_region().curves),))
+    region = PlanarRegion((tuple(elevated(c, 19) for c in circle_region().curves),))
     _weights_rule.cache_clear()
     for _ in range(2):
         with warnings.catch_warnings(record=True) as seen:
@@ -537,7 +542,7 @@ def _mixed_degree_loop():
     # degrees 2, 3, 21 and 1 around one loop
     cubic = RationalBezierCurve([(0, 1), (-0.5, 1.2), (-1.2, 0.5), (-1, 0)], [1.0, 0.7, 1.3, 2.0])
     line = RationalBezierCurve([(0, -1), (1, 0)], [1.0, 1.0])
-    arcs = quarter_arc(quadrant=0), _elevate(quarter_arc(quadrant=2), 19)
+    arcs = quarter_arc(quadrant=0), elevated(quarter_arc(quadrant=2), 19)
     return PlanarRegion(((arcs[0], cubic, arcs[1], line),))
 
 

@@ -201,6 +201,23 @@ def test_pole_set_open_under_conjugation():
         rational_rule(ps, 0)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: PoleSet(((0.5 + 1j, 1), (0.5 + 1j, 2))), "duplicate pole locations; merge multiplicities instead"),
+        (lambda: weight_poly_roots([]), "weights must be a nonempty vector"),
+        (lambda: weight_poly_roots([[1.0, 2.0]]), "weights must be a nonempty vector"),
+        (lambda: weight_poly_roots([1.0, math.nan]), "weights must be finite and not all zero"),
+        (lambda: weight_poly_roots([0.0, 0.0]), "weights must be finite and not all zero"),
+    ],
+    ids=["duplicate-poles", "empty-weights", "matrix-weights", "nan-weight", "zero-weights"],
+)
+def test_pole_and_weight_refusals(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_pole_set_rejects_bad_multiplicity():
     with pytest.raises(ValidationError):
         PoleSet(((2 + 0j, 0),))

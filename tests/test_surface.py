@@ -29,6 +29,8 @@ from bezquad import (
     volume_integrate,
 )
 
+from conftest import collapsed_edge_patch
+
 
 def line(a, b):
     return RationalBezierCurve([a, b], [1.0, 1.0])
@@ -151,27 +153,6 @@ def test_preimages_and_provenance():
     assert np.allclose(mapped, rule.points, atol=1e-14)
 
 
-def collapsed_edge_patch():
-    """Bilinear patch whose v=0 edge collapses to a point, trimmed by the
-    square's edges: normals vanish along that edge."""
-    pts = np.array(
-        [
-            [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-            [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
-        ]
-    )
-    patch = RationalBezierPatch(pts, np.ones((2, 2)))
-    edge = TrimLoop(
-        (
-            line((0, 0), (1, 0)),
-            line((1, 0), (1, 1)),
-            line((1, 1), (0, 1)),
-            line((0, 1), (0, 0)),
-        )
-    )
-    return TrimmedPatch(patch, (edge,))
-
-
 def test_degenerate_normal_points_get_zero_weight():
     with pytest.warns(UserWarning, match="degenerate-normal"):
         rule = patch_rule(collapsed_edge_patch(), 1, 1)
@@ -234,6 +215,42 @@ def test_trim_loop_rejects_out_of_square_points():
 def test_trim_loop_rejects_gaps():
     with pytest.raises(ValidationError, match="away from"):
         TrimLoop((line((0, 0), (1, 0)), line((1, 1e-4), (0, 0))))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: TrimLoop(()), "trim loop needs at least one segment"),
+        (lambda: TrimLoop((line((0, 0), (1, 0)), 5)), "segments[1] must be a RationalBezierCurve"),
+        (lambda: TrimmedPatch(unit_square_loop()), "patch must be a RationalBezierPatch"),
+        (
+            lambda: TrimmedPatch(flat_unit_patch(), [unit_square_loop().segments]),
+            "loops[0] must be a TrimLoop",
+        ),
+        (lambda: parametric_area_rule([], 2, 2), "need at least one trim loop"),
+        (
+            lambda: parametric_area_rule([unit_square_loop(), triangle_loop().segments], 2, 2),
+            "loops[1] must be a TrimLoop",
+        ),
+        (
+            lambda: SurfaceRule(np.zeros((1, 3)), [1.0], [[0.5, 1.5]], np.zeros((1, 5), int)),
+            "parametric preimages must stay inside the unit square",
+        ),
+    ],
+    ids=[
+        "empty-loop",
+        "loop-non-curve",
+        "non-patch",
+        "non-loop",
+        "area-no-loops",
+        "area-non-loop",
+        "preimage-outside",
+    ],
+)
+def test_trim_and_surface_refusals(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_trim_loop_accepts_one_closed_curve():

@@ -85,6 +85,12 @@ def test_too_many_segments_rejected():
         fit_trim_curves(quarter_circle_samples(7), 3)
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 3), (2, 4, 2)])
+def test_points_must_be_pairs(shape):
+    with pytest.raises(ValidationError, match=r"^points must be an ordered list of \(u, v\) pairs$"):
+        fit_trim_curves(np.zeros(shape), 1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_points_rejected(bad):
     pts = quarter_circle_samples(20)

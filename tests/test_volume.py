@@ -106,6 +106,17 @@ def test_open_solid_rejected():
         volume_rule(solid, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "solid,name",
+    [(box_solid().patches[0], "TrimmedPatch"), (None, "NoneType"), (list(box_solid().patches), "list")],
+    ids=["patch", "none", "list"],
+)
+def test_only_a_solid_gets_a_volume_rule(solid, name):
+    # a list of patches is no SolidModel: closedness is asserted by building one
+    with pytest.raises(ValidationError, match=f"^cannot build a volume rule of {name}$"):
+        volume_rule(solid, 2, 2)
+
+
 @pytest.mark.parametrize("pz", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_pz_rejected(pz):
     with pytest.raises(ValidationError, match="pz must be finite"):
