@@ -12,6 +12,7 @@ point, s = 1 the last.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -34,20 +35,48 @@ __all__ = [
 ]
 
 
-def _frozen_array(obj, name, value):
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so a frozen type can adopt it."""
+    a.flags.writeable = False
+    return a
+
+
+def _adopt(value, name, dtype=float) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype`` that nothing else can
+    write, or ValidationError located at ``name``.
+
+    An ndarray of ``dtype`` that is read-only down its ``.base`` chain to
+    the array owning its data is kept as it is; anything else is copied,
+    so a caller's writeable array is never aliased.  Text, complex values,
+    ragged input and other non-numbers are refused, and so are integers
+    too large for a double and values an integer ``dtype`` does not hold.
+    """
+    a = value if isinstance(value, np.ndarray) and value.dtype == dtype else None
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.flags.owndata:
+            return value
+        a = a.base
     try:
-        arr = np.array(value)
-        # complex values stay complex to be refused below: a float cast
-        # would drop their imaginary parts with only a warning
-        if arr.dtype != float and arr.dtype.kind != "c":
-            arr = arr.astype(float)
-    except (TypeError, ValueError):
-        raise ValidationError("not a numeric array", path=name) from None
-    if arr.dtype != float:
-        raise ValidationError("complex values are not supported", path=name)
-    arr.flags.writeable = False
-    object.__setattr__(obj, name, arr)
-    return arr
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged: refused below as an object
+        arr = np.asarray(None)
+    kind, integral = arr.dtype.kind, np.dtype(dtype).kind == "i"
+    # an object array holds Python integers beyond int64, or non-numbers
+    if kind not in "biufO" or (
+        kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat)
+    ):
+        what = "complex values are not supported" if kind == "c" else "not a numeric array"
+        raise ValidationError(what, path=name)
+    if integral and kind == "f":  # NaN or a float beyond int64 would cast with a warning
+        arr = np.where(abs(arr) < 2.0**63, arr, 0.5)  # 0.5: refused below
+    try:
+        out = arr.astype(dtype)  # always a copy
+    except (OverflowError, ValueError):
+        out = None
+    if out is None or (integral and not np.array_equal(out, arr)):
+        what = f"values must be integers in {np.dtype(dtype)} range"
+        raise ValidationError(what if integral else "integer too large for a double", path=name)
+    return _frozen(out)
 
 
 def _control_net(net, axes, dims, shape):
@@ -59,8 +88,9 @@ def _control_net(net, axes, dims, shape):
     out by ``shape``, and one of ``dims`` coordinates.  All values must be
     finite, then all weights positive: that keeps the poles of W off [0, 1].
     """
-    pts = _frozen_array(net, "points", net.points)
-    wts = _frozen_array(net, "weights", net.weights)
+    pts, wts = _adopt(net.points, "points"), _adopt(net.weights, "weights")
+    object.__setattr__(net, "points", pts)
+    object.__setattr__(net, "weights", wts)
     if pts.ndim != axes + 1 or pts.shape[-1] not in dims or min(pts.shape[:-1]) < 2:
         raise ValidationError(f"control points must be {shape}, got {pts.shape}", path="points")
     if wts.shape != pts.shape[:-1]:
@@ -146,8 +176,8 @@ class BoundingBox:
     hi: np.ndarray
 
     def __post_init__(self):
-        _frozen_array(self, "lo", self.lo)
-        _frozen_array(self, "hi", self.hi)
+        object.__setattr__(self, "lo", _adopt(self.lo, "lo"))
+        object.__setattr__(self, "hi", _adopt(self.hi, "hi"))
 
     @classmethod
     def from_points(cls, pts) -> "BoundingBox":

@@ -53,6 +53,11 @@ _FUNCTIONS = {
     "log": (math.log, np.log),
 }
 _VARIABLES = ("x", "y", "z")
+# The walks of a tree recurse once per level of it, and the parser up to 8
+# times per nested group or negation.  parse refuses input that would take
+# either past this many frames, which leaves the caller room under Python's
+# default recursion limit of 1000
+_MAX_FRAMES = 700
 
 
 class Expr:
@@ -113,6 +118,9 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        # the groups and negations being parsed, and the depth of the
+        # tree last built
+        self.nesting = self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -133,6 +141,19 @@ class _Parser:
     def fail(self, message):
         raise ParseError(f"{message} at offset {self.peek()[2]}")
 
+    def enter(self):
+        """Count one more nested group or negation."""
+        self.nesting += 1
+        if 8 * self.nesting > _MAX_FRAMES:
+            self.fail("expression nests too deeply")
+
+    def built(self, node, depth):
+        """``node``, whose tree is ``depth`` levels deep."""
+        if depth > _MAX_FRAMES:
+            self.fail("expression nests too deeply")
+        self.depth = depth
+        return node
+
     def expect(self, op, message):
         if self.peek()[:2] != ("op", op):
             self.fail(message)
@@ -148,13 +169,18 @@ class _Parser:
         """Left-associated operands joined by any of ``ops``."""
         node = operand()
         while self.peek()[0] == "op" and self.peek()[1] in ops:
-            node = BinOp(self.take()[1], node, operand())
+            op, left = self.take()[1], self.depth
+            node = BinOp(op, node, operand())
+            node = self.built(node, max(left, self.depth) + 1)
         return node
 
     def factor(self):
         if self.peek()[:2] == ("op", "-"):
             self.take()
-            return Neg(self.factor())
+            self.enter()
+            child = self.factor()
+            self.nesting -= 1
+            return self.built(Neg(child), self.depth + 1)
         return self.power()
 
     def power(self):
@@ -164,20 +190,21 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind != "num" or not re.fullmatch(r"\d+", value):
                 self.fail("exponent must be a nonnegative integer literal")
-            return BinOp("^", node, Num(self.number()))
+            return self.built(BinOp("^", node, Num(self.number())), self.depth + 1)
         return node
 
     def atom(self):
         kind, value, offset = self.peek()
         if kind == "num":
-            return Num(self.number())
+            return self.built(Num(self.number()), 1)
         if kind == "name":
             self.take()
             if value in _VARIABLES:
-                return Var(value)
+                return self.built(Var(value), 1)
             if value in _FUNCTIONS:
                 self.expect("(", f"{value} needs a parenthesized argument")
-                return Call(value, self.group())
+                arg = self.group()
+                return self.built(Call(value, arg), self.depth + 1)
             raise ParseError(f"unknown identifier {value!r} at offset {offset}")
         if kind == "op" and value == "(":
             self.take()
@@ -186,13 +213,18 @@ class _Parser:
 
     def group(self):
         """The expression after an opening parenthesis, and its ')'."""
+        self.enter()
         node = self.expr()
         self.expect(")", "expected ')'")
+        self.nesting -= 1
         return node
 
 
 def parse(text: str) -> Expr:
-    """Parse an integrand; raises ParseError with a character offset."""
+    """Parse an integrand; raises ParseError with a character offset.
+
+    Input nested too deeply for the recursive walks of its tree, or for
+    the parser itself, is refused."""
     p = _Parser(text)
     node = p.expr()
     if p.peek()[0] != "end":
@@ -384,6 +416,10 @@ def polynomial_degree(node: Expr):
 
 
 def _has_variable(node):
-    return isinstance(node, Var) or any(
-        _has_variable(c) for c in vars(node).values() if isinstance(c, Expr)
-    )
+    # one frame per level, as the other walks take
+    if isinstance(node, Var):
+        return True
+    for child in vars(node).values():
+        if isinstance(child, Expr) and _has_variable(child):
+            return True
+    return False

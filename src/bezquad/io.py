@@ -24,10 +24,10 @@ import math
 
 import numpy as np
 
-from .bezier import RationalBezierCurve, RationalBezierPatch
+from .bezier import RationalBezierCurve, RationalBezierPatch, _adopt, _frozen
 from .errors import ValidationError
 from .moments import MomentVector
-from .planar import PlanarRegion, Rule, _frozen
+from .planar import PlanarRegion, Rule
 from .quad1d import _as_int
 from .surface import TrimLoop, TrimmedPatch
 from .volume import SolidModel
@@ -99,12 +99,9 @@ def _has_bool(value):
 def _as_array(value, path):
     """``value`` as a float array of finite JSON numbers; text, booleans
     and ragged lists are not numeric arrays."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or _has_bool(value):
+    if _has_bool(value):
         raise ValidationError("not a numeric array", path=path)
+    arr = _adopt(value, path)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("contains non-finite values", path=path)
     return arr

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bezier import _warn
+from .bezier import _adopt, _frozen, _warn
 from .errors import QuadratureError, ValidationError
 from .planar import PlanarRegion, spectral_pe_rule
 from .quad1d import _as_int
@@ -68,15 +68,14 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float).ravel()
+        vals = _adopt(self.values, "values")
         expected = len(monomial_exponents(self.degree, self.dim))
-        if vals.size != expected:
+        if vals.shape != (expected,):
             raise ValidationError(
-                f"degree {self.degree} in {self.dim}D needs {expected} moments, got {vals.size}"
+                f"degree {self.degree} in {self.dim}D needs {expected} moments, got {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError("moments must be finite")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
@@ -116,10 +115,8 @@ def _sum_plan(p, dim):
     exps = monomial_exponents(p, dim)
     lead = {}
     row = [lead.setdefault(e[:-1], len(lead)) for e in exps]
-    plan = tuple(np.array(a) for a in (list(lead), row, [e[-1] for e in exps]))
-    for a in plan:
-        a.flags.writeable = False  # shared by every caller through the cache
-    return plan
+    # read-only: shared by every caller through the cache
+    return tuple(_frozen(np.array(a)) for a in (list(lead), row, [e[-1] for e in exps]))
 
 
 def _moment_sums(points, weights, p):

@@ -31,9 +31,11 @@ import numpy as np
 from .bezier import (
     RationalBezierCurve,
     _CONDITIONING_DEGREE,
+    _adopt,
     _batches,
     _closure_half_gaps,
     _curve_point_derivative,
+    _frozen,
     _homogeneous,
     _warn_if_high_degree,
 )
@@ -111,28 +113,6 @@ class PlanarRegion:
         return tuple(c for loop in self.loops for c in loop)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array read-only, so a Rule can adopt it."""
-    a.flags.writeable = False
-    return a
-
-
-def _owned(x, dtype) -> np.ndarray:
-    """``x`` as a read-only array of ``dtype`` that nothing else can write.
-
-    An ndarray of that dtype is shared when it and every array in its
-    ``.base`` chain are read-only, down to one that owns its data; anything
-    else is copied, so a caller's writeable array is never aliased.
-    """
-    if isinstance(x, np.ndarray) and x.dtype == dtype:
-        a = x
-        while isinstance(a, np.ndarray) and not a.flags.writeable:
-            if a.flags.owndata:
-                return x
-            a = a.base
-    return _frozen(np.array(x, dtype=dtype))
-
-
 @dataclass(frozen=True)
 class Rule:
     """Quadrature rule: points, weights and per-point provenance.
@@ -158,25 +138,24 @@ class Rule:
             raise ValidationError(
                 f"rule columns need 2 or 3 coordinates before 'weight', got {','.join(cols)!r}"
             )
-        wts = _owned(self.weights, float).ravel()
-        width = len(cols) - dim - 1
-        arrays = {
-            "points": _owned(self.points, float).reshape(-1, dim),
-            "weights": wts,
-            "provenance": _owned(self.provenance, np.int64).reshape(
-                (-1, width) if width else (wts.size, 0)
-            ),
-        }
+        # each array's shape after its row axis; preimages are optional
+        tails = {"points": (dim,), "weights": (), "provenance": (len(cols) - dim - 1,)}
         if self.preimages is not None:
-            pre = _owned(self.preimages, float).reshape(-1, 2)
-            if pre.size and (float(pre.min()) < -1e-8 or float(pre.max()) > 1.0 + 1e-8):
-                raise ValidationError("parametric preimages must stay inside the unit square")
-            arrays["preimages"] = pre
+            tails["preimages"] = (2,)
+        arrays = {}
+        for name, tail in tails.items():
+            dtype = np.int64 if name == "provenance" else float
+            a = arrays[name] = _adopt(getattr(self, name), name, dtype)
+            if a.ndim != 1 + len(tail) or a.shape[1:] != tail:
+                want = f"(n, {tail[0]})" if tail else "(n,)"
+                raise ValidationError(f"need shape {want}, got {a.shape}", path=name)
+        pre = arrays.get("preimages")
+        if pre is not None and pre.size and (pre.min() < -1e-8 or pre.max() > 1.0 + 1e-8):
+            raise ValidationError("parametric preimages must stay inside the unit square")
         if len({a.shape[0] for a in arrays.values()}) != 1:
             raise ValidationError(f"{', '.join(arrays)} must align")
         object.__setattr__(self, "columns", cols)
         for name, a in arrays.items():
-            a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
@@ -349,7 +328,7 @@ def _standard_form(curve: RationalBezierCurve) -> RationalBezierCurve:
         scaled = w / (w[0] ** ((m - i) / m) * w[-1] ** (i / m))
     scaled[[0, -1]] = 1.0
     try:
-        return RationalBezierCurve(curve.points, scaled)
+        return RationalBezierCurve(curve.points, _frozen(scaled))
     except ValidationError:
         return curve
 

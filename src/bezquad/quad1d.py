@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bezier import bernstein_to_monomial
+from .bezier import _adopt, _frozen, bernstein_to_monomial
 from .errors import ConditioningError, ValidationError
 
 __all__ = [
@@ -44,12 +44,9 @@ class Rule1D:
     interval: tuple[float, float]
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+        nodes, weights = _adopt(self.nodes, "nodes"), _adopt(self.weights, "weights")
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValidationError("nodes and weights must be matching 1D arrays")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
@@ -135,10 +132,7 @@ class PoleSet:
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return tuple(map(_frozen, np.polynomial.legendre.leggauss(n)))
 
 
 def gauss_legendre(n: int, interval=(0.0, 1.0)) -> Rule1D:
@@ -156,7 +150,7 @@ def gauss_legendre(n: int, interval=(0.0, 1.0)) -> Rule1D:
         raise ValidationError(f"interval endpoints must be finite, got ({lo}, {hi})")
     x, w = _leggauss(n)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return Rule1D(mid + half * x, half * w, (lo, hi))
+    return Rule1D(_frozen(mid + half * x), _frozen(half * w), (lo, hi))
 
 
 def weight_poly_roots(weights) -> list[complex]:

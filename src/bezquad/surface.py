@@ -36,12 +36,13 @@ from .bezier import (
     RationalBezierPatch,
     _batches,
     _closure_half_gaps,
+    _frozen,
     _homogeneous,
     _patch_point_normal,
     _warn,
 )
 from .errors import ValidationError
-from .planar import Rule, _equal_weights, _frozen, _pe_region_rule, _region_rule, apply
+from .planar import Rule, _equal_weights, _pe_region_rule, _region_rule, apply
 from .quad1d import _orders, gauss_legendre
 
 __all__ = [

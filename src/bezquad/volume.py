@@ -16,8 +16,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from .bezier import _frozen
 from .errors import ValidationError
-from .planar import Rule, _frozen, _lift, apply
+from .planar import Rule, _lift, apply
 from .quad1d import _orders
 from .surface import TrimmedPatch, _as_trimmed_patch, boundary_rule
 

@@ -1,11 +1,13 @@
 """Shared geometry helpers and the acceptance-line reporter."""
 
 import copy
+import json
 import math
 
 import numpy as np
 
 from bezquad.bezier import RationalBezierCurve, RationalBezierPatch
+from bezquad.io import bundled
 from bezquad.planar import PlanarRegion
 from bezquad.shapes import cylinder_solid
 from bezquad.surface import TrimmedPatch, unit_square_loop
@@ -128,6 +130,16 @@ def _put(nested, index, value):
         target = target[i]
     target[last] = value
     return out
+
+
+def bundled_with(tmp_path, name, index, value):
+    """A copy of the bundled file ``name`` in ``tmp_path`` with ``value``
+    at ``index``, a sequence of keys into the document."""
+    with open(bundled(name)) as fh:
+        doc = _put(json.load(fh), index, value)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def _net_fault_table():

@@ -1,0 +1,130 @@
+"""The one way arrays enter the frozen types, bezier._adopt: what curves,
+patches, bounding boxes, rules and moment vectors keep without a copy,
+what they copy, and what they refuse, located at the argument's name or
+at its document path."""
+
+import json
+
+import numpy as np
+import pytest
+
+from bezquad.bezier import BoundingBox, RationalBezierCurve, RationalBezierPatch
+from bezquad.errors import ValidationError
+from bezquad.io import load_model, load_region, load_solid
+from bezquad.moments import MomentVector
+from bezquad.planar import Rule2D
+from bezquad.quad1d import Rule1D
+from bezquad.shapes import quarter_arc
+from bezquad.volume import Rule3D
+
+from conftest import bundled_with
+
+
+_CIRCLE_WEIGHTS = ["1", "0.7071067811865476", "1"]
+
+# each row used to pass, or to fail with an error that names no argument
+_REFUSALS = {
+    "2d-points-of-3-columns": (
+        lambda _: Rule2D(np.arange(6.0).reshape(2, 3), np.ones(3), np.zeros((3, 3), int)),
+        "points: need shape (n, 2), got (2, 3)",
+    ),
+    "3d-points-of-2-columns": (
+        lambda _: Rule3D(np.zeros((3, 2)), np.ones(2), np.zeros((2, 3), int)),
+        "points: need shape (n, 3), got (3, 2)",
+    ),
+    "provenance-of-1-column": (
+        lambda _: Rule2D(np.zeros((3, 2)), np.ones(3), np.zeros((9, 1), int)),
+        "provenance: need shape (n, 3), got (9, 1)",
+    ),
+    "complex-rule-points": (
+        lambda _: Rule2D([[1.0 + 2.0j, 0.0]], [1.0], [[0, 0, 0]]),
+        "points: complex values are not supported",
+    ),
+    "complex-rule1d-nodes": (
+        lambda _: Rule1D([0.5 + 1.0j], [1.0], (0.0, 1.0)),
+        "nodes: complex values are not supported",
+    ),
+    "complex-moments": (
+        lambda _: MomentVector(1, 2, [1 + 2j, 0, 0]),
+        "values: complex values are not supported",
+    ),
+    "fractional-provenance": (
+        lambda _: Rule2D([[1.0, 2.0]], [1.0], [[0.5, 0, 0]]),
+        "provenance: values must be integers in int64 range",
+    ),
+    "text-points": (
+        lambda _: Rule2D([["a", "b"]], [1.0], [[0, 0, 0]]),
+        "points: not a numeric array",
+    ),
+    "json-text-region-weights": (
+        lambda tmp: load_region(
+            bundled_with(tmp, "circle.region.json", ["loops", 0, 0, "weights"], _CIRCLE_WEIGHTS)
+        ),
+        "loops[0][0].weights: not a numeric array",
+    ),
+    "json-text-solid-weights": (
+        lambda tmp: load_solid(
+            bundled_with(tmp, "cube.solid.json", ["patches", 0, "weights", 1], ["1", "1"])
+        ),
+        "patches[0].weights: not a numeric array",
+    ),
+    "json-huge-integer": (
+        lambda tmp: load_model(
+            bundled_with(tmp, "circle.region.json", ["loops", 0, 1, "points", 0, 0], 10**400)
+        ),
+        "loops[0][1].points: integer too large for a double",
+    ),
+    "huge-integer-curve": (
+        lambda _: RationalBezierCurve([[10**400, 0], [1, 1]], [1, 1]),
+        "points: integer too large for a double",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", _REFUSALS.values(), ids=_REFUSALS)
+def test_refusals_are_located(tmp_path, build, message):
+    with pytest.raises(ValidationError) as err:
+        build(tmp_path)
+    assert str(err.value) == message
+
+
+def test_json_integers_a_double_holds_still_load(tmp_path):
+    big = 10**20
+    corners = [[0, 0], [big, 0], [big, big], [0, big]]
+    loop = [{"points": [a, b]} for a, b in zip(corners, corners[1:] + corners[:1])]
+    path = tmp_path / "square.region.json"
+    path.write_text(json.dumps({"loops": [loop]}))
+    assert load_region(path).curves[1].points.tolist() == [[1e20, 0.0], [1e20, 1e20]]
+
+
+# each frozen type, what it is built from, and the field that adopts it
+_ADOPTERS = {
+    "curve": (lambda a: RationalBezierCurve(a, np.ones(3)), np.eye(3, 2), "points"),
+    "patch": (lambda a: RationalBezierPatch(a, np.ones((2, 2))), np.ones((2, 2, 3)), "points"),
+    "bounding-box": (lambda a: BoundingBox(a, a + 1.0), np.zeros(2), "lo"),
+    "rule": (lambda a: Rule2D(np.zeros((3, 2)), a, np.zeros((3, 3), int)), np.ones(3), "weights"),
+    "rule1d": (lambda a: Rule1D(a, np.ones(3), (0.0, 1.0)), np.linspace(0.0, 1.0, 3), "nodes"),
+    "moments": (lambda a: MomentVector(1, 2, a), np.ones(3), "values"),
+}
+
+
+@pytest.mark.parametrize("build, values, field", _ADOPTERS.values(), ids=_ADOPTERS)
+def test_only_what_nothing_else_can_write_is_shared(build, values, field):
+    frozen = values.copy()
+    frozen.flags.writeable = False
+    assert getattr(build(frozen), field) is frozen
+    writeable = values.copy()
+    view = writeable[:]
+    view.flags.writeable = False
+    for given in (writeable, view):
+        kept = getattr(build(given), field)
+        assert not kept.flags.writeable and not np.shares_memory(kept, writeable)
+        assert np.array_equal(kept, values)
+
+
+def test_reversed_curve_shares_its_control_net():
+    arc = quarter_arc()
+    back = arc.reversed()
+    assert np.shares_memory(back.points, arc.points)
+    assert np.shares_memory(back.weights, arc.weights)
+    assert np.array_equal(back.points, arc.points[::-1])

@@ -11,7 +11,7 @@ import scipy.special
 from bezquad.cli import _build_parser, main
 from bezquad.io import bundled, save_solid
 
-from conftest import x_axis_cylinder
+from conftest import bundled_with, x_axis_cylinder
 
 CIRCLE = str(bundled("circle.region.json"))
 CUBE = str(bundled("cube.solid.json"))
@@ -424,6 +424,68 @@ def test_json_the_decoder_refuses_exits_1_with_one_line(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith(f"bezquad: {path} is not valid JSON: maximum recursion depth")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (
+            ["loops", 0, 0, "weights"],
+            ["1", "0.7071067811865476", "1"],
+            "loops[0][0].weights: not a numeric array",
+        ),
+        (
+            ["loops", 0, 1, "points", 0, 0],
+            10**400,
+            "loops[0][1].points: integer too large for a double",
+        ),
+    ],
+    ids=["numbers-as-text", "integer-past-double"],
+)
+@pytest.mark.parametrize("command", ["moments", "integrate"])
+def test_json_arrays_that_are_not_doubles_exit_1_with_one_line(
+    tmp_path, keys, value, message, command
+):
+    path = bundled_with(tmp_path, "circle.region.json", keys, value)
+    extra = ["--max-degree", "1"] if command == "moments" else ["--expr", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bezquad.cli", command, "--model", str(path), *extra],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"bezquad: {message}\n")
+
+
+def test_expression_nested_too_deeply_exits_1_with_one_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bezquad.cli", "integrate", "--model", CIRCLE,
+         "--expr", " + ".join(["x"] * 3000)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "bezquad: expression nests too deeply at offset 2802\n"
+
+
+def test_600_term_polynomial_integrates_with_and_without_pe(capsys):
+    terms = [f"{k % 7 + 1}*x^{k % 4}*y^{k % 3}" for k in range(600)]
+    expr = " + ".join(terms)
+    values = []
+    for pe in ([], ["--pe"]):
+        code, out, err = run(capsys, "integrate", "--model", CIRCLE, *pe, "--expr", expr)
+        assert (code, err) == (0, "")
+        values.append(float(out))
+    # 600 terms of exact monomial integrals over the unit disk
+    exact = sum((k % 7 + 1) * _disk_monomial(k % 4, k % 3) for k in range(600))
+    assert values == pytest.approx([exact, exact], rel=1e-13)
+
+
+def _disk_monomial(a, b):
+    """Integral of x^a y^b over the unit disk."""
+    if a % 2 or b % 2:
+        return 0.0
+    beta = math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2) / math.gamma((a + b + 2) / 2)
+    return 2 * beta / (a + b + 2)
 
 
 def test_closed_stdout_pipe_exits_1_quietly():

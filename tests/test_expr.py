@@ -88,6 +88,39 @@ def test_literals_past_double_range_rejected():
     assert parse("x^" + "9" * 300).right == Num(float("9" * 300))
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 150 + "x" + ")" * 150, 88),  # parser recursion
+        ("-" * 150 + "x", 88),
+        ("sin(" * 150 + "x" + ")" * 150, 352),
+        (" + ".join(["x"] * 3000), 2802),  # tree depth: 3000 levels
+        ("x" + "*x" * 700, 1401),
+    ],
+    ids=["parentheses", "negations", "calls", "sum", "product"],
+)
+def test_nesting_past_what_the_walks_take_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"expression nests too deeply at offset {offset}"
+
+
+def test_the_deepest_accepted_trees_walk():
+    x = np.array([0.5, 2.0])
+    for text, value in [
+        ("(" * 87 + "x" + ")" * 87, x),
+        ("-" * 87 + "x", -x),
+        (" + ".join(["x"] * 700), 700 * x),
+        # the divisor's walk for variables once took two frames per level
+        ("x / (" + " + ".join(["1"] * 690) + ")", x / 690),
+    ]:
+        node = parse(text)
+        assert polynomial_degree(node) == 1
+        assert to_text(parse(to_text(node))) == to_text(node)
+        assert np.allclose(to_callable(node)(x, x), value, rtol=1e-15)
+        assert evaluate(node, (2.0, 0.0, 0.0)) == pytest.approx(value[1], rel=1e-15)
+
+
 def test_domain_errors_carry_node_and_point():
     with pytest.raises(EvalError, match=r"division by zero in 1 / x"):
         ev("1/x", (0, 0, 0))

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from bezquad import io, planar
+from bezquad import bezier, io
 from bezquad.cli import main
 from bezquad.errors import ValidationError
 from bezquad.trimfit import fit_trim_curves
@@ -841,8 +841,8 @@ def test_loaded_rule_adopts_parse_buffers(tmp_path, monkeypatch):
     assert io._load_canonical(crlf) is None
     for source in (path, crlf):
         copies = []
-        frozen = planar._frozen
-        monkeypatch.setattr(planar, "_frozen", lambda a: copies.append(a.shape) or frozen(a))
+        frozen = bezier._frozen
+        monkeypatch.setattr(bezier, "_frozen", lambda a: copies.append(a.shape) or frozen(a))
         back = load_rule(source)
         monkeypatch.undo()
         assert copies == []  # Rule made no copy of the parsed arrays
