@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import warnings
@@ -24,9 +23,11 @@ from .errors import (
 )
 from .expr import evaluate, parse, polynomial_degree, to_callable
 from .io import (
-    _create_text,
+    _json_text,
+    _lines,
     _net_to_json,
     _rule_csv_blocks,
+    _write,
     load_model,
     load_region,
     load_rule,
@@ -115,8 +116,7 @@ def _emit(blocks, out):
     """Write the LF-terminated texts ``blocks`` to the file ``out``, or to
     stdout if it is None."""
     if out:
-        with _create_text(out) as fh:
-            fh.writelines(blocks)
+        _write(out, blocks)
         return
     try:
         sys.stdout.writelines(blocks)
@@ -126,11 +126,6 @@ def _emit(blocks, out):
         # devnull so shutdown prints no "Exception ignored" line
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _StdoutClosed from None
-
-
-def _lines(lines):
-    """``lines`` as one LF-terminated text block for ``_emit``."""
-    return ["".join(f"{line}\n" for line in lines)]
 
 
 def _parse_ints(text, flag, counts):
@@ -157,6 +152,14 @@ def _weighted(node, rule):
         raise EvalError(
             f"integrand is not finite at ({', '.join(f'{v:.17g}' for v in pt)})"
         ) from None
+
+
+def _model_rule(model, orders):
+    """The spectral rule of a region at Q[,P], its first and last order,
+    or the volume rule of a solid at MQ,NQ,NP."""
+    if isinstance(model, PlanarRegion):
+        return spectral_rule(model, orders[0], orders[-1])
+    return volume_rule(model, *orders)
 
 
 def _cmd_rule2d(args):
@@ -198,36 +201,23 @@ def _cmd_integrate(args):
         value = _weighted(node, load_rule(args.rule))
     else:
         model = load_model(args.model)
-        if isinstance(model, PlanarRegion):
-            if args.pe:
-                if args.orders:
-                    raise ValidationError("--pe sizes the rule itself; drop --orders")
-                k = polynomial_degree(node)
-                if k is None:
-                    raise ValidationError(
-                        "--pe needs a polynomial integrand (no /x, sqrt, exp, "
-                        "sin, cos, log over variables); drop --pe to integrate "
-                        f"{args.expr!r} with the spectral rule"
-                    )
-                rule = spectral_pe_rule(model, k)
-            else:
-                orders = (
-                    _parse_ints(args.orders, "--orders", {1, 2})
-                    if args.orders
-                    else [20, 20]
-                )
-                q = orders[0]
-                p = orders[1] if len(orders) == 2 else q
-                rule = spectral_rule(model, q, p)
-        else:
-            if args.pe:
+        planar = isinstance(model, PlanarRegion)
+        if args.pe:
+            if not planar:
                 raise ValidationError("--pe applies to planar regions only")
-            m_q, n_q, n_p = (
-                _parse_ints(args.orders, "--orders", {3})
-                if args.orders
-                else (16, 16, 16)
-            )
-            rule = volume_rule(model, m_q, n_q, n_p)
+            if args.orders:
+                raise ValidationError("--pe sizes the rule itself; drop --orders")
+            k = polynomial_degree(node)
+            if k is None:
+                raise ValidationError(
+                    "--pe needs a polynomial integrand (no /x, sqrt, exp, "
+                    "sin, cos, log over variables); drop --pe to integrate "
+                    f"{args.expr!r} with the spectral rule"
+                )
+            rule = spectral_pe_rule(model, k)
+        else:
+            counts, default = ({1, 2}, "20,20") if planar else ({3}, "16,16,16")
+            rule = _model_rule(model, _parse_ints(args.orders or default, "--orders", counts))
         value = _weighted(node, rule)
     _emit([f"{value:.17g}\n"], None)
 
@@ -245,7 +235,7 @@ def _cmd_fit_trim(args):
         [_net_to_json(c) for c in fit_trim_curves(pts, args.segments, args.degree)]
         for pts in blocks
     ]
-    _emit([json.dumps(loops, indent=2, sort_keys=True) + "\n"], args.out)
+    _emit([_json_text(loops)], args.out)
 
 
 def _cmd_convergence(args):
@@ -260,13 +250,9 @@ def _cmd_convergence(args):
     if lo < 1 or step < 1 or hi < lo:
         raise ValidationError("--orders needs 1 <= LO <= HI and STEP >= 1")
     model = load_model(args.model)
-    orders = list(range(lo, hi + 1, step))
     rows = []
-    for n in orders:
-        if isinstance(model, PlanarRegion):
-            rule = spectral_rule(model, n, n)
-        else:
-            rule = volume_rule(model, n, n, n)
+    for n in range(lo, hi + 1, step):
+        rule = _model_rule(model, (n, n, n))
         rows.append((n, len(rule), _weighted(node, rule)))
     reference = rows[-1][2]
     lines = ["order,n_points,value,error"]

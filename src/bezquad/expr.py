@@ -61,34 +61,72 @@ _MAX_FRAMES = 700
 
 
 class Expr:
-    """Base class for expression nodes; instances are frozen."""
+    """Base class for expression nodes; instances are frozen.
+
+    ``==``, ``hash`` and ``repr`` give what a frozen dataclass gives, but
+    walk the tree with an explicit stack, so every tree parse accepts
+    takes them."""
 
     __slots__ = ()
 
+    def _preorder(self):
+        """Each node's class and then its fields that are not nodes, node
+        by node in preorder; the classes' arities make this the tree."""
+        key, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            key.append(type(node))
+            fields = vars(node).values()
+            key += [v for v in fields if not isinstance(v, Expr)]
+            stack += reversed([v for v in fields if isinstance(v, Expr)])
+        return key
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        texts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                texts.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for i, (name, value) in enumerate(vars(item).items()):
+                value = value if isinstance(value, Expr) else repr(value)
+                parts += [f"{', ' * (i > 0)}{name}=", value]
+            stack += reversed([*parts, ")"])
+        return "".join(texts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     child: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     fn: str
     arg: Expr

@@ -121,7 +121,8 @@ class Rule:
     then one name per provenance column.  Surface rules also carry their
     parametric ``preimages`` in the unit square and ``degenerate_count``,
     the number of points whose unnormalized normal collapsed below
-    threshold; those stay in the rule with zero weight.
+    threshold; those stay in the rule with zero weight.  Points, weights
+    and preimages must be finite.
     """
 
     points: np.ndarray
@@ -149,6 +150,8 @@ class Rule:
             if a.ndim != 1 + len(tail) or a.shape[1:] != tail:
                 want = f"(n, {tail[0]})" if tail else "(n,)"
                 raise ValidationError(f"need shape {want}, got {a.shape}", path=name)
+            if dtype is float and not np.isfinite(a).all():
+                raise ValidationError("contains non-finite values", path=name)
         pre = arrays.get("preimages")
         if pre is not None and pre.size and (pre.min() < -1e-8 or pre.max() > 1.0 + 1e-8):
             raise ValidationError("parametric preimages must stay inside the unit square")

@@ -37,7 +37,8 @@ _MIN_POLE_DISTANCE = 1e-8
 
 @dataclass(frozen=True)
 class Rule1D:
-    """Nodes and weights for an interval; weights sum to its signed length."""
+    """Finite nodes and weights for an interval; weights sum to its signed
+    length."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -47,6 +48,9 @@ class Rule1D:
         nodes, weights = _adopt(self.nodes, "nodes"), _adopt(self.weights, "weights")
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValidationError("nodes and weights must be matching 1D arrays")
+        for name, a in (("nodes", nodes), ("weights", weights)):
+            if not np.isfinite(a).all():
+                raise ValidationError("contains non-finite values", path=name)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))

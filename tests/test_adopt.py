@@ -1,7 +1,7 @@
 """The one way arrays enter the frozen types, bezier._adopt: what curves,
 patches, bounding boxes, rules and moment vectors keep without a copy,
-what they copy, and what they refuse, located at the argument's name or
-at its document path."""
+what they copy, and what they refuse (rules also refuse non-finite
+values), located at the argument's name or at its document path."""
 
 import json
 
@@ -12,7 +12,7 @@ from bezquad.bezier import BoundingBox, RationalBezierCurve, RationalBezierPatch
 from bezquad.errors import ValidationError
 from bezquad.io import load_model, load_region, load_solid
 from bezquad.moments import MomentVector
-from bezquad.planar import Rule2D
+from bezquad.planar import Rule, Rule2D
 from bezquad.quad1d import Rule1D
 from bezquad.shapes import quarter_arc
 from bezquad.volume import Rule3D
@@ -86,6 +86,32 @@ def test_refusals_are_located(tmp_path, build, message):
     with pytest.raises(ValidationError) as err:
         build(tmp_path)
     assert str(err.value) == message
+
+
+_BAD = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
+@_BAD
+@pytest.mark.parametrize("name", ["points", "weights", "preimages"])
+def test_rules_refuse_non_finite_values(name, bad):
+    # accepted, a NaN weight makes apply return NaN, and an infinite point
+    # is blamed on the integrand
+    arrays = {"points": np.zeros((2, 3)), "weights": np.ones(2), "preimages": np.full((2, 2), 0.5)}
+    arrays[name][-1] = bad
+    columns = ("x", "y", "z", "weight", "patch", "i", "j")
+    with pytest.raises(ValidationError) as err:
+        Rule(provenance=np.zeros((2, 3), int), columns=columns, **arrays)
+    assert str(err.value) == f"{name}: contains non-finite values"
+
+
+@_BAD
+@pytest.mark.parametrize("name", ["nodes", "weights"])
+def test_rule1d_refuses_non_finite_values(name, bad):
+    arrays = {"nodes": np.array([0.25, 0.75]), "weights": np.array([0.5, 0.5])}
+    arrays[name][-1] = bad
+    with pytest.raises(ValidationError) as err:
+        Rule1D(interval=(0.0, 1.0), **arrays)
+    assert str(err.value) == f"{name}: contains non-finite values"
 
 
 def test_json_integers_a_double_holds_still_load(tmp_path):

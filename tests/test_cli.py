@@ -9,7 +9,8 @@ import pytest
 import scipy.special
 
 from bezquad.cli import _build_parser, main
-from bezquad.io import bundled, save_solid
+from bezquad.io import bundled, load_model, save_moments, save_solid
+from bezquad.moments import geometric_moments
 
 from conftest import bundled_with, x_axis_cylinder
 
@@ -278,21 +279,55 @@ def test_moments_output(capsys):
     assert vals[(2, 0)] == pytest.approx(math.pi / 4, abs=1e-10)
 
 
+def _write_circle_points(path):
+    """25 samples of a circle in the unit square, as fit-trim reads them."""
+    t = np.linspace(0, 2 * math.pi, 25)
+    path.write_text(
+        "".join(f"{0.5 + 0.4 * math.cos(a):.17g},{0.5 + 0.4 * math.sin(a):.17g}\n" for a in t)
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
+        ("rule2d", "--region", CIRCLE, "--mode", "pe", "--degree", "4"),
+        ("rule2d", "--region", CIRCLE, "--mode", "spectral", "--order", "6"),
+        ("rule-surface", "--solid", CYLINDER, "--orders", "5,4"),
         # 6144 rows: more than one block of the line writer
         ("rule-volume", "--solid", CYLINDER, "--orders", "8,8,8"),
         ("moments", "--model", CYLINDER, "--max-degree", "4"),
+        ("convergence", "--model", CYLINDER, "--expr", "exp(z)", "--orders", "2:6:2"),
+        # pts.csv is written in the working directory by the test
+        ("fit-trim", "--points", "pts.csv", "--segments", "4"),
     ],
-    ids=["rule-volume", "moments"],
+    ids=[
+        "rule2d-pe",
+        "rule2d-spectral",
+        "rule-surface",
+        "rule-volume",
+        "moments",
+        "convergence",
+        "fit-trim",
+    ],
 )
-def test_stdout_bytes_equal_out_file_bytes(capsys, tmp_path, argv):
+def test_stdout_bytes_equal_out_file_bytes(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _write_circle_points(tmp_path / "pts.csv")
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.count("\n") > 1
     path = tmp_path / "out.csv"
     assert run(capsys, *argv, "--out", str(path))[:2] == (0, "")
     assert out.encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("model", [CIRCLE, CUBE], ids=["region", "solid"])
+def test_moments_out_file_is_the_save_moments_file(capsys, tmp_path, model):
+    cli = tmp_path / "cli.csv"
+    argv = ("moments", "--model", model, "--max-degree", "3", "--out", str(cli))
+    assert run(capsys, *argv)[:2] == (0, "")
+    saved = tmp_path / "saved.csv"
+    save_moments(geometric_moments(load_model(model), 3), saved)
+    assert cli.read_bytes() == saved.read_bytes()
 
 
 @pytest.fixture

@@ -121,6 +121,31 @@ def test_the_deepest_accepted_trees_walk():
         assert evaluate(node, (2.0, 0.0, 0.0)) == pytest.approx(value[1], rel=1e-15)
 
 
+def test_the_deepest_accepted_trees_compare_hash_and_print():
+    # a recursive ==, hash or repr takes two or more frames per level
+    text = " + ".join(["x"] * 700)
+    a, b = parse(text), parse(text)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse(" + ".join(["x"] * 699))
+    x = "Var(name='x')"
+    assert repr(a) == "BinOp(op='+', left=" * 699 + x + f", right={x})" * 699
+
+
+def test_trees_compare_hash_and_print_as_dataclasses_did():
+    node = parse("-x^2 + sin(-(y - 2.5e-3)) / 3")
+    assert repr(node) == (
+        "BinOp(op='+', left=Neg(child=BinOp(op='^', left=Var(name='x'), "
+        "right=Num(value=2.0))), right=BinOp(op='/', left=Call(fn='sin', "
+        "arg=Neg(child=BinOp(op='-', left=Var(name='y'), right=Num(value=0.0025)))), "
+        "right=Num(value=3.0)))"
+    )
+    assert parse("x+1") == BinOp("+", Var("x"), Num(1.0))
+    assert hash(parse("x+1")) == hash(BinOp("+", Var("x"), Num(1.0)))
+    assert parse("x+1") != parse("1+x") and parse("x") != parse("y") and Var("x") != "x"
+    assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+    assert len({parse("x*y"), BinOp("*", Var("x"), Var("y")), parse("x*y")}) == 1
+
+
 def test_domain_errors_carry_node_and_point():
     with pytest.raises(EvalError, match=r"division by zero in 1 / x"):
         ev("1/x", (0, 0, 0))
