@@ -41,6 +41,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _refuse(a, bad, name, what):
+    """Raise ValidationError ``what, got <value>`` at the first True entry
+    of the mask ``bad`` over ``a``, located at ``name[i]...``."""
+    at = np.unravel_index(np.argmax(bad), a.shape)
+    raise ValidationError(f"{what}, got {a[at]}", path=name + "".join(f"[{i}]" for i in at))
+
+
 def _adopt(value, name, dtype=float) -> np.ndarray:
     """``value`` as a read-only array of ``dtype`` that nothing else can
     write, or ValidationError located at ``name``.
@@ -49,40 +56,45 @@ def _adopt(value, name, dtype=float) -> np.ndarray:
     the array owning its data is kept as it is; anything else is copied,
     so a caller's writeable array is never aliased.  Text, complex values,
     ragged input and other non-numbers are refused, and so are integers
-    too large for a double and values an integer ``dtype`` does not hold.
+    too large for a double, values an integer ``dtype`` does not hold and,
+    kept or copied, non-finite floats, the first located at ``name[i]...``.
     """
     a = value if isinstance(value, np.ndarray) and value.dtype == dtype else None
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        if a.flags.owndata:
-            return value
+    while isinstance(a, np.ndarray) and not (a.flags.writeable or a.flags.owndata):
         a = a.base
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError):  # ragged: refused below as an object
-        arr = np.asarray(None)
-    kind, integral = arr.dtype.kind, np.dtype(dtype).kind == "i"
-    # an object array holds Python integers beyond int64, or non-numbers
-    if kind not in "biufO" or (
-        kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat)
-    ):
-        what = "complex values are not supported" if kind == "c" else "not a numeric array"
-        raise ValidationError(what, path=name)
-    if integral and kind == "f":  # NaN or a float beyond int64 would cast with a warning
-        arr = np.where(abs(arr) < 2.0**63, arr, 0.5)  # 0.5: refused below
-    try:
-        out = arr.astype(dtype)  # always a copy
-    except (OverflowError, ValueError):
-        out = None
-    if out is None or (integral and not np.array_equal(out, arr)):
-        what = f"values must be integers in {np.dtype(dtype)} range"
-        raise ValidationError(what if integral else "integer too large for a double", path=name)
-    return _frozen(out)
+    if isinstance(a, np.ndarray) and not a.flags.writeable:
+        out = value
+    else:
+        try:
+            arr = np.asarray(value)
+        except (TypeError, ValueError):  # ragged: refused below as an object
+            arr = np.asarray(None)
+        kind, integral = arr.dtype.kind, np.dtype(dtype).kind == "i"
+        # an object array holds Python integers beyond int64, or non-numbers
+        if kind not in "biufO" or (
+            kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat)
+        ):
+            what = "complex values are not supported" if kind == "c" else "not a numeric array"
+            raise ValidationError(what, path=name)
+        if integral and kind == "f":  # NaN or a float beyond int64 would cast with a warning
+            arr = np.where(abs(arr) < 2.0**63, arr, 0.5)  # 0.5: refused below
+        try:
+            out = arr.astype(dtype)  # always a copy
+        except (OverflowError, ValueError):
+            out = None
+        if out is None or (integral and not np.array_equal(out, arr)):
+            what = f"values must be integers in {np.dtype(dtype)} range"
+            raise ValidationError(what if integral else "integer too large for a double", path=name)
+        _frozen(out)
+    if out.dtype.kind == "f" and not np.isfinite(out).all():
+        _refuse(out, ~np.isfinite(out), name, "must be finite")
+    return out
 
 
 def _control_net(net, axes, dims, shape):
     """Store ``net``'s points and weights back as read-only float arrays,
     or raise ValidationError at ``points``, ``weights`` or the first bad
-    ``weights[i]`` (``[i][j]`` on a patch) with its value.
+    entry, such as ``weights[i]`` (``[i][j]`` on a patch), with its value.
 
     The points need ``axes`` control-index axes of length >= 2, spelled
     out by ``shape``, and one of ``dims`` coordinates.  All values must be
@@ -97,16 +109,8 @@ def _control_net(net, axes, dims, shape):
         raise ValidationError(
             f"need weights of shape {pts.shape[:-1]}, got {wts.shape}", path="weights"
         )
-    if np.isfinite(pts).all() and np.isfinite(wts).all() and wts.min() > 0:
-        return
-    if not np.isfinite(pts).all():
-        raise ValidationError("control points must be finite", path="points")
-    bad, what = ~np.isfinite(wts), "finite"
-    if not bad.any():
-        bad, what = ~(wts > 0), "strictly positive"
-    at = np.unravel_index(np.argmax(bad), wts.shape)
-    where = "".join(f"[{i}]" for i in at)
-    raise ValidationError(f"weight must be {what}, got {wts[at]}", path=f"weights{where}")
+    if wts.min() <= 0:
+        _refuse(wts, wts <= 0, "weights", "weight must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,8 @@ class RationalBezierCurve:
 
     Points may be planar (x, y) or parameter-space (u, v); both are plain
     2-column arrays.  Points and weights must be finite and weights strictly
-    positive; a fault is located at ``points``, ``weights`` or ``weights[i]``.
+    positive; a fault is located at ``points``, ``weights`` or the entry,
+    such as ``weights[i]``.
     """
 
     points: np.ndarray
@@ -181,7 +186,8 @@ class BoundingBox:
 
     @classmethod
     def from_points(cls, pts) -> "BoundingBox":
-        pts = np.asarray(pts, dtype=float).reshape(-1, np.shape(pts)[-1])
+        pts = _adopt(pts, "pts")
+        pts = pts.reshape(-1, pts.shape[-1])
         return cls(pts.min(axis=0), pts.max(axis=0))
 
     def diagonal(self) -> float:
@@ -191,7 +197,7 @@ class BoundingBox:
         return BoundingBox(self.lo - pad, self.hi + pad)
 
     def contains(self, pts) -> bool:
-        pts = np.asarray(pts, dtype=float)
+        pts = _adopt(pts, "pts")
         return bool(np.all(pts >= self.lo) and np.all(pts <= self.hi))
 
     def union(self, other: "BoundingBox") -> "BoundingBox":
@@ -259,16 +265,16 @@ def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
     >>> bool(np.allclose(eval_curve(arc, 0.5), [2**-0.5, 2**-0.5]))
     True
     """
-    scalar = np.isscalar(s) or np.ndim(s) == 0
+    s = _adopt(s, "s")
     point, _ = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
-    return point[:, 0] if scalar else point.T
+    return point[:, 0] if s.ndim == 0 else point.T
 
 
 def eval_curve_derivative(curve: RationalBezierCurve, s) -> np.ndarray:
     """Derivative of the mapped (projected) curve with respect to s."""
-    scalar = np.isscalar(s) or np.ndim(s) == 0
+    s = _adopt(s, "s")
     _, der = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
-    return der[:, 0] if scalar else der.T
+    return der[:, 0] if s.ndim == 0 else der.T
 
 
 def _patch_eval_h(nets, u, v, which=None):
@@ -290,10 +296,10 @@ def _patch_eval_h(nets, u, v, which=None):
 
 def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
     """Evaluate the patch at paired parameter arrays (or scalars)."""
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u, v = _adopt(u, "u"), _adopt(v, "v")
     s_h, _, _ = _patch_eval_h(_homogeneous(patch.points, patch.weights), u, v)
     out = s_h[:3] / s_h[3]
-    return out[:, 0] if scalar else out.T
+    return out[:, 0] if u.ndim == v.ndim == 0 else out.T
 
 
 def _patch_point_normal(nets, u, v, which=None):
@@ -318,9 +324,9 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
     The magnitude is the area scale factor of the parametrization; the
     direction depends on the (u, v) handedness and is not unitized here.
     """
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u, v = _adopt(u, "u"), _adopt(v, "v")
     _, normal = _patch_point_normal(_homogeneous(patch.points, patch.weights), u, v)
-    return normal[:, 0] if scalar else normal.T
+    return normal[:, 0] if u.ndim == v.ndim == 0 else normal.T
 
 
 _CONDITIONING_DEGREE = 20
@@ -343,7 +349,7 @@ def _warn_if_high_degree(n):
 def _basis_change(coeffs, entry):
     """``mat @ coeffs`` for the (n+1) x (n+1) lower-triangular matrix with
     ``mat[i, j] = entry(n, i, j)``; extra axes of ``coeffs`` pass through."""
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _adopt(coeffs, "coeffs")
     n = coeffs.shape[0] - 1
     _warn_if_high_degree(n)
     mat = np.zeros((n + 1, n + 1))

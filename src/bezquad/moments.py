@@ -45,6 +45,7 @@ _DOUBLING_TOL = 1e-11
 
 def monomial_exponents(p: int, dim: int):
     """Exponent tuples of total degree <= p in graded-lex order."""
+    dim = _as_int(dim, "dim")
     if dim not in (2, 3):
         raise ValidationError(f"dim must be 2 or 3, got {dim}")
     p = _as_int(p, "max degree", 0)
@@ -61,7 +62,7 @@ def monomial_exponents(p: int, dim: int):
 @dataclass(frozen=True)
 class MomentVector:
     """Monomial moments up to a total degree, graded-lex ordered; the
-    values must be finite."""
+    degree and dim are ints and the values must be finite."""
 
     degree: int
     dim: int
@@ -74,8 +75,8 @@ class MomentVector:
             raise ValidationError(
                 f"degree {self.degree} in {self.dim}D needs {expected} moments, got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("moments must be finite")
+        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "values", vals)
 
     @property
@@ -193,11 +194,9 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
     p = moments.degree if p is None else _as_int(p, "max degree", 0)
     if p > moments.degree:
         raise ValidationError(f"p={p} exceeds the moment vector degree {moments.degree}")
-    pts = np.asarray(points, dtype=float)
+    pts = _adopt(points, "points")
     if pts.ndim != 2 or pts.shape[1] != moments.dim:
         raise ValidationError(f"points must be (n, {moments.dim}) for these moments")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("points must be finite")
     exps = monomial_exponents(p, moments.dim)
     m = moments.values[: len(exps)]
     if pts.shape[0] < len(exps):

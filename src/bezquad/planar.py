@@ -150,8 +150,6 @@ class Rule:
             if a.ndim != 1 + len(tail) or a.shape[1:] != tail:
                 want = f"(n, {tail[0]})" if tail else "(n,)"
                 raise ValidationError(f"need shape {want}, got {a.shape}", path=name)
-            if dtype is float and not np.isfinite(a).all():
-                raise ValidationError("contains non-finite values", path=name)
         pre = arrays.get("preimages")
         if pre is not None and pre.size and (pre.min() < -1e-8 or pre.max() > 1.0 + 1e-8):
             raise ValidationError("parametric preimages must stay inside the unit square")

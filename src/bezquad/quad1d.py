@@ -48,9 +48,6 @@ class Rule1D:
         nodes, weights = _adopt(self.nodes, "nodes"), _adopt(self.weights, "weights")
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValidationError("nodes and weights must be matching 1D arrays")
-        for name, a in (("nodes", nodes), ("weights", weights)):
-            if not np.isfinite(a).all():
-                raise ValidationError("contains non-finite values", path=name)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
@@ -166,11 +163,11 @@ def weight_poly_roots(weights) -> list[complex]:
     leading monomial coefficients reduce the effective degree rather than
     spawning spurious far-field roots.
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = _adopt(weights, "weights")
     if weights.ndim != 1 or weights.size < 1:
         raise ValidationError("weights must be a nonempty vector")
-    if not np.all(np.isfinite(weights)) or np.all(weights == 0):
-        raise ValidationError("weights must be finite and not all zero")
+    if not weights.any():
+        raise ValidationError("weights must not all be zero")
     mono = bernstein_to_monomial(weights)
     scale = np.max(np.abs(mono))
     keep = np.nonzero(np.abs(mono) > 1e-12 * scale)[0]

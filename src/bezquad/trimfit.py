@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bezier import RationalBezierCurve, monomial_to_bernstein
+from .bezier import RationalBezierCurve, _adopt, monomial_to_bernstein
 from .errors import ValidationError
 from .quad1d import _as_int
 
@@ -39,11 +39,9 @@ def fit_trim_curves(points, segments: int, degree: int = 3):
     spaced arc targets, with span boundaries shared exactly between
     neighbours.  Returns a list of polynomial (unit-weight) curves.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _adopt(points, "points")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValidationError("points must be an ordered list of (u, v) pairs")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("points must be finite")
     segments = _as_int(segments, "segments", 1)
     degree = _as_int(degree, "degree", 1)
     if pts.shape[0] < degree + 1:

@@ -16,6 +16,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bezier import _frozen
 from .errors import ValidationError
 from .planar import Rule, _lift, apply
@@ -35,15 +37,18 @@ __all__ = [
 class SolidModel:
     """Union of trimmed patches asserted to bound a volume.
 
-    Patch normals must point out of the material.  ``closed`` is a caller
-    assertion, not something verified here; the construction tolerates
-    small gaps between adjacent patches.
+    Patch normals must point out of the material.  ``closed``, a bool, is
+    a caller assertion, not something verified here; the construction
+    tolerates small gaps between adjacent patches.
     """
 
     patches: tuple[TrimmedPatch, ...]
     closed: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.closed, (bool, np.bool_)):
+            raise ValidationError(f"must be true or false, got {self.closed!r}", path="closed")
+        object.__setattr__(self, "closed", bool(self.closed))
         patches = tuple(
             _as_trimmed_patch(tp, f"patches[{i}]") for i, tp in enumerate(self.patches)
         )

@@ -150,66 +150,55 @@ def _net_fault_table():
     c_shape = "points: control points must be (m+1, 2) or (m+1, 3) with m >= 1, got "
     p_shape = "points: control points must be (m+1, n+1, 3) with m, n >= 1, got "
     numeric = "points: not a numeric array"
-    finite = "points: control points must be finite"
 
-    def weight(value, what, json=None):
+    def weight(value, what="must be finite"):
         return (
-            (c, _put(cw, (1,), value), f"weights[1]: weight must be {what}, got {value!r}"),
-            (p, _put(pw, (1, 0), value), f"weights[1][0]: weight must be {what}, got {value!r}"),
-            json,
+            (c, _put(cw, (1,), value), f"weights[1]: {what}, got {value!r}"),
+            (p, _put(pw, (1, 0), value), f"weights[1][0]: {what}, got {value!r}"),
         )
 
     rows = {
         "non-numeric points": (
-            (_put(c, (1, 1), "a"), cw, numeric), (_put(p, (1, 1, 1), "a"), pw, numeric), None
+            (_put(c, (1, 1), "a"), cw, numeric), (_put(p, (1, 1, 1), "a"), pw, numeric)
         ),
         "non-numeric weights": (
             (c, _put(cw, (1,), "a"), "weights: not a numeric array"),
             (p, _put(pw, (1, 0), "a"), "weights: not a numeric array"),
-            None,
         ),
         "ragged points": (
-            (_put(c, (1,), [1]), cw, numeric), (_put(p, (1,), [[1, 0, 0]]), pw, numeric), None
+            (_put(c, (1,), [1]), cw, numeric), (_put(p, (1,), [[1, 0, 0]]), pw, numeric)
         ),
         "too few points": (
-            (c[:1], cw[:1], c_shape + "(1, 2)"), (p[:1], pw[:1], p_shape + "(1, 2, 3)"), None
+            (c[:1], cw[:1], c_shape + "(1, 2)"), (p[:1], pw[:1], p_shape + "(1, 2, 3)")
         ),
         "wrong coordinate count": (
             ([q + [0, 0] for q in c], cw, c_shape + "(3, 4)"),
             ([[q[:2] for q in row] for row in p], pw, p_shape + "(2, 2, 2)"),
-            None,
         ),
         "wrong weight shape": (
             (c, cw[:2], "weights: need weights of shape (3,), got (2,)"),
             (p, [1, 1, 1, 1], "weights: need weights of shape (2, 2), got (4,)"),
-            None,
         ),
         "nan point": (
-            (_put(c, (1, 0), math.nan), cw, finite),
-            (_put(p, (1, 0, 2), math.nan), pw, finite),
-            "points: contains non-finite values",
+            (_put(c, (1, 0), math.nan), cw, "points[1][0]: must be finite, got nan"),
+            (_put(p, (1, 0, 2), math.nan), pw, "points[1][0][2]: must be finite, got nan"),
         ),
         "inf point": (
-            (_put(c, (2, 1), -math.inf), cw, finite),
-            (_put(p, (0, 1, 0), math.inf), pw, finite),
-            "points: contains non-finite values",
+            (_put(c, (2, 1), -math.inf), cw, "points[2][1]: must be finite, got -inf"),
+            (_put(p, (0, 1, 0), math.inf), pw, "points[0][1][0]: must be finite, got inf"),
         ),
-        "nan weight": weight(math.nan, "finite", "weights: contains non-finite values"),
-        "inf weight": weight(math.inf, "finite", "weights: contains non-finite values"),
-        "zero weight": weight(0.0, "strictly positive"),
-        "negative weight": weight(-2.0, "strictly positive"),
+        "nan weight": weight(math.nan),
+        "inf weight": weight(math.inf),
+        "zero weight": weight(0.0, "weight must be strictly positive"),
+        "negative weight": weight(-2.0, "weight must be strictly positive"),
     }
-    return [
-        (name, {"curve": curve, "patch": patch}, json)
-        for name, (curve, patch, json) in rows.items()
-    ]
+    return [(name, {"curve": curve, "patch": patch}) for name, (curve, patch) in rows.items()]
 
 
-# Every control-net fault as (name, nets, json_message).  ``nets`` maps
-# "curve" and "patch" to (points, weights, message): a net carrying the
-# fault and the located text its constructor raises.  ``json_message``,
-# when set, is what a JSON reader reports instead, because its own number
-# check sees the fault first.
+# Every control-net fault as (name, nets).  ``nets`` maps "curve" and
+# "patch" to (points, weights, message): a net carrying the fault and the
+# located text its constructor raises, which a JSON reader also reports,
+# behind the document path.
 NET_FAULTS = _net_fault_table()
 
 

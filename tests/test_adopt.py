@@ -1,20 +1,33 @@
-"""The one way arrays enter the frozen types, bezier._adopt: what curves,
-patches, bounding boxes, rules and moment vectors keep without a copy,
-what they copy, and what they refuse (rules also refuse non-finite
-values), located at the argument's name or at its document path."""
+"""The one way arrays enter the frozen types and the public functions,
+bezier._adopt: what curves, patches, bounding boxes, rules and moment
+vectors keep without a copy, what they copy, and what they refuse (text,
+complex and non-finite values among it), located at the argument's name,
+its entry or its document path."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from bezquad.bezier import BoundingBox, RationalBezierCurve, RationalBezierPatch
+from bezquad.bezier import (
+    BoundingBox,
+    RationalBezierCurve,
+    RationalBezierPatch,
+    bernstein_to_monomial,
+    eval_curve,
+    eval_curve_derivative,
+    eval_patch,
+    monomial_to_bernstein,
+    patch_normal,
+)
 from bezquad.errors import ValidationError
 from bezquad.io import load_model, load_region, load_solid
-from bezquad.moments import MomentVector
+from bezquad.moments import MomentVector, moment_fit_weights
 from bezquad.planar import Rule, Rule2D
-from bezquad.quad1d import Rule1D
-from bezquad.shapes import quarter_arc
+from bezquad.quad1d import Rule1D, weight_poly_roots
+from bezquad.shapes import bilinear_patch, quarter_arc
+from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import Rule3D
 
 from conftest import bundled_with
@@ -101,7 +114,8 @@ def test_rules_refuse_non_finite_values(name, bad):
     columns = ("x", "y", "z", "weight", "patch", "i", "j")
     with pytest.raises(ValidationError) as err:
         Rule(provenance=np.zeros((2, 3), int), columns=columns, **arrays)
-    assert str(err.value) == f"{name}: contains non-finite values"
+    where = "[1]" if name == "weights" else "[1][0]"
+    assert str(err.value) == f"{name}{where}: must be finite, got {bad}"
 
 
 @_BAD
@@ -111,7 +125,57 @@ def test_rule1d_refuses_non_finite_values(name, bad):
     arrays[name][-1] = bad
     with pytest.raises(ValidationError) as err:
         Rule1D(interval=(0.0, 1.0), **arrays)
-    assert str(err.value) == f"{name}: contains non-finite values"
+    assert str(err.value) == f"{name}[1]: must be finite, got {bad}"
+
+
+_FLAT = bilinear_patch((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+_HALF = np.array([0.25, 0.5])
+
+# each public entry point that takes a numeric array: a call with the
+# array, the argument's name and a valid array of its shape
+_ENTRY_POINTS = {
+    "eval_curve": (lambda a: eval_curve(quarter_arc(), a), "s", _HALF),
+    "eval_curve_derivative": (lambda a: eval_curve_derivative(quarter_arc(), a), "s", _HALF),
+    "eval_patch-u": (lambda a: eval_patch(_FLAT, a, _HALF), "u", _HALF),
+    "eval_patch-v": (lambda a: eval_patch(_FLAT, _HALF, a), "v", _HALF),
+    "patch_normal-u": (lambda a: patch_normal(_FLAT, a, _HALF), "u", _HALF),
+    "patch_normal-v": (lambda a: patch_normal(_FLAT, _HALF, a), "v", _HALF),
+    "bernstein_to_monomial": (bernstein_to_monomial, "coeffs", np.ones((3, 2))),
+    "monomial_to_bernstein": (monomial_to_bernstein, "coeffs", np.ones(3)),
+    "bounding-box-from-points": (BoundingBox.from_points, "pts", np.eye(3, 2)),
+    "bounding-box-contains": (BoundingBox(np.zeros(2), np.ones(2)).contains, "pts", _HALF),
+    "weight_poly_roots": (weight_poly_roots, "weights", np.ones(3)),
+    "moment_fit_weights": (
+        lambda a: moment_fit_weights(a, MomentVector(1, 2, [1.0, 0.5, 0.5])), "points", np.eye(3, 2)
+    ),
+    "fit_trim_curves": (lambda a: fit_trim_curves(a, 1, 1), "points", np.eye(3, 2)),
+}
+
+
+@pytest.mark.parametrize("fault", ["text", "complex", "nan"])
+@pytest.mark.parametrize("call, name, good", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS)
+def test_entry_points_refuse_at_the_argument(call, name, good, fault):
+    # numpy's own conversion raised a bare ValueError on text, dropped the
+    # imaginary parts with a ComplexWarning, or let NaN through
+    call(good)
+    bad = {"text": good.astype(str), "complex": good + 1j, "nan": good.copy()}[fault]
+    bad.flat[0] = np.nan if fault == "nan" else bad.flat[0]
+    message = {
+        "text": "not a numeric array",
+        "complex": "complex values are not supported",
+        "nan": "must be finite, got nan",
+    }[fault]
+    where = "[0]" * good.ndim if fault == "nan" else ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            call(bad)
+    assert str(err.value) == f"{name}{where}: {message}"
+
+
+def test_bounding_box_refuses_a_non_finite_corner():
+    with pytest.raises(ValidationError, match=r"^lo\[0\]: must be finite, got nan$"):
+        BoundingBox([np.nan, 0.0], [1.0, 1.0])
 
 
 def test_json_integers_a_double_holds_still_load(tmp_path):

@@ -398,8 +398,8 @@ def test_non_finite_control_data_rejected():
 
 
 @pytest.mark.parametrize("kind", ["curve", "patch"])
-@pytest.mark.parametrize("name,nets,json_message", NET_FAULTS, ids=[f[0] for f in NET_FAULTS])
-def test_control_net_faults_are_located(name, nets, json_message, kind):
+@pytest.mark.parametrize("name,nets", NET_FAULTS, ids=[f[0] for f in NET_FAULTS])
+def test_control_net_faults_are_located(name, nets, kind):
     points, weights, message = nets[kind]
     build = {"curve": RationalBezierCurve, "patch": RationalBezierPatch}[kind]
     with pytest.raises(ValidationError) as err:
@@ -428,12 +428,12 @@ def test_complex_nets_are_refused(kind, key, convert):
 
 
 def test_weights_are_checked_finite_before_positive():
-    message = r"^weights\[2\]: weight must be finite, got nan$"
+    message = r"^weights\[2\]: must be finite, got nan$"
     with pytest.raises(ValidationError, match=message):
         RationalBezierCurve([(0, 0), (1, 0), (1, 1)], [-1.0, 0.0, math.nan])
     weights = np.ones((2, 3))
     weights[0, 2], weights[1, 0] = 0.0, math.inf
-    message = r"^weights\[1\]\[0\]: weight must be finite, got inf$"
+    message = r"^weights\[1\]\[0\]: must be finite, got inf$"
     with pytest.raises(ValidationError, match=message):
         RationalBezierPatch(np.zeros((2, 3, 3)), weights)
     weights[1, 0] = 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bezquad.errors import QuadratureError, ValidationError
-from bezquad.io import bundled, load_solid
+from bezquad.io import bundled, load_solid, moment_csv_lines, save_moments
 from bezquad.moments import (
     MomentVector,
     _moment_sums,
@@ -241,11 +241,29 @@ def test_fit_validation():
         moment_fit_weights(np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]]), mv)
 
 
+@pytest.mark.parametrize("degree, dim", [(1, 2.0), (1.0, 2)])
+def test_moment_vector_stores_int_degree_and_dim(tmp_path, degree, dim):
+    # a float dim once broke moment_csv_lines with a raw TypeError
+    mv = MomentVector(degree, dim, [1.0, 0.0, 0.0])
+    assert type(mv.degree) is int and type(mv.dim) is int
+    assert moment_csv_lines(mv) == ["a,b,value", "0,0,1", "1,0,0", "0,1,0"]
+    save_moments(mv, tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_text() == "a,b,value\n0,0,1\n1,0,0\n0,1,0\n"
+
+
+@pytest.mark.parametrize("dim", [2.5, True])
+def test_moment_vector_refuses_a_dim_that_is_no_integer(dim):
+    with pytest.raises(ValidationError, match=f"^dim must be an integer, got {dim!r}$"):
+        MomentVector(1, dim, [1.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match=f"^dim must be an integer, got {dim!r}$"):
+        monomial_exponents(1, dim)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_moment_vector_rejects_non_finite(bad):
     # a NaN moment once came back from moment_fit_weights as NaN weights
     # and a NaN residual, with no error
-    with pytest.raises(ValidationError, match="moments must be finite"):
+    with pytest.raises(ValidationError, match=rf"^values\[0\]: must be finite, got {bad}$"):
         MomentVector(1, 2, [bad, 0.0, 0.0])
 
 

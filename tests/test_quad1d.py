@@ -207,8 +207,8 @@ def test_pole_set_open_under_conjugation():
         (lambda: PoleSet(((0.5 + 1j, 1), (0.5 + 1j, 2))), "duplicate pole locations; merge multiplicities instead"),
         (lambda: weight_poly_roots([]), "weights must be a nonempty vector"),
         (lambda: weight_poly_roots([[1.0, 2.0]]), "weights must be a nonempty vector"),
-        (lambda: weight_poly_roots([1.0, math.nan]), "weights must be finite and not all zero"),
-        (lambda: weight_poly_roots([0.0, 0.0]), "weights must be finite and not all zero"),
+        (lambda: weight_poly_roots([1.0, math.nan]), "weights[1]: must be finite, got nan"),
+        (lambda: weight_poly_roots([0.0, 0.0]), "weights must not all be zero"),
     ],
     ids=["duplicate-poles", "empty-weights", "matrix-weights", "nan-weight", "zero-weights"],
 )

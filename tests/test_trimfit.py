@@ -95,7 +95,7 @@ def test_points_must_be_pairs(shape):
 def test_non_finite_points_rejected(bad):
     pts = quarter_circle_samples(20)
     pts[7, 0] = bad
-    with pytest.raises(ValidationError, match="^points must be finite$"):
+    with pytest.raises(ValidationError, match=rf"^points\[7\]\[0\]: must be finite, got {bad}$"):
         fit_trim_curves(pts, 2)
 
 

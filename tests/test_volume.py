@@ -106,6 +106,18 @@ def test_open_solid_rejected():
         volume_rule(solid, 3, 3)
 
 
+@pytest.mark.parametrize("closed", ["false", 1.0, None])
+def test_closed_must_be_a_bool(closed):
+    # "false" and 1.0 used to pass as truthy, so an open solid got a volume
+    with pytest.raises(ValidationError) as err:
+        SolidModel(box_solid().patches, closed=closed)
+    assert str(err.value) == f"closed: must be true or false, got {closed!r}"
+
+
+def test_numpy_bool_closed_is_stored_as_bool():
+    assert SolidModel(box_solid().patches, closed=np.False_).closed is False
+
+
 @pytest.mark.parametrize(
     "solid,name",
     [(box_solid().patches[0], "TrimmedPatch"), (None, "NoneType"), (list(box_solid().patches), "list")],
