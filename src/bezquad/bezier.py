@@ -48,7 +48,7 @@ def _refuse(a, bad, name, what):
     raise ValidationError(f"{what}, got {a[at]}", path=name + "".join(f"[{i}]" for i in at))
 
 
-def _adopt(value, name, dtype=float) -> np.ndarray:
+def _adopt(value, name, dtype=float, shape=None) -> np.ndarray:
     """``value`` as a read-only array of ``dtype`` that nothing else can
     write, or ValidationError located at ``name``.
 
@@ -57,7 +57,8 @@ def _adopt(value, name, dtype=float) -> np.ndarray:
     so a caller's writeable array is never aliased.  Text, complex values,
     ragged input and other non-numbers are refused, and so are integers
     too large for a double, values an integer ``dtype`` does not hold and,
-    kept or copied, non-finite floats, the first located at ``name[i]...``.
+    kept or copied, non-finite floats, the first located at ``name[i]...``;
+    then any shape but ``shape``, whose first length None allows any length.
     """
     a = value if isinstance(value, np.ndarray) and value.dtype == dtype else None
     while isinstance(a, np.ndarray) and not (a.flags.writeable or a.flags.owndata):
@@ -88,6 +89,9 @@ def _adopt(value, name, dtype=float) -> np.ndarray:
         _frozen(out)
     if out.dtype.kind == "f" and not np.isfinite(out).all():
         _refuse(out, ~np.isfinite(out), name, "must be finite")
+    rows = shape is not None and shape[0] is None  # any number of rows
+    if shape is not None and (out.ndim, out.shape[rows:]) != (len(shape), shape[rows:]):
+        raise ValidationError(f"need shape {shape}, got {out.shape}".replace("None", "n"), name)
     return out
 
 
@@ -181,12 +185,14 @@ class BoundingBox:
     hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _adopt(self.lo, "lo"))
-        object.__setattr__(self, "hi", _adopt(self.hi, "hi"))
+        object.__setattr__(self, "lo", _adopt(self.lo, "lo", shape=(None,)))
+        object.__setattr__(self, "hi", _adopt(self.hi, "hi", shape=self.lo.shape))
 
     @classmethod
     def from_points(cls, pts) -> "BoundingBox":
         pts = _adopt(pts, "pts")
+        if pts.ndim == 0 or not pts.size:
+            raise ValidationError(f"need a nonempty shape (..., d), got {pts.shape}", "pts")
         pts = pts.reshape(-1, pts.shape[-1])
         return cls(pts.min(axis=0), pts.max(axis=0))
 
@@ -198,6 +204,9 @@ class BoundingBox:
 
     def contains(self, pts) -> bool:
         pts = _adopt(pts, "pts")
+        if pts.shape[-1:] != self.lo.shape or pts.ndim > 2:
+            want = f"(n, {len(self.lo)}) or {self.lo.shape}"
+            raise ValidationError(f"need shape {want}, got {pts.shape}", "pts")
         return bool(np.all(pts >= self.lo) and np.all(pts <= self.hi))
 
     def union(self, other: "BoundingBox") -> "BoundingBox":
@@ -350,6 +359,8 @@ def _basis_change(coeffs, entry):
     """``mat @ coeffs`` for the (n+1) x (n+1) lower-triangular matrix with
     ``mat[i, j] = entry(n, i, j)``; extra axes of ``coeffs`` pass through."""
     coeffs = _adopt(coeffs, "coeffs")
+    if coeffs.ndim == 0 or not coeffs.size:
+        raise ValidationError(f"need a nonempty shape (n+1, ...), got {coeffs.shape}", "coeffs")
     n = coeffs.shape[0] - 1
     _warn_if_high_degree(n)
     mat = np.zeros((n + 1, n + 1))

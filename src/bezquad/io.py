@@ -62,13 +62,15 @@ _KEY = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np
 
 
 def _read_text(path) -> str:
-    """The whole UTF-8 text of ``path``; a missing file or one that does not
-    decode raises ValidationError naming it."""
+    """The whole UTF-8 text of ``path``; a file that is missing, cannot be
+    read or does not decode raises ValidationError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
+    except OSError as exc:  # a directory, or no permission to read
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
 

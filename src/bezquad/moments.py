@@ -69,12 +69,7 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _adopt(self.values, "values")
-        expected = len(monomial_exponents(self.degree, self.dim))
-        if vals.shape != (expected,):
-            raise ValidationError(
-                f"degree {self.degree} in {self.dim}D needs {expected} moments, got {vals.shape}"
-            )
+        vals = _adopt(self.values, "values", shape=(len(self.exponents),))
         object.__setattr__(self, "degree", int(self.degree))
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "values", vals)
@@ -194,9 +189,7 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
     p = moments.degree if p is None else _as_int(p, "max degree", 0)
     if p > moments.degree:
         raise ValidationError(f"p={p} exceeds the moment vector degree {moments.degree}")
-    pts = _adopt(points, "points")
-    if pts.ndim != 2 or pts.shape[1] != moments.dim:
-        raise ValidationError(f"points must be (n, {moments.dim}) for these moments")
+    pts = _adopt(points, "points", shape=(None, moments.dim))
     exps = monomial_exponents(p, moments.dim)
     m = moments.values[: len(exps)]
     if pts.shape[0] < len(exps):

@@ -139,17 +139,14 @@ class Rule:
             raise ValidationError(
                 f"rule columns need 2 or 3 coordinates before 'weight', got {','.join(cols)!r}"
             )
-        # each array's shape after its row axis; preimages are optional
-        tails = {"points": (dim,), "weights": (), "provenance": (len(cols) - dim - 1,)}
+        # each array's shape, any number of rows; preimages are optional
+        shapes = dict(points=(None, dim), weights=(None,), provenance=(None, len(cols) - dim - 1))
         if self.preimages is not None:
-            tails["preimages"] = (2,)
+            shapes["preimages"] = (None, 2)
         arrays = {}
-        for name, tail in tails.items():
+        for name, shape in shapes.items():
             dtype = np.int64 if name == "provenance" else float
-            a = arrays[name] = _adopt(getattr(self, name), name, dtype)
-            if a.ndim != 1 + len(tail) or a.shape[1:] != tail:
-                want = f"(n, {tail[0]})" if tail else "(n,)"
-                raise ValidationError(f"need shape {want}, got {a.shape}", path=name)
+            arrays[name] = _adopt(getattr(self, name), name, dtype, shape)
         pre = arrays.get("preimages")
         if pre is not None and pre.size and (pre.min() < -1e-8 or pre.max() > 1.0 + 1e-8):
             raise ValidationError("parametric preimages must stay inside the unit square")

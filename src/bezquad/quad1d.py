@@ -45,11 +45,8 @@ class Rule1D:
     interval: tuple[float, float]
 
     def __post_init__(self):
-        nodes, weights = _adopt(self.nodes, "nodes"), _adopt(self.weights, "weights")
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValidationError("nodes and weights must be matching 1D arrays")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "nodes", _adopt(self.nodes, "nodes", shape=(None,)))
+        object.__setattr__(self, "weights", _adopt(self.weights, "weights", shape=self.nodes.shape))
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
 
     def __len__(self) -> int:
@@ -102,7 +99,11 @@ class PoleSet:
 
     def __post_init__(self):
         cleaned = []
-        for p, mult in self.poles:
+        for i, pair in enumerate(self.poles if np.iterable(self.poles) else [self.poles]):
+            items = tuple(pair) if np.iterable(pair) else ()
+            p, mult = items if len(items) == 2 else (None, None)
+            if not isinstance(p, numbers.Number):
+                raise ValidationError(f"need (location, multiplicity), got {pair!r}", f"poles[{i}]")
             p = complex(p)
             if not cmath.isfinite(p):
                 raise ValidationError(f"pole locations must be finite, got {p}")
@@ -146,9 +147,7 @@ def gauss_legendre(n: int, interval=(0.0, 1.0)) -> Rule1D:
     n = _as_int(n, "node count")
     if n < 1:
         raise ValidationError(f"need at least one node, got n={n}")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"interval endpoints must be finite, got ({lo}, {hi})")
+    lo, hi = _adopt(interval, "interval", shape=(2,)).tolist()
     x, w = _leggauss(n)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return Rule1D(_frozen(mid + half * x), _frozen(half * w), (lo, hi))
@@ -163,8 +162,8 @@ def weight_poly_roots(weights) -> list[complex]:
     leading monomial coefficients reduce the effective degree rather than
     spawning spurious far-field roots.
     """
-    weights = _adopt(weights, "weights")
-    if weights.ndim != 1 or weights.size < 1:
+    weights = _adopt(weights, "weights", shape=(None,))
+    if not weights.size:
         raise ValidationError("weights must be a nonempty vector")
     if not weights.any():
         raise ValidationError("weights must not all be zero")

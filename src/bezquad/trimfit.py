@@ -39,9 +39,7 @@ def fit_trim_curves(points, segments: int, degree: int = 3):
     spaced arc targets, with span boundaries shared exactly between
     neighbours.  Returns a list of polynomial (unit-weight) curves.
     """
-    pts = _adopt(points, "points")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValidationError("points must be an ordered list of (u, v) pairs")
+    pts = _adopt(points, "points", shape=(None, 2))
     segments = _as_int(segments, "segments", 1)
     degree = _as_int(degree, "degree", 1)
     if pts.shape[0] < degree + 1:

@@ -25,7 +25,7 @@ from bezquad.errors import ValidationError
 from bezquad.io import load_model, load_region, load_solid
 from bezquad.moments import MomentVector, moment_fit_weights
 from bezquad.planar import Rule, Rule2D
-from bezquad.quad1d import Rule1D, weight_poly_roots
+from bezquad.quad1d import Rule1D, gauss_legendre, weight_poly_roots
 from bezquad.shapes import bilinear_patch, quarter_arc
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import Rule3D
@@ -48,6 +48,14 @@ _REFUSALS = {
     "provenance-of-1-column": (
         lambda _: Rule2D(np.zeros((3, 2)), np.ones(3), np.zeros((9, 1), int)),
         "provenance: need shape (n, 3), got (9, 1)",
+    ),
+    "moments-of-another-count": (
+        lambda _: MomentVector(2, 2, np.zeros(5)),
+        "values: need shape (6,), got (5,)",
+    ),
+    "rule1d-weights-of-another-length": (
+        lambda _: Rule1D([0.25, 0.75], [1.0], (0.0, 1.0)),
+        "weights: need shape (2,), got (1,)",
     ),
     "complex-rule-points": (
         lambda _: Rule2D([[1.0 + 2.0j, 0.0]], [1.0], [[0, 0, 0]]),
@@ -171,6 +179,33 @@ def test_entry_points_refuse_at_the_argument(call, name, good, fault):
         with pytest.raises(ValidationError) as err:
             call(bad)
     assert str(err.value) == f"{name}{where}: {message}"
+
+
+_BOX = BoundingBox(np.zeros(2), np.ones(2))
+
+# each entry point that takes an array of one rank, or of at least one axis:
+# the call, the argument's name, the shape it needs, and a wrong shape
+_COEFFS = "a nonempty shape (n+1, ...)"
+_SHAPED = {
+    "bounding-box-from-points": (BoundingBox.from_points, "pts", "a nonempty shape (..., d)", (0,)),
+    "bounding-box-hi": (lambda a: BoundingBox(np.zeros(2), a), "hi", "shape (2,)", (1, 3)),
+    "bounding-box-contains": (_BOX.contains, "pts", "shape (n, 2) or (2,)", (1, 3)),
+    "bernstein_to_monomial": (bernstein_to_monomial, "coeffs", _COEFFS, (0, 2)),
+    "monomial_to_bernstein": (monomial_to_bernstein, "coeffs", _COEFFS, (0, 2)),
+    "gauss_legendre": (lambda a: gauss_legendre(2, a), "interval", "shape (2,)", (3,)),
+}
+
+
+@pytest.mark.parametrize("value", ["scalar", "empty", "mismatched"])
+@pytest.mark.parametrize("call, name, want, wrong", _SHAPED.values(), ids=_SHAPED)
+def test_entry_points_refuse_a_wrong_shape_at_the_argument(call, name, want, wrong, value):
+    # each raised numpy's IndexError, ValueError or TypeError, or accepted
+    # the array: a box with a scalar corner, an interval of three numbers
+    bad = {"scalar": 5.0, "empty": [], "mismatched": np.ones(wrong)}[value]
+    with pytest.raises(ValidationError) as err:
+        call(bad)
+    assert err.value.path == name
+    assert str(err.value) == f"{name}: need {want}, got {np.shape(bad)}"
 
 
 def test_bounding_box_refuses_a_non_finite_corner():

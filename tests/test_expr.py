@@ -211,6 +211,8 @@ def test_polynomial_degree():
     assert polynomial_degree(parse("x / sin(2)")) is None  # a call in the denominator too
     assert polynomial_degree(parse("x / 10^400")) is None  # an overflowing denominator
     assert polynomial_degree(parse("-x*y")) == 2
+    assert polynomial_degree(parse("sin(x)*y")) is None  # a call on the left of an operator
+    assert polynomial_degree(parse("x / y^0")) is None  # degree 0, but a variable
 
 
 def test_degree_routes_polynomial_rules():

@@ -289,6 +289,23 @@ def test_json_the_decoder_refuses_is_not_valid_json(tmp_path, load, text, reason
         load(path)
 
 
+@pytest.mark.parametrize(
+    "load", [load_rule, load_region, load_solid, io.load_model, load_trim_points]
+)
+def test_a_directory_is_refused(tmp_path, load):
+    # open() on a directory raised a raw IsADirectoryError
+    with pytest.raises(ValidationError) as err:
+        load(tmp_path)
+    assert str(err.value) == f"cannot read {tmp_path}: Is a directory"
+
+
+def test_cli_refuses_a_directory_in_one_line(tmp_path, capsys):
+    code = main(["integrate", "--rule", str(tmp_path), "--expr", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"bezquad: cannot read {tmp_path}: Is a directory\n"
+
+
 def test_not_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{{{{")

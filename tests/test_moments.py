@@ -72,7 +72,7 @@ def test_exponent_validation():
 
 
 def test_moment_vector_length_checked():
-    MomentVector(1, 2, [1.0, 0.5, 0.5])
+    assert len(MomentVector(1, 2, [1.0, 0.5, 0.5])) == 3
     with pytest.raises(ValidationError):
         MomentVector(1, 2, [1.0, 0.5])
     with pytest.raises(ValidationError):

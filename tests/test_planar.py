@@ -57,6 +57,13 @@ def test_annulus_with_hole():
     assert abs(area(rule) - PI * 0.75) < 1e-12
 
 
+def test_clockwise_polygon_is_a_hole():
+    outer = polygon_loop([(0, 0), (1, 0), (1, 1), (0, 1)])
+    hole = polygon_loop([(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)], clockwise=True)
+    rule = spectral_pe_rule(PlanarRegion((tuple(outer), tuple(hole))), 2)
+    assert abs(area(rule) - 0.75) < 1e-14
+
+
 def test_spectral_point_count():
     # one boundary node block per curve, layer_order points per node
     rule = spectral_rule(circle_region(), 7, 5)

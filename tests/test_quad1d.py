@@ -86,8 +86,10 @@ def test_gauss_rejects_zero_points():
 
 @pytest.mark.parametrize("interval", [(0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
 def test_gauss_rejects_non_finite_interval(interval):
-    with pytest.raises(ValidationError, match="interval endpoints must be finite"):
+    i = 0 if math.isinf(interval[0]) else 1
+    with pytest.raises(ValidationError) as err:
         gauss_legendre(3, interval)
+    assert str(err.value) == f"interval[{i}]: must be finite, got {float(interval[i])}"
 
 
 def test_interval_distance():
@@ -206,7 +208,7 @@ def test_pole_set_open_under_conjugation():
     [
         (lambda: PoleSet(((0.5 + 1j, 1), (0.5 + 1j, 2))), "duplicate pole locations; merge multiplicities instead"),
         (lambda: weight_poly_roots([]), "weights must be a nonempty vector"),
-        (lambda: weight_poly_roots([[1.0, 2.0]]), "weights must be a nonempty vector"),
+        (lambda: weight_poly_roots([[1.0, 2.0]]), "weights: need shape (n,), got (1, 2)"),
         (lambda: weight_poly_roots([1.0, math.nan]), "weights[1]: must be finite, got nan"),
         (lambda: weight_poly_roots([0.0, 0.0]), "weights must not all be zero"),
     ],
@@ -216,6 +218,23 @@ def test_pole_and_weight_refusals(call, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "poles, got",
+    [
+        (5.0, "5.0"),
+        ([[1, 2, 3]], "[1, 2, 3]"),
+        (np.zeros((2, 2, 2)), repr(np.zeros((2, 2)))),
+        (((None, 1),), "(None, 1)"),
+    ],
+    ids=["scalar", "triple", "3d-array", "none-location"],
+)
+def test_pole_set_refuses_what_is_not_pairs(poles, got):
+    # each raised a raw TypeError or ValueError from unpacking or complex()
+    with pytest.raises(ValidationError) as err:
+        PoleSet(poles)
+    assert str(err.value) == f"poles[0]: need (location, multiplicity), got {got}"
 
 
 def test_pole_set_rejects_bad_multiplicity():

@@ -87,8 +87,9 @@ def test_too_many_segments_rejected():
 
 @pytest.mark.parametrize("shape", [(8,), (8, 3), (2, 4, 2)])
 def test_points_must_be_pairs(shape):
-    with pytest.raises(ValidationError, match=r"^points must be an ordered list of \(u, v\) pairs$"):
+    with pytest.raises(ValidationError) as err:
         fit_trim_curves(np.zeros(shape), 1)
+    assert str(err.value) == f"points: need shape (n, 2), got {shape}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
