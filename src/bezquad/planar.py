@@ -206,36 +206,36 @@ def _equal_weights(w) -> bool:
     return float(np.max(np.abs(w - w[0]))) <= _EQUAL_WEIGHT_REL_TOL * float(np.max(np.abs(w)))
 
 
-def _lift(points, owner, base, order):
+def _lift(points, owner, base, order, *factors):
     """Antiderivative rays: an ``order``-point Gauss segment from height
     ``base`` up to the last coordinate of each of the (k, dim) points.
 
     ``owner`` labels each point with the curve or patch that produced it,
-    in contiguous ascending blocks.  Returns the ray points (other
-    coordinates repeated), the (k, order) segment weights, a fresh array
-    the caller may scale in place, and the provenance rows (owner, point
-    index within the owner, node).  Rows run
-    point by point, node by node; the points and provenance are read-only
-    (k * order, dim) and (k * order, 3) views of coordinate-major buffers.
+    in contiguous ascending blocks.  Each segment's weights are multiplied,
+    in the order given, by every length-k array of ``factors``.  Returns
+    the ray points (other coordinates repeated), their weights and the
+    provenance rows (owner, point index within the owner, node), rows
+    running point by point, node by node: read-only (k * order, dim),
+    (k * order,) and (k * order, 3) views of one (dim + 4, k, order)
+    block, provenance stored as int64, allocated once per call.
     """
     k, dim = points.shape
     x, w = _leggauss(order)
     top = points[:, -1]
     mid, half = 0.5 * (base + top), 0.5 * (top - base)
-    lifted = np.empty((dim, k, order))
-    lifted[:-1] = points.T[:-1, :, None]
-    z = lifted[-1]
-    np.multiply(half[:, None], x, out=z)
-    z += mid[:, None]
-    prov = np.empty((3, k, order), dtype=np.int64)
+    block = np.empty((dim + 4, k, order))
+    block[: dim - 1] = points.T[:-1, :, None]
+    np.multiply(half[:, None], x, out=block[dim - 1])
+    block[dim - 1] += mid[:, None]
+    np.multiply(half[:, None], w, out=block[dim])
+    for f in factors:
+        block[dim] *= f[:, None]
+    prov = block[dim + 1 :].view(np.int64)
     prov[0] = owner[:, None]
     prov[1] = (np.arange(k) - np.searchsorted(owner, owner))[:, None]
     prov[2] = np.arange(order)
-    return (
-        _frozen(lifted).reshape(dim, -1).T,
-        half[:, None] * w,
-        _frozen(prov).reshape(3, -1).T,
-    )
+    rows = _frozen(block).reshape(dim + 4, -1)
+    return rows[:dim].T, rows[dim], rows[dim + 1 :].view(np.int64).T
 
 
 def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
@@ -253,10 +253,7 @@ def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
         # counter-clockwise material: the factor is -dx/ds
         factor[sel] = -der[0]
     w = np.concatenate([r.weights for r in curve_rules])
-    lifted, seg_w, prov = _lift(points.T, owner, base, layer_order)
-    seg_w *= w[:, None]
-    seg_w *= factor[:, None]
-    return Rule2D(lifted, _frozen(seg_w).ravel(), prov)
+    return Rule2D(*_lift(points.T, owner, base, layer_order, w, factor))
 
 
 def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule:

@@ -100,7 +100,8 @@ class PoleSet:
     def __post_init__(self):
         cleaned = []
         for i, pair in enumerate(self.poles if np.iterable(self.poles) else [self.poles]):
-            items = tuple(pair) if np.iterable(pair) else ()
+            # a dict would unpack as its keys, a set in no given order
+            items = tuple(pair) if isinstance(pair, (tuple, list, np.ndarray)) else ()
             p, mult = items if len(items) == 2 else (None, None)
             if not isinstance(p, numbers.Number):
                 raise ValidationError(f"need (location, multiplicity), got {pair!r}", f"poles[{i}]")

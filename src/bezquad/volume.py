@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import _frozen
 from .errors import ValidationError
 from .planar import Rule, _lift, apply
 from .quad1d import _orders
@@ -93,9 +92,7 @@ def volume_rule(
     if not math.isfinite(base):
         raise ValidationError(f"pz must be finite, got {pz!r}")
     srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
-    lifted, seg_w, prov = _lift(srule.points, srule.provenance[:, 0], base, n_p)
-    seg_w *= srule.weights[:, None]
-    return Rule3D(lifted, _frozen(seg_w).ravel(), prov)
+    return Rule3D(*_lift(srule.points, srule.provenance[:, 0], base, n_p, srule.weights))
 
 
 def volume_integrate(

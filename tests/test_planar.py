@@ -508,13 +508,14 @@ def _per_curve_rule_bytes(curves, rules, base, layer_order):
     w = np.concatenate([r.weights for r in rules])
     owner = np.repeat(np.arange(len(pairs)), [len(r) for r in rules])
     lifted, seg_w, prov = _lift(points, owner, base, layer_order)
-    weights = ((w[:, None] * seg_w) * factor[:, None]).ravel()
+    weights = ((w[:, None] * seg_w.reshape(w.size, -1)) * factor[:, None]).ravel()
     return [lifted.tobytes(), weights.tobytes(), prov.tobytes()]
 
 
-def _ref_lift(points, owner, base, order):
-    """The point-major z-lift that the coordinate-major one replaced:
-    (k, order, dim) points, z as mid + half * x, (k, order, 3) provenance."""
+def _ref_lift(points, owner, base, order, *factors):
+    """The point-major z-lift that the one-block one replaced: (k, order,
+    dim) points, z as mid + half * x, weights half * w times each factor
+    in turn, (k, order, 3) provenance."""
     k, dim = points.shape
     x, w = np.polynomial.legendre.leggauss(order)
     lo, hi = np.full(k, base)[:, None], points[:, -1][:, None]
@@ -526,7 +527,10 @@ def _ref_lift(points, owner, base, order):
     prov[:, :, 0] = owner[:, None]
     prov[:, :, 1] = (np.arange(k) - np.searchsorted(owner, owner))[:, None]
     prov[:, :, 2] = np.arange(order)
-    return lifted.reshape(-1, dim), half * w, prov.reshape(-1, 3)
+    weights = half * w
+    for f in factors:
+        weights = weights * f[:, None]
+    return lifted.reshape(-1, dim), weights.ravel(), prov.reshape(-1, 3)
 
 
 @pytest.mark.parametrize("order", [1, 24])
@@ -535,14 +539,16 @@ def test_lift_matches_point_major_reference(order, dim):
     rng = np.random.default_rng(10 * order + dim)
     owner = np.repeat([0, 2, 3, 7], [5, 1, 9, 4])
     points = rng.uniform(-1.0, 2.0, size=(owner.size, dim))
+    factors = rng.uniform(0.5, 2.0, size=(dim - 1, owner.size))
     base = -1.25
     flat = [0, 5, 14]
     points[flat, -1] = base
-    got = _lift(points, owner, base, order)
-    for g, ref in zip(got, _ref_lift(points, owner, base, order)):
+    got = _lift(points, owner, base, order, *factors)
+    for g, ref in zip(got, _ref_lift(points, owner, base, order, *factors)):
         assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
-    assert not got[1][flat].any() and got[1][np.setdiff1d(np.arange(owner.size), flat)].all()
-    assert not got[0].flags.writeable and not got[2].flags.writeable
+    seg_w = got[1].reshape(owner.size, order)
+    assert not seg_w[flat].any() and seg_w[np.setdiff1d(np.arange(owner.size), flat)].all()
+    assert not any(g.flags.writeable for g in got)
 
 
 def _mixed_degree_loop():
@@ -662,6 +668,36 @@ def test_rewrapping_rule_arrays_shares_memory():
         again = planar.Rule(r.points, r.weights, r.provenance, r.columns, r.preimages)
         for field, a in _rule_arrays(r).items():
             assert np.shares_memory(getattr(again, field), a), (name, field)
+
+
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_lifted_rule_arrays_are_views_of_one_read_only_block():
+    from bezquad.shapes import cylinder_solid
+    from bezquad.volume import Rule3D, volume_rule
+
+    cyl = cylinder_solid()
+    rules = {
+        "spectral": spectral_rule(circle_region(), 4, 3),
+        "pe": spectral_pe_rule(annulus_region(), 3),
+        "parametric": parametric_area_rule([unit_square_loop()], 3, 2),
+        "volume pz": volume_rule(cyl, 3, 3, pz=-0.5),
+        "volume n_p": volume_rule(cyl, 3, 4, 5),
+    }
+    for name, r in rules.items():
+        arrays = (r.points, r.weights, r.provenance)
+        owners = {id(_owner(a)) for a in arrays}
+        assert len(owners) == 1, name
+        block = _owner(r.weights)
+        assert block.flags.owndata and not block.flags.writeable, name
+        wrap = Rule3D if r.dim == 3 else planar.Rule2D
+        again = wrap(*arrays)
+        for a, b in zip(arrays, (again.points, again.weights, again.provenance)):
+            assert b is a, name
 
 
 def test_built_rule_layout_gives_contiguous_copy_bytes():

@@ -227,11 +227,14 @@ def test_pole_and_weight_refusals(call, message):
         ([[1, 2, 3]], "[1, 2, 3]"),
         (np.zeros((2, 2, 2)), repr(np.zeros((2, 2)))),
         (((None, 1),), "(None, 1)"),
+        ([{0.5: 1, 2: 1}], "{0.5: 1, 2: 1}"),
+        ([{0.5, 2}], repr({0.5, 2})),
     ],
-    ids=["scalar", "triple", "3d-array", "none-location"],
+    ids=["scalar", "triple", "3d-array", "none-location", "dict", "set"],
 )
 def test_pole_set_refuses_what_is_not_pairs(poles, got):
-    # each raised a raw TypeError or ValueError from unpacking or complex()
+    # the first four raised a raw TypeError or ValueError from unpacking or
+    # complex(); a dict or set was read by its keys, the set in no given order
     with pytest.raises(ValidationError) as err:
         PoleSet(poles)
     assert str(err.value) == f"poles[0]: need (location, multiplicity), got {got}"
