@@ -58,7 +58,8 @@ def _adopt(value, name, dtype=float, shape=None) -> np.ndarray:
     ragged input and other non-numbers are refused, and so are integers
     too large for a double, values an integer ``dtype`` does not hold and,
     kept or copied, non-finite floats, the first located at ``name[i]...``;
-    then any shape but ``shape``, whose first length None allows any length.
+    then any shape but ``shape``, whose first length None allows any length
+    and whose ``()`` takes a scalar.
     """
     a = value if isinstance(value, np.ndarray) and value.dtype == dtype else None
     while isinstance(a, np.ndarray) and not (a.flags.writeable or a.flags.owndata):
@@ -89,7 +90,7 @@ def _adopt(value, name, dtype=float, shape=None) -> np.ndarray:
         _frozen(out)
     if out.dtype.kind == "f" and not np.isfinite(out).all():
         _refuse(out, ~np.isfinite(out), name, "must be finite")
-    rows = shape is not None and shape[0] is None  # any number of rows
+    rows = shape is not None and shape[:1] == (None,)  # any number of rows
     if shape is not None and (out.ndim, out.shape[rows:]) != (len(shape), shape[rows:]):
         raise ValidationError(f"need shape {shape}, got {out.shape}".replace("None", "n"), name)
     return out

@@ -173,12 +173,22 @@ def Rule2D(points, weights, provenance) -> Rule:
 
 def apply(rule: Rule, f) -> float:
     """Apply the rule to f(x, y) or f(x, y, z); f must accept numpy arrays.
-    A non-finite value raises QuadratureError naming the first bad node."""
+    A non-finite value raises QuadratureError naming the first bad node.
+
+    The weighted sum comes first: w * inf and w * nan are never finite,
+    not even for w = 0, so the values are scanned only when the sum is
+    not finite, and a sum that overflowed from finite values is returned.
+    """
     with np.errstate(all="ignore"):
         raw = f(*rule.points.T)
         if np.iscomplexobj(raw):
             raise QuadratureError("integrand returned complex values")
-        vals = np.broadcast_to(np.asarray(raw, dtype=float), rule.weights.shape)
+        vals, shape = np.asarray(raw, dtype=float), rule.weights.shape
+        # a scalar is broadcast; broadcast_to refuses a wrong shape
+        vals = vals if vals.shape == shape else np.broadcast_to(vals, shape)
+        total = np.dot(rule.weights, vals)
+    if np.isfinite(total):
+        return float(total)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         i = int(bad[0])
@@ -187,7 +197,7 @@ def apply(rule: Rule, f) -> float:
             f"integrand is not finite at node {i}" + (f" ({row})" if row else ""),
             point=tuple(map(float, rule.points[i])),
         )
-    return float(np.dot(rule.weights, vals))
+    return float(total)
 
 
 integrate2d = apply

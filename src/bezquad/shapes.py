@@ -2,7 +2,9 @@
 
 These builders exist so tests, demos and the bundled sample files agree
 on one construction.  Circular arcs use the classic rational-quadratic
-quarter circle with middle weight sqrt(2)/2.
+quarter circle with middle weight sqrt(2)/2; a circle's four arcs are
+read-only views of one block of control points.  Each builder refuses a
+bad argument at its name.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import math
 
 import numpy as np
 
-from .bezier import RationalBezierCurve, RationalBezierPatch
+from .bezier import RationalBezierCurve, RationalBezierPatch, _adopt, _frozen, _refuse
+from .errors import ValidationError
 from .planar import PlanarRegion
 from .quad1d import _as_int
 from .surface import TrimLoop, TrimmedPatch
@@ -33,24 +36,43 @@ __all__ = [
     "flip_solid",
 ]
 
-_ARC_WEIGHT = math.sqrt(2) / 2
+_ARC_WEIGHTS = _frozen(np.array([1.0, math.sqrt(2) / 2, 1.0]))
+# quadrant q's arc has the control points 2q, 2q + 1 and 2q + 2 of the
+# square of half-side 1 about the center, counter-clockwise from (1, 0)
+_CORNERS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+_QUARTERS = _frozen(
+    np.array([[_CORNERS[(2 * q + i) % 8] for i in range(3)] for q in range(4)], dtype=float)
+)
+
+
+def _positive(value, name) -> float:
+    """``value`` as a finite float > 0, or ValidationError at ``name``."""
+    value = float(_adopt(value, name, shape=()))
+    if value <= 0:
+        raise ValidationError(f"must be positive, got {value!r}", name)
+    return value
+
+
+def _quarters(center, radius, rows=slice(None)) -> np.ndarray:
+    """``center + radius * _QUARTERS[rows]``, both checked, as a fresh
+    read-only block that curves adopt without a copy."""
+    c = _adopt(center, "center", shape=(2,))
+    return _frozen(c + _positive(radius, "radius") * _QUARTERS[rows])
 
 
 def quarter_arc(center=(0.0, 0.0), radius=1.0, quadrant=0) -> RationalBezierCurve:
     """Counter-clockwise quarter circle starting at angle quadrant * 90deg."""
-    c = np.asarray(center, dtype=float)
-    corners = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)])
-    i = 2 * (quadrant % 4)
-    pts = c + radius * corners[[i, (i + 1) % 8, (i + 2) % 8]]
-    return RationalBezierCurve(pts, [1.0, _ARC_WEIGHT, 1.0])
+    return RationalBezierCurve(
+        _quarters(center, radius, _as_int(quadrant, "quadrant") % 4), _ARC_WEIGHTS
+    )
 
 
 def circle_loop(center=(0.0, 0.0), radius=1.0, clockwise=False):
-    """Full circle as four quarter arcs."""
-    arcs = [quarter_arc(center, radius, q) for q in range(4)]
-    if clockwise:
-        arcs = [a.reversed() for a in reversed(arcs)]
-    return arcs
+    """Full circle as four quarter arcs, views of one block of points."""
+    pts, w = _quarters(center, radius), _ARC_WEIGHTS
+    if clockwise:  # the arcs in reverse order, each traversed backwards
+        pts, w = pts[::-1, ::-1], w[::-1]
+    return [RationalBezierCurve(p, w) for p in pts]
 
 
 def circle_region(center=(0.0, 0.0), radius=1.0, clockwise=False) -> PlanarRegion:
@@ -75,7 +97,11 @@ def square_region(lo=(0.0, 0.0), hi=(1.0, 1.0)) -> PlanarRegion:
 
 
 def annulus_region(center=(0.0, 0.0), outer=1.0, inner=0.5) -> PlanarRegion:
-    """Outer loop counter-clockwise, inner loop clockwise (a hole)."""
+    """Outer loop counter-clockwise, inner loop clockwise (a hole);
+    0 < inner < outer."""
+    outer, inner = _positive(outer, "outer"), _positive(inner, "inner")
+    if inner >= outer:
+        raise ValidationError(f"must be less than outer = {outer!r}, got {inner!r}", "inner")
     return PlanarRegion(
         (
             tuple(circle_loop(center, outer)),
@@ -91,8 +117,12 @@ def bilinear_patch(p00, p10, p01, p11) -> RationalBezierPatch:
 
 
 def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
-    """Axis-aligned box as six outward-oriented bilinear patches."""
-    (x0, y0, z0), (x1, y1, z1) = lo, hi
+    """Axis-aligned box as six outward-oriented bilinear patches; ``hi``
+    must exceed ``lo`` on every axis."""
+    lo, hi = _adopt(lo, "lo", shape=(3,)), _adopt(hi, "hi", shape=(3,))
+    if (hi <= lo).any():
+        _refuse(hi, hi <= lo, "hi", "must be greater than lo")
+    (x0, y0, z0), (x1, y1, z1) = lo.tolist(), hi.tolist()
     patches = [
         # bottom z = z0, normal -z: u runs along +x, v along -y
         bilinear_patch((x0, y1, z0), (x1, y1, z0), (x0, y0, z0), (x1, y0, z0)),
@@ -110,17 +140,20 @@ def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
     return SolidModel(tuple(TrimmedPatch(p) for p in patches))
 
 
-def _capped_cylinder(center, radius, z0, height, half, trim) -> SolidModel:
+def _capped_cylinder(center, radius, z0, height, trim, cap=1.0) -> SolidModel:
     """The four side patches, then top and bottom square caps of
-    half-extent ``half`` about the axis, both trimmed by ``trim``.
+    half-extent ``cap * radius`` about the axis, both trimmed by ``trim``.
+    Radius and height must be positive.
 
     The bottom cap mirrors v so its normal points down while the trim
     loop stays counter-clockwise in (u, v).
     """
-    (cx, cy), z1 = center, z0 + height
+    center = _adopt(center, "center", shape=(2,))
+    radius, height = _positive(radius, "radius"), _positive(height, "height")
+    z0 = float(_adopt(z0, "z0", shape=()))
+    (cx, cy), z1, half = center.tolist(), z0 + height, cap * radius
     patches = []
-    for q in range(4):
-        arc = quarter_arc(center, radius, q)
+    for arc in circle_loop(center, radius):
         pts = np.empty((3, 2, 3))
         pts[:, :, :2] = arc.points[:, None]
         pts[:, :, 2] = z0, z1
@@ -141,7 +174,7 @@ def cylinder_solid(center=(0.0, 0.0), radius=1.0, z0=0.0, height=1.0) -> SolidMo
     1/2 about (1/2, 1/2).
     """
     trim = TrimLoop(tuple(circle_loop((0.5, 0.5), 0.5)))
-    return _capped_cylinder(center, radius, z0, height, radius, trim)
+    return _capped_cylinder(center, radius, z0, height, trim)
 
 
 def cylinder_solid_fitted(
@@ -169,7 +202,7 @@ def cylinder_solid_fitted(
 
     # cap squares with half-extent 1.25 r: the parametric circle of radius
     # 0.4 maps exactly onto the cross-section of radius r
-    return _capped_cylinder(center, radius, z0, height, 1.25 * radius, trim)
+    return _capped_cylinder(center, radius, z0, height, trim, cap=1.25)
 
 
 def flip_patch(tp: TrimmedPatch) -> TrimmedPatch:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -218,6 +219,56 @@ def test_apply_rejects_complex_values():
         x = rule.points[:, 0]
         assert integrate2d(rule, lambda x, y: x * x) == float(np.dot(rule.weights, x * x))
         assert integrate2d(rule, lambda x, y: 2) == float(np.dot(rule.weights, np.full(len(rule), 2.0)))
+
+
+# the 16-node unit-square rule: nodes 8..11 lie on the top edge with weight
+# 0.25, the other 12 on the bottom and the sides with weight -0.0
+_NODE_TEXT = {
+    0: "node 0 (curve 0, q 0, zeta 0), point (0.21132486540518713, 0)",
+    1: "node 1 (curve 0, q 0, zeta 1), point (0.21132486540518713, 0)",
+    8: "node 8 (curve 2, q 0, zeta 0), point (0.78867513459481287, 0.21132486540518713)",
+    11: "node 11 (curve 2, q 1, zeta 1), point (0.21132486540518713, 0.78867513459481287)",
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("nodes, first", [((0,), 0), ((8,), 8), ((11,), 11), ((11, 1), 1)])
+def test_apply_names_the_first_non_finite_node(nodes, first, bad):
+    rule = spectral_rule(square_region(), 2, 2)
+    assert rule.weights[0] == 0 and rule.weights[8] == 0.25
+
+    def f(x, y):
+        vals = np.ones_like(x)
+        vals[list(nodes)] = bad
+        return vals
+
+    with pytest.raises(QuadratureError) as err:
+        integrate2d(rule, f)
+    assert str(err.value) == "integrand is not finite at " + _NODE_TEXT[first]
+    with pytest.raises(QuadratureError, match="^integrand is not finite at " + re.escape(_NODE_TEXT[0])):
+        integrate2d(rule, lambda x, y: bad)
+
+
+def test_apply_returns_a_sum_that_overflowed_from_finite_values():
+    rule = spectral_rule(square_region((0, 0), (4, 4)), 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert integrate2d(rule, lambda x, y: np.full_like(x, 1e308)) == math.inf
+        assert integrate2d(rule, lambda x, y: -1e308) == -math.inf
+        assert math.isnan(integrate2d(rule, lambda x, y: np.where(x > 2, 1e308, -1e308)))
+
+
+def test_apply_broadcasts_a_scalar_and_refuses_a_wrong_shape():
+    rule = spectral_rule(square_region(), 2, 2)
+    assert integrate2d(rule, lambda x, y: 2.5) == 2.5
+    assert integrate2d(rule, lambda x, y: np.float32(0.5)) == 0.5
+    for wrong in (np.ones(3), np.ones((len(rule), 1)), np.ones(len(rule) + 1)):
+        with pytest.raises(ValueError):
+            integrate2d(rule, lambda x, y: wrong)
+    empty = planar.Rule2D(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 3), int))
+    for f in (lambda x, y: x, lambda x, y: 1.0):
+        value = integrate2d(empty, f)
+        assert value == 0.0 and type(value) is float
 
 
 def test_order_validation():
