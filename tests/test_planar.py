@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -245,8 +244,6 @@ def test_apply_names_the_first_non_finite_node(nodes, first, bad):
     with pytest.raises(QuadratureError) as err:
         integrate2d(rule, f)
     assert str(err.value) == "integrand is not finite at " + _NODE_TEXT[first]
-    with pytest.raises(QuadratureError, match="^integrand is not finite at " + re.escape(_NODE_TEXT[0])):
-        integrate2d(rule, lambda x, y: bad)
 
 
 def test_apply_returns_a_sum_that_overflowed_from_finite_values():
@@ -262,6 +259,10 @@ def test_apply_broadcasts_a_scalar_and_refuses_a_wrong_shape():
     rule = spectral_rule(square_region(), 2, 2)
     assert integrate2d(rule, lambda x, y: 2.5) == 2.5
     assert integrate2d(rule, lambda x, y: np.float32(0.5)) == 0.5
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(QuadratureError) as err:
+            integrate2d(rule, lambda x, y: bad)
+        assert str(err.value) == "integrand is not finite at " + _NODE_TEXT[0]
     for wrong in (np.ones(3), np.ones((len(rule), 1)), np.ones(len(rule) + 1)):
         with pytest.raises(ValueError):
             integrate2d(rule, lambda x, y: wrong)
