@@ -48,14 +48,20 @@ def _refuse(a, bad, name, what):
     raise ValidationError(f"{what}, got {a[at]}", path=name + "".join(f"[{i}]" for i in at))
 
 
+def _has_bool(value) -> bool:
+    """Whether ``value`` is a bool or bool array or holds one in its lists or tuples."""
+    nested = isinstance(value, (list, tuple)) and any(map(_has_bool, value))
+    return nested or isinstance(value, bool) or getattr(value, "dtype", None) == bool
+
+
 def _adopt(value, name, dtype=float, shape=None) -> np.ndarray:
     """``value`` as a read-only array of ``dtype`` that nothing else can
     write, or ValidationError located at ``name``.
 
     An ndarray of ``dtype`` that is read-only down its ``.base`` chain to
     the array owning its data is kept as it is; anything else is copied,
-    so a caller's writeable array is never aliased.  Text, complex values,
-    ragged input and other non-numbers are refused, and so are integers
+    so a caller's writeable array is never aliased.  Text, bools, complex
+    values, ragged input and other non-numbers are refused, as are integers
     too large for a double, values an integer ``dtype`` does not hold and,
     kept or copied, non-finite floats, the first located at ``name[i]...``;
     then any shape but ``shape``, whose first length None allows any length
@@ -72,10 +78,11 @@ def _adopt(value, name, dtype=float, shape=None) -> np.ndarray:
         except (TypeError, ValueError):  # ragged: refused below as an object
             arr = np.asarray(None)
         kind, integral = arr.dtype.kind, np.dtype(dtype).kind == "i"
-        # an object array holds Python integers beyond int64, or non-numbers
-        if kind not in "biufO" or (
+        # an object array holds Python integers beyond int64, or non-numbers;
+        # [1, True] casts to int64, so only _has_bool sees a bool in a list
+        if kind not in "iufO" or (
             kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat)
-        ):
+        ) or _has_bool(value):
             what = "complex values are not supported" if kind == "c" else "not a numeric array"
             raise ValidationError(what, path=name)
         if integral and kind == "f":  # NaN or a float beyond int64 would cast with a warning
@@ -201,6 +208,7 @@ class BoundingBox:
         return float(np.linalg.norm(self.hi - self.lo))
 
     def inflated(self, pad: float) -> "BoundingBox":
+        pad = _adopt(pad, "pad", shape=())
         return BoundingBox(self.lo - pad, self.hi + pad)
 
     def contains(self, pts) -> bool:

@@ -100,18 +100,6 @@ def _lines(lines):
     return ["".join(f"{line}\n" for line in lines)]
 
 
-def _has_bool(value):
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
-
-
-def _as_array(value, path):
-    """``value`` as a float array of finite JSON numbers; text, booleans
-    and ragged lists are not numeric arrays."""
-    if _has_bool(value):
-        raise ValidationError("not a numeric array", path=path)
-    return _adopt(value, path)
-
-
 def _located(exc, path):
     """``exc`` located inside the document element at ``path``."""
     return ValidationError(exc.message, path=f"{path}.{exc.path}" if exc.path else path)
@@ -144,9 +132,9 @@ def _net_from_json(obj, path, kind, other=()):
     _known_keys(obj, ("points", "weights", *degrees, *other), path)
     if "points" not in obj:
         raise ValidationError("missing 'points'", path=path)
-    pts = _as_array(obj["points"], f"{path}.points")
+    pts = _adopt(obj["points"], f"{path}.points")
     wts = obj.get("weights")
-    wts = np.ones(pts.shape[:-1]) if wts is None else _as_array(wts, f"{path}.weights")
+    wts = np.ones(pts.shape[:-1]) if wts is None else _adopt(wts, f"{path}.weights")
     try:
         net = kind(pts, wts)
         stated = {key: _as_int(obj[key], repr(key)) for key in degrees if key in obj}

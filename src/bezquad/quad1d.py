@@ -47,7 +47,8 @@ class Rule1D:
     def __post_init__(self):
         object.__setattr__(self, "nodes", _adopt(self.nodes, "nodes", shape=(None,)))
         object.__setattr__(self, "weights", _adopt(self.weights, "weights", shape=self.nodes.shape))
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
+        interval = _adopt(self.interval, "interval", shape=(2,))
+        object.__setattr__(self, "interval", tuple(interval.tolist()))
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -73,10 +74,7 @@ def _as_int(value, what: str, least: int | None = None) -> int:
 
 def _orders(*counts):
     """The node counts as integers, each at least 1."""
-    counts = [_as_int(n, "node count") for n in counts]
-    if min(counts) < 1:
-        raise ValidationError("orders must be at least 1")
-    return counts
+    return [_as_int(n, "node count", 1) for n in counts]
 
 
 def interval_distance(p: complex) -> float:
@@ -145,9 +143,7 @@ def gauss_legendre(n: int, interval=(0.0, 1.0)) -> Rule1D:
     (hi == lo gives coincident nodes with zero weights); its endpoints must
     be finite.
     """
-    n = _as_int(n, "node count")
-    if n < 1:
-        raise ValidationError(f"need at least one node, got n={n}")
+    n = _as_int(n, "node count", 1)
     lo, hi = _adopt(interval, "interval", shape=(2,)).tolist()
     x, w = _leggauss(n)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -80,18 +80,28 @@ def circle_region(center=(0.0, 0.0), radius=1.0, clockwise=False) -> PlanarRegio
 
 
 def polygon_loop(vertices, clockwise=False):
-    """Closed chain of straight (degree-1) edges through ``vertices``."""
-    v = [np.asarray(p, dtype=float) for p in vertices]
+    """Closed chain of straight (degree-1) edges through three or more
+    ``vertices``, each edge a view of one block of points."""
+    v = _adopt(vertices, "vertices", shape=(None, 2))
+    if len(v) < 3:
+        raise ValidationError(f"need at least 3 vertices, got {len(v)}", "vertices")
     if clockwise:
         v = v[::-1]
-    return [
-        RationalBezierCurve([v[i], v[(i + 1) % len(v)]], [1.0, 1.0])
-        for i in range(len(v))
-    ]
+    edges = _frozen(np.stack([v, np.roll(v, -1, axis=0)], axis=1))
+    return [RationalBezierCurve(e, [1.0, 1.0]) for e in edges]
+
+
+def _span(lo, hi, d):
+    """``lo`` and ``hi`` as lists of ``d`` floats, ``hi`` greater on every axis."""
+    lo, hi = _adopt(lo, "lo", shape=(d,)), _adopt(hi, "hi", shape=(d,))
+    if (hi <= lo).any():
+        _refuse(hi, hi <= lo, "hi", "must be greater than lo")
+    return lo.tolist(), hi.tolist()
 
 
 def square_region(lo=(0.0, 0.0), hi=(1.0, 1.0)) -> PlanarRegion:
-    (x0, y0), (x1, y1) = lo, hi
+    """Axis-aligned square; ``hi`` must exceed ``lo`` on both axes."""
+    (x0, y0), (x1, y1) = _span(lo, hi, 2)
     loop = polygon_loop([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
     return PlanarRegion((tuple(loop),))
 
@@ -119,10 +129,7 @@ def bilinear_patch(p00, p10, p01, p11) -> RationalBezierPatch:
 def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
     """Axis-aligned box as six outward-oriented bilinear patches; ``hi``
     must exceed ``lo`` on every axis."""
-    lo, hi = _adopt(lo, "lo", shape=(3,)), _adopt(hi, "hi", shape=(3,))
-    if (hi <= lo).any():
-        _refuse(hi, hi <= lo, "hi", "must be greater than lo")
-    (x0, y0, z0), (x1, y1, z1) = lo.tolist(), hi.tolist()
+    (x0, y0, z0), (x1, y1, z1) = _span(lo, hi, 3)
     patches = [
         # bottom z = z0, normal -z: u runs along +x, v along -y
         bilinear_patch((x0, y1, z0), (x1, y1, z0), (x0, y0, z0), (x1, y0, z0)),

@@ -12,12 +12,11 @@ with zero weights.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bezier import _adopt
 from .errors import ValidationError
 from .planar import Rule, _lift, apply
 from .quad1d import _orders
@@ -86,11 +85,7 @@ def volume_rule(
     if not solid.closed:
         raise ValidationError("volume rules need a solid asserted closed")
     m_q, n_q, n_p = _orders(m_q, n_q, m_q if n_p is None else n_p)
-    if pz is not None and (isinstance(pz, bool) or not isinstance(pz, numbers.Real)):
-        raise ValidationError(f"pz must be a real number, got {pz!r}")
-    base = solid_constant_Pz(solid) if pz is None else float(pz)
-    if not math.isfinite(base):
-        raise ValidationError(f"pz must be finite, got {pz!r}")
+    base = solid_constant_Pz(solid) if pz is None else float(_adopt(pz, "pz", shape=()))
     srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
     return Rule3D(*_lift(srule.points, srule.provenance[:, 0], base, n_p, srule.weights))
 

@@ -26,9 +26,17 @@ from bezquad.io import load_model, load_region, load_solid
 from bezquad.moments import MomentVector, moment_fit_weights
 from bezquad.planar import Rule, Rule2D
 from bezquad.quad1d import Rule1D, gauss_legendre, weight_poly_roots
-from bezquad.shapes import bilinear_patch, quarter_arc
+from bezquad.shapes import (
+    annulus_region,
+    bilinear_patch,
+    box_solid,
+    circle_region,
+    cylinder_solid,
+    quarter_arc,
+    square_region,
+)
 from bezquad.trimfit import fit_trim_curves
-from bezquad.volume import Rule3D
+from bezquad.volume import Rule3D, volume_rule
 
 from conftest import bundled_with
 
@@ -183,6 +191,68 @@ def test_entry_points_refuse_at_the_argument(call, name, good, fault):
 
 _BOX = BoundingBox(np.zeros(2), np.ones(2))
 
+# each real argument, scalar or array: a call with it, its name and a
+# valid value; a bool is no number, even inside a list of floats
+_REALS = {
+    **{
+        key: _ENTRY_POINTS[key]
+        for key in (
+            "eval_curve", "eval_patch-u", "eval_patch-v", "moment_fit_weights", "fit_trim_curves"
+        )
+    },
+    "curve-points": (lambda a: RationalBezierCurve(a, np.ones(3)), "points", np.eye(3, 2)),
+    "curve-weights": (lambda a: RationalBezierCurve(np.eye(3, 2), a), "weights", np.ones(3)),
+    "patch-points": (lambda a: RationalBezierPatch(a, _FLAT.weights), "points", np.ones((2, 2, 3))),
+    "patch-weights": (lambda a: RationalBezierPatch(_FLAT.points, a), "weights", np.ones((2, 2))),
+    "rule1d-nodes": (lambda a: Rule1D(a, _HALF, (0.0, 1.0)), "nodes", _HALF),
+    "rule1d-weights": (lambda a: Rule1D(_HALF, a, (0.0, 1.0)), "weights", _HALF),
+    "rule1d-interval": (lambda a: Rule1D(_HALF, _HALF, a), "interval", np.array([0.0, 1.0])),
+    "gauss_legendre": (lambda a: gauss_legendre(2, a), "interval", np.array([0.0, 1.0])),
+    "circle-center": (lambda a: circle_region(a), "center", _HALF),
+    "circle-radius": (lambda a: circle_region(radius=a), "radius", np.array(1.0)),
+    "annulus-center": (lambda a: annulus_region(a), "center", _HALF),
+    "annulus-outer": (lambda a: annulus_region(outer=a), "outer", np.array(1.0)),
+    "annulus-inner": (lambda a: annulus_region(inner=a), "inner", np.array(0.5)),
+    "square-lo": (lambda a: square_region(lo=a), "lo", np.zeros(2)),
+    "square-hi": (lambda a: square_region(hi=a), "hi", np.ones(2)),
+    "box-lo": (lambda a: box_solid(lo=a), "lo", np.zeros(3)),
+    "box-hi": (lambda a: box_solid(hi=a), "hi", np.ones(3)),
+    "cylinder-center": (lambda a: cylinder_solid(a), "center", _HALF),
+    "cylinder-radius": (lambda a: cylinder_solid(radius=a), "radius", np.array(1.0)),
+    "cylinder-z0": (lambda a: cylinder_solid(z0=a), "z0", np.array(0.0)),
+    "cylinder-height": (lambda a: cylinder_solid(height=a), "height", np.array(1.0)),
+    "volume_rule-pz": (lambda a: volume_rule(box_solid(), 2, 2, pz=a), "pz", np.array(-1.0)),
+    "inflated-pad": (_BOX.inflated, "pad", np.array(0.5)),
+}
+
+
+def _true_inside(good):
+    """``good`` as nested lists with its first number True, or
+    ``[True, good]`` for a scalar ``good``."""
+    a = np.array(good, dtype=object)
+    if a.ndim == 0:
+        return [True, good.item()]
+    a.flat[0] = True
+    return a.tolist()
+
+
+@pytest.mark.parametrize("fault", ["True", "np.True_", "list-holding-True", "text", "nan"])
+@pytest.mark.parametrize("call, name, good", _REALS.values(), ids=_REALS)
+def test_real_arguments_refuse_booleans_text_and_nan(call, name, good, fault):
+    # a bool was taken as 1 or 0 (circle_region(radius=True) built the unit
+    # circle), and pz and pad had their own checks or none
+    call(good)
+    nan = good.copy()
+    nan[(0,) * good.ndim] = np.nan
+    bad = {"True": True, "np.True_": np.True_, "list-holding-True": _true_inside(good)}
+    bad = {**bad, "text": "1", "nan": nan}[fault]
+    where = "[0]" * good.ndim if fault == "nan" else ""
+    message = "must be finite, got nan" if fault == "nan" else "not a numeric array"
+    with pytest.raises(ValidationError) as err:
+        call(bad)
+    assert str(err.value) == f"{name}{where}: {message}"
+
+
 # each entry point that takes an array of one rank, or of at least one axis:
 # the call, the argument's name, the shape it needs, and a wrong shape
 _COEFFS = "a nonempty shape (n+1, ...)"
@@ -193,6 +263,7 @@ _SHAPED = {
     "bernstein_to_monomial": (bernstein_to_monomial, "coeffs", _COEFFS, (0, 2)),
     "monomial_to_bernstein": (monomial_to_bernstein, "coeffs", _COEFFS, (0, 2)),
     "gauss_legendre": (lambda a: gauss_legendre(2, a), "interval", "shape (2,)", (3,)),
+    "rule1d-interval": (lambda a: Rule1D(_HALF, _HALF, a), "interval", "shape (2,)", (3,)),
 }
 
 

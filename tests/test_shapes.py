@@ -18,7 +18,9 @@ from bezquad.shapes import (
     circle_region,
     cylinder_solid,
     cylinder_solid_fitted,
+    polygon_loop,
     quarter_arc,
+    square_region,
 )
 
 # the per-arc construction: each arc indexes three of the eight corners of
@@ -153,6 +155,27 @@ _REFUSALS = {
     "annulus-center": (
         lambda: annulus_region((0, 0, 0)),
         "center: need shape (2,), got (3,)",
+    ),
+    "inside-out-square": (
+        lambda: square_region((0, 0), (1, -1)),
+        "hi[1]: must be greater than lo, got -1.0",
+    ),
+    "flat-square": (
+        lambda: square_region((0, 0), (0, 1)),
+        "hi[0]: must be greater than lo, got 0.0",
+    ),
+    "3d-square": (lambda: square_region((0, 0, 0), (1, 1, 1)), "lo: need shape (2,), got (3,)"),
+    "two-vertex-polygon": (
+        lambda: polygon_loop([(0, 0), (1, 0)]),
+        "vertices: need at least 3 vertices, got 2",
+    ),
+    "3d-polygon": (
+        lambda: polygon_loop([(0, 0, 0), (1, 0, 0), (0, 1, 0)]),
+        "vertices: need shape (n, 2), got (3, 3)",
+    ),
+    "nan-polygon-vertex": (
+        lambda: polygon_loop([(0, 0), (1, 0), (np.nan, 1)]),
+        "vertices[2][0]: must be finite, got nan",
     ),
     "inside-out-box": (
         lambda: box_solid((0, 0, 0), (1, -1, 1)),

@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -131,13 +130,22 @@ def test_only_a_solid_gets_a_volume_rule(solid, name):
 
 @pytest.mark.parametrize("pz", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_pz_rejected(pz):
-    with pytest.raises(ValidationError, match="pz must be finite"):
+    with pytest.raises(ValidationError, match=f"^pz: must be finite, got {pz}$"):
         volume_rule(box_solid(), 3, 3, pz=pz)
 
 
-@pytest.mark.parametrize("pz", ["1.0", True, "abc", [1.0]], ids=["text", "bool", "word", "list"])
-def test_non_real_pz_rejected(pz):
-    with pytest.raises(ValidationError, match=rf"^pz must be a real number, got {re.escape(repr(pz))}$"):
+@pytest.mark.parametrize(
+    "pz, message",
+    [
+        ("1.0", "not a numeric array"),
+        (True, "not a numeric array"),
+        ("abc", "not a numeric array"),
+        ([1.0], r"need shape \(\), got \(1,\)"),
+    ],
+    ids=["text", "bool", "word", "list"],
+)
+def test_non_real_pz_rejected(pz, message):
+    with pytest.raises(ValidationError, match=f"^pz: {message}$"):
         volume_rule(box_solid(), 3, 3, pz=pz)
 
 
