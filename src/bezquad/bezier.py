@@ -79,10 +79,11 @@ def _adopt(value, name, dtype=float, shape=None) -> np.ndarray:
             arr = np.asarray(None)
         kind, integral = arr.dtype.kind, np.dtype(dtype).kind == "i"
         # an object array holds Python integers beyond int64, or non-numbers;
-        # [1, True] casts to int64, so only _has_bool sees a bool in a list
+        # [1, True] casts to int64, so only _has_bool sees a bool in a list,
+        # or in an object array's items
         if kind not in "iufO" or (
             kind == "O" and not all(isinstance(v, numbers.Real) for v in arr.flat)
-        ) or _has_bool(value):
+        ) or _has_bool(arr.tolist() if kind == "O" else value):
             what = "complex values are not supported" if kind == "c" else "not a numeric array"
             raise ValidationError(what, path=name)
         if integral and kind == "f":  # NaN or a float beyond int64 would cast with a warning
@@ -101,6 +102,27 @@ def _adopt(value, name, dtype=float, shape=None) -> np.ndarray:
     if shape is not None and (out.ndim, out.shape[rows:]) != (len(shape), shape[rows:]):
         raise ValidationError(f"need shape {shape}, got {out.shape}".replace("None", "n"), name)
     return out
+
+
+def _items(value, name, kind=None, least=1) -> tuple:
+    """The items of the ordered iterable ``value`` as a tuple, or
+    ValidationError at ``name`` for no list (a non-iterable, text, bytes or
+    a dict) or fewer than ``least`` items, or at ``name[i]`` for the first
+    item that is not a ``kind``, a type or tuple of types."""
+    try:
+        items = None if isinstance(value, (str, bytes, dict)) else tuple(value)
+    except TypeError:
+        items = None
+    if items is None:
+        raise ValidationError(f"need a list, got {type(value).__name__}", name)
+    if len(items) < least:
+        what = f"need at least {least} item{'s' * (least > 1)}"
+        raise ValidationError(f"{what}, got {len(items)}", name)
+    for i, item in enumerate(items if kind else ()):
+        if not isinstance(item, kind):
+            want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+            raise ValidationError(f"need a {want}, got {type(item).__name__}", f"{name}[{i}]")
+    return items
 
 
 def _control_net(net, axes, dims, shape):
@@ -407,6 +429,29 @@ def _closure_half_gaps(curves):
     ends = np.array([c.points[-1] for c in curves]) / 2
     starts = np.array([c.points[0] for c in curves[1:] + curves[:1]]) / 2
     return np.hypot.reduce(ends - starts, axis=1)
+
+
+def _closed_chain(curves, name, half_tol) -> tuple:
+    """The items of ``curves``, taken by ``_items``, refused at ``name[j]``
+    unless each is planar, then at ``name`` unless each ends within twice
+    ``half_tol`` (or ``half_tol(curves)``) of where the next, or the first, starts."""
+    curves = _items(curves, name, RationalBezierCurve)
+    for j, c in enumerate(curves):
+        if c.dim != 2:
+            raise ValidationError(f"need a planar curve, got dimension {c.dim}", f"{name}[{j}]")
+    half_tol = half_tol(curves) if callable(half_tol) else half_tol
+    half_gaps = _closure_half_gaps(curves)
+    wide = half_gaps > half_tol  # a NaN gap compares False: curves refuse NaN
+    if wide.any():
+        j = int(np.argmax(wide))
+        k = (j + 1) % len(curves)
+        raise ValidationError(
+            f"curve {j} ends at {tuple(curves[j].end().tolist())} but curve {k} starts at "
+            f"{tuple(curves[k].start().tolist())} (gap {2 * float(half_gaps[j]):.3e}, "
+            f"tolerance {2 * half_tol:.3e})",
+            name,
+        )
+    return curves
 
 
 def _collect_control_points(obj, out):

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .bezier import RationalBezierCurve, RationalBezierPatch, _adopt, _frozen
+from .bezier import RationalBezierCurve, RationalBezierPatch, _adopt, _frozen, _items
 from .errors import ValidationError
 from .moments import MomentVector
 from .planar import PlanarRegion, Rule
@@ -155,10 +155,9 @@ def _net_to_json(net):
 
 def _curves_from_json(loop, path, chain=tuple):
     """``chain`` of the curves of the nonempty JSON list at ``path``."""
-    if not isinstance(loop, list) or not loop:
-        raise ValidationError("must be a nonempty list of curves", path=path)
     curves = tuple(
-        _net_from_json(c, f"{path}[{j}]", RationalBezierCurve) for j, c in enumerate(loop)
+        _net_from_json(c, f"{path}[{j}]", RationalBezierCurve)
+        for j, c in enumerate(_items(loop, path))
     )
     try:
         return chain(curves)
@@ -187,9 +186,7 @@ def load_region(path) -> PlanarRegion:
 
 def _region_from_json(doc) -> PlanarRegion:
     _known_keys(doc, ("loops",))
-    loops = doc["loops"]
-    if not isinstance(loops, list) or not loops:
-        raise ValidationError("'loops' must be a nonempty list", path="loops")
+    loops = _items(doc["loops"], "loops")
     return PlanarRegion(
         tuple(_curves_from_json(loop, f"loops[{i}]") for i, loop in enumerate(loops))
     )
@@ -202,9 +199,8 @@ def save_region(region: PlanarRegion, path):
 
 def _patch_from_json(obj, path):
     patch = _net_from_json(obj, path, RationalBezierPatch, ("trim_loops",))
-    trims = obj.get("trim_loops") or []
-    if not isinstance(trims, list):
-        raise ValidationError("must be a list of curve loops", path=f"{path}.trim_loops")
+    trims = obj.get("trim_loops")  # null means no trims, as an omitted key does
+    trims = () if trims is None else _items(trims, f"{path}.trim_loops", least=0)
     loops = tuple(
         _curves_from_json(loop, f"{path}.trim_loops[{k}]", TrimLoop)
         for k, loop in enumerate(trims)
@@ -226,9 +222,7 @@ def load_solid(path) -> SolidModel:
 
 def _solid_from_json(doc) -> SolidModel:
     _known_keys(doc, ("closed", "patches"))
-    patches = doc["patches"]
-    if not isinstance(patches, list) or not patches:
-        raise ValidationError("'patches' must be a nonempty list", path="patches")
+    patches = _items(doc["patches"], "patches")
     built = tuple(_patch_from_json(p, f"patches[{i}]") for i, p in enumerate(patches))
     return SolidModel(built, closed=doc.get("closed", True))
 

@@ -33,10 +33,11 @@ from .bezier import (
     _CONDITIONING_DEGREE,
     _adopt,
     _batches,
-    _closure_half_gaps,
+    _closed_chain,
     _curve_point_derivative,
     _frozen,
     _homogeneous,
+    _items,
     _warn_if_high_degree,
 )
 from .errors import QuadratureError, ValidationError
@@ -67,6 +68,16 @@ _EQUAL_WEIGHT_REL_TOL = 1e-14
 _PE_CACHE_SIZE = 1024
 
 
+def _loop_half_tol(loop) -> float:
+    """Half the closure tolerance of a planar loop, relative to its scale."""
+    # half the diagonal of the loop's control bounding box, from halved
+    # coordinates as the half gaps are: neither overflows, and an inf
+    # diagonal would make a tolerance that accepts all
+    pts = np.concatenate([c.points for c in loop]) / 2
+    half = float(np.hypot.reduce(pts.max(axis=0) - pts.min(axis=0)))
+    return _CLOSURE_REL_TOL * (half if half > 0 else 0.5)
+
+
 @dataclass(frozen=True)
 class PlanarRegion:
     """One or more closed loops of rational Bezier curves.
@@ -79,34 +90,11 @@ class PlanarRegion:
     loops: tuple[tuple[RationalBezierCurve, ...], ...]
 
     def __post_init__(self):
-        loops = tuple(tuple(loop) for loop in self.loops)
+        loops = tuple(
+            _closed_chain(loop, f"loops[{k}]", _loop_half_tol)
+            for k, loop in enumerate(_items(self.loops, "loops"))
+        )
         object.__setattr__(self, "loops", loops)
-        if not loops:
-            raise ValidationError("region needs at least one loop")
-        for k, loop in enumerate(loops):
-            if not loop:
-                raise ValidationError(f"loop {k} is empty", path=f"loops[{k}]")
-            for j, c in enumerate(loop):
-                if not isinstance(c, RationalBezierCurve) or c.dim != 2:
-                    raise ValidationError(
-                        "loops must consist of planar rational Bezier curves",
-                        path=f"loops[{k}][{j}]",
-                    )
-            # half the diagonal of the loop's control bounding box, from
-            # halved coordinates as the half gaps are: neither overflows,
-            # and an inf diagonal would make a tolerance that accepts all
-            pts = np.concatenate([c.points for c in loop]) / 2
-            half = float(np.hypot.reduce(pts.max(axis=0) - pts.min(axis=0)))
-            half_tol = _CLOSURE_REL_TOL * (half if half > 0 else 0.5)
-            for j, half_gap in enumerate(_closure_half_gaps(loop)):
-                if half_gap > half_tol:
-                    nxt = (j + 1) % len(loop)
-                    raise ValidationError(
-                        f"curve {j} ends at {tuple(loop[j].end().tolist())} but curve "
-                        f"{nxt} starts at {tuple(loop[nxt].start().tolist())} "
-                        f"(gap {2 * float(half_gap):.3e}, tolerance {2 * half_tol:.3e})",
-                        path=f"loops[{k}]",
-                    )
 
     @property
     def curves(self) -> tuple[RationalBezierCurve, ...]:

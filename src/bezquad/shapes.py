@@ -81,10 +81,21 @@ def circle_region(center=(0.0, 0.0), radius=1.0, clockwise=False) -> PlanarRegio
 
 def polygon_loop(vertices, clockwise=False):
     """Closed chain of straight (degree-1) edges through three or more
-    ``vertices``, each edge a view of one block of points."""
+    ``vertices``, each edge a view of one block of points; a polygon of
+    area 0 or an edge of length 0 (the last vertex repeating the first) is refused."""
     v = _adopt(vertices, "vertices", shape=(None, 2))
     if len(v) < 3:
         raise ValidationError(f"need at least 3 vertices, got {len(v)}", "vertices")
+    nxt = np.roll(v, -1, axis=0)
+    same = (v == nxt).all(axis=1)
+    if same.any():
+        i = int(np.argmax(same))
+        raise ValidationError(f"repeats the next vertex {tuple(nxt[i].tolist())}", f"vertices[{i}]")
+    # the shoelace sum on coordinates scaled into [-1, 1], whose products
+    # cannot overflow; the scale is positive, as two vertices differ
+    x, y = (v / abs(v).max()).T
+    if x @ np.roll(y, -1) == y @ np.roll(x, -1):
+        raise ValidationError("need a polygon of nonzero area, got area 0", "vertices")
     if clockwise:
         v = v[::-1]
     edges = _frozen(np.stack([v, np.roll(v, -1, axis=0)], axis=1))

@@ -35,9 +35,10 @@ from .bezier import (
     RationalBezierCurve,
     RationalBezierPatch,
     _batches,
-    _closure_half_gaps,
+    _closed_chain,
     _frozen,
     _homogeneous,
+    _items,
     _patch_point_normal,
     _warn,
 )
@@ -74,27 +75,11 @@ class TrimLoop:
     segments: tuple[RationalBezierCurve, ...]
 
     def __post_init__(self):
-        segs = tuple(self.segments)
+        segs = _closed_chain(self.segments, "segments", _CLOSURE_TOL / 2)
         object.__setattr__(self, "segments", segs)
-        if not segs:
-            raise ValidationError("trim loop needs at least one segment")
         for j, seg in enumerate(segs):
-            if not isinstance(seg, RationalBezierCurve):
-                raise ValidationError(f"segments[{j}] must be a RationalBezierCurve")
-            if seg.dim != 2:
-                raise ValidationError(
-                    f"segments[{j}]: trim curves live in (u, v), got dimension {seg.dim}"
-                )
-            pts = seg.points
-            if float(pts.min()) < -_PARAM_SLACK or float(pts.max()) > 1.0 + _PARAM_SLACK:
-                raise ValidationError(
-                    f"segments[{j}]: control points leave the parameter square"
-                )
-        for j, half_gap in enumerate(_closure_half_gaps(segs)):
-            if half_gap > _CLOSURE_TOL / 2:
-                raise ValidationError(
-                    f"segments[{j}] ends {2 * half_gap:.3e} away from the next segment start"
-                )
+            if seg.points.min() < -_PARAM_SLACK or seg.points.max() > 1 + _PARAM_SLACK:
+                raise ValidationError("control points leave the parameter square", f"segments[{j}]")
 
 
 @dataclass(frozen=True)
@@ -107,11 +92,7 @@ class TrimmedPatch:
     def __post_init__(self):
         if not isinstance(self.patch, RationalBezierPatch):
             raise ValidationError("patch must be a RationalBezierPatch")
-        loops = tuple(self.loops)
-        object.__setattr__(self, "loops", loops)
-        for k, loop in enumerate(loops):
-            if not isinstance(loop, TrimLoop):
-                raise ValidationError(f"loops[{k}] must be a TrimLoop")
+        object.__setattr__(self, "loops", _items(self.loops, "loops", TrimLoop, least=0))
 
 
 def SurfaceRule(points, weights, preimages, provenance, degenerate_count: int = 0) -> Rule:
@@ -147,22 +128,16 @@ def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule:
     boundary nodes per trim segment and n_q nodes per vertical run.  The
     returned provenance indexes trim segments in flattened loop order.
     """
-    loops = tuple(loops)
-    if not loops:
-        raise ValidationError("need at least one trim loop")
-    for k, loop in enumerate(loops):
-        if not isinstance(loop, TrimLoop):
-            raise ValidationError(f"loops[{k}] must be a TrimLoop")
+    loops = _items(loops, "loops", TrimLoop)
     m_q, n_q = _orders(m_q, n_q)
     flat = [seg for loop in loops for seg in loop.segments]
     return _region_rule(flat, [gauss_legendre(m_q, (0.0, 1.0))] * len(flat), 0.0, n_q)
 
 
-def _as_trimmed_patch(tp, path=None) -> TrimmedPatch:
-    """``tp`` itself, or a bare patch as a TrimmedPatch with no loops."""
-    if not isinstance(tp, (TrimmedPatch, RationalBezierPatch)):
-        raise ValidationError("patch must be a TrimmedPatch or RationalBezierPatch", path=path)
-    return tp if isinstance(tp, TrimmedPatch) else TrimmedPatch(tp)
+def _as_trimmed_patches(patches) -> tuple[TrimmedPatch, ...]:
+    """The nonempty ``patches``, each a TrimmedPatch or a bare patch, as TrimmedPatches."""
+    patches = _items(patches, "patches", (TrimmedPatch, RationalBezierPatch))
+    return tuple(tp if isinstance(tp, TrimmedPatch) else TrimmedPatch(tp) for tp in patches)
 
 
 @lru_cache(maxsize=64)
@@ -236,8 +211,8 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
 
 
 def patch_rule(tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
-    """The boundary_rule of one patch, numbered patch 0."""
-    return boundary_rule([_as_trimmed_patch(tp)], m_q, n_q, weight_mode)
+    """The boundary_rule of one patch, numbered (and refused as) patch 0."""
+    return boundary_rule((tp,), m_q, n_q, weight_mode)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
@@ -254,9 +229,7 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
     ``bezquad rule-surface`` writes it in full-normal mode; volume_rule lifts
     it and solid moments integrate against it in z-normal mode.
     """
-    patches = [_as_trimmed_patch(tp, f"patches[{i}]") for i, tp in enumerate(patches)]
-    if not patches:
-        raise ValidationError("boundary rule needs at least one patch")
+    patches = _as_trimmed_patches(patches)
     m_q, n_q = _orders(m_q, n_q)
     # before the parametric pass, which costs a planar rule over every trim
     if weight_mode not in _WEIGHT_MODES:
@@ -311,5 +284,5 @@ def surface_integrate(patches, f, m_q: int, n_q: int) -> float:
     patches give 0.0.
     """
     m_q, n_q = _orders(m_q, n_q)
-    patches = list(patches)
+    patches = _items(patches, "patches", least=0)
     return apply(boundary_rule(patches, m_q, n_q), f) if patches else 0.0

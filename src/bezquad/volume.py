@@ -20,7 +20,7 @@ from .bezier import _adopt
 from .errors import ValidationError
 from .planar import Rule, _lift, apply
 from .quad1d import _orders
-from .surface import TrimmedPatch, _as_trimmed_patch, boundary_rule
+from .surface import TrimmedPatch, _as_trimmed_patches, boundary_rule
 
 __all__ = [
     "SolidModel",
@@ -47,12 +47,7 @@ class SolidModel:
         if not isinstance(self.closed, (bool, np.bool_)):
             raise ValidationError(f"must be true or false, got {self.closed!r}", path="closed")
         object.__setattr__(self, "closed", bool(self.closed))
-        patches = tuple(
-            _as_trimmed_patch(tp, f"patches[{i}]") for i, tp in enumerate(self.patches)
-        )
-        if not patches:
-            raise ValidationError("solid needs at least one patch")
-        object.__setattr__(self, "patches", patches)
+        object.__setattr__(self, "patches", _as_trimmed_patches(self.patches))
 
 
 def Rule3D(points, weights, provenance) -> Rule:

@@ -107,6 +107,10 @@ _REFUSALS = {
         lambda _: RationalBezierCurve([[10**400, 0], [1, 1]], [1, 1]),
         "points: integer too large for a double",
     ),
+    "object-array-holding-True": (
+        lambda _: RationalBezierCurve(np.array([[0, 0], [1, True]], dtype=object), [1, 1]),
+        "points: not a numeric array",
+    ),
 }
 
 

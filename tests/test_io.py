@@ -134,21 +134,31 @@ _FLAT_PATCH = {"points": [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]]}
         ({"closed": "no", "patches": [_FLAT_PATCH]}, "closed: must be true or false"),
         (
             {"patches": [dict(_FLAT_PATCH, trim_loops=5)]},
-            r"^patches\[0\]\.trim_loops: must be a list of curve loops$",
+            r"^patches\[0\]\.trim_loops: need a list, got int$",
         ),
         (
             {"patches": [dict(_FLAT_PATCH, trim_loops="ab")]},
-            r"^patches\[0\]\.trim_loops: must be a list of curve loops$",
+            r"^patches\[0\]\.trim_loops: need a list, got str$",
         ),
         ({"loops": [[5]]}, r"^loops\[0\]\[0\]: expected a curve object$"),
         ({"patches": [[1]]}, r"^patches\[0\]: expected a patch object$"),
         ({"loops": [[{"weights": [1, 1]}]]}, r"^loops\[0\]\[0\]: missing 'points'$"),
-        ({"loops": [[]]}, r"^loops\[0\]: must be a nonempty list of curves$"),
-        ({"loops": [{}]}, r"^loops\[0\]: must be a nonempty list of curves$"),
-        ({"patches": {}}, r"^patches: 'patches' must be a nonempty list$"),
+        ({"loops": [[]]}, r"^loops\[0\]: need at least 1 item, got 0$"),
+        ({"loops": [{}]}, r"^loops\[0\]: need a list, got dict$"),
+        ({"patches": {}}, r"^patches: need a list, got dict$"),
         (
             {"patches": [_FLAT_PATCH, dict(_FLAT_PATCH, trim_loops=[[{"points": [[0, 0], [1, 0]]}]])]},
-            r"^patches\[1\]\.trim_loops\[0\]: segments\[0\] ends 1\.000e\+00 away from the next segment start$",
+            r"^patches\[1\]\.trim_loops\[0\]\.segments: curve 0 ends at \(1\.0, 0\.0\) but curve 0 "
+            r"starts at \(0\.0, 0\.0\) \(gap 1\.000e\+00, tolerance 1\.000e-10\)$",
+        ),
+        # a JSON null means no trims, as an omitted key does; any other
+        # value that is not a list is refused, as 5 and "ab" are
+        *(
+            (
+                {"patches": [dict(_FLAT_PATCH, trim_loops=bad)]},
+                rf"^patches\[0\]\.trim_loops: need a list, got {kind}$",
+            )
+            for bad, kind in (({}, "dict"), (0, "int"), (False, "bool"), ("", "str"))
         ),
     ],
 )

@@ -1,0 +1,148 @@
+"""The one way sequences enter bezquad, bezier._items: every list of
+loops, segments or patches, in Python or in a JSON document, is refused
+at its name when it is no list (None, a bare item, a dict, text), when it
+is empty where an item is needed, and at the item when one is of the
+wrong kind."""
+
+import json
+
+import pytest
+
+from bezquad.errors import ValidationError
+from bezquad.io import load_model
+from bezquad.planar import PlanarRegion
+from bezquad.shapes import bilinear_patch, circle_loop, quarter_arc
+from bezquad.surface import (
+    TrimLoop,
+    TrimmedPatch,
+    boundary_rule,
+    parametric_area_rule,
+    surface_integrate,
+    unit_square_loop,
+)
+from bezquad.volume import SolidModel
+
+_FLAT = bilinear_patch((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+_CURVE_JSON = {"points": [[0, 0], [1, 0]]}
+_PATCH_JSON = {"points": [[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]]}
+_PATCH_KINDS = "TrimmedPatch or RationalBezierPatch"
+
+
+def _load(tmp, doc):
+    path = tmp / "doc.json"
+    path.write_text(json.dumps(doc))
+    return load_model(path)
+
+
+def _trims(loops):
+    return {"patches": [dict(_PATCH_JSON, trim_loops=loops)]}
+
+
+# each entry point that takes a sequence: a call with it, its name, a bare
+# item and its refusal, a list holding a wrong item and its refusal, and
+# the faults it accepts (an empty sequence, or a JSON null meaning none).
+# A non-list raised TypeError ('NoneType' object is not iterable) or, as a
+# dict, was taken for the list of its keys
+_SEQUENCES = {
+    "PlanarRegion": (
+        lambda _, v: PlanarRegion(v), "loops",
+        tuple(circle_loop()), "loops[0]: need a list, got RationalBezierCurve",
+        [5], "loops[0]: need a list, got int", (),
+    ),
+    "PlanarRegion-loop": (
+        lambda _, v: PlanarRegion((v,)), "loops[0]",
+        quarter_arc(), "loops[0]: need a list, got RationalBezierCurve",
+        [quarter_arc(), 5], "loops[0][1]: need a RationalBezierCurve, got int", (),
+    ),
+    "TrimLoop": (
+        lambda _, v: TrimLoop(v), "segments",
+        quarter_arc(), "segments: need a list, got RationalBezierCurve",
+        [5], "segments[0]: need a RationalBezierCurve, got int", (),
+    ),
+    "TrimmedPatch-loops": (
+        lambda _, v: TrimmedPatch(_FLAT, v), "loops",
+        unit_square_loop(), "loops: need a list, got TrimLoop",
+        [unit_square_loop().segments], "loops[0]: need a TrimLoop, got tuple", ("empty",),
+    ),
+    "parametric_area_rule": (
+        lambda _, v: parametric_area_rule(v, 2, 2), "loops",
+        unit_square_loop(), "loops: need a list, got TrimLoop",
+        [unit_square_loop(), 5], "loops[1]: need a TrimLoop, got int", (),
+    ),
+    "SolidModel": (
+        lambda _, v: SolidModel(v), "patches",
+        _FLAT, "patches: need a list, got RationalBezierPatch",
+        [_FLAT, 5], f"patches[1]: need a {_PATCH_KINDS}, got int", (),
+    ),
+    "boundary_rule": (
+        lambda _, v: boundary_rule(v, 2, 2), "patches",
+        TrimmedPatch(_FLAT), "patches: need a list, got TrimmedPatch",
+        [unit_square_loop()], f"patches[0]: need a {_PATCH_KINDS}, got TrimLoop", (),
+    ),
+    "surface_integrate": (
+        lambda _, v: surface_integrate(v, lambda x, y, z: x, 2, 2), "patches",
+        _FLAT, "patches: need a list, got RationalBezierPatch",
+        [5], f"patches[0]: need a {_PATCH_KINDS}, got int", ("empty",),
+    ),
+    "region-file-loops": (
+        lambda tmp, v: _load(tmp, {"loops": v}), "loops",
+        [_CURVE_JSON], "loops[0]: need a list, got dict",
+        [5], "loops[0]: need a list, got int", (),
+    ),
+    "region-file-loop": (
+        lambda tmp, v: _load(tmp, {"loops": [v]}), "loops[0]",
+        _CURVE_JSON, "loops[0]: need a list, got dict",
+        [5], "loops[0][0]: expected a curve object", (),
+    ),
+    "solid-file-patches": (
+        lambda tmp, v: _load(tmp, {"patches": v}), "patches",
+        _PATCH_JSON, "patches: need a list, got dict",
+        [5], "patches[0]: expected a patch object", (),
+    ),
+    "solid-file-trim-loops": (
+        lambda tmp, v: _load(tmp, _trims(v)), "patches[0].trim_loops",
+        [_CURVE_JSON], "patches[0].trim_loops[0]: need a list, got dict",
+        [5], "patches[0].trim_loops[0]: need a list, got int", ("None", "empty"),
+    ),
+    "solid-file-trim-loop": (
+        lambda tmp, v: _load(tmp, _trims([v])), "patches[0].trim_loops[0]",
+        _CURVE_JSON, "patches[0].trim_loops[0]: need a list, got dict",
+        [5], "patches[0].trim_loops[0][0]: expected a curve object", (),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ["None", "bare", "dict", "str", "empty", "wrong"])
+@pytest.mark.parametrize(
+    "call, name, bare, bare_refusal, wrong, wrong_refusal, accepts",
+    _SEQUENCES.values(),
+    ids=_SEQUENCES,
+)
+def test_sequences_are_refused_at_their_name(
+    tmp_path, call, name, bare, bare_refusal, wrong, wrong_refusal, accepts, fault
+):
+    value = {"None": None, "bare": bare, "dict": {}, "str": "ab", "empty": [], "wrong": wrong}
+    if fault in accepts:
+        call(tmp_path, value[fault])
+        return
+    message = {
+        "None": f"{name}: need a list, got NoneType",
+        "bare": bare_refusal,
+        "dict": f"{name}: need a list, got dict",
+        "str": f"{name}: need a list, got str",
+        "empty": f"{name}: need at least 1 item, got 0",
+        "wrong": wrong_refusal,
+    }[fault]
+    with pytest.raises(ValidationError) as err:
+        call(tmp_path, value[fault])
+    assert str(err.value) == message
+
+
+def test_any_ordered_iterable_is_taken():
+    # a list, a tuple or an iterator, kept as a tuple of the same items
+    loop = circle_loop((0.5, 0.5), 0.5)
+    (kept,) = PlanarRegion(iter([iter(loop)])).loops
+    assert type(kept) is tuple and all(a is b for a, b in zip(kept, loop, strict=True))
+    segments = TrimLoop(list(loop)).segments
+    assert type(segments) is tuple and all(a is b for a, b in zip(segments, loop, strict=True))
+    assert surface_integrate(iter((_FLAT,)), lambda x, y, z: 1.0, 2, 2) == pytest.approx(1.0)

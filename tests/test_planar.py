@@ -324,17 +324,20 @@ def test_non_finite_vertex_rejected():
 
 
 @pytest.mark.parametrize(
-    "loop,path",
+    "loop,message",
     [
-        ((quarter_arc(), 5), "loops[0][1]"),
-        ((RationalBezierCurve([(0, 0, 0), (1, 0, 0)], [1.0, 1.0]),), "loops[0][0]"),
+        ((quarter_arc(), 5), "loops[0][1]: need a RationalBezierCurve, got int"),
+        (
+            (RationalBezierCurve([(0, 0, 0), (1, 0, 0)], [1.0, 1.0]),),
+            "loops[0][0]: need a planar curve, got dimension 3",
+        ),
     ],
     ids=["non-curve", "3d-curve"],
 )
-def test_region_loops_hold_planar_curves(loop, path):
+def test_region_loops_hold_planar_curves(loop, message):
     with pytest.raises(ValidationError) as err:
         PlanarRegion((loop,))
-    assert str(err.value) == f"{path}: loops must consist of planar rational Bezier curves"
+    assert str(err.value) == message
 
 
 def test_empty_region_rejected():

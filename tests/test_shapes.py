@@ -177,6 +177,24 @@ _REFUSALS = {
         lambda: polygon_loop([(0, 0), (1, 0), (np.nan, 1)]),
         "vertices[2][0]: must be finite, got nan",
     ),
+    # a zero-length edge or a polygon of area zero built a region of area
+    # 0.0 or 7e-18
+    "repeated-polygon-vertex": (
+        lambda: polygon_loop([(0, 0), (0, 0), (1, 1)]),
+        "vertices[0]: repeats the next vertex (0.0, 0.0)",
+    ),
+    "polygon-closed-by-its-first-vertex": (
+        lambda: polygon_loop([(0, 0), (1, 0), (1, 1), (0, 0)]),
+        "vertices[3]: repeats the next vertex (0.0, 0.0)",
+    ),
+    "collinear-polygon": (
+        lambda: polygon_loop([(0, 0), (1, 0), (2, 0)]),
+        "vertices: need a polygon of nonzero area, got area 0",
+    ),
+    "diagonal-collinear-polygon": (
+        lambda: polygon_loop([(0, 0), (1, 1), (3, 3), (2, 2)]),
+        "vertices: need a polygon of nonzero area, got area 0",
+    ),
     "inside-out-box": (
         lambda: box_solid((0, 0, 0), (1, -1, 1)),
         "hi[1]: must be greater than lo, got -1.0",

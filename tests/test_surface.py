@@ -213,24 +213,29 @@ def test_trim_loop_rejects_out_of_square_points():
 
 
 def test_trim_loop_rejects_gaps():
-    with pytest.raises(ValidationError, match="away from"):
+    message = r"^segments: curve 0 ends at \(1\.0, 0\.0\) but curve 1 starts at \(1\.0, 0\.0001\) "
+    message += r"\(gap 1\.000e-04, tolerance 1\.000e-10\)$"
+    with pytest.raises(ValidationError, match=message):
         TrimLoop((line((0, 0), (1, 0)), line((1, 1e-4), (0, 0))))
 
 
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: TrimLoop(()), "trim loop needs at least one segment"),
-        (lambda: TrimLoop((line((0, 0), (1, 0)), 5)), "segments[1] must be a RationalBezierCurve"),
+        (lambda: TrimLoop(()), "segments: need at least 1 item, got 0"),
+        (
+            lambda: TrimLoop((line((0, 0), (1, 0)), 5)),
+            "segments[1]: need a RationalBezierCurve, got int",
+        ),
         (lambda: TrimmedPatch(unit_square_loop()), "patch must be a RationalBezierPatch"),
         (
             lambda: TrimmedPatch(flat_unit_patch(), [unit_square_loop().segments]),
-            "loops[0] must be a TrimLoop",
+            "loops[0]: need a TrimLoop, got tuple",
         ),
-        (lambda: parametric_area_rule([], 2, 2), "need at least one trim loop"),
+        (lambda: parametric_area_rule([], 2, 2), "loops: need at least 1 item, got 0"),
         (
             lambda: parametric_area_rule([unit_square_loop(), triangle_loop().segments], 2, 2),
-            "loops[1] must be a TrimLoop",
+            "loops[1]: need a TrimLoop, got tuple",
         ),
         (
             lambda: SurfaceRule(np.zeros((1, 3)), [1.0], [[0.5, 1.5]], np.zeros((1, 5), int)),
@@ -256,7 +261,9 @@ def test_trim_and_surface_refusals(call, message):
 def test_trim_loop_accepts_one_closed_curve():
     arc = RationalBezierCurve([(0, 0), (1, 0), (0.5, 1), (0, 0)], np.ones(4))
     assert TrimLoop((arc,)).segments[0] is arc
-    with pytest.raises(ValidationError, match=r"segments\[0\] ends 1\.000e-06 away"):
+    message = r"^segments: curve 0 ends at \(0\.0, 0\.0\) but curve 0 starts at \(0\.0, 1e-06\) "
+    message += r"\(gap 1\.000e-06, tolerance 1\.000e-10\)$"
+    with pytest.raises(ValidationError, match=message):
         TrimLoop((RationalBezierCurve([(0, 1e-6), (1, 0), (0.5, 1), (0, 0)], np.ones(4)),))
 
 
@@ -368,7 +375,7 @@ def test_boundary_rule_warns_once_for_the_degenerate_patch():
 
 
 def test_boundary_rule_needs_patches():
-    with pytest.raises(ValidationError, match="at least one patch"):
+    with pytest.raises(ValidationError, match=r"^patches: need at least 1 item, got 0$"):
         boundary_rule([], 3, 3)
 
 
@@ -432,13 +439,15 @@ def test_orders_below_one_rejected_once(union, m_q, n_q):
 
 def test_bad_patch_named_by_index():
     cube = box_solid().patches
+    want = "need a TrimmedPatch or RationalBezierPatch"
     for call in (
         lambda: boundary_rule([cube[0], "junk"], 3, 3),
         lambda: SolidModel((cube[0], cube[1], 7)),
     ):
-        with pytest.raises(ValidationError, match=r"^patches\[\d\]: patch must be a TrimmedPatch"):
+        with pytest.raises(ValidationError, match=rf"^patches\[\d\]: {want}, got (str|int)$"):
             call()
-    with pytest.raises(ValidationError, match="^patch must be a TrimmedPatch"):
+    # patch_rule is the boundary_rule of one patch, so its patch is patches[0]
+    with pytest.raises(ValidationError, match=rf"^patches\[0\]: {want}, got str$"):
         patch_rule("junk", 3, 3)
     # a bare patch is wrapped untrimmed
     bare = [tp.patch for tp in cube]

@@ -232,5 +232,5 @@ def test_rule3d_alignment_checked():
 
 
 def test_solid_needs_patches():
-    with pytest.raises(ValidationError, match="at least one"):
+    with pytest.raises(ValidationError, match=r"^patches: need at least 1 item, got 0$"):
         SolidModel(())
