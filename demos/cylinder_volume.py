@@ -14,19 +14,18 @@ from bezquad import (
     cylinder_solid_fitted,
     flip_solid,
     load_solid,
-    volume_integrate,
     volume_rule,
 )
 
 one = lambda x, y, z: np.ones_like(x)
 
 cube = box_solid()
-print(f"unit cube volume     {volume_integrate(cube, one, 4, 4):.15f}")
+print(f"unit cube volume     {apply(volume_rule(cube, 4, 4), one):.15f}")
 
 cyl = load_solid(bundled("cylinder.solid.json"))
-v = volume_integrate(cyl, one, 14, 14)
+v = apply(volume_rule(cyl, 14, 14), one)
 print(f"cylinder volume      {v:.15f}  error {abs(v - np.pi):.2e}")
-v_flip = volume_integrate(flip_solid(cyl), one, 14, 14)
+v_flip = apply(volume_rule(flip_solid(cyl), 14, 14), one)
 print(f"flipped orientation  {v_flip:.15f}")
 
 # same closed boundary, different reference heights, same weights total
@@ -38,5 +37,5 @@ for pz in (0.0, -7.5):
 print("\nfitted caps, volume error vs segments per quarter turn")
 for segs in (4, 8, 16, 32):
     solid = cylinder_solid_fitted(segments=segs)
-    err = abs(volume_integrate(solid, one, 12, 12) - np.pi)
+    err = abs(apply(volume_rule(solid, 12, 12), one) - np.pi)
     print(f"  {segs:3d} segments  error {err:.3e}")

@@ -120,9 +120,16 @@ def _items(value, name, kind=None, least=1) -> tuple:
         raise ValidationError(f"{what}, got {len(items)}", name)
     for i, item in enumerate(items if kind else ()):
         if not isinstance(item, kind):
-            want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-            raise ValidationError(f"need a {want}, got {type(item).__name__}", f"{name}[{i}]")
+            _kind(item, f"{name}[{i}]", kind)
     return items
+
+
+def _kind(value, name, kind):
+    """Raise ValidationError ``need a X, got Y`` at ``name`` unless
+    ``value`` is a ``kind``, a type or tuple of types."""
+    if not isinstance(value, kind):
+        want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValidationError(f"need a {want}, got {type(value).__name__}", name)
 
 
 def _control_net(net, axes, dims, shape):

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .bezier import RationalBezierCurve, RationalBezierPatch, _adopt, _frozen, _items
+from .bezier import RationalBezierCurve, RationalBezierPatch, _adopt, _frozen, _items, _kind
 from .errors import ValidationError
 from .moments import MomentVector
 from .planar import PlanarRegion, Rule
@@ -40,7 +40,6 @@ __all__ = [
     "load_solid",
     "save_solid",
     "save_rule",
-    "rule_csv_lines",
     "load_rule",
     "load_trim_points",
     "save_moments",
@@ -307,17 +306,9 @@ def _gather_rows(header, tables, n):
         yield text[text != 0].tobytes().decode("ascii")
 
 
-def rule_csv_lines(rule: Rule):
-    """Header plus one row per point: coordinates, weight, provenance.
-
-    Floats are written ``%.17g`` and provenance ``%d``; these are the
-    lines of save_rule's file.
-    """
-    return "".join(_rule_csv_blocks(rule))[:-1].split("\n")
-
-
 def save_rule(rule, path):
     """CSV with coordinates, weight, then provenance; 17 digits."""
+    _kind(rule, "rule", Rule)
     _write(path, _rule_csv_blocks(rule))
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bezier import _adopt, _frozen, _warn
+from .bezier import _adopt, _frozen, _kind, _warn
 from .errors import QuadratureError, ValidationError
 from .planar import PlanarRegion, spectral_pe_rule
 from .quad1d import _as_int
@@ -170,12 +170,11 @@ def geometric_moments(model, p: int) -> MomentVector:
     get rules exact to rounding.  A solid with a rational patch that carries
     z-flux is integrated at two spectral orders; the finer result is
     returned, with a UserWarning when a moment moved by more than 1e-11."""
+    _kind(model, "model", (PlanarRegion, SolidModel))
     p = _as_int(p, "max degree", 0)
     if isinstance(model, PlanarRegion):
         return _region_moments(model, p)
-    if isinstance(model, SolidModel):
-        return _solid_moments(model, p)
-    raise ValidationError(f"cannot take moments of {type(model).__name__}")
+    return _solid_moments(model, p)
 
 
 def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
@@ -186,6 +185,7 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
     1e-8 times the moment norm means the points cannot carry the moments
     and raises instead of returning junk weights.
     """
+    _kind(moments, "moments", MomentVector)
     p = moments.degree if p is None else _as_int(p, "max degree", 0)
     if p > moments.degree:
         raise ValidationError(f"p={p} exceeds the moment vector degree {moments.degree}")

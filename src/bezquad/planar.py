@@ -38,6 +38,7 @@ from .bezier import (
     _frozen,
     _homogeneous,
     _items,
+    _kind,
     _warn_if_high_degree,
 )
 from .errors import QuadratureError, ValidationError
@@ -121,7 +122,7 @@ class Rule:
     degenerate_count: int = 0
 
     def __post_init__(self):
-        cols = tuple(self.columns)
+        cols = _items(self.columns, "columns", str)
         dim = cols.index("weight") if "weight" in cols else None
         if dim not in (2, 3):
             raise ValidationError(
@@ -167,6 +168,7 @@ def apply(rule: Rule, f) -> float:
     not even for w = 0, so the values are scanned only when the sum is
     not finite, and a sum that overflowed from finite values is returned.
     """
+    _kind(rule, "rule", Rule)
     with np.errstate(all="ignore"):
         raw = f(*rule.points.T)
         if np.iscomplexobj(raw):
@@ -197,6 +199,7 @@ def region_constant_C(region: PlanarRegion) -> float:
     Every curve point lies at or above this height (convex hull), so all
     antiderivative segments have non-negative length.
     """
+    _kind(region, "region", PlanarRegion)
     return min(float(c.points[:, 1].min()) for c in region.curves)
 
 
@@ -261,6 +264,7 @@ def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -
     Spectrally convergent for integrands analytic on the region; never
     exact by construction.
     """
+    _kind(region, "region", PlanarRegion)
     boundary_order, layer_order = _orders(boundary_order, layer_order)
     curves = region.curves
     base = gauss_legendre(boundary_order, (0.0, 1.0))
@@ -337,6 +341,7 @@ def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
     counts nodes along it.  Each boundary node carries ceil((degree + 1) / 2)
     antiderivative points.
     """
+    _kind(region, "region", PlanarRegion)
     degree = _as_int(degree, "exactness degree", 0)
     return _pe_region_rule(region.curves, degree, region_constant_C(region))
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bezier import _adopt, _frozen, bernstein_to_monomial
+from .bezier import _adopt, _frozen, _kind, bernstein_to_monomial
 from .errors import ConditioningError, ValidationError
 
 __all__ = [
@@ -52,9 +52,6 @@ class Rule1D:
 
     def __len__(self) -> int:
         return self.nodes.size
-
-    def apply(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def _as_int(value, what: str, least: int | None = None) -> int:
@@ -284,6 +281,7 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     to a least-squares fit on twice as many nodes; if that is still
     hopeless a ConditioningError carries the condition estimate.
     """
+    _kind(poles, "poles", PoleSet)
     poly_degree = _as_int(poly_degree, "polynomial degree", 0)
     if not poles.conjugate_closed:
         raise ValidationError("pole set must be closed under conjugation")

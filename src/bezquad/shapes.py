@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .bezier import RationalBezierCurve, RationalBezierPatch, _adopt, _frozen, _refuse
+from .bezier import RationalBezierCurve, RationalBezierPatch, _adopt, _frozen, _kind, _refuse
 from .errors import ValidationError
 from .planar import PlanarRegion
 from .quad1d import _as_int
@@ -230,6 +230,7 @@ def flip_patch(tp: TrimmedPatch) -> TrimmedPatch:
     loops get their coordinates swapped too, then re-reversed so they
     stay counter-clockwise around the same material in the new (u, v).
     """
+    _kind(tp, "tp", TrimmedPatch)
     loops = []
     for loop in tp.loops:
         segs = [
@@ -242,4 +243,5 @@ def flip_patch(tp: TrimmedPatch) -> TrimmedPatch:
 
 def flip_solid(solid: SolidModel) -> SolidModel:
     """Flip every patch, turning an outward boundary inward."""
+    _kind(solid, "solid", SolidModel)
     return SolidModel(tuple(flip_patch(tp) for tp in solid.patches), solid.closed)

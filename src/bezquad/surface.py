@@ -39,6 +39,7 @@ from .bezier import (
     _frozen,
     _homogeneous,
     _items,
+    _kind,
     _patch_point_normal,
     _warn,
 )
@@ -52,7 +53,6 @@ __all__ = [
     "SurfaceRule",
     "unit_square_loop",
     "parametric_area_rule",
-    "patch_rule",
     "boundary_rule",
     "surface_integrate",
 ]
@@ -90,8 +90,7 @@ class TrimmedPatch:
     loops: tuple[TrimLoop, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.patch, RationalBezierPatch):
-            raise ValidationError("patch must be a RationalBezierPatch")
+        _kind(self.patch, "patch", RationalBezierPatch)
         object.__setattr__(self, "loops", _items(self.loops, "loops", TrimLoop, least=0))
 
 
@@ -208,11 +207,6 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
     return SurfaceRule(
         _frozen(point).T, _frozen(weights), pre, _frozen(prov).T, degenerate_count=int(bad.sum())
     )
-
-
-def patch_rule(tp: TrimmedPatch, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:
-    """The boundary_rule of one patch, numbered (and refused as) patch 0."""
-    return boundary_rule((tp,), m_q, n_q, weight_mode)
 
 
 def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal") -> Rule:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import _adopt
+from .bezier import _adopt, _kind
 from .errors import ValidationError
-from .planar import Rule, _lift, apply
+from .planar import Rule, _lift
 from .quad1d import _orders
 from .surface import TrimmedPatch, _as_trimmed_patches, boundary_rule
 
@@ -27,7 +27,6 @@ __all__ = [
     "Rule3D",
     "solid_constant_Pz",
     "volume_rule",
-    "volume_integrate",
 ]
 
 
@@ -60,6 +59,7 @@ def Rule3D(points, weights, provenance) -> Rule:
 def solid_constant_Pz(solid: SolidModel) -> float:
     """Lowest control-point z of the solid; antiderivative segments start
     here, so they never leave the control bounding box."""
+    _kind(solid, "solid", SolidModel)
     return min(float(tp.patch.points[..., 2].min()) for tp in solid.patches)
 
 
@@ -75,8 +75,7 @@ def volume_rule(
     base height; integrals of smooth f over a closed solid do not depend
     on it, only the individual points and weights do.
     """
-    if not isinstance(solid, SolidModel):
-        raise ValidationError(f"cannot build a volume rule of {type(solid).__name__}")
+    _kind(solid, "solid", SolidModel)
     if not solid.closed:
         raise ValidationError("volume rules need a solid asserted closed")
     m_q, n_q, n_p = _orders(m_q, n_q, m_q if n_p is None else n_p)
@@ -84,9 +83,3 @@ def volume_rule(
     srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
     return Rule3D(*_lift(srule.points, srule.provenance[:, 0], base, n_p, srule.weights))
 
-
-def volume_integrate(
-    solid: SolidModel, f, m_q: int, n_q: int, n_p: int | None = None
-) -> float:
-    """Apply a volume rule to f(x, y, z); f must accept numpy arrays."""
-    return apply(volume_rule(solid, m_q, n_q, n_p), f)

@@ -33,8 +33,8 @@ from bezquad.shapes import (
     flip_solid,
     square_region,
 )
-from bezquad.surface import TrimmedPatch, patch_rule, unit_square_loop
-from bezquad.volume import solid_constant_Pz, volume_integrate, volume_rule
+from bezquad.surface import TrimmedPatch, boundary_rule, unit_square_loop
+from bezquad.volume import solid_constant_Pz, volume_rule
 
 from conftest import (
     expr_tree_text,
@@ -149,11 +149,11 @@ def test_04_spectral_convergence():
 def test_05_volumes():
     one = lambda x, y, z: np.ones_like(x)
     cube = box_solid()
-    assert abs(volume_integrate(cube, one, 4, 4) - 1.0) < 1e-12
-    assert abs(volume_integrate(flip_solid(cube), one, 4, 4) + 1.0) < 1e-12
+    assert abs(apply(volume_rule(cube, 4, 4), one) - 1.0) < 1e-12
+    assert abs(apply(volume_rule(flip_solid(cube), 4, 4), one) + 1.0) < 1e-12
     cyl = cylinder_solid()
-    assert abs(volume_integrate(cyl, one, 14, 14) - PI) < 1e-10
-    assert abs(volume_integrate(flip_solid(cyl), one, 14, 14) + PI) < 1e-10
+    assert abs(apply(volume_rule(cyl, 14, 14), one) - PI) < 1e-10
+    assert abs(apply(volume_rule(flip_solid(cyl), 14, 14), one) + PI) < 1e-10
 
 
 @criterion(6, "tensor shortcut equals explicit boundary loop", budget=5.0)
@@ -165,8 +165,8 @@ def test_06_untrimmed_simplification():
             rng.normal(size=(4, 4, 3)), rng.uniform(0.5, 2.0, size=(4, 4))
         )
         f = lambda x, y, z: np.exp(0.3 * x) + y * z
-        tensor = patch_rule(patch, n, n)
-        loop = patch_rule(TrimmedPatch(patch, (unit_square_loop(),)), n, n)
+        tensor = boundary_rule((patch,), n, n)
+        loop = boundary_rule((TrimmedPatch(patch, (unit_square_loop(),)),), n, n)
         assert len(tensor) == n * n
         assert len(loop) == 4 * n * n
         a = apply(tensor, f)
@@ -180,7 +180,7 @@ def test_07_fitted_trim_order():
     segment_counts = (4, 8, 16, 32, 64)
     errs = []
     for segs in segment_counts:
-        v = volume_integrate(cylinder_solid_fitted(segments=segs), one, 12, 12)
+        v = apply(volume_rule(cylinder_solid_fitted(segments=segs), 12, 12), one)
         errs.append(abs(v - PI))
     errs = np.array(errs)
     assert np.all(np.diff(errs) < 0)
@@ -198,7 +198,7 @@ def test_07_fitted_trim_order():
     for segs in (16, 32):
         solid = cylinder_solid_fitted(segments=segs)
         err = {
-            n: abs(volume_integrate(solid, f, n, n) - true_value)
+            n: abs(apply(volume_rule(solid, n, n), f) - true_value)
             for n in (2, 4, 6, 8, 10, 12, 14)
         }
         floor = err[14]
@@ -239,10 +239,10 @@ def test_08_rational_rule_exactness():
             for j in range(1, mult + 1):
                 exact = partial_fraction_moment(p, j)
                 denom = max(abs(exact), 1e-8)
-                got_re = rule.apply(lambda s: ((s - p) ** (-j)).real)
+                got_re = float(np.dot(rule.weights, ((rule.nodes - p) ** (-j)).real))
                 assert abs(got_re - exact.real) <= 1e-11 * denom
                 if p.imag > 0:
-                    got_im = rule.apply(lambda s: ((s - p) ** (-j)).imag)
+                    got_im = float(np.dot(rule.weights, ((rule.nodes - p) ** (-j)).imag))
                     assert abs(got_im - exact.imag) <= 1e-11 * denom
 
 

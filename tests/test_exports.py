@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import bezquad
-from bezquad import PlanarRegion, SolidModel, errors, patch_rule
+from bezquad import PlanarRegion, Rule1D, SolidModel, boundary_rule, errors
 
 _MODULES = ["bezquad"] + [
     f"bezquad.{m.name}" for m in pkgutil.iter_modules(bezquad.__path__)
@@ -21,6 +21,9 @@ _REMOVED = {
     "apply_surface_rule": "bezquad.surface",
     "closure_check": "bezquad.trimfit",
     "is_polynomial_curve": "bezquad.planar",
+    "volume_integrate": "bezquad.volume",
+    "patch_rule": "bezquad.surface",
+    "rule_csv_lines": "bezquad.io",
 }
 
 
@@ -39,7 +42,8 @@ def test_removed_names_are_gone():
         assert not hasattr(bezquad, attr)
         assert not hasattr(importlib.import_module(owner), attr)
     assert not hasattr(PlanarRegion, "bbox") and not hasattr(SolidModel, "bbox")
-    assert "patch_index" not in inspect.signature(patch_rule).parameters
+    assert "patch_index" not in inspect.signature(boundary_rule).parameters
+    assert not hasattr(Rule1D, "apply")
 
 
 def test_package_exports_every_module_all():
@@ -47,7 +51,7 @@ def test_package_exports_every_module_all():
     names = [attr for mod in modules for attr in getattr(mod, "__all__", [])]
     assert bezquad.__all__ == names + ["__version__"]
     # the module lists held these while the package's own list omitted them
-    added = {"rule_csv_lines", "moment_csv_lines", "Num", "Var", "Neg", "BinOp", "Call"}
+    added = {"moment_csv_lines", "Num", "Var", "Neg", "BinOp", "Call"}
     assert added <= set(bezquad.__all__)
 
 

@@ -17,7 +17,6 @@ from bezquad.io import (
     load_solid,
     load_trim_points,
     moment_csv_lines,
-    rule_csv_lines,
     save_moments,
     save_region,
     save_rule,
@@ -26,8 +25,8 @@ from bezquad.io import (
 from bezquad.moments import _monomials, geometric_moments, monomial_exponents
 from bezquad.planar import Rule, Rule2D, apply, integrate2d, spectral_pe_rule, spectral_rule
 from bezquad.shapes import circle_region, cylinder_solid
-from bezquad.surface import boundary_rule, patch_rule
-from bezquad.volume import volume_integrate, volume_rule
+from bezquad.surface import boundary_rule
+from bezquad.volume import volume_rule
 
 
 def test_bundled_circle_region():
@@ -44,7 +43,7 @@ def test_bundled_cube_solid():
     solid = load_solid(bundled("cube.solid.json"))
     assert len(solid.patches) == 6
     assert solid.closed
-    assert volume_integrate(solid, lambda x, y, z: np.ones_like(x), 4, 4) == pytest.approx(
+    assert apply(volume_rule(solid, 4, 4), lambda x, y, z: np.ones_like(x)) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -339,7 +338,7 @@ def test_not_json(tmp_path):
             ("x", "y", "weight", "curve", "q", "zeta"),
         ),
         (
-            lambda: patch_rule(cylinder_solid().patches[4], 4, 4),  # a trimmed cap
+            lambda: boundary_rule((cylinder_solid().patches[4],), 4, 4),  # a trimmed cap
             3,
             ("x", "y", "z", "weight", "patch", "loop", "segment", "mu", "eta"),
         ),
@@ -355,7 +354,7 @@ def test_rule_round_trip_bit_identical(tmp_path, build, dim, columns):
     rule = build()
     path = tmp_path / "rule.csv"
     save_rule(rule, path)
-    assert path.read_bytes() == ("\n".join(_oracle_csv_lines(rule)) + "\n").encode()
+    assert path.read_bytes() == _oracle_csv_text(rule).encode()
     back = load_rule(path)
     assert back.dim == dim
     assert back.columns == rule.columns == columns
@@ -379,15 +378,15 @@ def test_rule3d_round_trip(tmp_path):
 
 def test_surface_rule_columns(tmp_path):
     tp = cylinder_solid().patches[4]  # a trimmed cap
-    rule = patch_rule(tp, 4, 4)
-    lines = rule_csv_lines(rule)
+    rule = boundary_rule((tp,), 4, 4)
+    lines = _written(rule).splitlines()
     assert lines[0] == "x,y,z,weight,patch,loop,segment,mu,eta"
     assert len(lines) == len(rule) + 1
 
 
 def test_two_point_rule_is_three_lines():
     rule = Rule2D([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5], [[0, 0, 0], [0, 0, 1]])
-    assert len(rule_csv_lines(rule)) == 3
+    assert len(_written(rule).splitlines()) == 3
 
 
 def test_empty_rule_is_header_only(tmp_path):
@@ -432,11 +431,16 @@ _SPECIAL = (
 )
 
 
-def _oracle_csv_lines(rule):
-    """The row-by-row writer that rule_csv_lines must match byte for byte."""
-    row = ",".join(["%.17g"] * (rule.dim + 1) + ["%d"] * rule.provenance.shape[1])
+def _written(rule):
+    """save_rule's text of ``rule``, without a file."""
+    return "".join(io._rule_csv_blocks(rule))
+
+
+def _oracle_csv_text(rule):
+    """The row-by-row writer that save_rule must match byte for byte."""
+    row = ",".join(["%.17g"] * (rule.dim + 1) + ["%d"] * rule.provenance.shape[1]) + "\n"
     rows = zip(rule.points.tolist(), rule.weights.tolist(), rule.provenance.tolist())
-    return [",".join(rule.columns)] + [row % (*p, w, *q) for p, w, q in rows]
+    return ",".join(rule.columns) + "\n" + "".join(row % (*p, w, *q) for p, w, q in rows)
 
 
 def _special_rule(n, columns):
@@ -463,11 +467,11 @@ def _special_rule(n, columns):
 )
 def test_rule_csv_lines_match_per_value_writer(tmp_path, n, columns):
     rule = _special_rule(n, columns)
-    lines = rule_csv_lines(rule)
-    assert lines == _oracle_csv_lines(rule)
+    text = _written(rule)
+    assert text == _oracle_csv_text(rule)
     path = tmp_path / "rule.csv"
     save_rule(rule, path)
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == text.encode()
     back = load_rule(path)
     for name in ("points", "weights", "provenance"):
         a, b = getattr(back, name), getattr(rule, name)
@@ -480,7 +484,7 @@ def test_rule_csv_signed_zeros_and_extremes(tmp_path):
         [0.0, -0.0, 1e16],
         [[-1, 0, 2**62], [0, -(2**63), 7], [-1, 0, 2**63 - 1]],
     )
-    assert rule_csv_lines(rule) == [
+    assert _written(rule).splitlines() == [
         "x,y,weight,curve,q,zeta",
         "-0,4.9406564584124654e-324,0,-1,0,4611686018427387904",
         "0,10000000000000000,-0,0,-9223372036854775808,7",
@@ -500,14 +504,14 @@ def test_cli_rule_file_matches_per_value_writer(tmp_path):
     assert main(argv) == 0
     rule = volume_rule(load_solid(cylinder), 10, 10, 8)
     assert len(rule) > 2 * 4096
-    assert path.read_bytes() == ("\n".join(_oracle_csv_lines(rule)) + "\n").encode()
+    assert path.read_bytes() == _oracle_csv_text(rule).encode()
 
 
 def _assert_writes_like_oracle(rule, path):
-    lines = rule_csv_lines(rule)
-    assert lines == _oracle_csv_lines(rule)
+    text = _written(rule)
+    assert text == _oracle_csv_text(rule)
     save_rule(rule, path)
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize(
@@ -528,7 +532,7 @@ def test_lifted_rules_with_long_runs_match_oracle(tmp_path, build):
 def test_single_valued_columns_match_oracle(tmp_path, n):
     rule = Rule2D(np.full((n, 2), -0.0), np.full(n, 0.5), np.full((n, 3), -(2**63)))
     _assert_writes_like_oracle(rule, tmp_path / "r.csv")
-    assert rule_csv_lines(rule)[-1] == "-0,-0,0.5,-9223372036854775808,-9223372036854775808,-9223372036854775808"
+    assert _written(rule).splitlines()[-1] == "-0,-0,0.5,-9223372036854775808,-9223372036854775808,-9223372036854775808"
 
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
@@ -573,7 +577,7 @@ def test_rule_without_provenance_matches_oracle(tmp_path):
     rng = np.random.default_rng(3)
     rule = Rule(rng.random((5000, 3)), rng.random(5000), np.zeros((5000, 0), np.int64), ("x", "y", "z", "weight"))
     _assert_writes_like_oracle(rule, tmp_path / "r.csv")
-    assert rule_csv_lines(rule)[0] == "x,y,z,weight"
+    assert _written(rule).splitlines()[0] == "x,y,z,weight"
 
 
 @pytest.mark.parametrize(
@@ -637,14 +641,14 @@ def _both_readers(path, monkeypatch):
 
 def _canonical_sample():
     """save_rule's bytes for a small surface rule plus the widest texts."""
-    rule = patch_rule(cylinder_solid().patches[4], 2, 2)
+    rule = boundary_rule((cylinder_solid().patches[4],), 2, 2)
     extremes = Rule(
         [[-0.0, 5e-324, -1.2345678901234567e-308], [1e16, -1e300, 0.5]],
         [1.0, 2.0],
         [[-(2**63), 2**63 - 1, 0, 0, 0], [0, 0, 0, 0, 0]],
         rule.columns,
     )
-    return "\n".join(rule_csv_lines(rule) + rule_csv_lines(extremes)[1:]) + "\n"
+    return _written(rule) + _written(extremes).split("\n", 1)[1]
 
 
 _SAMPLE = _canonical_sample()
@@ -758,7 +762,7 @@ def test_load_rule_differential_on_mutated_files(tmp_path, monkeypatch):
     "rule",
     [
         spectral_pe_rule(circle_region(), 5),
-        patch_rule(cylinder_solid().patches[4], 4, 4),
+        boundary_rule((cylinder_solid().patches[4],), 4, 4),
         volume_rule(cylinder_solid(), 4, 4, 3),
         Rule2D(
             [[-0.0, 5e-324], [1e16, -1.2345678901234567e-308], [0.0, -1e300]],

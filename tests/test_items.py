@@ -2,16 +2,34 @@
 loops, segments or patches, in Python or in a JSON document, is refused
 at its name when it is no list (None, a bare item, a dict, text), when it
 is empty where an item is needed, and at the item when one is of the
-wrong kind."""
+wrong kind.  Single objects enter through bezier._kind, which words the
+same refusal at the argument's name."""
 
 import json
 
 import pytest
 
 from bezquad.errors import ValidationError
-from bezquad.io import load_model
-from bezquad.planar import PlanarRegion
-from bezquad.shapes import bilinear_patch, circle_loop, quarter_arc
+from bezquad.io import load_model, save_rule
+from bezquad.moments import geometric_moments, moment_fit_weights
+from bezquad.planar import (
+    PlanarRegion,
+    Rule,
+    apply,
+    region_constant_C,
+    spectral_pe_rule,
+    spectral_rule,
+)
+from bezquad.quad1d import PoleSet, rational_rule
+from bezquad.shapes import (
+    bilinear_patch,
+    box_solid,
+    circle_loop,
+    circle_region,
+    flip_patch,
+    flip_solid,
+    quarter_arc,
+)
 from bezquad.surface import (
     TrimLoop,
     TrimmedPatch,
@@ -20,7 +38,7 @@ from bezquad.surface import (
     surface_integrate,
     unit_square_loop,
 )
-from bezquad.volume import SolidModel
+from bezquad.volume import SolidModel, solid_constant_Pz, volume_rule
 
 _FLAT = bilinear_patch((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
 _CURVE_JSON = {"points": [[0, 0], [1, 0]]}
@@ -146,3 +164,96 @@ def test_any_ordered_iterable_is_taken():
     segments = TrimLoop(list(loop)).segments
     assert type(segments) is tuple and all(a is b for a, b in zip(segments, loop, strict=True))
     assert surface_integrate(iter((_FLAT,)), lambda x, y, z: 1.0, 2, 2) == pytest.approx(1.0)
+
+
+_DISK = circle_region()
+_BOX = box_solid()
+_RULE = spectral_rule(_DISK, 2, 2)
+_MOMENTS = geometric_moments(_DISK, 2)
+
+
+def _rule_named(columns):
+    return Rule([[0.5, 0.5]], [1.0], [[0]], columns)
+
+
+# each entry point that takes one object: a call with it, a wrong value
+# and its refusal, and a value it accepts.  The type is checked before any
+# attribute is read, so no AttributeError escapes; a Rule's columns are a
+# list of names, so text is refused rather than split into characters
+_OBJECTS = {
+    "spectral_rule": (
+        lambda v, _: spectral_rule(v, 2, 2),
+        None, "region: need a PlanarRegion, got NoneType", _DISK,
+    ),
+    "spectral_pe_rule": (
+        lambda v, _: spectral_pe_rule(v, 2),
+        _DISK.loops, "region: need a PlanarRegion, got tuple", _DISK,
+    ),
+    "region_constant_C": (
+        lambda v, _: region_constant_C(v),
+        _BOX, "region: need a PlanarRegion, got SolidModel", _DISK,
+    ),
+    "volume_rule": (
+        lambda v, _: volume_rule(v, 2, 2),
+        _BOX.patches[0], "solid: need a SolidModel, got TrimmedPatch", _BOX,
+    ),
+    "solid_constant_Pz": (
+        lambda v, _: solid_constant_Pz(v),
+        list(_BOX.patches), "solid: need a SolidModel, got list", _BOX,
+    ),
+    "flip_solid": (
+        lambda v, _: flip_solid(v),
+        _DISK, "solid: need a SolidModel, got PlanarRegion", _BOX,
+    ),
+    "flip_patch": (
+        lambda v, _: flip_patch(v),
+        _FLAT, "tp: need a TrimmedPatch, got RationalBezierPatch", TrimmedPatch(_FLAT),
+    ),
+    "apply": (
+        lambda v, _: apply(v, lambda x, y: x),
+        None, "rule: need a Rule, got NoneType", _RULE,
+    ),
+    "save_rule": (
+        lambda v, tmp: save_rule(v, tmp / "r.csv"),
+        _RULE.points, "rule: need a Rule, got ndarray", _RULE,
+    ),
+    "rational_rule": (
+        lambda v, _: rational_rule(v),
+        [(2.0, 1)], "poles: need a PoleSet, got list", PoleSet(((2.0, 1),)),
+    ),
+    "moment_fit_weights": (
+        lambda v, _: moment_fit_weights(_RULE.points, v),
+        _MOMENTS.values, "moments: need a MomentVector, got ndarray", _MOMENTS,
+    ),
+    "geometric_moments": (
+        lambda v, _: geometric_moments(v, 1),
+        "cube", "model: need a PlanarRegion or SolidModel, got str", _BOX,
+    ),
+    "TrimmedPatch": (
+        lambda v, _: TrimmedPatch(v),
+        unit_square_loop(), "patch: need a RationalBezierPatch, got TrimLoop", _FLAT,
+    ),
+    "Rule-columns-None": (
+        lambda v, _: _rule_named(v),
+        None, "columns: need a list, got NoneType", ["x", "y", "weight", "i"],
+    ),
+    "Rule-columns-str": (
+        lambda v, _: _rule_named(v),
+        "x,y,weight,i", "columns: need a list, got str", ("x", "y", "weight", "i"),
+    ),
+    "Rule-columns-item": (
+        lambda v, _: _rule_named(v),
+        ("x", "y", "weight", 1), "columns[3]: need a str, got int", _RULE.columns[:3] + ("i",),
+    ),
+}
+
+
+@pytest.mark.parametrize("taken", [False, True], ids=["wrong", "accepted"])
+@pytest.mark.parametrize("call, wrong, refusal, accepted", _OBJECTS.values(), ids=_OBJECTS)
+def test_objects_are_refused_at_their_name(tmp_path, call, wrong, refusal, accepted, taken):
+    if taken:
+        call(accepted, tmp_path)
+        return
+    with pytest.raises(ValidationError) as err:
+        call(wrong, tmp_path)
+    assert str(err.value) == refusal

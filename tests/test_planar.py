@@ -673,7 +673,7 @@ def test_rule_shares_fully_read_only_input():
 
 def _built_rules():
     from bezquad.shapes import box_solid, cylinder_solid, cylinder_solid_fitted, flip_solid
-    from bezquad.surface import TrimmedPatch, boundary_rule, patch_rule
+    from bezquad.surface import TrimmedPatch, boundary_rule
     from bezquad.volume import volume_rule
 
     cyl = cylinder_solid()
@@ -683,10 +683,10 @@ def _built_rules():
         "spectral": spectral_rule(circle_region(), 4, 3),
         "pe": spectral_pe_rule(annulus_region(), 3),
         "parametric": parametric_area_rule([unit_square_loop()], 3, 2),
-        "surface": patch_rule(cyl.patches[4], 3, 3),
-        "untrimmed": patch_rule(cyl.patches[0].patch, 3, 3),
-        "looped": patch_rule(TrimmedPatch(cyl.patches[0].patch, (unit_square_loop(),)), 3, 3),
-        "patch": patch_rule(cyl.patches[5], 3, 4, "z-normal"),
+        "surface": boundary_rule((cyl.patches[4],), 3, 3),
+        "untrimmed": boundary_rule((cyl.patches[0].patch,), 3, 3),
+        "looped": boundary_rule((TrimmedPatch(cyl.patches[0].patch, (unit_square_loop(),)),), 3, 3),
+        "patch": boundary_rule((cyl.patches[5],), 3, 4, "z-normal"),
         "boundary": boundary_rule(cyl.patches, 3, 3),
         "volume": volume_rule(cyl, 3, 3, 2),
     }
@@ -758,7 +758,7 @@ def test_lifted_rule_arrays_are_views_of_one_read_only_block():
 def test_built_rule_layout_gives_contiguous_copy_bytes():
     # built points and provenance are (n, dim) views of (dim, n) buffers;
     # everything read from a rule is the same on row-major copies
-    from bezquad.io import rule_csv_lines
+    from bezquad.io import _rule_csv_blocks
 
     def cubic(*xs):
         return sum((j + 1.5) * x**3 - x * xs[0] + 0.25 for j, x in enumerate(xs))
@@ -775,4 +775,4 @@ def test_built_rule_layout_gives_contiguous_copy_bytes():
         exps = monomial_exponents(4, r.dim)
         moments = [(x.weights @ _monomials(x.points, exps)).tobytes() for x in (r, copy)]
         assert moments[0] == moments[1], name
-        assert rule_csv_lines(r) == rule_csv_lines(copy), name
+        assert "".join(_rule_csv_blocks(r)) == "".join(_rule_csv_blocks(copy)), name

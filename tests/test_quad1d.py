@@ -22,7 +22,7 @@ from bezquad.quad1d import (
 )
 
 from bezquad.shapes import box_solid, circle_region, cylinder_solid, cylinder_solid_fitted
-from bezquad.surface import boundary_rule, patch_rule, surface_integrate
+from bezquad.surface import boundary_rule, surface_integrate
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import volume_rule
 
@@ -48,7 +48,7 @@ def test_gauss_polynomial_exactness():
         r = gauss_legendre(n, (0.25, 1.75))
         k = 2 * n - 1
         exact = (1.75 ** (k + 1) - 0.25 ** (k + 1)) / (k + 1)
-        assert abs(r.apply(lambda x: x**k) - exact) < 1e-12 * abs(exact)
+        assert abs(float(np.dot(r.weights, r.nodes**k)) - exact) < 1e-12 * abs(exact)
 
 
 def test_gauss_nodes_strictly_interior():
@@ -60,7 +60,7 @@ def test_gauss_nodes_strictly_interior():
 def test_gauss_signed_interval():
     r = gauss_legendre(4, (1.0, 0.0))
     assert abs(r.weights.sum() + 1.0) < 1e-14
-    assert abs(r.apply(lambda x: x**2) + 1.0 / 3.0) < 1e-14
+    assert abs(float(np.dot(r.weights, r.nodes**2)) + 1.0 / 3.0) < 1e-14
 
 
 def test_gauss_degenerate_interval():
@@ -265,7 +265,7 @@ def test_rational_rule_polynomial_only():
     r = rational_rule(PoleSet(()), poly_degree=4)
     assert len(r) == 5
     assert np.all(r.nodes > 0) and np.all(r.nodes < 1)
-    assert abs(r.apply(lambda s: s**4) - 0.2) < 1e-13
+    assert abs(float(np.dot(r.weights, r.nodes**4)) - 0.2) < 1e-13
     assert abs(r.weights.sum() - 1.0) < 1e-12
 
 
@@ -292,7 +292,7 @@ def test_rational_rule_exact_on_rational_function():
     # so its error is far below the tolerance checked here
     x, w = np.polynomial.legendre.leggauss(100)
     exact = 0.5 * float(np.dot(w, f(0.5 * (x + 1))))
-    assert abs(r.apply(f) - exact) < 1e-12 * max(1.0, abs(exact))
+    assert abs(float(np.dot(r.weights, f(r.nodes))) - exact) < 1e-12 * max(1.0, abs(exact))
 
 
 def test_rational_rule_basis_exactness_random_poles():
@@ -322,17 +322,17 @@ def test_rational_rule_basis_exactness_random_poles():
         assert len(r) == ps.total_multiplicity + l + 1
         for a in range(l + 1):
             exact = 1.0 / (a + 1)
-            assert abs(r.apply(lambda s: s**a) - exact) <= 1e-11 * abs(exact)
+            assert abs(float(np.dot(r.weights, r.nodes**a)) - exact) <= 1e-11 * abs(exact)
         for p, mult in ps.poles:
             if p.imag < 0:
                 continue
             for j in range(1, mult + 1):
                 exact = partial_fraction_moment(p, j)
-                got_re = r.apply(lambda s: ((s - p) ** (-j)).real)
+                got_re = float(np.dot(r.weights, ((r.nodes - p) ** (-j)).real))
                 denom = max(abs(exact), 1e-8)
                 assert abs(got_re - exact.real) <= 1e-11 * denom
                 if p.imag > 0:
-                    got_im = r.apply(lambda s: ((s - p) ** (-j)).imag)
+                    got_im = float(np.dot(r.weights, ((r.nodes - p) ** (-j)).imag))
                     assert abs(got_im - exact.imag) <= 1e-11 * denom
 
 
@@ -361,7 +361,7 @@ def test_rational_rule_clustered_poles_still_certified():
     for p, mult in ps.poles:
         for j in range(1, mult + 1):
             exact = partial_fraction_moment(p, j)
-            got = r.apply(lambda s: ((s - p) ** (-j)).real)
+            got = float(np.dot(r.weights, ((r.nodes - p) ** (-j)).real))
             assert abs(got - exact.real) <= 1e-12 * max(abs(exact), 1e-8)
 
 
@@ -420,14 +420,14 @@ _FRACTIONAL_ORDERS = {
     "volume-mq": lambda: volume_rule(box_solid(), 2.9, 2, 2),
     "volume-np": lambda: volume_rule(box_solid(), 2, 2, 1.5),
     "volume-trimmed-mq": lambda: volume_rule(cylinder_solid(), 2.9, 2, 2),
-    "untrimmed": lambda: patch_rule(box_solid().patches[0].patch, 2.5, 2.5),
-    "surface-nq": lambda: patch_rule(cylinder_solid().patches[4], 3, 2.5),
+    "untrimmed": lambda: boundary_rule((box_solid().patches[0].patch,), 2.5, 2.5),
+    "surface-nq": lambda: boundary_rule((cylinder_solid().patches[4],), 3, 2.5),
     "moments-region": lambda: geometric_moments(circle_region(), 2.5),
     "moments-solid": lambda: geometric_moments(cylinder_solid(), 2.5),
     "exponents": lambda: monomial_exponents(np.float64(1.5), 2),
     "volume-bool": lambda: volume_rule(box_solid(), True, 2, 2),
     "boundary-mq": lambda: boundary_rule(box_solid().patches, 2.5, 3),
-    "patch-bool": lambda: patch_rule(box_solid().patches[0], 3, True),
+    "patch-bool": lambda: boundary_rule((box_solid().patches[0],), 3, True),
     "moments-solid-bool": lambda: geometric_moments(box_solid(), True),
     "spectral-boundary-str": lambda: spectral_rule(circle_region(), "4", 3),
     "spectral-boundary-none": lambda: spectral_rule(circle_region(), None, 3),
@@ -556,8 +556,9 @@ def test_integral_solid_orders_accepted(n):
     _same_rule(volume_rule(cube, n, n, n), volume_rule(cube, 5, 5, 5))
     _same_rule(volume_rule(cyl, n, 3, n), volume_rule(cyl, 5, 3, 5))
     _same_rule(boundary_rule(cyl.patches, n, n), boundary_rule(cyl.patches, 5, 5))
-    _same_rule(patch_rule(cyl.patches[0], 3, n), patch_rule(cyl.patches[0], 3, 5))
-    _same_rule(patch_rule(cyl.patches[0].patch, n, n), patch_rule(cyl.patches[0].patch, 5, 5))
+    _same_rule(boundary_rule((cyl.patches[0],), 3, n), boundary_rule((cyl.patches[0],), 3, 5))
+    untrimmed = (cyl.patches[0].patch,)
+    _same_rule(boundary_rule(untrimmed, n, n), boundary_rule(untrimmed, 5, 5))
     one = lambda x, y, z: np.ones_like(x)
     assert surface_integrate(cube.patches, one, n, n) == surface_integrate(cube.patches, one, 5, 5)
     want = geometric_moments(cube, 3).values.tobytes()

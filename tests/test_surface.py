@@ -21,12 +21,11 @@ from bezquad import (
     eval_patch,
     integrate2d,
     parametric_area_rule,
-    patch_rule,
     quarter_arc,
     spectral_rule,
     surface_integrate,
     unit_square_loop,
-    volume_integrate,
+    volume_rule,
 )
 
 from conftest import collapsed_edge_patch
@@ -91,23 +90,23 @@ def test_complementarity_of_split_square():
 
 
 def test_flat_patch_area():
-    rule = patch_rule(square_looped(flat_unit_patch(z=5.0)), 4, 4)
+    rule = boundary_rule((square_looped(flat_unit_patch(z=5.0)),), 4, 4)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
     assert np.allclose(rule.points[:, 2], 5.0)
 
 
 def test_flat_patch_z_normal_mode():
-    rule = patch_rule(square_looped(flat_unit_patch(z=5.0)), 4, 4, "z-normal")
+    rule = boundary_rule((square_looped(flat_unit_patch(z=5.0)),), 4, 4, "z-normal")
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
 
 
 def test_flat_patch_jacobian_scaling():
-    rule = patch_rule(square_looped(flat_unit_patch(xscale=2.0)), 4, 4)
+    rule = boundary_rule((square_looped(flat_unit_patch(xscale=2.0)),), 4, 4)
     assert abs(np.sum(rule.weights) - 2.0) < 1e-13
 
 
 def test_untrimmed_rule_count_and_area():
-    rule = patch_rule(flat_unit_patch(), 3, 3)
+    rule = boundary_rule((flat_unit_patch(),), 3, 3)
     assert len(rule) == 9
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
     assert np.all(rule.provenance[:, 1] == -1)
@@ -121,25 +120,25 @@ def test_untrimmed_matches_explicit_square_loop():
             rng.normal(size=(4, 4, 3)), rng.uniform(0.5, 2.0, size=(4, 4))
         )
         f = lambda x, y, z: np.exp(0.3 * x) + y * z
-        shortcut = apply(patch_rule(patch, 12, 12), f)
-        explicit = apply(patch_rule(square_looped(patch), 12, 12), f)
+        shortcut = apply(boundary_rule((patch,), 12, 12), f)
+        explicit = apply(boundary_rule((square_looped(patch),), 12, 12), f)
         assert abs(shortcut - explicit) < 1e-12 * max(1.0, abs(explicit))
 
 
 def test_surface_rule_accepts_bare_patch():
-    rule = patch_rule(flat_unit_patch(), 3, 3)
+    rule = boundary_rule((flat_unit_patch(),), 3, 3)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
 
 
 def test_trimmed_flat_patch_quarter_disk():
     tp = TrimmedPatch(flat_unit_patch(), (quarter_disk_loop(),))
-    rule = patch_rule(tp, 12, 12)
+    rule = boundary_rule((tp,), 12, 12)
     assert abs(np.sum(rule.weights) - np.pi / 4) < 1e-12
 
 
 def test_preimages_and_provenance():
     tp = TrimmedPatch(flat_unit_patch(), (quarter_disk_loop(),))
-    rule = patch_rule(tp, 5, 4)
+    rule = boundary_rule((tp,), 5, 4)
     assert rule.preimages.min() > -1e-12 and rule.preimages.max() < 1 + 1e-12
     assert np.all(rule.provenance[:, 0] == 0)
     assert np.all(rule.provenance[:, 1] == 0)
@@ -155,7 +154,7 @@ def test_preimages_and_provenance():
 
 def test_degenerate_normal_points_get_zero_weight():
     with pytest.warns(UserWarning, match="degenerate-normal"):
-        rule = patch_rule(collapsed_edge_patch(), 1, 1)
+        rule = boundary_rule((collapsed_edge_patch(),), 1, 1)
     assert rule.degenerate_count > 0
     zeroed = rule.weights[np.isclose(rule.preimages[:, 1], 0.0, atol=1e-12)]
     assert np.all(zeroed == 0.0)
@@ -227,7 +226,7 @@ def test_trim_loop_rejects_gaps():
             lambda: TrimLoop((line((0, 0), (1, 0)), 5)),
             "segments[1]: need a RationalBezierCurve, got int",
         ),
-        (lambda: TrimmedPatch(unit_square_loop()), "patch must be a RationalBezierPatch"),
+        (lambda: TrimmedPatch(unit_square_loop()), "patch: need a RationalBezierPatch, got TrimLoop"),
         (
             lambda: TrimmedPatch(flat_unit_patch(), [unit_square_loop().segments]),
             "loops[0]: need a TrimLoop, got tuple",
@@ -269,14 +268,14 @@ def test_trim_loop_accepts_one_closed_curve():
 
 def test_bad_weight_mode(monkeypatch):
     with pytest.raises(ValidationError, match="weight_mode"):
-        patch_rule(TrimmedPatch(flat_unit_patch()), 3, 3, "sideways")
+        boundary_rule((TrimmedPatch(flat_unit_patch()),), 3, 3, "sideways")
     # a bad mode is refused before the planar pass over the trims
     calls = []
     monkeypatch.setattr(surface, "parametric_area_rule", lambda *a: calls.append(a))
     message = r"weight_mode must be one of \('full-normal', 'z-normal'\), got 'sideways'"
     trimmed = cylinder_solid().patches
     with pytest.raises(ValidationError, match=message):
-        patch_rule(trimmed[4], 3, 3, "sideways")
+        boundary_rule((trimmed[4],), 3, 3, "sideways")
     with pytest.raises(ValidationError, match=message):
         boundary_rule(trimmed, 3, 3, "sideways")
     assert calls == []
@@ -290,14 +289,14 @@ def test_surface_rule_alignment_checked():
 def test_patch_rule_dispatch():
     side, cap = cylinder_solid().patches[0], cylinder_solid().patches[4]
     assert not side.loops and cap.loops
-    shortcut = patch_rule(side, 3, 5, "z-normal")
+    shortcut = boundary_rule((side,), 3, 5, "z-normal")
     assert len(shortcut) == max(3, 5) ** 2
-    assert np.array_equal(shortcut.weights, patch_rule(side.patch, 5, 5, "z-normal").weights)
+    assert np.array_equal(shortcut.weights, boundary_rule((side.patch,), 5, 5, "z-normal").weights)
     assert np.all(shortcut.provenance[:, 1:3] == -1)
-    looped = patch_rule(square_looped(side.patch), 3, 5, "z-normal")
+    looped = boundary_rule((square_looped(side.patch),), 3, 5, "z-normal")
     assert len(looped) == 4 * 3 * 5 and np.all(looped.provenance[:, 1] == 0)
-    trimmed = patch_rule(cap, 4, 3, "z-normal")
-    ref = patch_rule(TrimmedPatch(cap.patch, cap.loops), 4, 3, "z-normal")
+    trimmed = boundary_rule((cap,), 4, 3, "z-normal")
+    ref = boundary_rule((TrimmedPatch(cap.patch, cap.loops),), 4, 3, "z-normal")
     for name in ("points", "weights", "preimages", "provenance"):
         assert np.array_equal(getattr(trimmed, name), getattr(ref, name))
     assert np.all(trimmed.provenance[:, 0] == 0) and np.all(trimmed.provenance[:, 1] >= 0)
@@ -338,7 +337,7 @@ def test_boundary_rule_concatenates_patch_rules(mode):
         varied_trim_patches(),
     ):
         rule = boundary_rule(patches, 4, 3, mode)
-        parts = [patch_rule(tp, 4, 3, mode) for tp in patches]
+        parts = [boundary_rule((tp,), 4, 3, mode) for tp in patches]
         assert rule.columns == parts[0].columns
         for name in _RULE_ARRAYS:
             want = np.concatenate([getattr(r, name) for r in parts])
@@ -364,7 +363,7 @@ def test_boundary_rule_warns_once_for_the_degenerate_patch():
     with pytest.warns(UserWarning) as record:
         rule = boundary_rule(patches, 2, 2)
     with pytest.warns(UserWarning, match=r"^patch 0: zeroed"):
-        alone = patch_rule(collapsed_edge_patch(), 2, 2)
+        alone = boundary_rule((collapsed_edge_patch(),), 2, 2)
     assert [str(w.message) for w in record] == [
         f"patch 2: zeroed {alone.degenerate_count} degenerate-normal points"
     ]
@@ -400,7 +399,7 @@ def test_integrate_is_apply_of_the_boundary_rule(union):
     got = surface_integrate(patches, _smooth, 5, 5)
     assert got == apply(boundary_rule(patches, 5, 5), _smooth)
     # the per-patch sum adds in another order
-    parts = [apply(patch_rule(tp, 5, 5), _smooth) for tp in patches]
+    parts = [apply(boundary_rule((tp,), 5, 5), _smooth) for tp in patches]
     assert got == pytest.approx(sum(parts), rel=1e-14, abs=0.0)
     assert surface_integrate(iter(patches), _smooth, 5, 5) == got
 
@@ -411,7 +410,7 @@ def test_integrate_names_the_first_bad_node():
     with pytest.raises(QuadratureError, match=r"node 0 \(curve 0, q 0, zeta 0\), point"):
         integrate2d(spectral_rule(circle_region(), 3, 3), lambda x, y: 1.0 / (x - x))
     with pytest.raises(QuadratureError, match=r"node 0 \(patch 0, sigma 0, psi 0\), point"):
-        volume_integrate(box_solid(), lambda x, y, z: 1.0 / (z - z), 2, 2)
+        apply(volume_rule(box_solid(), 2, 2), lambda x, y, z: 1.0 / (z - z))
 
 
 _ORDER_UNIONS = {
@@ -430,7 +429,7 @@ def test_orders_below_one_rejected_once(union, m_q, n_q):
         lambda: boundary_rule(patches, m_q, n_q),
         lambda: surface_integrate(patches, one, m_q, n_q),
         lambda: surface_integrate([], one, m_q, n_q),
-    ] + [lambda tp=tp: patch_rule(tp, m_q, n_q) for tp in patches]
+    ] + [lambda tp=tp: boundary_rule((tp,), m_q, n_q) for tp in patches]
     message = f"^node count must be >= 1, got {m_q if m_q < 1 else n_q}$"
     for call in calls:
         with pytest.raises(ValidationError, match=message):
@@ -446,9 +445,9 @@ def test_bad_patch_named_by_index():
     ):
         with pytest.raises(ValidationError, match=rf"^patches\[\d\]: {want}, got (str|int)$"):
             call()
-    # patch_rule is the boundary_rule of one patch, so its patch is patches[0]
+    # the one patch of a one-patch rule is patches[0]
     with pytest.raises(ValidationError, match=rf"^patches\[0\]: {want}, got str$"):
-        patch_rule("junk", 3, 3)
+        boundary_rule(("junk",), 3, 3)
     # a bare patch is wrapped untrimmed
     bare = [tp.patch for tp in cube]
     want = boundary_rule(cube, 3, 3).weights.tobytes()

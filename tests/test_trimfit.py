@@ -3,10 +3,11 @@ import pytest
 
 from bezquad import (
     ValidationError,
+    apply,
     cylinder_solid_fitted,
     eval_curve,
     fit_trim_curves,
-    volume_integrate,
+    volume_rule,
 )
 
 
@@ -109,7 +110,7 @@ def test_fitted_cylinder_volume_converges_fourth_order():
     one = lambda x, y, z: np.ones_like(x)
     errs = []
     for segs in (4, 8, 16, 32):
-        v = volume_integrate(cylinder_solid_fitted(segments=segs), one, 12, 12)
+        v = apply(volume_rule(cylinder_solid_fitted(segments=segs), 12, 12), one)
         errs.append(abs(v - np.pi))
     errs = np.array(errs)
     assert np.all(np.diff(errs) < 0)

@@ -11,6 +11,7 @@ from bezquad import (
     ValidationError,
     apply,
     bilinear_patch,
+    boundary_rule,
     box_solid,
     circle_loop,
     control_bbox,
@@ -20,9 +21,7 @@ from bezquad import (
     flip_patch,
     flip_solid,
     patch_normal,
-    patch_rule,
     solid_constant_Pz,
-    volume_integrate,
     volume_rule,
 )
 
@@ -35,24 +34,24 @@ def test_constant_Pz_is_min_control_z():
 
 
 def test_cube_volume():
-    assert abs(volume_integrate(box_solid(), ONE, 4, 4) - 1.0) < 1e-12
+    assert abs(apply(volume_rule(box_solid(), 4, 4), ONE) - 1.0) < 1e-12
 
 
 def test_cube_x_squared():
-    got = volume_integrate(box_solid(), lambda x, y, z: x * x, 4, 4)
+    got = apply(volume_rule(box_solid(), 4, 4), lambda x, y, z: x * x)
     assert abs(got - 1.0 / 3.0) < 1e-12
 
 
 def test_flipped_cube_negates():
-    assert abs(volume_integrate(flip_solid(box_solid()), ONE, 4, 4) + 1.0) < 1e-12
+    assert abs(apply(volume_rule(flip_solid(box_solid()), 4, 4), ONE) + 1.0) < 1e-12
 
 
 def test_cylinder_volume_pi():
-    assert abs(volume_integrate(cylinder_solid(), ONE, 12, 12) - np.pi) < 1e-10
+    assert abs(apply(volume_rule(cylinder_solid(), 12, 12), ONE) - np.pi) < 1e-10
 
 
 def test_cylinder_z_moment():
-    got = volume_integrate(cylinder_solid(), lambda x, y, z: z, 12, 12)
+    got = apply(volume_rule(cylinder_solid(), 12, 12), lambda x, y, z: z)
     assert abs(got - np.pi / 2) < 1e-10
 
 
@@ -89,14 +88,14 @@ def test_cylinder_builders_share_one_capped_assembly(c, r, z0, h):
 
 
 def test_flipped_cylinder_negates():
-    got = volume_integrate(flip_solid(cylinder_solid()), ONE, 12, 12)
+    got = apply(volume_rule(flip_solid(cylinder_solid()), 12, 12), ONE)
     assert abs(got + np.pi) < 1e-10
 
 
 def test_empty_interior_solid_cancels():
     patch = bilinear_patch((0, 0, 0.5), (1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.5))
     solid = SolidModel((TrimmedPatch(patch), flip_patch(TrimmedPatch(patch))))
-    assert abs(volume_integrate(solid, ONE, 4, 4)) < 1e-12
+    assert abs(apply(volume_rule(solid, 4, 4), ONE)) < 1e-12
 
 
 def test_open_solid_rejected():
@@ -124,7 +123,7 @@ def test_numpy_bool_closed_is_stored_as_bool():
 )
 def test_only_a_solid_gets_a_volume_rule(solid, name):
     # a list of patches is no SolidModel: closedness is asserted by building one
-    with pytest.raises(ValidationError, match=f"^cannot build a volume rule of {name}$"):
+    with pytest.raises(ValidationError, match=f"^solid: need a SolidModel, got {name}$"):
         volume_rule(solid, 2, 2)
 
 
@@ -159,7 +158,7 @@ def test_real_pz_types_accepted():
 
 def test_pz_shift_invariance():
     solid = cylinder_solid()
-    base = volume_integrate(solid, lambda x, y, z: np.cos(x) + y * z, 12, 12)
+    base = apply(volume_rule(solid, 12, 12), lambda x, y, z: np.cos(x) + y * z)
     rule = volume_rule(solid, 12, 12, pz=solid_constant_Pz(solid) - 1.0)
     shifted = float(
         np.dot(rule.weights, np.cos(rule.points[:, 0]) + rule.points[:, 1] * rule.points[:, 2])
@@ -170,11 +169,11 @@ def test_pz_shift_invariance():
 def test_divergence_consistency():
     # both sides compute the flux of the field (0, 0, z)
     for solid in (box_solid(), cylinder_solid()):
-        vol = volume_integrate(solid, ONE, 12, 12)
+        vol = apply(volume_rule(solid, 12, 12), ONE)
         flux = 0.0
         for tp in solid.patches:
             # trimmed patches take the trim-loop construction, the rest the tensor grid
-            flux += apply(patch_rule(tp, 12, 12, "z-normal"), lambda x, y, z: z)
+            flux += apply(boundary_rule((tp,), 12, 12, "z-normal"), lambda x, y, z: z)
         assert abs(vol - flux) < 1e-10
 
 
@@ -195,7 +194,7 @@ def test_points_inside_control_bbox():
 
 def test_point_count_and_np_default():
     solid = box_solid()
-    surface_count = sum(len(patch_rule(tp.patch, 5, 5)) for tp in solid.patches)
+    surface_count = sum(len(boundary_rule((tp.patch,), 5, 5)) for tp in solid.patches)
     rule = volume_rule(solid, 5, 3)
     # n_p defaults to m_q
     assert len(rule) == 5 * surface_count
@@ -223,7 +222,7 @@ def test_provenance_layout():
 
 def test_non_finite_integrand_reported():
     with pytest.raises(QuadratureError, match="not finite"):
-        volume_integrate(box_solid(), lambda x, y, z: np.log(z - 2.0), 3, 3)
+        apply(volume_rule(box_solid(), 3, 3), lambda x, y, z: np.log(z - 2.0))
 
 
 def test_rule3d_alignment_checked():

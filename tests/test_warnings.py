@@ -16,9 +16,9 @@ from bezquad.moments import geometric_moments
 from bezquad.planar import PlanarRegion, _weights_rule, spectral_pe_rule
 from bezquad.quad1d import weight_poly_roots
 from bezquad.shapes import circle_region
-from bezquad.surface import boundary_rule, patch_rule, surface_integrate
+from bezquad.surface import boundary_rule, surface_integrate
 from bezquad.trimfit import fit_trim_curves
-from bezquad.volume import SolidModel, volume_integrate, volume_rule
+from bezquad.volume import SolidModel, volume_rule
 
 from conftest import collapsed_edge_patch, elevated, x_axis_cylinder
 
@@ -37,10 +37,8 @@ def _warm():
 
 # name: (preparation, call); each call sits on its lambda's own line
 CASES = {
-    "patch_rule": (None, lambda: patch_rule(DEGENERATE, 1, 1)),
     "surface_integrate": (None, lambda: surface_integrate([DEGENERATE], lambda x, y, z: x, 1, 1)),
     "volume_rule": (None, lambda: volume_rule(SOLID, 1, 1)),
-    "volume_integrate": (None, lambda: volume_integrate(SOLID, lambda x, y, z: x, 1, 1)),
     "spectral_pe_rule cold": (_weights_rule.cache_clear, lambda: spectral_pe_rule(HIGH, 3)),
     "spectral_pe_rule warm": (_warm, lambda: spectral_pe_rule(HIGH, 3)),
     "geometric_moments region": (_weights_rule.cache_clear, lambda: geometric_moments(HIGH, 2)),
