@@ -312,6 +312,7 @@ def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
     >>> bool(np.allclose(eval_curve(arc, 0.5), [2**-0.5, 2**-0.5]))
     True
     """
+    _kind(curve, "curve", RationalBezierCurve)
     s = _adopt(s, "s")
     point, _ = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
     return point[:, 0] if s.ndim == 0 else point.T
@@ -319,6 +320,7 @@ def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
 
 def eval_curve_derivative(curve: RationalBezierCurve, s) -> np.ndarray:
     """Derivative of the mapped (projected) curve with respect to s."""
+    _kind(curve, "curve", RationalBezierCurve)
     s = _adopt(s, "s")
     _, der = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
     return der[:, 0] if s.ndim == 0 else der.T
@@ -333,8 +335,6 @@ def _patch_eval_h(nets, u, v, which=None):
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise ValidationError("u and v must have matching shapes")
     row, row_du = _casteljau_pair(_columns(nets, u.size, which), u)
     s_h, sv_h = _casteljau_pair(row, v)
     su_h, _ = _casteljau_pair(row_du, v)
@@ -343,10 +343,12 @@ def _patch_eval_h(nets, u, v, which=None):
 
 def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
     """Evaluate the patch at paired parameter arrays (or scalars)."""
-    u, v = _adopt(u, "u"), _adopt(v, "v")
+    _kind(patch, "patch", RationalBezierPatch)
+    u = _adopt(u, "u")
+    v = _adopt(v, "v", shape=u.shape)
     s_h, _, _ = _patch_eval_h(_homogeneous(patch.points, patch.weights), u, v)
     out = s_h[:3] / s_h[3]
-    return out[:, 0] if u.ndim == v.ndim == 0 else out.T
+    return out[:, 0] if u.ndim == 0 else out.T
 
 
 def _patch_point_normal(nets, u, v, which=None):
@@ -371,9 +373,11 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
     The magnitude is the area scale factor of the parametrization; the
     direction depends on the (u, v) handedness and is not unitized here.
     """
-    u, v = _adopt(u, "u"), _adopt(v, "v")
+    _kind(patch, "patch", RationalBezierPatch)
+    u = _adopt(u, "u")
+    v = _adopt(v, "v", shape=u.shape)
     _, normal = _patch_point_normal(_homogeneous(patch.points, patch.weights), u, v)
-    return normal[:, 0] if u.ndim == v.ndim == 0 else normal.T
+    return normal[:, 0] if u.ndim == 0 else normal.T
 
 
 _CONDITIONING_DEGREE = 20
@@ -461,21 +465,21 @@ def _closed_chain(curves, name, half_tol) -> tuple:
     return curves
 
 
-def _collect_control_points(obj, out):
+def _collect_control_points(obj, out, name):
     if isinstance(obj, (RationalBezierCurve, RationalBezierPatch)):
         out.append(obj.points.reshape(-1, obj.points.shape[-1]))
     elif hasattr(obj, "patch"):
         # a trimmed patch boxes its 3D geometry, not its 2D trim loops
-        _collect_control_points(obj.patch, out)
+        _collect_control_points(obj.patch, out, f"{name}.patch")
     elif hasattr(obj, "patches"):
-        _collect_control_points(obj.patches, out)
+        _collect_control_points(obj.patches, out, f"{name}.patches")
     elif hasattr(obj, "loops"):
-        _collect_control_points(obj.loops, out)
+        _collect_control_points(obj.loops, out, f"{name}.loops")
     elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _collect_control_points(item, out)
+        for i, item in enumerate(obj):
+            _collect_control_points(item, out, f"{name}[{i}]")
     else:
-        raise ValidationError(f"cannot take a control bounding box of {type(obj).__name__}")
+        _kind(obj, name, (RationalBezierCurve, RationalBezierPatch, list))
 
 
 def control_bbox(obj) -> BoundingBox:
@@ -486,7 +490,7 @@ def control_bbox(obj) -> BoundingBox:
     hull property), so it bounds quadrature points too.
     """
     chunks: list[np.ndarray] = []
-    _collect_control_points(obj, chunks)
+    _collect_control_points(obj, chunks, "obj")
     if not chunks:
         raise ValidationError("no control points found")
     dims = {c.shape[1] for c in chunks}

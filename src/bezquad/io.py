@@ -8,13 +8,13 @@ float bit-exactly on reload.  Rule rows repeat heavily, so the writer
 formats each distinct value of a column once, finding them without a
 full sort where it can (runs of equal neighbours, small integer ranges),
 and streams the file as one text per 4096-row block gathered from those
-texts, never one string per row.  The reader takes files holding only
-what save_rule writes in array passes over 1 MiB chunks, converting each
-distinct text of a column once per chunk; every other file goes through
-a general reader, one row at a time, which reports every error.  Both
-run the same ``float``/``int`` on the same text, so they give the same
-values.  Every output file is written by ``_write``, and every JSON text
-is laid out by ``_json_text``.
+texts, never one string per row.  Every input file is read once, by
+``_read``.  Rule bytes holding only what save_rule writes are parsed in
+array passes over 1 MiB chunks, each distinct text of a column converted
+once per chunk; the text of any other rule file goes to a general
+reader, row by row, which reports every error.  Both run the same
+``float``/``int`` on the same text.  Every output file is written by
+``_write``, and every JSON text is laid out by ``_json_text``.
 """
 
 from __future__ import annotations
@@ -60,22 +60,27 @@ _MASKS = _MASKS.view(np.uint64)
 _KEY = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)
 
 
-def _read_text(path) -> str:
-    """The whole UTF-8 text of ``path``; a file that is missing, cannot be
-    read or does not decode raises ValidationError naming it."""
+def _read(path) -> bytes:
+    """The bytes of ``path``; a missing or unreadable file raises ValidationError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
     except OSError as exc:  # a directory, or no permission to read
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _text(data, path) -> str:
+    """``data`` as UTF-8 text, CRLF and CR read as LF as text-mode ``open`` does."""
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_json(path):
-    text = _read_text(path)
+    text = _text(_read(path), path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -192,6 +197,7 @@ def _region_from_json(doc) -> PlanarRegion:
 
 
 def save_region(region: PlanarRegion, path):
+    _kind(region, "region", PlanarRegion)
     loops = [[_net_to_json(c) for c in loop] for loop in region.loops]
     _write(path, [_json_text({"loops": loops})])
 
@@ -227,6 +233,7 @@ def _solid_from_json(doc) -> SolidModel:
 
 
 def save_solid(solid: SolidModel, path):
+    _kind(solid, "solid", SolidModel)
     patches = [_patch_to_json(tp) for tp in solid.patches]
     _write(path, [_json_text({"closed": solid.closed, "patches": patches})])
 
@@ -342,9 +349,9 @@ def _canonical_column(words, conv):
     return values[inverse]
 
 
-def _load_canonical(path):
-    """``(points, weights, provenance, columns)`` of a file as save_rule
-    writes it, or None for any other file.
+def _load_canonical(data):
+    """``(points, weights, provenance, columns)`` of the bytes of a file as
+    save_rule writes it, or None for any other bytes.
 
     Rows may hold only digits, ``+-.e``, commas and LF, with exactly one
     field per column, each 1 to ``_FIELD`` bytes; the last LF may be
@@ -353,11 +360,6 @@ def _load_canonical(path):
     Each distinct text of a column in a chunk runs through the same
     ``float``/``int`` as the general reader, so values are identical.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
     head = data.find(b"\n")
     if head < 0:
         return None
@@ -424,8 +426,8 @@ def _load_canonical(path):
     return points, weights, prov, cols
 
 
-def _load_general(path):
-    """``(points, weights, provenance, columns)`` of any rule CSV.
+def _load_general(lines, path):
+    """``(points, weights, provenance, columns)`` of any rule CSV's ``lines``.
 
     Numbers use Python ``float`` and ``int`` syntax; blank lines are
     skipped.  Rows are parsed one at a time, and the first one that is
@@ -433,7 +435,6 @@ def _load_general(path):
     with a non-finite value, then the first with a provenance value out
     of int64 range.
     """
-    lines = _read_text(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty rule file")
     cols = tuple(lines[0].split(","))
@@ -474,14 +475,17 @@ def _load_general(path):
 def load_rule(path) -> Rule:
     """Read a rule CSV written by save_rule; the header becomes ``columns``.
 
-    A file holding only what save_rule writes is read in array passes
-    (``_load_canonical``); any other file, and every error report, goes
-    through the general reader (``_load_general``), row by row.  Both
-    give the same values for the same file.
+    The file is read once.  Bytes holding only what save_rule writes are
+    parsed in array passes (``_load_canonical``); the text of any other
+    file, and every error report, goes through the general reader
+    (``_load_general``), row by row.  Both give the same values.
     """
-    parsed = _load_canonical(path)
+    data = _read(path)
+    parsed = _load_canonical(data)
     if parsed is None:
-        parsed = _load_general(path)
+        lines = _text(data, path).splitlines()
+        del data  # the bytes are not held through the row loop
+        parsed = _load_general(lines, path)
     points, weights, prov, cols = parsed
     try:
         # frozen parse buffers are adopted by Rule without a copy
@@ -492,7 +496,7 @@ def load_rule(path) -> Rule:
 
 def load_trim_points(path):
     """Blank-line-separated blocks of 'u,v' rows -> list of point arrays."""
-    raw = _read_text(path).splitlines()
+    raw = _text(_read(path), path).splitlines()
     blocks, cur = [], []
     for ln, line in enumerate(raw, start=1):
         line = line.strip()
@@ -519,6 +523,7 @@ def load_trim_points(path):
 
 
 def moment_csv_lines(mv: MomentVector):
+    _kind(mv, "mv", MomentVector)
     header = ("a,b,value", "a,b,c,value")[mv.dim - 2]
     lines = [header]
     for exps, value in zip(mv.exponents, mv.values):

@@ -223,8 +223,14 @@ def test_public_evaluator_shapes():
             assert f(c, 0.3).shape == (dim,)
             assert f(c, []).shape == (0, dim)
             assert f(c, grid).shape == (6, dim)
-    with pytest.raises(ValidationError, match="matching shapes"):
+    with pytest.raises(ValidationError) as err:
         patch_normal(patch, [0.1, 0.2], [0.3])
+    assert str(err.value) == "v: need shape (2,), got (1,)"
+    # a scalar u pairs with a scalar v only
+    for f in (eval_patch, patch_normal):
+        with pytest.raises(ValidationError) as err:
+            f(patch, 0.5, [0.3])
+        assert str(err.value) == "v: need shape (), got (1,)"
 
 
 def flat_square_patch():
@@ -344,14 +350,15 @@ def test_control_bbox_contains_trace():
 @pytest.mark.parametrize(
     "obj,message",
     [
-        (5, "cannot take a control bounding box of int"),
+        (5, "obj: need a RationalBezierCurve or RationalBezierPatch or list, got int"),
+        ([quarter_arc(), 5], "obj[1]: need a RationalBezierCurve or RationalBezierPatch or list, got int"),
         ([[], ()], "no control points found"),
         (
             [quarter_arc(), RationalBezierPatch(np.zeros((2, 2, 3)), np.ones((2, 2)))],
             "mixed 2D and 3D geometry in one bounding box",
         ),
     ],
-    ids=["type", "empty", "mixed"],
+    ids=["type", "item-type", "empty", "mixed"],
 )
 def test_control_bbox_refusals(obj, message):
     with pytest.raises(ValidationError) as err:

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import re
@@ -325,6 +326,76 @@ def test_not_json(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "load", [load_rule, load_region, load_solid, io.load_model, load_trim_points]
+)
+def test_a_missing_file_is_refused(tmp_path, load):
+    path = tmp_path / "absent.txt"
+    with pytest.raises(ValidationError) as err:
+        load(path)
+    assert str(err.value) == f"no such file: {path}"
+
+
+_SMALL_RULE = "".join(io._rule_csv_blocks(spectral_rule(circle_region(), 3, 3)))
+
+
+@pytest.mark.parametrize(
+    "load,data",
+    [
+        (load_rule, _SMALL_RULE.encode()),
+        (load_rule, _SMALL_RULE.replace("\n", "\r\n").encode()),
+        (load_rule, _SMALL_RULE.replace("\n", "\n\n", 2).encode()),
+        (load_region, bundled("circle.region.json").read_bytes()),
+        (load_solid, bundled("cube.solid.json").read_bytes()),
+        (io.load_model, bundled("cylinder.solid.json").read_bytes()),
+        (load_trim_points, b"0,0\n1,0\n1,1\n\n0.5,0.5\n0.6,0.5\n"),
+    ],
+    ids=["rule", "rule-crlf", "rule-blank-line", "region", "solid", "model", "trim-points"],
+)
+def test_every_loader_opens_its_file_once(tmp_path, monkeypatch, load, data):
+    # a rule file the array reader declines is parsed from the same read
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", counting_open)
+        load(path)
+    assert [str(p) for p in opened] == [str(path)]
+
+
+@pytest.mark.parametrize("load", [load_region, io.load_model])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_json_error_offsets_count_any_line_end_as_one(tmp_path, load, newline):
+    # the decoder sees text-mode newlines, so CRLF does not shift "char N"
+    path = tmp_path / "bad.json"
+    path.write_bytes('{\n  "loops": [\n    [1,, 2]\n  ]\n}\n'.replace("\n", newline).encode())
+    with pytest.raises(ValidationError) as err:
+        load(path)
+    assert str(err.value) == (
+        f"{path} is not valid JSON: Expecting value: line 3 column 8 (char 22)"
+    )
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_numbers_count_any_line_end_as_one(tmp_path, newline):
+    path = tmp_path / "r.csv"
+    rows = "x,y,weight,curve,q,zeta\n0.25,0.5,0.125,1,2,3\n\n0.25,0.5,0.125,1,2\n"
+    path.write_bytes(rows.replace("\n", newline).encode())
+    with pytest.raises(ValidationError) as err:
+        load_rule(path)
+    assert str(err.value) == f"{path} line 4: expected 6 fields, got 5"
+    path.write_bytes("0,0\n1,0\n\n0.5\n".replace("\n", newline).encode())
+    with pytest.raises(ValidationError) as err:
+        load_trim_points(path)
+    assert str(err.value) == f"{path} line 4: expected 'u,v'"
+
+
+@pytest.mark.parametrize(
     "build,dim,columns",
     [
         (
@@ -635,7 +706,7 @@ def _both_readers(path, monkeypatch):
     """load_rule's outcome, and the general reader's alone."""
     fast = _load_outcome(path)
     with monkeypatch.context() as m:
-        m.setattr(io, "_load_canonical", lambda path: None)
+        m.setattr(io, "_load_canonical", lambda data: None)
         return fast, _load_outcome(path)
 
 
@@ -695,9 +766,9 @@ def _replace_field(text, row, col, new):
     ],
 )
 def test_load_rule_paths_agree(tmp_path, monkeypatch, data, fast):
+    assert (io._load_canonical(data) is not None) == fast
     path = tmp_path / "r.csv"
     path.write_bytes(data)
-    assert (io._load_canonical(path) is not None) == fast
     got, want = _both_readers(path, monkeypatch)
     assert got == want
 
@@ -707,7 +778,7 @@ def test_load_rule_key_collision_goes_to_general_reader(tmp_path, monkeypatch):
     path.write_text(_SAMPLE)
     want = _load_outcome(path)
     monkeypatch.setattr(io, "_KEY", np.zeros(3, np.uint64))  # every field one key
-    assert io._load_canonical(path) is None
+    assert io._load_canonical(_SAMPLE.encode()) is None
     assert _load_outcome(path) == want
 
 
@@ -718,7 +789,7 @@ def test_load_rule_small_chunks(tmp_path, monkeypatch, chunk):
     path = tmp_path / "r.csv"
     save_rule(rule, path)
     monkeypatch.setattr(io, "_CHUNK", chunk)
-    assert (io._load_canonical(path) is not None) == (chunk > 200)
+    assert (io._load_canonical(path.read_bytes()) is not None) == (chunk > 200)
     for data in (path.read_bytes(), path.read_bytes()[:-1]):  # also without the last LF
         path.write_bytes(data)
         got, want = _both_readers(path, monkeypatch)
@@ -752,7 +823,7 @@ def test_load_rule_differential_on_mutated_files(tmp_path, monkeypatch):
         if rng.random() < 0.1:
             data = data.rstrip(b"\n")
         path.write_bytes(bytes(data))
-        fast += io._load_canonical(path) is not None
+        fast += io._load_canonical(bytes(data)) is not None
         got, want = _both_readers(path, monkeypatch)
         assert got == want, bytes(data)
     assert 30 < fast < 270  # both paths are exercised
@@ -781,14 +852,14 @@ def test_load_rule_differential_on_mutated_files(tmp_path, monkeypatch):
 def test_save_rule_output_takes_the_array_path(tmp_path, rule):
     path = tmp_path / "r.csv"
     save_rule(rule, path)
-    parsed = io._load_canonical(path)
+    parsed = io._load_canonical(path.read_bytes())
     assert parsed is not None
     points, weights, prov, columns = parsed
     assert columns == rule.columns
     for a, b in ((points, rule.points), (weights, rule.weights), (prov, rule.provenance)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     # the general reader gives the same arrays for the same file
-    *general, general_columns = io._load_general(path)
+    *general, general_columns = io._load_general(path.read_text().splitlines(), path)
     assert general_columns == columns
     for a, b in zip(general, (points, weights, prov)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -871,7 +942,7 @@ def test_loaded_rule_adopts_parse_buffers(tmp_path, monkeypatch):
     # the CRLF copy is read by the general reader
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert io._load_canonical(crlf) is None
+    assert io._load_canonical(crlf.read_bytes()) is None
     for source in (path, crlf):
         copies = []
         frozen = bezier._frozen
@@ -910,7 +981,7 @@ def test_load_rule_spellings_parse_as_per_field(tmp_path):
     assert rule.provenance.tolist() == [[int(t) for t in row[3:]] for row in rows]
 
 
-@pytest.mark.parametrize("load", [load_region, load_solid, load_rule, load_trim_points])
+@pytest.mark.parametrize("load", [load_region, load_solid, io.load_model, load_rule, load_trim_points])
 def test_non_utf8_file_rejected(tmp_path, load):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"x,y,weight\n0.5,0.5,1\xff\n")

@@ -9,8 +9,16 @@ import json
 
 import pytest
 
+from bezquad.bezier import eval_curve, eval_curve_derivative, eval_patch, patch_normal
 from bezquad.errors import ValidationError
-from bezquad.io import load_model, save_rule
+from bezquad.io import (
+    load_model,
+    moment_csv_lines,
+    save_moments,
+    save_region,
+    save_rule,
+    save_solid,
+)
 from bezquad.moments import geometric_moments, moment_fit_weights
 from bezquad.planar import (
     PlanarRegion,
@@ -178,8 +186,9 @@ def _rule_named(columns):
 
 # each entry point that takes one object: a call with it, a wrong value
 # and its refusal, and a value it accepts.  The type is checked before any
-# attribute is read, so no AttributeError escapes; a Rule's columns are a
-# list of names, so text is refused rather than split into characters
+# attribute is read, so no AttributeError escapes, and before a saver
+# creates its file; a Rule's columns are a list of names, so text is
+# refused rather than split into characters
 _OBJECTS = {
     "spectral_rule": (
         lambda v, _: spectral_rule(v, 2, 2),
@@ -233,6 +242,38 @@ _OBJECTS = {
         lambda v, _: TrimmedPatch(v),
         unit_square_loop(), "patch: need a RationalBezierPatch, got TrimLoop", _FLAT,
     ),
+    "eval_curve": (
+        lambda v, _: eval_curve(v, 0.5),
+        None, "curve: need a RationalBezierCurve, got NoneType", quarter_arc(),
+    ),
+    "eval_curve_derivative": (
+        lambda v, _: eval_curve_derivative(v, 0.5),
+        _FLAT, "curve: need a RationalBezierCurve, got RationalBezierPatch", quarter_arc(),
+    ),
+    "eval_patch": (
+        lambda v, _: eval_patch(v, 0.5, 0.5),
+        None, "patch: need a RationalBezierPatch, got NoneType", _FLAT,
+    ),
+    "patch_normal": (
+        lambda v, _: patch_normal(v, 0.5, 0.5),
+        TrimmedPatch(_FLAT), "patch: need a RationalBezierPatch, got TrimmedPatch", _FLAT,
+    ),
+    "save_region": (
+        lambda v, tmp: save_region(v, tmp / "r.json"),
+        None, "region: need a PlanarRegion, got NoneType", _DISK,
+    ),
+    "save_solid": (
+        lambda v, tmp: save_solid(v, tmp / "s.json"),
+        _DISK, "solid: need a SolidModel, got PlanarRegion", _BOX,
+    ),
+    "save_moments": (
+        lambda v, tmp: save_moments(v, tmp / "m.csv"),
+        None, "mv: need a MomentVector, got NoneType", _MOMENTS,
+    ),
+    "moment_csv_lines": (
+        lambda v, _: moment_csv_lines(v),
+        _MOMENTS.values, "mv: need a MomentVector, got ndarray", _MOMENTS,
+    ),
     "Rule-columns-None": (
         lambda v, _: _rule_named(v),
         None, "columns: need a list, got NoneType", ["x", "y", "weight", "i"],
@@ -257,3 +298,4 @@ def test_objects_are_refused_at_their_name(tmp_path, call, wrong, refusal, accep
     with pytest.raises(ValidationError) as err:
         call(wrong, tmp_path)
     assert str(err.value) == refusal
+    assert not any(tmp_path.iterdir())  # a refused saver created no file
