@@ -24,7 +24,6 @@ from .errors import ValidationError
 __all__ = [
     "RationalBezierCurve",
     "RationalBezierPatch",
-    "BoundingBox",
     "eval_curve",
     "eval_curve_derivative",
     "eval_patch",
@@ -214,41 +213,6 @@ class RationalBezierPatch:
     def transposed(self) -> "RationalBezierPatch":
         """Swap the u and v roles; the normal direction flips."""
         return RationalBezierPatch(self.points.swapaxes(0, 1), self.weights.T)
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _adopt(self.lo, "lo", shape=(None,)))
-        object.__setattr__(self, "hi", _adopt(self.hi, "hi", shape=self.lo.shape))
-
-    @classmethod
-    def from_points(cls, pts) -> "BoundingBox":
-        pts = _adopt(pts, "pts")
-        if pts.ndim == 0 or not pts.size:
-            raise ValidationError(f"need a nonempty shape (..., d), got {pts.shape}", "pts")
-        pts = pts.reshape(-1, pts.shape[-1])
-        return cls(pts.min(axis=0), pts.max(axis=0))
-
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
-
-    def inflated(self, pad: float) -> "BoundingBox":
-        pad = _adopt(pad, "pad", shape=())
-        return BoundingBox(self.lo - pad, self.hi + pad)
-
-    def contains(self, pts) -> bool:
-        pts = _adopt(pts, "pts")
-        if pts.shape[-1:] != self.lo.shape or pts.ndim > 2:
-            want = f"(n, {len(self.lo)}) or {self.lo.shape}"
-            raise ValidationError(f"need shape {want}, got {pts.shape}", "pts")
-        return bool(np.all(pts >= self.lo) and np.all(pts <= self.hi))
-
-    def union(self, other: "BoundingBox") -> "BoundingBox":
-        return BoundingBox(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
 
 def _homogeneous(points, weights):
@@ -468,13 +432,11 @@ def _closed_chain(curves, name, half_tol) -> tuple:
 def _collect_control_points(obj, out, name):
     if isinstance(obj, (RationalBezierCurve, RationalBezierPatch)):
         out.append(obj.points.reshape(-1, obj.points.shape[-1]))
-    elif hasattr(obj, "patch"):
-        # a trimmed patch boxes its 3D geometry, not its 2D trim loops
-        _collect_control_points(obj.patch, out, f"{name}.patch")
-    elif hasattr(obj, "patches"):
-        _collect_control_points(obj.patches, out, f"{name}.patches")
-    elif hasattr(obj, "loops"):
-        _collect_control_points(obj.loops, out, f"{name}.loops")
+        return
+    # "patch" first: a trimmed patch boxes its 3D net, not its 2D trim loops
+    attr = next((a for a in ("patch", "patches", "loops", "segments") if hasattr(obj, a)), None)
+    if attr is not None:
+        _collect_control_points(getattr(obj, attr), out, f"{name}.{attr}")
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
             _collect_control_points(item, out, f"{name}[{i}]")
@@ -482,19 +444,25 @@ def _collect_control_points(obj, out, name):
         _kind(obj, name, (RationalBezierCurve, RationalBezierPatch, list))
 
 
-def control_bbox(obj) -> BoundingBox:
-    """Axis-aligned box of every control point reachable from ``obj``.
+def control_bbox(obj) -> tuple[np.ndarray, np.ndarray]:
+    """The corners ``(lo, hi)``, two read-only arrays, of the axis-aligned
+    box of every control point reachable from ``obj``.
 
-    Accepts a curve, a patch, a region or solid, or any nesting of lists
-    of these.  The mapped geometry always lies inside this box (convex
-    hull property), so it bounds quadrature points too.
+    Accepts a curve, a patch, a trim loop, a region or solid, or any
+    nesting of lists of these.  The mapped geometry always lies inside
+    this box (convex hull property), so it bounds quadrature points too:
+
+    >>> arc = RationalBezierCurve([(1, 0), (1, 1), (0, 1)],
+    ...                           [1, 0.5 * math.sqrt(2), 1])
+    >>> lo, hi = control_bbox(arc)
+    >>> lo.tolist(), hi.tolist()
+    ([0.0, 0.0], [1.0, 1.0])
     """
     chunks: list[np.ndarray] = []
     _collect_control_points(obj, chunks, "obj")
     if not chunks:
         raise ValidationError("no control points found")
-    dims = {c.shape[1] for c in chunks}
-    if len(dims) != 1:
+    if len({c.shape[1] for c in chunks}) != 1:
         raise ValidationError("mixed 2D and 3D geometry in one bounding box")
     pts = np.vstack(chunks)
-    return BoundingBox.from_points(pts)
+    return _frozen(pts.min(axis=0)), _frozen(pts.max(axis=0))

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bezier import _kind
 from .errors import EvalError, ParseError
 
 __all__ = [
@@ -263,6 +264,7 @@ def parse(text: str) -> Expr:
 
     Input nested too deeply for the recursive walks of its tree, or for
     the parser itself, is refused."""
+    _kind(text, "text", str)
     p = _Parser(text)
     node = p.expr()
     if p.peek()[0] != "end":
@@ -285,6 +287,7 @@ def _prec(node):
 def to_text(node: Expr) -> str:
     """Print with minimal parentheses; reparsing gives the same tree, except
     that a negative literal comes back as a unary minus of its magnitude."""
+    _kind(node, "node", Expr)
     if isinstance(node, Num):
         v = node.value
         if math.copysign(1.0, v) < 0:
@@ -384,6 +387,7 @@ def evaluate(node: Expr, point) -> float:
     ...
     bezquad.errors.EvalError: division by zero in 1 / (y - 2) at point (1, 2, 0)
     """
+    _kind(node, "node", Expr)
     x, y, z = (float(c) for c in point)
     return float(_run(node, {"x": x, "y": y, "z": z}, _SCALAR, lambda v: v))
 
@@ -407,6 +411,7 @@ def to_callable(node: Expr):
     >>> to_callable(parse("log(x)"))(np.array([-1.0, 1.0]), np.zeros(2))
     array([nan,  0.])
     """
+    _kind(node, "node", Expr)
 
     def call(x, y, z=None):
         if z is None:
@@ -424,6 +429,7 @@ def polynomial_degree(node: Expr):
     Division is polynomial only when the denominator has no variables
     and evaluates to something nonzero; function calls never are.
     """
+    _kind(node, "node", Expr)
     if isinstance(node, Num):
         return 0
     if isinstance(node, Var):

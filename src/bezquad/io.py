@@ -537,10 +537,10 @@ def save_moments(mv: MomentVector, path):
 
 
 def bundled(name: str):
-    """Path to a sample geometry file shipped inside the package."""
+    """Path to a sample geometry file shipped inside the package; a name
+    that is not one of its data files is refused."""
     root = importlib.resources.files("bezquad").joinpath("data")
-    target = root.joinpath(name)
-    if not target.is_file():
-        have = sorted(p.name for p in root.iterdir()) if root.is_dir() else []
+    have = sorted(p.name for p in root.iterdir() if p.is_file())
+    if name not in have:
         raise ValidationError(f"no bundled file {name!r}; available: {have}")
-    return target
+    return root.joinpath(name)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bezier import _adopt, _frozen, _kind, bernstein_to_monomial
+from .bezier import _adopt, _frozen, _items, _kind, bernstein_to_monomial
 from .errors import ConditioningError, ValidationError
 
 __all__ = [
@@ -74,8 +74,20 @@ def _orders(*counts):
     return [_as_int(n, "node count", 1) for n in counts]
 
 
+def _pole(value, name) -> complex:
+    """``value`` as a finite complex pole location, or ValidationError at
+    ``name`` for a bool, a non-number or a NaN or infinite part."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise ValidationError(f"need a complex number, got {type(value).__name__}", name)
+    p = complex(value)
+    if not cmath.isfinite(p):
+        raise ValidationError(f"pole locations must be finite, got {p}", name)
+    return p
+
+
 def interval_distance(p: complex) -> float:
     """Euclidean distance from a complex point to the segment [0, 1]."""
+    p = _pole(p, "p")
     x = min(max(p.real, 0.0), 1.0)
     return math.hypot(p.real - x, p.imag)
 
@@ -94,16 +106,13 @@ class PoleSet:
 
     def __post_init__(self):
         cleaned = []
-        for i, pair in enumerate(self.poles if np.iterable(self.poles) else [self.poles]):
+        for i, pair in enumerate(_items(self.poles, "poles", least=0)):
             # a dict would unpack as its keys, a set in no given order
             items = tuple(pair) if isinstance(pair, (tuple, list, np.ndarray)) else ()
             p, mult = items if len(items) == 2 else (None, None)
             if not isinstance(p, numbers.Number):
                 raise ValidationError(f"need (location, multiplicity), got {pair!r}", f"poles[{i}]")
-            p = complex(p)
-            if not cmath.isfinite(p):
-                raise ValidationError(f"pole locations must be finite, got {p}")
-            cleaned.append((p, _as_int(mult, "pole multiplicity", 1)))
+            cleaned.append((_pole(p, f"poles[{i}][0]"), _as_int(mult, "pole multiplicity", 1)))
         object.__setattr__(self, "poles", tuple(cleaned))
         counts = {p: m for p, m in cleaned}
         if len(counts) != len(cleaned):
@@ -118,8 +127,9 @@ class PoleSet:
         """Group repeated root values into (location, multiplicity) pairs."""
         multiplier = _as_int(multiplier, "root multiplier", 1)
         counts: dict[complex, int] = {}
-        for r in roots:
-            counts[complex(r)] = counts.get(complex(r), 0) + multiplier
+        for i, r in enumerate(_items(roots, "roots", least=0)):
+            r = _pole(r, f"roots[{i}]")
+            counts[r] = counts.get(r, 0) + multiplier
         ordered = sorted(counts.items(), key=lambda pm: (pm[0].real, pm[0].imag))
         return cls(tuple(ordered))
 
@@ -202,7 +212,7 @@ def partial_fraction_moment(pole: complex, order: int) -> complex:
 
     The pole must lie off the closed interval [0, 1].
     """
-    p = complex(pole)
+    p = _pole(pole, "pole")
     order = _as_int(order, "partial-fraction order", 1)
     if interval_distance(p) == 0.0:
         raise ValidationError(f"pole {p} lies on the integration interval")

@@ -133,8 +133,13 @@ def annulus_region(center=(0.0, 0.0), outer=1.0, inner=0.5) -> PlanarRegion:
 
 def bilinear_patch(p00, p10, p01, p11) -> RationalBezierPatch:
     """Flat-weight bilinear patch; pij is the corner at (u, v) = (i, j)."""
-    pts = np.array([[p00, p01], [p10, p11]], dtype=float)
-    return RationalBezierPatch(pts, np.ones((2, 2)))
+    corners = zip((p00, p10, p01, p11), ("p00", "p10", "p01", "p11"))
+    return _bilinear(*(_adopt(p, name, shape=(3,)) for p, name in corners))
+
+
+def _bilinear(p00, p10, p01, p11) -> RationalBezierPatch:
+    # the box and cylinder builders pass corners made of their checked floats
+    return RationalBezierPatch(np.array([[p00, p01], [p10, p11]], dtype=float), np.ones((2, 2)))
 
 
 def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
@@ -143,17 +148,17 @@ def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
     (x0, y0, z0), (x1, y1, z1) = _span(lo, hi, 3)
     patches = [
         # bottom z = z0, normal -z: u runs along +x, v along -y
-        bilinear_patch((x0, y1, z0), (x1, y1, z0), (x0, y0, z0), (x1, y0, z0)),
+        _bilinear((x0, y1, z0), (x1, y1, z0), (x0, y0, z0), (x1, y0, z0)),
         # top z = z1, normal +z
-        bilinear_patch((x0, y0, z1), (x1, y0, z1), (x0, y1, z1), (x1, y1, z1)),
+        _bilinear((x0, y0, z1), (x1, y0, z1), (x0, y1, z1), (x1, y1, z1)),
         # front y = y0, normal -y: u along +x, v along +z
-        bilinear_patch((x0, y0, z0), (x1, y0, z0), (x0, y0, z1), (x1, y0, z1)),
+        _bilinear((x0, y0, z0), (x1, y0, z0), (x0, y0, z1), (x1, y0, z1)),
         # back y = y1, normal +y: u along +z, v along +x
-        bilinear_patch((x0, y1, z0), (x0, y1, z1), (x1, y1, z0), (x1, y1, z1)),
+        _bilinear((x0, y1, z0), (x0, y1, z1), (x1, y1, z0), (x1, y1, z1)),
         # left x = x0, normal -x: u along +z, v along +y
-        bilinear_patch((x0, y0, z0), (x0, y0, z1), (x0, y1, z0), (x0, y1, z1)),
+        _bilinear((x0, y0, z0), (x0, y0, z1), (x0, y1, z0), (x0, y1, z1)),
         # right x = x1, normal +x: u along +y, v along +z
-        bilinear_patch((x1, y0, z0), (x1, y1, z0), (x1, y0, z1), (x1, y1, z1)),
+        _bilinear((x1, y0, z0), (x1, y1, z0), (x1, y0, z1), (x1, y1, z1)),
     ]
     return SolidModel(tuple(TrimmedPatch(p) for p in patches))
 
@@ -179,7 +184,7 @@ def _capped_cylinder(center, radius, z0, height, trim, cap=1.0) -> SolidModel:
         patches.append(TrimmedPatch(RationalBezierPatch(pts, wts)))
     for z, flip in ((z1, 1), (z0, -1)):
         corner = lambda u, v: (cx + (2 * u - 1) * half, cy + flip * (2 * v - 1) * half, z)
-        cap = bilinear_patch(corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1))
+        cap = _bilinear(corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1))
         patches.append(TrimmedPatch(cap, (trim,)))
     return SolidModel(tuple(patches))
 

@@ -1,8 +1,8 @@
 """The one way arrays enter the frozen types and the public functions,
-bezier._adopt: what curves, patches, bounding boxes, rules and moment
-vectors keep without a copy, what they copy, and what they refuse (text,
-complex and non-finite values among it), located at the argument's name,
-its entry or its document path."""
+bezier._adopt: what curves, patches, rules and moment vectors keep
+without a copy, what they copy, and what they refuse (text, complex and
+non-finite values among it), located at the argument's name, its entry
+or its document path."""
 
 import json
 import warnings
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from bezquad.bezier import (
-    BoundingBox,
     RationalBezierCurve,
     RationalBezierPatch,
     bernstein_to_monomial,
@@ -162,8 +161,6 @@ _ENTRY_POINTS = {
     "patch_normal-v": (lambda a: patch_normal(_FLAT, _HALF, a), "v", _HALF),
     "bernstein_to_monomial": (bernstein_to_monomial, "coeffs", np.ones((3, 2))),
     "monomial_to_bernstein": (monomial_to_bernstein, "coeffs", np.ones(3)),
-    "bounding-box-from-points": (BoundingBox.from_points, "pts", np.eye(3, 2)),
-    "bounding-box-contains": (BoundingBox(np.zeros(2), np.ones(2)).contains, "pts", _HALF),
     "weight_poly_roots": (weight_poly_roots, "weights", np.ones(3)),
     "moment_fit_weights": (
         lambda a: moment_fit_weights(a, MomentVector(1, 2, [1.0, 0.5, 0.5])), "points", np.eye(3, 2)
@@ -192,8 +189,6 @@ def test_entry_points_refuse_at_the_argument(call, name, good, fault):
             call(bad)
     assert str(err.value) == f"{name}{where}: {message}"
 
-
-_BOX = BoundingBox(np.zeros(2), np.ones(2))
 
 # each real argument, scalar or array: a call with it, its name and a
 # valid value; a bool is no number, even inside a list of floats
@@ -226,7 +221,6 @@ _REALS = {
     "cylinder-z0": (lambda a: cylinder_solid(z0=a), "z0", np.array(0.0)),
     "cylinder-height": (lambda a: cylinder_solid(height=a), "height", np.array(1.0)),
     "volume_rule-pz": (lambda a: volume_rule(box_solid(), 2, 2, pz=a), "pz", np.array(-1.0)),
-    "inflated-pad": (_BOX.inflated, "pad", np.array(0.5)),
 }
 
 
@@ -244,7 +238,7 @@ def _true_inside(good):
 @pytest.mark.parametrize("call, name, good", _REALS.values(), ids=_REALS)
 def test_real_arguments_refuse_booleans_text_and_nan(call, name, good, fault):
     # a bool was taken as 1 or 0 (circle_region(radius=True) built the unit
-    # circle), and pz and pad had their own checks or none
+    # circle), and pz had its own check
     call(good)
     nan = good.copy()
     nan[(0,) * good.ndim] = np.nan
@@ -261,9 +255,6 @@ def test_real_arguments_refuse_booleans_text_and_nan(call, name, good, fault):
 # the call, the argument's name, the shape it needs, and a wrong shape
 _COEFFS = "a nonempty shape (n+1, ...)"
 _SHAPED = {
-    "bounding-box-from-points": (BoundingBox.from_points, "pts", "a nonempty shape (..., d)", (0,)),
-    "bounding-box-hi": (lambda a: BoundingBox(np.zeros(2), a), "hi", "shape (2,)", (1, 3)),
-    "bounding-box-contains": (_BOX.contains, "pts", "shape (n, 2) or (2,)", (1, 3)),
     "bernstein_to_monomial": (bernstein_to_monomial, "coeffs", _COEFFS, (0, 2)),
     "monomial_to_bernstein": (monomial_to_bernstein, "coeffs", _COEFFS, (0, 2)),
     "gauss_legendre": (lambda a: gauss_legendre(2, a), "interval", "shape (2,)", (3,)),
@@ -275,17 +266,12 @@ _SHAPED = {
 @pytest.mark.parametrize("call, name, want, wrong", _SHAPED.values(), ids=_SHAPED)
 def test_entry_points_refuse_a_wrong_shape_at_the_argument(call, name, want, wrong, value):
     # each raised numpy's IndexError, ValueError or TypeError, or accepted
-    # the array: a box with a scalar corner, an interval of three numbers
+    # the array: an interval of three numbers
     bad = {"scalar": 5.0, "empty": [], "mismatched": np.ones(wrong)}[value]
     with pytest.raises(ValidationError) as err:
         call(bad)
     assert err.value.path == name
     assert str(err.value) == f"{name}: need {want}, got {np.shape(bad)}"
-
-
-def test_bounding_box_refuses_a_non_finite_corner():
-    with pytest.raises(ValidationError, match=r"^lo\[0\]: must be finite, got nan$"):
-        BoundingBox([np.nan, 0.0], [1.0, 1.0])
 
 
 def test_json_integers_a_double_holds_still_load(tmp_path):
@@ -301,7 +287,6 @@ def test_json_integers_a_double_holds_still_load(tmp_path):
 _ADOPTERS = {
     "curve": (lambda a: RationalBezierCurve(a, np.ones(3)), np.eye(3, 2), "points"),
     "patch": (lambda a: RationalBezierPatch(a, np.ones((2, 2))), np.ones((2, 2, 3)), "points"),
-    "bounding-box": (lambda a: BoundingBox(a, a + 1.0), np.zeros(2), "lo"),
     "rule": (lambda a: Rule2D(np.zeros((3, 2)), a, np.zeros((3, 3), int)), np.ones(3), "weights"),
     "rule1d": (lambda a: Rule1D(a, np.ones(3), (0.0, 1.0)), np.linspace(0.0, 1.0, 3), "nodes"),
     "moments": (lambda a: MomentVector(1, 2, a), np.ones(3), "values"),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bezquad.bezier import (
-    BoundingBox,
     RationalBezierCurve,
     RationalBezierPatch,
     _batches,
@@ -22,6 +21,9 @@ from bezquad.bezier import (
     patch_normal,
 )
 from bezquad.errors import ValidationError
+from bezquad.io import bundled, load_model
+from bezquad.shapes import annulus_region, circle_region, cylinder_solid
+from bezquad.surface import unit_square_loop
 from conftest import NET_FAULTS
 
 W = math.sqrt(2) / 2
@@ -335,16 +337,56 @@ def test_high_degree_conversion_warns():
 
 
 def test_control_bbox_curve():
-    box = control_bbox(quarter_arc())
-    assert np.allclose(box.lo, [0, 0]) and np.allclose(box.hi, [1, 1])
-    assert abs(box.diagonal() - math.sqrt(2)) < 1e-15
+    lo, hi = control_bbox(quarter_arc())
+    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [1.0, 1.0]
 
 
 def test_control_bbox_contains_trace():
     rng = np.random.default_rng(31)
     c = random_curve(rng, 4)
-    box = control_bbox(c).inflated(1e-12)
-    assert box.contains(eval_curve(c, np.linspace(0, 1, 101)))
+    lo, hi = control_bbox(c)
+    trace = eval_curve(c, np.linspace(0, 1, 101))
+    assert np.all((trace >= lo - 1e-12) & (trace <= hi + 1e-12))
+
+
+def _cap():
+    return next(tp for tp in cylinder_solid().patches if tp.loops)
+
+
+# each object control_bbox takes, and the corners it had when the box was a
+# BoundingBox; a TrimLoop was refused then and is boxed by its segments now
+_BOXES = {
+    "curve": (quarter_arc, [0.0, 0.0], [1.0, 1.0]),
+    "curve-list": (lambda: list(unit_square_loop().segments), [0.0, 0.0], [1.0, 1.0]),
+    "trim-loop": (unit_square_loop, [0.0, 0.0], [1.0, 1.0]),
+    "circle": (lambda: circle_region((0.3, -0.2), 1.7), [-1.4, -1.9], [2.0, 1.5]),
+    "annulus": (
+        lambda: annulus_region((0.6, 0.6), 0.5, 0.2),
+        [0.09999999999999998, 0.09999999999999998],
+        [1.1, 1.1],
+    ),
+    # a trimmed patch boxes its 3D net, not its trims
+    "trimmed-cap": (_cap, [-1.0, -1.0, 1.0], [1.0, 1.0, 1.0]),
+    "cylinder": (cylinder_solid, [-1.0, -1.0, 0.0], [1.0, 1.0, 1.0]),
+    "circle.region.json": (
+        lambda: load_model(bundled("circle.region.json")), [-1.0, -1.0], [1.0, 1.0]
+    ),
+    "cube.solid.json": (
+        lambda: load_model(bundled("cube.solid.json")), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+    ),
+    "cylinder.solid.json": (
+        lambda: load_model(bundled("cylinder.solid.json")), [-1.0, -1.0, 0.0], [1.0, 1.0, 1.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("build, lo, hi", _BOXES.values(), ids=_BOXES)
+def test_control_bbox_is_two_read_only_arrays(build, lo, hi):
+    got = control_bbox(build())
+    assert isinstance(got, tuple) and len(got) == 2
+    for corner, want in zip(got, (lo, hi)):
+        assert not corner.flags.writeable
+        assert corner.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -364,13 +406,6 @@ def test_control_bbox_refusals(obj, message):
     with pytest.raises(ValidationError) as err:
         control_bbox(obj)
     assert str(err.value) == message
-
-
-def test_bbox_union():
-    a = BoundingBox.from_points([[0, 0], [1, 1]])
-    b = BoundingBox.from_points([[-1, 0.5], [0.5, 2]])
-    u = a.union(b)
-    assert np.allclose(u.lo, [-1, 0]) and np.allclose(u.hi, [1, 2])
 
 
 def test_curve_validation():

@@ -24,6 +24,7 @@ _REMOVED = {
     "volume_integrate": "bezquad.volume",
     "patch_rule": "bezquad.surface",
     "rule_csv_lines": "bezquad.io",
+    "BoundingBox": "bezquad.bezier",
 }
 
 

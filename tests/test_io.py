@@ -60,6 +60,16 @@ def test_bundled_unknown_name():
         bundled("nope.json")
 
 
+@pytest.mark.parametrize("name", ["../io.py", None], ids=["package-source", "none"])
+def test_bundled_returns_only_its_data_files(name):
+    # a path out of the data directory was returned, and None raised a raw
+    # TypeError
+    with pytest.raises(ValidationError) as err:
+        bundled(name)
+    have = "['circle.region.json', 'cube.solid.json', 'cylinder.solid.json']"
+    assert str(err.value) == f"no bundled file {name!r}; available: {have}"
+
+
 def test_region_round_trip(tmp_path):
     region = circle_region(center=(0.3, -0.2), radius=1.7)
     path = tmp_path / "r.json"

@@ -11,6 +11,7 @@ import pytest
 
 from bezquad.bezier import eval_curve, eval_curve_derivative, eval_patch, patch_normal
 from bezquad.errors import ValidationError
+from bezquad.expr import evaluate, parse, polynomial_degree, to_callable, to_text
 from bezquad.io import (
     load_model,
     moment_csv_lines,
@@ -274,6 +275,21 @@ _OBJECTS = {
         lambda v, _: moment_csv_lines(v),
         _MOMENTS.values, "mv: need a MomentVector, got ndarray", _MOMENTS,
     ),
+    # the four walkers of an expression tree raised AttributeError, or with
+    # to_callable returned a function that failed when called; parse raised
+    # a raw TypeError
+    "to_text": (lambda v, _: to_text(v), None, "node: need a Expr, got NoneType", parse("x")),
+    "evaluate": (
+        lambda v, _: evaluate(v, (0, 0, 0)), None, "node: need a Expr, got NoneType", parse("x")
+    ),
+    "polynomial_degree": (
+        lambda v, _: polynomial_degree(v), None, "node: need a Expr, got NoneType", parse("x")
+    ),
+    "to_callable": (
+        lambda v, _: to_callable(v), "x", "node: need a Expr, got str", parse("x")
+    ),
+    "parse": (lambda v, _: parse(v), None, "text: need a str, got NoneType", "x"),
+    "parse-bytes": (lambda v, _: parse(v), b"x", "text: need a str, got bytes", "x"),
     "Rule-columns-None": (
         lambda v, _: _rule_named(v),
         None, "columns: need a list, got NoneType", ["x", "y", "weight", "i"],

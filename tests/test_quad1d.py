@@ -223,7 +223,7 @@ def test_pole_and_weight_refusals(call, message):
 @pytest.mark.parametrize(
     "poles, got",
     [
-        (5.0, "5.0"),
+        (5.0, None),
         ([[1, 2, 3]], "[1, 2, 3]"),
         (np.zeros((2, 2, 2)), repr(np.zeros((2, 2)))),
         (((None, 1),), "(None, 1)"),
@@ -234,10 +234,41 @@ def test_pole_and_weight_refusals(call, message):
 )
 def test_pole_set_refuses_what_is_not_pairs(poles, got):
     # the first four raised a raw TypeError or ValueError from unpacking or
-    # complex(); a dict or set was read by its keys, the set in no given order
+    # complex(); a dict or set was read by its keys, the set in no given
+    # order; a bare pole (got None) is no list of pairs
     with pytest.raises(ValidationError) as err:
         PoleSet(poles)
-    assert str(err.value) == f"poles[0]: need (location, multiplicity), got {got}"
+    want = f"poles[0]: need (location, multiplicity), got {got}"
+    assert str(err.value) == ("poles: need a list, got float" if got is None else want)
+
+
+# each call that takes a pole location, and its refusal: a NaN or infinite
+# pole gave nan+nanj, a bool was taken as 1, and None or text raised a raw
+# AttributeError, ValueError or TypeError
+_POLE_REFUSALS = {
+    "moment-nan-pole": (
+        lambda: partial_fraction_moment(complex(math.nan, 1), 2),
+        "pole: pole locations must be finite, got (nan+1j)",
+    ),
+    "moment-inf-pole": (
+        lambda: partial_fraction_moment(math.inf, 1),
+        "pole: pole locations must be finite, got (inf+0j)",
+    ),
+    "moment-text-pole": (
+        lambda: partial_fraction_moment("a", 1), "pole: need a complex number, got str"
+    ),
+    "distance-of-none": (lambda: interval_distance(None), "p: need a complex number, got NoneType"),
+    "text-root": (lambda: PoleSet.from_roots(["a"]), "roots[0]: need a complex number, got str"),
+    "no-roots": (lambda: PoleSet.from_roots(None), "roots: need a list, got NoneType"),
+    "bool-location": (lambda: PoleSet(((True, 1),)), "poles[0][0]: need a complex number, got bool"),
+}
+
+
+@pytest.mark.parametrize("call, message", _POLE_REFUSALS.values(), ids=_POLE_REFUSALS)
+def test_pole_arguments_are_refused_at_their_name(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_pole_set_rejects_bad_multiplicity():

@@ -223,6 +223,20 @@ _REFUSALS = {
         lambda: cylinder_solid_fitted(radius=[1.0]),
         "radius: need shape (), got (1,)",
     ),
+    # numpy's ValueError, a corner taken as (1, 0, 0), and a 4-vector
+    # reported as the control points of the patch
+    "text-bilinear-corner": (
+        lambda: bilinear_patch("abc", (1, 0, 0), (0, 1, 0), (1, 1, 0)),
+        "p00: not a numeric array",
+    ),
+    "bool-bilinear-corner": (
+        lambda: bilinear_patch((0, 0, 0), (True, 0, 0), (0, 1, 0), (1, 1, 0)),
+        "p10: not a numeric array",
+    ),
+    "4d-bilinear-corner": (
+        lambda: bilinear_patch((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0, 0)),
+        "p11: need shape (3,), got (4,)",
+    ),
 }
 
 
