@@ -428,6 +428,9 @@ def polynomial_degree(node: Expr):
 
     Division is polynomial only when the denominator has no variables
     and evaluates to something nonzero; function calls never are.
+
+    >>> polynomial_degree(parse("x^2 / 2")), polynomial_degree(parse("x / y^0"))
+    (2, None)
     """
     _kind(node, "node", Expr)
     if isinstance(node, Num):
@@ -451,19 +454,10 @@ def polynomial_degree(node: Expr):
     if node.op == "*":
         return l + r
     # division: constant nonzero denominators only
-    if r != 0 or _has_variable(node.right):
+    if r != 0 or Var in node.right._preorder():
         return None
     try:
         return l if evaluate(node.right, (0.0, 0.0, 0.0)) != 0.0 else None
     except EvalError:
         return None
 
-
-def _has_variable(node):
-    # one frame per level, as the other walks take
-    if isinstance(node, Var):
-        return True
-    for child in vars(node).values():
-        if isinstance(child, Expr) and _has_variable(child):
-            return True
-    return False

@@ -11,17 +11,17 @@ and streams the file as one text per 4096-row block gathered from those
 texts, never one string per row.  Every input file is read once, by
 ``_read``.  Rule bytes holding only what save_rule writes are parsed in
 array passes over 1 MiB chunks, each distinct text of a column converted
-once per chunk; the text of any other rule file goes to a general
-reader, row by row, which reports every error.  Both run the same
-``float``/``int`` on the same text.  Every output file is written by
-``_write``, and every JSON text is laid out by ``_json_text``.
+once per chunk; the text of any other rule file, and of every
+trim-point file, goes to one row reader, ``_rows``, which reports every
+error.  Both run the same ``float``/``int`` on the same text.  Every
+output file is written by ``_write``, and every JSON text is laid out by
+``_json_text``.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
-import math
 
 import numpy as np
 
@@ -426,41 +426,33 @@ def _load_canonical(data):
     return points, weights, prov, cols
 
 
-def _load_general(lines, path):
-    """``(points, weights, provenance, columns)`` of any rule CSV's ``lines``.
-
-    Numbers use Python ``float`` and ``int`` syntax; blank lines are
-    skipped.  Rows are parsed one at a time, and the first one that is
-    malformed or has the wrong field count is reported; then the first
-    with a non-finite value, then the first with a provenance value out
-    of int64 range.
+def _rows(lines, path, width, n_float, first):
+    """The float block, int64 block and file line numbers of the rows of
+    ``lines``, the first of them line ``first``: ``width`` comma-separated
+    fields each, ``n_float`` floats then ints; blank lines are skipped.
+    Rows are parsed one at a time; the first that is malformed or has the
+    wrong field count is reported, then the first with a non-finite value,
+    then the first with an int out of int64 range.
     """
-    if not lines:
-        raise ValidationError(f"{path}: empty rule file")
-    cols = tuple(lines[0].split(","))
-    if "weight" not in cols:
-        raise ValidationError(f"{path}: rule file needs a 'weight' column")
-    wi = cols.index("weight")
-    width = len(cols)
-    numbers, floats, ints = [], [], []  # file line number of each row, its values
-    for ln, line in enumerate(lines[1:], start=2):
+    numbers, floats, ints = [], [], []
+    for ln, line in enumerate(lines, start=first):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != width:
             raise ValidationError(f"{path} line {ln}: expected {width} fields, got {len(parts)}")
         try:
-            floats += map(float, parts[: wi + 1])
-            ints += map(int, parts[wi + 1 :])
+            floats += map(float, parts[:n_float])
+            ints += map(int, parts[n_float:])
         except ValueError:
             raise ValidationError(f"{path} line {ln}: malformed number") from None
         numbers.append(ln)
     n = len(numbers)
-    values = np.array(floats).reshape(n, wi + 1)
+    values = np.array(floats).reshape(n, n_float)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise ValidationError(f"{path} line {numbers[bad[0]]}: non-finite value")
-    prov = np.empty((n, width - wi - 1), dtype=np.int64)
+    prov = np.empty((n, width - n_float), dtype=np.int64)
     try:
         prov.flat[:] = ints
     except OverflowError:
@@ -468,6 +460,19 @@ def _load_general(lines, path):
         raise ValidationError(
             f"{path} line {numbers[i // prov.shape[1]]}: provenance value out of int64 range"
         ) from None
+    return values, prov, numbers
+
+
+def _load_general(lines, path):
+    """``(points, weights, provenance, columns)`` of any rule CSV's ``lines``,
+    their rows read by ``_rows``."""
+    if not lines:
+        raise ValidationError(f"{path}: empty rule file")
+    cols = tuple(lines[0].split(","))
+    if "weight" not in cols:
+        raise ValidationError(f"{path}: rule file needs a 'weight' column")
+    wi = cols.index("weight")
+    values, prov, _ = _rows(lines[1:], path, len(cols), wi + 1, 2)
     # owned, contiguous copies, which a Rule adopts as they are
     return values[:, :wi].copy(), values[:, wi].copy(), prov, cols
 
@@ -495,31 +500,12 @@ def load_rule(path) -> Rule:
 
 
 def load_trim_points(path):
-    """Blank-line-separated blocks of 'u,v' rows -> list of point arrays."""
-    raw = _text(_read(path), path).splitlines()
-    blocks, cur = [], []
-    for ln, line in enumerate(raw, start=1):
-        line = line.strip()
-        if not line:
-            if cur:
-                blocks.append(np.asarray(cur, dtype=float))
-                cur = []
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"{path} line {ln}: expected 'u,v'")
-        try:
-            u, v = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValidationError(f"{path} line {ln}: malformed number") from None
-        if not (math.isfinite(u) and math.isfinite(v)):
-            raise ValidationError(f"{path} line {ln}: non-finite value")
-        cur.append((u, v))
-    if cur:
-        blocks.append(np.asarray(cur, dtype=float))
-    if not blocks:
+    """Blank-line-separated blocks of 'u,v' rows -> list of point arrays;
+    the rows are read by ``_rows``, as a rule file's are."""
+    points, _, numbers = _rows(_text(_read(path), path).splitlines(), path, 2, 2, 1)
+    if not numbers:
         raise ValidationError(f"{path}: no points found")
-    return blocks
+    return np.split(points, np.flatnonzero(np.diff(numbers) > 1) + 1)
 
 
 def moment_csv_lines(mv: MomentVector):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,8 +56,9 @@ class Rule1D:
 
 def _as_int(value, what: str, least: int | None = None) -> int:
     """``value`` as an int: Python or numpy integers and integral floats
-    pass; bools, fractions, non-numbers and values below ``least`` raise
-    ValidationError.  Every public count argument passes here once."""
+    pass; bools, fractions, non-numbers, values below ``least`` and values
+    outside int64 raise ValidationError.  Every public count argument
+    passes here once."""
     if isinstance(value, (bool, np.bool_)) or not (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and float(value).is_integer())
@@ -66,6 +67,8 @@ def _as_int(value, what: str, least: int | None = None) -> int:
     value = int(value)
     if least is not None and value < least:
         raise ValidationError(f"{what} must be >= {least}, got {value}")
+    if not -(2**63) <= value < 2**63:
+        raise ValidationError(f"{what} must fit in int64, got {value}")
     return value
 
 
@@ -98,11 +101,11 @@ class PoleSet:
 
     ``poles`` is a tuple of (location, multiplicity) pairs, every location
     finite.  Real locations count once; a complex location must appear
-    together with its conjugate at equal multiplicity.
+    together with its conjugate at equal multiplicity, or the set is
+    refused.
     """
 
     poles: tuple[tuple[complex, int], ...]
-    conjugate_closed: bool = field(init=False)
 
     def __post_init__(self):
         cleaned = []
@@ -117,14 +120,13 @@ class PoleSet:
         counts = {p: m for p, m in cleaned}
         if len(counts) != len(cleaned):
             raise ValidationError("duplicate pole locations; merge multiplicities instead")
-        closed = all(
-            p.imag == 0 or counts.get(p.conjugate()) == m for p, m in cleaned
-        )
-        object.__setattr__(self, "conjugate_closed", closed)
+        if any(p.imag and counts.get(p.conjugate()) != m for p, m in cleaned):
+            raise ValidationError("pole set must be closed under conjugation", "poles")
 
     @classmethod
     def from_roots(cls, roots, multiplier: int = 1) -> "PoleSet":
-        """Group repeated root values into (location, multiplicity) pairs."""
+        """Group repeated root values into (location, multiplicity) pairs;
+        roots not closed under conjugation are refused as a set is."""
         multiplier = _as_int(multiplier, "root multiplier", 1)
         counts: dict[complex, int] = {}
         for i, r in enumerate(_items(roots, "roots", least=0)):
@@ -293,8 +295,6 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     """
     _kind(poles, "poles", PoleSet)
     poly_degree = _as_int(poly_degree, "polynomial degree", 0)
-    if not poles.conjugate_closed:
-        raise ValidationError("pole set must be closed under conjugation")
     bad = [p for p, _ in poles.poles if interval_distance(p) < _MIN_POLE_DISTANCE]
     if bad:
         raise ValidationError(

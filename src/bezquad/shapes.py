@@ -37,11 +37,26 @@ __all__ = [
 ]
 
 _ARC_WEIGHTS = _frozen(np.array([1.0, math.sqrt(2) / 2, 1.0]))
+_ONES = _frozen(np.ones((2, 2)))  # the weights of every bilinear patch
 # quadrant q's arc has the control points 2q, 2q + 1 and 2q + 2 of the
 # square of half-side 1 about the center, counter-clockwise from (1, 0)
 _CORNERS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
 _QUARTERS = _frozen(
     np.array([[_CORNERS[(2 * q + i) % 8] for i in range(3)] for q in range(4)], dtype=float)
+)
+# the box corner at each control point of its six faces, True taking hi
+# on that axis and False lo: a face's point [i][j] sits at (u, v) = (i, j),
+# and u x v points out of the box
+_FACES = np.array(
+    [
+        [[(0, 1, 0), (0, 0, 0)], [(1, 1, 0), (1, 0, 0)]],  # bottom: u along +x, v along -y
+        [[(0, 0, 1), (0, 1, 1)], [(1, 0, 1), (1, 1, 1)]],  # top: u along +x, v along +y
+        [[(0, 0, 0), (0, 0, 1)], [(1, 0, 0), (1, 0, 1)]],  # front: u along +x, v along +z
+        [[(0, 1, 0), (1, 1, 0)], [(0, 1, 1), (1, 1, 1)]],  # back: u along +z, v along +x
+        [[(0, 0, 0), (0, 1, 0)], [(0, 0, 1), (0, 1, 1)]],  # left: u along +z, v along +y
+        [[(1, 0, 0), (1, 0, 1)], [(1, 1, 0), (1, 1, 1)]],  # right: u along +y, v along +z
+    ],
+    dtype=bool,
 )
 
 
@@ -134,33 +149,16 @@ def annulus_region(center=(0.0, 0.0), outer=1.0, inner=0.5) -> PlanarRegion:
 def bilinear_patch(p00, p10, p01, p11) -> RationalBezierPatch:
     """Flat-weight bilinear patch; pij is the corner at (u, v) = (i, j)."""
     corners = zip((p00, p10, p01, p11), ("p00", "p10", "p01", "p11"))
-    return _bilinear(*(_adopt(p, name, shape=(3,)) for p, name in corners))
-
-
-def _bilinear(p00, p10, p01, p11) -> RationalBezierPatch:
-    # the box and cylinder builders pass corners made of their checked floats
-    return RationalBezierPatch(np.array([[p00, p01], [p10, p11]], dtype=float), np.ones((2, 2)))
+    p00, p10, p01, p11 = (_adopt(p, name, shape=(3,)) for p, name in corners)
+    return RationalBezierPatch(np.array([[p00, p01], [p10, p11]]), _ONES)
 
 
 def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
-    """Axis-aligned box as six outward-oriented bilinear patches; ``hi``
-    must exceed ``lo`` on every axis."""
-    (x0, y0, z0), (x1, y1, z1) = _span(lo, hi, 3)
-    patches = [
-        # bottom z = z0, normal -z: u runs along +x, v along -y
-        _bilinear((x0, y1, z0), (x1, y1, z0), (x0, y0, z0), (x1, y0, z0)),
-        # top z = z1, normal +z
-        _bilinear((x0, y0, z1), (x1, y0, z1), (x0, y1, z1), (x1, y1, z1)),
-        # front y = y0, normal -y: u along +x, v along +z
-        _bilinear((x0, y0, z0), (x1, y0, z0), (x0, y0, z1), (x1, y0, z1)),
-        # back y = y1, normal +y: u along +z, v along +x
-        _bilinear((x0, y1, z0), (x0, y1, z1), (x1, y1, z0), (x1, y1, z1)),
-        # left x = x0, normal -x: u along +z, v along +y
-        _bilinear((x0, y0, z0), (x0, y0, z1), (x0, y1, z0), (x0, y1, z1)),
-        # right x = x1, normal +x: u along +y, v along +z
-        _bilinear((x1, y0, z0), (x1, y1, z0), (x1, y0, z1), (x1, y1, z1)),
-    ]
-    return SolidModel(tuple(TrimmedPatch(p) for p in patches))
+    """Axis-aligned box as six outward-oriented bilinear patches, views of
+    one block of points; ``hi`` must exceed ``lo`` on every axis."""
+    lo, hi = _span(lo, hi, 3)
+    nets = _frozen(np.where(_FACES, hi, lo))
+    return SolidModel(tuple(TrimmedPatch(RationalBezierPatch(p, _ONES)) for p in nets))
 
 
 def _capped_cylinder(center, radius, z0, height, trim, cap=1.0) -> SolidModel:
@@ -183,8 +181,10 @@ def _capped_cylinder(center, radius, z0, height, trim, cap=1.0) -> SolidModel:
         wts = np.repeat(arc.weights[:, None], 2, axis=1)
         patches.append(TrimmedPatch(RationalBezierPatch(pts, wts)))
     for z, flip in ((z1, 1), (z0, -1)):
-        corner = lambda u, v: (cx + (2 * u - 1) * half, cy + flip * (2 * v - 1) * half, z)
-        cap = _bilinear(corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1))
+        # the corner at (u, v) = (i, j) is the net's point [i][j]
+        xs, ys = (cx - half, cx + half), (cy - flip * half, cy + flip * half)
+        pts = [[(x, y, z) for y in ys] for x in xs]
+        cap = RationalBezierPatch(_frozen(np.array(pts)), _ONES)
         patches.append(TrimmedPatch(cap, (trim,)))
     return SolidModel(tuple(patches))
 

@@ -402,7 +402,7 @@ def test_line_numbers_count_any_line_end_as_one(tmp_path, newline):
     path.write_bytes("0,0\n1,0\n\n0.5\n".replace("\n", newline).encode())
     with pytest.raises(ValidationError) as err:
         load_trim_points(path)
-    assert str(err.value) == f"{path} line 4: expected 'u,v'"
+    assert str(err.value) == f"{path} line 4: expected 2 fields, got 1"
 
 
 @pytest.mark.parametrize(
@@ -1019,6 +1019,27 @@ def test_trim_points_blocks(tmp_path):
         path.write_text(f"0,0\n0.1,0.2\n\n{bad},0.5\n")
         with pytest.raises(ValidationError, match="line 4: non-finite value$"):
             load_trim_points(path)
+
+
+def test_trim_points_blocks_end_at_any_skipped_line(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("0,0\n1,0\n\n\n\n0.5,0.5\n  \n\t\n0.6,0.5\n0.7,0.5\n \n")
+    blocks = load_trim_points(path)
+    assert [b.tolist() for b in blocks] == [[[0, 0], [1, 0]], [[0.5, 0.5]], [[0.6, 0.5], [0.7, 0.5]]]
+
+
+def test_trim_points_errors_read_as_rule_file_errors(tmp_path):
+    # a 3-field row read "expected 'u,v'", and a non-finite row was
+    # reported before a later malformed one
+    path = tmp_path / "pts.csv"
+    path.write_text("0,0\n1,0,2\n")
+    with pytest.raises(ValidationError) as err:
+        load_trim_points(path)
+    assert str(err.value) == f"{path} line 2: expected 2 fields, got 3"
+    path.write_text("0,0\nnan,1\n\n0.5,x\n")
+    with pytest.raises(ValidationError) as err:
+        load_trim_points(path)
+    assert str(err.value) == f"{path} line 4: malformed number"
 
 
 def test_non_finite_json_geometry_rejected(tmp_path):

@@ -22,7 +22,12 @@ from bezquad.quad1d import (
 )
 
 from bezquad.shapes import box_solid, circle_region, cylinder_solid, cylinder_solid_fitted
-from bezquad.surface import boundary_rule, surface_integrate
+from bezquad.surface import (
+    boundary_rule,
+    parametric_area_rule,
+    surface_integrate,
+    unit_square_loop,
+)
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import volume_rule
 
@@ -193,14 +198,27 @@ def test_pole_set_grouping():
     ps = PoleSet.from_roots([2.0, 2.0, 1j, -1j], multiplier=3)
     assert ps.total_multiplicity == 12
     assert dict(ps.poles)[2.0 + 0j] == 6
-    assert ps.conjugate_closed
 
 
 def test_pole_set_open_under_conjugation():
-    ps = PoleSet(((0.5 + 2j, 1),))
-    assert not ps.conjugate_closed
     with pytest.raises(ValidationError):
-        rational_rule(ps, 0)
+        PoleSet(((0.5 + 2j, 1),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PoleSet.from_roots([1j]),
+        lambda: PoleSet.from_roots([0.5 + 2j, 0.5 - 2j, 0.5 - 2j]),
+        lambda: PoleSet(((0.5 + 2j, 1), (0.5 - 2j, 2))),
+    ],
+    ids=["lone-root", "unequal-roots", "unequal-multiplicities"],
+)
+def test_pole_sets_are_refused_open_under_conjugation(build):
+    # an open set was built, and refused only when a rule was asked of it
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == "poles: pole set must be closed under conjugation"
 
 
 @pytest.mark.parametrize(
@@ -529,6 +547,24 @@ def test_below_minimum_messages(case):
     with pytest.raises(ValidationError) as info:
         call()
     assert str(info.value) == message
+
+
+# each count used to reach numpy or range() and raise a raw OverflowError
+# or ValueError; 2**63 is the least count beyond int64
+_BEYOND_INT64 = {
+    "gauss": (lambda: gauss_legendre(2**63), "node count"),
+    "spectral": (lambda: spectral_rule(circle_region(), 2**63, 2), "node count"),
+    "parametric-area": (lambda: parametric_area_rule([unit_square_loop()], 2**63, 2), "node count"),
+    "volume": (lambda: volume_rule(box_solid(), 2, 2, 2**63), "node count"),
+    "fitted-cylinder": (lambda: cylinder_solid_fitted(segments=2**63), "segments"),
+}
+
+
+@pytest.mark.parametrize("call, what", _BEYOND_INT64.values(), ids=_BEYOND_INT64)
+def test_counts_beyond_int64_are_refused(call, what):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == f"{what} must fit in int64, got {2**63}"
 
 
 def test_none_keeps_its_default():

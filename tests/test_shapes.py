@@ -3,6 +3,7 @@ read-only views of one block of control points, byte for byte the arcs
 of the per-arc construction, and every builder refuses a bad argument at
 its name."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -122,6 +123,48 @@ def test_a_loops_arcs_share_one_read_only_block(clockwise):
     # a curve built from an arc keeps its arrays as they are
     again = RationalBezierCurve(loops[0][1].points, loops[0][1].weights)
     assert again.points is loops[0][1].points and again.weights is loops[0][1].weights
+
+
+def test_a_boxs_nets_are_views_of_one_read_only_block():
+    patches = [tp.patch for tp in box_solid((-1.5, 0.25, 2.0), (0.5, 3.0, 2.125)).patches]
+    for field in ("points", "weights"):
+        owners = {id(_owner(getattr(p, field))) for p in patches}
+        assert len(owners) == 1, field
+        assert not any(getattr(p, field).flags.writeable for p in patches)
+        assert not _owner(getattr(patches[0], field)).flags.writeable
+    assert _owner(patches[0].points).shape == (6, 2, 2, 3)
+
+
+# sha256 of each patch's points.tobytes() then weights.tobytes(), patch by
+# patch, as the per-patch construction of the box and the caps gave them
+_NET_BYTES = {
+    "box": (box_solid, (), "ec758fc2e0c8d581e5c98babd5db3575346ee7828bd515ed6dd823e0644de74b"),
+    "box-off-origin": (
+        box_solid,
+        ((-1.5, 0.25, 2.0), (0.5, 3.0, 2.125)),
+        "5176db172110e5aea294faea094e6ae69e5a123ff2c9db6a5cf3dfb1a7142108",
+    ),
+    "cylinder": (
+        cylinder_solid, (), "01c8621e629358402712a923384351ce91342959154ab8461a7a21e638b9f2dd"
+    ),
+    "cylinder-off-origin": (
+        cylinder_solid,
+        ((0.3, -1.7), 2.5, -0.75, 3.25),
+        "a628a2157c0a233b39b8fed871de8e7ec45dc4f5c385aeb62309b91d68f1db20",
+    ),
+    "fitted-cylinder": (
+        cylinder_solid_fitted, (), "0e60c371f129f39b0a208e32bde8bc39e9845a9cc8251415d2aa1d52edfe1fee"
+    ),
+}
+
+
+@pytest.mark.parametrize("build, args, digest", _NET_BYTES.values(), ids=_NET_BYTES)
+def test_solid_nets_keep_their_bytes(build, args, digest):
+    h = hashlib.sha256()
+    for tp in build(*args).patches:
+        h.update(tp.patch.points.tobytes())
+        h.update(tp.patch.weights.tobytes())
+    assert h.hexdigest() == digest
 
 
 # each row used to be accepted, or to fail with an error that names no argument
