@@ -1,17 +1,26 @@
-"""Shared geometry helpers and the acceptance-line reporter."""
+"""Shared geometry helpers, the closed forms and the acceptance-line reporter."""
 
 import copy
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 
 from bezquad.bezier import RationalBezierCurve, RationalBezierPatch
 from bezquad.io import bundled
 from bezquad.planar import PlanarRegion
-from bezquad.shapes import cylinder_solid
-from bezquad.surface import TrimmedPatch, unit_square_loop
+from bezquad.shapes import bilinear_patch, cylinder_solid, quarter_arc
+from bezquad.surface import TrimLoop, TrimmedPatch, unit_square_loop
 from bezquad.volume import SolidModel
+
+# the closed forms, by path from the benchmark's stdlib-only module: the one
+# home of every exact reference the tests and the benchmark check against
+_EXACT = pathlib.Path(__file__).parents[1] / "benchmarks" / "exact.py"
+_spec = importlib.util.spec_from_file_location("exact", _EXACT)
+exact = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(exact)
 
 
 def random_quadratic_region(rng, n_curves=6):
@@ -50,6 +59,22 @@ def x_axis_cylinder():
             for tp in cylinder_solid().patches
         )
     )
+
+
+def line(a, b):
+    return RationalBezierCurve([a, b], [1.0, 1.0])
+
+
+def triangle_loop():
+    return TrimLoop((line((0, 0), (1, 0)), line((1, 0), (0, 1)), line((0, 1), (0, 0))))
+
+
+def quarter_disk_loop():
+    return TrimLoop((line((0, 0), (1, 0)), quarter_arc((0, 0), 1.0, 0), line((0, 1), (0, 0))))
+
+
+def flat_unit_patch(z=0.0, xscale=1.0):
+    return bilinear_patch((0, 0, z), (xscale, 0, z), (0, 1, z), (xscale, 1, z))
 
 
 def collapsed_edge_patch():

@@ -6,19 +6,18 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.special
 
 from bezquad.cli import _build_parser, main
 from bezquad.io import bundled, load_model, save_moments, save_solid
 from bezquad.moments import geometric_moments
 
-from conftest import bundled_with, x_axis_cylinder
+from conftest import bundled_with, exact, x_axis_cylinder
 
 CIRCLE = str(bundled("circle.region.json"))
 CUBE = str(bundled("cube.solid.json"))
 CYLINDER = str(bundled("cylinder.solid.json"))
 
-EXP_DISK = 2 * math.pi * scipy.special.iv(1, math.sqrt(2)) / math.sqrt(2)
+EXP_DISK = exact.disk_exp_integral(0.0, 0.0, 1.0)
 
 
 def run(capsys, *argv):
@@ -511,16 +510,8 @@ def test_600_term_polynomial_integrates_with_and_without_pe(capsys):
         assert (code, err) == (0, "")
         values.append(float(out))
     # 600 terms of exact monomial integrals over the unit disk
-    exact = sum((k % 7 + 1) * _disk_monomial(k % 4, k % 3) for k in range(600))
-    assert values == pytest.approx([exact, exact], rel=1e-13)
-
-
-def _disk_monomial(a, b):
-    """Integral of x^a y^b over the unit disk."""
-    if a % 2 or b % 2:
-        return 0.0
-    beta = math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2) / math.gamma((a + b + 2) / 2)
-    return 2 * beta / (a + b + 2)
+    want = sum((k % 7 + 1) * exact.unit_disk_moment(k % 4, k % 3) for k in range(600))
+    assert values == pytest.approx([want, want], rel=1e-13)
 
 
 def test_closed_stdout_pipe_exits_1_quietly():

@@ -17,36 +17,9 @@ from bezquad.moments import (
 from bezquad.shapes import annulus_region, box_solid, circle_region, cylinder_solid, square_region
 from bezquad.volume import SolidModel
 
-from conftest import random_quadratic_region, x_axis_cylinder
+from conftest import exact, random_quadratic_region, x_axis_cylinder
 
 PI = math.pi
-
-
-def disk_moment(a, b):
-    """Closed form for the unit disk: zero for odd exponents, a Gamma
-    ratio otherwise."""
-    if a % 2 or b % 2:
-        return 0.0
-    return (
-        math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2) / math.gamma((a + b) / 2 + 2)
-    )
-
-
-def cylinder_moment(a, b, c, center=(0.0, 0.0), radius=1.0, z0=0.0, height=1.0):
-    """Closed form for an upright cylinder: the binomially shifted disk
-    moment times the z integral."""
-    cx, cy = center
-    disk = math.fsum(
-        math.comb(a, i) * math.comb(b, j) * cx ** (a - i) * cy ** (b - j)
-        * radius ** (i + j + 2) * disk_moment(i, j)
-        for i in range(a + 1)
-        for j in range(b + 1)
-    )
-    return disk * ((z0 + height) ** (c + 1) - z0 ** (c + 1)) / (c + 1)
-
-
-def box_moment(a, b, c, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
-    return math.prod((h ** (e + 1) - l ** (e + 1)) / (e + 1) for e, l, h in zip((a, b, c), lo, hi))
 
 
 def test_exponent_order_graded_lex():
@@ -89,12 +62,7 @@ def test_circle_moments_degree_2():
 def test_circle_moments_against_gamma_formula():
     mv = geometric_moments(circle_region(), 6)
     for (a, b), got in zip(mv.exponents, mv.values):
-        assert got == pytest.approx(disk_moment(a, b), abs=1e-10)
-
-
-def test_square_moments_degree_1():
-    mv = geometric_moments(square_region(), 1)
-    assert np.allclose(mv.values, [1.0, 0.5, 0.5], atol=1e-13)
+        assert got == pytest.approx(exact.unit_disk_moment(a, b), abs=1e-10)
 
 
 def test_reflection_kills_odd_moments():
@@ -118,26 +86,15 @@ def test_cube_moments_do_not_warn():
         geometric_moments(box_solid(), 2)
 
 
-def test_off_origin_box_moments_closed_form():
-    # the lowest control z is 2, not 0: the boundary route must not lean
-    # on a zero base height
-    lo, hi = (0.5, 1.0, 2.0), (1.5, 2.5, 3.25)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mv = geometric_moments(box_solid(lo, hi), 8)
-    for exps, got in zip(mv.exponents, mv.values):
-        assert got == pytest.approx(box_moment(*exps, lo, hi), rel=1e-13)
-
-
 _OFF_ORIGIN = dict(center=(0.3, -0.7), radius=1.5, z0=-0.4, height=2.0)
 
 
 @pytest.mark.parametrize(
     "solid, closed_form",
     [
-        (box_solid(), box_moment),
-        (cylinder_solid(**_OFF_ORIGIN), lambda *e: cylinder_moment(*e, **_OFF_ORIGIN)),
-        (load_solid(bundled("cylinder.solid.json")), cylinder_moment),
+        (box_solid(), lambda *e: exact.box_moment(*e, (0, 0, 0), (1, 1, 1))),
+        (cylinder_solid(**_OFF_ORIGIN), lambda *e: exact.cylinder_moment(*e, 0.3, -0.7, 1.5, -0.4, 2.0)),
+        (load_solid(bundled("cylinder.solid.json")), lambda *e: exact.cylinder_moment(*e, 0, 0, 1, 0, 1)),
     ],
     ids=["cube", "off-origin-cylinder", "bundled-cylinder"],
 )

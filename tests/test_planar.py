@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.special
 
 from bezquad.bezier import RationalBezierCurve, control_bbox, eval_curve, eval_curve_derivative
 import bezquad.planar as planar
@@ -26,12 +25,12 @@ from bezquad.quad1d import gauss_legendre
 from bezquad.shapes import annulus_region, circle_region, polygon_loop, quarter_arc, square_region
 from bezquad.surface import parametric_area_rule, unit_square_loop
 
-from conftest import elevated, random_quadratic_region
+from conftest import elevated, exact, random_quadratic_region
 
 PI = math.pi
 
-# area integral of exp(x + y) over the unit disk, via the Bessel identity
-EXP_DISK = 2 * PI * scipy.special.iv(1, math.sqrt(2)) / math.sqrt(2)
+# area integral of exp(x + y) over the unit disk
+EXP_DISK = exact.disk_exp_integral(0.0, 0.0, 1.0)
 
 
 def area(rule):
@@ -88,38 +87,6 @@ def test_spectral_pe_circle_counts_and_exactness():
     assert abs(area(rule) - PI) < 1e-10
     assert abs(integrate2d(rule, lambda x, y: x**2) - PI / 4) < 1e-10
     assert abs(integrate2d(rule, lambda x, y: x * y**2)) < 1e-10
-
-
-def _disk_moment(a, b):
-    # unit-disk monomial integrals: zero unless both exponents even, else a
-    # beta-function value
-    if a % 2 or b % 2:
-        return 0.0
-    return 2 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2) / (
-        (a + b + 2) * math.gamma((a + b) / 2 + 1)
-    )
-
-
-def test_spectral_pe_monomial_exactness_by_degree():
-    reg = circle_region()
-    for k in (1, 2, 3, 4):
-        rule = spectral_pe_rule(reg, k)
-        for a in range(k + 1):
-            for b in range(k - a + 1):
-                got = integrate2d(rule, lambda x, y: x**a * y**b)
-                exact = _disk_moment(a, b)
-                assert abs(got - exact) < 1e-10 * max(1.0, abs(exact))
-
-
-def test_spectral_pe_square_polynomial_curves():
-    reg = square_region()
-    for k in (0, 1, 2, 3):
-        rule = spectral_pe_rule(reg, k)
-        for a in range(k + 1):
-            for b in range(k - a + 1):
-                got = integrate2d(rule, lambda x, y: x**a * y**b)
-                exact = 1.0 / ((a + 1) * (b + 1))
-                assert abs(got - exact) < 1e-12
 
 
 def test_polynomial_curve_detection():
@@ -463,8 +430,8 @@ def test_pe_rescaled_arcs_exact_to_rounding(make, inner, counts):
     region = _rescaled(make(), (0.5, 2.0, 0.7, 1.6))
     for k, count in zip((4, 8, 16), counts):
         got = geometric_moments(region, k)
-        exact = [_disk_moment(a, b) * (1.0 - inner ** (a + b + 2)) for a, b in got.exponents]
-        assert np.max(np.abs(got.values - exact)) < 1e-14, k
+        want = [exact.annulus_moment(a, b, 0.0, 0.0, 1.0, inner) for a, b in got.exponents]
+        assert np.max(np.abs(got.values - want)) < 1e-14, k
         assert len(spectral_pe_rule(region, k)) == len(spectral_pe_rule(make(), k)) == count
 
 
@@ -540,10 +507,13 @@ def test_region_rule_numbers_each_curve_from_zero(k):
         assert q[mine].tolist() == np.repeat(np.arange(counts[i]), layer_order).tolist()
         assert zeta[mine].tolist() == np.tile(np.arange(layer_order), counts[i]).tolist()
     assert zeta.min() == 0 and zeta.max() < layer_order
-    # integral of y^k over the upper half disk: (1/(k+2)) int_0^pi sin^k
-    exact = scipy.special.beta(0.5, (k + 1) / 2) / (k + 2)
+    # integral of y^k over the upper half disk, S_k / (k+2) with S_k the
+    # integral of sin^k over [0, pi]: half the disk moment for even k; for
+    # odd k, from S_(k-1) = (k+1) m(0, k-1) / 2 by Wallis' S_k S_(k-1) = 2 pi / k
+    m = exact.unit_disk_moment(0, k - k % 2)
+    want = 4 * PI / (k * (k + 1) * (k + 2) * m) if k % 2 else m / 2
     got = integrate2d(rule, lambda x, y: y**k)
-    assert got == pytest.approx(exact, rel=1e-13, abs=1e-15)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (6, 6)])

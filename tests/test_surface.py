@@ -12,7 +12,6 @@ from bezquad import (
     ValidationError,
     SolidModel,
     apply,
-    bilinear_patch,
     boundary_rule,
     box_solid,
     circle_region,
@@ -21,18 +20,13 @@ from bezquad import (
     eval_patch,
     integrate2d,
     parametric_area_rule,
-    quarter_arc,
     spectral_rule,
     surface_integrate,
     unit_square_loop,
     volume_rule,
 )
 
-from conftest import collapsed_edge_patch
-
-
-def line(a, b):
-    return RationalBezierCurve([a, b], [1.0, 1.0])
+from conftest import collapsed_edge_patch, flat_unit_patch, line, quarter_disk_loop, triangle_loop
 
 
 def square_looped(patch):
@@ -41,34 +35,7 @@ def square_looped(patch):
     return TrimmedPatch(patch, (unit_square_loop(),))
 
 
-def triangle_loop():
-    return TrimLoop((line((0, 0), (1, 0)), line((1, 0), (0, 1)), line((0, 1), (0, 0))))
-
-
-def quarter_disk_loop():
-    return TrimLoop((line((0, 0), (1, 0)), quarter_arc((0, 0), 1.0, 0), line((0, 1), (0, 0))))
-
-
-def flat_unit_patch(z=0.0, xscale=1.0):
-    return bilinear_patch((0, 0, z), (xscale, 0, z), (0, 1, z), (xscale, 1, z))
-
-
 # ---------------------------------------------------------------- parametric
-
-
-def test_parametric_area_unit_square():
-    rule = parametric_area_rule([unit_square_loop()], 4, 4)
-    assert abs(np.sum(rule.weights) - 1.0) < 1e-13
-
-
-def test_parametric_area_triangle():
-    rule = parametric_area_rule([triangle_loop()], 6, 6)
-    assert abs(np.sum(rule.weights) - 0.5) < 1e-13
-
-
-def test_parametric_area_quarter_disk():
-    rule = parametric_area_rule([quarter_disk_loop()], 12, 12)
-    assert abs(np.sum(rule.weights) - np.pi / 4) < 1e-12
 
 
 def test_parametric_points_stay_in_unit_square():
@@ -128,12 +95,6 @@ def test_untrimmed_matches_explicit_square_loop():
 def test_surface_rule_accepts_bare_patch():
     rule = boundary_rule((flat_unit_patch(),), 3, 3)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
-
-
-def test_trimmed_flat_patch_quarter_disk():
-    tp = TrimmedPatch(flat_unit_patch(), (quarter_disk_loop(),))
-    rule = boundary_rule((tp,), 12, 12)
-    assert abs(np.sum(rule.weights) - np.pi / 4) < 1e-12
 
 
 def test_preimages_and_provenance():
