@@ -241,7 +241,7 @@ def _columns(nets, k, which):
     points, or with ``which`` the stacked net ``nets[which[i]]`` for point i."""
     if which is None:
         return np.broadcast_to(nets[..., None], nets.shape + (k,))
-    return np.take(np.moveaxis(nets, 0, -1), which, axis=-1)
+    return np.take(nets.transpose(*range(1, nets.ndim), 0), which, axis=-1)
 
 
 def _curve_point_derivative(ctrl, s, which=None):
@@ -256,12 +256,25 @@ def _curve_point_derivative(ctrl, s, which=None):
     return point, (hodo[:-1] - point * hodo[-1]) / w
 
 
+def _groups(shapes) -> list:
+    """The indices of the items of each distinct shape, shapes in the order
+    they first occur."""
+    groups: dict = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    return list(groups.values())
+
+
 def _batches(shapes, owner):
     """One batch per distinct shape of the items: the item indices, the
     rows of ``owner`` (each row's item index) that belong to them, and each
-    such row's position among those items."""
-    for shape in dict.fromkeys(shapes):
-        members = [i for i, s in enumerate(shapes) if s == shape]
+    such row's position among those items.  When every item has one shape,
+    the one batch takes every row: ``slice(None)`` and ``owner`` itself."""
+    groups = _groups(shapes)
+    if len(groups) == 1:
+        yield groups[0], slice(None), owner
+        return
+    for members in groups:
         slot = np.full(len(shapes), -1)
         slot[members] = np.arange(len(members))
         sel = np.flatnonzero(slot[owner] >= 0)

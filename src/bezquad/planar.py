@@ -13,11 +13,12 @@ Loops are traversed counter-clockwise around material; clockwise loops
 subtract (holes).  With that convention the geometric factor is minus the
 x-derivative of the curve.
 
-The degree-exact rule first puts each curve with unequal end weights into
-standard form (end weights 1) by a Moebius reparametrization that keeps its
-trace and orientation.  Curves that differ only by such a rescaling of
-their weights (the arcs of one circle written with weights (1, c, c^2),
-say) then share one memoized intermediate rule.
+The degree-exact rule first puts the weights of each curve with unequal
+end weights into standard form (end weights 1), the Moebius
+reparametrization that keeps its trace and orientation, on the stacked
+weights of each curve degree at once.  Curves that differ only by such a
+rescaling of their weights (the arcs of one circle written with weights
+(1, c, c^2), say) then share one memoized intermediate rule.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .bezier import (
     _closed_chain,
     _curve_point_derivative,
     _frozen,
+    _groups,
     _homogeneous,
     _items,
     _kind,
@@ -177,7 +179,7 @@ def apply(rule: Rule, f) -> float:
         # a scalar is broadcast; broadcast_to refuses a wrong shape
         vals = vals if vals.shape == shape else np.broadcast_to(vals, shape)
         total = np.dot(rule.weights, vals)
-    if np.isfinite(total):
+    if math.isfinite(total):
         return float(total)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
@@ -200,7 +202,7 @@ def region_constant_C(region: PlanarRegion) -> float:
     antiderivative segments have non-negative length.
     """
     _kind(region, "region", PlanarRegion)
-    return min(float(c.points[:, 1].min()) for c in region.curves)
+    return float(np.concatenate([c.points for c in region.curves])[:, 1].min())
 
 
 def _equal_weights(w) -> bool:
@@ -218,19 +220,21 @@ def _lift(points, owner, base, order, *factors):
     provenance rows (owner, point index within the owner, node), rows
     running point by point, node by node: read-only (k * order, dim),
     (k * order,) and (k * order, 3) views of one (dim + 4, k, order)
-    block, provenance stored as int64, allocated once per call.
+    block, provenance stored as int64, allocated once per call.  A product
+    that overflows is left inf or NaN, for the rule to refuse.
     """
     k, dim = points.shape
     x, w = _leggauss(order)
     top = points[:, -1]
-    mid, half = 0.5 * (base + top), 0.5 * (top - base)
     block = np.empty((dim + 4, k, order))
     block[: dim - 1] = points.T[:-1, :, None]
-    np.multiply(half[:, None], x, out=block[dim - 1])
-    block[dim - 1] += mid[:, None]
-    np.multiply(half[:, None], w, out=block[dim])
-    for f in factors:
-        block[dim] *= f[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid, half = 0.5 * (base + top), 0.5 * (top - base)
+        np.multiply(half[:, None], x, out=block[dim - 1])
+        block[dim - 1] += mid[:, None]
+        np.multiply(half[:, None], w, out=block[dim])
+        for f in factors:
+            block[dim] *= f[:, None]
     prov = block[dim + 1 :].view(np.int64)
     prov[0] = owner[:, None]
     prov[1] = (np.arange(k) - np.searchsorted(owner, owner))[:, None]
@@ -239,22 +243,32 @@ def _lift(points, owner, base, order, *factors):
     return rows[:dim].T, rows[dim], rows[dim + 1 :].view(np.int64).T
 
 
-def _region_rule(curves, curve_rules, base, layer_order) -> Rule:
-    """Green's-theorem rule: one Rule1D on [0, 1] per boundary curve, every
-    node lifted from height ``base`` by a ``layer_order``-point segment.
-    Provenance rows are (curve, q, zeta), curves in flattened order.  The
-    curves of one degree are evaluated in one de Casteljau pass."""
-    owner = np.repeat(np.arange(len(curves)), [len(r) for r in curve_rules])
+def _lifted(make, *lift_args) -> Rule:
+    """``make(*_lift(*lift_args))``.  Its inputs are finite, so a point or
+    weight the rule refuses as not finite overflowed float64 on the way."""
+    try:
+        return make(*_lift(*lift_args))
+    except ValidationError as exc:
+        raise ValidationError(f"the built rule overflowed float64: {exc}") from None
+
+
+def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:
+    """Green's-theorem rule: one Rule1D on [0, 1] per boundary curve, given
+    by its control ``points`` and ``weights``, every node lifted from height
+    ``base`` by a ``layer_order``-point segment.  Provenance rows are
+    (curve, q, zeta), curves in flattened order.  The curves of one degree
+    are stacked and evaluated in one de Casteljau pass."""
+    owner = np.repeat(np.arange(len(points)), [len(r) for r in curve_rules])
     nodes = np.concatenate([r.nodes for r in curve_rules])
-    points = np.empty((2, nodes.size))
+    xy = np.empty((2, nodes.size))
     factor = np.empty(nodes.size)
-    for members, sel, which in _batches([c.points.shape[0] for c in curves], owner):
-        ctrl = np.stack([_homogeneous(curves[i].points, curves[i].weights) for i in members])
-        points[:, sel], der = _curve_point_derivative(ctrl, nodes[sel], which)
+    for members, sel, which in _batches([len(w) for w in weights], owner):
+        stack = [np.array([a[i] for i in members]) for a in (points, weights)]
+        xy[:, sel], der = _curve_point_derivative(_homogeneous(*stack), nodes[sel], which)
         # counter-clockwise material: the factor is -dx/ds
         factor[sel] = -der[0]
     w = np.concatenate([r.weights for r in curve_rules])
-    return Rule2D(*_lift(points.T, owner, base, layer_order, w, factor))
+    return _lifted(Rule2D, xy.T, owner, base, layer_order, w, factor)
 
 
 def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule:
@@ -267,29 +281,31 @@ def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -
     _kind(region, "region", PlanarRegion)
     boundary_order, layer_order = _orders(boundary_order, layer_order)
     curves = region.curves
-    base = gauss_legendre(boundary_order, (0.0, 1.0))
-    return _region_rule(curves, [base] * len(curves), region_constant_C(region), layer_order)
+    rules = [gauss_legendre(boundary_order, (0.0, 1.0))] * len(curves)
+    points, weights = [c.points for c in curves], [c.weights for c in curves]
+    return _region_rule(points, weights, rules, region_constant_C(region), layer_order)
 
 
-def _pe_intermediate_rule(curve: RationalBezierCurve, degree: int) -> Rule1D:
-    """Intermediate rule on one curve making the boundary integral exact
-    for integrands of total degree <= ``degree``.
+def _pe_intermediate_rule(weights, degree: int) -> Rule1D:
+    """Intermediate rule on a curve with these ``weights`` making the
+    boundary integral exact for integrands of total degree <= ``degree``.
 
     The rule depends only on the curve's weights, so congruent curves (the
     arcs of a circle, say) share one cached rule.  The cache is keyed on the
-    weights as given; ``spectral_pe_rule`` passes curves in standard form,
+    weights as given; ``spectral_pe_rule`` passes weights in standard form,
     so Moebius-rescaled copies of one curve hit the same entry.  ``Rule1D``
     is frozen with read-only arrays; exceptions are not cached.
     """
-    key = curve.weights.tobytes()
-    if curve.degree <= _CONDITIONING_DEGREE or _equal_weights(curve.weights):
+    key = weights.tobytes()
+    m = weights.size - 1
+    if m <= _CONDITIONING_DEGREE or _equal_weights(weights):
         return _weights_rule(key, degree)
     # A cache hit converts no basis, so it raises the conditioning warning
     # that the build (a miss) raises from weight_poly_roots.
     misses = _weights_rule.cache_info().misses
     rule = _weights_rule(key, degree)
     if _weights_rule.cache_info().misses == misses:
-        _warn_if_high_degree(curve.degree)
+        _warn_if_high_degree(m)
     return rule
 
 
@@ -308,26 +324,27 @@ def _weights_rule(weight_bytes: bytes, degree: int) -> Rule1D:
     return gauss_legendre(math.ceil((intermediate_degree + 1) / 2), (0.0, 1.0))
 
 
-def _standard_form(curve: RationalBezierCurve) -> RationalBezierCurve:
-    """The same curve with end weights 1: w_i / (w_0^((m-i)/m) w_m^(i/m)).
+def _standard_form(weights):
+    """Stacked (N, m+1) curve weights with end weights 1: each row w becomes
+    w_i / (w_0^((m-i)/m) w_m^(i/m)).
 
     That is the reparametrization s = a t / (a t + 1 - t), a > 0, with the
-    weights divided by w_0; trace and orientation stay.  A curve with equal
+    weights divided by w_0; trace and orientation stay.  A row with equal
     end weights, or whose rescaled weights are not finite and positive,
-    comes back as it is.
+    stays as it is, and ``weights`` itself comes back when every row does.
     """
-    w = curve.weights
-    if w[0] == w[-1]:
-        return curve
-    m = w.size - 1
-    i = np.arange(m + 1)
+    w0, wm = weights[:, :1], weights[:, -1:]
+    moved = (w0 != wm)[:, 0]
+    if not moved.any():
+        return weights
+    m = weights.shape[1] - 1
     with np.errstate(all="ignore"):
-        scaled = w / (w[0] ** ((m - i) / m) * w[-1] ** (i / m))
-    scaled[[0, -1]] = 1.0
-    try:
-        return RationalBezierCurve(curve.points, _frozen(scaled))
-    except ValidationError:
-        return curve
+        # exponents (m - i) / m and i / m
+        scaled = weights / (w0 ** (np.arange(m, -1, -1) / m) * wm ** (np.arange(m + 1) / m))
+    scaled[:, ::m] = 1.0
+    # NaN compares False, so it stays with inf, zero and negatives
+    moved &= ((scaled > 0) & (scaled < np.inf)).all(axis=1)
+    return np.where(moved[:, None], scaled, weights) if moved.any() else weights
 
 
 def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
@@ -336,10 +353,10 @@ def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
 
     Rational curves get a rational-exact intermediate rule built on their
     weight-polynomial poles at multiplicity degree + 3; polynomial curves
-    get plain Gauss.  Each curve is built and evaluated in standard form
-    (equal end weights), which keeps its trace, so provenance ``q`` still
-    counts nodes along it.  Each boundary node carries ceil((degree + 1) / 2)
-    antiderivative points.
+    get plain Gauss.  Each curve's rule is built, and the curve evaluated,
+    in standard form (end weights 1), which keeps its trace, so provenance
+    ``q`` still counts nodes along it.  Each boundary node carries
+    ceil((degree + 1) / 2) antiderivative points.
     """
     _kind(region, "region", PlanarRegion)
     degree = _as_int(degree, "exactness degree", 0)
@@ -349,7 +366,15 @@ def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
 def _pe_region_rule(curves, degree, base) -> Rule:
     """The degree-exact Green's-theorem rule over ``curves`` from height
     ``base``: each curve in standard form with its degree-exact
-    intermediate rule, and ceil((degree + 1) / 2) layer points."""
-    curves = [_standard_form(crv) for crv in curves]
-    rules = [_pe_intermediate_rule(crv, degree) for crv in curves]
-    return _region_rule(curves, rules, base, max(1, math.ceil((degree + 1) / 2)))
+    intermediate rule, and ceil((degree + 1) / 2) layer points.  The
+    weights of each degree are put into standard form as one stack; no
+    curve is built."""
+    weights = [c.weights for c in curves]
+    if any(w[0] != w[-1] for w in weights):
+        for members in _groups([w.size for w in weights]):
+            std = _standard_form(np.array([weights[i] for i in members]))
+            for i, row in zip(members, std):
+                weights[i] = row
+    rules = [_pe_intermediate_rule(w, degree) for w in weights]
+    points = [c.points for c in curves]
+    return _region_rule(points, weights, rules, base, max(1, math.ceil((degree + 1) / 2)))

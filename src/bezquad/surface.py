@@ -130,7 +130,8 @@ def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule:
     loops = _items(loops, "loops", TrimLoop)
     m_q, n_q = _orders(m_q, n_q)
     flat = [seg for loop in loops for seg in loop.segments]
-    return _region_rule(flat, [gauss_legendre(m_q, (0.0, 1.0))] * len(flat), 0.0, n_q)
+    rules = [gauss_legendre(m_q, (0.0, 1.0))] * len(flat)
+    return _region_rule([s.points for s in flat], [s.weights for s in flat], rules, 0.0, n_q)
 
 
 def _as_trimmed_patches(patches) -> tuple[TrimmedPatch, ...]:
@@ -171,6 +172,17 @@ def _parts(tps, para, tensor_orders):
     ]
 
 
+def _lengths(vectors):
+    """The length of each column of the (3, k) ``vectors``: the plain
+    norm's, or where its squares overflow, ``np.hypot``'s."""
+    with np.errstate(over="ignore"):
+        out = np.linalg.norm(vectors, axis=0)
+        big = ~np.isfinite(out)
+        if big.any():
+            out[big] = np.hypot.reduce(vectors[:, big], axis=0)
+    return out
+
+
 def _mapped_rule(patches, parts, weight_mode) -> Rule:
     """Push each patch's parametric part through that patch and scale the
     weights by the requested normal factor.
@@ -192,8 +204,8 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
         nets = _homogeneous(pts, np.stack([patches[i].weights for i in members]))
         point[:, sel], normal[:, sel] = _patch_point_normal(nets, pre[sel, 0], pre[sel, 1], which)
         # the diagonal of each patch's control bounding box
-        diagonal[members] = np.linalg.norm(pts.max(axis=(1, 2)) - pts.min(axis=(1, 2)), axis=1)
-    mag = np.linalg.norm(normal, axis=0)
+        diagonal[members] = _lengths((pts.max(axis=(1, 2)) - pts.min(axis=(1, 2))).T)
+    mag = _lengths(normal)
     # collapsed patch edges (sphere poles) must be skipped, not integrated
     degenerate = mag < (_DEGENERATE_NORMAL_REL * diagonal)[owner]
     factor = mag if weight_mode == "full-normal" else normal[2]

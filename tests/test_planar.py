@@ -7,7 +7,7 @@ import pytest
 from bezquad.bezier import RationalBezierCurve, control_bbox, eval_curve, eval_curve_derivative
 import bezquad.planar as planar
 from bezquad.errors import QuadratureError, ValidationError
-from bezquad.moments import _monomials, geometric_moments, monomial_exponents
+from bezquad.moments import _moment_sums, _monomials, geometric_moments, monomial_exponents
 from bezquad.planar import (
     PlanarRegion,
     _equal_weights,
@@ -354,7 +354,7 @@ def test_pe_memo_keyed_on_weights_and_degree():
     # Mobius reparametrization: same arc, weights times (1, c, c^2)
     arc = circle_region().curves[0]
     c = 1.7
-    reparam = RationalBezierCurve(arc.points, arc.weights * np.array([1.0, c, c * c]))
+    reparam = arc.weights * np.array([1.0, c, c * c])
     _pe_intermediate_rule(reparam, 4)
     assert _weights_rule.cache_info().currsize == 3
     assert _pe_intermediate_rule(reparam, 4) is _pe_intermediate_rule(reparam, 4)
@@ -363,9 +363,8 @@ def test_pe_memo_keyed_on_weights_and_degree():
 def test_pe_memo_is_bounded():
     _weights_rule.cache_clear()
     maxsize = _weights_rule.cache_info().maxsize
-    pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
     for i in range(maxsize + 50):
-        _pe_intermediate_rule(RationalBezierCurve(pts, np.full(3, 1.0 + i)), 2)
+        _pe_intermediate_rule(np.full(3, 1.0 + i), 2)
     assert _weights_rule.cache_info().currsize <= maxsize
 
 
@@ -376,7 +375,7 @@ def test_pe_memo_does_not_cache_errors(monkeypatch):
     calls = _count_calls(monkeypatch, "rational_rule")
     for expected in (1, 2):
         with pytest.raises(ValidationError, match="within 1e-08"):
-            _pe_intermediate_rule(curve, 3)
+            _pe_intermediate_rule(curve.weights, 3)
         assert calls["rational_rule"] == expected
     assert _weights_rule.cache_info().currsize == 0
 
@@ -400,15 +399,17 @@ def test_pe_memo_warm_call_still_warns():
 # ------------------------------------------------------------ standard form
 
 
-def _rescaled(region, cs):
-    """``region`` with the weights of arc j times (1, c, c^2), c = cs[j % len(cs)]:
-    every arc Moebius-reparametrized, the same trace."""
-    scales = iter(np.resize(cs, len(region.curves)))
+def _rescaled(region, cs, scales=(1.0,)):
+    """``region`` with the weights of curve j times (s, s c, s c^2, ...),
+    c = cs[j % len(cs)] and s = scales[j % len(scales)]: every curve
+    Moebius-reparametrized, the same trace."""
+    n = len(region.curves)
+    pairs = zip(np.resize(cs, n), np.resize(scales, n))
     return PlanarRegion(
         tuple(
             tuple(
-                RationalBezierCurve(arc.points, arc.weights * np.array([1.0, c, c * c]))
-                for arc, c in zip(loop, scales)
+                RationalBezierCurve(crv.points, crv.weights * np.cumprod([s] + [c] * crv.degree))
+                for crv, (c, s) in zip(loop, pairs)
             )
             for loop in region.loops
         )
@@ -454,7 +455,8 @@ def test_standard_form_matches_raw_weight_rule():
         curves, base = region.curves, region_constant_C(region)
         for k in range(17):
             layer_order = max(1, math.ceil((k + 1) / 2))
-            raw = _region_rule(curves, [_pe_intermediate_rule(c, k) for c in curves], base, layer_order)
+            rules = [_pe_intermediate_rule(c.weights, k) for c in curves]
+            raw = _region_rule(*_net(curves), rules, base, layer_order)
             rule = spectral_pe_rule(region, k)
             exps = monomial_exponents(k, 2)
             want = raw.weights @ _monomials(raw.points, exps)
@@ -465,9 +467,11 @@ def test_standard_form_matches_raw_weight_rule():
 
 def test_standard_form_keeps_trace_and_orientation():
     curve = _cubic_loop().curves[0]
-    std = _standard_form(curve)
+    weights = curve.weights[None]
+    before = weights.tobytes()
+    std = RationalBezierCurve(curve.points, _standard_form(weights)[0])
     assert std.weights[0] == std.weights[-1] == 1.0
-    assert std.points.tobytes() == curve.points.tobytes()
+    assert weights.tobytes() == before
     # weights w_i a^i / w_0 with a = (w_0 / w_m)^(1/m): the curve at
     # s = a t / (a t + 1 - t), increasing in t
     a = (curve.weights[0] / curve.weights[-1]) ** (1 / 3)
@@ -478,13 +482,21 @@ def test_standard_form_keeps_trace_and_orientation():
 
 def test_standard_form_returns_curve_unchanged():
     pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
-    for curve in (
+    kept = (
         quarter_arc(),
         RationalBezierCurve(pts + [(3.0, 1.0)], [2.0, 1.0, 3.0, 2.0]),
         # the middle weight would overflow in standard form
         RationalBezierCurve(pts, [1e-300, 1e308, 1.0]),
-    ):
-        assert _standard_form(curve) is curve
+    )
+    for curve in kept:
+        weights = curve.weights[None]
+        assert _standard_form(weights) is weights
+    # beside a row that moves, each kept row keeps its bytes
+    moved = np.array([4.0, 1.0, 1.0])
+    stack = np.stack([kept[0].weights, moved, kept[2].weights])
+    std = _standard_form(stack)
+    assert std[0].tobytes() == stack[0].tobytes() and std[2].tobytes() == stack[2].tobytes()
+    assert std[1].tolist() == [1.0, 0.5, 1.0]
 
 
 def _half_disk():
@@ -584,19 +596,151 @@ def _mixed_degree_loop():
     return PlanarRegion(((arcs[0], cubic, arcs[1], line),))
 
 
+def _net(curves):
+    """The control points and the weights of ``curves``, as ``_region_rule`` takes them."""
+    return [c.points for c in curves], [c.weights for c in curves]
+
+
 def test_region_rule_equals_per_curve_assembly():
     rng = np.random.default_rng(23)
     mixed = _mixed_degree_loop().curves
     assert [c.degree for c in mixed] == [2, 3, 21, 1]
     cases = [(mixed, [gauss_legendre(n, (0.0, 1.0)) for n in (3, 5, 2, 4)])]
     for region in (annulus_region(), random_quadratic_region(rng), _cubic_loop()):
-        curves = [_standard_form(c) for c in region.curves]
-        cases += [(curves, [_pe_intermediate_rule(c, k) for c in curves]) for k in (0, 5, 12)]
+        curves = [_ref_standard_form(c) for c in region.curves]
+        cases += [(curves, [_pe_intermediate_rule(c.weights, k) for c in curves]) for k in (0, 5, 12)]
         cases.append((region.curves, [gauss_legendre(6, (0.0, 1.0))] * len(curves)))
     for curves, rules in cases:
         for base, layer_order in ((-1.5, 3), (0.0, 1)):
-            got = _region_rule(curves, rules, base, layer_order)
+            got = _region_rule(*_net(curves), rules, base, layer_order)
             assert _rule_bytes(got) == _per_curve_rule_bytes(curves, rules, base, layer_order)
+
+
+def _ref_standard_form(curve):
+    """The per-curve standard form that the stacked one replaced: a new
+    curve, kept as it is when its end weights are equal or the rescaled
+    weights are refused."""
+    w = curve.weights
+    if w[0] == w[-1]:
+        return curve
+    m = w.size - 1
+    i = np.arange(m + 1)
+    with np.errstate(all="ignore"):
+        scaled = w / (w[0] ** ((m - i) / m) * w[-1] ** (i / m))
+    scaled[[0, -1]] = 1.0
+    try:
+        return RationalBezierCurve(curve.points, scaled)
+    except ValidationError:
+        return curve
+
+
+def _ref_pe_rule(region, k):
+    """The bytes of the points, weights and provenance of
+    ``spectral_pe_rule(region, k)`` as built curve by curve: each curve in
+    the reference standard form, each evaluated by eval_curve."""
+    curves = [_ref_standard_form(c) for c in region.curves]
+    rules = [_pe_intermediate_rule(c.weights, k) for c in curves]
+    layer_order = max(1, math.ceil((k + 1) / 2))
+    return _per_curve_rule_bytes(curves, rules, region_constant_C(region), layer_order)
+
+
+def _standard_form_cases():
+    rng = np.random.default_rng(37)
+    cases = {}
+    for name, make in (
+        ("circle", circle_region),
+        ("clockwise-circle", lambda: circle_region(clockwise=True)),
+        ("annulus", annulus_region),
+    ):
+        for j in range(3):
+            region = make()
+            cs, scales = rng.uniform(0.5, 2.0, (2, len(region.curves)))
+            # the first of each shape keeps w_0 = 1
+            cases[f"{name}-{j}"] = _rescaled(region, cs, scales if j else (1.0,))
+    cs, scales = rng.uniform(0.5, 2.0, (2, 4))
+    cases["mixed"] = _rescaled(_mixed_degree_loop(), cs, scales)
+    cases["equal-ends"] = PlanarRegion(((
+        quarter_arc(quadrant=0),
+        RationalBezierCurve([(0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)], [2.0, 0.5, 2.0]),
+        RationalBezierCurve([(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], [1.0, 3.0, 1.0]),
+    ),))
+    return cases
+
+
+def test_batched_standard_form_matches_per_curve_reference():
+    pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
+    overflow = RationalBezierCurve(pts, [1e-300, 1e308, 1.0])
+    for name, region in _standard_form_cases().items():
+        curves = region.curves
+        for degree in {c.degree for c in curves}:
+            group = [c for c in curves if c.degree == degree]
+            if degree == 2:
+                group.append(overflow)  # kept beside the rows that move
+            std = _standard_form(np.stack([c.weights for c in group]))
+            for row, c in zip(std, group):
+                assert row.tobytes() == _ref_standard_form(c).weights.tobytes(), name
+
+
+@pytest.mark.parametrize("name", list(_standard_form_cases()))
+def test_batched_pe_rule_matches_per_curve_reference(name):
+    region = _standard_form_cases()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mixed loop's degree-21 arc
+        for k in range(17):
+            rule = spectral_pe_rule(region, k)
+            assert _rule_bytes(rule) == _ref_pe_rule(region, k), k
+        for p in (0, 4, 9):
+            want = _ref_pe_rule(region, p)
+            points = np.frombuffer(want[0]).reshape(-1, 2)
+            sums = _moment_sums(points, np.frombuffer(want[1]), p)
+            assert geometric_moments(region, p).values.tobytes() == sums.tobytes(), p
+
+
+@pytest.mark.parametrize(
+    "region, batches",
+    [(_rescaled(annulus_region(), (0.5, 2.0, 0.7, 1.6)), 1),
+     (_rescaled(_mixed_degree_loop(), (1.7, 0.6, 1.3, 0.8)), 4)],
+    ids=["annulus", "mixed-degrees"],
+)
+def test_pe_assembly_builds_no_curve(monkeypatch, region, batches):
+    # the standard form works on stacked weights and the curves of one
+    # degree are evaluated as one stack: no curve is built, one
+    # homogeneous lift per degree
+    built = []
+    init = RationalBezierCurve.__post_init__
+
+    def counted(curve):
+        built.append(curve)
+        init(curve)
+
+    monkeypatch.setattr(RationalBezierCurve, "__post_init__", counted)
+    calls = _count_calls(monkeypatch, "_homogeneous")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mixed loop's degree-21 arc
+        spectral_pe_rule(region, 8)
+        assert calls["_homogeneous"] == batches
+        geometric_moments(region, 6)
+        assert calls["_homogeneous"] == 2 * batches
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "build, at",
+    [
+        (lambda: spectral_pe_rule(circle_region((0, 0), 1e155), 2), "weights[6]"),
+        (lambda: geometric_moments(circle_region((0, 0), 1e155), 2), "weights[6]"),
+        (lambda: spectral_rule(square_region((0, 0), (1e200, 1e200)), 2, 2), "weights[8]"),
+    ],
+    ids=["pe", "moments", "spectral"],
+)
+def test_weight_overflow_is_refused_as_one(build, at):
+    # finite geometry whose rule weights exceed float64: no numpy warning,
+    # and the refusal says the built rule overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            build()
+    assert str(err.value) == f"the built rule overflowed float64: {at}: must be finite, got inf"
 
 
 # ------------------------------------------------------------ array ownership

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,16 @@ from bezquad import (
     cylinder_solid,
     cylinder_solid_fitted,
     eval_patch,
+    geometric_moments,
     integrate2d,
     parametric_area_rule,
+    patch_normal,
     spectral_rule,
     surface_integrate,
     unit_square_loop,
     volume_rule,
 )
+from bezquad.quad1d import gauss_legendre
 
 from conftest import collapsed_edge_patch, flat_unit_patch, line, quarter_disk_loop, triangle_loop
 
@@ -413,3 +418,51 @@ def test_bad_patch_named_by_index():
     bare = [tp.patch for tp in cube]
     want = boundary_rule(cube, 3, 3).weights.tobytes()
     assert boundary_rule(bare, 3, 3).weights.tobytes() == want
+
+
+def test_finite_area_whose_squared_normals_overflow():
+    # the normals of a 1e80 box are 1e160 long, their squares overflow;
+    # area, volume and moments are finite and come without a warning
+    box = box_solid((0, 0, 0), (1e80,) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        area = apply(boundary_rule(box.patches, 2, 2), lambda x, y, z: 1.0)
+        volume = apply(volume_rule(box, 2, 2), lambda x, y, z: 1.0)
+        moments = geometric_moments(box, 0).values
+    assert area == pytest.approx(6e160, rel=1e-15)
+    assert volume == pytest.approx(1e240, rel=1e-15)
+    assert moments.tolist() == pytest.approx([1e240], rel=1e-15)
+
+
+def test_finite_normal_magnitudes_keep_their_bits():
+    # the two 1e80 x 1e80 faces of a flat box take np.hypot, the four
+    # 1e80 x 1 side faces keep the plain norm's magnitude bit for bit
+    box = box_solid((0, 0, 0), (1e80, 1e80, 1.0))
+    rule = boundary_rule(box.patches, 3, 3)
+    g = gauss_legendre(3, (0.0, 1.0))
+    pw = np.repeat(g.weights, 3) * np.tile(g.weights, 3)
+    overflowed = []
+    for i, tp in enumerate(box.patches):
+        mine = rule.provenance[:, 0] == i
+        normal = patch_normal(tp.patch, *rule.preimages[mine].T)
+        with np.errstate(over="ignore"):
+            mag = np.linalg.norm(normal, axis=1)
+        overflowed.append(not np.isfinite(mag).all())
+        if overflowed[-1]:
+            mag = np.hypot.reduce(normal, axis=1)
+        assert rule.weights[mine].tobytes() == (pw * mag).tobytes(), i
+    assert sorted(overflowed) == [False] * 4 + [True] * 2
+    assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(2e160, rel=1e-15)
+
+
+def test_bounding_box_diagonal_whose_square_overflows():
+    # a 1e155 x 1e-5 x 1e-5 box: the four long faces have control boxes
+    # whose diagonal squares overflow, and no face is taken for degenerate
+    box = box_solid((0, 0, 0), (1e155, 1e-5, 1e-5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = boundary_rule(box.patches, 2, 2)
+        volume = apply(volume_rule(box, 2, 2), lambda x, y, z: 1.0)
+    assert rule.degenerate_count == 0
+    assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(4e150, rel=1e-15)
+    assert volume == pytest.approx(1e145, rel=1e-15)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -233,3 +234,14 @@ def test_rule3d_alignment_checked():
 def test_solid_needs_patches():
     with pytest.raises(ValidationError, match=r"^patches: need at least 1 item, got 0$"):
         SolidModel(())
+
+
+def test_weight_overflow_is_refused_as_one():
+    # the boundary rule of a 1e110 box is finite, its volume rule is not
+    solid = box_solid((0, 0, 0), (1e110,) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            volume_rule(solid, 2, 2)
+    want = "the built rule overflowed float64: weights[8]: must be finite, got inf"
+    assert str(err.value) == want
