@@ -243,11 +243,12 @@ def _lift(points, owner, base, order, *factors):
     return rows[:dim].T, rows[dim], rows[dim + 1 :].view(np.int64).T
 
 
-def _lifted(make, *lift_args) -> Rule:
-    """``make(*_lift(*lift_args))``.  Its inputs are finite, so a point or
-    weight the rule refuses as not finite overflowed float64 on the way."""
+def _built(make, *args) -> Rule:
+    """``make(*args)``, whose arrays were computed from finite inputs, so a
+    point or weight the rule refuses as not finite overflowed float64 on
+    the way."""
     try:
-        return make(*_lift(*lift_args))
+        return make(*args)
     except ValidationError as exc:
         raise ValidationError(f"the built rule overflowed float64: {exc}") from None
 
@@ -268,7 +269,7 @@ def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:
         # counter-clockwise material: the factor is -dx/ds
         factor[sel] = -der[0]
     w = np.concatenate([r.weights for r in curve_rules])
-    return _lifted(Rule2D, xy.T, owner, base, layer_order, w, factor)
+    return _built(Rule2D, *_lift(xy.T, owner, base, layer_order, w, factor))
 
 
 def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule:

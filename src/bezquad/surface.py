@@ -44,7 +44,7 @@ from .bezier import (
     _warn,
 )
 from .errors import ValidationError
-from .planar import Rule, _equal_weights, _pe_region_rule, _region_rule, apply
+from .planar import Rule, _built, _equal_weights, _pe_region_rule, _region_rule, apply
 from .quad1d import _orders, gauss_legendre
 
 __all__ = [
@@ -192,32 +192,40 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
     share a control-net shape are evaluated in one batch, whose stacked
     control points also give each patch's degenerate-normal tolerance.
     Collapsed-normal points keep weight zero, with one warning per patch.
+    A normal or weight that overflows float64 is refused as such.
     """
     owner = np.repeat(np.arange(len(patches)), [len(pw) for _, pw, _ in parts])
     pre = _frozen(np.concatenate([part[0] for part in parts]))
     # coordinate-major, so each coordinate is one contiguous row
     point = np.empty((3, owner.size))
     normal = np.empty((3, owner.size))
-    diagonal = np.empty(len(patches))
+    legs = np.empty((2, len(patches)))
     for members, sel, which in _batches([p.points.shape for p in patches], owner):
         pts = np.stack([patches[i].points for i in members])
         nets = _homogeneous(pts, np.stack([patches[i].weights for i in members]))
         point[:, sel], normal[:, sel] = _patch_point_normal(nets, pre[sel, 0], pre[sel, 1], which)
-        # the diagonal of each patch's control bounding box
-        diagonal[members] = _lengths((pts.max(axis=(1, 2)) - pts.min(axis=(1, 2))).T)
+        # each patch's longest control-net leg along u, then along v
+        for axis in (1, 2):
+            leg = _lengths(np.diff(pts, axis=axis).reshape(-1, 3).T)
+            legs[axis - 1, members] = leg.reshape(len(members), -1).max(axis=1)
     mag = _lengths(normal)
-    # collapsed patch edges (sphere poles) must be skipped, not integrated
-    degenerate = mag < (_DEGENERATE_NORMAL_REL * diagonal)[owner]
+    # collapsed patch edges (sphere poles) must be skipped, not integrated:
+    # |n| is an area, so it is measured against the product of two legs,
+    # which scales with it.  A tolerance that overflows exceeds every
+    # finite |n| as its exact value would
+    with np.errstate(over="ignore"):
+        degenerate = mag < (_DEGENERATE_NORMAL_REL * legs[0] * legs[1])[owner]
     factor = mag if weight_mode == "full-normal" else normal[2]
-    weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
+    with np.errstate(invalid="ignore"):  # a zero weight times an overflowed normal
+        weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
     bad = np.bincount(owner[degenerate], minlength=len(patches))
     for i in np.flatnonzero(bad):
         _warn(f"patch {i}: zeroed {bad[i]} degenerate-normal points")
     prov = np.empty((5, owner.size), dtype=np.int64)
     prov[0] = owner
     prov[1:] = np.concatenate([part[2] for part in parts]).T
-    return SurfaceRule(
-        _frozen(point).T, _frozen(weights), pre, _frozen(prov).T, degenerate_count=int(bad.sum())
+    return _built(
+        SurfaceRule, _frozen(point).T, _frozen(weights), pre, _frozen(prov).T, int(bad.sum())
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bezier import _adopt, _kind
 from .errors import ValidationError
-from .planar import Rule, _lifted
+from .planar import Rule, _built, _lift
 from .quad1d import _orders
 from .surface import TrimmedPatch, _as_trimmed_patches, boundary_rule
 
@@ -81,5 +81,5 @@ def volume_rule(
     m_q, n_q, n_p = _orders(m_q, n_q, m_q if n_p is None else n_p)
     base = solid_constant_Pz(solid) if pz is None else float(_adopt(pz, "pz", shape=()))
     srule = boundary_rule(solid.patches, m_q, n_q, "z-normal")
-    return _lifted(Rule3D, srule.points, srule.provenance[:, 0], base, n_p, srule.weights)
+    return _built(Rule3D, *_lift(srule.points, srule.provenance[:, 0], base, n_p, srule.weights))
 

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from bezquad.bezier import (
+    _FEW,
     RationalBezierCurve,
     RationalBezierPatch,
+    _adopt,
     bernstein_to_monomial,
     eval_curve,
     eval_curve_derivative,
@@ -313,3 +315,87 @@ def test_reversed_curve_shares_its_control_net():
     assert np.shares_memory(back.points, arc.points)
     assert np.shares_memory(back.weights, arc.weights)
     assert np.array_equal(back.points, arc.points[::-1])
+
+
+# each short path of _adopt: a value that takes it, the name, dtype and
+# shape it is adopted under, and the entry a NaN or inf replaces (None for
+# integers).  _FEW values are checked for finiteness in Python, one more by numpy
+_SHORT_PATHS = {
+    "writeable-float64": (np.arange(6.0).reshape(3, 2), "points", float, (None, 2), (2, 1)),
+    "writeable-int64": (np.arange(9).reshape(3, 3), "provenance", np.int64, (None, 3), None),
+    "python-float": (0.75, "radius", float, (), ()),
+    "tuple-of-floats": ((0.25, 0.5), "center", float, (2,), (1,)),
+    "list-of-floats": ([0.0, 1.0], "interval", float, (2,), (0,)),
+    "few-values": (np.linspace(0.0, 1.0, _FEW)[:, None], "nodes", float, (None, 1), (_FEW - 1, 0)),
+    "one-more": (np.linspace(0.0, 1.0, _FEW + 1)[:, None], "nodes", float, (None, 1), (_FEW, 0)),
+}
+
+
+def _general(value):
+    """``value`` in a form that takes _adopt's general path: an object
+    array for an array, numpy floats for Python floats."""
+    if isinstance(value, np.ndarray):
+        return value.astype(object)
+    return np.float64(value) if isinstance(value, float) else [np.float64(v) for v in value]
+
+
+def _with(value, at, bad):
+    """A copy of ``value`` holding ``bad`` at the entry ``at``."""
+    if isinstance(value, float):
+        return bad
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[at] = bad
+        return value
+    return type(value)(bad if i == at[0] else v for i, v in enumerate(value))
+
+
+@pytest.mark.parametrize("value, name, dtype, shape, at", _SHORT_PATHS.values(), ids=_SHORT_PATHS)
+def test_short_paths_adopt_what_the_general_path_does(value, name, dtype, shape, at):
+    want = _adopt(_general(value), name, dtype, shape)
+    got = _adopt(value, name, dtype, shape)
+    assert type(got) is np.ndarray and (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable and not np.shares_memory(got, value)
+
+
+@_BAD
+@pytest.mark.parametrize(
+    "value, name, dtype, shape, at",
+    [row for row in _SHORT_PATHS.values() if row[-1] is not None],
+    ids=[key for key, row in _SHORT_PATHS.items() if row[-1] is not None],
+)
+def test_short_paths_refuse_what_the_general_path_does(value, name, dtype, shape, at, bad):
+    value = _with(value, at, bad)
+    messages = []
+    for given in (value, _general(value)):
+        with pytest.raises(ValidationError) as err:
+            _adopt(given, name, dtype, shape)
+        messages.append(str(err.value))
+    where = "".join(f"[{i}]" for i in at)
+    assert messages == [f"{name}{where}: must be finite, got {bad}"] * 2
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+# float64 arrays that take the general path or a plain copy, never the
+# kept one: a subclass, and a read-only array over a bytes object
+_COPIED = {
+    "ndarray-subclass": lambda a: a.view(_Subclass),
+    "read-only-frombuffer": lambda a: np.frombuffer(a.tobytes()).reshape(a.shape),
+}
+
+
+@pytest.mark.parametrize("make", _COPIED.values(), ids=_COPIED)
+def test_subclasses_and_foreign_buffers_are_copied(make):
+    values = np.arange(6.0).reshape(3, 2)
+    given = make(values)
+    got = _adopt(given, "points", shape=(None, 2))
+    assert type(got) is np.ndarray and got.tobytes() == values.tobytes()
+    assert not got.flags.writeable and not np.shares_memory(got, given)
+    values[1, 0] = np.nan
+    with pytest.raises(ValidationError) as err:
+        _adopt(make(values), "points", shape=(None, 2))
+    assert str(err.value) == "points[1][0]: must be finite, got nan"

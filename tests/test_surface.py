@@ -466,3 +466,54 @@ def test_bounding_box_diagonal_whose_square_overflows():
     assert rule.degenerate_count == 0
     assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(4e150, rel=1e-15)
     assert volume == pytest.approx(1e145, rel=1e-15)
+
+
+def test_tiny_box_keeps_its_area_and_volume():
+    # |n| is an area: against a tolerance that scaled with a length, every
+    # point of a box smaller than about 1.7e-14 was zeroed as degenerate
+    box = box_solid((0, 0, 0), (1e-15,) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = boundary_rule(box.patches, 2, 2)
+        volume = apply(volume_rule(box, 2, 2), lambda x, y, z: 1.0)
+        moments = geometric_moments(box, 0).values
+    assert rule.degenerate_count == 0
+    assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(6e-30, rel=1e-14)
+    assert volume == pytest.approx(1e-45, rel=1e-14)
+    assert moments.tolist() == pytest.approx([1e-45], rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_degenerate_normals_do_not_depend_on_scale(scale):
+    tp = collapsed_edge_patch()
+    patch = RationalBezierPatch(tp.patch.points * scale, tp.patch.weights)
+    with pytest.warns(UserWarning, match="degenerate-normal") as record:
+        want = boundary_rule((tp,), 3, 3)
+        got = boundary_rule((TrimmedPatch(patch, tp.loops),), 3, 3)
+    assert [str(w.message) for w in record[1:]] == [str(record[0].message)]
+    assert got.degenerate_count == want.degenerate_count > 0
+    assert np.array_equal(got.weights == 0.0, want.weights == 0.0)
+
+
+_HUGE = box_solid((0, 0, 0), (1e160,) * 3)  # an area of 6e320 is beyond float64
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: boundary_rule(_HUGE.patches, 2, 2), "inf"),
+        (lambda: boundary_rule(_HUGE.patches, 2, 2, "z-normal"), "-inf"),
+        (lambda: volume_rule(_HUGE, 2, 2), "-inf"),
+        (lambda: geometric_moments(_HUGE, 2), "-inf"),
+    ],
+    ids=["full-normal", "z-normal", "volume", "moments"],
+)
+def test_overflowing_boundary_rule_is_refused_as_overflow(build, bad):
+    # the cross product leaked "overflow encountered in multiply", and the
+    # rule was refused without saying that it overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            build()
+    overflowed = "the built rule overflowed float64"
+    assert str(err.value) == f"{overflowed}: weights[0]: must be finite, got {bad}"
