@@ -352,15 +352,15 @@ def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
 def _patch_point_normal(nets, u, v, which=None):
     """Mapped points and unnormalized normals d/du x d/dv, each (3, k), at
     paired (u, v), on the nets of ``_patch_eval_h``."""
-    s_h, su_h, sv_h = _patch_eval_h(nets, u, v, which)
-    w = s_h[3]
-    point = s_h[:3] / w
-    du = (su_h[:3] - point * su_h[3]) / w
-    dv = (sv_h[:3] - point * sv_h[3]) / w
-    normal = np.empty_like(point)
-    # np.cross's formula, one component at a time on contiguous rows; a
-    # product that overflows is left inf or NaN, for the rule to refuse
+    # a value that overflows is left inf or NaN, for the rule to refuse
     with np.errstate(over="ignore", invalid="ignore"):
+        s_h, su_h, sv_h = _patch_eval_h(nets, u, v, which)
+        w = s_h[3]
+        point = s_h[:3] / w
+        du = (su_h[:3] - point * su_h[3]) / w
+        dv = (sv_h[:3] - point * sv_h[3]) / w
+        # np.cross's formula, one component at a time on contiguous rows
+        normal = np.empty_like(point)
         normal[0] = du[1] * dv[2] - du[2] * dv[1]
         normal[1] = du[2] * dv[0] - du[0] * dv[2]
         normal[2] = du[0] * dv[1] - du[1] * dv[0]

@@ -263,11 +263,13 @@ def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:
     nodes = np.concatenate([r.nodes for r in curve_rules])
     xy = np.empty((2, nodes.size))
     factor = np.empty(nodes.size)
-    for members, sel, which in _batches([len(w) for w in weights], owner):
-        stack = [np.array([a[i] for i in members]) for a in (points, weights)]
-        xy[:, sel], der = _curve_point_derivative(_homogeneous(*stack), nodes[sel], which)
-        # counter-clockwise material: the factor is -dx/ds
-        factor[sel] = -der[0]
+    # a value that overflows is left inf or NaN, for the rule to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members, sel, which in _batches([len(w) for w in weights], owner):
+            stack = [np.array([a[i] for i in members]) for a in (points, weights)]
+            xy[:, sel], der = _curve_point_derivative(_homogeneous(*stack), nodes[sel], which)
+            # counter-clockwise material: the factor is -dx/ds
+            factor[sel] = -der[0]
     w = np.concatenate([r.weights for r in curve_rules])
     return _built(Rule2D, *_lift(xy.T, owner, base, layer_order, w, factor))
 

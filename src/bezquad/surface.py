@@ -200,14 +200,16 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
     point = np.empty((3, owner.size))
     normal = np.empty((3, owner.size))
     legs = np.empty((2, len(patches)))
-    for members, sel, which in _batches([p.points.shape for p in patches], owner):
-        pts = np.stack([patches[i].points for i in members])
-        nets = _homogeneous(pts, np.stack([patches[i].weights for i in members]))
-        point[:, sel], normal[:, sel] = _patch_point_normal(nets, pre[sel, 0], pre[sel, 1], which)
-        # each patch's longest control-net leg along u, then along v
-        for axis in (1, 2):
-            leg = _lengths(np.diff(pts, axis=axis).reshape(-1, 3).T)
-            legs[axis - 1, members] = leg.reshape(len(members), -1).max(axis=1)
+    # a leg that overflows is left inf, as is the tolerance below
+    with np.errstate(over="ignore"):
+        for members, sel, which in _batches([p.points.shape for p in patches], owner):
+            pts = np.stack([patches[i].points for i in members])
+            nets = _homogeneous(pts, np.stack([patches[i].weights for i in members]))
+            point[:, sel], normal[:, sel] = _patch_point_normal(nets, pre[sel, 0], pre[sel, 1], which)
+            # each patch's longest control-net leg along u, then along v
+            for axis in (1, 2):
+                leg = _lengths(np.diff(pts, axis=axis).reshape(-1, 3).T)
+                legs[axis - 1, members] = leg.reshape(len(members), -1).max(axis=1)
     mag = _lengths(normal)
     # collapsed patch edges (sphere poles) must be skipped, not integrated:
     # |n| is an area, so it is measured against the product of two legs,

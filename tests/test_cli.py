@@ -319,13 +319,19 @@ def test_stdout_bytes_equal_out_file_bytes(capsys, tmp_path, monkeypatch, argv):
     assert out.encode() == path.read_bytes()
 
 
-@pytest.mark.parametrize("model", [CIRCLE, CUBE], ids=["region", "solid"])
-def test_moments_out_file_is_the_save_moments_file(capsys, tmp_path, model):
+@pytest.mark.parametrize(
+    "model, degree",
+    [(CIRCLE, 3), (CUBE, 3), (CUBE, 8), (CYLINDER, 8)],
+    ids=["region", "solid", "cube-8", "cylinder-8"],
+)
+def test_moments_out_file_is_the_save_moments_file(capsys, tmp_path, model, degree):
+    # both bundled solids take the degree-sized exact moment rule, so the
+    # doubling check has nothing to warn about: exit 0, no stderr
     cli = tmp_path / "cli.csv"
-    argv = ("moments", "--model", model, "--max-degree", "3", "--out", str(cli))
-    assert run(capsys, *argv)[:2] == (0, "")
+    argv = ("moments", "--model", model, "--max-degree", str(degree), "--out", str(cli))
+    assert run(capsys, *argv) == (0, "", "")
     saved = tmp_path / "saved.csv"
-    save_moments(geometric_moments(load_model(model), 3), saved)
+    save_moments(geometric_moments(load_model(model), degree), saved)
     assert cli.read_bytes() == saved.read_bytes()
 
 

@@ -724,23 +724,30 @@ def test_pe_assembly_builds_no_curve(monkeypatch, region, batches):
     assert built == []
 
 
+_SPAN = square_region((-1e308,) * 2, (1e308,) * 2)  # an edge of 2e308 is beyond float64
+
+
 @pytest.mark.parametrize(
-    "build, at",
+    "build, at, bad",
     [
-        (lambda: spectral_pe_rule(circle_region((0, 0), 1e155), 2), "weights[6]"),
-        (lambda: geometric_moments(circle_region((0, 0), 1e155), 2), "weights[6]"),
-        (lambda: spectral_rule(square_region((0, 0), (1e200, 1e200)), 2, 2), "weights[8]"),
+        (lambda: spectral_pe_rule(circle_region((0, 0), 1e155), 2), "weights[6]", "inf"),
+        (lambda: geometric_moments(circle_region((0, 0), 1e155), 2), "weights[6]", "inf"),
+        (lambda: spectral_rule(square_region((0, 0), (1e200, 1e200)), 2, 2), "weights[8]", "inf"),
+        (lambda: spectral_pe_rule(_SPAN, 2), "points[0][1]", "-inf"),
+        (lambda: geometric_moments(_SPAN, 2), "points[0][1]", "-inf"),
+        (lambda: spectral_rule(_SPAN, 2, 2), "points[0][1]", "-inf"),
     ],
-    ids=["pe", "moments", "spectral"],
+    ids=["pe", "moments", "spectral", "span-pe", "span-moments", "span-spectral"],
 )
-def test_weight_overflow_is_refused_as_one(build, at):
-    # finite geometry whose rule weights exceed float64: no numpy warning,
-    # and the refusal says the built rule overflowed
+def test_weight_overflow_is_refused_as_one(build, at, bad):
+    # finite geometry whose rule weights, or whose hodograph and lifted
+    # points, exceed float64: no numpy warning, and the refusal says the
+    # built rule overflowed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError) as err:
             build()
-    assert str(err.value) == f"the built rule overflowed float64: {at}: must be finite, got inf"
+    assert str(err.value) == f"the built rule overflowed float64: {at}: must be finite, got {bad}"
 
 
 # ------------------------------------------------------------ array ownership

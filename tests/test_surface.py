@@ -496,6 +496,7 @@ def test_degenerate_normals_do_not_depend_on_scale(scale):
 
 
 _HUGE = box_solid((0, 0, 0), (1e160,) * 3)  # an area of 6e320 is beyond float64
+_SPAN = box_solid((-1e308,) * 3, (1e308,) * 3)  # an edge of 2e308 is beyond float64
 
 
 @pytest.mark.parametrize(
@@ -505,12 +506,19 @@ _HUGE = box_solid((0, 0, 0), (1e160,) * 3)  # an area of 6e320 is beyond float64
         (lambda: boundary_rule(_HUGE.patches, 2, 2, "z-normal"), "-inf"),
         (lambda: volume_rule(_HUGE, 2, 2), "-inf"),
         (lambda: geometric_moments(_HUGE, 2), "-inf"),
+        (lambda: boundary_rule(_SPAN.patches, 2, 2), "inf"),
+        (lambda: boundary_rule(_SPAN.patches, 2, 2, "z-normal"), "-inf"),
+        (lambda: volume_rule(_SPAN, 2, 2), "-inf"),
+        (lambda: geometric_moments(_SPAN, 2), "-inf"),
     ],
-    ids=["full-normal", "z-normal", "volume", "moments"],
+    ids=[
+        "full-normal", "z-normal", "volume", "moments",
+        "span-full-normal", "span-z-normal", "span-volume", "span-moments",
+    ],
 )
 def test_overflowing_boundary_rule_is_refused_as_overflow(build, bad):
-    # the cross product leaked "overflow encountered in multiply", and the
-    # rule was refused without saying that it overflowed
+    # finite boxes whose areas (1e160) or edges (the span box) exceed
+    # float64: no numpy warning, and the refusal says the rule overflowed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError) as err:
