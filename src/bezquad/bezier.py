@@ -4,6 +4,9 @@ Evaluation goes through homogeneous coordinates: control points are lifted
 to (w*x, ..., w), de Casteljau runs on the lifted polygon, and the result
 is divided back.  Derivatives use the quotient rule on the homogeneous
 value and its hodograph, so no separate derivative curve is ever formed.
+Two kernels, ``_curve_point_derivative`` and ``_patch_point_normal``, do
+all of it from control points and weights, and numpy warns nothing there:
+a value that overflows float64 comes out inf or NaN, for a rule to refuse.
 
 The parameter convention is the usual one: s = 0 is the first control
 point, s = 1 the last.
@@ -265,16 +268,17 @@ def _columns(nets, k, which):
     return np.take(nets.transpose(*range(1, nets.ndim), 0), which, axis=-1)
 
 
-def _curve_point_derivative(ctrl, s, which=None):
-    """Points and d/ds, each (dim, k), at parameters s on one homogeneous
-    control polygon, or with ``which`` on a stack of them, s[i] lying on
-    ``ctrl[which[i]]``."""
+def _curve_point_derivative(points, weights, s, which=None):
+    """Points and d/ds, each (dim, k), at parameters s on the curve with
+    control ``points`` and ``weights``, or with ``which`` on stacks of
+    them, s[i] lying on curve ``which[i]``."""
     s = np.asarray(s, dtype=float).ravel()
-    value, hodo = _casteljau_pair(_columns(ctrl, s.size, which), s)
-    w = value[-1]
-    point = value[:-1] / w
-    # quotient rule: (X/W)' = (X' - (X/W) W') / W
-    return point, (hodo[:-1] - point * hodo[-1]) / w
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, hodo = _casteljau_pair(_columns(_homogeneous(points, weights), s.size, which), s)
+        w = value[-1]
+        point = value[:-1] / w
+        # quotient rule: (X/W)' = (X' - (X/W) W') / W
+        return point, (hodo[:-1] - point * hodo[-1]) / w
 
 
 def _groups(shapes) -> list:
@@ -302,6 +306,14 @@ def _batches(shapes, owner):
         yield members, sel, slot[owner[sel]]
 
 
+def _on_curve(curve, s, part):
+    """The points (``part`` 0) or derivatives (1) of ``curve`` at s."""
+    _kind(curve, "curve", RationalBezierCurve)
+    s = _adopt(s, "s")
+    out = _curve_point_derivative(curve.points, curve.weights, s)[part]
+    return out[:, 0] if s.ndim == 0 else out.T
+
+
 def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
     """Evaluate the rational curve at parameter s (scalar or array).
 
@@ -310,51 +322,25 @@ def eval_curve(curve: RationalBezierCurve, s) -> np.ndarray:
     >>> bool(np.allclose(eval_curve(arc, 0.5), [2**-0.5, 2**-0.5]))
     True
     """
-    _kind(curve, "curve", RationalBezierCurve)
-    s = _adopt(s, "s")
-    point, _ = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
-    return point[:, 0] if s.ndim == 0 else point.T
+    return _on_curve(curve, s, 0)
 
 
 def eval_curve_derivative(curve: RationalBezierCurve, s) -> np.ndarray:
     """Derivative of the mapped (projected) curve with respect to s."""
-    _kind(curve, "curve", RationalBezierCurve)
-    s = _adopt(s, "s")
-    _, der = _curve_point_derivative(_homogeneous(curve.points, curve.weights), s)
-    return der[:, 0] if s.ndim == 0 else der.T
+    return _on_curve(curve, s, 1)
 
 
-def _patch_eval_h(nets, u, v, which=None):
-    """Homogeneous patch value and both partials, each (4, k), at paired
-    (u, v) arrays.
-
-    ``nets`` is one homogeneous control net, or with ``which`` a stack of
-    nets of one shape, point i then lying on the net ``nets[which[i]]``.
-    """
+def _patch_point_normal(points, weights, u, v, which=None):
+    """Mapped points and unnormalized normals d/du x d/dv, each (3, k), at
+    paired (u, v) arrays on the patch with control ``points`` and
+    ``weights``, or with ``which`` on stacks of nets of one shape, point i
+    lying on net ``which[i]``."""
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
-    row, row_du = _casteljau_pair(_columns(nets, u.size, which), u)
-    s_h, sv_h = _casteljau_pair(row, v)
-    su_h, _ = _casteljau_pair(row_du, v)
-    return s_h, su_h, sv_h
-
-
-def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
-    """Evaluate the patch at paired parameter arrays (or scalars)."""
-    _kind(patch, "patch", RationalBezierPatch)
-    u = _adopt(u, "u")
-    v = _adopt(v, "v", shape=u.shape)
-    s_h, _, _ = _patch_eval_h(_homogeneous(patch.points, patch.weights), u, v)
-    out = s_h[:3] / s_h[3]
-    return out[:, 0] if u.ndim == 0 else out.T
-
-
-def _patch_point_normal(nets, u, v, which=None):
-    """Mapped points and unnormalized normals d/du x d/dv, each (3, k), at
-    paired (u, v), on the nets of ``_patch_eval_h``."""
-    # a value that overflows is left inf or NaN, for the rule to refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        s_h, su_h, sv_h = _patch_eval_h(nets, u, v, which)
+        row, row_du = _casteljau_pair(_columns(_homogeneous(points, weights), u.size, which), u)
+        s_h, sv_h = _casteljau_pair(row, v)
+        su_h, _ = _casteljau_pair(row_du, v)
         w = s_h[3]
         point = s_h[:3] / w
         du = (su_h[:3] - point * su_h[3]) / w
@@ -367,17 +353,27 @@ def _patch_point_normal(nets, u, v, which=None):
     return point, normal
 
 
+def _on_patch(patch, u, v, part):
+    """The points (``part`` 0) or normals (1) of ``patch`` at paired (u, v)."""
+    _kind(patch, "patch", RationalBezierPatch)
+    u = _adopt(u, "u")
+    v = _adopt(v, "v", shape=u.shape)
+    out = _patch_point_normal(patch.points, patch.weights, u, v)[part]
+    return out[:, 0] if u.ndim == 0 else out.T
+
+
+def eval_patch(patch: RationalBezierPatch, u, v) -> np.ndarray:
+    """Evaluate the patch at paired parameter arrays (or scalars)."""
+    return _on_patch(patch, u, v, 0)
+
+
 def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
     """Unnormalized normal d/du x d/dv of the mapped patch.
 
     The magnitude is the area scale factor of the parametrization; the
     direction depends on the (u, v) handedness and is not unitized here.
     """
-    _kind(patch, "patch", RationalBezierPatch)
-    u = _adopt(u, "u")
-    v = _adopt(v, "v", shape=u.shape)
-    _, normal = _patch_point_normal(_homogeneous(patch.points, patch.weights), u, v)
-    return normal[:, 0] if u.ndim == 0 else normal.T
+    return _on_patch(patch, u, v, 1)
 
 
 _CONDITIONING_DEGREE = 20

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bezier import _adopt, _frozen, _kind, _warn
 from .errors import QuadratureError, ValidationError
-from .planar import PlanarRegion, spectral_pe_rule
+from .planar import PlanarRegion, _built, spectral_pe_rule
 from .quad1d import _as_int
 from .surface import _exact_z_rule, boundary_rule
 from .volume import SolidModel
@@ -119,22 +119,24 @@ def _moment_sums(points, weights, p):
     """sum(weights * x^a y^b [z^c]) for every monomial of total degree <= p,
     graded-lex ordered.  The monomials of all but the last coordinate are
     weighted rows, and one small matrix product with the last coordinate's
-    power table sums them all: (p+1) x (p+1) in 2D."""
+    power table sums them all: (p+1) x (p+1) in 2D.  A sum that overflows
+    is left inf or NaN, for geometric_moments to refuse."""
     dim = points.shape[1]
     lead, row, last = _sum_plan(p, dim)
-    powers = _power_table(points, p)
-    rows = weights * powers[0, lead[:, 0]]
-    for d in range(1, dim - 1):
-        rows *= powers[d, lead[:, d]]
-    return (rows @ powers[-1].T)[row, last]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _power_table(points, p)
+        rows = weights * powers[0, lead[:, 0]]
+        for d in range(1, dim - 1):
+            rows *= powers[d, lead[:, d]]
+        return (rows @ powers[-1].T)[row, last]
 
 
-def _region_moments(region: PlanarRegion, p: int) -> MomentVector:
+def _region_moments(region: PlanarRegion, p: int) -> np.ndarray:
     rule = spectral_pe_rule(region, p)
-    return MomentVector(p, 2, _moment_sums(rule.points, rule.weights, p))
+    return _moment_sums(rule.points, rule.weights, p)
 
 
-def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
+def _solid_moments(solid: SolidModel, p: int) -> np.ndarray:
     if not solid.closed:
         raise ValidationError("solid moments need a solid asserted closed")
     exps = monomial_exponents(p, 3)
@@ -142,24 +144,26 @@ def _solid_moments(solid: SolidModel, p: int) -> MomentVector:
     def z_moments(rule):
         # the base-height term of the z antiderivative is the flux of
         # x^a y^b e_z through a closed surface, which is zero
-        w_z = rule.weights * rule.points[:, 2]
+        with np.errstate(over="ignore"):
+            w_z = rule.weights * rule.points[:, 2]
         return _moment_sums(rule.points, w_z, p) / (np.asarray(exps)[:, 2] + 1.0)
 
     exact = _exact_z_rule(solid.patches, p)
     if exact is not None:
-        return MomentVector(p, 3, z_moments(exact))
+        return z_moments(exact)
     # a rational patch with z-flux: spectral rules, cross-checked
     n = (p + 1 + 1) // 2 + 4
     coarse = z_moments(boundary_rule(solid.patches, n, n, "z-normal"))
     fine = z_moments(boundary_rule(solid.patches, 2 * n, 2 * n, "z-normal"))
-    drift = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
+    with np.errstate(invalid="ignore"):  # an overflowed moment, refused by the caller
+        drift = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
     if np.max(drift) > _DOUBLING_TOL:
         i = int(np.argmax(drift))
         _warn(
             f"moment {exps[i]} moved {drift[i]:.2e} when doubling quadrature orders; "
             "treat results near that degree with care"
         )
-    return MomentVector(p, 3, fine)
+    return fine
 
 
 def geometric_moments(model, p: int) -> MomentVector:
@@ -172,9 +176,9 @@ def geometric_moments(model, p: int) -> MomentVector:
     returned, with a UserWarning when a moment moved by more than 1e-11."""
     _kind(model, "model", (PlanarRegion, SolidModel))
     p = _as_int(p, "max degree", 0)
-    if isinstance(model, PlanarRegion):
-        return _region_moments(model, p)
-    return _solid_moments(model, p)
+    dim, moments = (2, _region_moments) if isinstance(model, PlanarRegion) else (3, _solid_moments)
+    # summed from a finite rule: a moment that is not finite overflowed
+    return _built(MomentVector, p, dim, moments(model, p), what="the moment sums")
 
 
 def moment_fit_weights(points, moments: MomentVector, p: int | None = None):

@@ -38,7 +38,6 @@ from .bezier import (
     _curve_point_derivative,
     _frozen,
     _groups,
-    _homogeneous,
     _items,
     _kind,
     _warn_if_high_degree,
@@ -243,14 +242,14 @@ def _lift(points, owner, base, order, *factors):
     return rows[:dim].T, rows[dim], rows[dim + 1 :].view(np.int64).T
 
 
-def _built(make, *args) -> Rule:
+def _built(make, *args, what="the built rule"):
     """``make(*args)``, whose arrays were computed from finite inputs, so a
-    point or weight the rule refuses as not finite overflowed float64 on
-    the way."""
+    value it refuses as not finite overflowed float64 on the way, which
+    the error says of ``what``."""
     try:
         return make(*args)
     except ValidationError as exc:
-        raise ValidationError(f"the built rule overflowed float64: {exc}") from None
+        raise ValidationError(f"{what} overflowed float64: {exc}") from None
 
 
 def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:
@@ -263,13 +262,11 @@ def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:
     nodes = np.concatenate([r.nodes for r in curve_rules])
     xy = np.empty((2, nodes.size))
     factor = np.empty(nodes.size)
-    # a value that overflows is left inf or NaN, for the rule to refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        for members, sel, which in _batches([len(w) for w in weights], owner):
-            stack = [np.array([a[i] for i in members]) for a in (points, weights)]
-            xy[:, sel], der = _curve_point_derivative(_homogeneous(*stack), nodes[sel], which)
-            # counter-clockwise material: the factor is -dx/ds
-            factor[sel] = -der[0]
+    for members, sel, which in _batches([len(w) for w in weights], owner):
+        stack = [np.array([a[i] for i in members]) for a in (points, weights)]
+        xy[:, sel], der = _curve_point_derivative(*stack, nodes[sel], which)
+        # counter-clockwise material: the factor is -dx/ds
+        factor[sel] = -der[0]
     w = np.concatenate([r.weights for r in curve_rules])
     return _built(Rule2D, *_lift(xy.T, owner, base, layer_order, w, factor))
 

@@ -174,12 +174,11 @@ def _parts(tps, para, tensor_orders):
 
 def _lengths(vectors):
     """The length of each column of the (3, k) ``vectors``: the plain
-    norm's, or where its squares overflow, ``np.hypot``'s."""
-    with np.errstate(over="ignore"):
-        out = np.linalg.norm(vectors, axis=0)
-        big = ~np.isfinite(out)
-        if big.any():
-            out[big] = np.hypot.reduce(vectors[:, big], axis=0)
+    norm's, or where its squares overflow (callers quiet numpy), ``np.hypot``'s."""
+    out = np.linalg.norm(vectors, axis=0)
+    big = ~np.isfinite(out)
+    if big.any():
+        out[big] = np.hypot.reduce(vectors[:, big], axis=0)
     return out
 
 
@@ -200,25 +199,24 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
     point = np.empty((3, owner.size))
     normal = np.empty((3, owner.size))
     legs = np.empty((2, len(patches)))
-    # a leg that overflows is left inf, as is the tolerance below
-    with np.errstate(over="ignore"):
+    # a leg, length, tolerance or weight that overflows is left inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         for members, sel, which in _batches([p.points.shape for p in patches], owner):
             pts = np.stack([patches[i].points for i in members])
-            nets = _homogeneous(pts, np.stack([patches[i].weights for i in members]))
-            point[:, sel], normal[:, sel] = _patch_point_normal(nets, pre[sel, 0], pre[sel, 1], which)
+            wts = np.stack([patches[i].weights for i in members])
+            point[:, sel], normal[:, sel] = _patch_point_normal(pts, wts, *pre[sel].T, which)
             # each patch's longest control-net leg along u, then along v
             for axis in (1, 2):
                 leg = _lengths(np.diff(pts, axis=axis).reshape(-1, 3).T)
                 legs[axis - 1, members] = leg.reshape(len(members), -1).max(axis=1)
-    mag = _lengths(normal)
-    # collapsed patch edges (sphere poles) must be skipped, not integrated:
-    # |n| is an area, so it is measured against the product of two legs,
-    # which scales with it.  A tolerance that overflows exceeds every
-    # finite |n| as its exact value would
-    with np.errstate(over="ignore"):
+        mag = _lengths(normal)
+        # collapsed patch edges (sphere poles) must be skipped, not integrated:
+        # |n| is an area, so it is measured against the product of two legs,
+        # which scales with it.  A tolerance that overflows exceeds every
+        # finite |n| as its exact value would
         degenerate = mag < (_DEGENERATE_NORMAL_REL * legs[0] * legs[1])[owner]
-    factor = mag if weight_mode == "full-normal" else normal[2]
-    with np.errstate(invalid="ignore"):  # a zero weight times an overflowed normal
+        factor = mag if weight_mode == "full-normal" else normal[2]
+        # a zero weight times an overflowed normal is NaN
         weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
     bad = np.bincount(owner[degenerate], minlength=len(patches))
     for i in np.flatnonzero(bad):
@@ -277,14 +275,16 @@ def _exact_z_rule(patches, p):
     trimmed patches and from height 0.
     """
     bounds = []
-    for tp in patches:
-        if _z_flux_free(tp.patch):
-            bounds.append(0)
-        elif _equal_weights(tp.patch.weights.ravel()):
-            m_n = tp.patch.degree_u + tp.patch.degree_v
-            bounds.append(m_n * (p + 1) + 2 * m_n - 2)
-        else:
-            return None
+    # a lift that overflows is left inf, which the patch's rule refuses
+    with np.errstate(over="ignore"):
+        for tp in patches:
+            if _z_flux_free(tp.patch):
+                bounds.append(0)
+            elif _equal_weights(tp.patch.weights.ravel()):
+                m_n = tp.patch.degree_u + tp.patch.degree_v
+                bounds.append(m_n * (p + 1) + 2 * m_n - 2)
+            else:
+                return None
     trimmed = [k for k, tp in zip(bounds, patches) if tp.loops]
     segs = [seg for tp in patches for loop in tp.loops for seg in loop.segments]
     para = _pe_region_rule(segs, max(trimmed), 0.0) if trimmed else None

@@ -9,8 +9,6 @@ from bezquad.bezier import (
     RationalBezierPatch,
     _batches,
     _curve_point_derivative,
-    _homogeneous,
-    _patch_eval_h,
     _patch_point_normal,
     bernstein_to_monomial,
     control_bbox,
@@ -109,11 +107,9 @@ def test_stacked_curve_pass_equals_each_curve():
         point, der = np.empty((dim, s.size)), np.empty((dim, s.size))
         for members, sel, which in _batches([c.degree for c in curves], owner):
             assert len({curves[i].degree for i in members}) == 1
-            ctrl = _homogeneous(
-                np.stack([curves[i].points for i in members]),
-                np.stack([curves[i].weights for i in members]),
-            )
-            point[:, sel], der[:, sel] = _curve_point_derivative(ctrl, s[sel], which)
+            pts = np.stack([curves[i].points for i in members])
+            wts = np.stack([curves[i].weights for i in members])
+            point[:, sel], der[:, sel] = _curve_point_derivative(pts, wts, s[sel], which)
         for i, c in enumerate(curves):
             mine = owner == i
             assert point[:, mine].T.tobytes() == eval_curve(c, s[mine]).tobytes()
@@ -123,6 +119,10 @@ def test_stacked_curve_pass_equals_each_curve():
 # The point-major evaluators that the column-major ones replaced: every
 # de Casteljau step on (k, m+1, ..., dim+1) arrays, the normal by np.cross.
 # The column-major pass must give the same bytes.
+
+
+def _ref_lift(points, weights):
+    return np.concatenate([points * weights[..., None], weights[..., None]], axis=-1)
 
 
 def _ref_casteljau_pair(ctrl, t):
@@ -176,13 +176,13 @@ def test_patch_evaluator_matches_point_major_reference(m, n):
     rng = np.random.default_rng(10 * m + n)
     pts = rng.uniform(-2, 2, size=(3, m + 1, n + 1, 3))
     wts = rng.uniform(0.3, 2.5, size=(3, m + 1, n + 1))
-    nets = _homogeneous(pts, wts)
+    nets = _ref_lift(pts, wts)
     u, v = _corner_params(rng, 25)
     which = rng.integers(0, 3, u.size)
-    for args in ((nets, u, v, which), (nets[1], u, v, None)):
-        got = _patch_eval_h(*args) + _patch_point_normal(*args)
-        want = _ref_patch_eval_h(*args) + _ref_patch_point_normal(*args)
-        for g, ref in zip(got, want):
+    # the stacked nets, then one net on its own
+    for net, at in ((slice(None), which), (1, None)):
+        got = _patch_point_normal(pts[net], wts[net], u, v, at)
+        for g, ref in zip(got, _ref_patch_point_normal(nets[net], u, v, at)):
             assert g.T.tobytes() == ref.tobytes()
     patch = RationalBezierPatch(pts[2], wts[2])
     point, normal = _ref_patch_point_normal(nets[2], u, v)
@@ -197,14 +197,14 @@ def test_curve_evaluator_matches_point_major_reference(degree):
     rng = np.random.default_rng(40 + degree)
     for dim in (2, 3):
         curves = [random_curve(rng, degree, dim) for _ in range(3)]
-        ctrl = _homogeneous(
-            np.stack([c.points for c in curves]), np.stack([c.weights for c in curves])
-        )
+        pts, wts = np.stack([c.points for c in curves]), np.stack([c.weights for c in curves])
+        ctrl = _ref_lift(pts, wts)
         s, _ = _corner_params(rng, 25)
         which = rng.integers(0, 3, s.size)
-        for args in ((ctrl, s, which), (ctrl[1], s, None)):
-            got = _curve_point_derivative(*args)
-            for g, ref in zip(got, _ref_curve_point_derivative(*args)):
+        # the stacked curves, then one curve on its own
+        for curve, at in ((slice(None), which), (1, None)):
+            got = _curve_point_derivative(pts[curve], wts[curve], s, at)
+            for g, ref in zip(got, _ref_curve_point_derivative(ctrl[curve], s, at)):
                 assert g.T.tobytes() == ref.tobytes()
         point, der = _ref_curve_point_derivative(ctrl[0], s)
         assert eval_curve(curves[0], s).tobytes() == point.tobytes()

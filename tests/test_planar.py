@@ -704,8 +704,8 @@ def test_batched_pe_rule_matches_per_curve_reference(name):
 )
 def test_pe_assembly_builds_no_curve(monkeypatch, region, batches):
     # the standard form works on stacked weights and the curves of one
-    # degree are evaluated as one stack: no curve is built, one
-    # homogeneous lift per degree
+    # degree are evaluated as one stack: no curve is built, one kernel
+    # call per degree
     built = []
     init = RationalBezierCurve.__post_init__
 
@@ -714,13 +714,13 @@ def test_pe_assembly_builds_no_curve(monkeypatch, region, batches):
         init(curve)
 
     monkeypatch.setattr(RationalBezierCurve, "__post_init__", counted)
-    calls = _count_calls(monkeypatch, "_homogeneous")
+    calls = _count_calls(monkeypatch, "_curve_point_derivative")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the mixed loop's degree-21 arc
         spectral_pe_rule(region, 8)
-        assert calls["_homogeneous"] == batches
+        assert calls["_curve_point_derivative"] == batches
         geometric_moments(region, 6)
-        assert calls["_homogeneous"] == 2 * batches
+        assert calls["_curve_point_derivative"] == 2 * batches
     assert built == []
 
 

@@ -1,21 +1,34 @@
-"""Every bezquad warning names the line that called the library.
+"""Every bezquad warning names the line that called the library, and no
+numpy RuntimeWarning leaves it.
 
 The paper's pipeline (curve rules, patch maps, z-lifts) raises its
 warnings two to four calls below the caller; each must still be filed
 under the caller's own file and line, as Python's default filter prints
-and de-duplicates them.
+and de-duplicates them.  Geometry whose values overflow float64 on the
+way is evaluated quietly, inf or NaN, or refused as an overflow.
 """
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from bezquad.bezier import bernstein_to_monomial, monomial_to_bernstein
+from bezquad.bezier import (
+    RationalBezierCurve,
+    RationalBezierPatch,
+    bernstein_to_monomial,
+    eval_curve,
+    eval_curve_derivative,
+    eval_patch,
+    monomial_to_bernstein,
+    patch_normal,
+)
+from bezquad.errors import ValidationError
 from bezquad.moments import geometric_moments
-from bezquad.planar import PlanarRegion, _weights_rule, spectral_pe_rule
+from bezquad.planar import PlanarRegion, _weights_rule, spectral_pe_rule, spectral_rule
 from bezquad.quad1d import weight_poly_roots
-from bezquad.shapes import circle_region
+from bezquad.shapes import box_solid, circle_region, polygon_loop, square_region
 from bezquad.surface import boundary_rule, surface_integrate
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import SolidModel, volume_rule
@@ -61,3 +74,72 @@ def test_warning_names_the_calling_line(name):
         call()
     assert seen and all(w.category is UserWarning for w in seen)
     assert {(w.filename, w.lineno) for w in seen} == {(__file__, call.__code__.co_firstlineno)}
+
+
+# Finite geometry whose values overflow float64 on the way: control points
+# that span more than float64, a control point of 1e308 with weight 2, whose
+# lifted w x is beyond it, and at degree 4 moments beyond it.  Each model
+# is (model, degree or order).
+_HEAVY_CURVE = RationalBezierCurve([(1.0, 0.0), (1e308, 1e308), (0.0, 1.0)], [1.0, 2.0, 1.0])
+_HEAVY_PATCH = RationalBezierPatch(
+    [[(0, 0, 0), (0, 1, 0)], [(1, 0, 0), (1e308, 1e308, 1e308)]], [[1.0, 1.0], [1.0, 2.0]]
+)
+_SPAN_SQUARE = square_region((-1e308,) * 2, (1e308,) * 2)
+_SPAN_BOX = box_solid((-1e308,) * 3, (1e308,) * 3)
+CURVES = {"span": _SPAN_SQUARE.curves[0], "heavy": _HEAVY_CURVE}
+PATCHES = {"span": _SPAN_BOX.patches[0].patch, "heavy": _HEAVY_PATCH}
+REGIONS = {
+    "span": (_SPAN_SQUARE, 2),
+    "heavy": (PlanarRegion(((_HEAVY_CURVE, *polygon_loop([(0, 1), (0, 0), (1, 0)])[:2]),)), 2),
+    "1e100": (square_region((0, 0), (1e100, 1e100)), 4),
+}
+SOLIDS = {
+    "span": (_SPAN_BOX, 2),
+    "heavy": (SolidModel((_HEAVY_PATCH,)), 2),
+    "1e60": (box_solid((0, 0, 0), (1e60,) * 3), 4),
+}
+_S, _U, _V = np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.4, 1.0]), np.array([1.0, 0.6, 0.0])
+EVALUATORS, BUILDERS = {}, {}
+for k, curve in CURVES.items():
+    for f in (eval_curve, eval_curve_derivative):
+        EVALUATORS[f"{f.__name__}-{k}"] = partial(f, curve, _S)
+for k, patch in PATCHES.items():
+    for f in (eval_patch, patch_normal):
+        EVALUATORS[f"{f.__name__}-{k}"] = partial(f, patch, _U, _V)
+for k, (region, p) in REGIONS.items():
+    BUILDERS[f"spectral_rule-{k}"] = partial(spectral_rule, region, p, p)
+    BUILDERS[f"spectral_pe_rule-{k}"] = partial(spectral_pe_rule, region, p)
+    BUILDERS[f"geometric_moments-region-{k}"] = partial(geometric_moments, region, p)
+for k, (solid, p) in SOLIDS.items():
+    for mode in ("full-normal", "z-normal"):
+        BUILDERS[f"boundary_rule-{mode}-{k}"] = partial(boundary_rule, solid.patches, p, p, mode)
+    BUILDERS[f"volume_rule-{k}"] = partial(volume_rule, solid, p, p)
+    BUILDERS[f"geometric_moments-solid-{k}"] = partial(geometric_moments, solid, p)
+
+
+@pytest.mark.parametrize("name", list(EVALUATORS) + list(BUILDERS))
+def test_no_runtime_warning_leaves_an_overflow(name):
+    # an evaluator returns its values, inf or NaN where they overflowed; a
+    # builder returns a finite rule or moments, or refuses them as overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name in EVALUATORS:
+            assert EVALUATORS[name]().shape[0] == 3  # one row per parameter
+            return
+        try:
+            BUILDERS[name]()
+        except ValidationError as exc:
+            assert "overflowed float64: " in str(exc)
+
+
+@pytest.mark.parametrize(
+    "model, at", [(REGIONS["1e100"][0], "values[3]"), (SOLIDS["1e60"][0], "values[10]")],
+    ids=["square", "box"],
+)
+def test_moments_that_overflow_are_refused_as_one(model, at):
+    # the rules are finite; degree-4 monomials over them are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            geometric_moments(model, 4)
+    assert str(err.value) == f"the moment sums overflowed float64: {at}: must be finite, got inf"
