@@ -50,6 +50,16 @@ def _refuse(a, bad, name, what):
     raise ValidationError(f"{what}, got {a[at]}", path=name + "".join(f"[{i}]" for i in at))
 
 
+def _built(make, *args, what="the built rule"):
+    """``make(*args)``, whose arrays were computed from finite inputs, so a
+    value it refuses as not finite overflowed float64 on the way, which
+    the error says of ``what``."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{what} overflowed float64: {exc}") from None
+
+
 def _has_bool(value) -> bool:
     """Whether ``value`` is a bool or bool array or holds one in its lists or tuples."""
     nested = isinstance(value, (list, tuple)) and any(map(_has_bool, value))
@@ -395,7 +405,9 @@ def _warn_if_high_degree(n):
 
 def _basis_change(coeffs, entry):
     """``mat @ coeffs`` for the (n+1) x (n+1) lower-triangular matrix with
-    ``mat[i, j] = entry(n, i, j)``; extra axes of ``coeffs`` pass through."""
+    ``mat[i, j] = entry(n, i, j)``, a fresh array of the shape of
+    ``coeffs``: extra axes pass through.  A result that overflows float64
+    is refused as such, at its first entry that does."""
     coeffs = _adopt(coeffs, "coeffs")
     if coeffs.ndim == 0 or not coeffs.size:
         raise ValidationError(f"need a nonempty shape (n+1, ...), got {coeffs.shape}", "coeffs")
@@ -405,7 +417,11 @@ def _basis_change(coeffs, entry):
     for i in range(n + 1):
         for j in range(i + 1):
             mat[i, j] = entry(n, i, j)
-    return mat @ coeffs.reshape(n + 1, -1) if coeffs.ndim > 1 else mat @ coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (mat @ coeffs.reshape(n + 1, -1)).reshape(coeffs.shape)
+    if not np.isfinite(out).all():
+        _built(_adopt, out, "coeffs", what="the basis change")
+    return out
 
 
 def bernstein_to_monomial(coeffs) -> np.ndarray:
@@ -423,6 +439,17 @@ def bernstein_to_monomial(coeffs) -> np.ndarray:
 def monomial_to_bernstein(coeffs) -> np.ndarray:
     """Monomial coefficients (ascending powers) -> Bernstein coefficients."""
     return _basis_change(coeffs, lambda n, i, j: math.comb(i, j) / math.comb(n, j))
+
+
+def _lengths(vectors):
+    """The length of each column of the (d, k) ``vectors``: the plain
+    norm's, or where its squares overflow (callers quiet numpy), ``np.hypot``'s,
+    which is inf only where the length is."""
+    out = np.linalg.norm(vectors, axis=0)
+    big = ~np.isfinite(out)
+    if big.any():
+        out[big] = np.hypot.reduce(vectors[:, big], axis=0)
+    return out
 
 
 def _closure_half_gaps(curves):

@@ -26,9 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bezier import _adopt, _frozen, _kind, _warn
+from .bezier import _adopt, _built, _frozen, _kind, _warn
 from .errors import QuadratureError, ValidationError
-from .planar import PlanarRegion, _built, spectral_pe_rule
+from .planar import PlanarRegion, spectral_pe_rule
 from .quad1d import _as_int
 from .surface import _exact_z_rule, boundary_rule
 from .volume import SolidModel

@@ -34,6 +34,7 @@ from .bezier import (
     _CONDITIONING_DEGREE,
     _adopt,
     _batches,
+    _built,
     _closed_chain,
     _curve_point_derivative,
     _frozen,
@@ -240,16 +241,6 @@ def _lift(points, owner, base, order, *factors):
     prov[2] = np.arange(order)
     rows = _frozen(block).reshape(dim + 4, -1)
     return rows[:dim].T, rows[dim], rows[dim + 1 :].view(np.int64).T
-
-
-def _built(make, *args, what="the built rule"):
-    """``make(*args)``, whose arrays were computed from finite inputs, so a
-    value it refuses as not finite overflowed float64 on the way, which
-    the error says of ``what``."""
-    try:
-        return make(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{what} overflowed float64: {exc}") from None
 
 
 def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:

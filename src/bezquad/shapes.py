@@ -44,6 +44,9 @@ _CORNERS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)
 _QUARTERS = _frozen(
     np.array([[_CORNERS[(2 * q + i) % 8] for i in range(3)] for q in range(4)], dtype=float)
 )
+# the sign of each quadrant's x and y: its arc's control points take those
+# of the center plus the radius times that sign, or 0
+_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 # the box corner at each control point of its six faces, True taking hi
 # on that axis and False lo: a face's point [i][j] sits at (u, v) = (i, j),
 # and u x v points out of the box
@@ -68,11 +71,24 @@ def _positive(value, name) -> float:
     return value
 
 
-def _quarters(center, radius, rows=slice(None)) -> np.ndarray:
-    """``center + radius * _QUARTERS[rows]``, both checked, as a fresh
-    read-only block that curves adopt without a copy."""
+def _quarters(center, radius, quadrant=None) -> np.ndarray:
+    """``center + radius * _QUARTERS``, or its row ``quadrant``, both
+    checked, as a fresh read-only block that curves adopt without a copy.
+
+    A control coordinate beyond float64 is refused as an overflow before
+    the numpy add meets it: the farthest ones are the center's coordinates
+    plus or minus the radius, along the quadrant's signs, which Python
+    floats add to inf with no warning.
+    """
     c = _adopt(center, "center", shape=(2,))
-    return _frozen(c + _positive(radius, "radius") * _QUARTERS[rows])
+    r = _positive(radius, "radius")
+    (cx, cy), (sx, sy) = c.tolist(), (1.0, 1.0) if quadrant is None else _SIGNS[quadrant]
+    if quadrant is None:
+        cx, cy = abs(cx), abs(cy)
+    if math.isinf(cx + sx * r) or math.isinf(cy + sy * r):
+        what = f"center {tuple(c.tolist())} and radius {r!r}"
+        raise ValidationError(f"the circle's control points overflowed float64: {what}")
+    return _frozen(c + r * (_QUARTERS if quadrant is None else _QUARTERS[quadrant]))
 
 
 def quarter_arc(center=(0.0, 0.0), radius=1.0, quadrant=0) -> RationalBezierCurve:

@@ -11,21 +11,23 @@ the z-component n_z for the volume pipeline.
 
 Untrimmed patches skip the boundary construction entirely and use a
 tensor-product Gauss grid over the whole square; ``_parts`` alone makes
-that choice.  A union of patches is integrated by its boundary rule, whose
-trim segments, over all its patches, share one planar rule.
+that choice.  A union of patches is integrated by its boundary rule, which
+builds the planar rule of each distinct trim loop once: the two caps of a
+cylinder, which hold one trim, share it.
 
 A boundary rule is sized one of two ways.  boundary_rule takes Gauss
 orders.  ``_exact_z_rule`` sizes a z-normal rule by a polynomial degree
 p instead: when every patch is polynomial or carries no z-flux,
 x^a y^b z^(c+1) n_z with a + b + c <= p is a polynomial in each patch's
-(u, v) of known degree, so Gauss grids of that degree and the paper's
-degree-exact Green's-theorem rule over the trim segments integrate it
+(u, v) whose degrees follow from the degrees its coordinates actually
+have, read off its net: a flat cap stored as a bilinear or an elevated
+net has degree 1.  Gauss grids of those degrees and the paper's
+degree-exact Green's-theorem rule over the trim loops integrate it
 exactly.  Solid moments use it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,16 +37,18 @@ from .bezier import (
     RationalBezierCurve,
     RationalBezierPatch,
     _batches,
+    _built,
     _closed_chain,
     _frozen,
     _homogeneous,
     _items,
     _kind,
+    _lengths,
     _patch_point_normal,
     _warn,
 )
 from .errors import ValidationError
-from .planar import Rule, _built, _equal_weights, _pe_region_rule, _region_rule, apply
+from .planar import Rule, _equal_weights, _pe_region_rule, _region_rule, apply
 from .quad1d import _orders, gauss_legendre
 
 __all__ = [
@@ -129,9 +133,14 @@ def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule:
     """
     loops = _items(loops, "loops", TrimLoop)
     m_q, n_q = _orders(m_q, n_q)
-    flat = [seg for loop in loops for seg in loop.segments]
-    rules = [gauss_legendre(m_q, (0.0, 1.0))] * len(flat)
-    return _region_rule([s.points for s in flat], [s.weights for s in flat], rules, 0.0, n_q)
+    return _gauss_trim_rule([seg for loop in loops for seg in loop.segments], m_q, n_q)
+
+
+def _gauss_trim_rule(segments, m_q, n_q) -> Rule:
+    """parametric_area_rule over the trim ``segments``, orders taken as given."""
+    rules = [gauss_legendre(m_q, (0.0, 1.0))] * len(segments)
+    points, weights = [s.points for s in segments], [s.weights for s in segments]
+    return _region_rule(points, weights, rules, 0.0, n_q)
 
 
 def _as_trimmed_patches(patches) -> tuple[TrimmedPatch, ...]:
@@ -141,45 +150,40 @@ def _as_trimmed_patches(patches) -> tuple[TrimmedPatch, ...]:
 
 
 @lru_cache(maxsize=64)
-def _tensor_part(n: int):
-    """The n x n Gauss grid over the square as a read-only parametric part;
-    its provenance rows are (-1, -1, i, j)."""
-    g = gauss_legendre(n, (0.0, 1.0))
-    pre = np.column_stack([np.repeat(g.nodes, n), np.tile(g.nodes, n)])
-    pw = np.repeat(g.weights, n) * np.tile(g.weights, n)
-    prov = np.column_stack([np.full((n * n, 2), -1), np.indices((n, n)).reshape(2, -1).T])
+def _tensor_part(n_u: int, n_v: int):
+    """The n_u x n_v Gauss grid over the square as a read-only parametric
+    part, u running slowest; its provenance rows are (-1, -1, i, j)."""
+    g_u, g_v = gauss_legendre(n_u, (0.0, 1.0)), gauss_legendre(n_v, (0.0, 1.0))
+    pre = np.column_stack([np.repeat(g_u.nodes, n_v), np.tile(g_v.nodes, n_u)])
+    pw = np.repeat(g_u.weights, n_v) * np.tile(g_v.weights, n_u)
+    prov = np.column_stack([np.full((n_u * n_v, 2), -1), np.indices((n_u, n_v)).reshape(2, -1).T])
     return _frozen(pre), _frozen(pw), _frozen(prov)
 
 
-def _parts(tps, para, tensor_orders):
+def _parts(tps, trim_rule, degrees, grids):
     """Each patch's parametric part: (preimages, weights, (loop, segment,
-    mu, eta) rows).  ``para`` is one planar rule over the trim segments of
-    every trimmed patch, flattened in patch, loop and segment order, with
-    provenance (segment, mu, eta), or None when no patch is trimmed; its
-    points are split back to the patches that own them.  An untrimmed
-    patch i gets the tensor_orders[i] Gauss grid."""
-    if para is None:
-        return [_tensor_part(n) for n in tensor_orders]
-    # flattened segment index -> (patch, loop, segment)
-    ids = [(i, k, j) for i, tp in enumerate(tps) for k, loop in enumerate(tp.loops)
-           for j in range(len(loop.segments))]
-    rows = np.array(ids, dtype=np.int64)[para.provenance[:, 0]]
-    prov = np.column_stack([rows[:, 1:], para.provenance[:, 1:]])
-    cuts = np.searchsorted(rows[:, 0], np.arange(1, len(tps)))
-    split = zip(*(np.split(a, cuts) for a in (para.points, para.weights, prov)))
-    return [
-        part if tp.loops else _tensor_part(n) for tp, part, n in zip(tps, split, tensor_orders)
-    ]
-
-
-def _lengths(vectors):
-    """The length of each column of the (3, k) ``vectors``: the plain
-    norm's, or where its squares overflow (callers quiet numpy), ``np.hypot``'s."""
-    out = np.linalg.norm(vectors, axis=0)
-    big = ~np.isfinite(out)
-    if big.any():
-        out[big] = np.hypot.reduce(vectors[:, big], axis=0)
-    return out
+    mu, eta) rows).  A trimmed patch i covers each of its loops with
+    ``trim_rule(segments, degrees[i])``, a planar rule over that loop's
+    segments with provenance (segment, mu, eta), and numbers the rows by
+    the loop's index among its own loops.  That rule is built once per
+    distinct loop and degree, loops keyed on their control bytes, so the
+    caps of a cylinder, which hold one trim, share one planar pass.  An
+    untrimmed patch i gets the grids[i] = (n_u, n_v) Gauss grid."""
+    built, parts = {}, []
+    for tp, degree, grid in zip(tps, degrees, grids):
+        if not tp.loops:
+            parts.append(_tensor_part(*grid))
+            continue
+        pieces = []
+        for k, loop in enumerate(tp.loops):
+            key = (degree, tuple((s.points.tobytes(), s.weights.tobytes()) for s in loop.segments))
+            rule = built.get(key)
+            if rule is None:
+                rule = built[key] = trim_rule(loop.segments, degree)
+            prov = np.column_stack([np.full(len(rule), k), rule.provenance])
+            pieces.append((rule.points, rule.weights, prov))
+        parts.append(pieces[0] if len(pieces) == 1 else [np.concatenate(a) for a in zip(*pieces)])
+    return parts
 
 
 def _mapped_rule(patches, parts, weight_mode) -> Rule:
@@ -234,11 +238,12 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
 
     A trimmed patch gets Green's theorem over its trim loops (m_q
     boundary nodes per trim segment, n_q per vertical run); an untrimmed
-    one the max(m_q, n_q) tensor Gauss grid.  Every trim segment of every
-    patch goes through one planar pass, and each group of patches with one
-    control-net shape is mapped in one pass.  ``full-normal`` weights
-    integrate against the surface area measure, ``z-normal`` weights
-    against n_z, which is what the volume construction consumes.
+    one the max(m_q, n_q) tensor Gauss grid.  Each distinct trim loop goes
+    through one planar pass, which every patch holding it shares, and
+    each group of patches with one control-net shape is mapped in one
+    pass.  ``full-normal`` weights integrate against the surface area
+    measure, ``z-normal`` weights against n_z, which is what the volume
+    construction consumes.
 
     ``bezquad rule-surface`` writes it in full-normal mode; volume_rule lifts
     it and solid moments integrate against it in z-normal mode.
@@ -248,9 +253,9 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
     # before the parametric pass, which costs a planar rule over every trim
     if weight_mode not in _WEIGHT_MODES:
         raise ValidationError(f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}")
-    loops = [loop for tp in patches for loop in tp.loops]
-    para = parametric_area_rule(loops, m_q, n_q) if loops else None
-    parts = _parts(patches, para, [max(m_q, n_q)] * len(patches))
+    n = len(patches)
+    trim_rule = lambda segments, _: _gauss_trim_rule(segments, m_q, n_q)
+    parts = _parts(patches, trim_rule, [None] * n, [(max(m_q, n_q),) * 2] * n)
     return _mapped_rule([tp.patch for tp in patches], parts, weight_mode)
 
 
@@ -262,34 +267,71 @@ def _z_flux_free(patch) -> bool:
     return bool((h == h[:1]).all() or (h == h[:, :1]).all())
 
 
+def _minus(a, b):
+    """The pointwise differences a - b of two lists of 3D points, as lists."""
+    return [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+
+
+def _coordinate_degrees(points):
+    """(d_u, d_v, d): the degrees in u, in v and in total of the polynomial
+    patch with control ``points``, over its three coordinates.
+
+    The monomial coefficient of u^i v^j is C(m, i) C(n, j) times the
+    forward difference du^i dv^j P00 of the net, so the degrees are the
+    largest i, j and i + j whose difference is not exactly 0.  A difference
+    that rounds to 0 from a nonzero value is below the net's own rounding.
+    The differences are Python floats, a few per patch: one that overflows
+    is inf or NaN, with no warning, and counts as nonzero.
+    """
+    net = points.tolist()
+    # in place: row k ends as the k-th difference of row 0, then each
+    # row's point k as the k-th difference of its point 0
+    for k in range(1, len(net)):
+        net[k:] = [_minus(a, b) for a, b in zip(net[k:], net[k - 1 :])]
+    for k in range(1, len(net[0])):
+        net = [row[:k] + _minus(row[k:], row[k - 1 :]) for row in net]
+    ij = [(i, j) for i, row in enumerate(net) for j, point in enumerate(row) if any(point)]
+    if not ij:
+        return 0, 0, 0
+    return max(i for i, _ in ij), max(j for _, j in ij), max(map(sum, ij))
+
+
 def _exact_z_rule(patches, p):
     """A z-normal boundary rule that integrates x^a y^b z^(c+1) n_z exactly
     for a + b + c <= p, or None when a rational patch carries z-flux.
 
-    On a polynomial patch of degrees (m, n) that integrand is a polynomial
-    in (u, v) of total degree K = (m+n)(p+1) + 2(m+n) - 2.  An untrimmed
-    patch takes the ceil((K+1)/2) tensor Gauss grid; a patch with no
-    z-flux adds exact zeros, so one point.  The trim segments of every
-    trimmed patch share one degree-exact Green's-theorem rule in (u, v),
-    as spectral_pe_rule builds for planar regions, at the largest K among
-    trimmed patches and from height 0.
+    On a polynomial patch whose coordinates have degrees d_u in u, d_v in
+    v and d in total, read off its net by _coordinate_degrees, that
+    integrand is a polynomial in (u, v) of degree d_u(p+3) - 1 in u,
+    d_v(p+3) - 1 in v and K = d(p+3) - 2 in total: d = 1 on a flat
+    parallelogram, whatever degree its net is stored at.  An untrimmed
+    patch takes the n_u x n_v Gauss grid with n_u = min(ceil((K+1)/2),
+    ceil(d_u(p+3)/2)), and n_v likewise; a patch with no z-flux adds exact
+    zeros, so one point.  Each trim loop of a trimmed patch takes the
+    degree-K Green's-theorem rule in (u, v) from height 0, as
+    spectral_pe_rule builds for planar regions, built once per distinct
+    loop and K.
     """
-    bounds = []
+    degrees, grids = [], []
     # a lift that overflows is left inf, which the patch's rule refuses
     with np.errstate(over="ignore"):
         for tp in patches:
             if _z_flux_free(tp.patch):
-                bounds.append(0)
+                d_u = d_v = d = 0
             elif _equal_weights(tp.patch.weights.ravel()):
-                m_n = tp.patch.degree_u + tp.patch.degree_v
-                bounds.append(m_n * (p + 1) + 2 * m_n - 2)
+                d_u, d_v, d = _coordinate_degrees(tp.patch.points)
             else:
                 return None
-    trimmed = [k for k, tp in zip(bounds, patches) if tp.loops]
-    segs = [seg for tp in patches for loop in tp.loops for seg in loop.segments]
-    para = _pe_region_rule(segs, max(trimmed), 0.0) if trimmed else None
-    layers = [math.ceil((k + 1) / 2) for k in bounds]
-    return _mapped_rule([tp.patch for tp in patches], _parts(patches, para, layers), "z-normal")
+            if d_u and d_v:
+                k = d * (p + 3) - 2
+                grid = tuple(min((k + 2) // 2, (e * (p + 3) + 1) // 2) for e in (d_u, d_v))
+            else:  # coordinates constant in u or in v make n_z zero
+                k, grid = 0, (1, 1)
+            degrees.append(k)
+            grids.append(grid)
+    trim_rule = lambda segments, k: _pe_region_rule(segments, k, 0.0)
+    parts = _parts(patches, trim_rule, degrees, grids)
+    return _mapped_rule([tp.patch for tp in patches], parts, "z-normal")
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:

@@ -10,9 +10,11 @@ power of the segment size for smooth curves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .bezier import RationalBezierCurve, _adopt, monomial_to_bernstein
+from .bezier import RationalBezierCurve, _adopt, _lengths, monomial_to_bernstein
 from .errors import ValidationError
 from .quad1d import _as_int
 
@@ -20,11 +22,24 @@ __all__ = ["fit_trim_curves"]
 
 
 def _chord_positions(points):
-    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    """Cumulative chord lengths along the ordered ``points``, from 0, over a
+    power of two that brings the last below 1, refused when two consecutive
+    points coincide or when the lengths overflow float64.
+
+    Scaling by a power of two is exact and keeps every ratio of positions,
+    so the fit is the one the plain lengths give; the arc targets taken
+    from them, total * k / segments, then cannot overflow.
+    """
+    with np.errstate(over="ignore"):
+        steps = _lengths(np.diff(points, axis=0).T)
+        arc = np.concatenate([[0.0], np.cumsum(steps)])
     if np.any(steps == 0.0):
         i = int(np.flatnonzero(steps == 0.0)[0])
         raise ValidationError(f"points[{i}] and points[{i + 1}] coincide")
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    if math.isinf(arc[-1]):
+        i = int(np.argmax(np.isinf(arc)))
+        raise ValidationError(f"the chord lengths overflowed float64: points[0] to points[{i}]")
+    return np.ldexp(arc, -math.frexp(arc[-1])[1])
 
 
 def _nearest_index(arc, target):

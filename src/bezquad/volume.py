@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import _adopt, _kind
+from .bezier import _adopt, _built, _kind
 from .errors import ValidationError
-from .planar import Rule, _built, _lift
+from .planar import Rule, _lift
 from .quad1d import _orders
 from .surface import TrimmedPatch, _as_trimmed_patches, boundary_rule
 

@@ -11,7 +11,7 @@ import numpy as np
 from bezquad.bezier import RationalBezierCurve, RationalBezierPatch
 from bezquad.io import bundled
 from bezquad.planar import PlanarRegion
-from bezquad.shapes import bilinear_patch, cylinder_solid, quarter_arc
+from bezquad.shapes import bilinear_patch, box_solid, cylinder_solid, quarter_arc
 from bezquad.surface import TrimLoop, TrimmedPatch, unit_square_loop
 from bezquad.volume import SolidModel
 
@@ -97,6 +97,21 @@ def elevated(curve, times):
         a = np.arange(1, len(h))[:, None] / len(h)
         h = np.vstack([h[:1], a * h[:-1] + (1 - a) * h[1:], h[-1:]])
     return RationalBezierCurve(h[:, :-1] / h[:, -1:], h[:, -1])
+
+
+def elevated_box(lo, hi, m, n):
+    """box_solid(lo, hi) with each face stored at bidegree (m, n): its
+    bilinear map sampled at (i/m, j/n), which is the degree-elevated net.
+    With m and n powers of two and coordinates of few bits, as in the
+    tests, the samples are exact, so the faces stay exactly flat."""
+    s = np.linspace(0.0, 1.0, m + 1)[:, None, None]
+    t = np.linspace(0.0, 1.0, n + 1)[None, :, None]
+    faces = []
+    for tp in box_solid(lo, hi).patches:
+        (p00, p01), (p10, p11) = tp.patch.points
+        net = (1 - s) * (1 - t) * p00 + s * (1 - t) * p10 + (1 - s) * t * p01 + s * t * p11
+        faces.append(TrimmedPatch(RationalBezierPatch(net, np.ones((m + 1, n + 1)))))
+    return SolidModel(tuple(faces))
 
 
 def random_expr_tree(rng, depth=4, functions=True, division=True):

@@ -331,6 +331,16 @@ def test_conversion_values_agree_pointwise():
     assert np.allclose(np.polyval(mono[::-1], s), direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("convert", [bernstein_to_monomial, monomial_to_bernstein])
+def test_basis_change_keeps_the_shape(convert):
+    # extra axes pass through: each (j, k) column converts on its own
+    net = np.random.default_rng(3).standard_normal((3, 2, 4))
+    out = convert(net)
+    assert out.shape == net.shape
+    for j, k in np.ndindex(2, 4):
+        assert np.allclose(out[:, j, k], convert(net[:, j, k]), rtol=1e-14, atol=1e-14)
+
+
 def test_high_degree_conversion_warns():
     with pytest.warns(UserWarning):
         bernstein_to_monomial(np.ones(25))

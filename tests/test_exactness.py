@@ -27,7 +27,7 @@ from bezquad.planar import spectral_pe_rule
 from bezquad.shapes import annulus_region, box_solid, circle_region, cylinder_solid, square_region
 from bezquad.surface import parametric_area_rule, unit_square_loop
 
-from conftest import exact, flat_unit_patch, quarter_disk_loop, triangle_loop, x_axis_cylinder
+from conftest import elevated_box, exact, flat_unit_patch, quarter_disk_loop, triangle_loop, x_axis_cylinder
 
 # a model's geometry, its moments m(a, b[, c]) and, for a surface, the
 # integral of z^c over it
@@ -44,6 +44,10 @@ def _box(lo, hi):
     return Model(box_solid(lo, hi), box, lambda c: exact.box_surface_zpow(c, lo, hi))
 
 
+def _elevated_box(lo, hi):
+    return Model(elevated_box(lo, hi, 2, 4), lambda *e: exact.box_moment(*e, lo, hi))
+
+
 def _cylinder(shape, cx, cy, r, z0, h):
     cylinder = lambda *e: exact.cylinder_moment(*e, cx, cy, r, z0, h)
     return Model(shape, cylinder, lambda c: exact.cylinder_surface_zpow(c, r, z0, h))
@@ -57,6 +61,8 @@ MODELS = {
     "square": Model(square_region(), lambda a, b: exact.box_moment(a, b, 0, *UNIT)),
     "cube": _box(*UNIT),
     "box": _box((0.5, 1.0, 2.0), (1.5, 2.5, 3.25)),  # no corner at the origin or at z = 0
+    # the box's flat faces stored as bidegree (2, 4) nets
+    "elevated box": _elevated_box((0.5, 1.0, 2.0), (1.5, 2.5, 3.25)),
     "cylinder": _cylinder(cylinder_solid((0.3, -0.7), 1.5, -0.4, 2.0), 0.3, -0.7, 1.5, -0.4, 2.0),
     "bundled cylinder": _cylinder(load_solid(bundled("cylinder.solid.json")), 0, 0, 1, 0, 1),
     # (x, y, z) -> (z, y, -x), so x^a y^b z^c is (-1)^c z^a y^b x^c upright
@@ -127,6 +133,7 @@ ROWS = [
     ("geometric_moments", "square", range(9), 1e-13, None),
     ("geometric_moments", "cube", range(9), 1e-13, None),
     ("geometric_moments", "box", range(9), 1e-13, None),
+    ("geometric_moments", "elevated box", range(9), 1e-13, None),
     ("geometric_moments", "cylinder", range(9), 1e-13, None),
     ("geometric_moments", "bundled cylinder", range(9), 1e-13, None),
     # rational sides with z-flux take the spectral path and its doubling check

@@ -15,9 +15,10 @@ from bezquad.moments import (
     monomial_exponents,
 )
 from bezquad.shapes import annulus_region, box_solid, circle_region, cylinder_solid, square_region
+from bezquad.surface import _exact_z_rule
 from bezquad.volume import SolidModel
 
-from conftest import exact, random_quadratic_region, x_axis_cylinder
+from conftest import elevated_box, exact, random_quadratic_region, x_axis_cylinder
 
 PI = math.pi
 
@@ -107,6 +108,22 @@ def test_solid_moments_exact_through_degree_8(solid, closed_form):
             mv = geometric_moments(solid, p)
         for exps, got in zip(mv.exponents, mv.values):
             assert got == pytest.approx(closed_form(*exps), rel=1e-13, abs=1e-13), (p, exps)
+
+
+@pytest.mark.parametrize(
+    "name, p, most", [("cylinder.solid.json", 6, 700), ("cube.solid.json", 8, 60)], ids=["cylinder", "cube"]
+)
+def test_exact_z_rule_is_sized_by_the_degree_each_patch_has(name, p, most):
+    # flat caps and faces have degree 1 whatever their bidegree: the
+    # cylinder takes 676 points (2,812 sized by bidegree), the cube 54 (246)
+    assert len(_exact_z_rule(load_solid(bundled(name)).patches, p)) <= most
+
+
+def test_elevated_faces_take_the_bilinear_box_sizes():
+    lo, hi = (0.5, 1.0, 2.0), (1.5, 2.5, 3.25)
+    box, elevated = box_solid(lo, hi), elevated_box(lo, hi, 2, 4)
+    for p in range(9):
+        assert len(_exact_z_rule(elevated.patches, p)) == len(_exact_z_rule(box.patches, p)), p
 
 
 @pytest.mark.parametrize("dim", [2, 3])

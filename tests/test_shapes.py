@@ -300,3 +300,13 @@ def test_builders_take_numbers_of_any_kind():
     assert _bytes([tp.patch for tp in box.patches]) == _bytes(
         [tp.patch for tp in box_solid((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)).patches]
     )
+
+
+def test_an_arc_is_refused_only_where_its_control_points_overflow():
+    # about (-1e308, 0) with radius 1e308, quadrant 0 reaches x = 0 and
+    # quadrant 1 x = -2e308; the whole circle reaches both
+    arc = quarter_arc((-1e308, 0.0), 1e308, 0)
+    assert arc.points.tolist() == [[0.0, 0.0], [0.0, 1e308], [-1e308, 1e308]]
+    for build in (lambda: quarter_arc((-1e308, 0.0), 1e308, 1), lambda: circle_loop((-1e308, 0.0), 1e308)):
+        with pytest.raises(ValidationError, match=r"^the circle's control points overflowed float64: "):
+            build()

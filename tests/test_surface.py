@@ -290,6 +290,22 @@ def varied_trim_patches():
     )
 
 
+def shared_trim_patches():
+    """Two cylinder caps trimmed by content-equal but distinct circle loops,
+    a side between them, and two caps that hold one square loop and one
+    hole loop."""
+    cyl = cylinder_solid().patches
+    circle = lambda: TrimLoop(circle_region((0.5, 0.5), 0.5).curves)
+    hole = TrimLoop(circle_region((0.5, 0.5), 0.2, clockwise=True).curves)
+    return (
+        TrimmedPatch(cyl[4].patch, (circle(),)),
+        cyl[0],
+        TrimmedPatch(cyl[5].patch, (circle(),)),
+        TrimmedPatch(cyl[4].patch, (unit_square_loop(), hole)),
+        TrimmedPatch(cyl[5].patch, (unit_square_loop(), hole)),
+    )
+
+
 _RULE_ARRAYS = ("points", "weights", "preimages", "provenance")
 
 
@@ -301,6 +317,7 @@ def test_boundary_rule_concatenates_patch_rules(mode):
         cylinder_solid_fitted().patches,
         mixed_net_patches(),
         varied_trim_patches(),
+        shared_trim_patches(),
     ):
         rule = boundary_rule(patches, 4, 3, mode)
         parts = [boundary_rule((tp,), 4, 3, mode) for tp in patches]
@@ -321,6 +338,21 @@ def test_boundary_rule_concatenates_patch_rules(mode):
             pre = rule.preimages[rule.provenance[:, 0] == i]
             mine = rule.points[rule.provenance[:, 0] == i]
             assert mine.tobytes() == eval_patch(tp.patch, pre[:, 0], pre[:, 1]).tobytes()
+
+
+def test_each_distinct_trim_loop_is_covered_once(monkeypatch):
+    # loops are matched on their control points and weights, not identity:
+    # the circle, the square and the hole each take one planar pass
+    built = []
+    for name in ("_gauss_trim_rule", "_pe_region_rule"):
+        real = getattr(surface, name)
+        spy = lambda segments, *sizes, real=real: built.append(len(segments)) or real(segments, *sizes)
+        monkeypatch.setattr(surface, name, spy)
+    boundary_rule(shared_trim_patches(), 4, 3)
+    assert built == [4, 4, 4]
+    built.clear()
+    surface._exact_z_rule(cylinder_solid().patches, 4)
+    assert built == [4]
 
 
 def test_boundary_rule_warns_once_for_the_degenerate_patch():

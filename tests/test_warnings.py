@@ -143,3 +143,35 @@ def test_moments_that_overflow_are_refused_as_one(model, at):
         with pytest.raises(ValidationError) as err:
             geometric_moments(model, 4)
     assert str(err.value) == f"the moment sums overflowed float64: {at}: must be finite, got inf"
+
+
+# finite input whose converted coefficients, circle control points or
+# chord lengths are beyond float64
+OVERFLOWS = {
+    "bernstein_to_monomial": (
+        lambda: bernstein_to_monomial([1e308, -1e308, 1e308]),
+        "the basis change overflowed float64: coeffs[1]: must be finite, got -inf",
+    ),
+    "monomial_to_bernstein": (
+        lambda: monomial_to_bernstein([1e308, 1e308, 1e308]),
+        "the basis change overflowed float64: coeffs[2]: must be finite, got inf",
+    ),
+    "circle_region": (
+        lambda: circle_region((1e308, 0), 1e308),
+        "the circle's control points overflowed float64: center (1e+308, 0.0) and radius 1e+308",
+    ),
+    "fit_trim_curves": (
+        lambda: fit_trim_curves((2 * TRACE - 1) * 1e308, 3),
+        "the chord lengths overflowed float64: points[0] to points[28]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_overflow_is_refused_as_one(name):
+    call, message = OVERFLOWS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            call()
+    assert str(err.value) == message
