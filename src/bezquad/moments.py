@@ -1,18 +1,20 @@
 """Geometric moments of regions and solids, and moment-fitted weights.
 
 Moments are monomial integrals ordered graded-lexicographically: total
-degree first, then exponents compared left to right, highest first.  For
-planar regions each monomial is integrated with a polynomially exact
-rule, so the moments are exact up to rounding.  Solids use the closed
-z antiderivative, integral_V x^a y^b z^c dV = 1/(c+1) integral_S x^a y^b
-z^(c+1) n_z dS, on a z-normal boundary rule (the Gauss-Green route of
-Sommariva and Vianello).  When every patch is polynomial or carries no
-z-flux, that integrand is a polynomial in each patch's (u, v), and one
-rule sized by the degree integrates it exactly, trims included; the
-sizing is surface._exact_z_rule, described in the surface module.  A solid
-with a rational patch that carries z-flux gets spectral rules instead,
-cross-checked against doubled orders.  Every moment vector is summed from
-one power table per coordinate, with one small matrix product.
+degree first, then exponents compared left to right, highest first.
+
+Regions and solids share one formula: with l the last coordinate (y or
+z), integral x^a [y^b] l^c = 1/(c+1) times the flux of x^a [y^b] l^(c+1)
+e_l through the boundary (Gauss-Green, the route of Sommariva and
+Vianello; the base-height term of the antiderivative is a flux through a
+closed boundary, so zero).  _flux_moments sums it over boundary nodes
+with one power table per coordinate and one small matrix product.  A
+region's nodes are spectral_pe_rule's before their lift, weighted by
+-dx/ds: exact for x^a y^(b+1) dx with a + b <= p, with no lift point.  A
+solid's are a z-normal boundary rule, exact when every patch is
+polynomial or free of z-flux (sized by surface._exact_z_rule, described
+in the surface module), else spectral and cross-checked against doubled
+orders.
 
 moment_fit_weights solves the classic moment-fitting system: given
 prescribed point locations, find the minimum-norm weights reproducing a
@@ -28,7 +30,7 @@ import numpy as np
 
 from .bezier import _adopt, _built, _frozen, _kind, _warn
 from .errors import QuadratureError, ValidationError
-from .planar import PlanarRegion, spectral_pe_rule
+from .planar import PlanarRegion, _boundary_nodes, _pe_curves
 from .quad1d import _as_int
 from .surface import _exact_z_rule, boundary_rule
 from .volume import SolidModel
@@ -105,7 +107,7 @@ def _monomials(points, exps):
 
 @lru_cache(maxsize=64)
 def _sum_plan(p, dim):
-    """The exponents of degree <= p as arrays for _moment_sums: the
+    """The exponents of degree <= p as arrays for _flux_moments: the
     distinct exponents of all but the last coordinate, and for each
     monomial its row among them and its last exponent."""
     exps = monomial_exponents(p, dim)
@@ -115,50 +117,42 @@ def _sum_plan(p, dim):
     return tuple(_frozen(np.array(a)) for a in (list(lead), row, [e[-1] for e in exps]))
 
 
-def _moment_sums(points, weights, p):
-    """sum(weights * x^a y^b [z^c]) for every monomial of total degree <= p,
-    graded-lex ordered.  The monomials of all but the last coordinate are
-    weighted rows, and one small matrix product with the last coordinate's
-    power table sums them all: (p+1) x (p+1) in 2D.  A sum that overflows
-    is left inf or NaN, for geometric_moments to refuse."""
+def _flux_moments(points, weights, p):
+    """sum(weights * x^a [y^b] l^(c+1) / (c+1)), l the last coordinate, for
+    every monomial x^a [y^b] l^c of total degree <= p, graded-lex ordered,
+    by one (p+1) x (p+1) matrix product in 2D.  A sum that overflows is
+    left inf or NaN, for geometric_moments to refuse."""
     dim = points.shape[1]
     lead, row, last = _sum_plan(p, dim)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = _power_table(points, p)
-        rows = weights * powers[0, lead[:, 0]]
+        rows = weights * points[:, -1] * powers[0, lead[:, 0]]
         for d in range(1, dim - 1):
             rows *= powers[d, lead[:, d]]
-        return (rows @ powers[-1].T)[row, last]
+        return (rows @ powers[-1].T)[row, last] / (last + 1.0)
 
 
 def _region_moments(region: PlanarRegion, p: int) -> np.ndarray:
-    rule = spectral_pe_rule(region, p)
-    return _moment_sums(rule.points, rule.weights, p)
+    xy, _, w, factor = _boundary_nodes(*_pe_curves(region.curves, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _flux_moments(xy.T, w * factor, p)
 
 
 def _solid_moments(solid: SolidModel, p: int) -> np.ndarray:
     if not solid.closed:
         raise ValidationError("solid moments need a solid asserted closed")
-    exps = monomial_exponents(p, 3)
-
-    def z_moments(rule):
-        # the base-height term of the z antiderivative is the flux of
-        # x^a y^b e_z through a closed surface, which is zero
-        with np.errstate(over="ignore"):
-            w_z = rule.weights * rule.points[:, 2]
-        return _moment_sums(rule.points, w_z, p) / (np.asarray(exps)[:, 2] + 1.0)
-
     exact = _exact_z_rule(solid.patches, p)
     if exact is not None:
-        return z_moments(exact)
+        return _flux_moments(exact.points, exact.weights, p)
     # a rational patch with z-flux: spectral rules, cross-checked
     n = (p + 1 + 1) // 2 + 4
-    coarse = z_moments(boundary_rule(solid.patches, n, n, "z-normal"))
-    fine = z_moments(boundary_rule(solid.patches, 2 * n, 2 * n, "z-normal"))
+    rules = (boundary_rule(solid.patches, k, k, "z-normal") for k in (n, 2 * n))
+    coarse, fine = (_flux_moments(rule.points, rule.weights, p) for rule in rules)
     with np.errstate(invalid="ignore"):  # an overflowed moment, refused by the caller
         drift = np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))
     if np.max(drift) > _DOUBLING_TOL:
         i = int(np.argmax(drift))
+        exps = monomial_exponents(p, 3)
         _warn(
             f"moment {exps[i]} moved {drift[i]:.2e} when doubling quadrature orders; "
             "treat results near that degree with care"
@@ -177,7 +171,7 @@ def geometric_moments(model, p: int) -> MomentVector:
     _kind(model, "model", (PlanarRegion, SolidModel))
     p = _as_int(p, "max degree", 0)
     dim, moments = (2, _region_moments) if isinstance(model, PlanarRegion) else (3, _solid_moments)
-    # summed from a finite rule: a moment that is not finite overflowed
+    # summed from finite geometry: a moment that is not finite overflowed
     return _built(MomentVector, p, dim, moments(model, p), what="the moment sums")
 
 
@@ -212,7 +206,13 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
         try:
             rel_weights, *_ = np.linalg.lstsq(vander, rel_m, rcond=None)
         except np.linalg.LinAlgError as exc:
-            raise QuadratureError(f"moment fit failed: {exc}") from None
+            # LAPACK's SVD can fail to converge on a well-posed system; the
+            # minimum-norm solve through the QR factors of vander.T remains
+            try:
+                q, r = np.linalg.qr(vander.T)
+                rel_weights = q @ np.linalg.solve(r.T, rel_m)
+            except np.linalg.LinAlgError as again:
+                raise QuadratureError(f"moment fit failed: {exc}, then {again}") from None
         rel_residual = float(np.linalg.norm(vander @ rel_weights - rel_m))
         rel_scale = float(np.linalg.norm(rel_m))
         weights = rel_weights * unit

@@ -11,7 +11,8 @@ curve at that node.
 
 Loops are traversed counter-clockwise around material; clockwise loops
 subtract (holes).  With that convention the geometric factor is minus the
-x-derivative of the curve.
+x-derivative of the curve.  A monomial's antiderivative is closed form,
+so region moments take the _boundary_nodes alone (see the moments module).
 
 The degree-exact rule first puts the weights of each curve with unequal
 end weights into standard form (end weights 1), the Moebius
@@ -243,12 +244,11 @@ def _lift(points, owner, base, order, *factors):
     return rows[:dim].T, rows[dim], rows[dim + 1 :].view(np.int64).T
 
 
-def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:
-    """Green's-theorem rule: one Rule1D on [0, 1] per boundary curve, given
-    by its control ``points`` and ``weights``, every node lifted from height
-    ``base`` by a ``layer_order``-point segment.  Provenance rows are
-    (curve, q, zeta), curves in flattened order.  The curves of one degree
-    are stacked and evaluated in one de Casteljau pass."""
+def _boundary_nodes(points, weights, curve_rules):
+    """The nodes of one Rule1D on [0, 1] per curve with control ``points``
+    and ``weights``: their (2, k) points, the curve of each, in flattened
+    order, their rule weights and -dx/ds, the factor of counter-clockwise
+    material.  The curves of one degree go through one de Casteljau pass."""
     owner = np.repeat(np.arange(len(points)), [len(r) for r in curve_rules])
     nodes = np.concatenate([r.nodes for r in curve_rules])
     xy = np.empty((2, nodes.size))
@@ -256,10 +256,23 @@ def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:
     for members, sel, which in _batches([len(w) for w in weights], owner):
         stack = [np.array([a[i] for i in members]) for a in (points, weights)]
         xy[:, sel], der = _curve_point_derivative(*stack, nodes[sel], which)
-        # counter-clockwise material: the factor is -dx/ds
         factor[sel] = -der[0]
-    w = np.concatenate([r.weights for r in curve_rules])
+    return xy, owner, np.concatenate([r.weights for r in curve_rules]), factor
+
+
+def _region_rule(points, weights, curve_rules, base, layer_order) -> Rule:
+    """Green's-theorem rule: each of the _boundary_nodes lifted from height
+    ``base`` by a ``layer_order``-point segment; provenance (curve, q, zeta)."""
+    xy, owner, w, factor = _boundary_nodes(points, weights, curve_rules)
     return _built(Rule2D, *_lift(xy.T, owner, base, layer_order, w, factor))
+
+
+def _gauss_region_rule(curves, boundary_order, layer_order, base) -> Rule:
+    """``boundary_order`` Gauss nodes per curve, each lifted from height
+    ``base`` by a ``layer_order``-point segment, orders taken as given."""
+    rules = [gauss_legendre(boundary_order, (0.0, 1.0))] * len(curves)
+    points, weights = [c.points for c in curves], [c.weights for c in curves]
+    return _region_rule(points, weights, rules, base, layer_order)
 
 
 def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -> Rule:
@@ -271,10 +284,7 @@ def spectral_rule(region: PlanarRegion, boundary_order: int, layer_order: int) -
     """
     _kind(region, "region", PlanarRegion)
     boundary_order, layer_order = _orders(boundary_order, layer_order)
-    curves = region.curves
-    rules = [gauss_legendre(boundary_order, (0.0, 1.0))] * len(curves)
-    points, weights = [c.points for c in curves], [c.weights for c in curves]
-    return _region_rule(points, weights, rules, region_constant_C(region), layer_order)
+    return _gauss_region_rule(region.curves, boundary_order, layer_order, region_constant_C(region))
 
 
 def _pe_intermediate_rule(weights, degree: int) -> Rule1D:
@@ -354,18 +364,20 @@ def spectral_pe_rule(region: PlanarRegion, degree: int) -> Rule:
     return _pe_region_rule(region.curves, degree, region_constant_C(region))
 
 
-def _pe_region_rule(curves, degree, base) -> Rule:
-    """The degree-exact Green's-theorem rule over ``curves`` from height
-    ``base``: each curve in standard form with its degree-exact
-    intermediate rule, and ceil((degree + 1) / 2) layer points.  The
-    weights of each degree are put into standard form as one stack; no
-    curve is built."""
+def _pe_curves(curves, degree):
+    """The control points of ``curves``, their weights in standard form,
+    one stack per degree with no curve built, and their degree-exact
+    intermediate rules: the first three arguments of _region_rule."""
     weights = [c.weights for c in curves]
     if any(w[0] != w[-1] for w in weights):
         for members in _groups([w.size for w in weights]):
             std = _standard_form(np.array([weights[i] for i in members]))
             for i, row in zip(members, std):
                 weights[i] = row
-    rules = [_pe_intermediate_rule(w, degree) for w in weights]
-    points = [c.points for c in curves]
-    return _region_rule(points, weights, rules, base, max(1, math.ceil((degree + 1) / 2)))
+    return [c.points for c in curves], weights, [_pe_intermediate_rule(w, degree) for w in weights]
+
+
+def _pe_region_rule(curves, degree, base) -> Rule:
+    """The degree-exact rule over ``curves`` from height ``base``: the
+    _pe_curves nodes, each with ceil((degree + 1) / 2) layer points."""
+    return _region_rule(*_pe_curves(curves, degree), base, max(1, math.ceil((degree + 1) / 2)))

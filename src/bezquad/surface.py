@@ -23,7 +23,8 @@ x^a y^b z^(c+1) n_z with a + b + c <= p is a polynomial in each patch's
 have, read off its net: a flat cap stored as a bilinear or an elevated
 net has degree 1.  Gauss grids of those degrees and the paper's
 degree-exact Green's-theorem rule over the trim loops integrate it
-exactly.  Solid moments use it.
+exactly.  Solid moments sum the flux of the z antiderivative over it, the
+formula the moments module describes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .bezier import (
     _built,
     _closed_chain,
     _frozen,
-    _homogeneous,
     _items,
     _kind,
     _lengths,
@@ -48,7 +48,7 @@ from .bezier import (
     _warn,
 )
 from .errors import ValidationError
-from .planar import Rule, _equal_weights, _pe_region_rule, _region_rule, apply
+from .planar import Rule, _equal_weights, _gauss_region_rule, _pe_region_rule, apply
 from .quad1d import _orders, gauss_legendre
 
 __all__ = [
@@ -133,14 +133,7 @@ def parametric_area_rule(loops, m_q: int, n_q: int) -> Rule:
     """
     loops = _items(loops, "loops", TrimLoop)
     m_q, n_q = _orders(m_q, n_q)
-    return _gauss_trim_rule([seg for loop in loops for seg in loop.segments], m_q, n_q)
-
-
-def _gauss_trim_rule(segments, m_q, n_q) -> Rule:
-    """parametric_area_rule over the trim ``segments``, orders taken as given."""
-    rules = [gauss_legendre(m_q, (0.0, 1.0))] * len(segments)
-    points, weights = [s.points for s in segments], [s.weights for s in segments]
-    return _region_rule(points, weights, rules, 0.0, n_q)
+    return _gauss_region_rule([seg for loop in loops for seg in loop.segments], m_q, n_q, 0.0)
 
 
 def _as_trimmed_patches(patches) -> tuple[TrimmedPatch, ...]:
@@ -254,17 +247,21 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
     if weight_mode not in _WEIGHT_MODES:
         raise ValidationError(f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}")
     n = len(patches)
-    trim_rule = lambda segments, _: _gauss_trim_rule(segments, m_q, n_q)
+    trim_rule = lambda segments, _: _gauss_region_rule(segments, m_q, n_q, 0.0)
     parts = _parts(patches, trim_rule, [None] * n, [(max(m_q, n_q),) * 2] * n)
     return _mapped_rule([tp.patch for tp in patches], parts, weight_mode)
 
 
 def _z_flux_free(patch) -> bool:
-    """Whether n_z is identically zero: the homogeneous (w x, w y, w) net
-    is the same in every row or in every column, so x and y do not depend
-    on one parameter.  The normal's z row is then exactly 0."""
-    h = _homogeneous(patch.points, patch.weights)[..., [0, 1, 3]]
-    return bool((h == h[:1]).all() or (h == h[:, :1]).all())
+    """Whether n_z is identically zero: the (w x, w y, w) net, as Python
+    floats, is the same in every row or in every column, so x and y do not
+    depend on one parameter.  The normal's z row is then exactly 0.  A
+    product that overflows is inf, with no warning, and compares as such."""
+    net = [
+        [(w * x, w * y, w) for (x, y, _), w in zip(*rows)]
+        for rows in zip(patch.points.tolist(), patch.weights.tolist())
+    ]
+    return all(row == net[0] for row in net) or all(row.count(row[0]) == len(row) for row in net)
 
 
 def _minus(a, b):
@@ -313,22 +310,20 @@ def _exact_z_rule(patches, p):
     loop and K.
     """
     degrees, grids = [], []
-    # a lift that overflows is left inf, which the patch's rule refuses
-    with np.errstate(over="ignore"):
-        for tp in patches:
-            if _z_flux_free(tp.patch):
-                d_u = d_v = d = 0
-            elif _equal_weights(tp.patch.weights.ravel()):
-                d_u, d_v, d = _coordinate_degrees(tp.patch.points)
-            else:
-                return None
-            if d_u and d_v:
-                k = d * (p + 3) - 2
-                grid = tuple(min((k + 2) // 2, (e * (p + 3) + 1) // 2) for e in (d_u, d_v))
-            else:  # coordinates constant in u or in v make n_z zero
-                k, grid = 0, (1, 1)
-            degrees.append(k)
-            grids.append(grid)
+    for tp in patches:
+        if _z_flux_free(tp.patch):
+            d_u = d_v = d = 0
+        elif _equal_weights(tp.patch.weights.ravel()):
+            d_u, d_v, d = _coordinate_degrees(tp.patch.points)
+        else:
+            return None
+        if d_u and d_v:
+            k = d * (p + 3) - 2
+            grid = tuple(min((k + 2) // 2, (e * (p + 3) + 1) // 2) for e in (d_u, d_v))
+        else:  # coordinates constant in u or in v make n_z zero
+            k, grid = 0, (1, 1)
+        degrees.append(k)
+        grids.append(grid)
     trim_rule = lambda segments, k: _pe_region_rule(segments, k, 0.0)
     parts = _parts(patches, trim_rule, degrees, grids)
     return _mapped_rule([tp.patch for tp in patches], parts, "z-normal")

@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from bezquad import SolidModel, TrimmedPatch, apply, boundary_rule, geometric_moments, volume_rule
+from bezquad.bezier import RationalBezierCurve
 from bezquad.io import bundled, load_solid
 from bezquad.moments import monomial_exponents
-from bezquad.planar import spectral_pe_rule
+from bezquad.planar import PlanarRegion, spectral_pe_rule
 from bezquad.shapes import annulus_region, box_solid, circle_region, cylinder_solid, square_region
 from bezquad.surface import parametric_area_rule, unit_square_loop
 
@@ -35,8 +36,17 @@ Model = namedtuple("Model", "shape moment surface", defaults=(None,))
 
 UNIT = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 ANNULUS = (0.6, -0.4, 1.2, 0.5)  # cx, cy, outer, inner
+DISK = (0.86, 1.11, 0.29)  # cx, cy, r: a disk of the planar benchmark's size
 QUARTER = exact.unit_disk_moment(0, 0) / 4
 QUARTER_PATCH = SolidModel([TrimmedPatch(flat_unit_patch(), (quarter_disk_loop(),))], closed=False)
+
+
+def _rescaled(region, cs):
+    """``region`` with the weights of its k-th arc scaled by (1, c, c^2),
+    c = cs[k]: the same trace, parametrized by a Moebius map."""
+    cs = iter(cs)
+    arc = lambda a: RationalBezierCurve(a.points, a.weights * next(cs) ** np.arange(3))
+    return PlanarRegion(tuple(tuple(map(arc, loop)) for loop in region.loops))
 
 
 def _box(lo, hi):
@@ -57,6 +67,13 @@ MODELS = {
     "disk": Model(circle_region(), exact.unit_disk_moment),
     "annulus": Model(
         annulus_region(ANNULUS[:2], *ANNULUS[2:]), lambda a, b: exact.annulus_moment(a, b, *ANNULUS)
+    ),
+    "rescaled annulus": Model(
+        _rescaled(annulus_region(ANNULUS[:2], *ANNULUS[2:]), (0.5, 2.0, 0.7, 1.6, 0.64, 1.6, 0.66, 1.04)),
+        lambda a, b: exact.annulus_moment(a, b, *ANNULUS),
+    ),
+    "off-centre disk": Model(
+        circle_region(DISK[:2], DISK[2]), lambda a, b: exact.disk_moment(a, b, *DISK)
     ),
     "square": Model(square_region(), lambda a, b: exact.box_moment(a, b, 0, *UNIT)),
     "cube": _box(*UNIT),
@@ -131,6 +148,12 @@ ROWS = [
     ("geometric_moments", "disk", range(9), 1e-13, None),
     ("geometric_moments", "annulus", range(9), 1e-13, None),
     ("geometric_moments", "square", range(9), 1e-13, None),
+    # the flux sum over the PE rule's boundary nodes, through degree 16
+    ("geometric_moments", "disk", range(9, 17), 1e-13, None),
+    ("geometric_moments", "annulus", range(9, 17), 1e-13, None),
+    ("geometric_moments", "square", range(9, 17), 1e-13, None),
+    ("geometric_moments", "off-centre disk", range(17), 1e-13, None),
+    ("geometric_moments", "rescaled annulus", range(17), 1e-13, None),
     ("geometric_moments", "cube", range(9), 1e-13, None),
     ("geometric_moments", "box", range(9), 1e-13, None),
     ("geometric_moments", "elevated box", range(9), 1e-13, None),

@@ -4,17 +4,27 @@ import warnings
 import numpy as np
 import pytest
 
+import bezquad.planar as planar
+from bezquad.bezier import RationalBezierCurve
 from bezquad.errors import QuadratureError, ValidationError
 from bezquad.io import bundled, load_solid, moment_csv_lines, save_moments
 from bezquad.moments import (
     MomentVector,
-    _moment_sums,
+    _flux_moments,
     _monomials,
     geometric_moments,
     moment_fit_weights,
     monomial_exponents,
 )
-from bezquad.shapes import annulus_region, box_solid, circle_region, cylinder_solid, square_region
+from bezquad.planar import PlanarRegion, spectral_rule
+from bezquad.shapes import (
+    annulus_region,
+    box_solid,
+    circle_loop,
+    circle_region,
+    cylinder_solid,
+    square_region,
+)
 from bezquad.surface import _exact_z_rule
 from bezquad.volume import SolidModel
 
@@ -128,16 +138,31 @@ def test_elevated_faces_take_the_bilinear_box_sizes():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_moment_sums_match_the_monomial_matrix(dim):
+    # the flux sum of x^a [y^b] l^(c+1) / (c+1) over the last coordinate l;
     # negative coordinates take the slow libm pow path the power table avoids
     rng = np.random.default_rng(20 + dim)
     points = rng.uniform(-1.5, 1.5, (500, dim))
     weights = rng.uniform(-1.0, 1.0, 500)
     for p in range(11):
-        exps = monomial_exponents(p, dim)
-        mono = _monomials(points, exps)
+        exps = np.array(monomial_exponents(p, dim))
+        mono = _monomials(points, exps + np.eye(dim, dtype=int)[-1]) / (exps[:, -1] + 1.0)
         want = weights @ mono
         scale = np.abs(weights) @ np.abs(mono)
-        assert np.all(np.abs(_moment_sums(points, weights, p) - want) <= 1e-14 * scale), p
+        assert np.all(np.abs(_flux_moments(points, weights, p) - want) <= 1e-14 * scale), p
+
+
+def test_region_moments_lift_no_point(monkeypatch):
+    # the flux sum needs the boundary nodes alone: no antiderivative segment
+    rng = np.random.default_rng(4)
+    regions = (circle_region(), annulus_region((0.6, -0.4), 1.2, 0.5), random_quadratic_region(rng))
+    want = [geometric_moments(r, p).values for r in regions for p in (0, 4, 16)]
+
+    def refuse(*args):
+        raise AssertionError("region moments lifted their nodes")
+
+    monkeypatch.setattr(planar, "_lift", refuse)
+    got = [geometric_moments(r, p).values for r in regions for p in (0, 4, 16)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_open_solid_moments_rejected():
@@ -298,13 +323,35 @@ def test_scaled_fit_keeps_the_bits_of_the_direct_solve(region):
 
 
 def test_fit_reports_a_failed_solve(monkeypatch):
-    def fail(a, b, rcond=None):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    def fail(message):
+        def solver(*args, **kwargs):
+            raise np.linalg.LinAlgError(message)
 
-    monkeypatch.setattr(np.linalg, "lstsq", fail)
+        return solver
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail("SVD did not converge in Linear Least Squares"))
+    monkeypatch.setattr(np.linalg, "qr", fail("QR did not converge"))
     mv = geometric_moments(square_region(), 1)
-    with pytest.raises(QuadratureError, match="moment fit failed: SVD did not converge"):
+    failed = (
+        "^moment fit failed: SVD did not converge in Linear Least Squares, then QR did not converge$"
+    )
+    with pytest.raises(QuadratureError, match=failed):
         moment_fit_weights(np.array([[0.2, 0.2], [0.8, 0.2], [0.5, 0.8]]), mv)
+
+
+def test_fit_falls_back_to_qr_where_the_svd_does_not_converge():
+    # a benchmark region (planar seed 806): the 28 x 256 monomial matrix of
+    # its Gauss-on-Gauss points has condition 3.5e7, and LAPACK's gelsd
+    # does not converge on it
+    loop = circle_loop((0.8567504312011782, 1.1134828546079105), 0.28752569165749775)
+    cs = (0.6378742215578517, 1.5752532279647684, 0.6645012087619928, 1.039791524631321)
+    arcs = (RationalBezierCurve(a.points, a.weights * [1, c, c * c]) for a, c in zip(loop, cs))
+    region = PlanarRegion((tuple(arcs),))
+    mv = geometric_moments(region, 6)
+    pts = spectral_rule(region, 8, 8).points
+    w, residual = moment_fit_weights(pts, mv)
+    assert residual <= 1e-14 * np.linalg.norm(mv.values)
+    assert np.allclose(w @ _monomials(pts, mv.exponents), mv.values, rtol=0, atol=1e-14)
 
 
 def test_moments_reject_other_models():

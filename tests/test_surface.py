@@ -344,7 +344,7 @@ def test_each_distinct_trim_loop_is_covered_once(monkeypatch):
     # loops are matched on their control points and weights, not identity:
     # the circle, the square and the hole each take one planar pass
     built = []
-    for name in ("_gauss_trim_rule", "_pe_region_rule"):
+    for name in ("_gauss_region_rule", "_pe_region_rule"):
         real = getattr(surface, name)
         spy = lambda segments, *sizes, real=real: built.append(len(segments)) or real(segments, *sizes)
         monkeypatch.setattr(surface, name, spy)
@@ -513,6 +513,17 @@ def test_tiny_box_keeps_its_area_and_volume():
     assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(6e-30, rel=1e-14)
     assert volume == pytest.approx(1e-45, rel=1e-14)
     assert moments.tolist() == pytest.approx([1e-45], rel=1e-14)
+
+
+def test_box_whose_normal_squares_underflow_keeps_its_area():
+    # |n| = 1e-162: its squares underflow to 0 in the plain norm, which
+    # once zeroed every point as degenerate; np.hypot takes the length
+    box = box_solid((0, 0, 0), (1e-81,) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = boundary_rule(box.patches, 2, 2)
+    assert rule.degenerate_count == 0
+    assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(6e-162, rel=1e-14)
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])

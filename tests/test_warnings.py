@@ -133,15 +133,22 @@ def test_no_runtime_warning_leaves_an_overflow(name):
 
 
 @pytest.mark.parametrize(
-    "model, at", [(REGIONS["1e100"][0], "values[3]"), (SOLIDS["1e60"][0], "values[10]")],
-    ids=["square", "box"],
+    "model, p, at",
+    [
+        (REGIONS["1e100"][0], 4, "values[3]"),
+        (SOLIDS["1e60"][0], 4, "values[10]"),
+        # the flux sum of a circle of radius 1e155, whose area is 3e310
+        (circle_region((0, 0), 1e155), 2, "values[0]"),
+        (_SPAN_SQUARE, 2, "values[0]"),
+    ],
+    ids=["square", "box", "circle", "span"],
 )
-def test_moments_that_overflow_are_refused_as_one(model, at):
-    # the rules are finite; degree-4 monomials over them are not
+def test_moments_that_overflow_are_refused_as_one(model, p, at):
+    # the nodes are finite; monomials or flux weights over them are not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError) as err:
-            geometric_moments(model, 4)
+            geometric_moments(model, p)
     assert str(err.value) == f"the moment sums overflowed float64: {at}: must be finite, got inf"
 
 
@@ -175,3 +182,15 @@ def test_overflow_is_refused_as_one(name):
         with pytest.raises(ValidationError) as err:
             call()
     assert str(err.value) == message
+
+
+def test_trim_samples_whose_squares_underflow_keep_their_lengths():
+    # steps near 1e-300 have squares below the smallest subnormal: their
+    # plain norm is 0, which once refused the samples as coinciding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = fit_trim_curves((2 * TRACE - 1) * 1e-300, 3)
+    unit = fit_trim_curves(2 * TRACE - 1, 3)
+    assert len(tiny) == len(unit) == 3
+    for a, b in zip(tiny, unit):
+        assert np.allclose(a.points * 1e300, b.points, rtol=0, atol=1e-14)
