@@ -443,11 +443,11 @@ def monomial_to_bernstein(coeffs) -> np.ndarray:
 
 def _lengths(vectors):
     """The length of each column of the (d, k) ``vectors``: the plain
-    norm's, or where its squares overflow (callers quiet numpy) or all
-    underflow to 0, ``np.hypot``'s, which is inf or 0 only where the length
-    is."""
+    norm's, or where its squares overflow (callers quiet numpy) or, at a
+    norm below 2**-485, may be subnormal and lose digits, ``np.hypot``'s,
+    which is inf or 0 only where the length is."""
     out = np.linalg.norm(vectors, axis=0)
-    redo = ~np.isfinite(out) | (out == 0.0)
+    redo = ~np.isfinite(out) | (out < 2.0**-485)
     if redo.any():
         out[redo] = np.hypot.reduce(vectors[:, redo], axis=0)
     return out

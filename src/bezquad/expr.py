@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import _kind
+from .bezier import _adopt, _kind
 from .errors import EvalError, ParseError
 
 __all__ = [
@@ -377,7 +377,8 @@ def _run(node, env, mode, spread):
 
 
 def evaluate(node: Expr, point) -> float:
-    """Evaluate at point = (x, y, z) in double arithmetic.
+    """Evaluate at point = (x, y, z) in double arithmetic; a point that is
+    not three finite numbers is refused with ValidationError at ``point``.
 
     Domain violations (square root of a negative, log of a nonpositive,
     division by zero, overflow) raise EvalError naming the subexpression:
@@ -388,7 +389,7 @@ def evaluate(node: Expr, point) -> float:
     bezquad.errors.EvalError: division by zero in 1 / (y - 2) at point (1, 2, 0)
     """
     _kind(node, "node", Expr)
-    x, y, z = (float(c) for c in point)
+    x, y, z = _adopt(point, "point", shape=(3,)).tolist()
     return float(_run(node, {"x": x, "y": y, "z": z}, _SCALAR, lambda v: v))
 
 

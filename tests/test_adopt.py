@@ -23,6 +23,7 @@ from bezquad.bezier import (
     patch_normal,
 )
 from bezquad.errors import ValidationError
+from bezquad.expr import evaluate, parse
 from bezquad.io import load_model, load_region, load_solid
 from bezquad.moments import MomentVector, moment_fit_weights
 from bezquad.planar import Rule, Rule2D
@@ -223,6 +224,7 @@ _REALS = {
     "cylinder-z0": (lambda a: cylinder_solid(z0=a), "z0", np.array(0.0)),
     "cylinder-height": (lambda a: cylinder_solid(height=a), "height", np.array(1.0)),
     "volume_rule-pz": (lambda a: volume_rule(box_solid(), 2, 2, pz=a), "pz", np.array(-1.0)),
+    "evaluate-point": (lambda a: evaluate(parse("x"), a), "point", np.zeros(3)),
 }
 
 
@@ -261,6 +263,7 @@ _SHAPED = {
     "monomial_to_bernstein": (monomial_to_bernstein, "coeffs", _COEFFS, (0, 2)),
     "gauss_legendre": (lambda a: gauss_legendre(2, a), "interval", "shape (2,)", (3,)),
     "rule1d-interval": (lambda a: Rule1D(_HALF, _HALF, a), "interval", "shape (2,)", (3,)),
+    "evaluate-point": (lambda a: evaluate(parse("x"), a), "point", "shape (3,)", (1,)),
 }
 
 

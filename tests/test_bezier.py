@@ -296,6 +296,7 @@ def test_patch_normal_matches_differences():
 def test_patch_transpose_flips_normal():
     p = cylinder_side_patch()
     t = p.transposed()
+    assert (p.degree_u, p.degree_v) == (t.degree_v, t.degree_u) == (2, 1)
     assert np.allclose(eval_patch(t, 0.2, 0.7), eval_patch(p, 0.7, 0.2), atol=1e-15)
     assert np.allclose(patch_normal(t, 0.2, 0.7), -patch_normal(p, 0.7, 0.2), atol=1e-13)
 

@@ -607,6 +607,9 @@ def test_lifted_rules_with_long_runs_match_oracle(tmp_path, build):
     runs = [1 + np.count_nonzero(np.diff(c)) for c in rule.points.T[:-1]]
     assert max(runs) < len(rule) // 8
     _assert_writes_like_oracle(rule, tmp_path / "r.csv")
+    # row-major copies of the coordinate-major arrays write the same bytes
+    arrays = map(np.ascontiguousarray, (rule.points, rule.weights, rule.provenance))
+    _assert_writes_like_oracle(Rule(*arrays, rule.columns), tmp_path / "c.csv")
 
 
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])

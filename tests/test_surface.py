@@ -124,6 +124,12 @@ def test_degenerate_normal_points_get_zero_weight():
     assert rule.degenerate_count > 0
     zeroed = rule.weights[np.isclose(rule.preimages[:, 1], 0.0, atol=1e-12)]
     assert np.all(zeroed == 0.0)
+    # a net all at the origin, whose weights differ by 2**-50 (equal, but
+    # not free of z-flux), has no nonzero coefficient: the exact z-rule
+    # takes one point, of weight 0
+    origin = RationalBezierPatch(np.zeros((2, 2, 3)), [[1.0, 1.0 + 2.0**-50], [1.0 + 2.0**-50, 1.0]])
+    rule = surface._exact_z_rule((TrimmedPatch(origin),), 4)
+    assert rule.weights.tolist() == [0.0] and rule.points.tolist() == [[0.0] * 3]
 
 
 # ---------------------------------------------------------------- integrate
@@ -517,13 +523,16 @@ def test_tiny_box_keeps_its_area_and_volume():
 
 def test_box_whose_normal_squares_underflow_keeps_its_area():
     # |n| = 1e-162: its squares underflow to 0 in the plain norm, which
-    # once zeroed every point as degenerate; np.hypot takes the length
-    box = box_solid((0, 0, 0), (1e-81,) * 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rule = boundary_rule(box.patches, 2, 2)
-    assert rule.degenerate_count == 0
-    assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(6e-162, rel=1e-14)
+    # once zeroed every point as degenerate; np.hypot takes the length.
+    # At |n| = 1e-156 and 1e-160 the squares are subnormal: the plain norm
+    # read the areas 7.7e-13 and 5.6e-6 (relative) low
+    for s in (1e-81, 1e-80, 1e-78):
+        box = box_solid((0, 0, 0), (s,) * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = boundary_rule(box.patches, 2, 2)
+        assert rule.degenerate_count == 0
+        assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(6 * s * s, rel=1e-14, abs=0), s
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
