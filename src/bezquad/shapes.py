@@ -226,18 +226,26 @@ def cylinder_solid_fitted(
 ) -> SolidModel:
     """Capped cylinder whose cap trims are fitted cubics, not exact arcs.
 
-    The caps extend a quarter radius past the cross-section so the fitted
-    loop, which wobbles around the true circle, stays strictly inside
-    their parameter squares.  Volume error falls like the fourth power of
-    ``segments``.
+    The caps extend a quarter radius past the cross-section; from 4
+    ``segments`` on, the fitted loop's control points stay inside their
+    parameter squares, and fewer are refused.  Volume error falls like
+    the fourth power of ``segments``.
     """
     segments = _as_int(segments, "segments", 1)
     samples_per_segment = _as_int(samples_per_segment, "samples per segment", 1)
     theta = np.linspace(0.0, 2.0 * np.pi, segments * samples_per_segment + 1)
-    samples = np.column_stack(
-        [0.5 + 0.4 * np.cos(theta), 0.5 + 0.4 * np.sin(theta)]
-    )
-    trim = TrimLoop(tuple(fit_trim_curves(samples, segments)))
+    samples = 0.5 + 0.4 * np.column_stack([np.cos(theta), np.sin(theta)])
+    curves = tuple(fit_trim_curves(samples, segments))
+    try:
+        trim = TrimLoop(curves)
+    except ValidationError as err:
+        # TrimLoop locates an out-of-square curve at its own field,
+        # segments[j], which would read as an index into the caller's int;
+        # any other refusal passes through as it is
+        if not str(err.path).startswith("segments["):
+            raise
+        what = "the fitted loop leaves the cap's parameter square at trim segment"
+        raise ValidationError(f"{what} {err.path[len('segments[') : -1]}", "segments") from err
 
     # cap squares with half-extent 1.25 r: the parametric circle of radius
     # 0.4 maps exactly onto the cross-section of radius r

@@ -12,8 +12,8 @@ the z-component n_z for the volume pipeline.
 Untrimmed patches skip the boundary construction entirely and use a
 tensor-product Gauss grid over the whole square; ``_parts`` alone makes
 that choice.  A union of patches is integrated by its boundary rule, which
-builds the planar rule of each distinct trim loop once: the two caps of a
-cylinder, which hold one trim, share it.
+builds one planar rule over all the loops of each distinct trim domain,
+once: the two caps of a cylinder, which hold one trim, share it.
 
 A boundary rule is sized one of two ways.  boundary_rule takes Gauss
 orders.  ``_exact_z_rule`` sizes a z-normal rule by a polynomial degree
@@ -153,54 +153,54 @@ def _tensor_part(n_u: int, n_v: int):
     return _frozen(pre), _frozen(pw), _frozen(prov)
 
 
-def _parts(tps, trim_rule, degrees, grids):
+def _parts(tps, trim_rule, sizes):
     """Each patch's parametric part: (preimages, weights, (loop, segment,
-    mu, eta) rows).  A trimmed patch i covers each of its loops with
-    ``trim_rule(segments, degrees[i])``, a planar rule over that loop's
-    segments with provenance (segment, mu, eta), and numbers the rows by
-    the loop's index among its own loops.  That rule is built once per
-    distinct loop and degree, loops keyed on their control bytes, so the
-    caps of a cylinder, which hold one trim, share one planar pass.  An
-    untrimmed patch i gets the grids[i] = (n_u, n_v) Gauss grid."""
+    mu, eta) rows).  A trimmed patch i covers its whole domain with
+    ``trim_rule(segments, *sizes[i], 0.0)``, one planar rule from height 0
+    over all its loops' segments in order, as parametric_area_rule builds
+    it; its flattened segment index splits into (loop, segment).  It is
+    built once per size and domain, keyed on its control and weight bytes,
+    so a cylinder's two caps share one pass.  An untrimmed patch i gets
+    the sizes[i] = (n_u, n_v) Gauss grid."""
     built, parts = {}, []
-    for tp, degree, grid in zip(tps, degrees, grids):
+    for tp, size in zip(tps, sizes):
         if not tp.loops:
-            parts.append(_tensor_part(*grid))
+            parts.append(_tensor_part(*size))
             continue
-        pieces = []
-        for k, loop in enumerate(tp.loops):
-            key = (degree, tuple((s.points.tobytes(), s.weights.tobytes()) for s in loop.segments))
-            rule = built.get(key)
-            if rule is None:
-                rule = built[key] = trim_rule(loop.segments, degree)
-            prov = np.column_stack([np.full(len(rule), k), rule.provenance])
-            pieces.append((rule.points, rule.weights, prov))
-        parts.append(pieces[0] if len(pieces) == 1 else [np.concatenate(a) for a in zip(*pieces)])
+        segments = [s for loop in tp.loops for s in loop.segments]
+        # the flattened segment index -> (loop, segment)
+        index = [(k, j) for k, loop in enumerate(tp.loops) for j in range(len(loop.segments))]
+        key = size, *index, *((s.points.tobytes(), s.weights.tobytes()) for s in segments)
+        if key not in built:
+            rule = trim_rule(segments, *size, 0.0)
+            prov = np.column_stack([np.array(index)[rule.provenance[:, 0]], rule.provenance[:, 1:]])
+            built[key] = rule.points, rule.weights, prov
+        parts.append(built[key])
     return parts
 
 
-def _mapped_rule(patches, parts, weight_mode) -> Rule:
-    """Push each patch's parametric part through that patch and scale the
-    weights by the requested normal factor.
+def _mapped_rule(tps, parts, weight_mode) -> Rule:
+    """Push each trimmed patch's parametric part through its patch and
+    scale the weights by the requested normal factor.
 
     ``parts[i]`` is the (preimages, weights, (loop, segment, mu, eta)
-    rows) of ``patches[i]``, which is numbered ``i``.  The patches that
+    rows) of ``tps[i]``, which is numbered ``i``.  The patches that
     share a control-net shape are evaluated in one batch, whose stacked
     control points also give each patch's degenerate-normal tolerance.
     Collapsed-normal points keep weight zero, with one warning per patch.
     A normal or weight that overflows float64 is refused as such.
     """
-    owner = np.repeat(np.arange(len(patches)), [len(pw) for _, pw, _ in parts])
+    owner = np.repeat(np.arange(len(tps)), [len(pw) for _, pw, _ in parts])
     pre = _frozen(np.concatenate([part[0] for part in parts]))
     # coordinate-major, so each coordinate is one contiguous row
     point = np.empty((3, owner.size))
     normal = np.empty((3, owner.size))
-    legs = np.empty((2, len(patches)))
+    legs = np.empty((2, len(tps)))
     # a leg, length, tolerance or weight that overflows is left inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        for members, sel, which in _batches([p.points.shape for p in patches], owner):
-            pts = np.stack([patches[i].points for i in members])
-            wts = np.stack([patches[i].weights for i in members])
+        for members, sel, which in _batches([tp.patch.points.shape for tp in tps], owner):
+            pts = np.stack([tps[i].patch.points for i in members])
+            wts = np.stack([tps[i].patch.weights for i in members])
             point[:, sel], normal[:, sel] = _patch_point_normal(pts, wts, *pre[sel].T, which)
             # each patch's longest control-net leg along u, then along v
             for axis in (1, 2):
@@ -215,7 +215,7 @@ def _mapped_rule(patches, parts, weight_mode) -> Rule:
         factor = mag if weight_mode == "full-normal" else normal[2]
         # a zero weight times an overflowed normal is NaN
         weights = np.concatenate([part[1] for part in parts]) * np.where(degenerate, 0.0, factor)
-    bad = np.bincount(owner[degenerate], minlength=len(patches))
+    bad = np.bincount(owner[degenerate], minlength=len(tps))
     for i in np.flatnonzero(bad):
         _warn(f"patch {i}: zeroed {bad[i]} degenerate-normal points")
     prov = np.empty((5, owner.size), dtype=np.int64)
@@ -231,12 +231,12 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
 
     A trimmed patch gets Green's theorem over its trim loops (m_q
     boundary nodes per trim segment, n_q per vertical run); an untrimmed
-    one the max(m_q, n_q) tensor Gauss grid.  Each distinct trim loop goes
-    through one planar pass, which every patch holding it shares, and
-    each group of patches with one control-net shape is mapped in one
-    pass.  ``full-normal`` weights integrate against the surface area
-    measure, ``z-normal`` weights against n_z, which is what the volume
-    construction consumes.
+    one the max(m_q, n_q) tensor Gauss grid.  Each distinct trim domain
+    goes through one planar pass over all its loops, which every patch
+    holding it shares, and each group of patches with one control-net
+    shape is mapped in one pass.  ``full-normal`` weights integrate
+    against the surface area measure, ``z-normal`` weights against n_z,
+    which is what the volume construction consumes.
 
     ``bezquad rule-surface`` writes it in full-normal mode; volume_rule lifts
     it and solid moments integrate against it in z-normal mode.
@@ -246,10 +246,8 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
     # before the parametric pass, which costs a planar rule over every trim
     if weight_mode not in _WEIGHT_MODES:
         raise ValidationError(f"weight_mode must be one of {_WEIGHT_MODES}, got {weight_mode!r}")
-    n = len(patches)
-    trim_rule = lambda segments, _: _gauss_region_rule(segments, m_q, n_q, 0.0)
-    parts = _parts(patches, trim_rule, [None] * n, [(max(m_q, n_q),) * 2] * n)
-    return _mapped_rule([tp.patch for tp in patches], parts, weight_mode)
+    sizes = [(m_q, n_q) if tp.loops else (max(m_q, n_q),) * 2 for tp in patches]
+    return _mapped_rule(patches, _parts(patches, _gauss_region_rule, sizes), weight_mode)
 
 
 def _z_flux_free(patch) -> bool:
@@ -304,12 +302,12 @@ def _exact_z_rule(patches, p):
     parallelogram, whatever degree its net is stored at.  An untrimmed
     patch takes the n_u x n_v Gauss grid with n_u = min(ceil((K+1)/2),
     ceil(d_u(p+3)/2)), and n_v likewise; a patch with no z-flux adds exact
-    zeros, so one point.  Each trim loop of a trimmed patch takes the
-    degree-K Green's-theorem rule in (u, v) from height 0, as
-    spectral_pe_rule builds for planar regions, built once per distinct
-    loop and K.
+    zeros, so one point.  A trimmed patch's domain, all its loops at
+    once, takes the degree-K Green's-theorem rule in (u, v) from height
+    0, as spectral_pe_rule builds for planar regions, built once per
+    distinct domain and K.
     """
-    degrees, grids = [], []
+    sizes = []
     for tp in patches:
         if _z_flux_free(tp.patch):
             d_u = d_v = d = 0
@@ -322,11 +320,8 @@ def _exact_z_rule(patches, p):
             grid = tuple(min((k + 2) // 2, (e * (p + 3) + 1) // 2) for e in (d_u, d_v))
         else:  # coordinates constant in u or in v make n_z zero
             k, grid = 0, (1, 1)
-        degrees.append(k)
-        grids.append(grid)
-    trim_rule = lambda segments, k: _pe_region_rule(segments, k, 0.0)
-    parts = _parts(patches, trim_rule, degrees, grids)
-    return _mapped_rule([tp.patch for tp in patches], parts, "z-normal")
+        sizes.append((k,) if tp.loops else grid)
+    return _mapped_rule(patches, _parts(patches, _pe_region_rule, sizes), "z-normal")
 
 
 def surface_integrate(patches, f, m_q: int, n_q: int) -> float:

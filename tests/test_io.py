@@ -549,7 +549,7 @@ def _special_rule(n, columns):
 def test_rule_csv_lines_match_per_value_writer(tmp_path, n, columns):
     rule = _special_rule(n, columns)
     text = _written(rule)
-    assert text == _oracle_csv_text(rule)
+    assert text.encode() == _oracle_csv_text(rule).encode()
     path = tmp_path / "rule.csv"
     save_rule(rule, path)
     assert path.read_bytes() == text.encode()
@@ -590,7 +590,7 @@ def test_cli_rule_file_matches_per_value_writer(tmp_path):
 
 def _assert_writes_like_oracle(rule, path):
     text = _written(rule)
-    assert text == _oracle_csv_text(rule)
+    assert text.encode() == _oracle_csv_text(rule).encode()
     save_rule(rule, path)
     assert path.read_bytes() == text.encode()
 

@@ -266,6 +266,29 @@ _REFUSALS = {
         lambda: cylinder_solid_fitted(radius=[1.0]),
         "radius: need shape (), got (1,)",
     ),
+    # too few cubics overshoot the cap square; TrimLoop's own field name
+    # must not read as an index into the int
+    **{
+        f"fitted-{n}-segments": (
+            lambda n=n: cylinder_solid_fitted(segments=n),
+            "segments: the fitted loop leaves the cap's parameter square at trim segment 0",
+        )
+        for n in (1, 2, 3)
+    },
+    # too few samples per cubic: the fit refuses before any trim loop is
+    # built, and its refusal passes through as it is, naming no argument
+    **{
+        f"fitted-{n}-segments-{k}-samples": (
+            lambda n=n, k=k: cylinder_solid_fitted(segments=n, samples_per_segment=k),
+            text,
+        )
+        for n, k, text in (
+            (8, 1, "a span got only 2 points; supply more samples or fewer segments"),
+            (8, 2, "a span got only 3 points; supply more samples or fewer segments"),
+            (1, 1, "need at least 4 points, got 2"),
+            (2, 2, "a span got only 3 points; supply more samples or fewer segments"),
+        )
+    },
     # numpy's ValueError, a corner taken as (1, 0, 0), and a 4-vector
     # reported as the control points of the patch
     "text-bilinear-corner": (

@@ -346,19 +346,38 @@ def test_boundary_rule_concatenates_patch_rules(mode):
             assert mine.tobytes() == eval_patch(tp.patch, pre[:, 0], pre[:, 1]).tobytes()
 
 
-def test_each_distinct_trim_loop_is_covered_once(monkeypatch):
-    # loops are matched on their control points and weights, not identity:
-    # the circle, the square and the hole each take one planar pass
+def test_each_distinct_trim_domain_is_covered_once(monkeypatch):
+    # a trim domain takes one planar pass over the segments of all its
+    # loops, and domains are matched on their control points and weights,
+    # not identity: the circle domain, held by two distinct loops, takes
+    # one pass, and the square with its hole one more
     built = []
     for name in ("_gauss_region_rule", "_pe_region_rule"):
         real = getattr(surface, name)
         spy = lambda segments, *sizes, real=real: built.append(len(segments)) or real(segments, *sizes)
         monkeypatch.setattr(surface, name, spy)
     boundary_rule(shared_trim_patches(), 4, 3)
-    assert built == [4, 4, 4]
+    assert built == [4, 8]
     built.clear()
     surface._exact_z_rule(cylinder_solid().patches, 4)
     assert built == [4]
+
+
+@pytest.mark.parametrize("mode", ["full-normal", "z-normal"])
+def test_trim_domain_is_the_parametric_area_rule(mode):
+    # a square with two disjoint holes: the boundary rule's preimages are
+    # the planar rule over all three loops, its (curve, q, zeta) rows with
+    # the flattened curve index split into (loop, segment)
+    hole = lambda c: TrimLoop(circle_region(c, 0.15, clockwise=True).curves)
+    tp = TrimmedPatch(box_solid().patches[0].patch, (unit_square_loop(), hole((0.3, 0.3)), hole((0.7, 0.6))))
+    assert [len(loop.segments) for loop in tp.loops] == [4, 4, 4]
+    rule = boundary_rule((tp,), 4, 3, mode)
+    area = parametric_area_rule(tp.loops, 4, 3)
+    assert rule.preimages.tobytes() == area.points.tobytes()
+    loop, segment = np.divmod(area.provenance[:, 0], 4)
+    assert set(loop) == {0, 1, 2}
+    want = np.column_stack([np.zeros_like(loop), loop, segment, area.provenance[:, 1:]])
+    assert np.array_equal(rule.provenance, want)
 
 
 def test_boundary_rule_warns_once_for_the_degenerate_patch():
@@ -516,9 +535,9 @@ def test_tiny_box_keeps_its_area_and_volume():
         volume = apply(volume_rule(box, 2, 2), lambda x, y, z: 1.0)
         moments = geometric_moments(box, 0).values
     assert rule.degenerate_count == 0
-    assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(6e-30, rel=1e-14)
-    assert volume == pytest.approx(1e-45, rel=1e-14)
-    assert moments.tolist() == pytest.approx([1e-45], rel=1e-14)
+    assert apply(rule, lambda x, y, z: 1.0) == pytest.approx(6e-30, rel=1e-14, abs=0)
+    assert volume == pytest.approx(1e-45, rel=1e-14, abs=0)
+    assert moments.tolist() == pytest.approx([1e-45], rel=1e-14, abs=0)
 
 
 def test_box_whose_normal_squares_underflow_keeps_its_area():
