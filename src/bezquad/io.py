@@ -90,8 +90,11 @@ def _load_json(path):
 
 def _write(path, texts):
     """Create the UTF-8 file ``path``, lines ending in LF, holding ``texts``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(texts)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(texts)
+    except OSError as exc:  # a directory, a missing folder, or no permission
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _json_text(doc):

@@ -192,7 +192,7 @@ def moment_fit_weights(points, moments: MomentVector, p: int | None = None):
     m = moments.values[: len(exps)]
     if pts.shape[0] < len(exps):
         raise ValidationError(
-            f"{len(exps)} moments need at least that many points, got {pts.shape[0]}"
+            f"{len(exps)} moments need at least that many points, got {pts.shape[0]}", "points"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         vander = _monomials(pts, exps).T

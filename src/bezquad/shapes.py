@@ -226,26 +226,16 @@ def cylinder_solid_fitted(
 ) -> SolidModel:
     """Capped cylinder whose cap trims are fitted cubics, not exact arcs.
 
-    The caps extend a quarter radius past the cross-section; from 4
-    ``segments`` on, the fitted loop's control points stay inside their
-    parameter squares, and fewer are refused.  Volume error falls like
-    the fourth power of ``segments``.
+    The caps extend a quarter radius past the cross-section.  Fewer than 4
+    ``segments`` overshoot the cap square and fewer than 3 samples leave a
+    cubic short of its four nodes; each is refused at its name.  Volume
+    error falls like the fourth power of ``segments``.
     """
-    segments = _as_int(segments, "segments", 1)
-    samples_per_segment = _as_int(samples_per_segment, "samples per segment", 1)
+    segments = _as_int(segments, "segments", 4)
+    samples_per_segment = _as_int(samples_per_segment, "samples per segment", 3)
     theta = np.linspace(0.0, 2.0 * np.pi, segments * samples_per_segment + 1)
     samples = 0.5 + 0.4 * np.column_stack([np.cos(theta), np.sin(theta)])
-    curves = tuple(fit_trim_curves(samples, segments))
-    try:
-        trim = TrimLoop(curves)
-    except ValidationError as err:
-        # TrimLoop locates an out-of-square curve at its own field,
-        # segments[j], which would read as an index into the caller's int;
-        # any other refusal passes through as it is
-        if not str(err.path).startswith("segments["):
-            raise
-        what = "the fitted loop leaves the cap's parameter square at trim segment"
-        raise ValidationError(f"{what} {err.path[len('segments[') : -1]}", "segments") from err
+    trim = TrimLoop(tuple(fit_trim_curves(samples, segments)))
 
     # cap squares with half-extent 1.25 r: the parametric circle of radius
     # 0.4 maps exactly onto the cross-section of radius r

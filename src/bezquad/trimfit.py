@@ -58,7 +58,7 @@ def fit_trim_curves(points, segments: int, degree: int = 3):
     segments = _as_int(segments, "segments", 1)
     degree = _as_int(degree, "degree", 1)
     if pts.shape[0] < degree + 1:
-        raise ValidationError(f"need at least {degree + 1} points, got {pts.shape[0]}")
+        raise ValidationError(f"need at least {degree + 1} points, got {pts.shape[0]}", "points")
     arc = _chord_positions(pts)
     total = arc[-1]
 
@@ -69,7 +69,8 @@ def fit_trim_curves(points, segments: int, degree: int = 3):
     for a, b in zip(bounds, bounds[1:]):
         if b - a < degree:
             raise ValidationError(
-                f"a span got only {b - a + 1} points; supply more samples or fewer segments"
+                f"a span got only {b - a + 1} points; supply more samples or fewer segments",
+                "segments",
             )
 
     curves = []

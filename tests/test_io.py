@@ -326,6 +326,38 @@ def test_cli_refuses_a_directory_in_one_line(tmp_path, capsys):
     assert captured.err == f"bezquad: cannot read {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("save", [save_region, save_solid, save_rule, save_moments])
+@pytest.mark.parametrize("where", ["directory", "missing-folder"])
+def test_an_unwritable_path_is_refused(tmp_path, save, where):
+    # open() for writing let a raw IsADirectoryError or FileNotFoundError out
+    path, reason = {
+        "directory": (tmp_path, "Is a directory"),
+        "missing-folder": (tmp_path / "no" / "out.csv", "No such file or directory"),
+    }[where]
+    thing = {
+        save_region: circle_region,
+        save_solid: cylinder_solid,
+        save_rule: lambda: spectral_pe_rule(circle_region(), 2),
+        save_moments: lambda: geometric_moments(circle_region(), 1),
+    }[save]()
+    with pytest.raises(ValidationError) as err:
+        save(thing, path)
+    assert str(err.value) == f"cannot write {path}: {reason}"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-folder"])
+def test_cli_refuses_an_unwritable_out_in_one_line(tmp_path, capsys, where):
+    out, reason = {
+        "directory": (tmp_path, "Is a directory"),
+        "missing-folder": (tmp_path / "no" / "rule.csv", "No such file or directory"),
+    }[where]
+    region = str(bundled("circle.region.json"))
+    code = main(["rule2d", "--region", region, "--mode", "pe", "--degree", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"bezquad: cannot write {out}: {reason}\n"
+
+
 def test_not_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{{{{")

@@ -533,10 +533,14 @@ _BELOW_MINIMUM = {
         lambda: moment_fit_weights(_DISK_POINTS, geometric_moments(circle_region(), 2), -1),
         "max degree must be >= 0, got -1",
     ),
+    "moment-fit-points": (
+        lambda: moment_fit_weights(_DISK_POINTS[:3], geometric_moments(circle_region(), 2)),
+        "points: 6 moments need at least that many points, got 3",
+    ),
     "fit-segments": (lambda: fit_trim_curves(_ARC_SAMPLES, 0), "segments must be >= 1, got 0"),
     "fit-degree": (lambda: fit_trim_curves(_ARC_SAMPLES, 4, 0), "degree must be >= 1, got 0"),
     "fitted-cylinder": (
-        lambda: cylinder_solid_fitted(samples_per_segment=0), "samples per segment must be >= 1, got 0"
+        lambda: cylinder_solid_fitted(samples_per_segment=0), "samples per segment must be >= 3, got 0"
     ),
 }
 

@@ -266,27 +266,26 @@ _REFUSALS = {
         lambda: cylinder_solid_fitted(radius=[1.0]),
         "radius: need shape (), got (1,)",
     ),
-    # too few cubics overshoot the cap square; TrimLoop's own field name
-    # must not read as an index into the int
+    # each count is refused at its own name before any fit: too few cubics
+    # overshoot the cap square, too few samples leave a cubic short of its
+    # four interpolation points; segments is checked first
     **{
         f"fitted-{n}-segments": (
             lambda n=n: cylinder_solid_fitted(segments=n),
-            "segments: the fitted loop leaves the cap's parameter square at trim segment 0",
+            f"segments must be >= 4, got {n}",
         )
         for n in (1, 2, 3)
     },
-    # too few samples per cubic: the fit refuses before any trim loop is
-    # built, and its refusal passes through as it is, naming no argument
     **{
         f"fitted-{n}-segments-{k}-samples": (
             lambda n=n, k=k: cylinder_solid_fitted(segments=n, samples_per_segment=k),
             text,
         )
         for n, k, text in (
-            (8, 1, "a span got only 2 points; supply more samples or fewer segments"),
-            (8, 2, "a span got only 3 points; supply more samples or fewer segments"),
-            (1, 1, "need at least 4 points, got 2"),
-            (2, 2, "a span got only 3 points; supply more samples or fewer segments"),
+            (8, 1, "samples per segment must be >= 3, got 1"),
+            (8, 2, "samples per segment must be >= 3, got 2"),
+            (1, 1, "segments must be >= 4, got 1"),
+            (2, 2, "segments must be >= 4, got 2"),
         )
     },
     # numpy's ValueError, a corner taken as (1, 0, 0), and a 4-vector
@@ -312,6 +311,25 @@ def test_builders_refuse_bad_arguments_at_their_names(name):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value) == text
+
+
+_FITTED_COUNTS = [(n, k) for n in range(1, 13) for k in range(1, 7)] + [(40, 20), (128, 3)]
+
+
+@pytest.mark.parametrize("segments, samples", _FITTED_COUNTS)
+def test_the_fitted_cylinder_builds_exactly_on_its_domain(segments, samples):
+    # the whole domain is segments >= 4 and samples_per_segment >= 3; a
+    # count outside it is refused at its name, never deeper in the fit
+    kwargs = {"segments": segments, "samples_per_segment": samples}
+    if segments >= 4 and samples >= 3:
+        assert len(cylinder_solid_fitted(**kwargs).patches) == 6
+        return
+    with pytest.raises(ValidationError) as err:
+        cylinder_solid_fitted(**kwargs)
+    if segments < 4:
+        assert str(err.value) == f"segments must be >= 4, got {segments}"
+    else:
+        assert str(err.value) == f"samples per segment must be >= 3, got {samples}"
 
 
 def test_builders_take_numbers_of_any_kind():

@@ -81,6 +81,24 @@ def test_too_few_points_rejected():
         fit_trim_curves([(0, 0), (1, 0), (2, 0)], 1)
 
 
+@pytest.mark.parametrize(
+    "points, segments, message",
+    [
+        ([(0, 0), (1, 0)], 1, "points: need at least 4 points, got 2"),
+        (
+            quarter_circle_samples(7),
+            3,
+            "segments: a span got only 3 points; supply more samples or fewer segments",
+        ),
+    ],
+    ids=["points", "segments"],
+)
+def test_refusals_name_the_argument(points, segments, message):
+    with pytest.raises(ValidationError) as err:
+        fit_trim_curves(points, segments)
+    assert str(err.value) == message
+
+
 def test_too_many_segments_rejected():
     with pytest.raises(ValidationError, match="span got only"):
         fit_trim_curves(quarter_circle_samples(7), 3)
