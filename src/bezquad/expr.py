@@ -2,22 +2,24 @@
 
 A tiny language so rules can be applied to textual integrands: real
 literals, the three coordinate variables, + - * / with the usual
-precedence, right-binding ^ with a nonnegative integer literal exponent,
-unary minus binding tighter than * but looser than ^, and the functions
-sqrt, exp, sin, cos, log.
+precedence, right-binding ^ with a nonnegative integer literal exponent
+that a double holds exactly, unary minus binding tighter than * but
+looser than ^, and the functions sqrt, exp, sin, cos, log.
 
 Expressions are parsed to immutable trees, and one interpreter walks
 them in two modes that differ only in their primitive tables.
 ``evaluate`` runs one point through ``operator`` and ``math``, which
-raise where the point leaves the domain; the error names the offending
-subexpression and point.  ``to_callable`` runs arrays through numpy,
-which gives inf or nan there instead.  In both, x^0 is nan wherever x is
-not finite, so a zeroth power hides no fault.  ``to_callable`` spreads a
-constant to the shape of ``x`` before a function or a power acts on it,
-since numpy's vector kernels need not give the bits of a one-element
-call, so every point of the result rounds alike.  ``polynomial_degree``
-decides whether the tree is a polynomial, which is what routes the CLI
-to the polynomially exact planar rules.
+raise where the point leaves the domain, an overflowing power included;
+the error names the offending subexpression and point.  ``to_callable``
+runs arrays through numpy, which gives inf or nan there instead, and
+takes x^k by repeated squaring, within (k - 1) eps of the true power, so
+the two modes can differ in the last bits of a power.  In both, x^0 is
+nan wherever x is not finite, so a zeroth power hides no fault.
+``to_callable`` spreads a constant to the shape of ``x`` before a
+function or a power acts on it, since numpy's vector kernels need not
+give the bits of a one-element call, so every point of the result rounds
+alike.  ``polynomial_degree`` decides whether the tree is a polynomial,
+which is what routes the CLI to the polynomially exact planar rules.
 """
 
 from __future__ import annotations
@@ -226,10 +228,15 @@ class _Parser:
         node = self.atom()
         if self.peek()[:2] == ("op", "^"):
             self.take()
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind != "num" or not re.fullmatch(r"\d+", value):
                 self.fail("exponent must be a nonnegative integer literal")
-            return self.built(BinOp("^", node, Num(self.number())), self.depth + 1)
+            k = self.number()
+            # a rounded exponent can change parity.  Leading zeros go first:
+            # int() refuses over 4300 digits, and a finite double has 309
+            if int(value.lstrip("0") or "0") != int(k):
+                raise ParseError(f"exponent {value!r} is not exact in a double at offset {offset}")
+            return self.built(BinOp("^", node, Num(k)), self.depth + 1)
         return node
 
     def atom(self):
@@ -318,6 +325,26 @@ def to_text(node: Expr) -> str:
     return f"{lt} {node.op} {rt}"
 
 
+def _power(base, k):
+    """The array ``base`` to the integer ``k`` >= 1 by repeated squaring,
+    a few multiplies where libm's pow costs about ten; within (k - 1) eps
+    of the true power, and inf, nan, 0 and signs as pow gives them.
+
+    The bits of k run from the top, so every product lands in the one
+    array the first squaring allocates, as pow's own result would; a new
+    array per step made the peak memory of a run vary with heap layout."""
+    if k < 0:  # only a hand-built tree has one
+        return 1.0 / _power(base, -k)
+    result = base
+    for bit in bin(k)[3:]:  # the bits below the leading one
+        out = np.empty_like(base) if result is base else result
+        np.multiply(result, result, out=out)
+        if bit == "1":
+            np.multiply(out, base, out=out)
+        result = out
+    return result[()]  # a 0-d result as a scalar, as numpy's operators give it
+
+
 # the EvalError text for each exception a scalar primitive raises
 _FAULT_TEXT = {
     ZeroDivisionError: "division by zero",
@@ -327,14 +354,15 @@ _FAULT_TEXT = {
 # each mode's primitives: binary operators, functions, and the exceptions
 # that mean the point left the domain.  Plain double arithmetic raises there
 _SCALAR = (
-    {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv},
+    {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+     "^": operator.pow},
     {name: pair[0] for name, pair in _FUNCTIONS.items()},
     tuple(_FAULT_TEXT),
 )
 # numpy gives inf or nan there instead, so nothing is caught and a shape
 # mismatch stays numpy's own error
 _VECTOR = (
-    {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide},
+    {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": _power},
     {name: pair[1] for name, pair in _FUNCTIONS.items()},
     (),
 )
@@ -365,7 +393,7 @@ def _run(node, env, mode, spread):
             return 1.0 if finite.all() else np.where(finite, 1.0, np.nan)[()]
         if k == 1:
             return base
-        fn, args = operator.pow, (spread(base), k)
+        fn, args = binary["^"], (spread(base), k)
     else:
         fn = binary[node.op]
         args = (_run(node.left, env, mode, spread), _run(node.right, env, mode, spread))

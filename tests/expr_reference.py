@@ -3,6 +3,8 @@ interpreter, kept as references for the differential tests.
 
 ``evaluate`` walked a tree in scalar ``math`` and named the failing
 subexpression; ``to_callable`` walked it again, building numpy closures.
+The closures take x^k by squaring, as ``to_callable`` now does, in place
+of numpy's pow.
 """
 
 import numpy as np
@@ -64,6 +66,18 @@ def _spread(value, x):
     return np.full(np.shape(x), value, dtype=float)
 
 
+def _power_by_squaring(v, k):
+    """v^k for k >= 2: from the bit below the top one of k down, square and,
+    for a set bit, multiply in v; the products to_callable takes in place
+    of numpy's pow."""
+    out = v
+    for i in range(k.bit_length() - 2, -1, -1):
+        out = out * out
+        if k >> i & 1:
+            out = out * v
+    return out
+
+
 def reference_to_callable(node):
     def walk(n):
         if isinstance(n, Num):
@@ -88,7 +102,7 @@ def reference_to_callable(node):
                 return lambda x, y, z: 1.0
             if k == 1:
                 return fl
-            return lambda x, y, z: _spread(fl(x, y, z), x) ** k
+            return lambda x, y, z: _power_by_squaring(_spread(fl(x, y, z), x), k)
         fr = walk(n.right)
         op = {
             "+": np.add,

@@ -148,6 +148,12 @@ def test_overflowing_literal_exit_1(capsys, expr):
     assert err.startswith("bezquad: number ") and "does not fit a finite double" in err
 
 
+def test_inexact_exponent_exit_1(capsys):
+    code, out, err = run(capsys, "integrate", "--model", CIRCLE, "--expr", "(-1)^9007199254740993")
+    assert code == 1 and out == ""
+    assert err == "bezquad: exponent '9007199254740993' is not exact in a double at offset 5\n"
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_fit_trim_non_finite_line(capsys, tmp_path, bad):
     path = tmp_path / "pts.csv"

@@ -85,7 +85,24 @@ def test_literals_past_double_range_rejected():
     with pytest.raises(ParseError, match="offset 0"):
         parse("1" + "0" * 400)
     assert parse("1.7976931348623157e308") == Num(1.7976931348623157e308)
-    assert parse("x^" + "9" * 300).right == Num(float("9" * 300))
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(-1)^9007199254740993", 5),  # 2^53 + 1 reads as 2^53 and would lose its parity
+    ("x^18446744073709551615", 2),  # 2^64 - 1 reads as 2^64
+    ("x^" + "9" * 300, 2),
+], ids=["2^53+1", "2^64-1", "300 nines"])
+def test_exponent_a_double_does_not_hold_exactly_is_a_parse_error(text, offset):
+    digits = text.partition("^")[2]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"exponent {digits!r} is not exact in a double at offset {offset}"
+
+
+def test_exact_exponents_of_any_length_parse():
+    assert parse("x^" + str(2**1000)).right == Num(float(2**1000))
+    assert parse("2^100000000000000000000").right == Num(1e20)
+    assert parse("x^" + "0" * 5000 + "3").right == Num(3.0)
 
 
 @pytest.mark.parametrize(
@@ -286,8 +303,18 @@ def test_differential_against_reference_evaluator():
     assert checked > 100  # most draws must exercise the value path
 
 
+def _squares(v, k):
+    """v^k for k >= 1 as the square of v^(k // 2), times v when k is odd:
+    the products to_callable takes a power by, from the top bit of k."""
+    if k == 1:
+        return v
+    half = _squares(v, k // 2)
+    return half * half * v if k % 2 else half * half
+
+
 def _array_literal_callable(node):
-    """The earlier compile: every literal an array shaped like x, x^1 a copy."""
+    """The earlier compile: every literal an array shaped like x, x^1 a copy,
+    and x^k for k >= 2 by squaring."""
 
     def walk(n):
         if isinstance(n, Num):
@@ -303,7 +330,7 @@ def _array_literal_callable(node):
         fl, fr = walk(n.left), walk(n.right)
         if n.op == "^":
             k = int(n.right.value)
-            return lambda x, y, z: fl(x, y, z) ** k
+            return lambda x, y, z: fl(x, y, z) ** k if k < 2 else _squares(fl(x, y, z), k)
         op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[n.op]
         return lambda x, y, z: op(fl(x, y, z), fr(x, y, z))
 
@@ -433,3 +460,40 @@ def test_interpreter_matches_the_two_walks_it_replaced():
                 nan_cases += 1
             assert got == want, (text, len(args))
     assert nan_cases > 0  # the edge cases alone hold non-finite ^0 bases
+
+
+def test_hand_built_negative_power_is_a_reciprocal():
+    """The grammar has no negative exponent, but a tree built by hand can."""
+    x = np.array([2.0, 0.0, -3.0, np.inf])
+    for k in (-1, -2, -3):
+        node = BinOp("^", Var("x"), Num(float(k)))
+        with np.errstate(divide="ignore"):
+            want = x ** float(k)
+        assert np.allclose(to_callable(node)(x, x), want, rtol=1e-15)
+        assert evaluate(node, (2.0, 0.0, 0.0)) == 2.0**k
+
+
+_POWER_BASES = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0],
+    [1e154, -1e154, np.inf, -np.inf, np.nan],
+    np.random.default_rng(2718).uniform(-2.0, 2.0, 1000),
+])
+_POWERS = [2, 3, 4, 5, 7, 8, 16, 31, 400, 10**20, 2**1000]
+
+
+@pytest.mark.parametrize("k", _POWERS, ids=[*map(str, _POWERS[:-2]), "10^20", "2^1000"])
+def test_vector_power_agrees_with_pow(k):
+    """x^k by squaring has pow's nan, inf, zeros and signs.  Each squaring
+    doubles the relative error before it and adds one rounding, so the
+    value is within (k - 1) eps, and eps more for pow's own rounding; a
+    subnormal result, within that of the smallest normal double."""
+    x = _POWER_BASES
+    got = to_callable(parse(f"x^{k}"))(x, x)
+    with np.errstate(all="ignore"):
+        want = np.power(x, float(k))
+    for kind in (np.isnan, np.isinf, np.signbit, lambda v: v == 0):
+        assert (kind(got) == kind(want)).all()
+    both = np.isfinite(got) & (got != 0) & (want != 0)
+    got, want = got[both], want[both]
+    finfo = np.finfo(float)
+    assert (abs(got - want) <= k * finfo.eps * np.maximum(abs(want), finfo.tiny)).all()

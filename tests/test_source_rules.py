@@ -35,6 +35,9 @@ RULES = {
         "with bezier._closed_chain, not with a local emptiness, type or gap check"),
     "one way out": (SRC, ("io.py",), r'json\.dumps?\(|open\([^)]*"[wax]', None,
         "write output files through io._write and JSON text through io._json_text"),
+    # a product chain is several times cheaper than libm's pow on the arrays of to_callable
+    "one power path": ("src/bezquad/expr.py", (), r"operator\.pow|np\.power|\*\*", r'"\^": operator\.pow',
+        "take vector powers through expr._power, by squaring; only the _SCALAR table maps ^ to operator.pow"),
     # exempt: this module's own advice names scipy.special
     "one home for closed forms": ("tests/*.py", ("test_source_rules.py",), r"math\.gamma\(|scipy\.special",
         None, "take closed forms from benchmarks/exact.py (conftest's exact), not from math.gamma or scipy.special"),
