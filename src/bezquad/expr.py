@@ -20,6 +20,14 @@ function or a power acts on it, since numpy's vector kernels need not
 give the bits of a one-element call, so every point of the result rounds
 alike.  ``polynomial_degree`` decides whether the tree is a polynomial,
 which is what routes the CLI to the polynomially exact planar rules.
+
+A node refuses, when it is built, a field the walkers could not read:
+a child that is no ``Expr``, an operator, function or variable name
+outside the language, a literal that is not a real number, or a ``^``
+whose exponent is not a ``Num`` holding an integer (a hand-built tree
+may hold a negative one, which is a reciprocal).  Each refusal is a
+ValidationError located at the field, such as ``op: need one of +, -,
+*, /, ^, got '%'``.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import _adopt, _kind
-from .errors import EvalError, ParseError
+from .errors import EvalError, ParseError, ValidationError
 
 __all__ = [
     "Expr",
@@ -56,6 +64,7 @@ _FUNCTIONS = {
     "log": (math.log, np.log),
 }
 _VARIABLES = ("x", "y", "z")
+_OPERATORS = ("+", "-", "*", "/", "^")
 # The walks of a tree recurse once per level of it, and the parser up to 8
 # times per nested group or negation.  parse refuses input that would take
 # either past this many frames, which leaves the caller room under Python's
@@ -107,19 +116,38 @@ class Expr:
         return "".join(texts)
 
 
+def _member(value, name, choices):
+    """Raise ValidationError at ``name`` unless ``value`` is one of the
+    strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValidationError(f"need one of {', '.join(choices)}, got {value!r}", name)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: float
+
+    def __post_init__(self):
+        # a float is kept as it is, NaN and infinities too, which only a
+        # hand-built tree holds and evaluate names in its refusal
+        if type(self.value) is not float:
+            object.__setattr__(self, "value", float(_adopt(self.value, "value", shape=())))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
+    def __post_init__(self):
+        _member(self.name, "name", _VARIABLES)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     child: Expr
+
+    def __post_init__(self):
+        _kind(self.child, "child", Expr)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -128,11 +156,25 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def __post_init__(self):
+        _member(self.op, "op", _OPERATORS)
+        _kind(self.left, "left", Expr)
+        _kind(self.right, "right", Expr)
+        # an exponent is an integral literal; parse gives only nonnegative ones
+        right = self.right
+        if self.op == "^" and not (isinstance(right, Num) and right.value % 1 == 0):
+            got = right.value if isinstance(right, Num) else type(right).__name__
+            raise ValidationError(f"need an integral Num exponent for ^, got {got}", "right")
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     fn: str
     arg: Expr
+
+    def __post_init__(self):
+        _member(self.fn, "fn", _FUNCTIONS)
+        _kind(self.arg, "arg", Expr)
 
 
 _TOKEN = re.compile(
@@ -474,7 +516,8 @@ def polynomial_degree(node: Expr):
     if l is None:
         return None
     if node.op == "^":
-        return l * int(node.right.value)
+        # a negative power, which only a hand-built tree holds, is a reciprocal
+        return l * int(node.right.value) if node.right.value >= 0 else None
     r = polynomial_degree(node.right)
     if r is None:
         return None

@@ -2,10 +2,14 @@
 
 The rational rules integrate, over [0, 1], any function of the form
 polynomial + partial fractions on a prescribed pole set.  They are built
-by moment matching: collocate the basis on Chebyshev points, integrate
-each basis function analytically, and solve for weights.  The solve is
-polished with extended-precision residual refinement so the exactness
-residual sits near rounding level even for clustered poles.
+by moment matching: integrate each of the n basis functions analytically
+and find weights that reproduce those moments.  ``rational_rule``
+collocates the basis on n Chebyshev points when that system is well
+conditioned; otherwise it tries the n-point Gauss rule, then least
+squares on 2n Chebyshev points, and keeps a fallback only if it
+reproduces every basis moment to rounding level.  Each solve is polished
+by extended-precision residual refinement.  When no candidate passes,
+ConditioningError carries the collocation system's condition number.
 """
 
 from __future__ import annotations
@@ -274,24 +278,33 @@ def _scaled_basis(terms, nodes):
     return a / scale[:, None], scale
 
 
-def _solve_refined(a_ld, m_ld):
-    """Square solve with extended-precision residual refinement."""
+def _refined(solve, a_ld, m_ld):
+    """``solve(a, m)`` in double, then two rounds of extended-precision residual refinement."""
     a = a_ld.astype(float)
-    w = np.linalg.solve(a, m_ld.astype(float))
+    w = solve(a, m_ld.astype(float))
     for _ in range(2):
         r = m_ld - a_ld @ w.astype(np.longdouble)
-        w = w + np.linalg.solve(a, r.astype(float))
+        w = w + solve(a, r.astype(float))
     return w
+
+
+def _exact_on_basis(a_ld, m_eq, weights) -> bool:
+    """Whether ``weights`` reproduce every moment of the row-equilibrated
+    basis ``a_ld`` to 1e-12, the acceptance test of both fallbacks."""
+    return np.max(np.abs(a_ld @ weights.astype(np.longdouble) - m_eq)) <= 1e-12
 
 
 def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     """Rule on [0, 1] exact for partial fractions on ``poles`` plus
     polynomials up to ``poly_degree``.
 
-    Node count is total pole multiplicity + poly_degree + 1.  If the
-    square collocation system is too ill-conditioned the rule falls back
-    to a least-squares fit on twice as many nodes; if that is still
-    hopeless a ConditioningError carries the condition estimate.
+    With n = total pole multiplicity + poly_degree + 1 basis functions, the
+    rule is the first of: collocation on n Chebyshev nodes, when that
+    system's condition number is at most 1e13; the n-point Gauss-Legendre
+    rule; a least-squares fit on 2n Chebyshev nodes.  A fallback is kept
+    only if it reproduces every row-equilibrated basis moment to 1e-12;
+    when neither is kept, ConditioningError carries the collocation system's
+    condition number as ``condition_estimate``.
     """
     _kind(poles, "poles", PoleSet)
     poly_degree = _as_int(poly_degree, "polynomial degree", 0)
@@ -309,40 +322,26 @@ def rational_rule(poles: PoleSet, poly_degree: int = 0) -> Rule1D:
     a_ld, row_scale = _scaled_basis(terms, nodes)
     cond = np.linalg.cond(a_ld.astype(float))
     if cond <= _COND_LIMIT:
-        weights = _solve_refined(a_ld, m_ld / row_scale)
-        return Rule1D(nodes, weights, (0.0, 1.0))
+        return Rule1D(nodes, _refined(np.linalg.solve, a_ld, m_ld / row_scale), (0.0, 1.0))
 
     # A huge condition number means part of the basis is numerically
     # indistinguishable from polynomials (poles far from the interval).
     # Plain Gauss with the same node count integrates polynomials to
-    # degree 2n-1, so try it and keep it only if its residual on the
-    # full basis actually sits at rounding level.
+    # degree 2n-1, so it may already be exact on the whole basis.
     gauss = gauss_legendre(n, (0.0, 1.0))
     g_ld, g_scale = _scaled_basis(terms, gauss.nodes)
-    resid = g_ld @ gauss.weights.astype(np.longdouble) - m_ld / g_scale
-    if np.max(np.abs(resid)) <= 1e-12:
+    if _exact_on_basis(g_ld, m_ld / g_scale, gauss.weights):
         return gauss
 
-    # Last resort: least squares on twice the nodes, polished with
-    # iterative refinement.  No condition gate here; acceptance rides on
-    # the measured residual, which for equilibrated rows IS the worst
-    # basis-moment error of the candidate rule.
+    # Last resort: least squares on twice the nodes.  With equilibrated
+    # rows, the acceptance residual IS the worst basis-moment error.
     nodes = _chebyshev_nodes(2 * n)
     a_ld, row_scale = _scaled_basis(terms, nodes)
-    a = a_ld.astype(float)
     m_eq = m_ld / row_scale
-    weights = np.linalg.lstsq(a, m_eq.astype(float), rcond=None)[0].astype(np.longdouble)
-    for _ in range(3):
-        r = m_eq - a_ld @ weights.astype(float)
-        if np.max(np.abs(r)) <= 1e-13:
-            break
-        weights = weights + np.linalg.lstsq(a, r.astype(float), rcond=None)[0]
-    final = weights.astype(float)
-    if np.max(np.abs(m_eq - a_ld @ final)) <= 1e-12:
-        return Rule1D(nodes, final, (0.0, 1.0))
-    sv = np.linalg.svd(a, compute_uv=False)
-    cond2 = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    weights = _refined(lambda a, m: np.linalg.lstsq(a, m, rcond=None)[0], a_ld, m_eq)
+    if _exact_on_basis(a_ld, m_eq, weights):
+        return Rule1D(nodes, weights, (0.0, 1.0))
     raise ConditioningError(
         "rational rule collocation system is numerically singular",
-        condition_estimate=float(cond2),
+        condition_estimate=float(cond),
     )

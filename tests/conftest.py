@@ -11,6 +11,7 @@ import numpy as np
 from bezquad.bezier import RationalBezierCurve, RationalBezierPatch
 from bezquad.io import bundled
 from bezquad.planar import PlanarRegion
+from bezquad.quad1d import PoleSet, interval_distance
 from bezquad.shapes import bilinear_patch, box_solid, cylinder_solid, quarter_arc
 from bezquad.surface import TrimLoop, TrimmedPatch, unit_square_loop
 from bezquad.volume import SolidModel
@@ -46,6 +47,30 @@ def random_quadratic_region(rng, n_curves=6):
         weights = rng.uniform(0.6, 1.8, 3)
         curves.append(RationalBezierCurve([p0, p1, p2], weights))
     return PlanarRegion((tuple(curves),))
+
+
+def random_pole_set(rng):
+    """Pole set of total multiplicity 2..12, each multiplicity up to 4:
+    conjugate pairs (60%) at least 0.1 from [0, 1] and real poles beyond
+    its ends, 0.12..1.5 away and at least 1e-3 apart."""
+    poles = []
+    budget = int(rng.integers(2, 13))
+    while budget > 0:
+        mult = int(rng.integers(1, min(4, budget) + 1))
+        if rng.random() < 0.6 and budget >= 2 * mult:
+            p = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.12, 1.5))
+            if interval_distance(p) < 0.1:
+                continue
+            poles += [(p, mult), (p.conjugate(), mult)]
+            budget -= 2 * mult
+        else:
+            x = rng.uniform(0.12, 1.5)
+            p = complex(-x, 0.0) if rng.random() < 0.5 else complex(1 + x, 0.0)
+            if any(abs(p - q) < 1e-3 for q, _ in poles):
+                continue
+            poles.append((p, mult))
+            budget -= mult
+    return PoleSet(tuple(poles))
 
 
 def x_axis_cylinder():

@@ -18,8 +18,6 @@ from bezquad.errors import EvalError
 from bezquad.moments import geometric_moments, moment_fit_weights
 from bezquad.planar import PlanarRegion, apply, integrate2d, spectral_pe_rule, spectral_rule
 from bezquad.quad1d import (
-    PoleSet,
-    interval_distance,
     partial_fraction_moment,
     rational_rule,
     weight_poly_roots,
@@ -39,6 +37,7 @@ from conftest import (
     exact,
     expr_tree_text,
     random_expr_tree,
+    random_pole_set,
     random_quadratic_region,
     record_acceptance,
     reference_expr_eval,
@@ -214,24 +213,7 @@ def test_07_fitted_trim_order():
 def test_08_rational_rule_exactness():
     rng = np.random.default_rng(6021)
     for _ in range(50):
-        poles = []
-        budget = int(rng.integers(2, 13))
-        while budget > 0:
-            mult = int(rng.integers(1, min(4, budget) + 1))
-            if rng.random() < 0.6 and budget >= 2 * mult:
-                p = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.12, 1.5))
-                if interval_distance(p) < 0.1:
-                    continue
-                poles += [(p, mult), (p.conjugate(), mult)]
-                budget -= 2 * mult
-            else:
-                x = rng.uniform(0.12, 1.5)
-                p = complex(-x, 0.0) if rng.random() < 0.5 else complex(1 + x, 0.0)
-                if any(abs(p - q) < 1e-3 for q, _ in poles):
-                    continue
-                poles.append((p, mult))
-                budget -= mult
-        ps = PoleSet(tuple(poles))
+        ps = random_pole_set(rng)
         rule = rational_rule(ps, 0)
         for p, mult in ps.poles:
             if p.imag < 0:

@@ -473,6 +473,14 @@ def test_hand_built_negative_power_is_a_reciprocal():
         assert evaluate(node, (2.0, 0.0, 0.0)) == 2.0**k
 
 
+def test_hand_built_negative_power_is_no_polynomial():
+    # it read as degree -1 for x^-1
+    for k in (-1.0, -2.0):
+        assert polynomial_degree(BinOp("^", Var("x"), Num(k))) is None
+        assert polynomial_degree(BinOp("^", Num(2.0), Num(k))) is None
+    assert polynomial_degree(BinOp("^", Var("x"), Num(0.0))) == 0
+
+
 _POWER_BASES = np.concatenate([
     [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0],
     [1e154, -1e154, np.inf, -np.inf, np.nan],

@@ -6,12 +6,24 @@ wrong kind.  Single objects enter through bezier._kind, which words the
 same refusal at the argument's name."""
 
 import json
+import math
 
 import pytest
 
 from bezquad.bezier import eval_curve, eval_curve_derivative, eval_patch, patch_normal
 from bezquad.errors import ValidationError
-from bezquad.expr import evaluate, parse, polynomial_degree, to_callable, to_text
+from bezquad.expr import (
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Var,
+    evaluate,
+    parse,
+    polynomial_degree,
+    to_callable,
+    to_text,
+)
 from bezquad.io import (
     load_model,
     moment_csv_lines,
@@ -315,3 +327,48 @@ def test_objects_are_refused_at_their_name(tmp_path, call, wrong, refusal, accep
         call(wrong, tmp_path)
     assert str(err.value) == refusal
     assert not any(tmp_path.iterdir())  # a refused saver created no file
+
+
+_X = Var("x")
+# each field of a hand-built expression node: a call building a node with
+# it, a wrong value and its refusal, and a value it accepts.  Built, the
+# wrong ones were misread by the four walkers: x^2.5 evaluated as x^2 and
+# printed as x^2, a Var exponent raised AttributeError, and an unknown
+# operator, function or variable raised KeyError when evaluated, while
+# polynomial_degree gave % and w degree 1
+_NODES = {
+    "Num-text": (lambda v: Num(v), "2", "value: not a numeric array", math.nan),
+    "Num-bool": (lambda v: Num(v), True, "value: not a numeric array", 2),
+    "Var-name": (lambda v: Var(v), "w", "name: need one of x, y, z, got 'w'", "z"),
+    "Neg-child": (lambda v: Neg(v), 1.0, "child: need a Expr, got float", _X),
+    "BinOp-op": (lambda v: BinOp(v, _X, _X), "%", "op: need one of +, -, *, /, ^, got '%'", "/"),
+    "BinOp-left": (lambda v: BinOp("+", v, _X), "x", "left: need a Expr, got str", _X),
+    "BinOp-right": (lambda v: BinOp("*", _X, v), None, "right: need a Expr, got NoneType", _X),
+    "power-fraction": (
+        lambda v: BinOp("^", _X, v),
+        Num(2.5), "right: need an integral Num exponent for ^, got 2.5", Num(-2.0),
+    ),
+    "power-Var": (
+        lambda v: BinOp("^", _X, v),
+        Var("y"), "right: need an integral Num exponent for ^, got Var", Num(float(2**1000)),
+    ),
+    "power-nan": (
+        lambda v: BinOp("^", _X, v),
+        Num(math.nan), "right: need an integral Num exponent for ^, got nan", Num(0.0),
+    ),
+    "Call-fn": (
+        lambda v: Call(v, _X), "tan", "fn: need one of sqrt, exp, sin, cos, log, got 'tan'", "log",
+    ),
+    "Call-arg": (lambda v: Call("sin", v), None, "arg: need a Expr, got NoneType", _X),
+}
+
+
+@pytest.mark.parametrize("taken", [False, True], ids=["wrong", "accepted"])
+@pytest.mark.parametrize("call, wrong, refusal, accepted", _NODES.values(), ids=_NODES)
+def test_expression_nodes_are_refused_at_their_field(call, wrong, refusal, accepted, taken):
+    if taken:
+        call(accepted)
+        return
+    with pytest.raises(ValidationError) as err:
+        call(wrong)
+    assert str(err.value) == refusal

@@ -11,8 +11,10 @@ from bezquad.planar import spectral_pe_rule, spectral_rule
 from bezquad.quad1d import (
     PoleSet,
     _basis,
+    _COND_LIMIT,
     _basis_matrix,
     _chebyshev_nodes,
+    _scaled_basis,
     Rule1D,
     gauss_legendre,
     interval_distance,
@@ -31,9 +33,11 @@ from bezquad.surface import (
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import volume_rule
 
+from conftest import random_pole_set
 from quad1d_reference import reference_weight_poly_roots
 
 CIRCLE_POLE = 0.5 + 1.2071067811865476j
+CLUSTERED_POLES = PoleSet(((-0.5 + 0j, 6), (-0.5 + 1e-9 + 0j, 6)))
 
 
 def test_gauss_single_point_is_midpoint():
@@ -393,25 +397,79 @@ def test_rational_rule_rejects_near_interval_pole():
 
 def test_rational_rule_conditioning_error():
     # a near-interval complex pair at multiplicity 14 spans more dynamic
-    # range than double least squares can certify, so the rule declines
+    # range than double least squares can certify, so the rule declines,
+    # carrying the condition number of the collocation system it gated on
     ps = PoleSet(((0.5 + 0.1001j, 14), (0.5 - 0.1001j, 14)))
     with pytest.raises(ConditioningError) as info:
         rational_rule(ps, 0)
-    assert info.value.condition_estimate > 0
+    terms, moments = _basis(ps, 0)
+    a, _ = _scaled_basis(terms, _chebyshev_nodes(len(moments)))
+    assert info.value.condition_estimate == np.linalg.cond(a.astype(float)) > _COND_LIMIT
+
+
+def _moment_errors(ps, rule):
+    """(pole, order, exact moment, worst error of its real and imaginary
+    part) for each partial-fraction moment of ``ps`` under ``rule``."""
+    for p, mult in ps.poles:
+        if p.imag < 0:
+            continue
+        for j in range(1, mult + 1):
+            want = partial_fraction_moment(p, j)
+            z = (rule.nodes - p) ** (-j)
+            got = complex(float(np.dot(rule.weights, z.real)), float(np.dot(rule.weights, z.imag)))
+            yield p, j, want, max(abs(got.real - want.real), abs(got.imag - want.imag))
 
 
 def test_rational_rule_clustered_poles_still_certified():
     # almost-coincident poles defeat the square collocation solve, but
     # the residual-checked least-squares fallback still lands a rule
     # whose basis moments are good to rounding
-    ps = PoleSet(((-0.5 + 0j, 6), (-0.5 + 1e-9 + 0j, 6)))
-    r = rational_rule(ps, 0)
+    r = rational_rule(CLUSTERED_POLES, 0)
     assert np.abs(r.weights).max() < 1.0
-    for p, mult in ps.poles:
-        for j in range(1, mult + 1):
-            exact = partial_fraction_moment(p, j)
-            got = float(np.dot(r.weights, ((r.nodes - p) ** (-j)).real))
-            assert abs(got - exact.real) <= 1e-12 * max(abs(exact), 1e-8)
+    for _, _, want, err in _moment_errors(CLUSTERED_POLES, r):
+        assert err <= 1e-15 * max(abs(want), 1e-8)
+
+
+_OUTCOMES = {
+    "collocation": (
+        PoleSet.from_roots([CIRCLE_POLE, CIRCLE_POLE.conjugate()], multiplier=6),
+        _chebyshev_nodes,
+    ),
+    # the quarter arc's weight roots are CIRCLE_POLE and its conjugate
+    "gauss": (
+        PoleSet.from_roots(weight_poly_roots([1.0, math.sqrt(2) / 2, 1.0]), multiplier=19),
+        lambda n: gauss_legendre(n).nodes,
+    ),
+    "least-squares": (
+        CLUSTERED_POLES,
+        lambda n: _chebyshev_nodes(2 * n),
+    ),
+}
+
+
+@pytest.mark.parametrize("ps, nodes", _OUTCOMES.values(), ids=_OUTCOMES)
+def test_rational_rule_outcomes(ps, nodes):
+    # which of collocation, Gauss and least squares each pole set takes
+    # (test_rational_rule_conditioning_error pins the refusal), and that
+    # the rule is exact to rounding on the scale of each basis function,
+    # its largest modulus on [0, 1]: a moment itself can cancel to 9e-18
+    r = rational_rule(ps, 0)
+    assert np.array_equal(r.nodes, nodes(ps.total_multiplicity + 1))
+    for p, j, _, err in _moment_errors(ps, r):
+        assert err <= 1e-14 * interval_distance(p) ** -j
+
+
+def test_least_squares_rules_reproduce_moments():
+    # the pole sets of test_08_rational_rule_exactness whose rule is the
+    # least-squares fit on twice the nodes
+    rng = np.random.default_rng(6021)
+    sets = [random_pole_set(rng) for _ in range(50)]
+    rules = [(ps, rational_rule(ps, 0)) for ps in sets]
+    fitted = [(ps, r) for ps, r in rules if len(r) == 2 * (ps.total_multiplicity + 1)]
+    assert len(fitted) == 4
+    for ps, r in fitted:
+        for _, _, want, err in _moment_errors(ps, r):
+            assert err <= 1e-15 * max(abs(want), 1e-8)
 
 
 def test_rule1d_validation():

@@ -38,6 +38,11 @@ RULES = {
     # a product chain is several times cheaper than libm's pow on the arrays of to_callable
     "one power path": ("src/bezquad/expr.py", (), r"operator\.pow|np\.power|\*\*", r'"\^": operator\.pow',
         "take vector powers through expr._power, by squaring; only the _SCALAR table maps ^ to operator.pow"),
+    # a fallback brings a solver, not a refinement loop or an error-message SVD of its own
+    "one refined solve": ("src/bezquad/quad1d.py", (), r"np\.linalg\.(solve|lstsq|svd)\(",
+        r"_refined\(lambda a, m: np\.linalg\.lstsq\(",
+        "solve for rule weights through quad1d._refined, passing it the solver, and accept a "
+        "fallback through quad1d._exact_on_basis"),
     # exempt: this module's own advice names scipy.special
     "one home for closed forms": ("tests/*.py", ("test_source_rules.py",), r"math\.gamma\(|scipy\.special",
         None, "take closed forms from benchmarks/exact.py (conftest's exact), not from math.gamma or scipy.special"),
