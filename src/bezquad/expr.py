@@ -6,11 +6,15 @@ precedence, right-binding ^ with a nonnegative integer literal exponent
 that a double holds exactly, unary minus binding tighter than * but
 looser than ^, and the functions sqrt, exp, sin, cos, log.
 
-Expressions are parsed to immutable trees, and one interpreter walks
-them in two modes that differ only in their primitive tables.
+Expressions are parsed to immutable trees.  Every walk of a tree is a
+fold over one explicit-stack postorder, ``Expr._postorder``, so no tree
+is too deep to walk; only the parser recurses.  One interpreter folds a
+tree in two modes that differ only in their primitive tables.
 ``evaluate`` runs one point through ``operator`` and ``math``, which
-raise where the point leaves the domain, an overflowing power included;
-the error names the offending subexpression and point.  ``to_callable``
+raise where the point leaves the domain, an overflowing power included,
+and takes an infinite + - * / of finite operands, which double arithmetic
+gives silently, as an overflow too; the error names the offending
+subexpression and point.  ``to_callable``
 runs arrays through numpy, which gives inf or nan there instead, and
 takes x^k by repeated squaring, within (k - 1) eps of the true power, so
 the two modes can differ in the last bits of a power.  In both, x^0 is
@@ -65,10 +69,9 @@ _FUNCTIONS = {
 }
 _VARIABLES = ("x", "y", "z")
 _OPERATORS = ("+", "-", "*", "/", "^")
-# The walks of a tree recurse once per level of it, and the parser up to 8
-# times per nested group or negation.  parse refuses input that would take
-# either past this many frames, which leaves the caller room under Python's
-# default recursion limit of 1000
+# The parser recurses up to 8 times per nested group, call or negation.
+# parse refuses input that would take it past this many frames, which
+# leaves the caller room under Python's default recursion limit of 1000
 _MAX_FRAMES = 700
 
 
@@ -76,44 +79,68 @@ class Expr:
     """Base class for expression nodes; instances are frozen.
 
     ``==``, ``hash`` and ``repr`` give what a frozen dataclass gives, but
-    walk the tree with an explicit stack, so every tree parse accepts
-    takes them."""
+    walk the tree with an explicit stack, so every tree takes them."""
 
     __slots__ = ()
+    _children = ()  # the child nodes, in order
 
-    def _preorder(self):
-        """Each node's class and then its fields that are not nodes, node
-        by node in preorder; the classes' arities make this the tree."""
-        key, stack = [], [self]
+    def _postorder(self):
+        """Every node, each after its children and a left child before a right one."""
+        nodes, stack = [], [self]
         while stack:
             node = stack.pop()
-            key.append(type(node))
-            fields = vars(node).values()
-            key += [v for v in fields if not isinstance(v, Expr)]
-            stack += reversed([v for v in fields if isinstance(v, Expr)])
-        return key
+            nodes.append(node)
+            stack += node._children
+        return nodes[::-1]
+
+    def _fold(self, visit):
+        """The root's value, where a node's value is ``visit(node, *children's values)``."""
+        values = []
+        for node in self._postorder():
+            first = len(values) - len(node._children)
+            values[first:] = [visit(node, *values[first:])]
+        return values[0]
+
+    def _key(self):
+        """The nodes' classes in postorder, which fix the shape, then their other fields."""
+        nodes = self._postorder()
+        fields = [v for node in nodes for v in vars(node).values() if not isinstance(v, Expr)]
+        return (*map(type, nodes), *fields)
 
     def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self._preorder() == other._preorder()
+        return self._key() == other._key() if isinstance(other, Expr) else NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self._preorder()))
+        return hash(self._key())
 
     def __repr__(self):
-        texts, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                texts.append(item)
-                continue
-            parts = [f"{type(item).__qualname__}("]
-            for i, (name, value) in enumerate(vars(item).items()):
-                value = value if isinstance(value, Expr) else repr(value)
-                parts += [f"{', ' * (i > 0)}{name}=", value]
-            stack += reversed([*parts, ")"])
-        return "".join(texts)
+        def visit(node, *children):
+            # the node's own text runs between its children's
+            parts, children = [f"{type(node).__qualname__}("], iter(children)
+            for i, (name, value) in enumerate(vars(node).items()):
+                parts[-1] += f"{', ' * (i > 0)}{name}="
+                if isinstance(value, Expr):
+                    parts += [next(children), ""]
+                else:
+                    parts[-1] += repr(value)
+            parts[-1] += ")"
+            return parts
+
+        return _joined(self._fold(visit))
+
+
+def _joined(pieces):
+    """The strings in the nested lists ``pieces``, in order, as one string."""
+    # a fold builds text as nested lists: joining at each node would copy a
+    # deep tree's text once per level
+    texts, stack = [], [pieces]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            texts.append(item)
+        else:
+            stack += reversed(item)
+    return "".join(texts)
 
 
 def _member(value, name, choices):
@@ -145,6 +172,7 @@ class Var(Expr):
 @dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     child: Expr
+    _children = property(lambda self: (self.child,))
 
     def __post_init__(self):
         _kind(self.child, "child", Expr)
@@ -155,6 +183,7 @@ class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
+    _children = property(lambda self: (self.left, self.right))
 
     def __post_init__(self):
         _member(self.op, "op", _OPERATORS)
@@ -171,6 +200,7 @@ class BinOp(Expr):
 class Call(Expr):
     fn: str
     arg: Expr
+    _children = property(lambda self: (self.arg,))
 
     def __post_init__(self):
         _member(self.fn, "fn", _FUNCTIONS)
@@ -201,9 +231,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
-        # the groups and negations being parsed, and the depth of the
-        # tree last built
-        self.nesting = self.depth = 0
+        self.nesting = 0  # the groups, calls and negations being parsed
 
     def peek(self):
         return self.tokens[self.i]
@@ -225,17 +253,10 @@ class _Parser:
         raise ParseError(f"{message} at offset {self.peek()[2]}")
 
     def enter(self):
-        """Count one more nested group or negation."""
+        """Count one more nested group, call or negation."""
         self.nesting += 1
         if 8 * self.nesting > _MAX_FRAMES:
             self.fail("expression nests too deeply")
-
-    def built(self, node, depth):
-        """``node``, whose tree is ``depth`` levels deep."""
-        if depth > _MAX_FRAMES:
-            self.fail("expression nests too deeply")
-        self.depth = depth
-        return node
 
     def expect(self, op, message):
         if self.peek()[:2] != ("op", op):
@@ -252,9 +273,8 @@ class _Parser:
         """Left-associated operands joined by any of ``ops``."""
         node = operand()
         while self.peek()[0] == "op" and self.peek()[1] in ops:
-            op, left = self.take()[1], self.depth
+            op = self.take()[1]
             node = BinOp(op, node, operand())
-            node = self.built(node, max(left, self.depth) + 1)
         return node
 
     def factor(self):
@@ -263,7 +283,7 @@ class _Parser:
             self.enter()
             child = self.factor()
             self.nesting -= 1
-            return self.built(Neg(child), self.depth + 1)
+            return Neg(child)
         return self.power()
 
     def power(self):
@@ -278,21 +298,20 @@ class _Parser:
             # int() refuses over 4300 digits, and a finite double has 309
             if int(value.lstrip("0") or "0") != int(k):
                 raise ParseError(f"exponent {value!r} is not exact in a double at offset {offset}")
-            return self.built(BinOp("^", node, Num(k)), self.depth + 1)
+            return BinOp("^", node, Num(k))
         return node
 
     def atom(self):
         kind, value, offset = self.peek()
         if kind == "num":
-            return self.built(Num(self.number()), 1)
+            return Num(self.number())
         if kind == "name":
             self.take()
             if value in _VARIABLES:
-                return self.built(Var(value), 1)
+                return Var(value)
             if value in _FUNCTIONS:
                 self.expect("(", f"{value} needs a parenthesized argument")
-                arg = self.group()
-                return self.built(Call(value, arg), self.depth + 1)
+                return Call(value, self.group())
             raise ParseError(f"unknown identifier {value!r} at offset {offset}")
         if kind == "op" and value == "(":
             self.take()
@@ -311,8 +330,9 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse an integrand; raises ParseError with a character offset.
 
-    Input nested too deeply for the recursive walks of its tree, or for
-    the parser itself, is refused."""
+    Input that nests groups, calls and negations too deeply for the
+    parser's own recursion, more than 87 of them, is refused; a sum or
+    product of any length parses."""
     _kind(text, "text", str)
     p = _Parser(text)
     node = p.expr()
@@ -337,34 +357,31 @@ def to_text(node: Expr) -> str:
     """Print with minimal parentheses; reparsing gives the same tree, except
     that a negative literal comes back as a unary minus of its magnitude."""
     _kind(node, "node", Expr)
+    return _joined(node._fold(_text))
+
+
+# the text of node as nested lists of strings, from its children's
+def _text(node, *texts):
     if isinstance(node, Num):
-        v = node.value
-        if math.copysign(1.0, v) < 0:
-            return f"-{to_text(Num(-v))}"
+        v = abs(node.value)
         # the range test first: int() of a NaN or infinity raises
-        return repr(int(v)) if abs(v) < 1e16 and v == int(v) else repr(v)
+        text = repr(int(v)) if v < 1e16 and v == int(v) else repr(v)
+        return "-" + text if math.copysign(1.0, node.value) < 0 else text
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        inner = to_text(node.child)
-        if _prec(node.child) < _PRECEDENCE["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return ["-", ["(", texts[0], ")"] if _prec(node.child) < _PRECEDENCE["neg"] else texts[0]]
     if isinstance(node, Call):
-        return f"{node.fn}({to_text(node.arg)})"
-    p = _PRECEDENCE[node.op]
-    lt = to_text(node.left)
-    if _prec(node.left) < p or (node.op == "^" and _prec(node.left) <= p):
-        lt = f"({lt})"
+        return [f"{node.fn}(", texts[0], ")"]
+    p, left, (lt, rt) = _PRECEDENCE[node.op], _prec(node.left), texts
+    if left < p or (node.op == "^" and left <= p):
+        lt = ["(", lt, ")"]
     if node.op == "^":
         # the grammar takes integer literals only, however large
-        return f"{lt}^{int(node.right.value)}"
-    rt = to_text(node.right)
+        return [lt, f"^{int(node.right.value)}"]
     # binary operators associate left, so an equal-precedence right
     # child only survives reparsing behind parentheses
-    if _prec(node.right) <= p:
-        rt = f"({rt})"
-    return f"{lt} {node.op} {rt}"
+    return [lt, f" {node.op} ", ["(", rt, ")"] if _prec(node.right) <= p else rt]
 
 
 def _power(base, k):
@@ -375,15 +392,15 @@ def _power(base, k):
     The bits of k run from the top, so every product lands in the one
     array the first squaring allocates, as pow's own result would; a new
     array per step made the peak memory of a run vary with heap layout."""
-    if k < 0:  # only a hand-built tree has one
-        return 1.0 / _power(base, -k)
     result = base
-    for bit in bin(k)[3:]:  # the bits below the leading one
+    for bit in bin(abs(k))[3:]:  # the bits below the leading one
         out = np.empty_like(base) if result is base else result
         np.multiply(result, result, out=out)
         if bit == "1":
             np.multiply(out, base, out=out)
         result = out
+    if k < 0:  # only a hand-built tree has one: a reciprocal
+        result = 1.0 / result
     return result[()]  # a 0-d result as a scalar, as numpy's operators give it
 
 
@@ -417,33 +434,41 @@ def _run(node, env, mode, spread):
     function or a power of two or more acts on.  A fault of a primitive
     raises EvalError naming its node and the point.
     """
-    if isinstance(node, Num):
-        return float(node.value)
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_run(node.child, env, mode, spread)
     binary, functions, faults = mode
-    if isinstance(node, Call):
-        fn, args = functions[node.fn], (spread(_run(node.arg, env, mode, spread)),)
-    elif node.op == "^":
-        # the base runs first, so x^0 does not hide a fault inside x, and
-        # x^0 is nan wherever x is not finite
-        base, k = _run(node.left, env, mode, spread), int(node.right.value)
-        if k == 0:
-            finite = np.isfinite(base)
-            return 1.0 if finite.all() else np.where(finite, 1.0, np.nan)[()]
-        if k == 1:
-            return base
-        fn, args = binary["^"], (spread(base), k)
-    else:
-        fn = binary[node.op]
-        args = (_run(node.left, env, mode, spread), _run(node.right, env, mode, spread))
-    try:
-        return fn(*args)
-    except faults as exc:
-        point = ", ".join(f"{env[v]:.17g}" for v in _VARIABLES)
-        raise EvalError(f"{_FAULT_TEXT[type(exc)]} in {to_text(node)} at point ({point})") from None
+
+    def visit(node, *args):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, Neg):
+            return -args[0]
+        if isinstance(node, Call):
+            fn, args = functions[node.fn], (spread(args[0]),)
+        elif node.op == "^":
+            # the base ran first, so x^0 does not hide a fault inside x, and
+            # x^0 is nan wherever x is not finite
+            base, k = args[0], int(node.right.value)
+            if k == 0:
+                finite = np.isfinite(base)
+                return 1.0 if finite.all() else np.where(finite, 1.0, np.nan)[()]
+            if k == 1:
+                return base
+            fn, args = binary["^"], (spread(base), k)
+        else:
+            fn = binary[node.op]
+        try:
+            value = fn(*args)
+            # double arithmetic gives inf where math and pow raise, so the
+            # mode that catches faults takes inf from finite operands as one
+            if faults and math.isinf(value) and all(map(math.isfinite, args)):
+                raise OverflowError
+            return value
+        except faults as exc:
+            point = ", ".join(f"{env[v]:.17g}" for v in _VARIABLES)
+            raise EvalError(f"{_FAULT_TEXT[type(exc)]} in {to_text(node)} at point ({point})") from None
+
+    return node._fold(visit)
 
 
 def evaluate(node: Expr, point) -> float:
@@ -504,32 +529,28 @@ def polynomial_degree(node: Expr):
     (2, None)
     """
     _kind(node, "node", Expr)
+    return node._fold(_degree)
+
+
+# the polynomial degree of node, or None, from its children's
+def _degree(node, *degrees):
     if isinstance(node, Num):
         return 0
     if isinstance(node, Var):
         return 1
-    if isinstance(node, Neg):
-        return polynomial_degree(node.child)
-    if isinstance(node, Call):
+    if isinstance(node, Call) or None in degrees:
         return None
-    l = polynomial_degree(node.left)
-    if l is None:
-        return None
+    if isinstance(node, Neg) or node.op in ("+", "-"):
+        return max(degrees)
     if node.op == "^":
         # a negative power, which only a hand-built tree holds, is a reciprocal
-        return l * int(node.right.value) if node.right.value >= 0 else None
-    r = polynomial_degree(node.right)
-    if r is None:
-        return None
-    if node.op in ("+", "-"):
-        return max(l, r)
+        return degrees[0] * int(node.right.value) if node.right.value >= 0 else None
     if node.op == "*":
-        return l + r
+        return sum(degrees)
     # division: constant nonzero denominators only
-    if r != 0 or Var in node.right._preorder():
+    if degrees[1] != 0 or Var in node.right._key():
         return None
     try:
-        return l if evaluate(node.right, (0.0, 0.0, 0.0)) != 0.0 else None
+        return degrees[0] if evaluate(node.right, (0.0, 0.0, 0.0)) != 0.0 else None
     except EvalError:
         return None
-

@@ -4,8 +4,12 @@ interpreter, kept as references for the differential tests.
 ``evaluate`` walked a tree in scalar ``math`` and named the failing
 subexpression; ``to_callable`` walked it again, building numpy closures.
 The closures take x^k by squaring, as ``to_callable`` now does, in place
-of numpy's pow.
+of numpy's pow.  The scalar walk names an infinite + - * / of finite
+operands as an overflow, as ``evaluate`` now does, where the old walk
+returned the inf.
 """
+
+import math
 
 import numpy as np
 
@@ -16,6 +20,11 @@ from bezquad.expr import _FUNCTIONS, Call, Neg, Num, Var, to_text
 def reference_evaluate(node, point):
     x, y, z = (float(c) for c in point)
     env = {"x": x, "y": y, "z": z}
+
+    def arithmetic(n, value, a, b):
+        if math.isinf(value) and math.isfinite(a) and math.isfinite(b):
+            raise EvalError(f"overflow in {to_text(n)} at point ({x:.17g}, {y:.17g}, {z:.17g})")
+        return value
 
     def walk(n):
         if isinstance(n, Num):
@@ -39,17 +48,17 @@ def reference_evaluate(node, point):
         a = walk(n.left)
         b = walk(n.right)
         if n.op == "+":
-            return a + b
+            return arithmetic(n, a + b, a, b)
         if n.op == "-":
-            return a - b
+            return arithmetic(n, a - b, a, b)
         if n.op == "*":
-            return a * b
+            return arithmetic(n, a * b, a, b)
         if n.op == "/":
             if b == 0.0:
                 raise EvalError(
                     f"division by zero in {to_text(n)} at point ({x:.17g}, {y:.17g}, {z:.17g})"
                 )
-            return a / b
+            return arithmetic(n, a / b, a, b)
         try:
             return a ** int(b)
         except OverflowError:

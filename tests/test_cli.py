@@ -175,6 +175,7 @@ def test_domain_error_exit_2(capsys):
         ("(1/0)^0", "division by zero in 1 / 0"),
         ("sqrt(-1)^0", "domain error in sqrt(-1)"),
         ("exp(x*1000)^0", "overflow in exp(x * 1000)"),
+        ("(x*1e308*10)^0", "overflow in x * 1e+308 * 10"),
     ],
 )
 def test_zeroth_power_does_not_hide_a_fault(capsys, expr, message):
@@ -183,12 +184,14 @@ def test_zeroth_power_does_not_hide_a_fault(capsys, expr, message):
     assert err.startswith(f"bezquad: {message} at point (")
 
 
-def test_overflow_without_eval_error_exit_2(capsys):
-    # to_callable gives inf at the first point, where plain double
-    # arithmetic overflows to inf too and raises nothing to name
-    code, out, err = run(capsys, "integrate", "--model", CIRCLE, "--expr", "1e308*1e308*x")
-    assert (code, out) == (2, "")
-    assert err == "bezquad: integrand is not finite at (0.99998817224010272, -0.99654758944633537, 0)\n"
+def test_arithmetic_overflow_exit_2_names_the_node(capsys):
+    # to_callable gives inf at the first point, and evaluate names the
+    # + - * / that overflowed there, as it names an overflowing exp or power
+    point = "(0.99998817224010272, -0.99654758944633537, 0)"
+    for expr, node in [("1e308*1e308*x", "1e+308 * 1e+308"), ("x*1e308*10", "x * 1e+308 * 10")]:
+        code, out, err = run(capsys, "integrate", "--model", CIRCLE, "--expr", expr)
+        assert (code, out) == (2, "")
+        assert err == f"bezquad: overflow in {node} at point {point}\n"
 
 
 @pytest.mark.parametrize(
@@ -505,12 +508,22 @@ def test_json_arrays_that_are_not_doubles_exit_1_with_one_line(
 def test_expression_nested_too_deeply_exits_1_with_one_line():
     proc = subprocess.run(
         [sys.executable, "-m", "bezquad.cli", "integrate", "--model", CIRCLE,
-         "--expr", " + ".join(["x"] * 3000)],
+         "--expr", "(" * 150 + "x" + ")" * 150],
         capture_output=True,
         text=True,
     )
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "bezquad: expression nests too deeply at offset 2802\n"
+    assert proc.stderr == "bezquad: expression nests too deeply at offset 88\n"
+
+
+def test_3000_term_sum_takes_the_degree_exact_rule(capsys):
+    # the integrand's degree sizes the rule: 3000 y^2 terms have degree 2,
+    # and each integrates to pi/4 over the unit disk; the 2999 additions
+    # at each node round, within 1e-13 as for the 600-term polynomial
+    code, out, err = run(capsys, "integrate", "--model", CIRCLE, "--pe",
+                         "--expr", " + ".join(["y^2"] * 3000))
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(3000 * math.pi / 4, rel=1e-13)
 
 
 def test_600_term_polynomial_integrates_with_and_without_pe(capsys):

@@ -111,10 +111,8 @@ def test_exact_exponents_of_any_length_parse():
         ("(" * 150 + "x" + ")" * 150, 88),  # parser recursion
         ("-" * 150 + "x", 88),
         ("sin(" * 150 + "x" + ")" * 150, 352),
-        (" + ".join(["x"] * 3000), 2802),  # tree depth: 3000 levels
-        ("x" + "*x" * 700, 1401),
     ],
-    ids=["parentheses", "negations", "calls", "sum", "product"],
+    ids=["parentheses", "negations", "calls"],
 )
 def test_nesting_past_what_the_walks_take_is_a_parse_error(text, offset):
     with pytest.raises(ParseError) as err:
@@ -122,7 +120,17 @@ def test_nesting_past_what_the_walks_take_is_a_parse_error(text, offset):
     assert str(err.value) == f"expression nests too deeply at offset {offset}"
 
 
-def test_the_deepest_accepted_trees_walk():
+@pytest.fixture(scope="module")
+def hand_built_chains():
+    """x + x + ... + x with 100,000 operators, and x under 100,000
+    negations, built by hand: no parser limit applies."""
+    total, negated = Var("x"), Var("x")
+    for _ in range(100_000):
+        total, negated = BinOp("+", total, Var("x")), Neg(negated)
+    return total, negated
+
+
+def test_the_deepest_accepted_trees_walk(hand_built_chains):
     x = np.array([0.5, 2.0])
     for text, value in [
         ("(" * 87 + "x" + ")" * 87, x),
@@ -130,22 +138,48 @@ def test_the_deepest_accepted_trees_walk():
         (" + ".join(["x"] * 700), 700 * x),
         # the divisor's walk for variables once took two frames per level
         ("x / (" + " + ".join(["1"] * 690) + ")", x / 690),
+        # no walk recurses, so a sum or product of any length parses
+        (" + ".join(["x"] * 3000), 3000 * x),
+        ("x" + " * 1" * 2999, x),
     ]:
         node = parse(text)
         assert polynomial_degree(node) == 1
         assert to_text(parse(to_text(node))) == to_text(node)
         assert np.allclose(to_callable(node)(x, x), value, rtol=1e-15)
         assert evaluate(node, (2.0, 0.0, 0.0)) == pytest.approx(value[1], rel=1e-15)
+    # and a tree built by hand walks at any depth
+    total, negated = hand_built_chains
+    for node, text, value in [
+        (total, " + ".join(["x"] * 100_001), 100_001 * x),
+        (negated, "-" * 100_000 + "x", x),
+    ]:
+        assert polynomial_degree(node) == 1 and to_text(node) == text
+        assert np.allclose(to_callable(node)(x, x), value, rtol=1e-15)
+        assert evaluate(node, (2.0, 0.0, 0.0)) == pytest.approx(value[1], rel=1e-15)
 
 
-def test_the_deepest_accepted_trees_compare_hash_and_print():
+def test_the_deepest_accepted_trees_compare_hash_and_print(hand_built_chains):
     # a recursive ==, hash or repr takes two or more frames per level
-    text = " + ".join(["x"] * 700)
-    a, b = parse(text), parse(text)
-    assert a == b and hash(a) == hash(b)
-    assert a != parse(" + ".join(["x"] * 699))
     x = "Var(name='x')"
-    assert repr(a) == "BinOp(op='+', left=" * 699 + x + f", right={x})" * 699
+    for terms in (700, 3000):
+        text = " + ".join(["x"] * terms)
+        a, b = parse(text), parse(text)
+        assert a == b and hash(a) == hash(b)
+        assert a != parse(" + ".join(["x"] * (terms - 1)))
+        assert repr(a) == "BinOp(op='+', left=" * (terms - 1) + x + f", right={x})" * (terms - 1)
+    a, b = parse("x" + " * 1" * 2999), parse("x" + " * 1" * 2999)
+    assert a == b and hash(a) == hash(b) and a != parse("x" + " * 1" * 2998)
+    one = ", right=Num(value=1.0))"
+    assert repr(a) == "BinOp(op='*', left=" * 2999 + x + one * 2999
+    # hand-built trees 100,000 levels deep, each beside a copy that shares
+    # all but its root, and its own subtree one level shorter
+    total, negated = hand_built_chains
+    for a, b, shorter, want in [
+        (total, BinOp("+", total.left, Var("x")), total.left,
+         "BinOp(op='+', left=" * 100_000 + x + f", right={x})" * 100_000),
+        (negated, Neg(negated.child), negated.child, "Neg(child=" * 100_000 + x + ")" * 100_000),
+    ]:
+        assert a == b and hash(a) == hash(b) and a != shorter and repr(a) == want
 
 
 def test_trees_compare_hash_and_print_as_dataclasses_did():
@@ -174,6 +208,22 @@ def test_domain_errors_carry_node_and_point():
         ev("exp(x)", (1000, 0, 0))
     with pytest.raises(EvalError, match=r"^overflow in x\^400 at point \(10, 0, 0\)$"):
         ev("x^400", (10, 0, 0))
+    # + - * / overflow to inf in double arithmetic, and evaluate names that
+    # as an overflow too; to_callable gives the inf
+    for text, x, node in [
+        ("x*1e308", 10, "x * 1e+308"),
+        ("x*1e308*10", 1, "x * 1e+308 * 10"),
+        ("1e308 + x*1e308", 1, "1e+308 + x * 1e+308"),
+        ("-1e308 - x", 1e308, "-1e+308 - x"),
+        ("x / 1e-300", 1e10, "x / 1e-300"),
+    ]:
+        with pytest.raises(EvalError) as err:
+            ev(text, (x, 0, 0))
+        assert str(err.value) == f"overflow in {node} at point ({x:.17g}, 0, 0)"
+        assert to_callable(parse(text))(np.array([float(x)]), np.zeros(1))[0] in (math.inf, -math.inf)
+    # an infinite operand is no overflow: only a hand-built literal holds one
+    assert evaluate(BinOp("*", Num(math.inf), Var("x")), (2, 0, 0)) == math.inf
+    assert math.isnan(evaluate(BinOp("-", Num(math.inf), Num(math.inf)), (0, 0, 0)))
     # a hand-built non-finite literal prints as its repr in the message
     for v in (math.nan, math.inf, -math.inf):
         with pytest.raises(EvalError, match=rf"^division by zero in {v!r} / x at point"):
@@ -227,6 +277,7 @@ def test_polynomial_degree():
     assert polynomial_degree(parse("sqrt(4)")) is None  # calls opt out entirely
     assert polynomial_degree(parse("x / sin(2)")) is None  # a call in the denominator too
     assert polynomial_degree(parse("x / 10^400")) is None  # an overflowing denominator
+    assert polynomial_degree(parse("x / (1e200 * 1e200)")) is None
     assert polynomial_degree(parse("-x*y")) == 2
     assert polynomial_degree(parse("sin(x)*y")) is None  # a call on the left of an operator
     assert polynomial_degree(parse("x / y^0")) is None  # degree 0, but a variable
@@ -270,7 +321,12 @@ def test_callable_defaults_z_to_zero():
 
 
 def test_zeroth_power_is_nan_where_its_base_is_not_finite():
-    assert math.isnan(ev("(x*1e308*10)^0", (1, 0, 0))) and ev("(x*1e308)^0", (1, 0, 0)) == 1.0
+    # an overflow of the base is an EvalError, so only a hand-built literal
+    # makes a base that is not finite here
+    with pytest.raises(EvalError, match=r"^overflow in x \* 1e\+308 \* 10 at point"):
+        ev("(x*1e308*10)^0", (1, 0, 0))
+    assert math.isnan(evaluate(BinOp("^", BinOp("*", Num(math.inf), Var("x")), Num(0.0)), (1, 0, 0)))
+    assert ev("(x*1e308)^0", (1, 0, 0)) == 1.0
     x = np.array([-1.0, 0.0, 1.0])
     out = to_callable(parse("log(x)^0"))(x, x)
     assert np.isnan(out[:2]).all() and out[2] == 1.0

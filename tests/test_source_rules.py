@@ -76,3 +76,18 @@ def test_one_way_in_for_files():
     report = [f"{scope}, line {line}" for scope, line in found]
     assert [scope for scope, _ in found] == ["io._read", "io._write"], "\n".join(
         ["open files only in io._read (input) and io._write (output), once each", *report])
+
+
+def test_one_tree_walk():
+    """No function of expr.py outside its parser calls itself: every walk of a tree is a fold
+    over Expr._postorder, an explicit stack, so a tree of any depth takes it."""
+    module = ast.parse((ROOT / "src/bezquad/expr.py").read_text())
+    scopes = [node for node in module.body if getattr(node, "name", None) != "_Parser"]
+    functions = [f for scope in scopes for f in ast.walk(scope) if isinstance(f, ast.FunctionDef)]
+    recursive = [
+        f"{f.name}, line {f.lineno}" for f in functions
+        if any(getattr(call.func, "id", getattr(call.func, "attr", None)) == f.name
+               for call in ast.walk(f) if isinstance(call, ast.Call))
+    ]
+    assert not recursive, "\n".join(
+        ["walk a tree by folding over Expr._postorder, not by recursion", *recursive])
