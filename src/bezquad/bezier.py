@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -389,18 +391,50 @@ def patch_normal(patch: RationalBezierPatch, u, v) -> np.ndarray:
 _CONDITIONING_DEGREE = 20
 
 
-def _warn(message):
-    """bezquad's one warning path: a UserWarning filed under the innermost
-    frame outside the package, the caller's line however deep it arose."""
-    level, frame = 1, sys._getframe()
-    while frame is not None and frame.f_globals.get("__package__") == __package__:
-        level, frame = level + 1, frame.f_back
-    warnings.warn(message, stacklevel=level)
+# .said: the message list of the innermost _memo build running in this thread
+_heard = threading.local()
 
 
-def _warn_if_high_degree(n):
-    if n > _CONDITIONING_DEGREE:
-        _warn(f"basis conversion at degree {n} amplifies rounding by roughly 10^{n // 2}")
+def _warn(*messages):
+    """bezquad's one warning path: each message a UserWarning filed under
+    the innermost frame outside the package, the caller's line however deep
+    it arose.  Inside a _memo build the messages are recorded instead."""
+    said = getattr(_heard, "said", None)
+    if said is not None:
+        said.extend(messages)
+    elif messages:
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            level, frame = level + 1, frame.f_back
+        for message in messages:
+            warnings.warn(message, stacklevel=level)
+
+
+def _memo(maxsize):
+    """``lru_cache(maxsize)`` for a build that may warn.  An entry is
+    (the build's value, the messages its _warn calls gave), and the caller
+    passes those messages to _warn on every call, hit or miss, so a hit
+    warns what a build warns.  A build that raises is not stored; its
+    messages are warned before the error leaves."""
+
+    def memo(build):
+        @lru_cache(maxsize)
+        @wraps(build)
+        def entry(*args):
+            said, outer = [], getattr(_heard, "said", None)
+            _heard.said = said
+            try:
+                value = build(*args)
+            except BaseException:
+                _heard.said = outer
+                _warn(*said)
+                raise
+            _heard.said = outer
+            return value, tuple(said)
+
+        return entry
+
+    return memo
 
 
 def _basis_change(coeffs, entry):
@@ -412,7 +446,8 @@ def _basis_change(coeffs, entry):
     if coeffs.ndim == 0 or not coeffs.size:
         raise ValidationError(f"need a nonempty shape (n+1, ...), got {coeffs.shape}", "coeffs")
     n = coeffs.shape[0] - 1
-    _warn_if_high_degree(n)
+    if n > _CONDITIONING_DEGREE:
+        _warn(f"basis conversion at degree {n} amplifies rounding by roughly 10^{n // 2}")
     mat = np.zeros((n + 1, n + 1))
     for i in range(n + 1):
         for j in range(i + 1):

@@ -427,13 +427,8 @@ _VECTOR = (
 )
 
 
-def _run(node, env, mode, spread):
-    """Value of ``node`` with the variables bound in ``env``.
-
-    ``mode`` supplies the primitives; ``spread`` is applied to what a
-    function or a power of two or more acts on.  A fault of a primitive
-    raises EvalError naming its node and the point.
-    """
+def _visitor(env, mode, spread):
+    """The fold step of _run: a node's value from its children's."""
     binary, functions, faults = mode
 
     def visit(node, *args):
@@ -468,7 +463,17 @@ def _run(node, env, mode, spread):
             point = ", ".join(f"{env[v]:.17g}" for v in _VARIABLES)
             raise EvalError(f"{_FAULT_TEXT[type(exc)]} in {to_text(node)} at point ({point})") from None
 
-    return node._fold(visit)
+    return visit
+
+
+def _run(node, env, mode, spread):
+    """Value of ``node`` with the variables bound in ``env``.
+
+    ``mode`` supplies the primitives; ``spread`` is applied to what a
+    function or a power of two or more acts on.  A fault of a primitive
+    raises EvalError naming its node and the point.
+    """
+    return node._fold(_visitor(env, mode, spread))
 
 
 def evaluate(node: Expr, point) -> float:
@@ -529,28 +534,37 @@ def polynomial_degree(node: Expr):
     (2, None)
     """
     _kind(node, "node", Expr)
-    return node._fold(_degree)
+    return node._fold(_degree)[0]
 
 
-# the polynomial degree of node, or None, from its children's
-def _degree(node, *degrees):
+# a constant subtree's value as evaluate gives it, from its children's
+_AT_ORIGIN = _visitor(dict.fromkeys(_VARIABLES, 0.0), _SCALAR, lambda v: v)
+
+
+def _degree(node, *children):
+    """(the polynomial degree of ``node`` or None, its value or None), from
+    its children's pairs.  The value is None where the subtree holds a
+    variable or a primitive faults, so a denominator is read once, not
+    evaluated again at every division above it."""
     if isinstance(node, Num):
-        return 0
+        return 0, node.value
     if isinstance(node, Var):
-        return 1
+        return 1, None
+    degrees, values = zip(*children)
+    value = None
+    if None not in values:
+        try:
+            value = _AT_ORIGIN(node, *values)
+        except EvalError:
+            pass
     if isinstance(node, Call) or None in degrees:
-        return None
+        return None, value
     if isinstance(node, Neg) or node.op in ("+", "-"):
-        return max(degrees)
+        return max(degrees), value
     if node.op == "^":
         # a negative power, which only a hand-built tree holds, is a reciprocal
-        return degrees[0] * int(node.right.value) if node.right.value >= 0 else None
+        return (degrees[0] * int(node.right.value) if node.right.value >= 0 else None), value
     if node.op == "*":
-        return sum(degrees)
+        return sum(degrees), value
     # division: constant nonzero denominators only
-    if degrees[1] != 0 or Var in node.right._key():
-        return None
-    try:
-        return degrees[0] if evaluate(node.right, (0.0, 0.0, 0.0)) != 0.0 else None
-    except EvalError:
-        return None
+    return (degrees[0] if values[1] is not None and values[1] != 0.0 else None), value

@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bezier import (
     RationalBezierCurve,
-    _CONDITIONING_DEGREE,
     _adopt,
     _batches,
     _built,
@@ -42,7 +40,8 @@ from .bezier import (
     _groups,
     _items,
     _kind,
-    _warn_if_high_degree,
+    _memo,
+    _warn,
 )
 from .errors import QuadratureError, ValidationError
 from .quad1d import (
@@ -295,22 +294,15 @@ def _pe_intermediate_rule(weights, degree: int) -> Rule1D:
     arcs of a circle, say) share one cached rule.  The cache is keyed on the
     weights as given; ``spectral_pe_rule`` passes weights in standard form,
     so Moebius-rescaled copies of one curve hit the same entry.  ``Rule1D``
-    is frozen with read-only arrays; exceptions are not cached.
+    is frozen with read-only arrays; exceptions are not cached, and a hit
+    warns what the build warned, the basis conversion of weight_poly_roots.
     """
-    key = weights.tobytes()
-    m = weights.size - 1
-    if m <= _CONDITIONING_DEGREE or _equal_weights(weights):
-        return _weights_rule(key, degree)
-    # A cache hit converts no basis, so it raises the conditioning warning
-    # that the build (a miss) raises from weight_poly_roots.
-    misses = _weights_rule.cache_info().misses
-    rule = _weights_rule(key, degree)
-    if _weights_rule.cache_info().misses == misses:
-        _warn_if_high_degree(m)
+    rule, said = _weights_rule(weights.tobytes(), degree)
+    _warn(*said)
     return rule
 
 
-@lru_cache(maxsize=_PE_CACHE_SIZE)
+@_memo(_PE_CACHE_SIZE)
 def _weights_rule(weight_bytes: bytes, degree: int) -> Rule1D:
     weights = np.frombuffer(weight_bytes)
     m = weights.size - 1

@@ -144,7 +144,9 @@ class PoleSet:
         return sum(m for _, m in self.poles)
 
 
-@lru_cache(maxsize=None)
+# read-only, shared by every caller; bounded, as every memo is, so a
+# process that asks for ever more orders keeps only the recent ones
+@lru_cache(maxsize=256)
 def _leggauss(n: int):
     return tuple(map(_frozen, np.polynomial.legendre.leggauss(n)))
 

@@ -12,8 +12,10 @@ the z-component n_z for the volume pipeline.
 Untrimmed patches skip the boundary construction entirely and use a
 tensor-product Gauss grid over the whole square; ``_parts`` alone makes
 that choice.  A union of patches is integrated by its boundary rule, which
-builds one planar rule over all the loops of each distinct trim domain,
-once: the two caps of a cylinder, which hold one trim, share it.
+takes one planar rule over all the loops of each trim domain.  That rule
+depends on the loops and the orders alone, never on the patch, so it is
+memoized for the life of the process, as the square's grids are: the two
+caps of a cylinder, and every later cylinder, share one build.
 
 A boundary rule is sized one of two ways.  boundary_rule takes Gauss
 orders.  ``_exact_z_rule`` sizes a z-normal rule by a polynomial degree
@@ -44,6 +46,7 @@ from .bezier import (
     _items,
     _kind,
     _lengths,
+    _memo,
     _patch_point_normal,
     _warn,
 )
@@ -153,29 +156,42 @@ def _tensor_part(n_u: int, n_v: int):
     return _frozen(pre), _frozen(pw), _frozen(prov)
 
 
+@_memo(64)
+def _trim_part(trim_rule, size, index, nets):
+    """A trim domain's read-only parametric part: ``trim_rule(segments,
+    *size, 0.0)``, one planar rule from height 0 over the segments of all
+    its loops in order, as parametric_area_rule builds it.  ``nets`` holds
+    each segment's (control point bytes, weight bytes), and ``index`` maps
+    the flattened segment index to (loop, segment)."""
+    segments = [
+        RationalBezierCurve(np.frombuffer(p).reshape(-1, 2), np.frombuffer(w)) for p, w in nets
+    ]
+    rule = trim_rule(segments, *size, 0.0)
+    prov = np.column_stack([np.array(index)[rule.provenance[:, 0]], rule.provenance[:, 1:]])
+    # compact copies, 40 bytes a point: the rule's arrays are views of one
+    # block that holds its int64 provenance as well
+    return tuple(map(_frozen, (np.array(rule.points), rule.weights.copy(), prov.astype(np.int32))))
+
+
 def _parts(tps, trim_rule, sizes):
     """Each patch's parametric part: (preimages, weights, (loop, segment,
-    mu, eta) rows).  A trimmed patch i covers its whole domain with
-    ``trim_rule(segments, *sizes[i], 0.0)``, one planar rule from height 0
-    over all its loops' segments in order, as parametric_area_rule builds
-    it; its flattened segment index splits into (loop, segment).  It is
-    built once per size and domain, keyed on its control and weight bytes,
-    so a cylinder's two caps share one pass.  An untrimmed patch i gets
-    the sizes[i] = (n_u, n_v) Gauss grid."""
-    built, parts = {}, []
+    mu, eta) rows).  A trimmed patch i takes its domain's from the
+    _trim_part memo, keyed on ``trim_rule``, sizes[i], the (loop, segment)
+    index and its segments' control and weight bytes.  An untrimmed patch
+    i gets the sizes[i] = (n_u, n_v) Gauss grid."""
+    parts, said = [], {}
     for tp, size in zip(tps, sizes):
         if not tp.loops:
             parts.append(_tensor_part(*size))
             continue
         segments = [s for loop in tp.loops for s in loop.segments]
-        # the flattened segment index -> (loop, segment)
-        index = [(k, j) for k, loop in enumerate(tp.loops) for j in range(len(loop.segments))]
-        key = size, *index, *((s.points.tobytes(), s.weights.tobytes()) for s in segments)
-        if key not in built:
-            rule = trim_rule(segments, *size, 0.0)
-            prov = np.column_stack([np.array(index)[rule.provenance[:, 0]], rule.provenance[:, 1:]])
-            built[key] = rule.points, rule.weights, prov
-        parts.append(built[key])
+        index = tuple((k, j) for k, loop in enumerate(tp.loops) for j in range(len(loop.segments)))
+        nets = tuple((s.points.tobytes(), s.weights.tobytes()) for s in segments)
+        part, said[trim_rule, size, index, nets] = _trim_part(trim_rule, size, index, nets)
+        parts.append(part)
+    # a domain warns what its build warned once a call, however many
+    # patches hold it, as when every call built it once
+    _warn(*(message for messages in said.values() for message in messages))
     return parts
 
 
@@ -231,10 +247,10 @@ def boundary_rule(patches, m_q: int, n_q: int, weight_mode: str = "full-normal")
 
     A trimmed patch gets Green's theorem over its trim loops (m_q
     boundary nodes per trim segment, n_q per vertical run); an untrimmed
-    one the max(m_q, n_q) tensor Gauss grid.  Each distinct trim domain
-    goes through one planar pass over all its loops, which every patch
-    holding it shares, and each group of patches with one control-net
-    shape is mapped in one pass.  ``full-normal`` weights integrate
+    one the max(m_q, n_q) tensor Gauss grid.  Each trim domain's planar
+    rule over all its loops is built once per process and orders, and
+    shared by every patch holding it, and each group of patches with one
+    control-net shape is mapped in one pass.  ``full-normal`` weights integrate
     against the surface area measure, ``z-normal`` weights against n_z,
     which is what the volume construction consumes.
 
@@ -305,7 +321,7 @@ def _exact_z_rule(patches, p):
     zeros, so one point.  A trimmed patch's domain, all its loops at
     once, takes the degree-K Green's-theorem rule in (u, v) from height
     0, as spectral_pe_rule builds for planar regions, built once per
-    distinct domain and K.
+    process for each domain and K.
     """
     sizes = []
     for tp in patches:

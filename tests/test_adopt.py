@@ -25,9 +25,9 @@ from bezquad.bezier import (
 from bezquad.errors import ValidationError
 from bezquad.expr import evaluate, parse
 from bezquad.io import load_model, load_region, load_solid
-from bezquad.moments import MomentVector, moment_fit_weights
-from bezquad.planar import Rule, Rule2D
-from bezquad.quad1d import Rule1D, gauss_legendre, weight_poly_roots
+from bezquad.moments import MomentVector, _sum_plan, moment_fit_weights
+from bezquad.planar import Rule, Rule2D, _gauss_region_rule, _weights_rule
+from bezquad.quad1d import Rule1D, _leggauss, gauss_legendre, weight_poly_roots
 from bezquad.shapes import (
     annulus_region,
     bilinear_patch,
@@ -37,10 +37,11 @@ from bezquad.shapes import (
     quarter_arc,
     square_region,
 )
+from bezquad.surface import _tensor_part, _trim_part
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import Rule3D, volume_rule
 
-from conftest import bundled_with
+from conftest import bundled_with, triangle_loop
 
 
 _CIRCLE_WEIGHTS = ["1", "0.7071067811865476", "1"]
@@ -402,3 +403,38 @@ def test_subclasses_and_foreign_buffers_are_copied(make):
     with pytest.raises(ValidationError) as err:
         _adopt(make(values), "points", shape=(None, 2))
     assert str(err.value) == "points[1][0]: must be finite, got nan"
+
+
+_TRIANGLE = triangle_loop().segments
+# each memo, called with arguments for one entry: every caller shares its
+# arrays, so none may be writeable
+_MEMOS = {
+    "_leggauss": lambda: _leggauss(5),
+    "_tensor_part": lambda: _tensor_part(3, 4),
+    "_trim_part": lambda: _trim_part(
+        _gauss_region_rule,
+        (4, 3),
+        tuple((0, j) for j in range(3)),
+        tuple((c.points.tobytes(), c.weights.tobytes()) for c in _TRIANGLE),
+    ),
+    "_weights_rule": lambda: _weights_rule(np.array([1.0, 0.5, 1.0]).tobytes(), 3),
+    "_sum_plan": lambda: _sum_plan(3, 3),
+}
+
+
+def _arrays(value):
+    """The arrays in ``value``, its tuples and its Rule1Ds."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, Rule1D):
+        yield from (value.nodes, value.weights)
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("call", _MEMOS.values(), ids=_MEMOS)
+def test_memos_hand_out_read_only_arrays(call):
+    # a first call, which may build, and a second, which hits
+    arrays = [*_arrays(call()), *_arrays(call())]
+    assert arrays and not any(a.flags.writeable for a in arrays)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -281,6 +282,18 @@ def test_polynomial_degree():
     assert polynomial_degree(parse("-x*y")) == 2
     assert polynomial_degree(parse("sin(x)*y")) is None  # a call on the left of an operator
     assert polynomial_degree(parse("x / y^0")) is None  # degree 0, but a variable
+
+
+@pytest.mark.parametrize("bottom, degree", [(2.0, 1), (0.0, None)])
+def test_degree_of_a_deep_division_chain_takes_linear_time(bottom, degree):
+    # x / (1 / (1 / ... / bottom)), built by hand: each division once read
+    # its whole denominator again, 24.8 s at 4,000 levels
+    node = Num(bottom)
+    for _ in range(4000):
+        node = BinOp("/", Num(1.0), node)
+    start = time.perf_counter()
+    assert polynomial_degree(BinOp("/", Var("x"), node)) == degree
+    assert time.perf_counter() - start < 1.0
 
 
 def test_degree_routes_polynomial_rules():

@@ -43,6 +43,9 @@ RULES = {
         r"_refined\(lambda a, m: np\.linalg\.lstsq\(",
         "solve for rule weights through quad1d._refined, passing it the solver, and accept a "
         "fallback through quad1d._exact_on_basis"),
+    # a memo lives as long as the process, and its entries with it
+    "every memo bounded": (SRC, (), r"maxsize *= *None|lru_cache\(None", None,
+        "bound every memo with arguments: lru_cache(maxsize=N) or bezier._memo(N), not maxsize=None"),
     # exempt: this module's own advice names scipy.special
     "one home for closed forms": ("tests/*.py", ("test_source_rules.py",), r"math\.gamma\(|scipy\.special",
         None, "take closed forms from benchmarks/exact.py (conftest's exact), not from math.gamma or scipy.special"),

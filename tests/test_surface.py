@@ -29,6 +29,7 @@ from bezquad import (
     unit_square_loop,
     volume_rule,
 )
+from bezquad.bezier import _warn
 from bezquad.quad1d import gauss_legendre
 
 from conftest import collapsed_edge_patch, flat_unit_patch, line, quarter_disk_loop, triangle_loop
@@ -356,11 +357,91 @@ def test_each_distinct_trim_domain_is_covered_once(monkeypatch):
         real = getattr(surface, name)
         spy = lambda segments, *sizes, real=real: built.append(len(segments)) or real(segments, *sizes)
         monkeypatch.setattr(surface, name, spy)
-    boundary_rule(shared_trim_patches(), 4, 3)
-    assert built == [4, 8]
-    built.clear()
-    surface._exact_z_rule(cylinder_solid().patches, 4)
-    assert built == [4]
+    for build, want in [
+        (lambda: boundary_rule(shared_trim_patches(), 4, 3), [4, 8]),
+        (lambda: surface._exact_z_rule(cylinder_solid().patches, 4), [4]),
+    ]:
+        for _ in range(2):
+            build()
+            assert built == want
+            # a warm repeat builds nothing; after a clear, each domain once
+            built.clear()
+            build()
+            assert built == []
+            surface._trim_part.cache_clear()
+
+
+def trim_memo_rules(patches):
+    """Every rule _trim_part serves for ``patches``: both weight modes and
+    the degree-4 z-normal rule."""
+    rules = [boundary_rule(patches, 4, 3, mode) for mode in ("full-normal", "z-normal")]
+    return [*rules, surface._exact_z_rule(patches, 4)]
+
+
+@pytest.mark.parametrize(
+    "patches",
+    [cylinder_solid().patches, cylinder_solid_fitted().patches, shared_trim_patches(), varied_trim_patches()],
+    ids=["cylinder", "fitted", "shared", "varied"],
+)
+def test_warm_trim_memo_gives_the_cold_bytes(patches):
+    surface._trim_part.cache_clear()
+    cold = trim_memo_rules(patches)
+    misses = surface._trim_part.cache_info().misses
+    warm = trim_memo_rules(patches)
+    assert surface._trim_part.cache_info().misses == misses > 0
+    for a, b in zip(cold, warm):
+        for name in _RULE_ARRAYS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.degenerate_count == b.degenerate_count
+
+
+def test_trim_memo_keys_separate_builders_sizes_and_loops():
+    # two triangles that meet at (0.5, 0.5): two loops, or one loop of the
+    # same six segments in the same order
+    p, a, b, c, d = (0.5, 0.5), (0.1, 0.1), (0.4, 0.1), (0.9, 0.9), (0.6, 0.9)
+    first, second = (line(p, a), line(a, b), line(b, p)), (line(p, c), line(c, d), line(d, p))
+    patch = box_solid().patches[0].patch
+    two = TrimmedPatch(patch, (TrimLoop(first), TrimLoop(second)))
+    one = TrimmedPatch(patch, (TrimLoop(first + second),))
+    surface._trim_part.cache_clear()
+    rules = [boundary_rule((tp,), *sizes) for tp in (two, one) for sizes in ((4, 3), (3, 4))]
+    assert surface._exact_z_rule((two,), 4) is not None
+    assert surface._trim_part.cache_info()[1:] == (5, 64, 5)  # misses, maxsize, currsize
+    assert rules[0].preimages.tobytes() == rules[2].preimages.tobytes()
+    assert set(rules[0].provenance[:, 1]) == {0, 1} and set(rules[2].provenance[:, 1]) == {0}
+    assert rules[0].preimages.tobytes() != rules[1].preimages.tobytes()
+
+
+def test_failed_trim_build_is_not_stored(monkeypatch):
+    calls = []
+
+    def broken(segments, *sizes):
+        calls.append(len(segments))
+        _warn("built halfway")
+        raise ValidationError("broken")
+
+    monkeypatch.setattr(surface, "_gauss_region_rule", broken)
+    for _ in range(2):
+        # its warning still leaves before the error, named at this line
+        with pytest.warns(UserWarning, match="^built halfway$") as record:
+            with pytest.raises(ValidationError, match="^broken$"):
+                boundary_rule(cylinder_solid().patches, 4, 3)
+        assert [w.filename for w in record] == [__file__]
+    assert calls == [4, 4]
+
+
+def test_trim_memo_holds_read_only_arrays():
+    surface._trim_part.cache_clear()
+    boundary_rule(cylinder_solid().patches, 4, 3)
+    tp = cylinder_solid().patches[4]
+    nets = tuple((s.points.tobytes(), s.weights.tobytes()) for s in tp.loops[0].segments)
+    index = tuple((0, j) for j in range(len(nets)))
+    part, said = surface._trim_part(surface._gauss_region_rule, (4, 3), index, nets)
+    # the two caps, then this call, hold one domain
+    assert surface._trim_part.cache_info()[:2] == (2, 1) and said == ()
+    for a in part:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 @pytest.mark.parametrize("mode", ["full-normal", "z-normal"])

@@ -29,7 +29,7 @@ from bezquad.moments import geometric_moments
 from bezquad.planar import PlanarRegion, _weights_rule, spectral_pe_rule, spectral_rule
 from bezquad.quad1d import weight_poly_roots
 from bezquad.shapes import box_solid, circle_region, polygon_loop, square_region
-from bezquad.surface import boundary_rule, surface_integrate
+from bezquad.surface import TrimLoop, TrimmedPatch, _trim_part, boundary_rule, surface_integrate
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import SolidModel, volume_rule
 
@@ -42,10 +42,27 @@ SOLID = SolidModel((DEGENERATE,))
 TRACE = np.column_stack([np.linspace(0.0, 1.0, 40), np.linspace(0.0, 1.0, 40) ** 2])
 
 
+# a box whose face 0 the degree-21 circle trims
+_BOX = box_solid().patches
+_HIGH_TRIM = TrimLoop(tuple(elevated(c, 19) for c in circle_region((0.5, 0.5), 0.5).curves))
+TRIMMED_BOX = SolidModel((TrimmedPatch(_BOX[0].patch, (_HIGH_TRIM,)), *_BOX[1:]))
+
+
 def _warm():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spectral_pe_rule(HIGH, 3)
+
+
+def _cold_trim():
+    _trim_part.cache_clear()
+    _weights_rule.cache_clear()
+
+
+def _warm_trim():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        geometric_moments(TRIMMED_BOX, 2)
 
 
 # name: (preparation, call); each call sits on its lambda's own line
@@ -61,6 +78,8 @@ CASES = {
     "bernstein_to_monomial": (None, lambda: bernstein_to_monomial(np.ones(25))),
     "monomial_to_bernstein": (None, lambda: monomial_to_bernstein(np.ones(25))),
     "geometric_moments solid": (None, lambda: geometric_moments(x_axis_cylinder(), 2)),
+    "geometric_moments trimmed cold": (_cold_trim, lambda: geometric_moments(TRIMMED_BOX, 2)),
+    "geometric_moments trimmed warm": (_warm_trim, lambda: geometric_moments(TRIMMED_BOX, 2)),
 }
 
 
@@ -74,6 +93,19 @@ def test_warning_names_the_calling_line(name):
         call()
     assert seen and all(w.category is UserWarning for w in seen)
     assert {(w.filename, w.lineno) for w in seen} == {(__file__, call.__code__.co_firstlineno)}
+
+
+def test_warm_trim_memo_warns_as_a_cold_build():
+    # a memo hit converts no basis, so it repeats what the build warned
+    said = []
+    for name in ("geometric_moments trimmed cold", "geometric_moments trimmed warm"):
+        prepare, call = CASES[name]
+        prepare()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            call()
+        said.append([str(w.message) for w in seen])
+    assert said[0] == said[1] == 4 * ["basis conversion at degree 21 amplifies rounding by roughly 10^10"]
 
 
 # Finite geometry whose values overflow float64 on the way: control points
