@@ -524,19 +524,24 @@ def _closed_chain(curves, name, half_tol) -> tuple:
     return curves
 
 
-def _collect_control_points(obj, out, name):
-    if isinstance(obj, (RationalBezierCurve, RationalBezierPatch)):
-        out.append(obj.points.reshape(-1, obj.points.shape[-1]))
-        return
-    # "patch" first: a trimmed patch boxes its 3D net, not its 2D trim loops
-    attr = next((a for a in ("patch", "patches", "loops", "segments") if hasattr(obj, a)), None)
-    if attr is not None:
-        _collect_control_points(getattr(obj, attr), out, f"{name}.{attr}")
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            _collect_control_points(item, out, f"{name}[{i}]")
-    else:
-        _kind(obj, name, (RationalBezierCurve, RationalBezierPatch, list))
+def _collect_control_points(obj):
+    """The control points reachable from ``obj``, one (n, dim) block per curve
+    or patch, depth first in order; an explicit stack takes any nesting."""
+    out, stack = [], [(obj, "obj")]
+    while stack:
+        obj, name = stack.pop()
+        if isinstance(obj, (RationalBezierCurve, RationalBezierPatch)):
+            out.append(obj.points.reshape(-1, obj.points.shape[-1]))
+            continue
+        # "patch" first: a trimmed patch boxes its 3D net, not its 2D trim loops
+        attr = next((a for a in ("patch", "patches", "loops", "segments") if hasattr(obj, a)), None)
+        if attr is not None:
+            stack.append((getattr(obj, attr), f"{name}.{attr}"))
+        elif isinstance(obj, (list, tuple)):
+            stack += reversed([(item, f"{name}[{i}]") for i, item in enumerate(obj)])
+        else:
+            _kind(obj, name, (RationalBezierCurve, RationalBezierPatch, list))
+    return out
 
 
 def control_bbox(obj) -> tuple[np.ndarray, np.ndarray]:
@@ -553,8 +558,7 @@ def control_bbox(obj) -> tuple[np.ndarray, np.ndarray]:
     >>> lo.tolist(), hi.tolist()
     ([0.0, 0.0], [1.0, 1.0])
     """
-    chunks: list[np.ndarray] = []
-    _collect_control_points(obj, chunks, "obj")
+    chunks = _collect_control_points(obj)
     if not chunks:
         raise ValidationError("no control points found")
     if len({c.shape[1] for c in chunks}) != 1:

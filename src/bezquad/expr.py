@@ -6,10 +6,12 @@ precedence, right-binding ^ with a nonnegative integer literal exponent
 that a double holds exactly, unary minus binding tighter than * but
 looser than ^, and the functions sqrt, exp, sin, cos, log.
 
-Expressions are parsed to immutable trees.  Every walk of a tree is a
-fold over one explicit-stack postorder, ``Expr._postorder``, so no tree
-is too deep to walk; only the parser recurses.  One interpreter folds a
-tree in two modes that differ only in their primitive tables.
+Number literals are ASCII decimals.  Expressions are parsed, by one
+loop over two stacks, to immutable trees.  Every walk of a tree is a
+fold over one explicit-stack postorder, ``Expr._postorder``, so no input
+nests too deeply to parse and no tree is too deep to walk.  One
+interpreter folds a tree in two modes that differ only in their
+primitive tables.
 ``evaluate`` runs one point through ``operator`` and ``math``, which
 raise where the point leaves the domain, an overflowing power included,
 and takes an infinite + - * / of finite operands, which double arithmetic
@@ -69,10 +71,6 @@ _FUNCTIONS = {
 }
 _VARIABLES = ("x", "y", "z")
 _OPERATORS = ("+", "-", "*", "/", "^")
-# The parser recurses up to 8 times per nested group, call or negation.
-# parse refuses input that would take it past this many frames, which
-# leaves the caller room under Python's default recursion limit of 1000
-_MAX_FRAMES = 700
 
 
 class Expr:
@@ -207,8 +205,9 @@ class Call(Expr):
         _kind(self.arg, "arg", Expr)
 
 
+# number literals are ASCII: \d would take any Unicode decimal digit, which float reads
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])|(?P<end>\Z))"
 )
@@ -227,121 +226,94 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.nesting = 0  # the groups, calls and negations being parsed
+# how tightly each operator binds, for parsing and printing alike
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _number(value, offset):
+    """The number token ``value`` as a float; literals past the double range raise."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ParseError(f"number {value!r} does not fit a finite double at offset {offset}")
+    return v
 
-    def number(self):
-        """Take a number token as a float; literals past the double range raise."""
-        kind, value, offset = self.take()
-        v = float(value)
-        if not math.isfinite(v):
-            raise ParseError(f"number {value!r} does not fit a finite double at offset {offset}")
-        return v
 
-    def fail(self, message):
-        raise ParseError(f"{message} at offset {self.peek()[2]}")
-
-    def enter(self):
-        """Count one more nested group, call or negation."""
-        self.nesting += 1
-        if 8 * self.nesting > _MAX_FRAMES:
-            self.fail("expression nests too deeply")
-
-    def expect(self, op, message):
-        if self.peek()[:2] != ("op", op):
-            self.fail(message)
-        self.take()
-
-    def expr(self):
-        return self.chain("+-", self.term)
-
-    def term(self):
-        return self.chain("*/", self.factor)
-
-    def chain(self, ops, operand):
-        """Left-associated operands joined by any of ``ops``."""
-        node = operand()
-        while self.peek()[0] == "op" and self.peek()[1] in ops:
-            op = self.take()[1]
-            node = BinOp(op, node, operand())
-        return node
-
-    def factor(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
-            self.enter()
-            child = self.factor()
-            self.nesting -= 1
-            return Neg(child)
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            kind, value, offset = self.peek()
-            if kind != "num" or not re.fullmatch(r"\d+", value):
-                self.fail("exponent must be a nonnegative integer literal")
-            k = self.number()
-            # a rounded exponent can change parity.  Leading zeros go first:
-            # int() refuses over 4300 digits, and a finite double has 309
-            if int(value.lstrip("0") or "0") != int(k):
-                raise ParseError(f"exponent {value!r} is not exact in a double at offset {offset}")
-            return BinOp("^", node, Num(k))
-        return node
-
-    def atom(self):
-        kind, value, offset = self.peek()
-        if kind == "num":
-            return Num(self.number())
-        if kind == "name":
-            self.take()
-            if value in _VARIABLES:
-                return Var(value)
-            if value in _FUNCTIONS:
-                self.expect("(", f"{value} needs a parenthesized argument")
-                return Call(value, self.group())
-            raise ParseError(f"unknown identifier {value!r} at offset {offset}")
-        if kind == "op" and value == "(":
-            self.take()
-            return self.group()
-        self.fail("expected a value")
-
-    def group(self):
-        """The expression after an opening parenthesis, and its ')'."""
-        self.enter()
-        node = self.expr()
-        self.expect(")", "expected ')'")
-        self.nesting -= 1
-        return node
+def _apply(op, values):
+    """Replace the operands of the pending ``op`` on top of ``values`` by its node."""
+    if op == "neg":
+        values[-1] = Neg(values[-1])
+    else:
+        right = values.pop()
+        values[-1] = BinOp(op, values[-1], right)
 
 
 def parse(text: str) -> Expr:
     """Parse an integrand; raises ParseError with a character offset.
 
-    Input that nests groups, calls and negations too deeply for the
-    parser's own recursion, more than 87 of them, is refused; a sum or
-    product of any length parses."""
+    One loop reads the tokens from left to right over two stacks, the
+    values built so far and what is pending: operators and negations not
+    yet applied, and groups and calls not yet closed.  So nesting of any
+    depth parses, as does a sum or product of any length:
+
+    >>> parse("(" * 1000 + "x" + ")" * 1000)
+    Var(name='x')
+    """
     _kind(text, "text", str)
-    p = _Parser(text)
-    node = p.expr()
-    if p.peek()[0] != "end":
-        p.fail(f"unexpected {p.peek()[1]!r}")
-    return node
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+    tokens = iter(_tokenize(text))
+    values, pending = [], []  # pending: operators, "neg", and "(" or a function name per open group
+    want_value, powered = True, False  # powered: the value on top has taken its ^
+    for kind, value, offset in tokens:
+        if want_value:
+            # any unary minuses, open groups and calls, then an atom
+            if value in ("-", "("):
+                pending.append("neg" if value == "-" else "(")
+                continue
+            if value in _FUNCTIONS:
+                _, paren, at = next(tokens)
+                if paren != "(":
+                    raise ParseError(f"{value} needs a parenthesized argument at offset {at}")
+                pending.append(value)
+                continue
+            if kind == "num":
+                values.append(Num(_number(value, offset)))
+            elif value in _VARIABLES:
+                values.append(Var(value))
+            elif kind == "name":
+                raise ParseError(f"unknown identifier {value!r} at offset {offset}")
+            else:
+                raise ParseError(f"expected a value at offset {offset}")
+            want_value, powered = False, False
+        elif value == "^" and not powered:
+            kind, digits, offset = next(tokens)
+            if kind != "num" or not re.fullmatch(r"[0-9]+", digits):
+                raise ParseError(f"exponent must be a nonnegative integer literal at offset {offset}")
+            k = _number(digits, offset)
+            # a rounded exponent can change parity.  Leading zeros go first:
+            # int() refuses over 4300 digits, and a finite double has 309
+            if int(digits.lstrip("0") or "0") != int(k):
+                raise ParseError(f"exponent {digits!r} is not exact in a double at offset {offset}")
+            values[-1], powered = BinOp("^", values[-1], Num(k)), True
+        elif kind == "op" and value in "+-*/":
+            # operators associate left: apply every pending one that binds as tightly
+            while pending and _PRECEDENCE.get(pending[-1], 0) >= _PRECEDENCE[value]:
+                _apply(pending.pop(), values)
+            pending.append(value)
+            want_value = True
+        else:
+            # a closing parenthesis or the end applies what its group holds
+            while pending and pending[-1] in _PRECEDENCE:
+                _apply(pending.pop(), values)
+            if value == ")" and pending:
+                opened = pending.pop()
+                if opened != "(":
+                    values[-1] = Call(opened, values[-1])
+                powered = False
+            elif pending:
+                raise ParseError(f"expected ')' at offset {offset}")
+            elif kind == "end":
+                return values[0]
+            else:
+                raise ParseError(f"unexpected {value!r} at offset {offset}")
 
 
 def _prec(node):
@@ -354,8 +326,11 @@ def _prec(node):
 
 
 def to_text(node: Expr) -> str:
-    """Print with minimal parentheses; reparsing gives the same tree, except
-    that a negative literal comes back as a unary minus of its magnitude."""
+    """Print with minimal parentheses.  Reparsing a tree that ``parse`` gave
+    gives the same tree.  Of a hand-built one, a negative literal comes back
+    as a unary minus of its magnitude, and a negative exponent, printed as
+    ``x^-2``, or a non-finite literal, printed as ``inf``, ``-inf`` or
+    ``nan``, is refused by ``parse``."""
     _kind(node, "node", Expr)
     return _joined(node._fold(_text))
 

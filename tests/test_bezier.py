@@ -406,17 +406,34 @@ def test_control_bbox_is_two_read_only_arrays(build, lo, hi):
         (5, "obj: need a RationalBezierCurve or RationalBezierPatch or list, got int"),
         ([quarter_arc(), 5], "obj[1]: need a RationalBezierCurve or RationalBezierPatch or list, got int"),
         ([[], ()], "no control points found"),
+        # the first refusal depth first, not the shallowest one
+        ([[quarter_arc(), [[], "a"]], 5], "obj[0][1][1]: need a RationalBezierCurve or RationalBezierPatch or list, got str"),
         (
             [quarter_arc(), RationalBezierPatch(np.zeros((2, 2, 3)), np.ones((2, 2)))],
             "mixed 2D and 3D geometry in one bounding box",
         ),
     ],
-    ids=["type", "item-type", "empty", "mixed"],
+    ids=["type", "item-type", "empty", "nested-item-type", "mixed"],
 )
 def test_control_bbox_refusals(obj, message):
     with pytest.raises(ValidationError) as err:
         control_bbox(obj)
     assert str(err.value) == message
+
+
+def _nested(obj, depth):
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
+def test_control_bbox_takes_any_nesting():
+    # the walk once recursed, and a 5,000-deep list raised RecursionError
+    lo, hi = control_bbox(_nested(quarter_arc(), 5000))
+    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [1.0, 1.0]
+    with pytest.raises(ValidationError) as err:
+        control_bbox(_nested([], 5000))
+    assert str(err.value) == "no control points found"
 
 
 def test_curve_validation():

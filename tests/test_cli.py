@@ -505,15 +505,14 @@ def test_json_arrays_that_are_not_doubles_exit_1_with_one_line(
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"bezquad: {message}\n")
 
 
-def test_expression_nested_too_deeply_exits_1_with_one_line():
-    proc = subprocess.run(
-        [sys.executable, "-m", "bezquad.cli", "integrate", "--model", CIRCLE,
-         "--expr", "(" * 150 + "x" + ")" * 150],
-        capture_output=True,
-        text=True,
-    )
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "bezquad: expression nests too deeply at offset 88\n"
+def test_expression_nested_150_deep_takes_the_degree_exact_rule(capsys):
+    # parse once refused more than 87 nested groups; y^2 integrates to pi/4
+    # over the unit disk, and the parentheses change no byte of the output
+    code, out, err = run(capsys, "integrate", "--model", CIRCLE, "--pe",
+                         "--expr", "(" * 150 + "y^2" + ")" * 150)
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(math.pi / 4, rel=0, abs=1e-13)
+    assert run(capsys, "integrate", "--model", CIRCLE, "--pe", "--expr", "y^2") == (0, out, "")
 
 
 def test_3000_term_sum_takes_the_degree_exact_rule(capsys):

@@ -1,4 +1,6 @@
 import math
+import random
+import string
 import time
 
 import numpy as np
@@ -23,7 +25,7 @@ from bezquad.planar import integrate2d, spectral_pe_rule, spectral_rule
 from bezquad.shapes import circle_region
 
 from conftest import expr_tree_text, random_expr_tree, reference_expr_eval
-from expr_reference import reference_evaluate, reference_to_callable
+from expr_reference import reference_evaluate, reference_parse, reference_to_callable
 
 
 def ev(text, point=(0.0, 0.0, 0.0)):
@@ -106,19 +108,92 @@ def test_exact_exponents_of_any_length_parse():
     assert parse("x^" + "0" * 5000 + "3").right == Num(3.0)
 
 
-@pytest.mark.parametrize(
-    "text, offset",
-    [
-        ("(" * 150 + "x" + ")" * 150, 88),  # parser recursion
-        ("-" * 150 + "x", 88),
-        ("sin(" * 150 + "x" + ")" * 150, 352),
-    ],
-    ids=["parentheses", "negations", "calls"],
-)
-def test_nesting_past_what_the_walks_take_is_a_parse_error(text, offset):
+@pytest.mark.parametrize("text, offset", [
+    ("١٠.5e٢", 0),  # Arabic-Indic digits, which float reads as 1050.0
+    ("1٠", 1),
+    ("x^٣", 2),
+    ("１２ + x", 0),  # full-width digits
+    ("x^３", 2),
+    ("2.5e１", 4),
+], ids=["arabic-indic", "arabic-indic-inside", "arabic-indic-exponent", "full-width",
+        "full-width-exponent", "full-width-inside-exponent"])
+def test_number_literals_are_ascii(text, offset):
     with pytest.raises(ParseError) as err:
         parse(text)
-    assert str(err.value) == f"expression nests too deeply at offset {offset}"
+    assert str(err.value) == f"unexpected character {text[offset]!r} at offset {offset}"
+
+
+# the pieces of random token strings: literals, names, operators and blanks,
+# ASCII only, since the reference parser reads any Unicode digit; a mutation
+# puts in the characters no token starts with
+_PIECES = [
+    *"0 1 2 12 007 1.5 2. .5 1e3 1E-2 2.5e+1 1e 1e999 9007199254740993 18446744073709551615".split(),
+    "1" + "0" * 20, "9" * 400,
+    *"x y z sqrt exp sin cos log foo e inf nan X _a x1".split(),
+    *"+ - * / ^ ( ) + - * / ^ ( ) ( ) - ^ 2 3 x y".split(),
+    " ", "\t", "\n",
+]
+_NESTS = ["(", "-", "sin(", "log (", "- ("]
+
+
+def _nested(rnd, text):
+    """``text`` inside up to 70 random groups, calls and negations."""
+    opens = [rnd.choice(_NESTS) for _ in range(rnd.randrange(71))]
+    return "".join(opens) + text + "".join(")" * o.count("(") for o in reversed(opens))
+
+
+def _mutated(rnd, text):
+    """``text`` with one character dropped, one printable ASCII character
+    put in, or one slice repeated."""
+    i, j = sorted(rnd.randrange(len(text) + 1) for _ in range(2))
+    return rnd.choice([
+        text[:i] + text[i + 1:],
+        text[:i] + rnd.choice(string.printable) + text[i:],
+        text[:j] + text[i:j] + text[j:],
+    ])
+
+
+def parse_cases(seed, count):
+    """``count`` texts for the parser: random token strings, and generated
+    expressions, fully parenthesized or printed by to_text, then nested or
+    mutated.  Each group, call or negation takes a '(' or a '-', so a text
+    with at most 87 of them nests no deeper, where the reference gives up."""
+    rnd, rng = random.Random(seed), np.random.default_rng(seed)
+    while count:
+        if rnd.random() < 0.6:
+            text = "".join(rnd.choice(["", "", " "]) + rnd.choice(_PIECES) for _ in range(rnd.randrange(1, 25)))
+            if rnd.random() < 0.2:
+                text = _mutated(rnd, text)
+        else:
+            text = expr_tree_text(random_expr_tree(rng))
+            if rnd.random() < 0.5:
+                text = to_text(parse(text))
+            if rnd.random() < 0.3:
+                text = _nested(rnd, text)
+            while rnd.random() < 0.6:
+                text = _mutated(rnd, text)
+        if text.count("(") + text.count("-") <= 87:
+            count -= 1
+            yield text
+
+
+def _parsed(parse, text):
+    """The tree and its text, or the ParseError's text."""
+    try:
+        node = parse(text)
+    except ParseError as exc:
+        return ParseError, str(exc)
+    return node, to_text(node)
+
+
+def test_parse_matches_the_recursive_parser_it_replaced():
+    refused = 0
+    for text in parse_cases(5050, 15_000):
+        want = _parsed(reference_parse, text)
+        assert "nests too deeply" not in str(want[1]), text
+        assert _parsed(parse, text) == want, text
+        refused += want[0] is ParseError
+    assert 3_000 < refused < 14_000  # both outcomes are exercised
 
 
 @pytest.fixture(scope="module")
@@ -131,23 +206,49 @@ def hand_built_chains():
     return total, negated
 
 
+def _sines(v, sin, n):
+    for _ in range(n):
+        v = sin(v)
+    return v
+
+
+def _walks(text, degree, value):
+    """Parse text and check every walk of its tree: degree, text round
+    trip, vector and scalar values; value(v, sin) is the expected value."""
+    x = np.array([0.5, 2.0])
+    node = parse(text)
+    assert polynomial_degree(node) == degree
+    assert parse(to_text(node)) == node
+    assert np.allclose(to_callable(node)(x, x), value(x, np.sin), rtol=1e-15)
+    assert evaluate(node, (2.0, 0.0, 0.0)) == pytest.approx(value(2.0, math.sin), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "nest, depths, degree, value",
+    [
+        (lambda n: "(" * n + "x" + ")" * n, (150, 100_000), 1, lambda v, sin, n: v),
+        (lambda n: "-" * n + "x", (150, 100_000), 1, lambda v, sin, n: v if n % 2 == 0 else -v),
+        (lambda n: "sin(" * n + "x" + ")" * n, (150, 20_000), None, _sines),
+    ],
+    ids=["parentheses", "negations", "calls"],
+)
+def test_nesting_past_the_old_87_level_limit_parses(nest, depths, degree, value):
+    # parse once refused more than 87 nested groups, calls or negations
+    for n in depths:
+        _walks(nest(n), degree, lambda v, sin: value(v, sin, n))
+
+
 def test_the_deepest_accepted_trees_walk(hand_built_chains):
     x = np.array([0.5, 2.0])
-    for text, value in [
-        ("(" * 87 + "x" + ")" * 87, x),
-        ("-" * 87 + "x", -x),
-        (" + ".join(["x"] * 700), 700 * x),
+    for text, degree, value in [
+        (" + ".join(["x"] * 700), 1, lambda v, sin: 700 * v),
         # the divisor's walk for variables once took two frames per level
-        ("x / (" + " + ".join(["1"] * 690) + ")", x / 690),
+        ("x / (" + " + ".join(["1"] * 690) + ")", 1, lambda v, sin: v / 690),
         # no walk recurses, so a sum or product of any length parses
-        (" + ".join(["x"] * 3000), 3000 * x),
-        ("x" + " * 1" * 2999, x),
+        (" + ".join(["x"] * 3000), 1, lambda v, sin: 3000 * v),
+        ("x" + " * 1" * 2999, 1, lambda v, sin: v),
     ]:
-        node = parse(text)
-        assert polynomial_degree(node) == 1
-        assert to_text(parse(to_text(node))) == to_text(node)
-        assert np.allclose(to_callable(node)(x, x), value, rtol=1e-15)
-        assert evaluate(node, (2.0, 0.0, 0.0)) == pytest.approx(value[1], rel=1e-15)
+        _walks(text, degree, value)
     # and a tree built by hand walks at any depth
     total, negated = hand_built_chains
     for node, text, value in [
@@ -260,6 +361,22 @@ def test_round_trip_minimal_parens():
     ]:
         again = parse(to_text(tree))
         assert evaluate(again, (1, 0, 0)).hex() == evaluate(tree, (1, 0, 0)).hex() == value.hex()
+
+
+@pytest.mark.parametrize("tree, text, refusal", [
+    (BinOp("^", Var("x"), Num(-2.0)), "x^-2", "exponent must be a nonnegative integer literal at offset 2"),
+    (Num(math.inf), "inf", "unknown identifier 'inf' at offset 0"),
+    (Num(-math.inf), "-inf", "unknown identifier 'inf' at offset 1"),
+    (Num(math.nan), "nan", "unknown identifier 'nan' at offset 0"),
+    (BinOp("+", Var("x"), Num(math.inf)), "x + inf", "unknown identifier 'inf' at offset 4"),
+], ids=["negative-exponent", "inf", "-inf", "nan", "inf-inside"])
+def test_hand_built_trees_print_text_that_parse_refuses(tree, text, refusal):
+    # the round trip holds for trees that parse gives, and only a hand-built
+    # tree holds a negative exponent or a non-finite literal
+    assert to_text(tree) == text
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == refusal
 
 
 def test_to_text_prints_integral_floats_as_integers():

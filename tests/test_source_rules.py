@@ -81,16 +81,25 @@ def test_one_way_in_for_files():
         ["open files only in io._read (input) and io._write (output), once each", *report])
 
 
+def _calls_itself(function):
+    """Whether ``function`` calls a name or an attribute spelled as its own name; a
+    ``super()`` call, which reaches the parent class's method, is not one."""
+    return any(
+        getattr(call.func, "id", None) == function.name
+        or getattr(call.func, "attr", None) == function.name and not (
+            isinstance(call.func.value, ast.Call) and getattr(call.func.value.func, "id", None) == "super")
+        for call in ast.walk(function) if isinstance(call, ast.Call)
+    )
+
+
 def test_one_tree_walk():
-    """No function of expr.py outside its parser calls itself: every walk of a tree is a fold
-    over Expr._postorder, an explicit stack, so a tree of any depth takes it."""
-    module = ast.parse((ROOT / "src/bezquad/expr.py").read_text())
-    scopes = [node for node in module.body if getattr(node, "name", None) != "_Parser"]
-    functions = [f for scope in scopes for f in ast.walk(scope) if isinstance(f, ast.FunctionDef)]
+    """No function of src/bezquad calls itself: every walk of an expression tree is a
+    fold over Expr._postorder, parse is one loop and control_bbox walks an explicit
+    stack, so input of any depth takes them."""
     recursive = [
-        f"{f.name}, line {f.lineno}" for f in functions
-        if any(getattr(call.func, "id", getattr(call.func, "attr", None)) == f.name
-               for call in ast.walk(f) if isinstance(call, ast.Call))
+        f"{path.relative_to(ROOT)}:{f.lineno}: {f.name}"
+        for path in sorted((ROOT / "src/bezquad").glob("*.py"))
+        for f in ast.walk(ast.parse(path.read_text())) if isinstance(f, ast.FunctionDef) and _calls_itself(f)
     ]
     assert not recursive, "\n".join(
-        ["walk a tree by folding over Expr._postorder, not by recursion", *recursive])
+        ["walk nested input over an explicit stack, not by recursion", *recursive])
