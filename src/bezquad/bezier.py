@@ -127,9 +127,11 @@ def _adopt(value, name, dtype=float, shape=None) -> np.ndarray:
             what = f"values must be integers in {np.dtype(dtype)} range"
             raise ValidationError(what if integral else "integer too large for a double", path=name)
         _frozen(out)
+    # ravel copies a kept view that is not C-contiguous, such as a clockwise
+    # arc's reversed points, so such a view is read through .flat instead
     if out.dtype.kind == "f" and not (
         np.isfinite(out).all() if out.size > _FEW
-        else all(map(math.isfinite, out.ravel().tolist()))
+        else all(map(math.isfinite, out.ravel().tolist() if out.flags.c_contiguous else out.flat))
     ):
         _refuse(out, ~np.isfinite(out), name, "must be finite")
     rows = shape is not None and shape[:1] == (None,)  # any number of rows

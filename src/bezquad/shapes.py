@@ -10,6 +10,7 @@ bad argument at its name.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,18 +178,45 @@ def box_solid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> SolidModel:
     return SolidModel(tuple(TrimmedPatch(RationalBezierPatch(p, _ONES)) for p in nets))
 
 
-def _capped_cylinder(center, radius, z0, height, trim, cap=1.0) -> SolidModel:
-    """The four side patches, then top and bottom square caps of
-    half-extent ``cap * radius`` about the axis, both trimmed by ``trim``.
-    Radius and height must be positive.
+# the exact caps' trim: the parameter-space circle of radius 1/2 about
+# (1/2, 1/2), whose read-only arcs every cylinder_solid shares
+_CIRCLE_TRIM = TrimLoop(tuple(circle_loop((0.5, 0.5), 0.5)))
 
-    The bottom cap mirrors v so its normal points down while the trim
-    loop stays counter-clockwise in (u, v).
+
+@lru_cache(maxsize=64)
+def _fitted_trim(segments: int, samples_per_segment: int) -> TrimLoop:
+    """The fitted caps' trim: ``segments`` cubics through ``segments *
+    samples_per_segment`` samples of the parameter-space circle of radius
+    0.4 about (1/2, 1/2).  Counts outside the domain are refused before
+    the call, so no refusal is stored; the cubic fit of these samples
+    cannot warn, and every hit hands out the same loop of read-only curves."""
+    theta = np.linspace(0.0, 2.0 * np.pi, segments * samples_per_segment + 1)
+    samples = 0.5 + 0.4 * np.column_stack([np.cos(theta), np.sin(theta)])
+    return TrimLoop(tuple(fit_trim_curves(samples, segments)))
+
+
+def _capped_cylinder(center, radius, z0, height, fit=None) -> SolidModel:
+    """The four side patches, then top and bottom square caps about the
+    axis, trimmed by _CIRCLE_TRIM, or by ``_fitted_trim(*fit)`` for
+    checked counts ``fit``, whose caps reach 1.25 ``radius`` so that the
+    parametric circle of radius 0.4 maps onto the cross-section.  Radius
+    and height must be positive.
+
+    A control coordinate beyond float64 (the top at ``z0 + height``, a cap
+    corner at the center plus or minus the half-extent) is refused as an
+    overflow before the trim or any patch is built.  The bottom cap
+    mirrors v so its normal points down while the trim loop stays
+    counter-clockwise in (u, v).
     """
     center = _adopt(center, "center", shape=(2,))
     radius, height = _positive(radius, "radius"), _positive(height, "height")
     z0 = float(_adopt(z0, "z0", shape=()))
-    (cx, cy), z1, half = center.tolist(), z0 + height, cap * radius
+    (cx, cy), z1 = center.tolist(), z0 + height
+    half = radius if fit is None else 1.25 * radius
+    if math.isinf(z1) or math.isinf(abs(cx) + half) or math.isinf(abs(cy) + half):
+        what = f"center {(cx, cy)}, radius {radius!r}, z0 {z0!r} and height {height!r}"
+        raise ValidationError(f"the cylinder's control points overflowed float64: {what}")
+    trim = _CIRCLE_TRIM if fit is None else _fitted_trim(*fit)
     patches = []
     for arc in circle_loop(center, radius):
         pts = np.empty((3, 2, 3))
@@ -210,10 +238,9 @@ def cylinder_solid(center=(0.0, 0.0), radius=1.0, z0=0.0, height=1.0) -> SolidMo
 
     Four rational-quadratic side patches (u along the arc, v up the axis)
     plus two planar caps trimmed by the parameter-space circle of radius
-    1/2 about (1/2, 1/2).
+    1/2 about (1/2, 1/2), one trim loop built once per process.
     """
-    trim = TrimLoop(tuple(circle_loop((0.5, 0.5), 0.5)))
-    return _capped_cylinder(center, radius, z0, height, trim)
+    return _capped_cylinder(center, radius, z0, height)
 
 
 def cylinder_solid_fitted(
@@ -230,16 +257,17 @@ def cylinder_solid_fitted(
     ``segments`` overshoot the cap square and fewer than 3 samples leave a
     cubic short of its four nodes; each is refused at its name.  Volume
     error falls like the fourth power of ``segments``.
+
+    The fitted trim loop is built once per process for each (segments,
+    samples_per_segment) pair, taken as integers (8, 8.0 and np.int64(8)
+    share one), and kept for the 64 pairs used last.  Every cylinder of a
+    pair shares that loop of read-only curves, so its rules have the bytes
+    of a fresh fit; a refused count is refused before the memo and never
+    stored.
     """
     segments = _as_int(segments, "segments", 4)
     samples_per_segment = _as_int(samples_per_segment, "samples per segment", 3)
-    theta = np.linspace(0.0, 2.0 * np.pi, segments * samples_per_segment + 1)
-    samples = 0.5 + 0.4 * np.column_stack([np.cos(theta), np.sin(theta)])
-    trim = TrimLoop(tuple(fit_trim_curves(samples, segments)))
-
-    # cap squares with half-extent 1.25 r: the parametric circle of radius
-    # 0.4 maps exactly onto the cross-section of radius r
-    return _capped_cylinder(center, radius, z0, height, trim, cap=1.25)
+    return _capped_cylinder(center, radius, z0, height, (segments, samples_per_segment))
 
 
 def flip_patch(tp: TrimmedPatch) -> TrimmedPatch:

@@ -29,6 +29,7 @@ from bezquad.moments import MomentVector, _sum_plan, moment_fit_weights
 from bezquad.planar import Rule, Rule2D, _gauss_region_rule, _weights_rule
 from bezquad.quad1d import Rule1D, _leggauss, gauss_legendre, weight_poly_roots
 from bezquad.shapes import (
+    _fitted_trim,
     annulus_region,
     bilinear_patch,
     box_solid,
@@ -37,7 +38,7 @@ from bezquad.shapes import (
     quarter_arc,
     square_region,
 )
-from bezquad.surface import _tensor_part, _trim_part
+from bezquad.surface import TrimLoop, _tensor_part, _trim_part
 from bezquad.trimfit import fit_trim_curves
 from bezquad.volume import Rule3D, volume_rule
 
@@ -321,6 +322,25 @@ def test_reversed_curve_shares_its_control_net():
     assert np.array_equal(back.points, arc.points[::-1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_kept_reversed_view_is_checked_at_its_own_entries(bad):
+    # a clockwise arc's points are such a view: kept without a copy, its
+    # few values read for finiteness where they lie, a bad one named at its
+    # index in the view
+    block = np.arange(6.0).reshape(3, 2).copy()  # owns its data
+    block.flags.writeable = False
+    view = block[::-1, ::-1]
+    assert _adopt(view, "points", shape=(None, 2)) is view
+    assert RationalBezierCurve(view, np.ones(3)).points is view
+    block = block.copy()
+    block[1, 0] = bad
+    block.flags.writeable = False
+    for build in (lambda v: _adopt(v, "points", shape=(None, 2)), lambda v: RationalBezierCurve(v, np.ones(3))):
+        with pytest.raises(ValidationError) as err:
+            build(block[::-1, ::-1])
+        assert str(err.value) == f"points[1][1]: must be finite, got {bad}"
+
+
 # each short path of _adopt: a value that takes it, the name, dtype and
 # shape it is adopted under, and the entry a NaN or inf replaces (None for
 # integers).  _FEW values are checked for finiteness in Python, one more by numpy
@@ -419,15 +439,19 @@ _MEMOS = {
     ),
     "_weights_rule": lambda: _weights_rule(np.array([1.0, 0.5, 1.0]).tobytes(), 3),
     "_sum_plan": lambda: _sum_plan(3, 3),
+    "_fitted_trim": lambda: _fitted_trim(4, 3),
 }
 
 
 def _arrays(value):
-    """The arrays in ``value``, its tuples and its Rule1Ds."""
+    """The arrays in ``value``, its tuples, its Rule1Ds and its TrimLoops' curves."""
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, Rule1D):
         yield from (value.nodes, value.weights)
+    elif isinstance(value, TrimLoop):
+        for curve in value.segments:
+            yield from (curve.points, curve.weights)
     elif isinstance(value, tuple):
         for item in value:
             yield from _arrays(item)

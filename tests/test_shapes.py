@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from bezquad import shapes
 from bezquad.bezier import RationalBezierCurve, RationalBezierPatch
 from bezquad.errors import ValidationError
 from bezquad.shapes import (
@@ -23,6 +24,7 @@ from bezquad.shapes import (
     quarter_arc,
     square_region,
 )
+from bezquad.volume import volume_rule
 
 # the per-arc construction: each arc indexes three of the eight corners of
 # the square of half-side 1 about the center, and a clockwise loop is the
@@ -254,6 +256,24 @@ _REFUSALS = {
         "center: need shape (2,), got (3,)",
     ),
     "infinite-z0": (lambda: cylinder_solid(z0=np.inf), "z0: must be finite, got inf"),
+    # the builder's own arithmetic overflowed, and the patch check named a
+    # control point the caller never passed: z0 + height, and the fitted
+    # cap's corner 1.25 r past the center where the exact one's r is not
+    "cylinder-top-overflow": (
+        lambda: cylinder_solid((0, 0), 1.0, 1e308, 1e308),
+        "the cylinder's control points overflowed float64: "
+        "center (0.0, 0.0), radius 1.0, z0 1e+308 and height 1e+308",
+    ),
+    "fitted-top-overflow": (
+        lambda: cylinder_solid_fitted((0, 0), 1.0, 1e308, 1e308),
+        "the cylinder's control points overflowed float64: "
+        "center (0.0, 0.0), radius 1.0, z0 1e+308 and height 1e+308",
+    ),
+    "fitted-cap-overflow": (
+        lambda: cylinder_solid_fitted((1e308, 0), 7e307, 0, 1),
+        "the cylinder's control points overflowed float64: "
+        "center (1e+308, 0.0), radius 7e+307, z0 0.0 and height 1.0",
+    ),
     "fitted-negative-height": (
         lambda: cylinder_solid_fitted(height=-1),
         "height: must be positive, got -1.0",
@@ -351,3 +371,72 @@ def test_an_arc_is_refused_only_where_its_control_points_overflow():
     for build in (lambda: quarter_arc((-1e308, 0.0), 1e308, 1), lambda: circle_loop((-1e308, 0.0), 1e308)):
         with pytest.raises(ValidationError, match=r"^the circle's control points overflowed float64: "):
             build()
+
+
+def test_a_cylinder_is_refused_only_where_its_control_points_overflow():
+    # the exact caps reach x = 1.7e308, the fitted caps' 1.25 r 1.875e308
+    solid = cylinder_solid((1e308, 0.0), 7e307, 0.0, 1.0)
+    assert max(tp.patch.points[..., 0].max() for tp in solid.patches) == 1e308 + 7e307
+    assert len(cylinder_solid_fitted((1e308, 0.0), 7e307 / 1.25, -1e308, 1e308).patches) == 6
+
+
+def _rule_bytes(rule):
+    return rule.points.tobytes() + rule.weights.tobytes() + rule.provenance.tobytes()
+
+
+@pytest.mark.parametrize("segments", [4, 11, 16])
+def test_a_warm_fitted_trim_gives_the_cold_bytes(segments):
+    build = lambda: _rule_bytes(volume_rule(cylinder_solid_fitted(segments=segments), 16, 16, 16))
+    shapes._fitted_trim.cache_clear()
+    cold = build()
+    assert build() == cold
+    shapes._fitted_trim.cache_clear()
+    assert build() == cold
+
+
+def test_each_fitted_trim_is_fitted_once(monkeypatch):
+    counts, fit = {}, shapes.fit_trim_curves
+
+    def counted(points, segments):
+        counts[segments] = counts.get(segments, 0) + 1
+        return fit(points, segments)
+
+    monkeypatch.setattr(shapes, "fit_trim_curves", counted)
+    shapes._fitted_trim.cache_clear()
+    for segments in (8, 9, 8, 4, 9, 8):
+        cylinder_solid_fitted(segments=segments)
+    assert counts == {8: 1, 9: 1, 4: 1}
+    cylinder_solid_fitted(segments=8, samples_per_segment=5)
+    assert counts == {8: 2, 9: 1, 4: 1}
+
+
+def test_fitted_counts_of_any_kind_share_one_trim():
+    shapes._fitted_trim.cache_clear()
+    solids = [cylinder_solid_fitted(segments=n) for n in (8, 8.0, np.int64(8))]
+    assert shapes._fitted_trim.cache_info()[1:] == (1, 64, 1)  # misses, maxsize, currsize
+    loops = {id(tp.loops[0]) for solid in solids for tp in solid.patches if tp.loops}
+    assert len(loops) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs, text",
+    [
+        ({"segments": 3}, "segments must be >= 4, got 3"),
+        ({"samples_per_segment": 2}, "samples per segment must be >= 3, got 2"),
+        ({"segments": True}, "segments must be an integer, got True"),
+        ({"z0": 1e308, "height": 1e308}, "the cylinder's control points overflowed float64: "
+            "center (0.0, 0.0), radius 1.0, z0 1e+308 and height 1e+308"),
+    ],
+    ids=["3-segments", "2-samples", "bool-segments", "overflow"],
+)
+def test_a_refused_fitted_cylinder_leaves_no_trim(kwargs, text):
+    shapes._fitted_trim.cache_clear()
+    with pytest.raises(ValidationError) as err:
+        cylinder_solid_fitted(**kwargs)
+    assert str(err.value) == text
+    assert shapes._fitted_trim.cache_info().currsize == 0
+
+
+def test_every_exact_cylinder_shares_one_circle_trim():
+    loops = {id(tp.loops[0]) for args in _CIRCLES for tp in cylinder_solid(*args).patches if tp.loops}
+    assert len(loops) == 1

@@ -103,3 +103,31 @@ def test_one_tree_walk():
     ]
     assert not recursive, "\n".join(
         ["walk nested input over an explicit stack, not by recursion", *recursive])
+
+
+def _decorator_name(node):
+    """The name a decorator calls or is: ``lru_cache`` for ``@functools.lru_cache(64)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_every_memo_hands_out_read_only_arrays():
+    """Every lru_cache or _memo memo of src/bezquad is a key of tests/test_adopt.py's
+    _MEMOS, whose test calls each twice and finds no writeable array: every caller
+    shares a memo's value.  bezier._memo's own lru_cache wraps each build, so the
+    function it decorates, ``entry``, is no memo of its own."""
+    memos = {
+        f.name
+        for path in sorted((ROOT / "src/bezquad").glob("*.py"))
+        for f in ast.walk(ast.parse(path.read_text())) if isinstance(f, ast.FunctionDef)
+        if any(_decorator_name(d) in ("lru_cache", "_memo") for d in f.decorator_list)
+        and (path.stem, f.name) != ("bezier", "entry")
+    }
+    table = next(
+        node.value for node in ast.parse((ROOT / "tests/test_adopt.py").read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_MEMOS"
+    )
+    unlisted = sorted(memos - {key.value for key in table.keys})
+    assert memos and not unlisted, "\n".join(
+        ["list every memo in tests/test_adopt.py's _MEMOS, called with arguments for one entry",
+         *unlisted])
